@@ -71,7 +71,6 @@ fn run_cell(
         selector: match kind {
             None => "policy",
             Some(SelectorKind::Linear) => "linear",
-            Some(SelectorKind::LazyHeap) => "lazy_heap",
             Some(SelectorKind::LoserTree) => "loser_tree",
             Some(SelectorKind::ShardedTree) => "sharded_tree",
         },
@@ -105,7 +104,6 @@ fn main() {
             let expected = reference.place(&owned.view(), count);
             for kind in [
                 Some(SelectorKind::Linear),
-                Some(SelectorKind::LazyHeap),
                 Some(SelectorKind::LoserTree),
                 Some(SelectorKind::ShardedTree),
                 None,

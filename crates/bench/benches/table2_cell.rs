@@ -9,7 +9,7 @@ use std::hint::black_box;
 use std::time::Duration;
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
-use vg_exp::campaign::run_instance;
+use vg_exp::campaign::run_instance_fresh;
 use vg_exp::scenario::{make_scenario, ScenarioParams};
 use vg_sim::SimOptions;
 
@@ -28,15 +28,10 @@ fn bench_table2_instance(c: &mut Criterion) {
         let heuristics = HeuristicKind::ALL.to_vec();
         g.bench_function(label, |b| {
             b.iter(|| {
-                black_box(run_instance(
-                    &scenario,
-                    &heuristics,
-                    42,
-                    0,
-                    0,
-                    0,
-                    SimOptions::default(),
-                ))
+                black_box(
+                    run_instance_fresh(&scenario, &heuristics, 42, 0, 0, 0, SimOptions::default())
+                        .makespans,
+                )
             });
         });
     }

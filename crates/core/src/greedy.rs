@@ -18,14 +18,15 @@
 //! ## Scratch reuse and score caching
 //!
 //! `place_into` keeps its buffers across calls (`ups`, `n_q`, `scores`,
-//! `heap`, the score memo and the kernel copies), so steady-state placement
-//! allocates nothing. Scores are cached per UP processor and recomputed
-//! only when their inputs change: assigning a task to `P_j` invalidates
-//! `P_j`'s score alone, except for the `*` variants where enrolling a *new*
-//! processor bumps `n_active` and invalidates every score (Equation (2)
-//! couples them). Every cache replays exactly the computation the naive
-//! rescan performed, so decisions — including the lowest-id tie-break
-//! \[D9\] — are bit-identical to the original implementation.
+//! the selector trees, the score memo and the kernel copies), so
+//! steady-state placement allocates nothing. Scores are cached per UP
+//! processor and recomputed only when their inputs change: assigning a
+//! task to `P_j` invalidates `P_j`'s score alone, except for the `*`
+//! variants where enrolling a *new* processor bumps `n_active` and
+//! invalidates every score (Equation (2) couples them). Every cache
+//! replays exactly the computation the naive rescan performed, so
+//! decisions — including the lowest-id tie-break \[D9\] — are
+//! bit-identical to the original implementation.
 //!
 //! ## Pluggable argmin selectors
 //!
@@ -37,22 +38,18 @@
 //! linear rescan below the measured crossover, and above it a **loser
 //! tree** over `(score, pos)` keys — `O(1)` select, one `⌈log₂ u⌉`
 //! leaf-to-root path per winner re-score, one `O(u)` bottom-up rebuild per
-//! Equation-(2) ceiling step — with the stale-tolerant lazy 4-ary heap of
-//! the previous generation kept as a third, `force_selector`-reachable
-//! implementation and differential witness. All three produce bit-identical
-//! winner sequences (the proptest below drives every family through every
-//! selector against the cache-free naive model); see the selector module
-//! docs for the key order, the staleness contracts and the measured
-//! crossovers.
+//! Equation-(2) ceiling step — and its per-shard variant at very large `u`.
+//! All produce bit-identical winner sequences (the proptest below drives
+//! every family through every selector against the cache-free naive
+//! model); see the selector module docs for the key order, the staleness
+//! contract and the measured crossovers.
 //!
 //! Scores are **monotone non-decreasing within a round** — every mutation
 //! (pipelining another task onto a processor, inflating effective `T_data`
 //! by enrolling one more) raises completion time, and all four objectives
-//! are normalized so larger `CT` means a larger score. The lazy heap's
-//! pop-validate repair relies on that invariant; the loser tree does not
-//! need it (its entries are never stale), but the invariant is what makes
-//! the *round-batched* ceiling refresh cheap for both: one dense re-score
-//! pass over the row, then one `O(u)` rebuild.
+//! are normalized so larger `CT` means a larger score. That invariant is
+//! what makes the *round-batched* ceiling refresh cheap: one dense
+//! re-score pass over the row, then one `O(u)` rebuild.
 //!
 //! ## Division-free Equation-(2) bookkeeping
 //!
@@ -143,9 +140,6 @@ pub struct GreedyScheduler {
     counts: Vec<u32>,
     /// Scratch: cached score of each UP processor (parallel to `ups`).
     scores: Vec<f64>,
-    /// Scratch: the lazy heap selector's `(score, pos)` entries (`pos`
-    /// indexes `ups`); see the selector module for the staleness contract.
-    heap: Vec<(f64, u32)>,
     /// Scratch: the loser-tree selector's tournament storage.
     tree: LoserTree,
     /// Scratch: the sharded selector's per-shard trees + winner keys
@@ -188,7 +182,6 @@ impl GreedyScheduler {
             ups: Vec::new(),
             counts: Vec::new(),
             scores: Vec::new(),
-            heap: Vec::new(),
             tree: LoserTree::default(),
             sharded: ShardedTree::default(),
             force_selector: None,
@@ -205,13 +198,6 @@ impl GreedyScheduler {
     #[doc(hidden)]
     pub fn force_selector(&mut self, kind: Option<SelectorKind>) {
         self.force_selector = kind;
-    }
-
-    /// Routes every selection through the lazy heap — the pre-loser-tree
-    /// test hook, kept as a shim over [`Self::force_selector`].
-    #[doc(hidden)]
-    pub fn force_heap(&mut self, on: bool) {
-        self.force_selector = on.then_some(SelectorKind::LazyHeap);
     }
 
     /// The objective.
@@ -570,21 +556,15 @@ impl Scheduler for GreedyScheduler {
         }
         // Pick the selection strategy (see `SelectorKind::choose` for the
         // measured crossover policy): the dense vectorized linear rescan on
-        // small rounds, the loser tree above — with the lazy heap pinned
-        // only through the `force_selector` hook. Positions index `ups`,
+        // small rounds, the trees above (any selector can be pinned
+        // through the `force_selector` hook). Positions index `ups`,
         // which is in ascending id order, so every selector's
         // `(score, pos)` key order reproduces the linear scan's strict-`<`
         // lowest-id tie-break.
         let kind = self
             .force_selector
             .unwrap_or_else(|| SelectorKind::choose(ups.len(), count));
-        let mut selector = Selector::build(
-            kind,
-            &scores,
-            &mut self.heap,
-            &mut self.tree,
-            &mut self.sharded,
-        );
+        let mut selector = Selector::build(kind, &scores, &mut self.tree, &mut self.sharded);
         let mut ceiling = CeilingState::new(self.contention, view.t_data, view.ncom);
         let spent =
             |room: Option<&[u8]>, i: usize, n_q: u32| room.is_some_and(|r| n_q >= u32::from(r[i]));
@@ -634,7 +614,7 @@ impl Scheduler for GreedyScheduler {
             }
         }
         // Return the backing storage to the persistent scratch.
-        selector.into_storage(&mut self.heap, &mut self.tree, &mut self.sharded);
+        selector.into_storage(&mut self.tree, &mut self.sharded);
         self.memo = memo;
         self.ups = ups;
         self.counts = counts;
@@ -947,7 +927,7 @@ mod tests {
 
         /// The specification: recompute every candidate's score from
         /// scratch before each placement and take the strict-`<` linear
-        /// argmin — no caches, no heap. Mirrors the pre-optimization
+        /// argmin — no caches, no trees. Mirrors the pre-optimization
         /// algorithm exactly, including the lowest-id tie-break and the
         /// Equation-(2) `n_active` coupling.
         fn naive_placements(
@@ -987,7 +967,7 @@ mod tests {
             /// Random score-mutation/placement sequences: per round the
             /// processors' delays and states mutate and a random batch is
             /// placed. *Persistent* schedulers pinned to each selector —
-            /// the lazy heap, the loser tree, and the linear rescan, all
+            /// the linear rescan, the loser tree and the sharded tree, all
             /// with their caches warm across rounds — must reproduce the
             /// stateless naive model's winners — and tie-break order — for
             /// every greedy family, including the `*` variants whose
@@ -1009,15 +989,13 @@ mod tests {
             ) {
                 for (obj, star) in FAMILIES {
                     let mut pinned: Vec<(GreedyScheduler, &str)> = vec![
-                        (GreedyScheduler::new(obj, star, "heap"), "heap"),
                         (GreedyScheduler::new(obj, star, "loser"), "loser tree"),
                         (GreedyScheduler::new(obj, star, "linear"), "linear"),
                         (GreedyScheduler::new(obj, star, "sharded"), "sharded tree"),
                     ];
-                    pinned[0].0.force_selector(Some(SelectorKind::LazyHeap));
-                    pinned[1].0.force_selector(Some(SelectorKind::LoserTree));
-                    pinned[2].0.force_selector(Some(SelectorKind::Linear));
-                    pinned[3].0.force_selector(Some(SelectorKind::ShardedTree));
+                    pinned[0].0.force_selector(Some(SelectorKind::LoserTree));
+                    pinned[1].0.force_selector(Some(SelectorKind::Linear));
+                    pinned[2].0.force_selector(Some(SelectorKind::ShardedTree));
                     for (s, _) in &mut pinned {
                         s.begin_run();
                     }
@@ -1069,7 +1047,6 @@ mod tests {
             let expected = plain.place(&owned.view(), 10);
             for kind in [
                 SelectorKind::Linear,
-                SelectorKind::LazyHeap,
                 SelectorKind::LoserTree,
                 SelectorKind::ShardedTree,
             ] {
@@ -1081,14 +1058,6 @@ mod tests {
                     "{obj:?} star={star} {kind:?}"
                 );
             }
-            // The legacy hook still pins the heap.
-            let mut legacy = GreedyScheduler::new(obj, star, "legacy");
-            legacy.force_heap(true);
-            assert_eq!(
-                legacy.place(&owned.view(), 10),
-                expected,
-                "{obj:?} star={star}"
-            );
         }
     }
 

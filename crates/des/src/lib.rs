@@ -7,8 +7,6 @@
 //!   master seed and a *label path*, so that two runs with the same seed are
 //!   bit-identical and so that independent components (e.g. the availability
 //!   trace of processor 7 in trial 3) never share a stream.
-//! * [`calendar`] — a deterministic discrete-event calendar with stable
-//!   tie-breaking (FIFO among simultaneous events).
 //! * [`stats`] — numerically stable online statistics (Welford), summaries,
 //!   histograms and quantiles used by the experiment harness.
 //! * [`par`] — a small scoped thread pool (`std::thread::scope` +
@@ -19,11 +17,9 @@
 //!   randomly-seeded maps wherever iteration order could leak into results.
 //!
 //! The simulation model of the paper is *slot based* (discretized time,
-//! Section 3.2 of Casanova et al.), so most of the workspace only needs the
-//! [`Slot`] clock type; the event calendar is used where sparse events are more
-//! natural (e.g. trace run-lengths) and by downstream users of the library.
+//! Section 3.2 of Casanova et al.), so the workspace only needs the [`Slot`]
+//! clock type.
 
-pub mod calendar;
 pub mod det;
 pub mod par;
 pub mod rng;
@@ -41,7 +37,6 @@ pub type SlotSpan = u64;
 
 /// Convenience prelude re-exporting the most commonly used items.
 pub mod prelude {
-    pub use crate::calendar::EventQueue;
     pub use crate::par::{par_map, ParallelismConfig};
     pub use crate::rng::{SeedPath, StreamRng};
     pub use crate::stats::{Histogram, OnlineStats, Summary};

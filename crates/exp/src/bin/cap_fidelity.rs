@@ -2,19 +2,9 @@
 //! pool/replica placement rounds at the slot's bindable capacity change
 //! *answers*, or only *throughput*?
 //!
-//! Runs the Table-1 campaign grid twice — once uncapped, once capped — with
-//! the **same master seed**, so the two campaigns see byte-identical
-//! scenarios and availability traces (common random numbers). The batched
-//! pipeline streams outcomes back in input order, so the two
-//! `CampaignResult::outcomes` vectors align index-by-index and every capped
-//! run can be paired with its uncapped twin.
-//!
-//! Per (cell, heuristic, instance) pair where both runs completed, the study
-//! records the **relative makespan delta** `100·(capped − uncapped)/uncapped`
-//! into per-cell paired statistics. A cell is *statistically
-//! indistinguishable* when the 95% confidence interval of its paired delta
-//! contains zero (and no run flipped between completing and burning the slot
-//! cap). Only such cells are candidates for making the cap the default;
+//! Runs the Table-1 campaign grid uncapped (base) and capped (variant) with
+//! the **same master seed** and pairs the two with [`vg_exp::paired`]. Only
+//! *indistinguishable* cells are candidates for making the cap the default;
 //! divergent cells are documented with their deltas in the report (see
 //! `docs/placement_budget.md`).
 //!
@@ -25,180 +15,70 @@
 //! Writes a JSON report to `$CAP_FIDELITY_OUT` (default
 //! `target/CAP_FIDELITY.json`) and prints a text summary.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use vg_des::stats::OnlineStats;
 use vg_exp::cli::ExpArgs;
+use vg_exp::paired::{self, Delta, Report, Row};
 use vg_exp::report::text_table;
-use vg_exp::{run_campaign, CampaignConfig, CampaignResult, ScenarioParams};
+use vg_exp::CampaignResult;
 use vg_sim::{PlacementBudget, SimOptions};
 
-/// Paired per-cell aggregates over the campaign grid.
-struct CellDelta {
-    params: ScenarioParams,
-    /// Relative makespan delta (%) over pairs where both runs completed.
-    mk_delta: OnlineStats,
-    /// Mean dfb delta in percentage points (capped − uncapped), averaged
-    /// over heuristics.
-    dfb_delta_pp: f64,
-    /// Pairs where exactly one of the two runs burned the slot cap.
-    completion_flips: u64,
-    /// Verdict: paired 95% CI contains 0 and no completion flips.
-    indistinguishable: bool,
-}
-
-fn campaign(args: &ExpArgs, cells: &[ScenarioParams], budget: PlacementBudget) -> CampaignResult {
-    let cfg = CampaignConfig {
-        scenarios_per_cell: args.scenarios,
-        trials: args.trials,
-        master_seed: args.seed,
-        parallelism: args.parallelism(),
-        sim: SimOptions {
-            placement_budget: budget,
-            ..SimOptions::default()
-        },
-        keep_outcomes: true,
-        ..CampaignConfig::default()
-    };
-    run_campaign(cells, &cfg)
-}
-
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(!s.contains('"') && !s.contains('\\'), "needs escaping: {s}");
-    s
+/// Mean dfb of cell `i`, averaged over heuristics.
+fn mean_dfb(result: &CampaignResult, i: usize) -> f64 {
+    let dfb = &result.cell_stats[i].dfb;
+    dfb.iter().map(OnlineStats::mean).sum::<f64>() / dfb.len() as f64
 }
 
 fn main() {
     let args = ExpArgs::from_env();
-    // The CI smoke run (`--quick`) exercises one small contention-free cell;
-    // the real study sweeps the full 120-cell Table-1 grid.
-    let cells = if args.quick {
-        vec![ScenarioParams::paper(20, 5, 1)]
-    } else {
-        ScenarioParams::table1_grid()
-    };
-    let runs_per_budget = cells.len() * args.scenarios * args.trials as usize * 17;
-    println!(
-        "cap_fidelity: {} cells x {} scenarios x {} trials, 17 heuristics, capped vs uncapped \
-         ({} simulations total)",
-        cells.len(),
-        args.scenarios,
-        args.trials,
-        2 * runs_per_budget,
-    );
+    let cells = paired::study_cells(&args);
+    let mut report = Report::start("cap_fidelity", &args, cells.len(), "capped vs uncapped", 2);
 
     let t0 = Instant::now();
-    let uncapped = campaign(&args, &cells, PlacementBudget::Uncapped);
-    let capped = campaign(&args, &cells, PlacementBudget::BindCapacity);
+    let sim = |placement_budget| SimOptions {
+        placement_budget,
+        ..SimOptions::default()
+    };
+    let uncapped = paired::campaign(&args, &cells, sim(PlacementBudget::Uncapped));
+    let capped = paired::campaign(&args, &cells, sim(PlacementBudget::BindCapacity));
     let elapsed = t0.elapsed().as_secs_f64();
+    let pairing = paired::pair_campaigns(&uncapped, &capped).expect("CRN-aligned campaigns");
+    let dfb_pp = |i| mean_dfb(&capped, i) - mean_dfb(&uncapped, i);
 
-    let unc = uncapped.outcomes.as_ref().expect("keep_outcomes set");
-    let cap = capped.outcomes.as_ref().expect("keep_outcomes set");
-    assert_eq!(
-        unc.len(),
-        cap.len(),
-        "campaign shapes must match for pairing"
-    );
-
-    // Pair the aligned outcome streams into per-cell delta statistics.
-    let nh = uncapped.heuristics.len();
-    let mut mk_delta: Vec<OnlineStats> = vec![OnlineStats::new(); cells.len()];
-    let mut per_heuristic: Vec<OnlineStats> = vec![OnlineStats::new(); nh];
-    let mut flips: Vec<u64> = vec![0; cells.len()];
-    for (u, c) in unc.iter().zip(cap) {
-        assert_eq!(u.cell, c.cell, "outcome streams misaligned");
-        for (h, stats) in per_heuristic.iter_mut().enumerate() {
-            match (u.completed[h], c.completed[h]) {
-                (true, true) => {
-                    if u.makespans[h] > 0 {
-                        let delta = 100.0 * (c.makespans[h] as f64 - u.makespans[h] as f64)
-                            / u.makespans[h] as f64;
-                        mk_delta[u.cell].push(delta);
-                        stats.push(delta);
-                    }
-                }
-                (true, false) | (false, true) => flips[u.cell] += 1,
-                (false, false) => {}
-            }
-        }
-    }
-
-    let deltas: Vec<CellDelta> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, &params)| {
-            let dfb_unc: f64 = uncapped.cell_stats[i]
-                .dfb
-                .iter()
-                .map(OnlineStats::mean)
-                .sum::<f64>()
-                / nh as f64;
-            let dfb_cap: f64 = capped.cell_stats[i]
-                .dfb
-                .iter()
-                .map(OnlineStats::mean)
-                .sum::<f64>()
-                / nh as f64;
-            let ci = mk_delta[i].confidence_interval(0.95);
-            CellDelta {
-                params,
-                mk_delta: mk_delta[i],
-                dfb_delta_pp: dfb_cap - dfb_unc,
-                completion_flips: flips[i],
-                indistinguishable: flips[i] == 0 && ci.contains(0.0),
-            }
-        })
-        .collect();
-
-    let indistinguishable = deltas.iter().filter(|d| d.indistinguishable).count();
+    let indistinguishable = pairing.count_cells(Delta::indistinguishable);
     println!(
         "\n{indistinguishable}/{} cells statistically indistinguishable \
          (paired 95% CI of the relative makespan delta contains 0, no completion flips)",
-        deltas.len()
+        cells.len()
     );
 
     // The cells where the cap changes answers the most, by |mean delta|.
-    let mut ranked: Vec<&CellDelta> = deltas.iter().filter(|d| !d.indistinguishable).collect();
-    ranked.sort_by(|a, b| b.mk_delta.mean().abs().total_cmp(&a.mk_delta.mean().abs()));
-    if !ranked.is_empty() {
-        let rows: Vec<Vec<String>> = ranked
-            .iter()
-            .take(10)
-            .map(|d| {
-                let ci = d.mk_delta.confidence_interval(0.95);
-                vec![
-                    format!("{}", d.params.n_tasks),
-                    format!("{}", d.params.ncom),
-                    format!("{}", d.params.wmin),
-                    format!("{:+.3}", d.mk_delta.mean()),
-                    format!("[{:+.3}, {:+.3}]", ci.lo, ci.hi),
-                    format!("{:+.3}", d.dfb_delta_pp),
-                    format!("{}", d.completion_flips),
-                ]
-            })
-            .collect();
+    let rows = paired::top_cells(
+        &cells,
+        |i| !pairing.cells[i].indistinguishable(),
+        |i| pairing.cells[i].stats.mean().abs(),
+        |i| {
+            let d = &pairing.cells[i];
+            let [mean, ci] = d.text(3);
+            vec![mean, ci, format!("{:+.3}", dfb_pp(i)), d.flips.to_string()]
+        },
+    );
+    if !rows.is_empty() {
+        let headers = ["n", "ncom", "wmin", "mk Δ%", "95% CI", "dfb Δpp", "flips"];
         println!(
             "\nmost divergent cells (capped − uncapped):\n{}",
-            text_table(
-                &["n", "ncom", "wmin", "mk Δ%", "95% CI", "dfb Δpp", "flips"],
-                &rows
-            )
+            text_table(&headers, &rows)
         );
     }
 
     let rows: Vec<Vec<String>> = uncapped
         .heuristics
         .iter()
-        .zip(&per_heuristic)
-        .map(|(kind, stats)| {
-            let ci = stats.confidence_interval(0.95);
-            vec![
-                kind.name().to_string(),
-                format!("{}", stats.count()),
-                format!("{:+.4}", stats.mean()),
-                format!("[{:+.4}, {:+.4}]", ci.lo, ci.hi),
-            ]
+        .zip(&pairing.heuristics)
+        .map(|(kind, d)| {
+            let [mean, ci] = d.text(4);
+            vec![kind.name().into(), d.stats.count().to_string(), mean, ci]
         })
         .collect();
     println!(
@@ -207,86 +87,13 @@ fn main() {
     );
     eprintln!("done in {elapsed:.1}s");
 
-    // JSON report artifact.
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"study\": \"cap_fidelity\",");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"scenarios\": {}, \"trials\": {}, \"seed\": {}, \"quick\": {}}},",
-        args.scenarios, args.trials, args.seed, args.quick
+    report.line(
+        &Row::default()
+            .with("cells_total", cells.len())
+            .with("cells_indistinguishable", indistinguishable),
     );
-    let _ = writeln!(
-        json,
-        "  \"cells_total\": {}, \"cells_indistinguishable\": {},",
-        deltas.len(),
-        indistinguishable
-    );
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, d) in deltas.iter().enumerate() {
-        let ci = d.mk_delta.confidence_interval(0.95);
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"ncom\": {}, \"wmin\": {}, \"pairs\": {}, \
-             \"mk_delta_pct_mean\": {:.6}, \"ci95_lo\": {:.6}, \"ci95_hi\": {:.6}, \
-             \"dfb_delta_pp\": {:.6}, \"completion_flips\": {}, \"indistinguishable\": {}}}{}",
-            d.params.n_tasks,
-            d.params.ncom,
-            d.params.wmin,
-            d.mk_delta.count(),
-            d.mk_delta.mean(),
-            ci.lo,
-            ci.hi,
-            d.dfb_delta_pp,
-            d.completion_flips,
-            d.indistinguishable,
-            if i + 1 < deltas.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"per_heuristic\": [");
-    for (h, (kind, stats)) in uncapped.heuristics.iter().zip(&per_heuristic).enumerate() {
-        let ci = stats.confidence_interval(0.95);
-        let _ = writeln!(
-            json,
-            "    {{\"heuristic\": \"{}\", \"pairs\": {}, \"mk_delta_pct_mean\": {:.6}, \
-             \"ci95_lo\": {:.6}, \"ci95_hi\": {:.6}}}{}",
-            json_escape_free(kind.name()),
-            stats.count(),
-            stats.mean(),
-            ci.lo,
-            ci.hi,
-            if h + 1 < nh { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    let out =
-        std::env::var("CAP_FIDELITY_OUT").unwrap_or_else(|_| "target/CAP_FIDELITY.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&out, &json).expect("write fidelity report");
-    println!("report written to {out}");
-
-    if args.csv {
-        println!("n,ncom,wmin,pairs,mk_delta_pct_mean,ci95_lo,ci95_hi,dfb_delta_pp,completion_flips,indistinguishable");
-        for d in &deltas {
-            let ci = d.mk_delta.confidence_interval(0.95);
-            println!(
-                "{},{},{},{},{:.6},{:.6},{:.6},{:.6},{},{}",
-                d.params.n_tasks,
-                d.params.ncom,
-                d.params.wmin,
-                d.mk_delta.count(),
-                d.mk_delta.mean(),
-                ci.lo,
-                ci.hi,
-                d.dfb_delta_pp,
-                d.completion_flips,
-                d.indistinguishable
-            );
-        }
-    }
+    let csv = paired::makespan_arrays(&mut report, &cells, &uncapped.heuristics, &pairing, |i| {
+        Row::default().with("dfb_delta_pp", dfb_pp(i))
+    });
+    report.finish(&args, &csv).expect("write fidelity report");
 }

@@ -6,9 +6,8 @@
 //! baseline, all with the **same master seed**. Scripted overlays force
 //! states *after* base sampling and correlated group modulators draw from
 //! their own seed streams, so every family sees byte-identical base
-//! availability (common random numbers): the paired per-instance makespan
-//! delta `100·(chaos − baseline)/baseline` measures the chaos alone, exactly
-//! the cap_fidelity pairing methodology.
+//! availability and its pairing against the baseline ([`vg_exp::paired`])
+//! measures the chaos alone.
 //!
 //! Chaos timescales ride the cell's `wmin` (the paper's base time unit), so
 //! a `wmin = 10` cell is hit at the same *phase* of its execution as a
@@ -21,321 +20,113 @@
 //! Writes a JSON report to `$CHAOS_ROBUSTNESS_OUT` (default
 //! `target/CHAOS_ROBUSTNESS.json`) and prints a text summary.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use vg_des::stats::OnlineStats;
 use vg_exp::cli::ExpArgs;
+use vg_exp::paired::{self, Delta, Paired, Report, Row};
 use vg_exp::report::text_table;
 use vg_exp::scenario::VolatilitySpec;
-use vg_exp::{run_campaign, CampaignConfig, CampaignResult, ScenarioParams};
+use vg_exp::ScenarioParams;
 use vg_sim::SimOptions;
 
-/// One chaos family: a name plus the `wmin`-aware spec builder.
-struct Family {
-    name: &'static str,
-    spec: fn(&ScenarioParams) -> VolatilitySpec,
-}
-
-/// The studied families. Mass kill hits 30% of the platform mid-execution;
-/// bursts take one of four racks down for ~20 slots at a time; the diurnal
-/// cycle parks half of each "day" across four staggered timezones.
-const FAMILIES: &[Family] = &[
-    Family {
-        name: "mass_kill",
-        spec: |c| VolatilitySpec::MassKill {
-            pct: 30,
-            at: 50 * c.wmin,
-            lasts: 100 * c.wmin,
-        },
-    },
-    Family {
-        name: "correlated_bursts",
-        spec: |_| VolatilitySpec::CorrelatedBursts {
-            groups: 4,
-            p_fail: 0.01,
-            p_recover: 0.05,
-        },
-    },
-    Family {
-        name: "diurnal",
-        spec: |c| VolatilitySpec::Diurnal {
-            groups: 4,
-            period: 400 * c.wmin,
-            off_len: 120 * c.wmin,
-            stagger: 100 * c.wmin,
-        },
-    },
+/// The studied families: a name plus the `wmin`-aware spec builder. Mass
+/// kill hits 30% of the platform mid-execution; bursts take one of four
+/// racks down for ~20 slots at a time; the diurnal cycle parks half of
+/// each "day" across four staggered timezones.
+type Family = (&'static str, fn(&ScenarioParams) -> VolatilitySpec);
+const FAMILIES: [Family; 3] = [
+    ("mass_kill", |c| VolatilitySpec::MassKill {
+        pct: 30,
+        at: 50 * c.wmin,
+        lasts: 100 * c.wmin,
+    }),
+    ("correlated_bursts", |_| VolatilitySpec::CorrelatedBursts {
+        groups: 4,
+        p_fail: 0.01,
+        p_recover: 0.05,
+    }),
+    ("diurnal", |c| VolatilitySpec::Diurnal {
+        groups: 4,
+        period: 400 * c.wmin,
+        off_len: 120 * c.wmin,
+        stagger: 100 * c.wmin,
+    }),
 ];
-
-/// Per-cell paired aggregates of one family against the baseline.
-struct CellDelta {
-    params: ScenarioParams,
-    mk_delta: OnlineStats,
-    completion_flips: u64,
-    /// Paired 95% CI of the relative makespan delta contains 0 and no run
-    /// flipped between completing and burning the slot cap.
-    indistinguishable: bool,
-}
-
-/// One family's full pairing against the baseline.
-struct FamilyReport {
-    name: &'static str,
-    cells: Vec<CellDelta>,
-    per_heuristic: Vec<OnlineStats>,
-    flips_total: u64,
-}
-
-fn campaign(args: &ExpArgs, cells: &[ScenarioParams]) -> CampaignResult {
-    let cfg = CampaignConfig {
-        scenarios_per_cell: args.scenarios,
-        trials: args.trials,
-        master_seed: args.seed,
-        parallelism: args.parallelism(),
-        sim: SimOptions::default(),
-        keep_outcomes: true,
-        ..CampaignConfig::default()
-    };
-    run_campaign(cells, &cfg)
-}
-
-/// Pairs a chaos campaign against the baseline index-by-index (both stream
-/// outcomes in input order under the same seed derivation, so instance `i`
-/// of either run saw the same scenario, trial and base availability).
-fn pair(base: &CampaignResult, chaos: &CampaignResult, cells: &[ScenarioParams]) -> FamilyReport {
-    let b = base.outcomes.as_ref().expect("keep_outcomes set");
-    let c = chaos.outcomes.as_ref().expect("keep_outcomes set");
-    assert_eq!(b.len(), c.len(), "campaign shapes must match for pairing");
-    let nh = base.heuristics.len();
-    let mut mk_delta: Vec<OnlineStats> = vec![OnlineStats::new(); cells.len()];
-    let mut per_heuristic: Vec<OnlineStats> = vec![OnlineStats::new(); nh];
-    let mut flips: Vec<u64> = vec![0; cells.len()];
-    for (u, v) in b.iter().zip(c) {
-        assert_eq!(u.cell, v.cell, "outcome streams misaligned");
-        for (h, stats) in per_heuristic.iter_mut().enumerate() {
-            match (u.completed[h], v.completed[h]) {
-                (true, true) => {
-                    if u.makespans[h] > 0 {
-                        let delta = 100.0 * (v.makespans[h] as f64 - u.makespans[h] as f64)
-                            / u.makespans[h] as f64;
-                        mk_delta[u.cell].push(delta);
-                        stats.push(delta);
-                    }
-                }
-                (true, false) | (false, true) => flips[u.cell] += 1,
-                (false, false) => {}
-            }
-        }
-    }
-    let cells = cells
-        .iter()
-        .enumerate()
-        .map(|(i, &params)| {
-            let ci = mk_delta[i].confidence_interval(0.95);
-            CellDelta {
-                params,
-                mk_delta: mk_delta[i],
-                completion_flips: flips[i],
-                indistinguishable: flips[i] == 0 && ci.contains(0.0),
-            }
-        })
-        .collect();
-    FamilyReport {
-        name: "",
-        cells,
-        per_heuristic,
-        flips_total: flips.iter().sum(),
-    }
-}
-
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(!s.contains('"') && !s.contains('\\'), "needs escaping: {s}");
-    s
-}
 
 fn main() {
     let args = ExpArgs::from_env();
-    let cells = if args.quick {
-        vec![ScenarioParams::paper(20, 5, 1)]
-    } else {
-        ScenarioParams::table1_grid()
-    };
-    let runs_per_campaign = cells.len() * args.scenarios * args.trials as usize * 17;
-    println!(
-        "chaos_robustness: {} cells x {} scenarios x {} trials, 17 heuristics, \
-         baseline + {} chaos families ({} simulations total)",
-        cells.len(),
-        args.scenarios,
-        args.trials,
-        FAMILIES.len(),
-        (1 + FAMILIES.len()) * runs_per_campaign,
-    );
+    let cells = paired::study_cells(&args);
+    let what = format!("baseline + {} chaos families", FAMILIES.len());
+    let sides = 1 + FAMILIES.len();
+    let mut report = Report::start("chaos_robustness", &args, cells.len(), &what, sides);
 
     let t0 = Instant::now();
-    let baseline = campaign(&args, &cells);
-    let reports: Vec<FamilyReport> = FAMILIES
+    let baseline = paired::campaign(&args, &cells, SimOptions::default());
+    let pairings: Vec<Paired> = FAMILIES
         .iter()
-        .map(|family| {
-            let chaos_cells: Vec<ScenarioParams> = cells
-                .iter()
-                .map(|c| c.with_volatility((family.spec)(c)))
-                .collect();
-            let result = campaign(&args, &chaos_cells);
-            let mut report = pair(&baseline, &result, &cells);
-            report.name = family.name;
+        .map(|(name, spec)| {
+            let chaos_cells: Vec<ScenarioParams> =
+                cells.iter().map(|c| c.with_volatility(spec(c))).collect();
+            let chaos = paired::campaign(&args, &chaos_cells, SimOptions::default());
+            let pairing = paired::pair_campaigns(&baseline, &chaos).expect("CRN-aligned campaigns");
             println!(
-                "  {} campaign done ({:.1}s)",
-                family.name,
+                "  {name} campaign done ({:.1}s)",
                 t0.elapsed().as_secs_f64()
             );
-            report
+            pairing
         })
         .collect();
     let elapsed = t0.elapsed().as_secs_f64();
 
     // Text summary: per family, the overall paired delta and the most
     // degraded heuristics.
-    for report in &reports {
-        let all: f64 = report
-            .per_heuristic
-            .iter()
-            .map(OnlineStats::mean)
-            .sum::<f64>()
-            / report.per_heuristic.len() as f64;
-        let indist = report.cells.iter().filter(|d| d.indistinguishable).count();
+    for ((name, _), pairing) in FAMILIES.iter().zip(&pairings) {
+        let means = pairing.heuristics.iter().map(|d| d.stats.mean());
+        let all = means.sum::<f64>() / pairing.heuristics.len() as f64;
+        let indist = pairing.count_cells(Delta::indistinguishable);
         println!(
-            "\n=== {} === mean makespan delta {:+.2}% | {}/{} cells indistinguishable | {} flips",
-            report.name,
-            all,
-            indist,
-            report.cells.len(),
-            report.flips_total
+            "\n=== {name} === mean makespan delta {all:+.2}% | {indist}/{} cells \
+             indistinguishable | {} flips",
+            cells.len(),
+            pairing.flips()
         );
-        let mut ranked: Vec<(usize, &OnlineStats)> =
-            report.per_heuristic.iter().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.mean().total_cmp(&a.1.mean()));
+        let mut ranked: Vec<(usize, &Delta)> = pairing.heuristics.iter().enumerate().collect();
+        ranked.sort_by(|a, b| b.1.stats.mean().total_cmp(&a.1.stats.mean()));
         let rows: Vec<Vec<String>> = ranked
             .iter()
             .take(5)
             .chain(ranked.iter().rev().take(3).rev())
-            .map(|(h, stats)| {
-                let ci = stats.confidence_interval(0.95);
-                vec![
-                    baseline.heuristics[*h].name().to_string(),
-                    format!("{}", stats.count()),
-                    format!("{:+.3}", stats.mean()),
-                    format!("[{:+.3}, {:+.3}]", ci.lo, ci.hi),
-                ]
+            .map(|(h, d)| {
+                let [mean, ci] = d.text(3);
+                let name = baseline.heuristics[*h].name().into();
+                vec![name, d.stats.count().to_string(), mean, ci]
             })
             .collect();
-        println!(
-            "{}",
-            text_table(&["Algorithm", "pairs", "mk Δ%", "95% CI"], &rows)
-        );
+        let headers = ["Algorithm", "pairs", "mk Δ%", "95% CI"];
+        println!("{}", text_table(&headers, &rows));
     }
     eprintln!("done in {elapsed:.1}s");
 
-    // JSON report artifact.
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"study\": \"chaos_robustness\",");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"scenarios\": {}, \"trials\": {}, \"seed\": {}, \"quick\": {}}},",
-        args.scenarios, args.trials, args.seed, args.quick
-    );
-    let _ = writeln!(json, "  \"families\": [");
-    for (f, report) in reports.iter().enumerate() {
-        let indist = report.cells.iter().filter(|d| d.indistinguishable).count();
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(
-            json,
-            "      \"family\": \"{}\", \"cells_total\": {}, \"cells_indistinguishable\": {}, \
-             \"completion_flips\": {},",
-            json_escape_free(report.name),
-            report.cells.len(),
-            indist,
-            report.flips_total
+    let mut csv = Vec::new();
+    report.array("families");
+    for ((name, _), pairing) in FAMILIES.iter().zip(&pairings) {
+        let family = Row::default().with("family", *name);
+        report.object();
+        report.line(
+            &family
+                .clone()
+                .with("cells_total", cells.len())
+                .with(
+                    "cells_indistinguishable",
+                    pairing.count_cells(Delta::indistinguishable),
+                )
+                .with("completion_flips", pairing.flips()),
         );
-        let _ = writeln!(json, "      \"cells\": [");
-        for (i, d) in report.cells.iter().enumerate() {
-            let ci = d.mk_delta.confidence_interval(0.95);
-            let _ = writeln!(
-                json,
-                "        {{\"n\": {}, \"ncom\": {}, \"wmin\": {}, \"pairs\": {}, \
-                 \"mk_delta_pct_mean\": {:.6}, \"ci95_lo\": {:.6}, \"ci95_hi\": {:.6}, \
-                 \"completion_flips\": {}, \"indistinguishable\": {}}}{}",
-                d.params.n_tasks,
-                d.params.ncom,
-                d.params.wmin,
-                d.mk_delta.count(),
-                d.mk_delta.mean(),
-                ci.lo,
-                ci.hi,
-                d.completion_flips,
-                d.indistinguishable,
-                if i + 1 < report.cells.len() { "," } else { "" },
-            );
-        }
-        let _ = writeln!(json, "      ],");
-        let _ = writeln!(json, "      \"per_heuristic\": [");
-        let nh = report.per_heuristic.len();
-        for (h, (kind, stats)) in baseline
-            .heuristics
-            .iter()
-            .zip(&report.per_heuristic)
-            .enumerate()
-        {
-            let ci = stats.confidence_interval(0.95);
-            let _ = writeln!(
-                json,
-                "        {{\"heuristic\": \"{}\", \"pairs\": {}, \"mk_delta_pct_mean\": {:.6}, \
-                 \"ci95_lo\": {:.6}, \"ci95_hi\": {:.6}}}{}",
-                json_escape_free(kind.name()),
-                stats.count(),
-                stats.mean(),
-                ci.lo,
-                ci.hi,
-                if h + 1 < nh { "," } else { "" },
-            );
-        }
-        let _ = writeln!(json, "      ]");
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if f + 1 < reports.len() { "," } else { "" }
-        );
+        let kinds = &baseline.heuristics;
+        let rows = paired::makespan_arrays(&mut report, &cells, kinds, pairing, |_| Row::default());
+        csv.extend(rows.into_iter().map(|row| family.clone().append(row)));
+        report.close();
     }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    let out = std::env::var("CHAOS_ROBUSTNESS_OUT")
-        .unwrap_or_else(|_| "target/CHAOS_ROBUSTNESS.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&out, &json).expect("write chaos report");
-    println!("report written to {out}");
-
-    if args.csv {
-        println!("family,n,ncom,wmin,pairs,mk_delta_pct_mean,ci95_lo,ci95_hi,completion_flips,indistinguishable");
-        for report in &reports {
-            for d in &report.cells {
-                let ci = d.mk_delta.confidence_interval(0.95);
-                println!(
-                    "{},{},{},{},{},{:.6},{:.6},{:.6},{},{}",
-                    report.name,
-                    d.params.n_tasks,
-                    d.params.ncom,
-                    d.params.wmin,
-                    d.mk_delta.count(),
-                    d.mk_delta.mean(),
-                    ci.lo,
-                    ci.hi,
-                    d.completion_flips,
-                    d.indistinguishable
-                );
-            }
-        }
-    }
+    report.close();
+    report.finish(&args, &csv).expect("write chaos report");
 }

@@ -2,29 +2,18 @@
 //! resizing** and **two-application co-scheduling** buy on the paper's
 //! volatile platforms?
 //!
-//! Two paired sub-studies over the Table-1 grid, both under common random
-//! numbers — every compared pair of runs sees the byte-identical platform,
-//! availability trace and scheduler seed, so differences are attributable
-//! to the policy alone:
+//! Two paired sub-studies ([`vg_exp::paired`]) over the Table-1 grid; each
+//! compared pair of runs sees the byte-identical platform, availability
+//! trace and scheduler seed:
 //!
-//! 1. **Moldable vs rigid.** The same application run rigid
-//!    ([`ScenarioParams::rigid_spec`]) and moldable
-//!    ([`ScenarioParams::moldable_spec`]: `n/p` tasks per UP worker,
-//!    clamped to `[max(1, n/4), 2n]`). A moldable iteration that shrinks
-//!    completes *less work*, so raw makespan alone would flatter it; the
-//!    study therefore pairs the **relative makespan delta** with the
-//!    **relative throughput delta** (tasks completed per slot), the
-//!    work-rate metric that stays comparable across resizes.
-//! 2. **Co-scheduled vs back-to-back.** Two identical rigid applications
-//!    run together ([`ScenarioParams::cosched_specs`], equal-split quotas)
-//!    versus one after the other on the same trace. Both sides complete
-//!    identical work, so the metric is the **relative makespan saving**
-//!    `100·(2·solo − cosched)/(2·solo)` — positive when interleaving two
-//!    applications hides each other's barrier stalls.
-//!
-//! A cell's verdict follows the `cap_fidelity` methodology: the paired 95%
-//! confidence interval of the per-cell delta, with completion flips (one
-//! side finished, the other burned the slot cap) tracked separately.
+//! 1. **Moldable vs rigid** ([`ScenarioParams::moldable_spec`]: `n/p` tasks
+//!    per UP worker, clamped to `[max(1, n/4), 2n]`). A shrunk iteration
+//!    completes *less work*, so next to the relative makespan delta the
+//!    study pairs the **relative throughput delta** (tasks per slot).
+//! 2. **Co-scheduled vs back-to-back** ([`ScenarioParams::cosched_specs`],
+//!    equal-split quotas): two identical rigid applications together versus
+//!    one after the other on the same trace. The metric is the **relative
+//!    makespan saving** `100·(2·solo − cosched)/(2·solo)`.
 //!
 //! ```text
 //! cargo run -p vg-exp --release --bin mold_cosched -- [--quick] [--scenarios K] [--trials T]
@@ -34,478 +23,223 @@
 //! `target/MOLD_COSCHED.json`) and prints a text summary (see
 //! `docs/applications.md` for the committed full-grid run).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use vg_core::{HeuristicKind, SharePolicy};
 use vg_des::par::par_map;
-use vg_des::rng::SeedPath;
-use vg_des::stats::OnlineStats;
 use vg_exp::cli::ExpArgs;
+use vg_exp::paired::{self, pct_delta, Delta, Paired, Report, Row, Value};
 use vg_exp::report::text_table;
-use vg_exp::ScenarioParams;
-use vg_exp::{make_scenario, Scenario};
-use vg_sim::{SimArena, SimOptions};
+use vg_exp::{instance_seeds, make_scenario, scenario_seed, ScenarioParams};
+use vg_sim::{AppSpec, SimArena, SimOptions};
 
-/// One (cell, scenario, trial) instance of the paired design.
-struct Unit {
-    cell: usize,
-    scenario: usize,
-    trial: u64,
+/// What the paired design reads from one run.
+#[derive(Clone, Copy)]
+struct Run {
+    done: bool,
+    makespan: f64,
+    tasks: f64,
+    final_m: f64,
 }
 
-/// Per-heuristic paired deltas of one instance; `None` where the pair is
-/// unusable (a completion flip or a zero baseline).
-struct UnitDeltas {
-    cell: usize,
-    /// Relative makespan delta (%) moldable − rigid.
-    mold_mk: Vec<Option<f64>>,
-    /// Relative throughput delta (%) moldable − rigid (tasks per slot).
-    mold_tput: Vec<Option<f64>>,
-    /// Final iteration size the moldable run landed on.
-    mold_final_m: Vec<Option<f64>>,
-    mold_flips: u64,
-    /// Relative makespan saving (%) of co-scheduling vs back-to-back.
-    co_saved: Vec<Option<f64>>,
-    co_flips: u64,
-}
-
+/// Runs every heuristic rigid, moldable and co-scheduled on instance
+/// `(cell, scenario, trial)` — the very instance of the Table-2 campaign.
 fn run_unit(
-    unit: &Unit,
-    cells: &[ScenarioParams],
-    heuristics: &[HeuristicKind],
-    master_seed: u64,
-    sim: SimOptions,
-) -> UnitDeltas {
-    let root = SeedPath::root(master_seed);
-    // The same derivation as the campaign runner, so this study's platforms
-    // and traces are the very instances of the Table-2 campaign.
-    let scenario_seed = root
-        .child_str("scenario")
-        .child(unit.cell as u64)
-        .child(unit.scenario as u64);
-    let params = cells[unit.cell];
-    let Scenario { platform, .. } = make_scenario(params, scenario_seed);
-    let trace = root
-        .child_str("trace")
-        .child(unit.cell as u64)
-        .child(unit.scenario as u64)
-        .child(unit.trial);
-    let sched = root
-        .child_str("sched")
-        .child(unit.cell as u64)
-        .child(unit.scenario as u64)
-        .child(unit.trial);
-
-    let mut arena = SimArena::new();
-    let mut out = UnitDeltas {
-        cell: unit.cell,
-        mold_mk: Vec::with_capacity(heuristics.len()),
-        mold_tput: Vec::with_capacity(heuristics.len()),
-        mold_final_m: Vec::with_capacity(heuristics.len()),
-        mold_flips: 0,
-        co_saved: Vec::with_capacity(heuristics.len()),
-        co_flips: 0,
-    };
-    for (h, kind) in heuristics.iter().enumerate() {
-        let h_seed = sched.child(h as u64);
-        // Three runs per heuristic, all on the same trace and scheduler
-        // seed. The rigid run doubles as the back-to-back baseline: two
-        // consecutive solo runs on this platform see the same trace from
-        // slot 0, so the baseline total is exactly twice its makespan.
-        let rigid = arena
-            .run_apps_seeded(
-                &platform,
-                &[params.rigid_spec()],
-                SharePolicy::EqualSplit,
-                kind.build(h_seed.rng()),
-                trace,
-                sim,
-            )
-            .expect("valid rigid configuration");
-        let mold = arena
-            .run_apps_seeded(
-                &platform,
-                &[params.moldable_spec()],
-                SharePolicy::EqualSplit,
-                kind.build(h_seed.rng()),
-                trace,
-                sim,
-            )
-            .expect("valid moldable configuration");
-        let co = arena
-            .run_apps_seeded(
-                &platform,
-                &params.cosched_specs(),
-                SharePolicy::EqualSplit,
-                kind.build(h_seed.rng()),
-                trace,
-                sim,
-            )
-            .expect("valid co-scheduled configuration");
-
-        let rigid_done = rigid.combined.finished();
-        match (rigid_done, mold.combined.finished()) {
-            (true, true) => {
-                let mk_r = rigid.combined.makespan_or_cap() as f64;
-                let mk_m = mold.combined.makespan_or_cap() as f64;
-                let tput_r = rigid.apps[0].tasks_completed as f64 / mk_r;
-                let tput_m = mold.apps[0].tasks_completed as f64 / mk_m;
-                let ok = mk_r > 0.0 && mk_m > 0.0 && tput_r > 0.0;
-                out.mold_mk.push(ok.then(|| 100.0 * (mk_m - mk_r) / mk_r));
-                out.mold_tput
-                    .push(ok.then(|| 100.0 * (tput_m - tput_r) / tput_r));
-                out.mold_final_m.push(Some(mold.apps[0].final_m as f64));
-            }
-            (true, false) | (false, true) => {
-                out.mold_flips += 1;
-                out.mold_mk.push(None);
-                out.mold_tput.push(None);
-                out.mold_final_m.push(None);
-            }
-            (false, false) => {
-                out.mold_mk.push(None);
-                out.mold_tput.push(None);
-                out.mold_final_m.push(None);
-            }
-        }
-        match (rigid_done, co.combined.finished()) {
-            (true, true) => {
-                let b2b = 2.0 * rigid.combined.makespan_or_cap() as f64;
-                let mk_co = co.combined.makespan_or_cap() as f64;
-                out.co_saved
-                    .push((b2b > 0.0).then(|| 100.0 * (b2b - mk_co) / b2b));
-            }
-            (true, false) | (false, true) => {
-                out.co_flips += 1;
-                out.co_saved.push(None);
-            }
-            (false, false) => out.co_saved.push(None),
-        }
-    }
-    out
-}
-
-/// Aggregated verdicts of one grid cell.
-struct CellVerdict {
+    (cell, scenario, trial): (usize, usize, u64),
     params: ScenarioParams,
-    mold_mk: OnlineStats,
-    mold_tput: OnlineStats,
-    mold_final_m: OnlineStats,
-    mold_flips: u64,
-    co_saved: OnlineStats,
-    co_flips: u64,
-    /// Moldable's throughput CI is strictly positive and no run flipped.
-    mold_tput_wins: bool,
-    /// Co-scheduling's saving CI is strictly positive and no run flipped.
-    cosched_wins: bool,
-}
-
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(!s.contains('"') && !s.contains('\\'), "needs escaping: {s}");
-    s
+    seed: u64,
+) -> Vec<[Run; 3]> {
+    let platform = make_scenario(params, scenario_seed(seed, cell, scenario)).platform;
+    let (trace, sched) = instance_seeds(seed, cell, scenario, trial);
+    let rosters: [&[AppSpec]; 3] = [
+        &[params.rigid_spec()],
+        &[params.moldable_spec()],
+        &params.cosched_specs(),
+    ];
+    let mut arena = SimArena::new();
+    let runs = HeuristicKind::ALL.iter().enumerate().map(|(h, kind)| {
+        // All three runs share the trace and scheduler seed. The rigid run
+        // doubles as the back-to-back baseline: two consecutive solo runs
+        // see the same trace from slot 0, so the total is twice its makespan.
+        rosters.map(|apps| {
+            let scheduler = kind.build(sched.child(h as u64).rng());
+            let (policy, options) = (SharePolicy::EqualSplit, SimOptions::default());
+            let out = arena.run_apps_seeded(&platform, apps, policy, scheduler, trace, options);
+            let out = out.expect("valid study roster");
+            Run {
+                done: out.combined.finished(),
+                makespan: out.combined.makespan_or_cap() as f64,
+                tasks: out.apps[0].tasks_completed as f64,
+                final_m: out.apps[0].final_m as f64,
+            }
+        })
+    });
+    runs.collect()
 }
 
 fn main() {
     let args = ExpArgs::from_env();
-    let cells = if args.quick {
-        vec![ScenarioParams::paper(20, 5, 1)]
-    } else {
-        ScenarioParams::table1_grid()
-    };
-    let heuristics = HeuristicKind::ALL.to_vec();
-    let nh = heuristics.len();
-    println!(
-        "mold_cosched: {} cells x {} scenarios x {} trials, {} heuristics, \
-         rigid vs moldable vs 2-app co-schedule ({} simulations total)",
-        cells.len(),
-        args.scenarios,
-        args.trials,
-        nh,
-        cells.len() * args.scenarios * args.trials as usize * nh * 3,
-    );
+    let cells = paired::study_cells(&args);
+    let what = "rigid vs moldable vs 2-app co-schedule";
+    let mut report = Report::start("mold_cosched", &args, cells.len(), what, 3);
+    let (nc, nh) = (cells.len(), HeuristicKind::ALL.len());
 
-    let mut units = Vec::with_capacity(cells.len() * args.scenarios * args.trials as usize);
-    for cell in 0..cells.len() {
-        for scenario in 0..args.scenarios {
-            for trial in 0..args.trials {
-                units.push(Unit {
-                    cell,
-                    scenario,
-                    trial,
-                });
-            }
-        }
-    }
-
+    let (scenarios, trials) = (args.scenarios, args.trials);
+    let units: Vec<(usize, usize, u64)> = (0..nc)
+        .flat_map(|c| (0..scenarios).flat_map(move |s| (0..trials).map(move |t| (c, s, t))))
+        .collect();
     let t0 = Instant::now();
-    let sim = SimOptions::default();
-    let deltas: Vec<UnitDeltas> = par_map(&units, args.parallelism(), |unit| {
-        run_unit(unit, &cells, &heuristics, args.seed, sim)
+    let runs = par_map(&units, args.parallelism(), |&unit| {
+        run_unit(unit, cells[unit.0], args.seed)
     });
     let elapsed = t0.elapsed().as_secs_f64();
 
-    // Fold per-instance deltas into per-cell and per-heuristic statistics.
-    let mut cell_mold_mk = vec![OnlineStats::new(); cells.len()];
-    let mut cell_mold_tput = vec![OnlineStats::new(); cells.len()];
-    let mut cell_mold_final_m = vec![OnlineStats::new(); cells.len()];
-    let mut cell_mold_flips = vec![0u64; cells.len()];
-    let mut cell_co_saved = vec![OnlineStats::new(); cells.len()];
-    let mut cell_co_flips = vec![0u64; cells.len()];
-    let mut h_mold_tput = vec![OnlineStats::new(); nh];
-    let mut h_co_saved = vec![OnlineStats::new(); nh];
-    for d in &deltas {
-        cell_mold_flips[d.cell] += d.mold_flips;
-        cell_co_flips[d.cell] += d.co_flips;
-        for h in 0..nh {
-            if let Some(x) = d.mold_mk[h] {
-                cell_mold_mk[d.cell].push(x);
-            }
-            if let Some(x) = d.mold_tput[h] {
-                cell_mold_tput[d.cell].push(x);
-                h_mold_tput[h].push(x);
-            }
-            if let Some(x) = d.mold_final_m[h] {
-                cell_mold_final_m[d.cell].push(x);
-            }
-            if let Some(x) = d.co_saved[h] {
-                cell_co_saved[d.cell].push(x);
-                h_co_saved[h].push(x);
-            }
+    // Moldable vs rigid: makespan, throughput (tasks per slot) and final
+    // iteration size; co-scheduled vs back-to-back: makespan saving.
+    let [mut mk, mut tput, mut final_m, mut saved] = [(); 4].map(|()| Paired::new(nc, nh));
+    for (&(cell, ..), unit_runs) in units.iter().zip(&runs) {
+        for (h, [rigid, mold, co]) in unit_runs.iter().enumerate() {
+            let done = (rigid.done, mold.done);
+            let (tput_r, tput_m) = (rigid.tasks / rigid.makespan, mold.tasks / mold.makespan);
+            let ok = rigid.makespan > 0.0 && mold.makespan > 0.0 && tput_r > 0.0;
+            let mk_delta = pct_delta(rigid.makespan, mold.makespan);
+            mk.record(cell, h, done, || ok.then_some(mk_delta));
+            tput.record(cell, h, done, || ok.then(|| pct_delta(tput_r, tput_m)));
+            final_m.record(cell, h, done, || Some(mold.final_m));
+            let b2b = 2.0 * rigid.makespan;
+            let co_saving = 100.0 * (b2b - co.makespan) / b2b;
+            saved.record(cell, h, (rigid.done, co.done), || {
+                (b2b > 0.0).then_some(co_saving)
+            });
         }
     }
 
-    let verdicts: Vec<CellVerdict> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, &params)| {
-            let tput_ci = cell_mold_tput[i].confidence_interval(0.95);
-            let saved_ci = cell_co_saved[i].confidence_interval(0.95);
-            CellVerdict {
-                params,
-                mold_mk: cell_mold_mk[i],
-                mold_tput: cell_mold_tput[i],
-                mold_final_m: cell_mold_final_m[i],
-                mold_flips: cell_mold_flips[i],
-                co_saved: cell_co_saved[i],
-                co_flips: cell_co_flips[i],
-                mold_tput_wins: cell_mold_flips[i] == 0 && tput_ci.lo > 0.0,
-                cosched_wins: cell_co_flips[i] == 0 && saved_ci.lo > 0.0,
-            }
-        })
-        .collect();
-
-    let mold_wins = verdicts.iter().filter(|v| v.mold_tput_wins).count();
-    let co_wins = verdicts.iter().filter(|v| v.cosched_wins).count();
+    let (mold_wins, co_wins) = (
+        tput.count_cells(Delta::wins),
+        saved.count_cells(Delta::wins),
+    );
     println!(
-        "\nmoldable throughput wins in {mold_wins}/{} cells, co-scheduling saves \
-         makespan in {co_wins}/{} cells (paired 95% CI strictly positive, no \
-         completion flips)",
-        verdicts.len(),
-        verdicts.len()
+        "\nmoldable throughput wins in {mold_wins}/{nc} cells, co-scheduling saves \
+         makespan in {co_wins}/{nc} cells (paired 95% CI strictly positive, no \
+         completion flips)"
     );
 
     // The cells where each policy moves the needle the most.
-    let mut by_tput: Vec<&CellVerdict> = verdicts.iter().collect();
-    by_tput.sort_by(|a, b| {
-        b.mold_tput
-            .mean()
-            .abs()
-            .total_cmp(&a.mold_tput.mean().abs())
-    });
-    let rows: Vec<Vec<String>> = by_tput
-        .iter()
-        .take(10)
-        .map(|v| {
-            let tput_ci = v.mold_tput.confidence_interval(0.95);
+    let rows = paired::top_cells(
+        &cells,
+        |_| true,
+        |i| tput.cells[i].stats.mean().abs(),
+        |i| {
+            let t = &tput.cells[i];
+            let [mean, ci] = t.text(3);
+            let final_m = format!("{:.1}", final_m.cells[i].stats.mean());
             vec![
-                format!("{}", v.params.n_tasks),
-                format!("{}", v.params.ncom),
-                format!("{}", v.params.wmin),
-                format!("{:+.3}", v.mold_mk.mean()),
-                format!("{:+.3}", v.mold_tput.mean()),
-                format!("[{:+.3}, {:+.3}]", tput_ci.lo, tput_ci.hi),
-                format!("{:.1}", v.mold_final_m.mean()),
-                format!("{}", v.mold_flips),
+                format!("{:+.3}", mk.cells[i].stats.mean()),
+                mean,
+                ci,
+                final_m,
+                t.flips.to_string(),
             ]
-        })
-        .collect();
+        },
+    );
+    let headers = [
+        "n",
+        "ncom",
+        "wmin",
+        "mk Δ%",
+        "tput Δ%",
+        "tput 95% CI",
+        "final m",
+        "flips",
+    ];
     println!(
         "\nmoldable vs rigid, largest |throughput delta| first:\n{}",
-        text_table(
-            &[
-                "n",
-                "ncom",
-                "wmin",
-                "mk Δ%",
-                "tput Δ%",
-                "tput 95% CI",
-                "final m",
-                "flips"
-            ],
-            &rows
-        )
+        text_table(&headers, &rows)
     );
-
-    let mut by_saved: Vec<&CellVerdict> = verdicts.iter().collect();
-    by_saved.sort_by(|a, b| b.co_saved.mean().total_cmp(&a.co_saved.mean()));
-    let rows: Vec<Vec<String>> = by_saved
-        .iter()
-        .take(10)
-        .map(|v| {
-            let ci = v.co_saved.confidence_interval(0.95);
-            vec![
-                format!("{}", v.params.n_tasks),
-                format!("{}", v.params.ncom),
-                format!("{}", v.params.wmin),
-                format!("{:+.3}", v.co_saved.mean()),
-                format!("[{:+.3}, {:+.3}]", ci.lo, ci.hi),
-                format!("{}", v.co_flips),
-            ]
-        })
-        .collect();
+    let rows = paired::top_cells(
+        &cells,
+        |_| true,
+        |i| saved.cells[i].stats.mean(),
+        |i| {
+            let [mean, ci] = saved.cells[i].text(3);
+            vec![mean, ci, saved.cells[i].flips.to_string()]
+        },
+    );
+    let headers = ["n", "ncom", "wmin", "saved %", "95% CI", "flips"];
     println!(
         "co-scheduled vs back-to-back, largest saving first:\n{}",
-        text_table(&["n", "ncom", "wmin", "saved %", "95% CI", "flips"], &rows)
+        text_table(&headers, &rows)
     );
 
-    let rows: Vec<Vec<String>> = heuristics
+    let rows: Vec<Vec<String>> = HeuristicKind::ALL
         .iter()
         .enumerate()
         .map(|(h, kind)| {
-            let t_ci = h_mold_tput[h].confidence_interval(0.95);
-            let s_ci = h_co_saved[h].confidence_interval(0.95);
-            vec![
-                kind.name().to_string(),
-                format!("{}", h_mold_tput[h].count()),
-                format!("{:+.4}", h_mold_tput[h].mean()),
-                format!("[{:+.4}, {:+.4}]", t_ci.lo, t_ci.hi),
-                format!("{:+.4}", h_co_saved[h].mean()),
-                format!("[{:+.4}, {:+.4}]", s_ci.lo, s_ci.hi),
-            ]
+            let (t, s) = (&tput.heuristics[h], &saved.heuristics[h]);
+            let mut row = vec![kind.name().into(), t.stats.count().to_string()];
+            row.extend(t.text(4).into_iter().chain(s.text(4)));
+            row
         })
         .collect();
-    println!(
-        "per-heuristic deltas:\n{}",
-        text_table(
-            &[
-                "Algorithm",
-                "pairs",
-                "mold tput Δ%",
-                "95% CI",
-                "cosched saved %",
-                "95% CI"
-            ],
-            &rows
-        )
-    );
+    let headers = [
+        "Algorithm",
+        "pairs",
+        "mold tput Δ%",
+        "95% CI",
+        "cosched saved %",
+        "95% CI",
+    ];
+    println!("per-heuristic deltas:\n{}", text_table(&headers, &rows));
     eprintln!("done in {elapsed:.1}s");
 
-    // JSON report artifact, shaped like CAP_FIDELITY.json.
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"study\": \"mold_cosched\",");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"scenarios\": {}, \"trials\": {}, \"seed\": {}, \"quick\": {}}},",
-        args.scenarios, args.trials, args.seed, args.quick
+    let tput_keys = [
+        "mold_tput_delta_pct_mean",
+        "mold_tput_ci95_lo",
+        "mold_tput_ci95_hi",
+    ];
+    let saved_keys = [
+        "cosched_saved_pct_mean",
+        "cosched_ci95_lo",
+        "cosched_ci95_hi",
+    ];
+    report.line(
+        &Row::default()
+            .with("cells_total", nc)
+            .with("cells_mold_tput_wins", mold_wins)
+            .with("cells_cosched_wins", co_wins),
     );
-    let _ = writeln!(
-        json,
-        "  \"cells_total\": {}, \"cells_mold_tput_wins\": {mold_wins}, \
-         \"cells_cosched_wins\": {co_wins},",
-        verdicts.len()
-    );
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, v) in verdicts.iter().enumerate() {
-        let tput_ci = v.mold_tput.confidence_interval(0.95);
-        let saved_ci = v.co_saved.confidence_interval(0.95);
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"ncom\": {}, \"wmin\": {}, \"pairs\": {}, \
-             \"mold_mk_delta_pct_mean\": {:.6}, \"mold_tput_delta_pct_mean\": {:.6}, \
-             \"mold_tput_ci95_lo\": {:.6}, \"mold_tput_ci95_hi\": {:.6}, \
-             \"mold_final_m_mean\": {:.3}, \"mold_flips\": {}, \"mold_tput_wins\": {}, \
-             \"cosched_saved_pct_mean\": {:.6}, \"cosched_ci95_lo\": {:.6}, \
-             \"cosched_ci95_hi\": {:.6}, \"cosched_flips\": {}, \"cosched_wins\": {}}}{}",
-            v.params.n_tasks,
-            v.params.ncom,
-            v.params.wmin,
-            v.mold_tput.count(),
-            v.mold_mk.mean(),
-            v.mold_tput.mean(),
-            tput_ci.lo,
-            tput_ci.hi,
-            v.mold_final_m.mean(),
-            v.mold_flips,
-            v.mold_tput_wins,
-            v.co_saved.mean(),
-            saved_ci.lo,
-            saved_ci.hi,
-            v.co_flips,
-            v.cosched_wins,
-            if i + 1 < verdicts.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"per_heuristic\": [");
-    for (h, kind) in heuristics.iter().enumerate() {
-        let t_ci = h_mold_tput[h].confidence_interval(0.95);
-        let s_ci = h_co_saved[h].confidence_interval(0.95);
-        let _ = writeln!(
-            json,
-            "    {{\"heuristic\": \"{}\", \"pairs\": {}, \
-             \"mold_tput_delta_pct_mean\": {:.6}, \"mold_tput_ci95_lo\": {:.6}, \
-             \"mold_tput_ci95_hi\": {:.6}, \"cosched_saved_pct_mean\": {:.6}, \
-             \"cosched_ci95_lo\": {:.6}, \"cosched_ci95_hi\": {:.6}}}{}",
-            json_escape_free(kind.name()),
-            h_mold_tput[h].count(),
-            h_mold_tput[h].mean(),
-            t_ci.lo,
-            t_ci.hi,
-            h_co_saved[h].mean(),
-            s_ci.lo,
-            s_ci.hi,
-            if h + 1 < nh { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    let out =
-        std::env::var("MOLD_COSCHED_OUT").unwrap_or_else(|_| "target/MOLD_COSCHED.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&out, &json).expect("write fidelity report");
-    println!("report written to {out}");
-
-    if args.csv {
-        println!(
-            "n,ncom,wmin,pairs,mold_mk_delta_pct_mean,mold_tput_delta_pct_mean,\
-             mold_tput_ci95_lo,mold_tput_ci95_hi,mold_final_m_mean,mold_flips,\
-             cosched_saved_pct_mean,cosched_ci95_lo,cosched_ci95_hi,cosched_flips"
-        );
-        for v in &verdicts {
-            let tput_ci = v.mold_tput.confidence_interval(0.95);
-            let saved_ci = v.co_saved.confidence_interval(0.95);
-            println!(
-                "{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.3},{},{:.6},{:.6},{:.6},{}",
-                v.params.n_tasks,
-                v.params.ncom,
-                v.params.wmin,
-                v.mold_tput.count(),
-                v.mold_mk.mean(),
-                v.mold_tput.mean(),
-                tput_ci.lo,
-                tput_ci.hi,
-                v.mold_final_m.mean(),
-                v.mold_flips,
-                v.co_saved.mean(),
-                saved_ci.lo,
-                saved_ci.hi,
-                v.co_flips
-            );
-        }
-    }
+    let cell_rows: Vec<Row> = (0..nc)
+        .map(|i| {
+            let (t, s) = (&tput.cells[i], &saved.cells[i]);
+            Row::cell(&cells[i])
+                .with("pairs", t.stats.count())
+                .with("mold_mk_delta_pct_mean", mk.cells[i].stats.mean())
+                .mean_ci(tput_keys, t)
+                .with(
+                    "mold_final_m_mean",
+                    Value::Real3(final_m.cells[i].stats.mean()),
+                )
+                .with("mold_flips", t.flips)
+                .with("mold_tput_wins", t.wins())
+                .mean_ci(saved_keys, s)
+                .with("cosched_flips", s.flips)
+                .with("cosched_wins", s.wins())
+        })
+        .collect();
+    report.rows("cells", &cell_rows);
+    let heuristic_rows: Vec<Row> = HeuristicKind::ALL
+        .iter()
+        .enumerate()
+        .map(|(h, kind)| {
+            Row::default()
+                .with("heuristic", kind.name())
+                .with("pairs", tput.heuristics[h].stats.count())
+                .mean_ci(tput_keys, &tput.heuristics[h])
+                .mean_ci(saved_keys, &saved.heuristics[h])
+        })
+        .collect();
+    report.rows("per_heuristic", &heuristic_rows);
+    report
+        .finish(&args, &cell_rows)
+        .expect("write fidelity report");
 }

@@ -308,11 +308,23 @@ impl CampaignResult {
     }
 }
 
-/// Derives the per-instance seed paths shared by every runner: trace seeds
-/// depend only on `(cell, scenario, trial, processor)` so every heuristic
-/// sees identical availability; scheduler seeds additionally mix in the
-/// heuristic index.
-fn instance_seeds(
+/// Seed path of the platform of scenario `scenario_idx` in grid cell
+/// `cell`: every runner and every paired study builds that scenario's
+/// platform from it, so they all run the very same instances.
+#[must_use]
+pub fn scenario_seed(master_seed: u64, cell: usize, scenario_idx: usize) -> SeedPath {
+    SeedPath::root(master_seed)
+        .child_str("scenario")
+        .child(cell as u64)
+        .child(scenario_idx as u64)
+}
+
+/// Derives the per-instance seed paths `(trace, sched)` shared by every
+/// runner: trace seeds depend only on `(cell, scenario, trial, processor)`
+/// so every heuristic sees identical availability; scheduler seeds
+/// additionally mix in the heuristic index.
+#[must_use]
+pub fn instance_seeds(
     master_seed: u64,
     cell: usize,
     scenario_idx: usize,
@@ -340,9 +352,9 @@ fn instance_seeds(
 /// availability trace is sampled once into a
 /// [`SharedTraceMatrix`] by whichever run gets furthest first and replayed
 /// by the other 16 heuristics (common random numbers make their traces
-/// byte-identical anyway). Results are bit-identical to [`run_instance`].
+/// byte-identical anyway). Results are bit-identical to [`run_instance_fresh`].
 #[must_use]
-#[allow(clippy::too_many_arguments)] // mirrors run_instance's identity tuple plus the shared state
+#[allow(clippy::too_many_arguments)] // mirrors run_instance_fresh's identity tuple plus the shared state
 pub fn run_instance_in(
     arena: &mut SimArena,
     scenario: &Scenario,
@@ -538,32 +550,6 @@ fn run_fresh_one(
     Ok(engine.run())
 }
 
-/// Runs one instance, returning makespans in heuristic order (slot cap when
-/// incomplete). Compatibility shim over [`run_instance_fresh`]; callers that
-/// care about completion status or throughput should use
-/// [`run_instance_fresh`] / [`run_instance_in`].
-#[must_use]
-pub fn run_instance(
-    scenario: &Scenario,
-    heuristics: &[HeuristicKind],
-    master_seed: u64,
-    cell: usize,
-    scenario_idx: usize,
-    trial: u64,
-    sim: SimOptions,
-) -> Vec<Slot> {
-    run_instance_fresh(
-        scenario,
-        heuristics,
-        master_seed,
-        cell,
-        scenario_idx,
-        trial,
-        sim,
-    )
-    .makespans
-}
-
 fn empty_result(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignResult {
     CampaignResult {
         cells: cells.to_vec(),
@@ -588,7 +574,6 @@ pub fn run_campaign(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignR
         }
     }
     let mut result = empty_result(cells, cfg);
-    let root = SeedPath::root(cfg.master_seed);
     // A handful of scenarios per claim keeps the atomic/channel overhead
     // negligible while staying fine-grained enough to balance makespan
     // variance across threads.
@@ -599,11 +584,8 @@ pub fn run_campaign(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignR
         chunk,
         SimArena::new,
         |arena, unit| {
-            let scenario_seed = root
-                .child_str("scenario")
-                .child(unit.cell as u64)
-                .child(unit.scenario as u64);
-            let scenario = make_scenario(cells[unit.cell], scenario_seed);
+            let seed = scenario_seed(cfg.master_seed, unit.cell, unit.scenario);
+            let scenario = make_scenario(cells[unit.cell], seed);
             // Chain statistics are a pure function of the platform: compute
             // them once per scenario, share across trials × heuristics.
             let chains = platform_chain_stats(&scenario.platform);
@@ -661,13 +643,9 @@ pub fn run_campaign_reference(cells: &[ScenarioParams], cfg: &CampaignConfig) ->
             }
         }
     }
-    let root = SeedPath::root(cfg.master_seed);
     let all: Vec<InstanceOutcome> = par_map(&units, cfg.parallelism, |unit| {
-        let scenario_seed = root
-            .child_str("scenario")
-            .child(unit.cell as u64)
-            .child(unit.scenario as u64);
-        let scenario = make_scenario(cells[unit.cell], scenario_seed);
+        let seed = scenario_seed(cfg.master_seed, unit.cell, unit.scenario);
+        let scenario = make_scenario(cells[unit.cell], seed);
         run_instance_fresh(
             &scenario,
             &cfg.heuristics,

@@ -11,7 +11,9 @@
 //! | Table 3 (contention-prone, ×5/×10) | `table3` | [`campaign`] + [`scenario`] |
 //! | Figure 1 (Theorem-1 gadget) | `figure1` | `vg_offline::reduction` |
 //! | robustness study (Section-8 future work) | `robustness` | [`robustness`] |
-//! | moldable + co-scheduling fidelity | `mold_cosched` | [`scenario`] + the multi-app engine |
+//! | bind-capacity cap fidelity | `cap_fidelity` | [`paired`] |
+//! | chaos robustness | `chaos_robustness` | [`paired`] + [`scenario`] |
+//! | moldable + co-scheduling fidelity | `mold_cosched` | [`paired`] + the multi-app engine |
 //!
 //! All binaries accept `--scenarios`, `--trials`, `--seed`, `--threads`,
 //! `--paper-scale`, `--quick` and `--csv` (see [`cli::USAGE`]). Scaled-down
@@ -20,12 +22,13 @@
 
 pub mod campaign;
 pub mod cli;
+pub mod paired;
 pub mod report;
 pub mod robustness;
 pub mod scenario;
 
 pub use campaign::{
-    run_campaign, run_campaign_reference, run_instance, run_instance_fresh, run_instance_in,
-    CampaignConfig, CampaignResult, CellStats, HeuristicSummary, InstanceOutcome,
+    instance_seeds, run_campaign, run_campaign_reference, run_instance_fresh, run_instance_in,
+    scenario_seed, CampaignConfig, CampaignResult, CellStats, HeuristicSummary, InstanceOutcome,
 };
 pub use scenario::{make_scenario, Scenario, ScenarioParams};

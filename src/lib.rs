@@ -15,7 +15,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`des`] | `vg-des` | deterministic RNG streams, event calendar, statistics, thread pool |
+//! | [`des`] | `vg-des` | deterministic RNG streams, statistics, thread pool |
 //! | [`markov`] | `vg-markov` | Markov chains, the availability model, closed forms |
 //! | [`platform`] | `vg-platform` | processors, traces, bounded multi-port network, configs |
 //! | [`sched`] | `vg-core` | the 17 heuristics (`Random*`, MCT/EMCT/LW/UD ± `*`) |
