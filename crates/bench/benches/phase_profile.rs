@@ -5,8 +5,8 @@
 //!
 //! Backs the ROADMAP's per-phase cost-split claims (which phase is the next
 //! lever) with a reproducible measurement instead of ad-hoc instrumentation,
-//! including the schedule phase's sub-split (snapshot consult / pool
-//! placement / free-mask + candidates / replica placement). Besides the
+//! including the crash pass on its own and the schedule phase's sub-split
+//! (view sync / pool placement / candidates / replica placement). Besides the
 //! human-readable lines it emits a machine-readable JSON artifact
 //! (`target/BENCH_phase_profile.json`, override with
 //! `BENCH_PHASE_PROFILE_OUT`) that CI uploads next to `BENCH_slotloop.json`
@@ -42,10 +42,13 @@ fn main() {
         (256, PlacementBudget::Uncapped),
         (1024, PlacementBudget::Uncapped),
         (1024, PlacementBudget::BindCapacity),
-        // Platform-scale rows: where the chunked passes and the sharded
-        // selector live or die.
+        // Platform-scale rows: where the change-fed passes and the
+        // persistent selector lanes live or die. The p = 131072 row has
+        // the shape of perfbench's `platform_scale` workload (m = 2048,
+        // wmin = 2, ncom = p/10, EMCT*, replication on, uncapped).
         (16_384, PlacementBudget::Uncapped),
         (16_384, PlacementBudget::BindCapacity),
+        (131_072, PlacementBudget::Uncapped),
     ];
     for (p, placement) in grid {
         let capped = placement == PlacementBudget::BindCapacity;

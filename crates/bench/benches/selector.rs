@@ -1,6 +1,8 @@
 //! Per-placement cost of the argmin selectors, head to head — the
 //! measurement behind `SelectorKind::choose`'s crossover thresholds
-//! (including the `SHARD_MIN_UPS` monolithic/sharded boundary).
+//! (including the `WINNER_TREE_MIN_UPS` loser/winner-tree boundary). The
+//! views carry no delta, so winner-tree cells measure its full `O(p)`
+//! rebuild per round — the cost a lane patch avoids.
 //!
 //! For a grid of `(u, count)` cells (UP candidates × placements per
 //! round), an `EMCT*` scheduler pinned to each selector replays the same
@@ -72,7 +74,7 @@ fn run_cell(
             None => "policy",
             Some(SelectorKind::Linear) => "linear",
             Some(SelectorKind::LoserTree) => "loser_tree",
-            Some(SelectorKind::ShardedTree) => "sharded_tree",
+            Some(SelectorKind::WinnerTree) => "winner_tree",
         },
         ns_per_placement: seconds * 1e9 / (rounds * count) as f64,
     }
@@ -86,9 +88,9 @@ fn main() {
         (256, &[16, 64, 512]),
         (1000, &[8, 64, 2000]),
         (1024, &[8, 64, 256, 2048]),
-        // The sharded band: at and above SHARD_MIN_UPS the policy picks
-        // per-shard trees; these cells measure the crossover directly
-        // (monolithic vs sharded at identical u).
+        // The winner-tree band: at and above WINNER_TREE_MIN_UPS the
+        // policy picks the full-platform winner tree; these cells measure
+        // the crossover directly (loser vs winner tree at identical u).
         (16_384, &[64, 1024]),
         (65_536, &[256]),
     ];
@@ -105,7 +107,7 @@ fn main() {
             for kind in [
                 Some(SelectorKind::Linear),
                 Some(SelectorKind::LoserTree),
-                Some(SelectorKind::ShardedTree),
+                Some(SelectorKind::WinnerTree),
                 None,
             ] {
                 let cell = run_cell(&owned, u, count, kind, rounds, &expected);

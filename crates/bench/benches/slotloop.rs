@@ -94,8 +94,8 @@ fn main() {
     // *fixed* application size instead of the small cells' `m = 2p`: the
     // production regime those cells model is a volunteer grid whose
     // platform dwarfs any one application (the paper's apps are hundreds
-    // of tasks), so most workers are idle most slots and the chunked
-    // passes + incremental candidate generation are what keep per-slot
+    // of tasks), so most workers are idle most slots and the change-fed
+    // passes and the persistent selector lanes are what keep per-slot
     // cost sub-linear in `p`. The same app as the p = 1024 cell makes the
     // naive-extrapolation comparison (same work, 16×/128× the platform)
     // direct. The small cells keep `m = 2p` — their committed trajectory

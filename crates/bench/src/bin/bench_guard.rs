@@ -36,7 +36,7 @@
 //! cannot quietly vanish from CI.
 //!
 //! Since the platform-scale work the grid further carries `p ∈ {16384,
-//! 131072}` cells (chunked dense-column passes + sharded selection, with
+//! 131072}` cells (change-fed passes + persistent selector lanes, with
 //! a `peak_rss_bytes` footprint field this parser simply ignores). Those
 //! are required of the *candidate* with the same pre-existing-baseline
 //! exemption, and — being non-1024 cells — they gate at the
@@ -149,7 +149,7 @@ fn run(
         }
         // The platform-scale grid (p ≥ 16384) is likewise required of the
         // candidate only: dropping those cells would silently retire the
-        // chunked-pass/sharded-selector regression gate, while a
+        // change-fed-pass/selector-lane regression gate, while a
         // merge-base baseline from before the grid existed passes them
         // ungated.
         for p in [16_384u64, 131_072] {

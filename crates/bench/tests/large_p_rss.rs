@@ -2,7 +2,7 @@
 //! the SoA store's expected per-worker budget.
 //!
 //! The dense columns cost a few hundred bytes per worker (state/occupancy
-//! bytes, copy slots, delay estimates, dirty bits, block summaries, the
+//! bytes, copy slots, delay estimates, change-feed bits, block summaries, the
 //! availability chains and snapshot buffers), so the whole platform should
 //! stay within a ~1 KiB/worker envelope plus a fixed process baseline —
 //! an accidental `O(p)` *per-slot* or per-task allocation (or a dense

@@ -38,11 +38,30 @@
 //! linear rescan below the measured crossover, and above it a **loser
 //! tree** over `(score, pos)` keys — `O(1)` select, one `⌈log₂ u⌉`
 //! leaf-to-root path per winner re-score, one `O(u)` bottom-up rebuild per
-//! Equation-(2) ceiling step — and its per-shard variant at very large `u`.
-//! All produce bit-identical winner sequences (the proptest below drives
-//! every family through every selector against the cache-free naive
-//! model); see the selector module docs for the key order, the staleness
-//! contract and the measured crossovers.
+//! Equation-(2) ceiling step. All produce bit-identical winner sequences
+//! (the proptest below drives every family through every selector against
+//! the cache-free naive model); see the selector module docs for the key
+//! order, the staleness contract and the measured crossovers.
+//!
+//! ## Persistent lanes at platform scale
+//!
+//! From [`WINNER_TREE_MIN_UPS`]
+//! candidates up, a round runs on a `WinnerTree` spanning all `p`
+//! processors, whose leaves hold each processor's **base key** — its
+//! `n_q = 0`, factor-1 score, or an absent key for a non-candidate. The
+//! scheduler keeps one tree per placement [`Lane`] across rounds. When the
+//! view carries a [`ViewDelta`] whose sequence
+//! number follows the lane's last one, the round re-keys only the
+//! processors the delta names plus the previous round's winners (whose
+//! leaves it left at `n_q > 0`), then places as usual; its own winners are
+//! remembered for the next round. Everything else — no delta, a sequence
+//! gap, a [`Scheduler::begin_run`], a platform-size change, or a previous round
+//! that did an Equation-(2) refresh (which moves every leaf) — rebuilds
+//! the lane from the full view in `O(p)`. Views without a delta use a
+//! scratch tree that is rebuilt every round. Either way the tree holds the
+//! exact keys a fresh round would compute, so decisions are bit-identical;
+//! debug builds re-derive a rotating sample of leaves after every patch,
+//! and the lane proptest below pins patched against fresh schedulers.
 //!
 //! Scores are **monotone non-decreasing within a round** — every mutation
 //! (pipelining another task onto a processor, inflating effective `T_data`
@@ -90,9 +109,12 @@
 //! directly (`GreedyScheduler::memo_pays`).
 
 use crate::ct::{completion_time, effective_t_data};
-use crate::selector::{LoserTree, Selector, SelectorKind, ShardedTree};
+use crate::selector::{
+    absent_key, is_absent, key_id, packed_key, LoserTree, Selector, SelectorKind, WinnerTree,
+    WINNER_TREE_MIN_UPS,
+};
 use crate::traits::Scheduler;
-use crate::view::SchedView;
+use crate::view::{Lane, SchedView, ViewDelta};
 use vg_des::SlotSpan;
 use vg_markov::{ChainScoreMemo, ScoreKernel};
 use vg_platform::ProcessorId;
@@ -142,9 +164,17 @@ pub struct GreedyScheduler {
     scores: Vec<f64>,
     /// Scratch: the loser-tree selector's tournament storage.
     tree: LoserTree,
-    /// Scratch: the sharded selector's per-shard trees + winner keys
-    /// (the `u ≥ 8192` regime; see `docs/scaling.md`).
-    sharded: ShardedTree,
+    /// Winner trees of the platform-scale regime: one persistent tree per
+    /// [`Lane`] (index [`Lane::index`]), plus the scratch tree of
+    /// delta-less rounds at [`SCRATCH_TREE`].
+    lanes: [TreeLane; Lane::COUNT + 1],
+    /// Per-processor task count `n_q` of the current winner-tree round;
+    /// all zero between rounds (each round clears its winners' entries).
+    tree_counts: Vec<u32>,
+    /// Scratch: a lane patch's re-keyed `(processor, key)` batch.
+    batch: Vec<(u32, u128)>,
+    /// Scratch: the level frontier of a batched tree update.
+    frontier: Vec<u32>,
     /// Test hook: pin every selection to one selector implementation,
     /// bypassing the size-threshold policy, so small hand-built views can
     /// exercise any path. `None` follows [`SelectorKind::choose`].
@@ -183,7 +213,10 @@ impl GreedyScheduler {
             counts: Vec::new(),
             scores: Vec::new(),
             tree: LoserTree::default(),
-            sharded: ShardedTree::default(),
+            lanes: Default::default(),
+            tree_counts: Vec::new(),
+            batch: Vec::new(),
+            frontier: Vec::new(),
             force_selector: None,
             memo: Vec::new(),
             memo_width: 0,
@@ -348,6 +381,25 @@ impl GreedyScheduler {
     }
 }
 
+/// Index of the scratch winner tree in `GreedyScheduler::lanes`: the tree
+/// of rounds whose view carries no delta, rebuilt every round.
+const SCRATCH_TREE: usize = Lane::COUNT;
+
+/// One winner tree and what the scheduler knows about it (see the module
+/// docs on persistent lanes).
+#[derive(Debug, Clone, Default)]
+struct TreeLane {
+    /// Leaves: the base key of every processor of the view.
+    tree: WinnerTree,
+    /// Candidate (non-absent) leaves.
+    cands: usize,
+    /// Processors whose leaf the lane's last round moved off its base key.
+    touched: Vec<u32>,
+    /// Sequence number of the lane's last round, or `None` when the tree
+    /// cannot be patched and must be rebuilt from the next view.
+    seq: Option<u64>,
+}
+
 /// One candidate's **transient** scoring row: every score evaluation reads
 /// exactly these fields. Built on the stack at the few positions a round
 /// actually re-scores (winner re-scores, ceiling refreshes) — an earlier
@@ -485,55 +537,349 @@ impl Scheduler for GreedyScheduler {
     }
 
     fn begin_run(&mut self) {
-        // The score memo and the kernel copies are keyed to the run's
-        // platform (chains, speeds); a new run invalidates them wholesale.
+        // The score memo, the kernel copies and the lane trees are keyed to
+        // the run's platform (chains, speeds); a new run invalidates them
+        // wholesale.
         self.memo.clear();
         self.kernels.clear();
+        for lane in &mut self.lanes {
+            lane.seq = None;
+        }
     }
 
     fn place_into(&mut self, view: &SchedView<'_>, count: usize, out: &mut Vec<ProcessorId>) {
-        let mut ups = std::mem::take(&mut self.ups);
-        view.up_indices_into(&mut ups);
-        if ups.is_empty() || count == 0 {
-            self.ups = ups;
+        if count == 0 {
             return;
         }
-        // Per-round bookkeeping: one task count per candidate (by
-        // position), the Equation-(2) ceiling state (n_active and the
-        // incrementally maintained factors), and the cached score of each
-        // UP candidate.
-        let mut counts = std::mem::take(&mut self.counts);
-        counts.clear();
-        counts.resize(ups.len(), 0u32);
-        // One memo row per Equation-(2) ceiling factor reachable *this
-        // round*: `n_active` counts enrolled UP processors, each placement
-        // enrolls at most one, and an unenrolled candidate sees
-        // `n_active + 1`, so the factor never exceeds
-        // ⌈(min(count, |ups|) + 1)/ncom⌉ (1 for the non-contended
-        // variants, whose ceiling never steps; 0 rows when the memo is off
-        // for this objective). Rows are factor-major and grow-only, so a
-        // later bigger round appends rows without disturbing the existing
-        // entries — and a run that never places large bursts never pays
-        // the worst-case ⌈(p + 1)/ncom⌉ × p fill.
-        let factors = if !self.memo_pays() {
-            0
-        } else if self.contention {
-            ((count.min(ups.len()) as u64 + 1).div_ceil(view.ncom as u64)) as usize
-        } else {
-            1
-        };
         if self.memo_width != view.p() {
             self.memo.clear();
             self.memo_width = view.p();
-        }
-        if self.memo.len() < factors * view.p() {
-            self.memo.resize(factors * view.p(), ChainScoreMemo::EMPTY);
         }
         if self.kernels.len() != view.p() {
             self.kernels.clear();
             self.kernels.extend(view.chains.iter().map(|c| c.kernel()));
         }
+        // Lanes promise nothing about demand-driven rounds: a delta that
+        // rides on a `room` view is dropped, and its lane rebuilds later.
+        let delta = match (view.delta, view.room) {
+            (Some(d), Some(_)) => {
+                self.lanes[d.lane.index()].seq = None;
+                None
+            }
+            (d, None) => d,
+            (None, Some(_)) => None,
+        };
         let mut memo = std::mem::take(&mut self.memo);
+        // Lane patches price at factor 1: make sure that memo row exists
+        // before the round's own sizing below.
+        self.grow_memo(&mut memo, view, usize::from(self.memo_pays()));
+        let synced = delta.is_some_and(|d| self.sync_lane(&mut memo, view, d));
+        let mut ups = std::mem::take(&mut self.ups);
+        let u = match delta {
+            Some(d) if synced => self.lanes[d.lane.index()].cands,
+            _ => {
+                view.up_indices_into(&mut ups);
+                ups.len()
+            }
+        };
+        if u > 0 {
+            // One memo row per Equation-(2) ceiling factor reachable *this
+            // round*: `n_active` counts enrolled candidates, each placement
+            // enrolls at most one, and an unenrolled candidate sees
+            // `n_active + 1`, so the factor never exceeds
+            // ⌈(min(count, u) + 1)/ncom⌉ (1 for the non-contended
+            // variants, whose ceiling never steps; 0 rows when the memo is
+            // off for this objective). Rows are factor-major and grow-only,
+            // so a later bigger round appends rows without disturbing the
+            // existing entries — and a run that never places large bursts
+            // never pays the worst-case ⌈(p + 1)/ncom⌉ × p fill.
+            let factors = if !self.memo_pays() {
+                0
+            } else if self.contention {
+                ((count.min(u) as u64 + 1).div_ceil(view.ncom as u64)) as usize
+            } else {
+                1
+            };
+            self.grow_memo(&mut memo, view, factors);
+            // Pick the selection strategy (see `SelectorKind::choose` for
+            // the measured crossover policy; any selector can be pinned
+            // through the `force_selector` hook). A lane round skips the
+            // per-round trade-off: a synced lane tree costs nothing to use,
+            // and rebuilding a large lane amortizes over its later rounds.
+            let lane_tree = synced || (delta.is_some() && u >= WINNER_TREE_MIN_UPS);
+            let kind = self.force_selector.unwrap_or(if lane_tree {
+                SelectorKind::WinnerTree
+            } else {
+                SelectorKind::choose(u, count)
+            });
+            if kind == SelectorKind::WinnerTree {
+                let slot = delta.map_or(SCRATCH_TREE, |d| d.lane.index());
+                if !synced {
+                    self.rebuild_lane(&mut memo, factors, view, slot, &ups);
+                    self.lanes[slot].seq = delta.map(|d| d.seq);
+                }
+                self.place_on_tree(&mut memo, factors, view, slot, count, out);
+            } else {
+                if synced {
+                    view.up_indices_into(&mut ups);
+                }
+                self.place_on_list(&mut memo, factors, view, &ups, kind, count, out);
+            }
+        }
+        self.memo = memo;
+        self.ups = ups;
+    }
+}
+
+impl GreedyScheduler {
+    /// Grows the factor-major memo to at least `factors` rows for `view`.
+    fn grow_memo(&self, memo: &mut Vec<ChainScoreMemo>, view: &SchedView<'_>, factors: usize) {
+        if memo.len() < factors * view.p() {
+            memo.resize(factors * view.p(), ChainScoreMemo::EMPTY);
+        }
+    }
+
+    /// Base key of candidate `i`: its `n_q = 0` score at Equation-(2)
+    /// factor 1 (every candidate is unenrolled with `n_active = 0` when a
+    /// round starts, so the first placement sees `n_active_incl = 1`), or
+    /// `+inf` when a demand-driven round gives it no room.
+    #[inline]
+    fn base_key(
+        &self,
+        memo: &mut [ChainScoreMemo],
+        factors: usize,
+        view: &SchedView<'_>,
+        i: usize,
+    ) -> u128 {
+        let s = if view.room.is_some_and(|r| r[i] == 0) {
+            f64::INFINITY
+        } else {
+            let row = self.hot_row(view, i, 0);
+            self.memo_score(memo, factors, view, i, &row, (1, view.t_data))
+        };
+        // i < u32::MAX: views index processors by u32 ids.
+        packed_key(s, i as u32)
+    }
+
+    /// Brings lane `delta.lane` up to `view` by re-keying only the
+    /// processors the delta names and the lane's previous winners. Returns
+    /// `false` — leaving the lane marked for a rebuild — on a sequence gap
+    /// or a platform-size change (see [`ViewDelta`]).
+    fn sync_lane(
+        &mut self,
+        memo: &mut [ChainScoreMemo],
+        view: &SchedView<'_>,
+        delta: ViewDelta<'_>,
+    ) -> bool {
+        let idx = delta.lane.index();
+        let factors = usize::from(self.memo_pays());
+        let mut lane = std::mem::take(&mut self.lanes[idx]);
+        let in_sync =
+            lane.seq.is_some_and(|s| s.wrapping_add(1) == delta.seq) && lane.tree.len() == view.p();
+        if in_sync {
+            // The previous winners first, then the delta — each list is
+            // duplicate-free, but a processor may sit on both, so each is
+            // priced against the tree the other left.
+            let touched = std::mem::take(&mut lane.touched);
+            self.rekey(memo, factors, view, &mut lane, &touched);
+            self.rekey(memo, factors, view, &mut lane, delta.changed);
+            lane.touched = touched;
+            lane.touched.clear();
+            lane.seq = Some(delta.seq);
+            #[cfg(debug_assertions)]
+            self.check_lane(view, &lane, delta.seq);
+        } else {
+            lane.seq = None;
+        }
+        self.lanes[idx] = lane;
+        in_sync
+    }
+
+    /// Re-keys the duplicate-free processors `list` of `lane` to their base
+    /// keys in `view`: prices every leaf first, then folds the batch into
+    /// the tree level by level (see [`WinnerTree::update_batch`]).
+    fn rekey(
+        &mut self,
+        memo: &mut [ChainScoreMemo],
+        factors: usize,
+        view: &SchedView<'_>,
+        lane: &mut TreeLane,
+        list: &[u32],
+    ) {
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        for &q in list {
+            let i = q as usize;
+            let key = if view.is_candidate(i) {
+                self.base_key(memo, factors, view, i)
+            } else {
+                absent_key(q)
+            };
+            batch.push((q, key));
+        }
+        let present = lane.tree.update_batch(&batch, &mut self.frontier);
+        lane.cands = lane.cands.saturating_add_signed(present);
+        self.batch = batch;
+    }
+
+    /// Debug oracle of the lane patch, in the style of the engine's
+    /// snapshot oracle: re-derives leaves from the view and compares them
+    /// with the patched tree — every leaf on small platforms, a window
+    /// rotating with the sequence number on large ones (so every leaf is
+    /// revisited eventually without making large-`p` debug runs O(p) per
+    /// round). Scores are recomputed without the memo, whose hits are
+    /// bit-identical to recomputation.
+    #[cfg(debug_assertions)]
+    fn check_lane(&self, view: &SchedView<'_>, lane: &TreeLane, seq: u64) {
+        const EXHAUSTIVE_MAX_P: usize = 4096;
+        const WINDOW: usize = 64;
+        let p = view.p();
+        let exhaustive = p <= EXHAUSTIVE_MAX_P;
+        let base = (seq as usize).wrapping_mul(WINDOW) % p.max(1);
+        let mut cands = 0usize;
+        for j in 0..p {
+            if !exhaustive && (j + p - base) % p >= WINDOW {
+                continue;
+            }
+            let expect = if view.is_candidate(j) {
+                let row = self.hot_row(view, j, 0);
+                packed_key(score_hot(self.objective, &row, view.t_data), j as u32)
+            } else {
+                absent_key(j as u32)
+            };
+            cands += usize::from(!is_absent(expect));
+            debug_assert_eq!(
+                lane.tree.leaf(j),
+                expect,
+                "lane tree leaf {j} diverged from a fresh base key at seq {seq}"
+            );
+        }
+        if exhaustive {
+            debug_assert_eq!(lane.cands, cands, "lane candidate count drifted");
+        }
+    }
+
+    /// Rebuilds winner tree `slot` from the full view: absent keys
+    /// everywhere, base keys at the round's candidates `ups`.
+    fn rebuild_lane(
+        &mut self,
+        memo: &mut [ChainScoreMemo],
+        factors: usize,
+        view: &SchedView<'_>,
+        slot: usize,
+        ups: &[usize],
+    ) {
+        let mut lane = std::mem::take(&mut self.lanes[slot]);
+        lane.tree.reset_absent(view.p());
+        for &i in ups {
+            let key = self.base_key(memo, factors, view, i);
+            lane.tree.set_leaf(i, key);
+        }
+        lane.tree.fix_up();
+        lane.cands = ups.len();
+        lane.touched.clear();
+        self.lanes[slot] = lane;
+    }
+
+    /// The placement loop on winner tree `slot`, whose leaves hold the
+    /// view's base keys. Mirrors [`Self::place_on_list`] decision for
+    /// decision: the tree's `(score, id)` order is the list selectors'
+    /// `(score, position)` order over the ascending-id candidate list.
+    fn place_on_tree(
+        &mut self,
+        memo: &mut [ChainScoreMemo],
+        factors: usize,
+        view: &SchedView<'_>,
+        slot: usize,
+        count: usize,
+        out: &mut Vec<ProcessorId>,
+    ) {
+        let mut lane = std::mem::take(&mut self.lanes[slot]);
+        let mut counts = std::mem::take(&mut self.tree_counts);
+        if counts.len() != view.p() {
+            counts.clear();
+            counts.resize(view.p(), 0);
+        }
+        let room = view.room;
+        let mut ceiling = CeilingState::new(self.contention, view.t_data, view.ncom);
+        let mut refreshed = false;
+        for _ in 0..count {
+            let key = lane.tree.min_key();
+            if is_absent(key) {
+                // No candidate at all (a round only gets here with u > 0,
+                // and candidates never leave the tree mid-round).
+                debug_assert!(false, "winner-tree round without a candidate");
+                break;
+            }
+            let best = key_id(key);
+            let newly_enrolled = counts[best] == 0;
+            counts[best] += 1;
+            if newly_enrolled {
+                // best < p ≤ u32::MAX.
+                lane.touched.push(best as u32);
+            }
+            out.push(view.procs[best].id);
+            if newly_enrolled && ceiling.enroll() {
+                // Equation (2) ceiling step: re-price every candidate leaf
+                // in one dense pass, then rebuild the minima bottom-up.
+                for (j, &n_q) in counts.iter().enumerate() {
+                    if is_absent(lane.tree.leaf(j)) {
+                        continue;
+                    }
+                    let s = if spent(room, j, n_q) {
+                        f64::INFINITY
+                    } else {
+                        let (factor, eff) = ceiling.price(n_q as usize);
+                        let row = self.hot_row(view, j, n_q);
+                        self.memo_score(memo, factors, view, j, &row, (factor, eff))
+                    };
+                    lane.tree.set_leaf(j, packed_key(s, j as u32));
+                }
+                lane.tree.fix_up();
+                refreshed = true;
+            } else if spent(room, best, counts[best]) {
+                lane.tree
+                    .update(best, packed_key(f64::INFINITY, best as u32));
+            } else {
+                let row = self.hot_row(view, best, counts[best]);
+                let s = self.score_checked(view, best, &row, ceiling.eff_enrolled);
+                lane.tree.update(best, packed_key(s, best as u32));
+            }
+        }
+        for &q in &lane.touched {
+            counts[q as usize] = 0;
+        }
+        if refreshed {
+            // Every candidate leaf moved off its base key: restoring them
+            // one by one would cost more than the rebuild the next round
+            // does instead.
+            lane.seq = None;
+            lane.touched.clear();
+        }
+        self.tree_counts = counts;
+        self.lanes[slot] = lane;
+    }
+
+    /// The per-round placement loop over the candidate list `ups` (linear
+    /// scan or loser tree, by `kind`).
+    #[allow(clippy::too_many_arguments)] // private round body shared by place_into
+    fn place_on_list(
+        &mut self,
+        memo: &mut [ChainScoreMemo],
+        factors: usize,
+        view: &SchedView<'_>,
+        ups: &[usize],
+        kind: SelectorKind,
+        count: usize,
+        out: &mut Vec<ProcessorId>,
+    ) {
+        // Per-round bookkeeping: one task count per candidate (by
+        // position), the Equation-(2) ceiling state (n_active and the
+        // incrementally maintained factors), and the cached score of each
+        // candidate.
+        let mut counts = std::mem::take(&mut self.counts);
+        counts.clear();
+        counts.resize(ups.len(), 0u32);
         let mut scores = std::mem::take(&mut self.scores);
         scores.clear();
         // Initial-row fill: every candidate is unenrolled and n_active is
@@ -546,28 +892,19 @@ impl Scheduler for GreedyScheduler {
         // every finite score in each selector, and the memo is not
         // consulted for a row that can never win.
         let room = view.room;
-        for &i in &ups {
+        for &i in ups {
             scores.push(if room.is_some_and(|r| r[i] == 0) {
                 f64::INFINITY
             } else {
                 let row = self.hot_row(view, i, 0);
-                self.memo_score(&mut memo, factors, view, i, &row, (1, view.t_data))
+                self.memo_score(memo, factors, view, i, &row, (1, view.t_data))
             });
         }
-        // Pick the selection strategy (see `SelectorKind::choose` for the
-        // measured crossover policy): the dense vectorized linear rescan on
-        // small rounds, the trees above (any selector can be pinned
-        // through the `force_selector` hook). Positions index `ups`,
-        // which is in ascending id order, so every selector's
-        // `(score, pos)` key order reproduces the linear scan's strict-`<`
-        // lowest-id tie-break.
-        let kind = self
-            .force_selector
-            .unwrap_or_else(|| SelectorKind::choose(ups.len(), count));
-        let mut selector = Selector::build(kind, &scores, &mut self.tree, &mut self.sharded);
+        // Positions index `ups`, which is in ascending id order, so every
+        // selector's `(score, pos)` key order reproduces the linear scan's
+        // strict-`<` lowest-id tie-break.
+        let mut selector = Selector::build(kind != SelectorKind::Linear, &scores, &mut self.tree);
         let mut ceiling = CeilingState::new(self.contention, view.t_data, view.ncom);
-        let spent =
-            |room: Option<&[u8]>, i: usize, n_q: u32| room.is_some_and(|r| n_q >= u32::from(r[i]));
         for _ in 0..count {
             let best_pos = selector.select(&scores);
             let best = ups[best_pos];
@@ -593,7 +930,7 @@ impl Scheduler for GreedyScheduler {
                     }
                     let (factor, eff) = ceiling.price(n_q as usize);
                     let row = self.hot_row(view, i, n_q);
-                    scores[pos] = self.memo_score(&mut memo, factors, view, i, &row, (factor, eff));
+                    scores[pos] = self.memo_score(memo, factors, view, i, &row, (factor, eff));
                 }
                 selector.refresh(&scores);
             } else if spent(room, best, counts[best_pos]) {
@@ -614,12 +951,17 @@ impl Scheduler for GreedyScheduler {
             }
         }
         // Return the backing storage to the persistent scratch.
-        selector.into_storage(&mut self.tree, &mut self.sharded);
-        self.memo = memo;
-        self.ups = ups;
+        selector.into_storage(&mut self.tree);
         self.counts = counts;
         self.scores = scores;
     }
+}
+
+/// Whether candidate `i` has spent its bind room after `n_q` placements
+/// this round (never, on a round without room).
+#[inline]
+fn spent(room: Option<&[u8]>, i: usize, n_q: u32) -> bool {
+    room.is_some_and(|r| n_q >= u32::from(r[i]))
 }
 
 #[cfg(test)]
@@ -967,7 +1309,7 @@ mod tests {
             /// Random score-mutation/placement sequences: per round the
             /// processors' delays and states mutate and a random batch is
             /// placed. *Persistent* schedulers pinned to each selector —
-            /// the linear rescan, the loser tree and the sharded tree, all
+            /// the linear rescan, the loser tree and the winner tree, all
             /// with their caches warm across rounds — must reproduce the
             /// stateless naive model's winners — and tie-break order — for
             /// every greedy family, including the `*` variants whose
@@ -991,11 +1333,11 @@ mod tests {
                     let mut pinned: Vec<(GreedyScheduler, &str)> = vec![
                         (GreedyScheduler::new(obj, star, "loser"), "loser tree"),
                         (GreedyScheduler::new(obj, star, "linear"), "linear"),
-                        (GreedyScheduler::new(obj, star, "sharded"), "sharded tree"),
+                        (GreedyScheduler::new(obj, star, "winner"), "winner tree"),
                     ];
                     pinned[0].0.force_selector(Some(SelectorKind::LoserTree));
                     pinned[1].0.force_selector(Some(SelectorKind::Linear));
-                    pinned[2].0.force_selector(Some(SelectorKind::ShardedTree));
+                    pinned[2].0.force_selector(Some(SelectorKind::WinnerTree));
                     for (s, _) in &mut pinned {
                         s.begin_run();
                     }
@@ -1031,6 +1373,171 @@ mod tests {
         }
     }
 
+    /// The persistent-lane differential: one scheduler, pinned to the
+    /// winner tree on small platforms, is fed random view sequences with
+    /// deltas and must place exactly like a fresh scheduler handed the same
+    /// view without one.
+    mod lane_property {
+        use super::super::*;
+        use super::FAMILIES;
+        use crate::view::{Lane, SchedViewBuilder, ViewDelta};
+        use proptest::prelude::*;
+        use vg_markov::availability::AvailabilityChain;
+        use vg_markov::ProcState;
+
+        fn chain(idx: u32) -> AvailabilityChain {
+            let rows = match idx % 3 {
+                0 => [[0.99, 0.005, 0.005], [0.50, 0.45, 0.05], [0.10, 0.10, 0.80]],
+                1 => [[0.55, 0.30, 0.15], [0.20, 0.60, 0.20], [0.05, 0.05, 0.90]],
+                _ => [[0.90, 0.05, 0.05], [0.40, 0.50, 0.10], [0.20, 0.20, 0.60]],
+            };
+            AvailabilityChain::new(rows).unwrap()
+        }
+
+        /// What the engine side of the test knows about one lane: its
+        /// sequence number and the processors changed since its last round.
+        #[derive(Default)]
+        struct LaneFeed {
+            seq: u64,
+            changed: Vec<bool>,
+        }
+
+        impl LaneFeed {
+            fn list(&self) -> Vec<u32> {
+                (0..self.changed.len() as u32)
+                    .filter(|&q| self.changed[q as usize])
+                    .collect()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Each step mutates the platform — state flips, delay drift,
+            /// candidate-set toggles — then runs a pool or replica round.
+            /// The control draw picks how the round is announced: a proper
+            /// delta (sometimes padded with unchanged processors), a
+            /// sequence gap that lost the changes, a stale repeated
+            /// sequence number, no delta at all, or a `begin_run` the lane
+            /// never hears about. Every family must match the fresh
+            /// scheduler placement for placement.
+            #[test]
+            fn persistent_lanes_match_a_fresh_scheduler(
+                ncom in 1usize..5,
+                t_data in 0u64..5,
+                procs in collection::vec((1u64..12, 0u32..3, 0u64..15), 1..24),
+                steps in collection::vec(
+                    (
+                        0u32..2,
+                        1usize..30,
+                        collection::vec((0usize..64, 0u32..4, 0u64..15), 0..10),
+                        0u32..16,
+                    ),
+                    1..14,
+                ),
+            ) {
+                let p = procs.len();
+                for (obj, star) in FAMILIES {
+                    let mut state: Vec<ProcState> = vec![ProcState::Up; p];
+                    let mut delay: Vec<u64> = procs.iter().map(|&(_, _, d)| d).collect();
+                    let mut free: Vec<bool> = (0..p).map(|q| q % 3 != 0).collect();
+                    let mut feeds: [LaneFeed; Lane::COUNT] = Default::default();
+                    for f in &mut feeds {
+                        f.changed = vec![true; p];
+                    }
+                    let mut lanes = GreedyScheduler::new(obj, star, "lanes");
+                    lanes.force_selector(Some(SelectorKind::WinnerTree));
+                    lanes.begin_run();
+                    for (lane_draw, count, mutations, control) in &steps {
+                        for &(sel, kind, d) in mutations {
+                            let q = sel % p;
+                            match kind {
+                                0 => {
+                                    state[q] = match state[q] {
+                                        ProcState::Up => ProcState::Reclaimed,
+                                        ProcState::Reclaimed => ProcState::Down,
+                                        ProcState::Down => ProcState::Up,
+                                    }
+                                }
+                                1 => delay[q] = d,
+                                2 => free[q] = !free[q],
+                                _ => {
+                                    state[q] = ProcState::Up;
+                                    delay[q] = d;
+                                }
+                            }
+                            for f in &mut feeds {
+                                f.changed[q] = true;
+                            }
+                        }
+                        let lane = if *lane_draw == 0 { Lane::Pool } else { Lane::Replica };
+                        let mut b = SchedViewBuilder::new(3, t_data, ncom);
+                        for (q, &(w, c, _)) in procs.iter().enumerate() {
+                            b = b.proc(state[q], w, true, delay[q], chain(c));
+                        }
+                        if lane == Lane::Replica {
+                            b = b.candidates(free.clone());
+                        }
+                        let owned = b.build();
+                        let feed = &mut feeds[lane.index()];
+                        let mut changed = feed.list();
+                        let seq = match control {
+                            // A lost delta: the sequence skips one.
+                            0 => {
+                                changed.clear();
+                                feed.seq + 2
+                            }
+                            // A stale delta: the last sequence number again.
+                            1 => {
+                                changed.clear();
+                                feed.seq
+                            }
+                            // Padding: an unchanged processor may be listed.
+                            2 => {
+                                let q = (feed.seq as usize) % p;
+                                if !changed.contains(&(q as u32)) {
+                                    changed.push(q as u32);
+                                }
+                                feed.seq + 1
+                            }
+                            _ => feed.seq + 1,
+                        };
+                        if *control == 3 {
+                            lanes.begin_run();
+                        }
+                        // A delta-less round leaves the lane's feed to
+                        // accumulate, as the engine's demand-driven rounds
+                        // do; every other round consumes it.
+                        let delta = (*control != 4).then(|| {
+                            feed.seq = seq;
+                            feed.changed.iter_mut().for_each(|c| *c = false);
+                            ViewDelta {
+                                lane,
+                                seq,
+                                changed: &changed,
+                            }
+                        });
+                        let view = SchedView { delta, ..owned.view() };
+                        let got = lanes.place(&view, *count);
+                        let mut fresh = GreedyScheduler::new(obj, star, "fresh");
+                        fresh.force_selector(Some(SelectorKind::Linear));
+                        let expected = fresh.place(&owned.view(), *count);
+                        prop_assert_eq!(
+                            got,
+                            expected,
+                            "{:?} star={} lane={:?} seq={} control={}",
+                            obj,
+                            star,
+                            lane,
+                            seq,
+                            control
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn forced_selectors_match_hybrid_on_unit_views() {
         // Deterministic spot-check below the proptest: every forced
@@ -1048,7 +1555,7 @@ mod tests {
             for kind in [
                 SelectorKind::Linear,
                 SelectorKind::LoserTree,
-                SelectorKind::ShardedTree,
+                SelectorKind::WinnerTree,
             ] {
                 let mut forced = GreedyScheduler::new(obj, star, "forced");
                 forced.force_selector(Some(kind));
@@ -1099,8 +1606,8 @@ mod tests {
                 linear.force_selector(Some(SelectorKind::Linear));
                 let mut loser = GreedyScheduler::new(obj, star, "loser");
                 loser.force_selector(Some(SelectorKind::LoserTree));
-                let mut sharded = GreedyScheduler::new(obj, star, "sharded");
-                sharded.force_selector(Some(SelectorKind::ShardedTree));
+                let mut winner = GreedyScheduler::new(obj, star, "winner");
+                winner.force_selector(Some(SelectorKind::WinnerTree));
                 let expected = linear.place(&owned.view(), count);
                 assert_eq!(
                     policy.place(&owned.view(), count),
@@ -1113,9 +1620,9 @@ mod tests {
                     "{obj:?} star={star} count={count} (forced loser tree)"
                 );
                 assert_eq!(
-                    sharded.place(&owned.view(), count),
+                    winner.place(&owned.view(), count),
                     expected,
-                    "{obj:?} star={star} count={count} (forced sharded tree)"
+                    "{obj:?} star={star} count={count} (forced winner tree)"
                 );
             }
         }

@@ -57,7 +57,9 @@ pub use catalog::HeuristicKind;
 pub use selector::SelectorKind;
 pub use share::{share_quotas, SharePolicy};
 pub use traits::Scheduler;
-pub use view::{AppView, OwnedSchedView, ProcSnapshot, SchedView, SchedViewBuilder};
+pub use view::{
+    AppView, Lane, OwnedSchedView, ProcSnapshot, SchedView, SchedViewBuilder, ViewDelta,
+};
 
 /// Commonly used items.
 pub mod prelude {

@@ -2,22 +2,22 @@
 //!
 //! Every greedy family (Section 6.3) repeats the same *replace-top* access
 //! pattern per placement round: pick the candidate with the smallest
-//! `(score, position)` key, re-score exactly that candidate (pipelining one
+//! `(score, id)` key, re-score exactly that candidate (pipelining one
 //! more task onto it raises its completion time), and repeat — with an
 //! occasional *wholesale* re-score when an Equation-(2) ceiling step
 //! re-prices every candidate at once. This module isolates the data
-//! structure answering those queries behind `Selector`, with three
-//! implementations that produce **bit-identical decision sequences** and
-//! differ only in access pattern. The linear scan is also the reference the
-//! tree selectors are checked against:
+//! structures answering those queries, with three implementations that
+//! produce **bit-identical decision sequences** and differ only in access
+//! pattern. The linear scan is also the reference the trees are checked
+//! against:
 //!
-//! | selector | select | winner re-score | wholesale refresh |
-//! |---|---|---|---|
-//! | [`SelectorKind::Linear`]    | `O(u)` dense scan | free | free |
-//! | [`SelectorKind::LoserTree`] | `O(1)` read | one leaf-to-root path, `⌈log₂ u⌉` | bottom-up `O(u)` |
-//! | [`SelectorKind::ShardedTree`] | `O(1)` read | one shard path `⌈log₂(u/s)⌉` + `s`-key tournament | per-shard `O(u)` |
+//! | selector | select | winner re-score | wholesale refresh | lifetime |
+//! |---|---|---|---|---|
+//! | [`SelectorKind::Linear`]     | `O(u)` dense scan | free | free | one round |
+//! | [`SelectorKind::LoserTree`]  | `O(1)` read | one leaf-to-root path, `⌈log₂ u⌉` | bottom-up `O(u)` | one round |
+//! | [`SelectorKind::WinnerTree`] | `O(1)` read | one leaf-to-root path, `⌈log₂ p⌉` | bottom-up `O(p)` | across rounds, per lane |
 //!
-//! The **loser tree** is the large-`p` default. A tournament tree over the
+//! The **loser tree** serves mid-sized rounds. A tournament tree over the
 //! candidate positions stores, at each internal node, the *loser* of that
 //! match (the winner keeps ascending); the overall winner sits at the root.
 //! `select` is a single read. Re-scoring the winner replays exactly the
@@ -29,33 +29,44 @@
 //! *round-batched*: the caller re-evaluates all scores in one dense pass
 //! first, then one `O(u)` bottom-up rebuild touches each leaf once.
 //!
+//! The **winner tree** serves platform-scale rounds. It spans *every*
+//! processor, not just the round's candidates — a non-candidate holds an
+//! `absent_key` that sorts after every candidate — so it can outlive the
+//! round: the greedy scheduler keeps one per placement lane and, when the
+//! view carries a [`ViewDelta`](crate::view::ViewDelta), patches only the
+//! processors that changed since the lane's previous round. Each node holds
+//! the minimum key of its subtree, so any leaf — not just the winner's —
+//! can be re-keyed with one leaf-to-root walk, which stops as soon as a
+//! node's minimum is unchanged.
+//!
 //! ## Exactness
 //!
-//! All three selectors order candidates by the same key: `(score, pos)`
-//! under [`f64::total_cmp`] then position. Positions are unique, so the key
-//! order is total and the minimum is unique — which tree shape stores the
-//! entries is unobservable. The position tie-break applies in the loser
-//! tree's **internal nodes** too (every match compares full keys, never
-//! bare scores), reproducing the linear scan's strict-`<` lowest-id rule
-//! even when duplicate scores land in different subtrees of a padded,
-//! non-power-of-two tournament. The differential tests below and the
-//! greedy proptest (all 8 families × all 3 selectors vs a cache-free naive
-//! model) pin this.
+//! All selectors order candidates by the same key: `(score, id)` under
+//! [`f64::total_cmp`] then processor id. Ids are unique, so the key order
+//! is total and the minimum is unique — which tree shape stores the entries
+//! is unobservable. The per-round selectors index candidates by their
+//! position in the ascending-id candidate list, which orders exactly like
+//! the id. The id tie-break applies in every **internal node** too (every
+//! match compares full keys, never bare scores), reproducing the linear
+//! scan's strict-`<` lowest-id rule even when duplicate scores land in
+//! different subtrees of a padded, non-power-of-two tournament. The
+//! differential tests below and the greedy proptests (all 8 families × all
+//! 3 selectors vs a cache-free naive model, and the persistent lanes vs a
+//! fresh scheduler) pin this.
 //!
 //! ## Staleness contract
 //!
-//! The trees store *positions only* and read scores live from the caller's
-//! dense row, so they must never be stale: the caller re-score protocol —
-//! `Selector::rescore_winner` after each placement, `Selector::refresh`
-//! after each wholesale re-price — is a hard contract, debug-asserted where
-//! cheap.
+//! The trees cache packed keys, so they must never be stale: the caller
+//! re-score protocol — `Selector::rescore_winner` after each placement,
+//! `Selector::refresh` after each wholesale re-price, `WinnerTree::update`
+//! for every leaf whose inputs changed — is a hard contract, debug-asserted
+//! where cheap.
 //!
 //! ## Storage
 //!
-//! Selector storage ([`LoserTree`], [`ShardedTree`]) lives in the
-//! owning scheduler's persistent scratch and is moved in and out of the
-//! round-scoped `Selector` by value, so steady-state rounds allocate
-//! nothing once the backing vectors reach their high-water capacity (the
+//! Selector storage ([`LoserTree`], `WinnerTree`) lives in the owning
+//! scheduler's persistent scratch, so steady-state rounds allocate nothing
+//! once the backing vectors reach their high-water capacity (the
 //! zero-allocation test in `vg-bench` pins this through the engine).
 
 /// Which argmin structure a placement round uses.
@@ -63,11 +74,12 @@
 pub enum SelectorKind {
     /// Dense strict-`<` rescan of the whole score row per placement.
     Linear,
-    /// Loser (tournament) tree with replace-top path replay.
+    /// Loser (tournament) tree over the round's candidates, with
+    /// replace-top path replay.
     LoserTree,
-    /// Per-shard loser trees with a small tournament over shard winners;
-    /// the large-`u` partitioning of [`SelectorKind::LoserTree`].
-    ShardedTree,
+    /// Point-updatable winner tree over every processor, kept across
+    /// rounds per placement lane and patched from the view's delta.
+    WinnerTree,
 }
 
 /// Below this `count · u` product the dense linear rescan wins: it
@@ -79,57 +91,38 @@ pub const LINEAR_MAX_WORK: usize = 4096;
 /// build cannot amortize over so few placements.
 pub const STRUCTURED_MIN_COUNT: usize = 4;
 
-/// At and above this many UP candidates the monolithic loser tree gives
-/// way to per-shard trees: a single tournament over `u ≥ 2¹³` leaves walks
-/// `⌈log₂ u⌉ ≥ 13` scattered cache lines per replay, while the sharded
-/// replay walks one shard's shorter path plus a dense tournament over at
-/// most [`MAX_SHARDS`] contiguous winner keys. Below it the extra
-/// tournament is pure overhead. See `docs/scaling.md` for the measured
-/// crossover.
-pub const SHARD_MIN_UPS: usize = 8192;
-
-/// Target leaf count per shard: each shard's tree (4-byte nodes + 16-byte
-/// keys over ≤ 4096 leaves) stays comfortably inside L2, so one replay
-/// path touches cache-resident lines only.
-pub const SHARD_LEAVES: usize = 4096;
-
-/// Upper bound on the shard count: the winner tournament is a dense
-/// linear argmin over one `u128` key per shard, and 64 keys (two cache
-/// lines' worth per 8) keep it a handful of nanoseconds even at
-/// `p = 10⁶` leaves.
-pub const MAX_SHARDS: usize = 64;
-
-/// Number of shards the sharded tree uses for `u` candidates: enough to
-/// keep every shard at or under [`SHARD_LEAVES`] leaves, capped at
-/// [`MAX_SHARDS`].
-#[must_use]
-pub fn shard_count(u: usize) -> usize {
-    u.div_ceil(SHARD_LEAVES).clamp(1, MAX_SHARDS)
-}
-
-/// Leaves per shard for `u` candidates under the production policy (the
-/// last shard may be smaller).
-#[must_use]
-pub fn shard_size_for(u: usize) -> usize {
-    u.div_ceil(shard_count(u)).max(1)
-}
+/// At and above this many candidates the per-round loser tree gives way
+/// to the persistent winner tree: a round there would otherwise spend
+/// most of its time scanning, scoring and building over tens of thousands
+/// of candidates of which only a few percent changed since the lane's
+/// previous round. Below it the full-platform tree (its leaves span all
+/// `p` processors) is pure overhead. See `docs/scaling.md`.
+pub const WINNER_TREE_MIN_UPS: usize = 8192;
 
 impl SelectorKind {
     /// The measured crossover policy for a round placing `count` tasks over
-    /// `u` UP candidates.
+    /// `u` candidates.
     ///
     /// * `count < 4` or `count · u < 4096` — **linear**: the dense scan's
     ///   vectorized `O(count · u)` beats any build cost.
-    /// * `u ≥ 8192` ([`SHARD_MIN_UPS`]) — **sharded tree**: one replay
-    ///   touches a single shard's cache-resident path plus a ≤ 64-key
-    ///   winner tournament instead of `⌈log₂ u⌉` scattered lines.
-    /// * otherwise — **loser tree**.
+    /// * `u ≥ 8192` ([`WINNER_TREE_MIN_UPS`]) — **winner tree**: the
+    ///   scheduler's per-lane tree over all `p` processors, patched at the
+    ///   processors the view's [`ViewDelta`](crate::view::ViewDelta) names
+    ///   (rebuilt in `O(p)` when the view carries none, or the lane's
+    ///   sequence has a gap).
+    /// * otherwise — **loser tree**, built per round over the candidates.
+    ///
+    /// Rounds whose view carries a delta bypass this per-round trade-off
+    /// in the greedy scheduler: they use the lane's winner tree whenever
+    /// it is already in sync (using it costs nothing), or `u` reaches
+    /// [`WINNER_TREE_MIN_UPS`] (the rebuild amortizes over the lane's
+    /// later rounds).
     #[must_use]
     pub fn choose(u: usize, count: usize) -> Self {
         if count < STRUCTURED_MIN_COUNT || count * u < LINEAR_MAX_WORK {
             Self::Linear
-        } else if u >= SHARD_MIN_UPS {
-            Self::ShardedTree
+        } else if u >= WINNER_TREE_MIN_UPS {
+            Self::WinnerTree
         } else {
             Self::LoserTree
         }
@@ -137,7 +130,8 @@ impl SelectorKind {
 }
 
 /// Packs a `(score, pos)` key into one `u128` whose integer order is the
-/// lexicographic `(total_cmp, pos)` order: the score's bits are mapped
+/// lexicographic `(total_cmp, pos)` order (`pos` is a candidate position
+/// or, in the winner tree, a processor id): the score's bits are mapped
 /// through the standard sign-magnitude fold (negative values bit-inverted,
 /// positive values sign-flipped), which is strictly monotone with respect
 /// to `total_cmp` over **all** bit patterns — every number, both zeros,
@@ -147,7 +141,8 @@ impl SelectorKind {
 /// branch chain, with bit-identical outcomes (the unit tests below pin
 /// the map against `key_less` exhaustively over crafted bit patterns).
 #[inline]
-fn packed_key(score: f64, pos: u32) -> u128 {
+#[must_use]
+pub(crate) fn packed_key(score: f64, pos: u32) -> u128 {
     let b = score.to_bits();
     let mapped = if b >> 63 == 1 { !b } else { b | (1 << 63) };
     ((mapped as u128) << 32) | pos as u128
@@ -162,6 +157,37 @@ fn packed_key(score: f64, pos: u32) -> u128 {
 /// padding — by score half for every other value, by position half even
 /// in the adversarial case of a real score carrying that exact payload.
 const SENTINEL_KEY: u128 = ((u64::MAX as u128) << 32) | u32::MAX as u128;
+
+/// Key of processor `id` while it is not a candidate of the round: bit 96
+/// sits above the whole score half (bits 32..96) of every [`packed_key`],
+/// so an absent processor sorts after every candidate — `+∞` and every NaN
+/// payload included — while keeping a unique, id-ordered key.
+#[inline]
+#[must_use]
+pub(crate) fn absent_key(id: u32) -> u128 {
+    ABSENT_BIT | id as u128
+}
+
+/// The bit that marks an [`absent_key`].
+const ABSENT_BIT: u128 = 1 << 96;
+
+/// Whether `key` is an [`absent_key`] (or winner-tree padding).
+#[inline]
+#[must_use]
+pub(crate) fn is_absent(key: u128) -> bool {
+    key >= ABSENT_BIT
+}
+
+/// Processor id (or candidate position) carried in the low 32 bits of a
+/// packed key.
+#[inline]
+#[must_use]
+pub(crate) fn key_id(key: u128) -> usize {
+    (key as u32) as usize
+}
+
+/// Winner-tree padding leaf: above every absent key.
+const PAD_KEY: u128 = u128::MAX;
 
 /// Marker for "runner-up unknown" — forces the next winner re-score to
 /// replay its path (no key is ever strictly below it). The only real key
@@ -314,176 +340,246 @@ impl LoserTree {
             RUNNER_UP_UNKNOWN
         };
     }
-
-    /// Packed key of the current winner's leaf (sentinel on an empty
-    /// tree). Local positions: the sharded wrapper re-bases it.
-    #[inline]
-    fn winner_key(&self) -> u128 {
-        self.keys[self.nodes[0] as usize]
-    }
 }
 
-/// The sharded selector's persistent storage: the candidate row is split
-/// into contiguous shards of [`shard_size_for`]-many leaves, each
-/// owning an independent [`LoserTree`], plus one **global-position**
-/// packed key per shard winner. `select` reads a cached overall winner;
-/// a winner re-score replays one shard's `⌈log₂(u/s)⌉` path and then
-/// re-runs the dense `s`-key tournament (`s ≤` [`MAX_SHARDS`], two
-/// `u128`s per cache line), so no replay ever walks the full-platform
-/// `⌈log₂ u⌉` scattered lines; an Equation-(2) wholesale refresh
-/// re-prices each shard independently (the natural unit for a future
-/// multi-thread split with a deterministic merge).
-///
-/// ## Exactness
-///
-/// Shard winner keys are packed with **global** positions (a shard-local
-/// key plus the shard's base offset — the position field occupies the low
-/// 32 bits, so the add re-bases it without touching the score half).
-/// The tournament is therefore a linear argmin over exactly the same
-/// `(score, pos)` key order the monolithic tree uses, and its minimum is
-/// the monolithic winner, bit-identically — pinned by the differential
-/// tests below and the greedy proptest.
+/// Leaves per winner-tree bucket: 8 packed keys are two cache lines, so a
+/// bucket's minimum is re-derived from lines the leaf write just touched.
+const BUCKET: usize = 8;
+
+/// The persistent selector: the packed keys of processors `0..len` (padded
+/// to a power of two `m`), grouped into buckets of eight leaves, under
+/// an implicit complete binary tree whose node `i` holds the minimum key of
+/// its subtree (children `2i`/`2i+1`; node `nb + b` is bucket `b`'s
+/// minimum, `nb = m / BUCKET`). Keys embed the processor id, so the root
+/// *is* the winner — no index array. Any leaf can be re-keyed with one
+/// bucket scan and one walk up ([`Self::update`]), which is what lets a
+/// scheduler keep the tree across rounds and patch only the processors
+/// that changed. The buckets keep the tree above them an eighth of the
+/// leaves' size, and most re-keys end at the bucket: its minimum only moves
+/// when the leaf was or becomes it.
 #[derive(Debug, Clone, Default)]
-pub struct ShardedTree {
-    /// Leaves per shard of the current round (last shard may be short).
-    shard_size: usize,
-    /// Real leaf count `u` of the current round.
+pub(crate) struct WinnerTree {
+    /// Real leaf count.
     len: usize,
-    /// One independent tournament per shard; storage persists across
-    /// rounds like the monolithic tree's.
-    shards: Vec<LoserTree>,
-    /// Packed `(score, global pos)` key of each shard's winner.
-    winner_keys: Vec<u128>,
-    /// Index of the shard holding the overall winner.
-    winner_shard: usize,
+    /// Bucket count `nb`: `m / BUCKET`, a power of two (≥ 1).
+    nb: usize,
+    /// Leaf keys, `m` of them (padding beyond `len`).
+    keys: Vec<u128>,
+    /// `nodes[1..nb]` subtree minima, `nodes[nb..2nb]` bucket minima.
+    nodes: Vec<u128>,
 }
 
-impl ShardedTree {
-    /// Rebuilds every shard over `scores`, `O(u)` total — the per-round
-    /// build and the round-batched wholesale refresh. `shard_size` is the
-    /// partition width; production callers pass [`shard_size_for`], tests
-    /// force small widths to exercise multi-shard shapes at tiny `u`.
-    pub fn rebuild(&mut self, scores: &[f64], shard_size: usize) {
-        self.shard_size = shard_size.max(1);
-        self.len = scores.len();
-        let nshards = self.len.div_ceil(self.shard_size).max(1);
-        self.shards.truncate(nshards);
-        while self.shards.len() < nshards {
-            self.shards.push(LoserTree::default());
-        }
-        self.winner_keys.clear();
-        for (s, tree) in self.shards.iter_mut().enumerate() {
-            let lo = s * self.shard_size;
-            let hi = (lo + self.shard_size).min(self.len);
-            tree.rebuild(&scores[lo..hi]);
-            // Re-base the winner's position to the global row. The empty
-            // single-shard case keeps the sentinel unshifted (lo = 0).
-            self.winner_keys.push(tree.winner_key() + lo as u128);
-        }
-        self.refresh_winner();
+impl WinnerTree {
+    /// Number of real leaves.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// Re-runs the winner tournament: a dense strict-`<` argmin over the
-    /// per-shard keys (strict keeps the lowest shard on the impossible
-    /// tie, matching the monolithic order — keys carry unique positions).
-    fn refresh_winner(&mut self) {
-        let mut best = 0usize;
-        for s in 1..self.winner_keys.len() {
-            if self.winner_keys[s] < self.winner_keys[best] {
-                best = s;
+    /// Resets the shape to `len` leaves, every one holding its
+    /// [`absent_key`]; the minima are left for [`Self::fix_up`].
+    pub fn reset_absent(&mut self, len: usize) {
+        self.len = len;
+        let m = len.next_power_of_two().max(BUCKET);
+        self.nb = m / BUCKET;
+        self.keys.clear();
+        self.keys.extend((0..m).map(|j| {
+            if j < len {
+                // j < len ≤ u32::MAX: views index processors by u32 ids.
+                absent_key(j as u32)
+            } else {
+                PAD_KEY
             }
-        }
-        self.winner_shard = best;
+        }));
+        self.nodes.clear();
+        self.nodes.resize(2 * self.nb, PAD_KEY);
     }
 
-    /// The current overall winner's global position. `O(1)`; exact under
-    /// the same re-score contract as the monolithic tree.
+    /// Key of leaf `j`.
     #[inline]
     #[must_use]
-    pub fn winner(&self) -> usize {
-        self.winner_shard * self.shard_size + self.shards[self.winner_shard].winner()
+    pub fn leaf(&self, j: usize) -> u128 {
+        self.keys[j]
     }
 
-    /// Re-prices the winner's leaf after *its* score changed: replay the
-    /// owning shard's path (inheriting the monolithic runner-up
-    /// shortcut), refresh that shard's tournament key, and re-run the
-    /// winner tournament. Only valid for the overall winner's leaf.
-    pub fn replay_winner(&mut self, leaf: usize, scores: &[f64]) {
-        debug_assert_eq!(
-            leaf,
-            self.winner(),
-            "path replay is only sound for the current winner's leaf"
-        );
-        let s = self.winner_shard;
-        let lo = s * self.shard_size;
-        let hi = (lo + self.shard_size).min(self.len);
-        self.shards[s].replay_winner(leaf - lo, &scores[lo..hi]);
-        self.winner_keys[s] = self.shards[s].winner_key() + lo as u128;
-        self.refresh_winner();
+    /// Overwrites leaf `j` without touching the minima — for batched
+    /// writes followed by one [`Self::fix_up`].
+    #[inline]
+    pub fn set_leaf(&mut self, j: usize, key: u128) {
+        debug_assert!(j < self.len);
+        self.keys[j] = key;
+    }
+
+    /// Minimum key of bucket `b`.
+    #[inline]
+    fn bucket_min(&self, b: usize) -> u128 {
+        let lo = b * BUCKET;
+        self.keys[lo..lo + BUCKET]
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(PAD_KEY)
+    }
+
+    /// Recomputes every bucket minimum and internal node bottom-up,
+    /// `O(m)`: the round-batched rebuild after [`Self::reset_absent`] /
+    /// [`Self::set_leaf`] writes.
+    pub fn fix_up(&mut self) {
+        for b in 0..self.nb {
+            self.nodes[self.nb + b] = self.bucket_min(b);
+        }
+        for i in (1..self.nb).rev() {
+            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+        }
+    }
+
+    /// Sets node `i` (a bucket minimum or internal node) to `v` and
+    /// restores the minima above it, stopping at the first ancestor whose
+    /// minimum is unchanged — every node above it is unchanged too.
+    #[inline]
+    fn lift(&mut self, mut i: usize, v: u128) {
+        if self.nodes[i] == v {
+            return;
+        }
+        self.nodes[i] = v;
+        while i > 1 {
+            let v = self.nodes[i].min(self.nodes[i ^ 1]);
+            i >>= 1;
+            if self.nodes[i] == v {
+                break;
+            }
+            self.nodes[i] = v;
+        }
+    }
+
+    /// Re-keys leaf `j`: one bucket scan, then a walk up that stops as
+    /// soon as a minimum is unchanged — so re-keying a leaf that wins
+    /// nothing costs the bucket scan alone.
+    #[inline]
+    pub fn update(&mut self, j: usize, key: u128) {
+        debug_assert!(j < self.len);
+        self.keys[j] = key;
+        let b = j / BUCKET;
+        let v = self.bucket_min(b);
+        self.lift(self.nb + b, v);
+    }
+
+    /// Re-keys every `(leaf, key)` of `items`, then restores the minima
+    /// level by level: each level recomputes only the parents of nodes
+    /// whose minimum changed. The result equals one [`Self::update`] per
+    /// item, but the work is grouped by level instead of chained
+    /// leaf-to-root, so independent nodes' cache misses overlap and a
+    /// batch sorted by leaf walks every level in address order. A leaf may
+    /// appear more than once (its last key wins); `frontier` is
+    /// caller-owned scratch. Returns how many leaves left the absent state
+    /// minus how many entered it.
+    pub fn update_batch(&mut self, items: &[(u32, u128)], frontier: &mut Vec<u32>) -> isize {
+        frontier.clear();
+        let mut present = 0isize;
+        for &(j, key) in items {
+            debug_assert!((j as usize) < self.len);
+            let old = self.keys[j as usize];
+            if old == key {
+                continue;
+            }
+            present += isize::from(!is_absent(key)) - isize::from(!is_absent(old));
+            self.keys[j as usize] = key;
+            // nb + b < 2nb ≤ 2^30 for any u32-indexed platform.
+            let node = (self.nb + j as usize / BUCKET) as u32;
+            if frontier.last() != Some(&node) {
+                frontier.push(node);
+            }
+        }
+        // The bucket level: re-derive each touched bucket's minimum and
+        // keep the parents of the buckets that moved.
+        let mut w = 0;
+        for r in 0..frontier.len() {
+            let i = frontier[r] as usize;
+            let v = self.bucket_min(i - self.nb);
+            if self.nodes[i] == v {
+                continue;
+            }
+            self.nodes[i] = v;
+            let parent = (i >> 1) as u32;
+            if parent >= 1 && (w == 0 || frontier[w - 1] != parent) {
+                frontier[w] = parent;
+                w += 1;
+            }
+        }
+        frontier.truncate(w);
+        while !frontier.is_empty() {
+            // Every entry sits on the same level; compact the next level's
+            // parents in place (each entry yields at most one).
+            let mut w = 0;
+            for r in 0..frontier.len() {
+                let i = frontier[r] as usize;
+                let v = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+                if self.nodes[i] == v {
+                    continue;
+                }
+                self.nodes[i] = v;
+                let parent = (i >> 1) as u32;
+                if parent >= 1 && (w == 0 || frontier[w - 1] != parent) {
+                    frontier[w] = parent;
+                    w += 1;
+                }
+            }
+            frontier.truncate(w);
+        }
+        present
+    }
+
+    /// The minimum key over every leaf: an [`absent_key`] (or padding)
+    /// when no leaf holds a candidate, else the winner's packed key.
+    #[inline]
+    #[must_use]
+    pub fn min_key(&self) -> u128 {
+        self.nodes.get(1).copied().unwrap_or(PAD_KEY)
     }
 }
 
-/// The argmin strategy of one placement round. Every variant returns the
-/// exact same winner sequence for the same score-row trajectory (the
-/// differential tests and the greedy proptest pin it); they differ only in
-/// access pattern, so the placement loop in `GreedyScheduler::place_into`
-/// is shared and only winner selection, the winner's score write-back and
-/// the wholesale refresh dispatch here.
+/// The argmin strategy of one per-round placement loop over the round's
+/// candidate list. Both variants return the exact same winner sequence for
+/// the same score-row trajectory (the differential tests and the greedy
+/// proptest pin it); they differ only in access pattern, so the placement
+/// loop in `GreedyScheduler::place_into` is shared and only winner
+/// selection, the winner's score write-back and the wholesale refresh
+/// dispatch here. Platform-scale rounds use the persistent [`WinnerTree`]
+/// instead, through their own loop.
 pub(crate) enum Selector {
     /// Dense strict-`<` rescan of the whole score row per placement.
     Linear,
     /// Loser tree over candidate positions; owns the scheduler's
     /// persistent tree storage for the round.
     Loser(LoserTree),
-    /// Per-shard loser trees + winner tournament; owns the scheduler's
-    /// persistent sharded storage for the round.
-    Sharded(ShardedTree),
 }
 
 impl Selector {
-    /// Builds the round's selector of `kind` over the initial score row,
-    /// taking ownership of the matching persistent storage (returned to
-    /// the scheduler by `Self::into_storage`).
-    pub(crate) fn build(
-        kind: SelectorKind,
-        scores: &[f64],
-        tree_storage: &mut LoserTree,
-        sharded_storage: &mut ShardedTree,
-    ) -> Self {
-        match kind {
-            SelectorKind::Linear => Self::Linear,
-            SelectorKind::LoserTree => {
-                let mut tree = std::mem::take(tree_storage);
-                tree.rebuild(scores);
-                Self::Loser(tree)
-            }
-            SelectorKind::ShardedTree => {
-                let mut tree = std::mem::take(sharded_storage);
-                tree.rebuild(scores, shard_size_for(scores.len()));
-                Self::Sharded(tree)
-            }
+    /// Builds the round's selector over the initial score row: the loser
+    /// tree (taking the scheduler's storage, returned by
+    /// `Self::into_storage`) when `structured`, else the linear scan.
+    pub(crate) fn build(structured: bool, scores: &[f64], tree_storage: &mut LoserTree) -> Self {
+        if structured {
+            let mut tree = std::mem::take(tree_storage);
+            tree.rebuild(scores);
+            Self::Loser(tree)
+        } else {
+            Self::Linear
         }
     }
 
     /// Returns the backing storage to the scheduler's persistent scratch.
-    pub(crate) fn into_storage(
-        self,
-        tree_storage: &mut LoserTree,
-        sharded_storage: &mut ShardedTree,
-    ) {
-        match self {
-            Self::Linear => {}
-            Self::Loser(tree) => *tree_storage = tree,
-            Self::Sharded(tree) => *sharded_storage = tree,
+    pub(crate) fn into_storage(self, tree_storage: &mut LoserTree) {
+        if let Self::Loser(tree) = self {
+            *tree_storage = tree;
         }
     }
 
-    /// Position (into the candidate row) of the current argmin; the trees'
+    /// Position (into the candidate row) of the current argmin; the tree's
     /// winner is already at the root.
     pub(crate) fn select(&mut self, scores: &[f64]) -> usize {
         match self {
             Self::Loser(tree) => tree.winner(),
-            Self::Sharded(tree) => tree.winner(),
             Self::Linear => {
                 let mut best_pos = 0usize;
                 let mut best_score = f64::INFINITY;
@@ -501,29 +597,22 @@ impl Selector {
     }
 
     /// Records that the winner at `pos` was re-scored (the caller already
-    /// wrote `scores[pos]`). The trees replay the winner's path; the linear
+    /// wrote `scores[pos]`). The tree replays the winner's path; the linear
     /// variant is stateless.
     pub(crate) fn rescore_winner(&mut self, pos: usize, scores: &[f64]) {
-        match self {
-            Self::Loser(tree) => tree.replay_winner(pos, scores),
-            Self::Sharded(tree) => tree.replay_winner(pos, scores),
-            Self::Linear => {}
+        if let Self::Loser(tree) = self {
+            tree.replay_winner(pos, scores);
         }
     }
 
     /// Round-batched wholesale refresh after every score changed at once
     /// (an Equation-(2) ceiling step): the caller has re-evaluated the
-    /// whole row in one dense pass; the trees then rebuild bottom-up in
+    /// whole row in one dense pass; the tree then rebuilds bottom-up in
     /// `O(u)`, touching each entry exactly once. The linear variant is
     /// stateless.
     pub(crate) fn refresh(&mut self, scores: &[f64]) {
-        match self {
-            Self::Loser(tree) => tree.rebuild(scores),
-            Self::Sharded(tree) => {
-                let shard_size = tree.shard_size;
-                tree.rebuild(scores, shard_size);
-            }
-            Self::Linear => {}
+        if let Self::Loser(tree) = self {
+            tree.rebuild(scores);
         }
     }
 }
@@ -548,9 +637,11 @@ mod tests {
     /// sequence; `bumps` gives the score the winner is re-scored to after
     /// each placement.
     fn run_round(kind: SelectorKind, scores: &mut [f64], bumps: &[f64]) -> Vec<usize> {
+        if kind == SelectorKind::WinnerTree {
+            return run_round_winner(scores, bumps);
+        }
         let mut tree_storage = LoserTree::default();
-        let mut sharded_storage = ShardedTree::default();
-        let mut sel = Selector::build(kind, scores, &mut tree_storage, &mut sharded_storage);
+        let mut sel = Selector::build(kind == SelectorKind::LoserTree, scores, &mut tree_storage);
         let mut picks = Vec::new();
         for &bump in bumps {
             let w = sel.select(scores);
@@ -558,48 +649,36 @@ mod tests {
             scores[w] = bump;
             sel.rescore_winner(w, scores);
         }
-        sel.into_storage(&mut tree_storage, &mut sharded_storage);
+        sel.into_storage(&mut tree_storage);
         picks
     }
 
-    /// Drives a [`ShardedTree`] with a *forced* shard width through the
-    /// same scripted round, so multi-shard shapes are reachable at tiny
-    /// `u` (the production width only shards above [`SHARD_LEAVES`]).
-    fn run_round_sharded(shard_size: usize, scores: &mut [f64], bumps: &[f64]) -> Vec<usize> {
-        let mut tree = ShardedTree::default();
-        tree.rebuild(scores, shard_size);
+    /// The same scripted round through a [`WinnerTree`] whose leaves are
+    /// the row positions (every position a candidate).
+    fn run_round_winner(scores: &mut [f64], bumps: &[f64]) -> Vec<usize> {
+        let mut tree = WinnerTree::default();
+        tree.reset_absent(scores.len());
+        for (j, &s) in scores.iter().enumerate() {
+            tree.set_leaf(j, packed_key(s, j as u32));
+        }
+        tree.fix_up();
         let mut picks = Vec::new();
         for &bump in bumps {
-            let w = tree.winner();
+            let w = key_id(tree.min_key());
             picks.push(w);
             scores[w] = bump;
-            tree.replay_winner(w, scores);
+            tree.update(w, packed_key(bump, w as u32));
         }
         picks
     }
 
     /// All three selectors must agree with each other (and hence with the
-    /// linear reference) on every scripted round; the sharded tree is
-    /// additionally exercised at forced widths that split even tiny rows
-    /// into several shards.
+    /// linear reference) on every scripted round.
     fn assert_all_agree(scores: &[f64], bumps: &[f64]) {
         let linear = run_round(SelectorKind::Linear, &mut scores.to_vec(), bumps);
-        let loser = run_round(SelectorKind::LoserTree, &mut scores.to_vec(), bumps);
-        let sharded = run_round(SelectorKind::ShardedTree, &mut scores.to_vec(), bumps);
-        assert_eq!(
-            linear, loser,
-            "loser tree diverged on {scores:?} / {bumps:?}"
-        );
-        assert_eq!(
-            linear, sharded,
-            "sharded tree diverged on {scores:?} / {bumps:?}"
-        );
-        for shard_size in [1usize, 2, 3, 4] {
-            let forced = run_round_sharded(shard_size, &mut scores.to_vec(), bumps);
-            assert_eq!(
-                linear, forced,
-                "sharded tree (width {shard_size}) diverged on {scores:?} / {bumps:?}"
-            );
+        for kind in [SelectorKind::LoserTree, SelectorKind::WinnerTree] {
+            let tree = run_round(kind, &mut scores.to_vec(), bumps);
+            assert_eq!(linear, tree, "{kind:?} diverged on {scores:?} / {bumps:?}");
         }
     }
 
@@ -781,104 +860,128 @@ mod tests {
         assert_eq!(SelectorKind::choose(1025, 4), LoserTree);
         assert_eq!(SelectorKind::choose(256, 15), Linear); // 3840
         assert_eq!(SelectorKind::choose(256, 16), LoserTree); // 4096
-                                                              // Mid-band default is the loser tree.
         assert_eq!(SelectorKind::choose(1024, 2048), LoserTree);
-        // The UP-candidate count gates sharding exactly at SHARD_MIN_UPS.
+        // The candidate count gates the persistent tree exactly at
+        // WINNER_TREE_MIN_UPS.
         assert_eq!(SelectorKind::choose(8191, 4), LoserTree);
-        assert_eq!(SelectorKind::choose(8192, 4), ShardedTree);
-        assert_eq!(SelectorKind::choose(131_072, 100), ShardedTree);
+        assert_eq!(SelectorKind::choose(8192, 4), WinnerTree);
+        assert_eq!(SelectorKind::choose(131_072, 100), WinnerTree);
         // A huge platform with a too-short round still scans linearly.
         assert_eq!(SelectorKind::choose(131_072, 3), Linear);
     }
 
     #[test]
-    fn shard_count_policy() {
-        // One shard up to SHARD_LEAVES, then one per SHARD_LEAVES slice,
-        // capped at MAX_SHARDS; shard widths always cover the row.
-        assert_eq!(shard_count(1), 1);
-        assert_eq!(shard_count(SHARD_LEAVES), 1);
-        assert_eq!(shard_count(SHARD_LEAVES + 1), 2);
-        assert_eq!(shard_count(16_384), 4);
-        assert_eq!(shard_count(131_072), 32);
-        assert_eq!(shard_count(10_000_000), MAX_SHARDS);
-        for u in [1usize, 5, 4096, 4097, 16_384, 131_072, 1 << 20] {
-            let w = shard_size_for(u);
-            assert!(w * shard_count(u) >= u, "u={u}: shards must cover the row");
+    fn absent_keys_sort_after_every_candidate_key() {
+        // Candidates with +∞, the largest finite score and the largest
+        // NaN payload must all beat every absent key, and absent keys
+        // keep the id order among themselves.
+        for score in [
+            f64::INFINITY,
+            f64::MAX,
+            f64::from_bits(0x7FFF_FFFF_FFFF_FFFF),
+        ] {
+            let k = packed_key(score, u32::MAX);
+            assert!(!is_absent(k));
+            assert!(k < absent_key(0), "{score:?}");
         }
+        assert!(absent_key(3) < absent_key(4));
+        assert!(is_absent(absent_key(0)) && is_absent(PAD_KEY));
+        assert_eq!(key_id(absent_key(17)), 17);
+        assert_eq!(key_id(packed_key(2.5, 9)), 9);
     }
 
     #[test]
-    fn sharded_matches_monolithic_at_scale() {
-        // The production regime: u = 16384 UP candidates (4 shards of
-        // 4096), a long replace-top round with pseudo-random scores and
-        // bumps, plus periodic wholesale refreshes. Winner sequences must
-        // be bit-identical to the monolithic tree's.
-        let u = 16_384usize;
-        let mut state = 0xdead_beef_1234_5678_u64;
+    fn winner_tree_point_updates_track_the_minimum() {
+        // Arbitrary leaves (not just the winner) are re-keyed, including
+        // to absent and back, across non-power-of-two shapes; the root
+        // must always equal a brute-force minimum over the leaves.
+        let mut state = 0x1234_5678_9abc_def0_u64;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            (state % 100_003) as f64
+            state
         };
-        let scores_init: Vec<f64> = (0..u).map(|_| next()).collect();
-
-        let mut mono_scores = scores_init.clone();
-        let mut shard_scores = scores_init;
-        let mut mono = LoserTree::default();
-        mono.rebuild(&mono_scores);
-        let mut sharded = ShardedTree::default();
-        sharded.rebuild(&shard_scores, shard_size_for(u));
-        assert_eq!(sharded.winner(), mono.winner(), "initial build diverged");
-
-        for round in 0..3000usize {
-            let bump = 200_000.0 + next();
-            let w = mono.winner();
-            assert_eq!(sharded.winner(), w, "round {round} winner diverged");
-            mono_scores[w] = bump;
-            shard_scores[w] = bump;
-            mono.replay_winner(w, &mono_scores);
-            sharded.replay_winner(w, &shard_scores);
-            if round % 701 == 700 {
-                // Wholesale re-price (Equation-(2) ceiling step analogue).
-                for (a, b) in mono_scores.iter_mut().zip(shard_scores.iter_mut()) {
-                    let fresh = next();
-                    *a = fresh;
-                    *b = fresh;
-                }
-                mono.rebuild(&mono_scores);
-                let ss = shard_size_for(u);
-                sharded.rebuild(&shard_scores, ss);
+        for len in [1usize, 2, 3, 5, 8, 13, 100] {
+            let mut tree = WinnerTree::default();
+            tree.reset_absent(len);
+            tree.fix_up();
+            assert!(is_absent(tree.min_key()), "empty candidate set");
+            let mut keys: Vec<u128> = (0..len).map(|j| absent_key(j as u32)).collect();
+            for _ in 0..20 * len {
+                let j = (next() % len as u64) as usize;
+                let r = next();
+                let key = if r % 4 == 0 {
+                    absent_key(j as u32)
+                } else {
+                    packed_key((r % 23) as f64, j as u32)
+                };
+                keys[j] = key;
+                tree.update(j, key);
+                assert_eq!(tree.min_key(), *keys.iter().min().unwrap(), "len={len}");
+                assert_eq!(tree.leaf(j), key);
             }
         }
     }
 
     #[test]
-    fn sharded_duplicates_across_shard_boundaries() {
-        // Duplicate scores in *different shards*: the global-position
-        // re-basing of the winner keys must keep the lowest-id rule
-        // across the tournament, not just inside one shard.
-        for u in [5usize, 6, 8, 13] {
-            for shard_size in [2usize, 3, 4] {
-                for i in 0..u {
-                    for j in i + 1..u {
-                        let mut scores = vec![10.0; u];
-                        scores[i] = 1.0;
-                        scores[j] = 1.0;
-                        let mut tree = ShardedTree::default();
-                        tree.rebuild(&scores, shard_size);
-                        assert_eq!(
-                            tree.winner(),
-                            i,
-                            "u={u} width={shard_size} duplicates at ({i},{j})"
-                        );
-                        let bumps = [2.0, 3.0, 4.0];
-                        let linear = run_round(SelectorKind::Linear, &mut scores.clone(), &bumps);
-                        let forced = run_round_sharded(shard_size, &mut scores.clone(), &bumps);
-                        assert_eq!(linear, forced, "u={u} width={shard_size} ({i},{j})");
-                    }
+    fn winner_tree_batches_match_single_updates() {
+        // Batched re-keying — sorted, unsorted, with repeats, with no-op
+        // keys — must leave every node exactly as one update per item.
+        let mut state = 0x0bad_cafe_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut frontier = Vec::new();
+        for len in [1usize, 2, 3, 7, 64, 100, 1000] {
+            let mut single = WinnerTree::default();
+            single.reset_absent(len);
+            single.fix_up();
+            let mut batched = single.clone();
+            for round in 0..30 {
+                let n = (next() % 40) as usize;
+                let mut items: Vec<(u32, u128)> = (0..n)
+                    .map(|_| {
+                        let j = (next() % len as u64) as u32;
+                        let r = next();
+                        let key = if r % 3 == 0 {
+                            absent_key(j)
+                        } else {
+                            packed_key((r % 17) as f64, j)
+                        };
+                        (j, key)
+                    })
+                    .collect();
+                if round % 2 == 0 {
+                    items.sort_unstable_by_key(|&(j, _)| j);
                 }
+                for &(j, key) in &items {
+                    single.update(j as usize, key);
+                }
+                let before = (0..len).filter(|&j| !is_absent(batched.leaf(j))).count();
+                let present = batched.update_batch(&items, &mut frontier);
+                let after = (0..len).filter(|&j| !is_absent(batched.leaf(j))).count();
+                assert_eq!(batched.keys, single.keys, "len={len} round={round}");
+                assert_eq!(batched.nodes, single.nodes, "len={len} round={round}");
+                assert_eq!(after as isize - before as isize, present);
             }
         }
+    }
+
+    #[test]
+    fn winner_tree_reset_clears_a_larger_shape() {
+        let mut tree = WinnerTree::default();
+        tree.reset_absent(9);
+        tree.set_leaf(8, packed_key(1.0, 8));
+        tree.fix_up();
+        assert_eq!(key_id(tree.min_key()), 8);
+        // Shrinking must not leave the old winner behind.
+        tree.reset_absent(3);
+        tree.fix_up();
+        assert!(is_absent(tree.min_key()));
+        assert_eq!(tree.len(), 3);
     }
 }

@@ -40,6 +40,14 @@ pub trait Scheduler: Send {
     /// the field's contract). When it is `None`, nothing about per-worker
     /// capacity is promised and implementations must not change behavior —
     /// that is what keeps historical trajectories bit-identical.
+    ///
+    /// Only the view's candidates ([`SchedView::up_indices_into`]) may be
+    /// chosen. When [`SchedView::delta`] is `Some`, the view also reports
+    /// what changed since the previous round of the same lane, so an
+    /// implementation may keep per-lane state and patch it; on a sequence
+    /// gap it must rebuild that state from the full view (see
+    /// [`ViewDelta`](crate::view::ViewDelta)). Either way its choices must
+    /// be those it would make for the view alone.
     fn place_into(&mut self, view: &SchedView<'_>, count: usize, out: &mut Vec<ProcessorId>);
 
     /// Allocating shim over [`Self::place_into`] for callers that predate

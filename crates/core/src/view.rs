@@ -71,10 +71,73 @@ pub struct AppView {
     pub quota: u32,
 }
 
+/// The placement round a [`ViewDelta`] belongs to. Each lane is its own
+/// stream of views: the engine numbers the lane's rounds and reports what
+/// changed since the lane's *previous* round, never since some other
+/// lane's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// The uncapped pool (originals) round: candidates are the `UP`
+    /// processors, `room` is `None`.
+    Pool,
+    /// The replica round: candidates are the free (`UP` and idle)
+    /// processors named by [`SchedView::candidates`].
+    Replica,
+}
+
+impl Lane {
+    /// Number of lanes.
+    pub const COUNT: usize = 2;
+
+    /// Dense index of the lane, `0..Lane::COUNT`.
+    #[inline]
+    #[must_use]
+    pub fn index(self) -> usize {
+        match self {
+            Self::Pool => 0,
+            Self::Replica => 1,
+        }
+    }
+}
+
+/// Advisory change report of one placement round, in the [`SchedView::room`]
+/// / [`SchedView::app`] idiom: `None` is the historical contract (the view
+/// is self-contained and promises nothing about earlier views), and a
+/// scheduler that ignores the field is always correct.
+///
+/// A round carrying `Some(delta)` promises: every processor **not** listed
+/// in [`Self::changed`] has the same candidacy ([`SchedView::is_candidate`])
+/// and the same base-score inputs (`state`, `delay`) as in the view of
+/// this lane's previous round, whose sequence number was `seq − 1`. `w`,
+/// `t_data`, `ncom` and the chain statistics are per-run constants. A
+/// scheduler may therefore keep per-lane state across rounds and patch it
+/// at the listed processors only, instead of rescanning all `p`.
+///
+/// **On a gap** — `seq` is not the successor of the last sequence number
+/// the scheduler saw on this lane, the scheduler never saw the lane since
+/// its last [`Scheduler::begin_run`](crate::Scheduler::begin_run), or it
+/// cannot vouch for its lane state for any other reason — the scheduler
+/// must discard that lane's state and rebuild it from the full view, as if
+/// the field were `None`. Decisions must never depend on whether the
+/// delta path or the rebuild served a round: both describe the same view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ViewDelta<'a> {
+    /// Which placement round this view serves.
+    pub lane: Lane,
+    /// Per-lane sequence number: the lane's previous round carried
+    /// `seq − 1`.
+    pub seq: u64,
+    /// Processors whose candidacy or base-score inputs may have changed
+    /// since the lane's previous round, duplicate-free, in no particular
+    /// order. Listing an unchanged processor is allowed; omitting a
+    /// changed one is not.
+    pub changed: &'a [u32],
+}
+
 /// Scheduler-visible state of the whole platform at one slot.
 ///
 /// Borrows the engine's scratch snapshot buffer and its per-run chain
-/// statistics; copying a `SchedView` copies two fat pointers.
+/// statistics; copying a `SchedView` copies a few fat pointers.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedView<'a> {
     /// One snapshot per processor, indexed by `ProcessorId::idx()`.
@@ -112,6 +175,15 @@ pub struct SchedView<'a> {
     /// [`AppView`]). Advisory, like `room`: only rounds already allowed to
     /// diverge from the single-app trajectory carry `Some`.
     pub app: Option<AppView>,
+    /// The round's candidate set (`candidates[i]` for processor `i`), or
+    /// `None` when every `UP` processor is a candidate. Only `UP`
+    /// processors are ever candidates; the engine narrows the set for the
+    /// replica round (free processors) and for demand-driven rounds
+    /// (processors with bind room). [`Self::up_indices_into`] honours it.
+    pub candidates: Option<&'a [bool]>,
+    /// What changed since this lane's previous round, or `None` for a
+    /// self-contained view (see [`ViewDelta`]).
+    pub delta: Option<ViewDelta<'a>>,
 }
 
 impl<'a> SchedView<'a> {
@@ -122,7 +194,16 @@ impl<'a> SchedView<'a> {
         &self.chains[idx]
     }
 
-    /// Indices of processors in the `UP` state, in id order.
+    /// Whether processor `idx` is a candidate of this round: `UP` and, when
+    /// the view narrows the set, inside [`Self::candidates`].
+    #[inline]
+    #[must_use]
+    pub fn is_candidate(&self, idx: usize) -> bool {
+        self.procs[idx].state.is_up() && self.candidates.is_none_or(|c| c[idx])
+    }
+
+    /// Indices of the round's candidates (`UP` processors, narrowed by
+    /// [`Self::candidates`]), in id order.
     ///
     /// Allocates; heuristic hot paths use [`Self::up_indices_into`] with a
     /// reused scratch buffer instead.
@@ -133,13 +214,25 @@ impl<'a> SchedView<'a> {
         out
     }
 
-    /// Writes the indices of `UP` processors into `out` (cleared first), in
-    /// id order. No allocation once `out` has warmed to capacity.
+    /// Writes the indices of the round's candidates (`UP` processors,
+    /// narrowed by [`Self::candidates`]) into `out` (cleared first), in id
+    /// order. No allocation once `out` has warmed to capacity.
     pub fn up_indices_into(&self, out: &mut Vec<usize>) {
         out.clear();
-        for (i, p) in self.procs.iter().enumerate() {
-            if p.state.is_up() {
-                out.push(i);
+        match self.candidates {
+            None => {
+                for (i, p) in self.procs.iter().enumerate() {
+                    if p.state.is_up() {
+                        out.push(i);
+                    }
+                }
+            }
+            Some(cands) => {
+                for (i, (p, &c)) in self.procs.iter().zip(cands).enumerate() {
+                    if c && p.state.is_up() {
+                        out.push(i);
+                    }
+                }
             }
         }
     }
@@ -171,6 +264,8 @@ pub struct OwnedSchedView {
     pub room: Option<Vec<u8>>,
     /// Per-application round context (`None` = single-app contract).
     pub app: Option<AppView>,
+    /// Candidate set (`None` = every `UP` processor).
+    pub candidates: Option<Vec<bool>>,
 }
 
 impl OwnedSchedView {
@@ -185,6 +280,8 @@ impl OwnedSchedView {
             ncom: self.ncom,
             room: self.room.as_deref(),
             app: self.app,
+            candidates: self.candidates.as_deref(),
+            delta: None,
         }
     }
 }
@@ -208,6 +305,7 @@ impl SchedViewBuilder {
                 ncom,
                 room: None,
                 app: None,
+                candidates: None,
             },
         }
     }
@@ -247,6 +345,19 @@ impl SchedViewBuilder {
     #[must_use]
     pub fn app(mut self, app: AppView) -> Self {
         self.view.app = Some(app);
+        self
+    }
+
+    /// Narrows the round to the given candidate set (length-matched to
+    /// the processors added so far).
+    #[must_use]
+    pub fn candidates(mut self, candidates: Vec<bool>) -> Self {
+        assert_eq!(
+            candidates.len(),
+            self.view.procs.len(),
+            "candidates length != p"
+        );
+        self.view.candidates = Some(candidates);
         self
     }
 
@@ -294,6 +405,21 @@ mod tests {
         v.up_indices_into(&mut buf);
         assert_eq!(buf, vec![0, 1]);
         assert_eq!(ptr, buf.as_ptr(), "buffer must be reused, not reallocated");
+    }
+
+    #[test]
+    fn candidate_set_narrows_up_indices() {
+        let owned = SchedViewBuilder::new(5, 1, 2)
+            .proc(ProcState::Up, 1, false, 0, chain())
+            .proc(ProcState::Up, 1, false, 0, chain())
+            .proc(ProcState::Down, 1, false, 0, chain())
+            .proc(ProcState::Up, 1, false, 0, chain())
+            .candidates(vec![true, false, true, true])
+            .build();
+        let v = owned.view();
+        // A non-UP processor stays out even when the set names it.
+        assert_eq!(v.up_indices(), vec![0, 3]);
+        assert!(v.is_candidate(0) && !v.is_candidate(1) && !v.is_candidate(2));
     }
 
     #[test]

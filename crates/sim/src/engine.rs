@@ -63,23 +63,30 @@
 //! [`ReferenceSimulation`] retains the original `Vec<WorkerRuntime>` path.
 //! Every phase above is written as index loops over the store, so with the
 //! SoA each pass walks dense columns (1-byte states, the `occupancy` byte
-//! for the free-mask and unbind early-outs) instead of dragging each
+//! for the free-mask and unbind checks) instead of dragging each
 //! worker's cold fields through the cache. The
 //! `crates/sim/tests/soa_equivalence.rs` grid pins the two layouts to
 //! byte-identical [`SimReport`]s across all 17 heuristics.
 //!
-//! ## Incremental snapshots and exact-location cancellation
+//! ## The change-fed slot loop and exact-location cancellation
 //!
-//! Two per-slot `O(p)` walks are avoided by bookkeeping:
+//! The per-slot `O(p)` walks are avoided by bookkeeping:
 //!
-//! * **Scheduler snapshots are patched, not rebuilt.** The store tracks a
-//!   per-worker dirty bit (see the [`WorkerStore`] dirty-bit contract) set
-//!   by every mutation a snapshot can observe; `snapshot_procs` rewrites
-//!   the persistent buffer's states and recomputes `delay`/`has_program`
-//!   only for dirty workers. The AoS oracle opts out
-//!   ([`WorkerStore::INCREMENTAL_SNAPSHOTS`]) and rebuilds from scratch,
-//!   so the equivalence grid cross-checks the two paths; debug builds also
-//!   assert patched ≡ rebuilt at every consult.
+//! * **Everything the scheduler sees is patched, not rebuilt.** The store
+//!   keeps a deduplicated change feed (see the [`WorkerStore`] change-feed
+//!   contract) naming every worker whose state, pipeline or busyness moved.
+//!   `sync_views` drains it into the persistent snapshot buffer and free
+//!   mask, and forwards each worker whose candidacy or delay actually
+//!   changed to the per-lane sets behind the [`ViewDelta`] each pool or
+//!   replica round carries, so a scheduler can patch its own per-lane
+//!   state in `O(changed)` as well. The crash pass visits only the workers
+//!   the store saw turn `DOWN`. Rounds restricted to a subset of workers
+//!   (replicas onto free workers, demand-driven rounds onto workers with
+//!   room) name it through [`SchedView::candidates`] instead of masking
+//!   the snapshot buffer. The AoS oracle keeps no feed: it rebuilds every
+//!   consult from scratch, crashes every `DOWN` worker every slot and never
+//!   sends a delta, so the equivalence grid cross-checks all of it; debug
+//!   builds also assert patched ≡ rebuilt at every consult.
 //! * **Sibling cancellation visits only the workers that hold copies.**
 //!   A completed task's remaining copies are located from the iteration
 //!   state (the pinned original), the bind order (still-bound copies) and
@@ -95,7 +102,7 @@
 //! --release`) pins this property as a regression test.
 
 use vg_core::share::{share_quotas, SharePolicy};
-use vg_core::view::{AppView, ProcSnapshot, SchedView};
+use vg_core::view::{AppView, Lane, ProcSnapshot, SchedView, ViewDelta};
 use vg_core::Scheduler;
 use vg_des::{Slot, SlotSpan};
 use vg_markov::availability::{ChainStats, ProcState};
@@ -172,8 +179,9 @@ pub mod phase_profile {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Display names, index-aligned with [`NANOS`].
-    pub const NAMES: [&str; 6] = [
-        "states+crashes",
+    pub const NAMES: [&str; 7] = [
+        "states",
+        "crashes",
         "schedule",
         "transfers",
         "compute",
@@ -181,8 +189,9 @@ pub mod phase_profile {
         "slot_end",
     ];
 
-    /// Cumulative nanoseconds per fused phase.
-    pub static NANOS: [AtomicU64; 6] = [
+    /// Cumulative nanoseconds per phase.
+    pub static NANOS: [AtomicU64; 7] = [
+        AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
@@ -205,10 +214,11 @@ pub mod phase_profile {
     ];
 
     /// Cumulative nanoseconds of the schedule phase's sub-parts: the
-    /// snapshot consult, the pool (originals) placement and its bind
-    /// loop, the replica-candidate generation, the free-worker scan, the
-    /// snapshot masking pass, and the replica placement and its bind/mint
-    /// loop. Together they partition (almost all of) the `schedule` entry
+    /// view sync before the pool round (`snapshot`), the pool (originals)
+    /// placement and its bind loop, the replica-candidate generation, the
+    /// view sync before the replica round (`free_scan`), the candidate-set
+    /// fill of demand-driven rounds (`mask`), and the replica placement
+    /// and its bind/mint loop. Together they partition (almost all of) the `schedule` entry
     /// of [`NANOS`] — the split that told this codebase the
     /// Eq.-(2)/Theorem-2 score evaluations, not the snapshot walk,
     /// dominated at `p = 1024`, the one that separates selector cost (the
@@ -238,7 +248,7 @@ pub mod phase_profile {
 
     /// Reads all accumulators.
     #[must_use]
-    pub fn snapshot() -> [u64; 6] {
+    pub fn snapshot() -> [u64; 7] {
         std::array::from_fn(|i| NANOS[i].load(Ordering::Relaxed))
     }
 
@@ -348,16 +358,35 @@ enum Request {
 /// the allocator (see the module docs).
 #[derive(Debug, Default)]
 struct SlotScratch {
-    /// Scheduler-visible snapshots. **Persistent across slots**: with an
-    /// incremental store ([`WorkerStore::INCREMENTAL_SNAPSHOTS`]) the
-    /// buffer is patched in place — states rewritten, `delay` /
-    /// `has_program` recomputed only for dirty workers — instead of being
-    /// rebuilt; the oracle layout rebuilds it from scratch every consult.
+    /// Scheduler-visible snapshots. **Persistent across slots**: with a
+    /// change-feed store the buffer is patched in place at the fed workers
+    /// only (see `sync_views`); the oracle layout rebuilds it from scratch
+    /// every consult.
     procs: Vec<ProcSnapshot>,
-    /// Whether `procs` holds a patchable snapshot of the *current run*.
-    /// Reset at run start (an arena reuses this scratch across runs and
-    /// platforms), forcing the first consult to rebuild fully.
-    procs_valid: bool,
+    /// Free-worker mask (`free[q]` iff worker `q` is UP and completely
+    /// idle): the replica rounds' candidate set, persistent and patched
+    /// alongside `procs`.
+    free: Vec<bool>,
+    /// Number of `true` entries of `free` — the replica path's capacity.
+    free_total: usize,
+    /// Whether `procs`/`free` describe the current run's platform. Reset at
+    /// run start (an arena reuses this scratch across runs and platforms),
+    /// forcing the first consult to rebuild fully.
+    views_valid: bool,
+    /// Per-lane pending sets ([`Lane::index`]) as bitmaps (bit `q % 64` of
+    /// word `q / 64`): workers whose candidacy or delay changed since the
+    /// lane's previous round.
+    lane_bits: [Vec<u64>; Lane::COUNT],
+    /// The `changed` list of the round being placed: its lane's pending
+    /// set, drained in ascending worker order.
+    lane_list: Vec<u32>,
+    /// Sequence number of each lane's last round.
+    lane_seq: [u64; Lane::COUNT],
+    /// Candidate set of demand-driven rounds: `room > 0` when the round
+    /// starts.
+    with_room: Vec<bool>,
+    /// Workers that turned DOWN this slot (phase 2).
+    down: Vec<u32>,
     /// Schedulable original tasks (phase 3).
     pool: Vec<TaskId>,
     /// Replica candidates (phase 3).
@@ -368,20 +397,6 @@ struct SlotScratch {
     /// BindCapacity`] top-up loop (phase 3); compacted in place as binds
     /// succeed, untouched on the uncapped path.
     pending: Vec<TaskId>,
-    /// Free-worker bitmask for the replica path (phase 3): `free[q]` iff
-    /// worker `q` is UP and completely idle. **Persistent across slots**
-    /// when `free_valid` holds: with a summary-tracking store only the
-    /// blocks named by [`WorkerStore::changed_blocks`] are recomputed at
-    /// each consult instead of rescanning all p workers.
-    free: Vec<bool>,
-    /// Per-[`SUMMARY_BLOCK`] population counts of `free`, maintained
-    /// alongside it so the free total needs no dense re-count.
-    free_blocks: Vec<u32>,
-    /// Σ `free_blocks` — the replica path's candidate capacity.
-    free_total: usize,
-    /// Whether `free`/`free_blocks` describe the current run's platform.
-    /// Reset at run start, forcing the first consult to rebuild fully.
-    free_valid: bool,
     /// Pinned-replica workers of the task being sibling-canceled, copied
     /// out of the iteration record before the per-worker cancels mutate it.
     replica_pins: Vec<u32>,
@@ -421,15 +436,18 @@ impl SlotScratch {
     fn with_capacity(p: usize, m: usize) -> Self {
         Self {
             procs: Vec::with_capacity(p),
-            procs_valid: false,
+            free: Vec::with_capacity(p),
+            free_total: 0,
+            views_valid: false,
+            lane_bits: std::array::from_fn(|_| Vec::with_capacity(p.div_ceil(64))),
+            lane_list: Vec::with_capacity(p),
+            lane_seq: [0; Lane::COUNT],
+            with_room: Vec::with_capacity(p),
+            down: Vec::with_capacity(p),
             pool: Vec::with_capacity(m),
             cands: Vec::with_capacity(m),
             placements: Vec::with_capacity(m.max(p)),
             pending: Vec::with_capacity(m),
-            free: Vec::with_capacity(p),
-            free_blocks: Vec::with_capacity(p.div_ceil(SUMMARY_BLOCK)),
-            free_total: 0,
-            free_valid: false,
             replica_pins: Vec::with_capacity(4),
             room: Vec::with_capacity(p),
             continuations: Vec::with_capacity(p),
@@ -863,8 +881,7 @@ impl SimArena {
         self.slot_marks.resize(p, SlotMarks::default());
         // The snapshot and free-mask buffers may hold another run's
         // platform; the first consult must rebuild them fully.
-        self.scratch.procs_valid = false;
-        self.scratch.free_valid = false;
+        self.scratch.views_valid = false;
 
         let mut sim = Simulation {
             app: CommParams {
@@ -1481,7 +1498,7 @@ impl<S: WorkerStore> Simulation<S> {
     /// One slot through all seven phases. Public so benches and the
     /// allocation-counting harness can drive the loop slot-by-slot.
     ///
-    /// Phases 1+2 and 6+7 are fused into single passes over the workers —
+    /// Phases 6+7 are fused into a single pass over the busy workers —
     /// their per-worker operations are independent, so the interleaving is
     /// unobservable and the phase semantics of the module docs hold
     /// unchanged.
@@ -1504,31 +1521,28 @@ impl<S: WorkerStore> Simulation<S> {
                 $e
             };
         }
-        timed!(0, self.phase_states_and_crashes());
-        timed!(1, self.phase_schedule());
-        timed!(2, self.phase_transfers());
-        timed!(3, self.phase_compute());
-        timed!(4, self.phase_promotions_and_unbind());
-        timed!(5, self.phase_slot_end());
+        timed!(0, self.phase_states());
+        timed!(1, self.phase_crashes());
+        timed!(2, self.phase_schedule());
+        timed!(3, self.phase_transfers());
+        timed!(4, self.phase_compute());
+        timed!(5, self.phase_promotions_and_unbind());
+        timed!(6, self.phase_slot_end());
         self.slot += 1;
     }
 
-    /// Phases 1 (states) and 2 (crashes) in one pass: a worker's crash
-    /// handling depends only on its own freshly drawn state.
-    fn phase_states_and_crashes(&mut self) {
+    /// Phase 1: every worker draws its state for the slot.
+    fn phase_states(&mut self) {
         let Self {
             workers,
             sources,
             scratch,
             counters,
-            apps,
             slot,
             overlay,
             ..
         } = self;
-        let SlotScratch {
-            state_row, copies, ..
-        } = scratch;
+        let state_row = &mut scratch.state_row;
         state_row.clear();
         match sources {
             SourceBank::PerProc(v) => {
@@ -1558,8 +1572,8 @@ impl<S: WorkerStore> Simulation<S> {
             apply_overlay(ov, counters, *slot, state_row);
         }
         workers.set_states(state_row);
-        // State census: O(1) from the store's block summaries when it
-        // maintains them, a dense tally otherwise (the oracle layout).
+        // State census: O(1) from the store's maintained counts when it
+        // keeps them, a dense tally otherwise (the oracle layout).
         match workers.state_census() {
             Some(census) => {
                 for (i, n) in census.into_iter().enumerate() {
@@ -1572,56 +1586,109 @@ impl<S: WorkerStore> Simulation<S> {
                 }
             }
         }
-        // Crash pass, chunked over the summary blocks: a block with no DOWN
-        // worker is dismissed in one compare. Blocks ascend, so crash order
-        // (and therefore copy-loss accounting order) is unchanged.
-        let p = state_row.len();
-        for b in 0..workers.summary_blocks() {
-            if !workers.block_may_have_down(b) {
-                continue;
-            }
-            let start = b * SUMMARY_BLOCK;
-            let end = (start + SUMMARY_BLOCK).min(p);
-            #[allow(clippy::needless_range_loop)] // block-bounded sweep
-            for q in start..end {
-                if state_row[q] != ProcState::Down {
-                    continue;
-                }
-                copies.clear();
-                workers.crash_into(q, copies);
-                for &copy in copies.iter() {
-                    counters.copies_lost_to_down += 1;
-                    let (it, lt) = iter_for(apps, copy.task);
-                    if copy.is_original() {
-                        it.release_original(lt);
-                    } else {
-                        it.drop_replica(lt);
-                        it.clear_replica_pin(lt, q);
-                    }
-                }
-            }
-        }
         if self.timeline.is_some() {
             self.slot_marks.fill(SlotMarks::default());
         }
     }
 
-    /// Brings the scheduler's snapshot buffer up to date for the current
-    /// slot (\[D1\]: states of the current slot are observable; nothing
-    /// about the future is). The per-run `chains` slice completes the view.
+    /// Phase 2: workers that turned `DOWN` lose program, data and partial
+    /// results. Only a *new* `DOWN` worker can hold anything — a worker
+    /// that stayed `DOWN` was emptied when it went down, and nothing binds
+    /// to (or transfers to, or computes on) a non-`UP` worker — so the pass
+    /// visits the store's went-down list; the oracle layout, which keeps
+    /// none, crashes every `DOWN` worker as the paper states it. Both visit
+    /// in ascending order, so copy-loss accounting order is unchanged.
+    fn phase_crashes(&mut self) {
+        let Self {
+            workers,
+            scratch,
+            counters,
+            apps,
+            ..
+        } = self;
+        let SlotScratch {
+            state_row,
+            copies,
+            down,
+            ..
+        } = scratch;
+        down.clear();
+        match workers.went_down() {
+            Some(list) => down.extend_from_slice(list),
+            None => down.extend(
+                (0..state_row.len())
+                    .filter(|&q| state_row[q] == ProcState::Down)
+                    .map(|q| q as u32),
+            ),
+        }
+        for &q in down.iter() {
+            let q = q as usize;
+            copies.clear();
+            workers.crash_into(q, copies);
+            for &copy in copies.iter() {
+                counters.copies_lost_to_down += 1;
+                let (it, lt) = iter_for(apps, copy.task);
+                if copy.is_original() {
+                    it.release_original(lt);
+                } else {
+                    it.drop_replica(lt);
+                    it.clear_replica_pin(lt, q);
+                }
+            }
+        }
+        // Nothing a DOWN worker could hold survived (debug).
+        #[cfg(debug_assertions)]
+        if exhaustive_debug_checks(workers.len()) {
+            for (q, &state) in state_row.iter().enumerate() {
+                if state == ProcState::Down {
+                    debug_assert!(
+                        workers.is_idle(q) && workers.prog_done(q) == 0,
+                        "DOWN worker {q} kept state past the crash pass"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Snapshot entry of worker `q` as a from-scratch build would write
+    /// it.
+    #[inline]
+    fn fresh_snapshot(workers: &S, app: CommParams, q: usize) -> ProcSnapshot {
+        let state = workers.state(q);
+        ProcSnapshot {
+            // q < u32::MAX: PlatformConfig::validate bounds the platform
+            // by MAX_PROCESSORS at construction.
+            id: ProcessorId(q as u32),
+            state,
+            w: workers.w(q),
+            has_program: workers.has_program(q, app.t_prog),
+            // Schedulers only place on (and only read the delay of) UP
+            // processors, so the pipeline walk is skipped for the rest
+            // (see NON_UP_DELAY).
+            delay: if state == ProcState::Up {
+                workers.delay_estimate(q, app.t_prog, app.t_data)
+            } else {
+                NON_UP_DELAY
+            },
+        }
+    }
+
+    /// Brings everything a scheduler view borrows up to date for the
+    /// current slot (\[D1\]: states of the current slot are observable;
+    /// nothing about the future is): the snapshot buffer, the free mask and
+    /// its total, and the per-lane change lists. The per-run `chains`
+    /// slice completes the view.
     ///
-    /// With an incremental store ([`WorkerStore::INCREMENTAL_SNAPSHOTS`])
-    /// the persistent buffer is **patched in place**: states are rewritten
-    /// for every worker (they change every slot, and the replica path masks
-    /// them after use), while the `delay` walk and `has_program` are
-    /// recomputed only for workers whose dirty bit says their pipeline
-    /// changed since the last consult — `Delay(q)` is a pure function of
-    /// the pipeline fields, so a clean worker's cached delay is exact. Dirty
-    /// bits are sticky across unconsulted slots, so the consult can stay
-    /// lazy. The oracle layout ([`crate::AosWorkers`]) rebuilds from
-    /// scratch every time, and debug builds cross-check the two against
-    /// each other field for field.
-    fn snapshot_procs(&mut self) {
+    /// With a change-feed store the buffers are **patched in place** at the
+    /// fed workers only — every snapshot field and the free bit are pure
+    /// functions of the worker's own columns, so an unfed worker's cached
+    /// entries are exact. A worker joins a lane's change list when its
+    /// candidacy for that lane (UP for the pool lane, free for the replica
+    /// lane) flipped, or its delay moved while it is a candidate. The feed is sticky across unconsulted slots, so the
+    /// consult can stay lazy. The oracle layout ([`crate::AosWorkers`])
+    /// rebuilds from scratch every time, and debug builds cross-check the
+    /// patched buffers against a rebuild.
+    fn sync_views(&mut self) {
         #[cfg(debug_assertions)]
         let slot = self.slot;
         let Self {
@@ -1630,83 +1697,143 @@ impl<S: WorkerStore> Simulation<S> {
             app,
             ..
         } = self;
+        let app = *app;
         let p = workers.len();
-        if S::INCREMENTAL_SNAPSHOTS && scratch.procs_valid && scratch.procs.len() == p {
-            for (q, snap) in scratch.procs.iter_mut().enumerate() {
-                let state = workers.state(q);
-                snap.state = state;
-                if workers.snapshot_dirty(q) {
-                    snap.has_program = workers.has_program(q, app.t_prog);
-                    // Schedulers only place on (and only read the delay of)
-                    // UP processors, so the pipeline walk is skipped for
-                    // the rest (see NON_UP_DELAY).
-                    snap.delay = if state == ProcState::Up {
-                        workers.delay_estimate(q, app.t_prog, app.t_data)
-                    } else {
-                        NON_UP_DELAY
-                    };
+        match workers.changes() {
+            Some(feed) if scratch.views_valid && scratch.procs.len() == p => {
+                let SlotScratch {
+                    procs,
+                    free,
+                    free_total,
+                    lane_bits,
+                    ..
+                } = scratch;
+                for (wi, &word) in feed.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        let bit = word.trailing_zeros();
+                        word &= word - 1;
+                        let q = wi * 64 + bit as usize;
+                        // `id` and `w` are per-run constants: only the
+                        // slot-varying fields are patched.
+                        let state = workers.state(q);
+                        let up_now = state == ProcState::Up;
+                        let delay = if up_now {
+                            workers.delay_estimate(q, app.t_prog, app.t_data)
+                        } else {
+                            NON_UP_DELAY
+                        };
+                        let f = up_now && workers.is_idle(q);
+                        let snap = &mut procs[q];
+                        // A lane hears about a worker only if its candidacy
+                        // (UP for the pool lane, free for the replica lane)
+                        // flipped, or its delay moved while it is a
+                        // candidate.
+                        let up_was = snap.state == ProcState::Up;
+                        let delay_moved = snap.delay != delay;
+                        let pool = up_was != up_now || (up_now && delay_moved);
+                        let replica = free[q] != f || (f && delay_moved);
+                        lane_bits[Lane::Pool.index()][wi] |= u64::from(pool) << bit;
+                        lane_bits[Lane::Replica.index()][wi] |= u64::from(replica) << bit;
+                        snap.state = state;
+                        snap.has_program = workers.has_program(q, app.t_prog);
+                        snap.delay = delay;
+                        *free_total = *free_total + usize::from(f) - usize::from(free[q]);
+                        free[q] = f;
+                    }
                 }
             }
-        } else {
-            scratch.procs.clear();
-            scratch.procs.extend((0..p).map(|q| {
-                let state = workers.state(q);
-                ProcSnapshot {
-                    // q < u32::MAX: PlatformConfig::validate bounds the
-                    // platform by MAX_PROCESSORS at construction.
-                    id: ProcessorId(q as u32),
-                    state,
-                    w: workers.w(q),
-                    has_program: workers.has_program(q, app.t_prog),
-                    delay: if state == ProcState::Up {
-                        workers.delay_estimate(q, app.t_prog, app.t_data)
-                    } else {
-                        NON_UP_DELAY
-                    },
+            feed => {
+                scratch.procs.clear();
+                scratch
+                    .procs
+                    .extend((0..p).map(|q| Self::fresh_snapshot(workers, app, q)));
+                scratch.free.clear();
+                scratch.free.extend(
+                    (0..p).map(|q| workers.state(q) == ProcState::Up && workers.is_idle(q)),
+                );
+                scratch.free_total = scratch.free.iter().filter(|&&f| f).count();
+                // Lanes cannot be patched across a rebuild: drop their
+                // pending sets and skip a sequence number, which obliges
+                // the scheduler to rebuild its lane state too.
+                for (bits, seq) in scratch.lane_bits.iter_mut().zip(&mut scratch.lane_seq) {
+                    bits.clear();
+                    bits.resize(p.div_ceil(64), 0);
+                    *seq += 1;
                 }
-            }));
-            scratch.procs_valid = true;
+                scratch.views_valid = feed.is_some();
+            }
         }
+        workers.clear_changes();
         // Incremental-vs-full oracle (debug): every consult must equal a
-        // from-scratch rebuild, or a mutator skipped its dirty bit. Beyond
-        // EXHAUSTIVE_DEBUG_MAX_P, rebuilding all p delay estimates per
+        // from-scratch rebuild, or a mutator skipped its feed entry.
+        // Beyond EXHAUSTIVE_DEBUG_MAX_P, rebuilding all p entries per
         // consult is what made large-p debug runs unusable — so only a
-        // bounded deterministic sample is cross-checked there: every
-        // still-dirty worker (checked *before* the bits drain below; their
-        // patched values are the fresh ones, and a missed dirty bit can
-        // only hide on a clean worker) plus a slot-rotating window of
-        // DEBUG_SAMPLE_WINDOW workers that revisits every cached delay
+        // slot-rotating window of DEBUG_SAMPLE_WINDOW workers is
+        // cross-checked there, which revisits every cached entry
         // eventually. `VG_FULL_DEBUG_SWEEPS=1` restores the full sweep.
         #[cfg(debug_assertions)]
         {
             let exhaustive = exhaustive_debug_checks(p);
             let base = (slot as usize).wrapping_mul(DEBUG_SAMPLE_WINDOW) % p.max(1);
             for q in 0..p {
-                if !exhaustive
-                    && !workers.snapshot_dirty(q)
-                    && (q + p - base) % p >= DEBUG_SAMPLE_WINDOW
-                {
+                if !exhaustive && (q + p - base) % p >= DEBUG_SAMPLE_WINDOW {
                     continue;
                 }
-                let state = workers.state(q);
-                let expect = ProcSnapshot {
-                    id: ProcessorId(q as u32),
-                    state,
-                    w: workers.w(q),
-                    has_program: workers.has_program(q, app.t_prog),
-                    delay: if state == ProcState::Up {
-                        workers.delay_estimate(q, app.t_prog, app.t_data)
-                    } else {
-                        NON_UP_DELAY
-                    },
-                };
                 debug_assert_eq!(
-                    scratch.procs[q], expect,
+                    scratch.procs[q],
+                    Self::fresh_snapshot(workers, app, q),
                     "incremental snapshot diverged from a full rebuild on worker {q}"
+                );
+                debug_assert_eq!(
+                    scratch.free[q],
+                    workers.state(q) == ProcState::Up && workers.is_idle(q),
+                    "stale free mask on worker {q}: a mutation missed its feed entry"
+                );
+            }
+            if exhaustive {
+                debug_assert_eq!(
+                    scratch.free.iter().filter(|&&f| f).count(),
+                    scratch.free_total,
+                    "free total drifted"
                 );
             }
         }
-        workers.clear_snapshot_dirty();
+    }
+
+    /// Opens `lane`'s next round: bumps its sequence number and drains its
+    /// pending set into `lane_list`, ascending. Returns the sequence
+    /// number, or `None` for a store without a change feed, whose views
+    /// are rebuilt every consult and never carry a delta. The round's view
+    /// carries [`Self::lane_delta`].
+    fn open_lane(scratch: &mut SlotScratch, lane: Lane, feed: bool) -> Option<u64> {
+        if !feed {
+            return None;
+        }
+        let l = lane.index();
+        scratch.lane_seq[l] += 1;
+        scratch.lane_list.clear();
+        for (wi, word) in scratch.lane_bits[l].iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                // wi · 64 + bit < p ≤ u32::MAX.
+                scratch
+                    .lane_list
+                    .push((wi * 64 + w.trailing_zeros() as usize) as u32);
+                w &= w - 1;
+            }
+        }
+        Some(scratch.lane_seq[l])
+    }
+
+    /// The delta of the round [`Self::open_lane`] numbered `seq`: the
+    /// lane's changes since its previous round.
+    fn lane_delta(scratch: &SlotScratch, lane: Lane, seq: Option<u64>) -> Option<ViewDelta<'_>> {
+        seq.map(|seq| ViewDelta {
+            lane,
+            seq,
+            changed: &scratch.lane_list,
+        })
     }
 
     /// Binds `copy` to worker `widx` if legal; immediately pins zero-length
@@ -1756,10 +1883,10 @@ impl<S: WorkerStore> Simulation<S> {
         }
     }
 
-    /// The historical single-application schedule phase, textually intact
-    /// (modulo `apps[0]` standing in for the old `iter` field) so the
-    /// single-app bit-identity pin stays trustworthy. App 0's task ids are
-    /// its local ids (base 0), so no namespace mapping appears here.
+    /// The historical single-application schedule phase (modulo `apps[0]`
+    /// standing in for the old `iter` field) so the single-app bit-identity
+    /// pin stays trustworthy. App 0's task ids are its local ids (base 0),
+    /// so no namespace mapping appears here.
     fn phase_schedule_single(&mut self) {
         #[cfg(feature = "phase-profile")]
         macro_rules! sub {
@@ -1781,11 +1908,11 @@ impl<S: WorkerStore> Simulation<S> {
             };
         }
         self.bind_order.clear();
-        // Snapshots are only consulted by `place_into`; most steady-state
-        // slots have an empty pool AND nothing to replicate, so they are
-        // built lazily. Values are identical either way: nothing between
-        // the phase start and the first use mutates worker state.
-        let mut have_snapshot = false;
+        // Views are only consulted by `place_into`; most steady-state slots
+        // have an empty pool AND nothing to replicate, so they are synced
+        // lazily. Nothing between the phase start and the first use
+        // mutates worker state.
+        let feed = self.workers.changes().is_some();
 
         // Originals first (strict priority, Section 6.1).
         self.apps[0].iter.pool_tasks_into(&mut self.scratch.pool);
@@ -1815,8 +1942,7 @@ impl<S: WorkerStore> Simulation<S> {
                 }
             };
             if self.scratch.pool.len() <= capacity {
-                sub!(0, self.snapshot_procs());
-                have_snapshot = true;
+                sub!(0, self.sync_views());
                 let count = self.scratch.pool.len();
                 sub!(1, {
                     let Self {
@@ -1827,6 +1953,9 @@ impl<S: WorkerStore> Simulation<S> {
                         ledger,
                         ..
                     } = self;
+                    scratch.placements.clear();
+                    let mut placements = std::mem::take(&mut scratch.placements);
+                    let seq = Self::open_lane(scratch, Lane::Pool, feed);
                     let view = SchedView {
                         procs: &scratch.procs,
                         chains,
@@ -1835,9 +1964,11 @@ impl<S: WorkerStore> Simulation<S> {
                         ncom: ledger.ncom(),
                         room: None,
                         app: None,
+                        candidates: None,
+                        delta: Self::lane_delta(scratch, Lane::Pool, seq),
                     };
-                    scratch.placements.clear();
-                    scheduler.place_into(&view, count, &mut scratch.placements);
+                    scheduler.place_into(&view, count, &mut placements);
+                    scratch.placements = placements;
                 });
                 sub!(2, {
                     let placed = self.scratch.placements.len().min(count);
@@ -1860,17 +1991,15 @@ impl<S: WorkerStore> Simulation<S> {
                 // `cap_fidelity` study measures the statistical effect).
                 self.cap_engagements += 1;
                 if capacity > 0 {
-                    sub!(0, self.snapshot_procs());
-                    have_snapshot = true;
-                    // Mask the snapshot down to the bindable workers (the
-                    // same in-place idiom as the replica path): a worker
-                    // without bind room could only soak up placements that
-                    // `try_bind` must reject, and — more importantly —
-                    // every masked worker drops out of `place_into`'s
-                    // per-candidate row fill, so the placement round costs
-                    // O(capacity), not O(p). States are rewritten from the
-                    // store at the next snapshot consult, so no restore
-                    // pass is needed.
+                    sub!(0, self.sync_views());
+                    // Narrow the candidates to the bindable workers: a
+                    // worker without bind room could only soak up
+                    // placements that `try_bind` must reject, and — more
+                    // importantly — every excluded worker drops out of
+                    // `place_into`'s per-candidate row fill, so the
+                    // placement round costs O(capacity), not O(p). The set
+                    // is frozen for the whole top-up loop while `room`
+                    // shrinks under it.
                     sub!(5, {
                         let Self {
                             workers, scratch, ..
@@ -1880,11 +2009,10 @@ impl<S: WorkerStore> Simulation<S> {
                             (r > 0)
                                 == (workers.state(q) == ProcState::Up && workers.has_bind_room(q))
                         }));
-                        for (pr, &room) in scratch.procs.iter_mut().zip(scratch.room.iter()) {
-                            if room == 0 {
-                                pr.state = ProcState::Reclaimed;
-                            }
-                        }
+                        scratch.with_room.clear();
+                        scratch
+                            .with_room
+                            .extend(scratch.room.iter().map(|&r| r > 0));
                     });
                     self.scratch.pending.clear();
                     self.scratch.pending.extend_from_slice(&self.scratch.pool);
@@ -1930,6 +2058,8 @@ impl<S: WorkerStore> Simulation<S> {
                                 // passes `Some`.
                                 room: Some(&scratch.room),
                                 app: None,
+                                candidates: Some(&scratch.with_room),
+                                delta: None,
                             };
                             scratch.placements.clear();
                             scheduler.place_into(&view, want, &mut scratch.placements);
@@ -1982,12 +2112,12 @@ impl<S: WorkerStore> Simulation<S> {
         // already carries its full replica set, so the candidate list — an
         // O(m′) scan over the few unfinished tasks — empties long before
         // the platform runs out of idle workers. Generating it before the
-        // free-worker scan turns those slots' O(p) full-platform pass into
-        // an early-out. (`replica_candidates_into` reads only iteration
-        // state, so the reorder is unobservable when both run.) The free
-        // count doubles as the replica path's bind capacity, so this path
-        // is demand-driven under *both* placement budgets — `k` below
-        // never exceeds what can actually bind.
+        // view sync turns those slots into an early-out.
+        // (`replica_candidates_into` reads only iteration state, so the
+        // reorder is unobservable when both run.) The free count doubles as
+        // the replica path's bind capacity, so this path is demand-driven
+        // under *both* placement budgets — `k` below never exceeds what can
+        // actually bind.
         if self.options.replication && !self.apps[0].iter.is_complete() {
             sub!(
                 3,
@@ -1997,35 +2127,12 @@ impl<S: WorkerStore> Simulation<S> {
                 )
             );
             if !self.scratch.cands.is_empty() {
-                let n_free = sub!(4, self.refresh_free_mask());
-                let k = self.scratch.cands.len().min(n_free);
+                // Re-syncing after the pool binds refreshes the free mask;
+                // the only snapshot entries it can move belong to workers
+                // those binds made busy, which are not replica candidates.
+                sub!(4, self.sync_views());
+                let k = self.scratch.cands.len().min(self.scratch.free_total);
                 if k > 0 {
-                    if !have_snapshot {
-                        // The pool was empty, so nothing refreshed the
-                        // snapshot yet this slot. Incremental stores patch
-                        // the persistent buffer (cheap: only dirty
-                        // workers); the oracle layout rebuilds it. Either
-                        // way the values a scheduler can read below are
-                        // identical to the old direct masked build — a
-                        // *free* worker is completely idle, so its full
-                        // `delay_estimate` collapses to the program
-                        // remainder.
-                        sub!(0, self.snapshot_procs());
-                    }
-                    sub!(5, {
-                        let SlotScratch { procs, free, .. } = &mut self.scratch;
-                        // Restrict the heuristic's choice to the free
-                        // workers by masking everyone else as non-UP — in
-                        // place: states are rewritten from the store at the
-                        // next consult, so no restore pass is needed, and
-                        // masked workers' delays are unread (schedulers
-                        // only score UP processors).
-                        for (pr, &f) in procs.iter_mut().zip(free.iter()) {
-                            if !f {
-                                pr.state = ProcState::Reclaimed;
-                            }
-                        }
-                    });
                     sub!(6, {
                         let Self {
                             scratch,
@@ -2035,6 +2142,9 @@ impl<S: WorkerStore> Simulation<S> {
                             ledger,
                             ..
                         } = self;
+                        scratch.placements.clear();
+                        let mut placements = std::mem::take(&mut scratch.placements);
+                        let seq = Self::open_lane(scratch, Lane::Replica, feed);
                         let view = SchedView {
                             procs: &scratch.procs,
                             chains,
@@ -2046,9 +2156,11 @@ impl<S: WorkerStore> Simulation<S> {
                             // path bit-identical under both budgets.
                             room: None,
                             app: None,
+                            candidates: Some(&scratch.free),
+                            delta: Self::lane_delta(scratch, Lane::Replica, seq),
                         };
-                        scratch.placements.clear();
-                        scheduler.place_into(&view, k, &mut scratch.placements);
+                        scheduler.place_into(&view, k, &mut placements);
+                        scratch.placements = placements;
                     });
                     sub!(7, {
                         let placed = self.scratch.placements.len().min(k);
@@ -2073,12 +2185,12 @@ impl<S: WorkerStore> Simulation<S> {
     ///
     /// Deliberately a separate body from [`Self::phase_schedule_single`]
     /// rather than a parameterized merge: the single-app phase is the
-    /// bit-identity-pinned historical trajectory, and keeping it textually
-    /// intact is what keeps that pin trustworthy. This path reuses the
-    /// capped-branch machinery (room column, in-place snapshot masking,
-    /// bounded top-up rounds), so no application can overrun its quota or
-    /// the platform's bind capacity, and the steady-state loop stays
-    /// allocation-free (`zero_alloc.rs` pins a two-app configuration).
+    /// bit-identity-pinned historical trajectory, and keeping it intact is
+    /// what keeps that pin trustworthy. This path reuses the capped-branch
+    /// machinery (room column, bind-room candidate set, bounded top-up
+    /// rounds), so no application can overrun its quota or the platform's
+    /// bind capacity, and the steady-state loop stays allocation-free
+    /// (`zero_alloc.rs` pins a two-app configuration).
     ///
     /// Share quotas govern **pool** (original) placements only: replicas
     /// are demand-driven leftovers — they bind to workers that are UP and
@@ -2087,6 +2199,7 @@ impl<S: WorkerStore> Simulation<S> {
     fn phase_schedule_multi(&mut self) {
         self.bind_order.clear();
         let n_apps = self.apps.len();
+        let feed = self.workers.changes().is_some();
         let mut have_snapshot = false;
 
         // --- Pool placements under share quotas --------------------------
@@ -2149,25 +2262,24 @@ impl<S: WorkerStore> Simulation<S> {
                 for t in self.scratch.pool.iter_mut() {
                     *t = global_task(base, *t);
                 }
+                // One snapshot serves every application's pool rounds —
+                // later rounds see the delays of before this slot's binds.
                 if !have_snapshot {
-                    self.snapshot_procs();
+                    self.sync_views();
                     have_snapshot = true;
                 }
                 // Fresh room column per app round (earlier applications'
-                // binds are already reflected), masking workers without
-                // room out of the view. Masking is cumulative across app
-                // rounds — sound because room is monotone non-increasing
-                // within the phase.
+                // binds are already reflected), and with it the round's
+                // candidate set: the workers with room left.
                 {
                     let Self {
                         workers, scratch, ..
                     } = self;
                     workers.room_into(&mut scratch.room);
-                    for (pr, &room) in scratch.procs.iter_mut().zip(scratch.room.iter()) {
-                        if room == 0 {
-                            pr.state = ProcState::Reclaimed;
-                        }
-                    }
+                    scratch.with_room.clear();
+                    scratch
+                        .with_room
+                        .extend(scratch.room.iter().map(|&r| r > 0));
                 }
                 let app_view = AppView {
                     index: a as u32,
@@ -2203,6 +2315,8 @@ impl<S: WorkerStore> Simulation<S> {
                             ncom: ledger.ncom(),
                             room: Some(&scratch.room),
                             app: Some(app_view),
+                            candidates: Some(&scratch.with_room),
+                            delta: None,
                         };
                         scratch.placements.clear();
                         scheduler.place_into(&view, want, &mut scratch.placements);
@@ -2258,25 +2372,13 @@ impl<S: WorkerStore> Simulation<S> {
                 for t in self.scratch.cands.iter_mut() {
                     *t = global_task(base, *t);
                 }
-                // The free mask absorbs earlier applications' replica binds
-                // through the store's changed-block feed, so each round sees
-                // the *currently* free workers.
-                let n_free = self.refresh_free_mask();
-                let k = self.scratch.cands.len().min(n_free);
+                // The sync absorbs earlier rounds' binds through the
+                // store's change feed, so each round sees the *currently*
+                // free workers and their current delays.
+                self.sync_views();
+                let k = self.scratch.cands.len().min(self.scratch.free_total);
                 if k == 0 {
                     continue;
-                }
-                // Re-snapshot to undo the pool rounds' masking (states are
-                // rewritten from the store; cached delays stay exact), then
-                // mask down to the free workers for this app's round.
-                self.snapshot_procs();
-                {
-                    let SlotScratch { procs, free, .. } = &mut self.scratch;
-                    for (pr, &f) in procs.iter_mut().zip(free.iter()) {
-                        if !f {
-                            pr.state = ProcState::Reclaimed;
-                        }
-                    }
                 }
                 let app_view = AppView {
                     index: a as u32,
@@ -2293,6 +2395,9 @@ impl<S: WorkerStore> Simulation<S> {
                         ledger,
                         ..
                     } = self;
+                    scratch.placements.clear();
+                    let mut placements = std::mem::take(&mut scratch.placements);
+                    let seq = Self::open_lane(scratch, Lane::Replica, feed);
                     let view = SchedView {
                         procs: &scratch.procs,
                         chains,
@@ -2301,9 +2406,11 @@ impl<S: WorkerStore> Simulation<S> {
                         ncom: ledger.ncom(),
                         room: None,
                         app: Some(app_view),
+                        candidates: Some(&scratch.free),
+                        delta: Self::lane_delta(scratch, Lane::Replica, seq),
                     };
-                    scratch.placements.clear();
-                    scheduler.place_into(&view, k, &mut scratch.placements);
+                    scheduler.place_into(&view, k, &mut placements);
+                    scratch.placements = placements;
                 }
                 let placed = self.scratch.placements.len().min(k);
                 for j in 0..placed {
@@ -2324,87 +2431,6 @@ impl<S: WorkerStore> Simulation<S> {
                 }
             }
         }
-    }
-
-    /// Brings the replica path's free-worker mask (`scratch.free[q]` iff
-    /// worker `q` is UP ∧ idle) up to date and returns the free total.
-    ///
-    /// This is the incremental candidate generation of the platform-scale
-    /// path: with a summary-tracking store, a valid cache is patched by
-    /// recomputing only the blocks the store marked changed since the last
-    /// consult (state redraws and occupancy flips both mark — see
-    /// [`WorkerStore::changed_blocks`]), so steady-state slots touch a
-    /// handful of blocks instead of rescanning all p workers. The oracle
-    /// layout (no tracking) and the first consult of a run rebuild densely,
-    /// skipping blocks the summaries prove free-less; debug builds
-    /// cross-check the patched mask against a dense recompute.
-    fn refresh_free_mask(&mut self) -> usize {
-        let Self {
-            workers, scratch, ..
-        } = self;
-        let p = workers.len();
-        let nblocks = workers.summary_blocks();
-        let block_free = |workers: &S, b: usize, free: &mut [bool]| -> u32 {
-            let start = b * SUMMARY_BLOCK;
-            let end = (start + SUMMARY_BLOCK).min(p);
-            let mut n = 0u32;
-            #[allow(clippy::needless_range_loop)] // block-bounded sweep
-            for q in start..end {
-                let f = workers.state(q) == ProcState::Up && workers.is_idle(q);
-                free[q] = f;
-                n += u32::from(f);
-            }
-            n
-        };
-        if S::INCREMENTAL_SNAPSHOTS && scratch.free_valid && scratch.free.len() == p {
-            if let Some(changed) = workers.changed_blocks() {
-                for &b in changed {
-                    let b = b as usize;
-                    let n = block_free(workers, b, &mut scratch.free);
-                    scratch.free_total =
-                        scratch.free_total + n as usize - scratch.free_blocks[b] as usize;
-                    scratch.free_blocks[b] = n;
-                }
-            } else {
-                // An incremental store without block tracking would read a
-                // stale mask here — the trait default must not be inherited
-                // by INCREMENTAL_SNAPSHOTS layouts.
-                debug_assert!(false, "incremental store lost its changed-block feed");
-                scratch.free_valid = false;
-            }
-        }
-        if !(S::INCREMENTAL_SNAPSHOTS && scratch.free_valid && scratch.free.len() == p) {
-            scratch.free.clear();
-            scratch.free.resize(p, false);
-            scratch.free_blocks.clear();
-            scratch.free_blocks.resize(nblocks, 0);
-            scratch.free_total = 0;
-            for b in 0..nblocks {
-                // An all-busy or no-UP block stays all-false without a scan.
-                if !workers.block_may_have_free(b) {
-                    continue;
-                }
-                let n = block_free(workers, b, &mut scratch.free);
-                scratch.free_blocks[b] = n;
-                scratch.free_total += n as usize;
-            }
-            scratch.free_valid = S::INCREMENTAL_SNAPSHOTS;
-        }
-        workers.clear_changed_blocks();
-        #[cfg(debug_assertions)]
-        {
-            let mut n = 0usize;
-            for q in 0..p {
-                let f = workers.state(q) == ProcState::Up && workers.is_idle(q);
-                debug_assert_eq!(
-                    scratch.free[q], f,
-                    "stale free mask on worker {q}: a mutation missed its block mark"
-                );
-                n += usize::from(f);
-            }
-            debug_assert_eq!(n, scratch.free_total, "free total drifted");
-        }
-        scratch.free_total
     }
 
     fn phase_transfers(&mut self) {

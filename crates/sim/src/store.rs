@@ -31,10 +31,10 @@
 //! recycle the store across grow→shrink→grow platform sequences without
 //! per-worker bookkeeping.
 //!
-//! Both layouts also maintain the **snapshot dirty bit** the engine's
-//! incremental snapshot builder consumes — the exact contract (which
-//! mutations set it, which deliberately do not, and how resets behave) is
-//! documented on [`WorkerStore`] itself.
+//! The SoA also keeps a **change feed** — the deduplicated list of workers
+//! whose scheduler-visible inputs may have moved — that the engine's
+//! incremental snapshot, free-mask and placement-lane bookkeeping consume
+//! in O(changed); the exact contract is documented on [`WorkerStore`].
 
 use vg_des::{Slot, SlotSpan};
 use vg_markov::availability::ProcState;
@@ -43,12 +43,12 @@ use vg_platform::ProcessorSpec;
 use crate::task::{CopyId, TaskId};
 use crate::worker::{ComputeState, TransferState, WorkerRuntime};
 
-/// Fixed width (in workers) of the dense-column **block summaries**:
-/// per-block population counts over the 1-byte `state` / `occupancy`
-/// columns that let the slot loop skip a quiet block in one compare
-/// instead of scanning its workers. 256 one-byte entries span four cache
-/// lines and vectorize cleanly when a block does need the full scan; the
-/// counts themselves fit `u16`.
+/// Fixed width (in workers) of the block-chunked busy-worker walks:
+/// [`WorkerStore::block_may_be_busy`] lets a walk dismiss a quiet block in
+/// one query instead of scanning its workers. 256 one-byte entries span
+/// four cache lines and vectorize cleanly when a block does need the full
+/// scan. A multiple of 64, so a block is a whole number of busy-bitmap
+/// words.
 pub const SUMMARY_BLOCK: usize = 256;
 
 /// Per-worker state storage, as consumed by the engine's slot phases.
@@ -58,48 +58,46 @@ pub const SUMMARY_BLOCK: usize = 256;
 /// layout. The engine is generic (and monomorphized) over this trait, so
 /// both layouts compile to direct array accesses.
 ///
-/// # Dirty-bit contract (incremental snapshots)
+/// # Change-feed contract (incremental consumers)
 ///
-/// Every store tracks one **snapshot dirty bit per worker**, feeding the
-/// engine's incremental snapshot builder. The bit must be set by every
-/// mutation that can change what a scheduler snapshot observes of that
-/// worker — its state, program possession, or `Delay(q)`:
+/// A store may keep a **change feed** ([`Self::changes`]): a bitmap of the
+/// workers that may have changed, since the last
+/// [`Self::clear_changes`], in any input the engine derives per worker for
+/// the scheduler — the snapshot (state, program possession, `Delay(q)`)
+/// and the free bit (`UP` ∧ idle). A worker must be fed by:
 ///
 /// * a state transition ([`Self::set_states`], changed entries only — a
 ///   worker that re-draws its current state is untouched);
 /// * program progress ([`Self::set_prog_done`], changed values only);
 /// * any pinned-pipeline mutation ([`Self::set_transfer`],
-///   [`Self::set_buffered`], [`Self::set_computing`]);
+///   [`Self::set_buffered`], [`Self::set_computing`],
+///   [`Self::tick_compute`]);
 /// * crash and cancellation cleanup ([`Self::crash_into`],
 ///   [`Self::cancel_task_into`]) when they actually clear program progress
-///   or a pinned copy — a worker that stays `DOWN` is re-crashed every
-///   slot but only dirties on the first.
+///   or a pinned copy;
+/// * a busy flip — occupancy going 0 ↔ non-zero — from any mutation,
+///   bound-list operations included.
 ///
-/// Mutations that snapshots cannot observe need **not** set the bit:
-/// [`Self::set_prog_began_at`] (a transfer-priority key, not a snapshot
-/// field) and the bound-list operations ([`Self::bound_push`],
-/// [`Self::bound_remove`], [`Self::drain_bound`] and bound-only
-/// cancellations) — `Delay(q)` deliberately excludes bound copies, whose
-/// placement the scheduler is re-deciding (\[D8\]). The bind→dissolve churn
-/// of the replica path therefore leaves otherwise-idle workers clean.
+/// Other mutations need not feed: [`Self::set_prog_began_at`] (a
+/// transfer-priority key, not a snapshot field) and bound-list operations
+/// that leave the worker busy — `Delay(q)` deliberately excludes bound
+/// copies, whose placement the scheduler is re-deciding (\[D8\]). Bits
+/// are **sticky** until the consumer drains them, so several slots of
+/// mutations may accumulate, and [`Self::reset_for`] feeds every worker.
+/// Being a bitmap, the feed is duplicate-free and walks in ascending
+/// worker order, so its consumers touch their per-worker columns in
+/// address order.
+/// The store also reports the workers that turned `DOWN` in the last
+/// [`Self::set_states`] ([`Self::went_down`]), which is all the crash pass
+/// needs: a worker that stays `DOWN` was emptied when it went down and
+/// nothing binds to a non-`UP` worker.
 ///
-/// Bits are **sticky** until [`Self::clear_snapshot_dirty`] drains them
-/// (the engine consults snapshots lazily, so several slots of mutations
-/// may accumulate), and [`Self::reset_for`] marks every worker dirty
-/// (nothing about a fresh run is cached). The
-/// `crates/sim/tests/soa_equivalence.rs` grid and a per-consult debug
-/// assertion in the engine pin the contract: a missed bit shows up as an
-/// incremental-vs-full snapshot divergence.
+/// A store without a feed (`changes()` is `None`, the AoS oracle) sends
+/// every consumer down its dense from-scratch path. The
+/// `crates/sim/tests/soa_equivalence.rs` grid and per-consult debug
+/// assertions in the engine pin the contract: a missed entry shows up as
+/// an incremental-vs-full divergence.
 pub trait WorkerStore: Default + Send {
-    /// Whether the engine should build scheduler snapshots **incrementally**
-    /// from this store's dirty bits (patching only dirty workers in the
-    /// persistent snapshot buffer) or rebuild them from scratch at every
-    /// consult. The production [`WorkerSoA`] opts in; [`AosWorkers`] keeps
-    /// the full rebuild so `ReferenceSimulation` stays a genuine oracle for
-    /// the incremental path (its dirty bits are still maintained — the
-    /// contract above is layout-independent — just not consumed).
-    const INCREMENTAL_SNAPSHOTS: bool;
-
     /// Number of workers.
     fn len(&self) -> usize;
 
@@ -161,7 +159,7 @@ pub trait WorkerStore: Default + Send {
     /// (complete). Semantically `computing()` + `set_computing(done + 1)`
     /// — the default does exactly that — but implementations can fuse the
     /// read-modify-write into one column access: compute progress never
-    /// changes the occupancy, only the dirty bit.
+    /// changes the occupancy, only `done` (and the change feed).
     fn tick_compute(&mut self, q: usize) -> Option<(CopyId, bool)> {
         let mut c = self.computing(q)?;
         c.done += 1;
@@ -247,8 +245,8 @@ pub trait WorkerStore: Default + Send {
     /// **guarantee** that every worker in the block is idle, letting the
     /// compute / promotion passes skip it in one compare; `true` is
     /// non-committal. The default never commits — oracle layouts keep
-    /// their original dense passes — while summary-maintaining layouts
-    /// answer from the per-block busy count.
+    /// their original dense passes — while bitmap-maintaining layouts
+    /// answer from the block's busy words.
     fn block_may_be_busy(&self, _b: usize) -> bool {
         true
     }
@@ -274,19 +272,6 @@ pub trait WorkerStore: Default + Send {
         word
     }
 
-    /// May block `b` contain a `DOWN` worker? Same contract shape as
-    /// [`Self::block_may_be_busy`]; consumed by the crash pass.
-    fn block_may_have_down(&self, _b: usize) -> bool {
-        true
-    }
-
-    /// May block `b` contain a **free** worker (`UP` ∧ idle — a replica
-    /// candidate)? Same contract shape as [`Self::block_may_be_busy`];
-    /// consumed by the free-mask rebuild.
-    fn block_may_have_free(&self, _b: usize) -> bool {
-        true
-    }
-
     /// Per-state worker counts `[up, reclaimed, down]` for the current
     /// slot, if the layout maintains them (`None` sends the caller down a
     /// dense tally). Phase 1's state census consumes this — O(1) instead
@@ -295,20 +280,23 @@ pub trait WorkerStore: Default + Send {
         None
     }
 
-    /// Blocks whose `state` or `occupancy` column changed since the last
-    /// [`Self::clear_changed_blocks`] — unordered, duplicate-free — or
-    /// `None` when the layout does not track block changes (the caller
-    /// must then treat every block as changed). Marks are **sticky**
-    /// until cleared, and [`Self::reset_for`] marks every block changed.
-    /// There is exactly one consumer: the engine's incremental free-mask
-    /// cache (the replica path's candidate generation), which recomputes
-    /// precisely the changed blocks.
-    fn changed_blocks(&self) -> Option<&[u32]> {
+    /// The change feed (see the trait-level contract) as bitmap words —
+    /// bit `q % 64` of word `q / 64` set iff worker `q` is fed, words past
+    /// the platform tail zero — or `None` when the layout keeps none and
+    /// consumers must rescan densely.
+    fn changes(&self) -> Option<&[u64]> {
         None
     }
 
-    /// Resets the changed-block tracking (the consumer caught up).
-    fn clear_changed_blocks(&mut self) {}
+    /// Empties the change feed (the consumer caught up).
+    fn clear_changes(&mut self) {}
+
+    /// Workers that turned `DOWN` in the last [`Self::set_states`], in
+    /// ascending order, or `None` when the layout does not track them (the
+    /// crash pass then visits every `DOWN` worker).
+    fn went_down(&self) -> Option<&[u32]> {
+        None
+    }
 
     /// `Delay(q)` — see [`WorkerRuntime::delay_estimate`].
     fn delay_estimate(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) -> SlotSpan;
@@ -320,15 +308,6 @@ pub trait WorkerStore: Default + Send {
     /// [`WorkerRuntime::cancel_task_into`].
     fn cancel_task_into(&mut self, q: usize, task: TaskId, removed: &mut Vec<CopyId>);
 
-    /// Whether worker `q` has a snapshot-visible mutation pending since the
-    /// last [`Self::clear_snapshot_dirty`] — see the trait-level dirty-bit
-    /// contract.
-    fn snapshot_dirty(&self, q: usize) -> bool;
-
-    /// Clears every worker's dirty bit (the snapshot consumer has caught
-    /// up).
-    fn clear_snapshot_dirty(&mut self);
-
     /// Structural pipeline invariants of worker `q` (debug builds).
     fn assert_invariants(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan);
 }
@@ -336,21 +315,17 @@ pub trait WorkerStore: Default + Send {
 /// The retained AoS layout: a plain `Vec<WorkerRuntime>`, every operation
 /// delegated to the original per-worker methods. This is the pre-SoA code
 /// path, kept as the bit-identity oracle (and for tests that want to poke a
-/// single worker's fields directly). It maintains the trait's dirty bits —
-/// the contract is layout-independent — but opts out of incremental
-/// snapshot consumption, so `ReferenceSimulation` rebuilds every snapshot
-/// from scratch and genuinely cross-checks the incremental path.
+/// single worker's fields directly). It keeps no change feed, so
+/// `ReferenceSimulation` rebuilds every snapshot and free mask from
+/// scratch, crashes every `DOWN` worker every slot and never hands the
+/// scheduler a delta — a genuine cross-check of the incremental paths.
 #[derive(Debug, Default)]
 pub struct AosWorkers {
     /// The workers, in processor order.
     pub workers: Vec<WorkerRuntime>,
-    /// Snapshot dirty bits (see the [`WorkerStore`] contract).
-    dirty: Vec<bool>,
 }
 
 impl WorkerStore for AosWorkers {
-    const INCREMENTAL_SNAPSHOTS: bool = false;
-
     #[inline]
     fn len(&self) -> usize {
         self.workers.len()
@@ -360,8 +335,7 @@ impl WorkerStore for AosWorkers {
     where
         I: ExactSizeIterator<Item = ProcessorSpec>,
     {
-        let p = specs.len();
-        self.workers.truncate(p);
+        self.workers.truncate(specs.len());
         let mut specs = specs;
         for (w, spec) in self.workers.iter_mut().zip(specs.by_ref()) {
             w.reset(spec);
@@ -369,7 +343,6 @@ impl WorkerStore for AosWorkers {
         for spec in specs {
             self.workers.push(WorkerRuntime::new(spec));
         }
-        refill(&mut self.dirty, p, true);
     }
 
     #[inline]
@@ -384,11 +357,8 @@ impl WorkerStore for AosWorkers {
 
     #[inline]
     fn set_states(&mut self, states: &[ProcState]) {
-        for (q, (w, &s)) in self.workers.iter_mut().zip(states).enumerate() {
-            if w.state != s {
-                w.state = s;
-                self.dirty[q] = true;
-            }
+        for (w, &s) in self.workers.iter_mut().zip(states) {
+            w.state = s;
         }
     }
 
@@ -399,10 +369,7 @@ impl WorkerStore for AosWorkers {
 
     #[inline]
     fn set_prog_done(&mut self, q: usize, v: SlotSpan) {
-        if self.workers[q].prog_done != v {
-            self.workers[q].prog_done = v;
-            self.dirty[q] = true;
-        }
+        self.workers[q].prog_done = v;
     }
 
     #[inline]
@@ -412,7 +379,6 @@ impl WorkerStore for AosWorkers {
 
     #[inline]
     fn set_prog_began_at(&mut self, q: usize, v: Slot) {
-        // Not a snapshot field (transfer-priority bookkeeping): no dirty.
         self.workers[q].prog_began_at = v;
     }
 
@@ -424,7 +390,6 @@ impl WorkerStore for AosWorkers {
     #[inline]
     fn set_transfer(&mut self, q: usize, t: Option<TransferState>) {
         self.workers[q].transfer = t;
-        self.dirty[q] = true;
     }
 
     #[inline]
@@ -435,7 +400,6 @@ impl WorkerStore for AosWorkers {
     #[inline]
     fn set_buffered(&mut self, q: usize, b: Option<CopyId>) {
         self.workers[q].buffered = b;
-        self.dirty[q] = true;
     }
 
     #[inline]
@@ -446,7 +410,6 @@ impl WorkerStore for AosWorkers {
     #[inline]
     fn set_computing(&mut self, q: usize, c: Option<ComputeState>) {
         self.workers[q].computing = c;
-        self.dirty[q] = true;
     }
 
     #[inline]
@@ -503,26 +466,12 @@ impl WorkerStore for AosWorkers {
 
     #[inline]
     fn crash_into(&mut self, q: usize, lost: &mut Vec<CopyId>) {
-        if self.workers[q].crash_into(lost) {
-            self.dirty[q] = true;
-        }
+        self.workers[q].crash_into(lost);
     }
 
     #[inline]
     fn cancel_task_into(&mut self, q: usize, task: TaskId, removed: &mut Vec<CopyId>) {
-        if self.workers[q].cancel_task_into(task, removed) {
-            self.dirty[q] = true;
-        }
-    }
-
-    #[inline]
-    fn snapshot_dirty(&self, q: usize) -> bool {
-        self.dirty[q]
-    }
-
-    #[inline]
-    fn clear_snapshot_dirty(&mut self) {
-        self.dirty.fill(false);
+        self.workers[q].cancel_task_into(task, removed);
     }
 
     #[inline]
@@ -554,32 +503,22 @@ pub struct WorkerSoA {
     /// to a single byte read instead of three `Option` columns plus a
     /// `Vec` header chase. The SoA⇄AoS oracle grid pins its consistency.
     occupancy: Vec<u8>,
-    /// Snapshot dirty bits (hot: written by pipeline mutators, drained by
-    /// the incremental snapshot pass — see the [`WorkerStore`] contract).
-    dirty: Vec<bool>,
-    // --- block summaries: one entry per SUMMARY_BLOCK workers -------------
-    /// Busy workers (occupancy ≠ 0) per block; maintained by
-    /// [`Self::occ_inc`] / [`Self::occ_sub`] on every 0 ↔ non-zero flip.
-    blk_busy: Vec<u16>,
+    // --- change tracking ----------------------------------------------------
+    /// The change feed bitmap (see the [`WorkerStore`] contract), drained
+    /// by the engine's incremental consumers.
+    feed: Vec<u64>,
+    /// Workers that turned `DOWN` in the last `set_states`, ascending.
+    went_down: Vec<u32>,
+    /// `[up, reclaimed, down]` worker counts, maintained by `set_states`.
+    census: [usize; 3],
     /// Busy bitmap: bit `q % 64` of word `q / 64` is set iff worker `q` is
-    /// busy (occupancy ≠ 0). Maintained at the same two flip points as
-    /// `blk_busy`, consumed by the engine's busy-worker iteration
-    /// ([`WorkerStore::busy_word`]) so the compute / transfer-continuation /
-    /// promotion passes cost O(busy) instead of O(p) at platform scale.
+    /// busy (occupancy ≠ 0), maintained by [`Self::occ_inc`] /
+    /// [`Self::occ_sub`] on every 0 ↔ non-zero flip and consumed by the
+    /// engine's busy-worker iteration ([`WorkerStore::busy_word`]) so the
+    /// compute / transfer-continuation / promotion passes cost O(busy)
+    /// instead of O(p) at platform scale. A block's busy summary is its
+    /// [`SUMMARY_BLOCK`]` / 64` words.
     busy_words: Vec<u64>,
-    /// `UP` workers per block (maintained by [`Self::set_states`]).
-    blk_up: Vec<u16>,
-    /// `DOWN` workers per block (maintained by [`Self::set_states`]).
-    blk_down: Vec<u16>,
-    /// Σ `blk_up` — with `blk_down`'s sum this is the O(1) state census.
-    up_total: usize,
-    /// Σ `blk_down`.
-    down_total: usize,
-    /// Membership bits for `changed_blocks` (dedup on mark).
-    blk_changed: Vec<bool>,
-    /// Blocks with a state or occupancy change since the last
-    /// [`WorkerStore::clear_changed_blocks`] — the free-mask cache's feed.
-    changed_blocks: Vec<u32>,
     // --- cold columns: touched on binds / crashes only --------------------
     /// Slot at which the current program transfer began.
     prog_began_at: Vec<Slot>,
@@ -588,18 +527,14 @@ pub struct WorkerSoA {
 }
 
 impl WorkerSoA {
-    /// Marks worker `q`'s block changed (idempotent between drains).
+    /// Feeds worker `q` (idempotent between drains).
     #[inline]
-    fn note_block_changed(&mut self, q: usize) {
-        let b = q / SUMMARY_BLOCK;
-        if !self.blk_changed[b] {
-            self.blk_changed[b] = true;
-            self.changed_blocks.push(b as u32);
-        }
+    fn note_changed(&mut self, q: usize) {
+        self.feed[q / 64] |= 1u64 << (q % 64);
     }
 
-    /// Increments worker `q`'s occupancy byte, maintaining the block busy
-    /// count. The documented pipeline bound — `pinned_count + bound.len()`
+    /// Increments worker `q`'s occupancy byte, maintaining the busy bitmap
+    /// and the change feed. The documented pipeline bound — `pinned_count + bound.len()`
     /// never exceeds 2 (`has_bind_room` gates every bind; promotions clear
     /// a stage before filling the next) — is asserted on every increment,
     /// so a future pipeline change that would wrap the byte, or silently
@@ -614,14 +549,13 @@ impl WorkerSoA {
         );
         self.occupancy[q] = occ + 1;
         if occ == 0 {
-            self.blk_busy[q / SUMMARY_BLOCK] += 1;
             self.busy_words[q / 64] |= 1u64 << (q % 64);
-            self.note_block_changed(q);
+            self.note_changed(q);
         }
     }
 
-    /// Decrements worker `q`'s occupancy byte by `by`, maintaining the
-    /// block busy count. Bound-list deltas arrive as `usize` and are
+    /// Decrements worker `q`'s occupancy byte by `by`, maintaining the busy
+    /// bitmap and the change feed. Bound-list deltas arrive as `usize` and are
     /// narrowed here — sound only under the ≤ 2 bound, which the
     /// underflow assertion restates.
     #[inline]
@@ -637,9 +571,8 @@ impl WorkerSoA {
         let now = occ.wrapping_sub(by as u8);
         self.occupancy[q] = now;
         if now == 0 {
-            self.blk_busy[q / SUMMARY_BLOCK] -= 1;
             self.busy_words[q / 64] &= !(1u64 << (q % 64));
-            self.note_block_changed(q);
+            self.note_changed(q);
         }
     }
 }
@@ -653,7 +586,6 @@ fn refill<T: Clone>(v: &mut Vec<T>, p: usize, value: T) {
 }
 
 impl WorkerStore for WorkerSoA {
-    const INCREMENTAL_SNAPSHOTS: bool = true;
     const HAS_BUSY_WORDS: bool = true;
 
     #[inline]
@@ -674,23 +606,20 @@ impl WorkerStore for WorkerSoA {
         refill(&mut self.transfer, p, None);
         refill(&mut self.buffered, p, None);
         refill(&mut self.occupancy, p, 0);
-        // Everything about a fresh run is unknown to any snapshot consumer;
-        // stale bits from a previous (possibly larger) platform must not
-        // leak through an arena reuse.
-        refill(&mut self.dirty, p, true);
-        // Fresh platform: everyone Reclaimed and idle — zero the summaries
-        // and mark every block changed so a free-mask consumer that missed
-        // its own invalidation still rebuilds everything it reads.
-        let nblocks = p.div_ceil(SUMMARY_BLOCK);
-        refill(&mut self.blk_busy, nblocks, 0);
+        // Everything about a fresh run is unknown to any incremental
+        // consumer; stale entries from a previous (possibly larger)
+        // platform must not leak through an arena reuse.
+        refill(&mut self.feed, p.div_ceil(64), u64::MAX);
+        if let (Some(last), 1..) = (self.feed.last_mut(), p % 64) {
+            *last = (1u64 << (p % 64)) - 1;
+        }
+        self.went_down.clear();
+        // A correlated outage can take the whole platform down in one
+        // slot: size the list for it here, not mid-run.
+        self.went_down.reserve(p);
+        // Fresh platform: everyone Reclaimed and idle.
+        self.census = [0, p, 0];
         refill(&mut self.busy_words, p.div_ceil(64), 0);
-        refill(&mut self.blk_up, nblocks, 0);
-        refill(&mut self.blk_down, nblocks, 0);
-        self.up_total = 0;
-        self.down_total = 0;
-        refill(&mut self.blk_changed, nblocks, true);
-        self.changed_blocks.clear();
-        self.changed_blocks.extend(0..nblocks as u32);
         refill(&mut self.prog_began_at, p, 0);
         // `bound` keeps each retained worker's allocation alive.
         self.bound.truncate(p);
@@ -714,36 +643,35 @@ impl WorkerStore for WorkerSoA {
 
     fn set_states(&mut self, states: &[ProcState]) {
         debug_assert_eq!(states.len(), self.state.len());
-        // Changed states dirty their worker (a non-UP delay sentinel, or a
+        // Changed states feed their worker (a non-UP delay sentinel, or a
         // stale delay from before a suspension, must be rewritten when the
-        // state flips); unchanged ones stay clean. The pass runs block by
-        // block: a block whose 256-byte window re-draws identically is
-        // dismissed by one slice compare, and only changed blocks pay the
-        // per-worker diff plus the up/down count rebuild.
+        // state flips), move the census, and — flips to DOWN — queue the
+        // worker for the crash pass; unchanged ones stay quiet. The pass
+        // runs block by block: a block whose 256-byte window re-draws
+        // identically is dismissed by one slice compare, and only changed
+        // blocks pay the per-worker diff.
+        self.went_down.clear();
         let p = self.state.len();
-        let (mut start, mut b) = (0, 0);
+        let mut start = 0;
         while start < p {
             let end = (start + SUMMARY_BLOCK).min(p);
             if self.state[start..end] != states[start..end] {
-                let (mut up, mut down) = (0u16, 0u16);
-                for (q, &src) in states[start..end].iter().enumerate() {
-                    let q = start + q;
-                    if self.state[q] != src {
-                        self.dirty[q] = true;
+                for (q, &new) in states.iter().enumerate().take(end).skip(start) {
+                    let old = self.state[q];
+                    if old != new {
+                        self.state[q] = new;
+                        self.census[old.index()] -= 1;
+                        self.census[new.index()] += 1;
+                        if new == ProcState::Down {
+                            // q < u32::MAX: PlatformConfig::validate bounds
+                            // the platform.
+                            self.went_down.push(q as u32);
+                        }
+                        self.note_changed(q);
                     }
-                    up += u16::from(src == ProcState::Up);
-                    down += u16::from(src == ProcState::Down);
                 }
-                self.up_total = self.up_total + usize::from(up) - usize::from(self.blk_up[b]);
-                self.down_total =
-                    self.down_total + usize::from(down) - usize::from(self.blk_down[b]);
-                self.blk_up[b] = up;
-                self.blk_down[b] = down;
-                self.state[start..end].copy_from_slice(&states[start..end]);
-                self.note_block_changed(start);
             }
             start = end;
-            b += 1;
         }
     }
 
@@ -756,7 +684,7 @@ impl WorkerStore for WorkerSoA {
     fn set_prog_done(&mut self, q: usize, v: SlotSpan) {
         if self.prog_done[q] != v {
             self.prog_done[q] = v;
-            self.dirty[q] = true;
+            self.note_changed(q);
         }
     }
 
@@ -779,7 +707,7 @@ impl WorkerStore for WorkerSoA {
     fn set_transfer(&mut self, q: usize, t: Option<TransferState>) {
         let had = self.transfer[q].is_some();
         self.transfer[q] = t;
-        self.dirty[q] = true;
+        self.note_changed(q);
         match (had, t.is_some()) {
             (false, true) => self.occ_inc(q),
             (true, false) => self.occ_sub(q, 1),
@@ -796,7 +724,7 @@ impl WorkerStore for WorkerSoA {
     fn set_buffered(&mut self, q: usize, b: Option<CopyId>) {
         let had = self.buffered[q].is_some();
         self.buffered[q] = b;
-        self.dirty[q] = true;
+        self.note_changed(q);
         match (had, b.is_some()) {
             (false, true) => self.occ_inc(q),
             (true, false) => self.occ_sub(q, 1),
@@ -813,7 +741,7 @@ impl WorkerStore for WorkerSoA {
     fn set_computing(&mut self, q: usize, c: Option<ComputeState>) {
         let had = self.computing[q].is_some();
         self.computing[q] = c;
-        self.dirty[q] = true;
+        self.note_changed(q);
         match (had, c.is_some()) {
             (false, true) => self.occ_inc(q),
             (true, false) => self.occ_sub(q, 1),
@@ -824,12 +752,13 @@ impl WorkerStore for WorkerSoA {
     #[inline]
     fn tick_compute(&mut self, q: usize) -> Option<(CopyId, bool)> {
         // One in-place column access: progress changes neither the
-        // occupancy nor the Option discriminant, only `done` and the
-        // dirty bit.
+        // occupancy nor the Option discriminant, only `done` (and with it
+        // `Delay(q)`, hence the feed).
         let c = self.computing[q].as_mut()?;
         c.done += 1;
-        self.dirty[q] = true;
-        Some((c.copy, c.done == self.w[q]))
+        let out = (c.copy, c.done == self.w[q]);
+        self.note_changed(q);
+        Some(out)
     }
 
     #[inline]
@@ -943,8 +872,8 @@ impl WorkerStore for WorkerSoA {
     }
 
     fn crash_into(&mut self, q: usize, lost: &mut Vec<CopyId>) {
-        // Only a change dirties: a worker that stays DOWN is re-crashed
-        // every slot on an already-empty pipeline.
+        // Only a change feeds: crashing an already-empty worker is a
+        // no-op.
         let mut changed = self.prog_done[q] != 0;
         self.prog_done[q] = 0;
         if let Some(c) = self.computing[q].take() {
@@ -963,7 +892,7 @@ impl WorkerStore for WorkerSoA {
             changed = true;
         }
         if changed {
-            self.dirty[q] = true;
+            self.note_changed(q);
         }
     }
 
@@ -974,19 +903,20 @@ impl WorkerStore for WorkerSoA {
         if let Some(c) = self.computing[q].take_if(|c| c.copy.task == task) {
             removed.push(c.copy);
             self.occ_sub(q, 1);
-            self.dirty[q] = true;
+            self.note_changed(q);
         }
         if let Some(b) = self.buffered[q].take_if(|b| b.task == task) {
             removed.push(b);
             self.occ_sub(q, 1);
-            self.dirty[q] = true;
+            self.note_changed(q);
         }
         if let Some(t) = self.transfer[q].take_if(|t| t.copy.task == task) {
             removed.push(t.copy);
             self.occ_sub(q, 1);
-            self.dirty[q] = true;
+            self.note_changed(q);
         }
-        // Bound removals stay clean: Delay(q) excludes bound copies ([D8]).
+        // Bound removals feed only through a busy flip: Delay(q) excludes
+        // bound copies ([D8]).
         let mut i = 0;
         while i < self.bound[q].len() {
             if self.bound[q][i].task == task {
@@ -1001,7 +931,10 @@ impl WorkerStore for WorkerSoA {
 
     #[inline]
     fn block_may_be_busy(&self, b: usize) -> bool {
-        self.blk_busy[b] != 0
+        let words = SUMMARY_BLOCK / 64;
+        let lo = b * words;
+        let hi = (lo + words).min(self.busy_words.len());
+        self.busy_words[lo..hi].iter().any(|&w| w != 0)
     }
 
     #[inline]
@@ -1010,49 +943,22 @@ impl WorkerStore for WorkerSoA {
     }
 
     #[inline]
-    fn block_may_have_down(&self, b: usize) -> bool {
-        self.blk_down[b] != 0
-    }
-
-    #[inline]
-    fn block_may_have_free(&self, b: usize) -> bool {
-        // Free needs UP ∧ idle; without the joint distribution the exact
-        // test is `∃ UP worker` ∧ `∃ idle worker` — conservative but
-        // cheap, and exact in the common all-idle / no-UP extremes.
-        let len = (self.state.len() - b * SUMMARY_BLOCK).min(SUMMARY_BLOCK);
-        self.blk_up[b] != 0 && usize::from(self.blk_busy[b]) < len
-    }
-
-    #[inline]
     fn state_census(&self) -> Option<[usize; 3]> {
-        let p = self.state.len();
-        Some([
-            self.up_total,
-            p - self.up_total - self.down_total,
-            self.down_total,
-        ])
+        Some(self.census)
     }
 
     #[inline]
-    fn changed_blocks(&self) -> Option<&[u32]> {
-        Some(&self.changed_blocks)
+    fn changes(&self) -> Option<&[u64]> {
+        Some(&self.feed)
     }
 
-    fn clear_changed_blocks(&mut self) {
-        for &b in &self.changed_blocks {
-            self.blk_changed[b as usize] = false;
-        }
-        self.changed_blocks.clear();
+    fn clear_changes(&mut self) {
+        self.feed.fill(0);
     }
 
     #[inline]
-    fn snapshot_dirty(&self, q: usize) -> bool {
-        self.dirty[q]
-    }
-
-    #[inline]
-    fn clear_snapshot_dirty(&mut self) {
-        self.dirty.fill(false);
+    fn went_down(&self) -> Option<&[u32]> {
+        Some(&self.went_down)
     }
 
     fn assert_invariants(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) {
@@ -1157,15 +1063,6 @@ mod tests {
             }
         }
 
-        // Dirty bits agree after the identical script.
-        for q in 0..soa.len() {
-            assert_eq!(
-                soa.snapshot_dirty(q),
-                aos.snapshot_dirty(q),
-                "dirty bit {q}"
-            );
-        }
-
         // tick_compute advances identically (worker 0 computes: w = 3,
         // done = 1 → 2 → 3 completes; worker 2 computes nothing).
         assert_eq!(soa.tick_compute(2), aos.tick_compute(2));
@@ -1178,7 +1075,7 @@ mod tests {
             assert_eq!(finished, expect_finished);
             assert_eq!(soa.computing(0), aos.computing(0));
             assert_eq!(soa.pinned_count(0), aos.pinned_count(0));
-            assert!(soa.snapshot_dirty(0) && aos.snapshot_dirty(0));
+            assert!(fed(&soa, 0), "compute progress feeds its worker");
         }
 
         // Crash + cancel drain identically.
@@ -1193,54 +1090,76 @@ mod tests {
         assert_eq!(la, lb);
     }
 
-    /// The trait-level dirty-bit contract, checked against both layouts:
-    /// snapshot-visible mutations set the bit, unobservable ones do not,
-    /// and resets (arena reuse across resizes) never leak stale bits.
-    fn check_dirty_contract<S: WorkerStore>(store: &mut S) {
+    /// Whether worker `q` is in the store's change feed.
+    fn fed(store: &WorkerSoA, q: usize) -> bool {
+        store
+            .changes()
+            .is_some_and(|f| f[q / 64] >> (q % 64) & 1 == 1)
+    }
+
+    /// The fed workers, ascending.
+    fn fed_list(store: &WorkerSoA) -> Vec<usize> {
+        (0..store.len()).filter(|&q| fed(store, q)).collect()
+    }
+
+    /// The trait-level change-feed contract: scheduler-visible mutations
+    /// and busy flips feed their worker exactly once, unobservable ones do
+    /// not, and resets (arena reuse across resizes) never leak stale
+    /// entries. The AoS oracle keeps no feed at all.
+    #[test]
+    fn change_feed_contract_holds() {
+        assert!(AosWorkers::default().changes().is_none());
+        assert!(AosWorkers::default().went_down().is_none());
+        let store = &mut WorkerSoA::default();
         store.reset_for(specs(&[1, 2, 3, 4]).into_iter());
         assert!(
-            (0..4).all(|q| store.snapshot_dirty(q)),
-            "reset_for must mark everything dirty"
+            (0..4).all(|q| fed(store, q)),
+            "reset_for must feed everyone"
         );
-        store.clear_snapshot_dirty();
-        assert!((0..4).all(|q| !store.snapshot_dirty(q)));
+        store.clear_changes();
+        assert!(fed_list(store).is_empty());
 
-        // Program progress dirties its worker alone; an identical rewrite
-        // stays clean.
+        // Program progress feeds its worker alone; an identical rewrite
+        // stays quiet.
         store.set_prog_done(2, 1);
-        assert!(store.snapshot_dirty(2));
-        assert!(!store.snapshot_dirty(1));
-        store.clear_snapshot_dirty();
+        assert!(fed(store, 2) && !fed(store, 1));
+        store.clear_changes();
         store.set_prog_done(2, 1);
-        assert!(!store.snapshot_dirty(2), "no-op prog write must stay clean");
+        assert!(!fed(store, 2), "no-op prog write must stay quiet");
 
-        // Changed states dirty; re-drawing the current state does not.
-        use ProcState::{Reclaimed, Up};
+        // Changed states feed; re-drawing the current state does not.
+        use ProcState::{Down, Reclaimed, Up};
         store.set_states(&[Up, Up, Reclaimed, Reclaimed]);
-        assert!(store.snapshot_dirty(0) && store.snapshot_dirty(1));
-        assert!(!store.snapshot_dirty(2) && !store.snapshot_dirty(3));
+        assert!(fed(store, 0) && fed(store, 1));
+        assert!(!fed(store, 2) && !fed(store, 3));
+        // Entries are sticky until drained.
+        store.set_prog_done(0, 1);
+        assert_eq!(fed_list(store), vec![0, 1]);
 
-        // Bound-list churn is not snapshot-visible (Delay(q) excludes
-        // bound copies, [D8]): the replica bind→dissolve cycle stays clean.
-        store.clear_snapshot_dirty();
+        // Bound-list churn feeds only through busy flips: the first copy
+        // on an idle worker flips it busy, a second one does not.
+        store.clear_changes();
         store.bound_push(1, copy(7, 1));
-        store.bound_remove(1, copy(7, 1));
+        assert!(fed(store, 1), "idle → busy feeds");
+        store.clear_changes();
         store.bound_push(1, copy(8, 1));
-        store.drain_bound(1, |_| {});
+        store.bound_remove(1, copy(8, 1));
         store.set_prog_began_at(1, 9);
-        assert!(!store.snapshot_dirty(1), "bound churn must stay clean");
+        assert!(!fed(store, 1), "churn on a busy worker stays quiet");
+        store.drain_bound(1, |_| {});
+        assert!(fed(store, 1), "busy → idle feeds");
 
-        // Crashing an already-empty worker (stays DOWN) is clean; crashing
-        // one with progress dirties it.
+        // Crashing an already-empty worker is quiet; crashing one with
+        // progress feeds it.
+        store.clear_changes();
         let mut lost = Vec::new();
-        store.crash_into(0, &mut lost);
-        assert!(!store.snapshot_dirty(0), "empty crash must stay clean");
+        store.crash_into(3, &mut lost);
+        assert!(!fed(store, 3), "empty crash must stay quiet");
         store.crash_into(2, &mut lost);
-        assert!(store.snapshot_dirty(2), "crash with progress dirties");
+        assert!(fed(store, 2), "crash with progress feeds");
 
-        // Pinned-pipeline mutations dirty; canceling a bound-only copy
-        // does not, canceling a pinned one does.
-        store.clear_snapshot_dirty();
+        // Pinned-pipeline mutations feed; canceling a bound copy off a
+        // still-busy worker does not, canceling a pinned one does.
         store.set_computing(
             3,
             Some(ComputeState {
@@ -1248,17 +1167,18 @@ mod tests {
                 done: 0,
             }),
         );
-        assert!(store.snapshot_dirty(3));
-        store.clear_snapshot_dirty();
+        store.bound_push(3, copy(6, 0));
+        store.clear_changes();
         let mut removed = Vec::new();
-        store.bound_push(1, copy(6, 0));
-        store.cancel_task_into(1, TaskId(6), &mut removed);
-        assert!(!store.snapshot_dirty(1), "bound-only cancel stays clean");
+        store.cancel_task_into(3, TaskId(6), &mut removed);
+        assert!(
+            !fed(store, 3),
+            "bound-only cancel on a busy worker stays quiet"
+        );
         store.cancel_task_into(3, TaskId(5), &mut removed);
-        assert!(store.snapshot_dirty(3), "pinned cancel dirties");
+        assert!(fed(store, 3), "pinned cancel feeds");
 
-        // tick_compute dirties the advanced worker.
-        store.clear_snapshot_dirty();
+        // tick_compute feeds the advanced worker.
         store.set_prog_done(3, 4);
         store.set_computing(
             3,
@@ -1267,23 +1187,25 @@ mod tests {
                 done: 0,
             }),
         );
-        store.clear_snapshot_dirty();
+        store.clear_changes();
         assert_eq!(store.tick_compute(3), Some((copy(5, 0), false)));
-        assert!(store.snapshot_dirty(3));
+        assert!(fed(store, 3));
 
-        // Shrink then regrow: every reset re-marks the *current* workers
-        // and the grown tail cannot inherit a stale clean bit.
+        // went_down names exactly this redraw's flips to DOWN, ascending.
+        store.set_states(&[Down, Up, Down, Down]);
+        assert_eq!(store.went_down().unwrap(), &[0, 2, 3]);
+        store.set_states(&[Down, Down, Down, Up]);
+        assert_eq!(store.went_down().unwrap(), &[1], "staying DOWN is no flip");
+
+        // Shrink then regrow: every reset re-feeds the *current* workers
+        // and the grown tail cannot inherit a stale membership bit.
         store.reset_for(specs(&[5]).into_iter());
-        assert!(store.snapshot_dirty(0));
-        store.clear_snapshot_dirty();
+        assert_eq!(fed_list(store), vec![0]);
+        assert_eq!(store.changes().unwrap(), &[1], "no bits past the tail");
+        assert!(store.went_down().unwrap().is_empty());
+        store.clear_changes();
         store.reset_for(specs(&[1, 2, 3, 4, 5, 6]).into_iter());
-        assert!((0..6).all(|q| store.snapshot_dirty(q)));
-    }
-
-    #[test]
-    fn dirty_bit_contract_holds_for_both_layouts() {
-        check_dirty_contract(&mut WorkerSoA::default());
-        check_dirty_contract(&mut AosWorkers::default());
+        assert!((0..6).all(|q| fed(store, q)));
     }
 
     /// Recomputes every busy word densely from `busy(q)` and asserts the
@@ -1391,47 +1313,29 @@ mod tests {
         }
     }
 
-    /// Recomputes every block summary from the raw columns and asserts the
-    /// maintained counts agree — the ground truth for the skip hints.
+    /// Recomputes the block busy summaries and the state census from the
+    /// raw columns and asserts the maintained values agree.
     fn check_summaries(soa: &WorkerSoA) {
         let p = soa.state.len();
-        let nblocks = p.div_ceil(SUMMARY_BLOCK);
-        assert_eq!(soa.blk_busy.len(), nblocks);
-        let (mut up_total, mut down_total) = (0, 0);
-        for b in 0..nblocks {
+        for b in 0..p.div_ceil(SUMMARY_BLOCK) {
             let start = b * SUMMARY_BLOCK;
             let end = (start + SUMMARY_BLOCK).min(p);
             let busy = (start..end).filter(|&q| soa.occupancy[q] != 0).count();
-            let up = (start..end)
-                .filter(|&q| soa.state[q] == ProcState::Up)
-                .count();
-            let down = (start..end)
-                .filter(|&q| soa.state[q] == ProcState::Down)
-                .count();
-            assert_eq!(usize::from(soa.blk_busy[b]), busy, "blk_busy[{b}]");
-            assert_eq!(usize::from(soa.blk_up[b]), up, "blk_up[{b}]");
-            assert_eq!(usize::from(soa.blk_down[b]), down, "blk_down[{b}]");
-            assert_eq!(soa.block_may_be_busy(b), busy != 0);
-            assert_eq!(soa.block_may_have_down(b), down != 0);
-            // The free hint must never claim "no free worker" falsely.
-            let free = (start..end)
-                .filter(|&q| soa.state[q] == ProcState::Up && soa.occupancy[q] == 0)
-                .count();
-            assert!(soa.block_may_have_free(b) || free == 0, "free hint lies");
-            up_total += up;
-            down_total += down;
+            assert_eq!(soa.block_may_be_busy(b), busy != 0, "block {b}");
         }
-        assert_eq!(soa.up_total, up_total);
-        assert_eq!(soa.down_total, down_total);
+        let count = |s: ProcState| soa.state.iter().filter(|&&x| x == s).count();
         assert_eq!(
             soa.state_census(),
-            Some([up_total, p - up_total - down_total, down_total])
+            Some([
+                count(ProcState::Up),
+                count(ProcState::Reclaimed),
+                count(ProcState::Down)
+            ])
         );
     }
 
-    /// Block summaries track a multi-block platform through state redraws,
-    /// occupancy churn, crashes and cancels; the changed-block feed marks
-    /// exactly the touched blocks, stays sticky, and drains on clear.
+    /// Busy summaries and the census track a multi-block platform through
+    /// state redraws, occupancy churn, crashes and cancels.
     #[test]
     fn block_summaries_track_columns() {
         use ProcState::{Down, Reclaimed, Up};
@@ -1439,28 +1343,18 @@ mod tests {
         let mut soa = WorkerSoA::default();
         soa.reset_for(specs(&vec![3; p]).into_iter());
         assert_eq!(soa.summary_blocks(), 3);
-        // reset_for marks every block changed.
-        assert_eq!(soa.changed_blocks().unwrap(), &[0, 1, 2]);
         check_summaries(&soa);
-        soa.clear_changed_blocks();
-        assert!(soa.changed_blocks().unwrap().is_empty());
 
-        // A state redraw only marks the blocks whose window changed.
         let mut states = vec![Reclaimed; p];
         states[SUMMARY_BLOCK] = Up;
         states[SUMMARY_BLOCK + 3] = Down;
         soa.set_states(&states);
         check_summaries(&soa);
-        assert_eq!(soa.changed_blocks().unwrap(), &[1]);
-        // Re-drawing the identical row marks nothing further.
+        assert_eq!(soa.went_down().unwrap(), &[SUMMARY_BLOCK as u32 + 3]);
         soa.set_states(&states);
-        assert_eq!(soa.changed_blocks().unwrap(), &[1]);
+        check_summaries(&soa);
 
-        // Busy flips mark their block (0 ↔ non-zero only): a second copy
-        // on the same worker is not a flip.
         soa.bound_push(5, copy(1, 0));
-        assert_eq!(soa.changed_blocks().unwrap(), &[1, 0]);
-        soa.clear_changed_blocks();
         soa.set_computing(
             5,
             Some(ComputeState {
@@ -1468,14 +1362,9 @@ mod tests {
                 done: 0,
             }),
         );
-        assert!(
-            soa.changed_blocks().unwrap().is_empty(),
-            "1 → 2 is not a busy flip"
-        );
         check_summaries(&soa);
 
-        // Crash in the last (partial) block: occupancy drains to zero and
-        // the block is marked.
+        // Crash in the last (partial) block: occupancy drains to zero.
         soa.set_transfer(
             2 * SUMMARY_BLOCK + 16,
             Some(TransferState {
@@ -1487,23 +1376,16 @@ mod tests {
         let mut lost = Vec::new();
         soa.crash_into(2 * SUMMARY_BLOCK + 16, &mut lost);
         assert_eq!(lost, vec![copy(3, 0)]);
-        assert_eq!(soa.changed_blocks().unwrap(), &[2]);
         check_summaries(&soa);
 
-        // Cancel the two copies on worker 5 one task at a time; the block
-        // marks on the final flip to idle.
-        soa.clear_changed_blocks();
         let mut removed = Vec::new();
         soa.cancel_task_into(5, TaskId(1), &mut removed);
-        assert!(soa.changed_blocks().unwrap().is_empty());
         soa.cancel_task_into(5, TaskId(2), &mut removed);
-        assert_eq!(soa.changed_blocks().unwrap(), &[0]);
         check_summaries(&soa);
 
         // Shrink through an arena-style reset: summaries shrink with it.
         soa.reset_for(specs(&[1, 2]).into_iter());
         assert_eq!(soa.summary_blocks(), 1);
-        assert_eq!(soa.changed_blocks().unwrap(), &[0]);
         check_summaries(&soa);
     }
 

@@ -167,50 +167,28 @@ impl WorkerRuntime {
     /// Clears all volatile state after a crash (`DOWN`): program, transfers,
     /// buffers, computation. Appends the lost pinned copies to `lost` (not
     /// cleared), for scratch-buffer reuse across slots.
-    ///
-    /// Returns whether anything a scheduler snapshot observes changed —
-    /// program progress or pinned pipeline state — so store adapters can
-    /// feed their dirty bits precisely (a worker that stays `DOWN` is
-    /// re-crashed every slot but only dirties on the first).
-    pub fn crash_into(&mut self, lost: &mut Vec<CopyId>) -> bool {
-        let mut changed = self.prog_done != 0;
+    pub fn crash_into(&mut self, lost: &mut Vec<CopyId>) {
         self.prog_done = 0;
-        if let Some(c) = self.computing.take() {
-            lost.push(c.copy);
-            changed = true;
-        }
-        if let Some(b) = self.buffered.take() {
-            lost.push(b);
-            changed = true;
-        }
-        if let Some(t) = self.transfer.take() {
-            lost.push(t.copy);
-            changed = true;
-        }
-        changed
+        lost.extend(self.computing.take().map(|c| c.copy));
+        lost.extend(self.buffered.take());
+        lost.extend(self.transfer.take().map(|t| t.copy));
     }
 
     /// Cancels every copy of `task` on this worker (sibling finished or
     /// iteration ended), appending the removed copies — bound copies
     /// included — to `removed` (not cleared), for scratch-buffer reuse.
-    ///
-    /// Returns whether a *pinned* copy was removed: bound copies are
-    /// excluded from `Delay(q)` (\[D8\]), so a bound-only cancellation
-    /// leaves scheduler snapshots untouched and need not dirty the worker.
-    pub fn cancel_task_into(&mut self, task: TaskId, removed: &mut Vec<CopyId>) -> bool {
-        let mut pinned_changed = false;
-        if let Some(c) = self.computing.take_if(|c| c.copy.task == task) {
-            removed.push(c.copy);
-            pinned_changed = true;
-        }
-        if let Some(b) = self.buffered.take_if(|b| b.task == task) {
-            removed.push(b);
-            pinned_changed = true;
-        }
-        if let Some(t) = self.transfer.take_if(|t| t.copy.task == task) {
-            removed.push(t.copy);
-            pinned_changed = true;
-        }
+    pub fn cancel_task_into(&mut self, task: TaskId, removed: &mut Vec<CopyId>) {
+        removed.extend(
+            self.computing
+                .take_if(|c| c.copy.task == task)
+                .map(|c| c.copy),
+        );
+        removed.extend(self.buffered.take_if(|b| b.task == task));
+        removed.extend(
+            self.transfer
+                .take_if(|t| t.copy.task == task)
+                .map(|t| t.copy),
+        );
         let mut i = 0;
         while i < self.bound.len() {
             if self.bound[i].task == task {
@@ -219,7 +197,6 @@ impl WorkerRuntime {
                 i += 1;
             }
         }
-        pinned_changed
     }
 
     /// Structural invariants of the pipeline; cheap enough to assert every
@@ -345,14 +322,13 @@ mod tests {
             began_at: 3,
         });
         let mut lost = Vec::new();
-        assert!(w.crash_into(&mut lost), "first crash changes state");
+        w.crash_into(&mut lost);
         assert_eq!(lost, vec![copy(0, 0), copy(1, 1)]);
         assert_eq!(w.prog_done, 0);
         assert!(w.is_idle());
-        // Re-crashing an already-cleared worker (a worker that stays DOWN)
-        // reports no snapshot-visible change.
+        // Re-crashing an already-cleared worker loses nothing more.
         lost.clear();
-        assert!(!w.crash_into(&mut lost));
+        w.crash_into(&mut lost);
         assert!(lost.is_empty());
     }
 
@@ -366,20 +342,15 @@ mod tests {
         });
         w.bound.push(copy(7, 2));
         let mut removed = Vec::new();
-        assert!(
-            w.cancel_task_into(TaskId(7), &mut removed),
-            "a pinned copy was removed"
-        );
+        w.cancel_task_into(TaskId(7), &mut removed);
         assert_eq!(removed, vec![copy(7, 0), copy(7, 2)]);
         assert!(w.computing.is_none());
         assert!(w.bound.is_empty());
         removed.clear();
-        assert!(!w.cancel_task_into(TaskId(7), &mut removed));
+        w.cancel_task_into(TaskId(7), &mut removed);
         assert!(removed.is_empty());
-        // A bound-only cancellation is not a snapshot-visible change:
-        // Delay(q) excludes bound copies ([D8]).
         w.bound.push(copy(9, 0));
-        assert!(!w.cancel_task_into(TaskId(9), &mut removed));
+        w.cancel_task_into(TaskId(9), &mut removed);
         assert_eq!(removed, vec![copy(9, 0)]);
     }
 

@@ -10,14 +10,18 @@
 //! every counter, and the bandwidth statistic — same pattern as PR 1's
 //! 1632-run pin of the zero-allocation slot loop.
 //!
-//! Since the incremental-snapshot change, the same grid also pins the
-//! **incremental vs. full-rebuild snapshot paths** against each other: the
-//! SoA engine patches a persistent snapshot buffer from per-worker dirty
-//! bits (`WorkerStore::INCREMENTAL_SNAPSHOTS = true`), while the AoS
-//! reference opts out and rebuilds every snapshot from scratch, exactly as
-//! before the change. A missed dirty bit therefore shows up here as a
-//! report divergence (and, in debug builds, as the engine's per-consult
-//! incremental-vs-full assertion firing first).
+//! The same grid also pins the **change-fed vs. from-scratch paths**
+//! against each other: the SoA engine patches its persistent snapshot
+//! buffer and free mask from the store's change feed, crashes only the
+//! workers that just went DOWN, and hands the scheduler per-lane deltas
+//! that the greedy families turn into patched persistent winner trees at
+//! platform scale; the AoS reference keeps no feed, so it rebuilds every
+//! view from scratch, crashes every DOWN worker and never sends a delta. A
+//! missed feed entry or a mis-patched lane therefore shows up here as a
+//! report divergence (and, in debug builds, as the engine's and the
+//! scheduler's per-consult oracles firing first). The `p = 16384` rows run
+//! uncapped, capped and two-application rounds with replication on and off,
+//! where the candidate count puts every greedy round on the lanes.
 //!
 //! The grid deliberately includes runs that hit the slot cap (the p = 1024
 //! cells): capped runs exercise crash/cancel/replica churn for the whole
@@ -56,6 +60,15 @@ struct Cell {
     seeds: &'static [u64],
 }
 
+/// The platform-scale cell of [`GRID`], shared with the lane rows below.
+const LARGE: Cell = Cell {
+    p: 16_384,
+    m: 2_048,
+    iterations: 1,
+    max_slots: 12,
+    seeds: &[41],
+};
+
 /// The equivalence grid. Larger platforms get a tighter slot cap so the
 /// whole grid stays affordable in debug builds; the p = 1024 cells cap out
 /// by design (see the module docs).
@@ -81,21 +94,14 @@ const GRID: &[Cell] = &[
         max_slots: 260,
         seeds: &[31],
     },
-    // Platform-scale row: u ≥ SHARD_MIN_UPS forces the sharded selector
-    // and the chunked dense-column passes onto their large-p branches, so
-    // this cell pins chunked ≡ unchunked and sharded ≡ monolithic (the
-    // AoS reference inherits the conservative per-worker defaults for
-    // every block-summary query). Few slots keep the debug grid
-    // affordable; the debug oracles sample at this size (see
+    // Platform-scale row: u ≥ WINNER_TREE_MIN_UPS puts the greedy rounds
+    // on the persistent lane trees and the engine on its change-fed
+    // passes, so this cell pins delta-patched ≡ rebuilt (the AoS
+    // reference sends no delta and rescans everything). Few slots keep the
+    // debug grid affordable; the debug oracles sample at this size (see
     // `exhaustive_debug_checks`), so the bit-identity check here is the
     // full-platform one.
-    Cell {
-        p: 16_384,
-        m: 2_048,
-        iterations: 1,
-        max_slots: 12,
-        seeds: &[41],
-    },
+    LARGE,
 ];
 
 #[test]
@@ -400,5 +406,184 @@ fn capped_runs_leave_no_stale_dirty_bits_across_arena_resizes() {
     assert!(
         capped >= 6,
         "only {capped} capped runs — the caps are too loose to leave dirty state"
+    );
+}
+
+/// The heuristics the lane rows run: one greedy family per objective,
+/// with and without the Equation-(2) correction — they consume deltas —
+/// plus one random family, which must ignore them.
+const LANE_KINDS: [HeuristicKind; 5] = [
+    HeuristicKind::EmctStar,
+    HeuristicKind::Mct,
+    HeuristicKind::LwStar,
+    HeuristicKind::Ud,
+    HeuristicKind::Random2w,
+];
+
+#[test]
+fn capped_and_two_app_platform_scale_rows_match_the_aos_reference() {
+    // Demand-driven rounds send no delta and narrow the candidates to the
+    // workers with room; the pool and replica lanes keep accumulating
+    // changes across them. Two-application rounds run the replica lane
+    // once per application per slot. Both must stay bit-identical to the
+    // reference, which rebuilds everything every round.
+    let cell = &LARGE;
+    let seed = cell.seeds[0];
+    let platform = platform(cell.p, cell.p / 10, seed);
+    let app = AppConfig {
+        tasks_per_iteration: cell.m,
+        iterations: cell.iterations,
+        t_prog: 10,
+        t_data: 2,
+    };
+    let half = AppConfig {
+        tasks_per_iteration: cell.m / 2,
+        ..app
+    };
+    let specs = [AppSpec::rigid(half), AppSpec::rigid(half)];
+    // More tasks than workers: the capped pool round engages from the
+    // first slot, so it runs on the scratch tree with a room column.
+    let flood = AppConfig {
+        tasks_per_iteration: cell.p + cell.p / 2,
+        ..app
+    };
+    let mut runs = 0usize;
+    let mut engaged = 0u64;
+    for replication in [false, true] {
+        for kind in LANE_KINDS {
+            // A few slots suffice: the cap engages from the first one.
+            let capped = SimOptions {
+                max_slots: 4,
+                replication,
+                max_extra_replicas: 2,
+                record_timeline: false,
+                placement_budget: PlacementBudget::BindCapacity,
+            };
+            let mut sim: Simulation = Simulation::new_seeded(
+                &platform,
+                &flood,
+                kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
+                SeedPath::root(seed),
+                capped,
+            )
+            .unwrap();
+            while !sim.is_done() {
+                sim.step();
+            }
+            engaged += sim.cap_engagements();
+            let soa = sim.into_report();
+            let aos = ReferenceSimulation::run_seeded_in(
+                &platform,
+                &flood,
+                kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
+                SeedPath::root(seed),
+                capped,
+            )
+            .unwrap();
+            assert_eq!(
+                soa, aos,
+                "capped divergence: replication={replication} {kind}"
+            );
+            let options = SimOptions {
+                max_slots: cell.max_slots,
+                placement_budget: PlacementBudget::Uncapped,
+                ..capped
+            };
+            let soa = Simulation::run_multi_seeded(
+                &platform,
+                &specs,
+                SharePolicy::default(),
+                kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
+                SeedPath::root(seed),
+                options,
+            )
+            .unwrap();
+            let aos = ReferenceSimulation::run_multi_seeded_in(
+                &platform,
+                &specs,
+                SharePolicy::default(),
+                kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
+                SeedPath::root(seed),
+                options,
+            )
+            .unwrap();
+            assert_eq!(
+                soa, aos,
+                "two-app divergence: replication={replication} {kind}"
+            );
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 2 * LANE_KINDS.len(), "row shape drifted");
+    assert!(engaged > 0, "the capped rows never engaged the cap");
+}
+
+#[test]
+fn warmed_arena_does_not_carry_lanes_across_same_size_platforms() {
+    // Two different platforms of the same size back to back through one
+    // arena: every buffer the lanes hang off (snapshot, free mask, pending
+    // change sets, sequence numbers) has the right length for the second
+    // platform, so only the run-start invalidation keeps the first
+    // platform's lane state out of it. A small application finishes within
+    // the cap, so each warm run's makespan is a real trajectory signal; it
+    // must match cold engines of both layouts, whose full reports must
+    // match each other.
+    let p = LARGE.p;
+    let mut arena = SimArena::new();
+    let mut finished = 0usize;
+    for (round, seed) in [41u64, 42, 41].into_iter().enumerate() {
+        let platform = platform(p, p / 10, seed);
+        let app = AppConfig {
+            tasks_per_iteration: 48,
+            iterations: 2,
+            t_prog: 10,
+            t_data: 2,
+        };
+        let options = SimOptions {
+            max_slots: 2_000,
+            replication: true,
+            max_extra_replicas: 2,
+            record_timeline: false,
+            placement_budget: PlacementBudget::Uncapped,
+        };
+        for kind in [HeuristicKind::EmctStar, HeuristicKind::Lw] {
+            let warm = arena
+                .run_seeded(
+                    &platform,
+                    &app,
+                    kind.build(SeedPath::root(seed).rng()),
+                    SeedPath::root(seed + 1),
+                    options,
+                )
+                .unwrap();
+            let cold = Simulation::run_seeded(
+                &platform,
+                &app,
+                kind.build(SeedPath::root(seed).rng()),
+                SeedPath::root(seed + 1),
+                options,
+            )
+            .unwrap();
+            let reference = ReferenceSimulation::run_seeded_in(
+                &platform,
+                &app,
+                kind.build(SeedPath::root(seed).rng()),
+                SeedPath::root(seed + 1),
+                options,
+            )
+            .unwrap();
+            assert_eq!(warm.makespan, cold.makespan, "round {round} {kind}");
+            assert_eq!(warm.slots_run, cold.slots_run, "round {round} {kind}");
+            assert_eq!(
+                warm.completed_iterations, cold.completed_iterations,
+                "round {round} {kind}"
+            );
+            assert_eq!(cold, reference, "round {round} {kind}: layout divergence");
+            finished += usize::from(warm.finished());
+        }
+    }
+    assert_eq!(
+        finished, 6,
+        "every run must finish for its makespan to count"
     );
 }
