@@ -34,10 +34,10 @@
 //! `absent_key` that sorts after every candidate — so it can outlive the
 //! round: the greedy scheduler keeps one per placement lane and, when the
 //! view carries a [`ViewDelta`](crate::view::ViewDelta), patches only the
-//! processors that changed since the lane's previous round. Each node holds
-//! the minimum key of its subtree, so any leaf — not just the winner's —
-//! can be re-keyed with one leaf-to-root walk, which stops as soon as a
-//! node's minimum is unchanged.
+//! processors that changed since the lane's previous round. Leaves sit in
+//! buckets of eight under a tree whose nodes hold the minimum key of their
+//! subtree, so any leaf — not just the winner's — can be re-keyed with one
+//! bucket scan and a walk up that stops as soon as a minimum is unchanged.
 //!
 //! ## Exactness
 //!

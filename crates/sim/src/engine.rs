@@ -1654,23 +1654,32 @@ impl<S: WorkerStore> Simulation<S> {
     /// it.
     #[inline]
     fn fresh_snapshot(workers: &S, app: CommParams, q: usize) -> ProcSnapshot {
-        let state = workers.state(q);
+        let (state, has_program, delay) = Self::slot_fields(workers, app, q);
         ProcSnapshot {
             // q < u32::MAX: PlatformConfig::validate bounds the platform
             // by MAX_PROCESSORS at construction.
             id: ProcessorId(q as u32),
             state,
             w: workers.w(q),
-            has_program: workers.has_program(q, app.t_prog),
-            // Schedulers only place on (and only read the delay of) UP
-            // processors, so the pipeline walk is skipped for the rest
-            // (see NON_UP_DELAY).
-            delay: if state == ProcState::Up {
-                workers.delay_estimate(q, app.t_prog, app.t_data)
-            } else {
-                NON_UP_DELAY
-            },
+            has_program,
+            delay,
         }
+    }
+
+    /// The slot-varying snapshot fields of worker `q` — state, program
+    /// possession, `Delay(q)`; `id` and `w` are per-run constants.
+    #[inline]
+    fn slot_fields(workers: &S, app: CommParams, q: usize) -> (ProcState, bool, SlotSpan) {
+        let state = workers.state(q);
+        // Schedulers only place on (and only read the delay of) UP
+        // processors, so the pipeline walk is skipped for the rest (see
+        // NON_UP_DELAY).
+        let delay = if state == ProcState::Up {
+            workers.delay_estimate(q, app.t_prog, app.t_data)
+        } else {
+            NON_UP_DELAY
+        };
+        (state, workers.has_program(q, app.t_prog), delay)
     }
 
     /// Brings everything a scheduler view borrows up to date for the
@@ -1714,15 +1723,8 @@ impl<S: WorkerStore> Simulation<S> {
                         let bit = word.trailing_zeros();
                         word &= word - 1;
                         let q = wi * 64 + bit as usize;
-                        // `id` and `w` are per-run constants: only the
-                        // slot-varying fields are patched.
-                        let state = workers.state(q);
+                        let (state, has_program, delay) = Self::slot_fields(workers, app, q);
                         let up_now = state == ProcState::Up;
-                        let delay = if up_now {
-                            workers.delay_estimate(q, app.t_prog, app.t_data)
-                        } else {
-                            NON_UP_DELAY
-                        };
                         let f = up_now && workers.is_idle(q);
                         let snap = &mut procs[q];
                         // A lane hears about a worker only if its candidacy
@@ -1736,7 +1738,7 @@ impl<S: WorkerStore> Simulation<S> {
                         lane_bits[Lane::Pool.index()][wi] |= u64::from(pool) << bit;
                         lane_bits[Lane::Replica.index()][wi] |= u64::from(replica) << bit;
                         snap.state = state;
-                        snap.has_program = workers.has_program(q, app.t_prog);
+                        snap.has_program = has_program;
                         snap.delay = delay;
                         *free_total = *free_total + usize::from(f) - usize::from(free[q]);
                         free[q] = f;
