@@ -1,8 +1,11 @@
 //! Per-placement cost of the argmin selectors, head to head — the
-//! measurement behind `SelectorKind::choose`'s crossover thresholds
-//! (including the `WINNER_TREE_MIN_UPS` loser/winner-tree boundary). The
-//! views carry no delta, so winner-tree cells measure its full `O(p)`
-//! rebuild per round — the cost a lane patch avoids.
+//! measurement behind `SelectorKind::choose`'s crossover thresholds and
+//! the `WINNER_TREE_MIN_UPS` lane threshold. The winner tree only serves
+//! rounds announced as lane rounds, so its cells hand every round a pool
+//! lane `ViewDelta`: `winner_tree` skips a sequence number each round,
+//! forcing the full `O(p)` lane rebuild a delta-less round would need,
+//! while `winner_lane` announces the next sequence number with nothing
+//! changed, so the lane only restores the previous round's winners.
 //!
 //! For a grid of `(u, count)` cells (UP candidates × placements per
 //! round), an `EMCT*` scheduler pinned to each selector replays the same
@@ -17,18 +20,26 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use vg_bench::sample_chain;
 use vg_core::greedy::{GreedyObjective, GreedyScheduler};
-use vg_core::{OwnedSchedView, SchedViewBuilder, Scheduler, SelectorKind};
+use vg_core::{
+    Lane, OwnedSchedView, SchedView, SchedViewBuilder, Scheduler, SelectorKind, ViewDelta,
+};
 use vg_markov::ProcState;
 use vg_platform::ProcessorId;
 
-/// A paper-style view with `u` UP processors (heterogeneous speeds and
-/// chains, a few distinct delays so rounds exercise real ties and
-/// re-orderings).
-fn view(u: usize) -> OwnedSchedView {
-    let mut b = SchedViewBuilder::new(10, 2, (u / 10).max(2));
-    for i in 0..u {
+/// A paper-style view of `p` processors, `u` of them UP and spread evenly
+/// (every `p / u`-th; the rest RECLAIMED), with heterogeneous speeds and
+/// chains and a few distinct delays so rounds exercise real ties and
+/// re-orderings.
+fn view(p: usize, u: usize) -> OwnedSchedView {
+    let stride = p / u;
+    let mut b = SchedViewBuilder::new(10, 2, (p / 10).max(2));
+    for i in 0..p {
         b = b.proc(
-            ProcState::Up,
+            if i % stride == 0 {
+                ProcState::Up
+            } else {
+                ProcState::Reclaimed
+            },
             2 + (i as u64 * 7) % 19,
             i % 5 != 0,
             (i as u64 * 3) % 11,
@@ -39,17 +50,35 @@ fn view(u: usize) -> OwnedSchedView {
 }
 
 struct Cell {
+    p: usize,
     u: usize,
     count: usize,
     selector: &'static str,
     ns_per_placement: f64,
 }
 
+/// The view of round `round`: lane cells announce it as a pool-lane round
+/// whose sequence number advances by `seq_step` (1 keeps the lane in sync,
+/// 2 leaves a gap that forces a rebuild); other cells send no delta.
+fn round_view(owned: &OwnedSchedView, seq_step: Option<u64>, round: u64) -> SchedView<'_> {
+    SchedView {
+        delta: seq_step.map(|step| ViewDelta {
+            lane: Lane::Pool,
+            seq: step * round,
+            changed: &[],
+        }),
+        ..owned.view()
+    }
+}
+
+#[allow(clippy::too_many_arguments)] // one bench cell's parameters
 fn run_cell(
     owned: &OwnedSchedView,
     u: usize,
     count: usize,
+    selector: &'static str,
     kind: Option<SelectorKind>,
+    seq_step: Option<u64>,
     rounds: usize,
     expected: &[ProcessorId],
 ) -> Cell {
@@ -59,23 +88,21 @@ fn run_cell(
     // Warm the scratch (and verify the decisions once, outside the timed
     // window): every selector must reproduce the same placement sequence.
     out.clear();
-    sched.place_into(&owned.view(), count, &mut out);
+    sched.place_into(&round_view(owned, seq_step, 0), count, &mut out);
     assert_eq!(out, expected, "selector diverged: u={u} count={count}");
+    let p = owned.view().p();
     let start = Instant::now();
-    for _ in 0..rounds {
+    for round in 1..=rounds {
         out.clear();
-        sched.place_into(&owned.view(), count, &mut out);
+        sched.place_into(&round_view(owned, seq_step, round as u64), count, &mut out);
     }
     let seconds = start.elapsed().as_secs_f64();
+    assert_eq!(out, expected, "selector diverged: u={u} count={count}");
     Cell {
+        p,
         u,
         count,
-        selector: match kind {
-            None => "policy",
-            Some(SelectorKind::Linear) => "linear",
-            Some(SelectorKind::LoserTree) => "loser_tree",
-            Some(SelectorKind::WinnerTree) => "winner_tree",
-        },
+        selector,
         ns_per_placement: seconds * 1e9 / (rounds * count) as f64,
     }
 }
@@ -83,20 +110,25 @@ fn run_cell(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     // u = 1000 keeps a non-power-of-two tournament in the measured set.
-    let grid: &[(usize, &[usize])] = &[
-        (64, &[16, 128]),
-        (256, &[16, 64, 512]),
-        (1000, &[8, 64, 2000]),
-        (1024, &[8, 64, 256, 2048]),
-        // The winner-tree band: at and above WINNER_TREE_MIN_UPS the
-        // policy picks the full-platform winner tree; these cells measure
-        // the crossover directly (loser vs winner tree at identical u).
-        (16_384, &[64, 1024]),
-        (65_536, &[256]),
+    // (p, u, counts): every processor UP unless p > u.
+    let grid: &[(usize, usize, &[usize])] = &[
+        (64, 64, &[16, 128]),
+        (256, 256, &[16, 64, 512]),
+        (1000, 1000, &[8, 64, 2000]),
+        (1024, 1024, &[8, 64, 256, 2048]),
+        // The lane band: at and above WINNER_TREE_MIN_UPS a lane round
+        // builds the full-platform winner tree; these cells compare its
+        // rebuild and its in-sync cost with the loser tree at identical u.
+        (16_384, 16_384, &[64, 1024]),
+        (65_536, 65_536, &[256]),
+        // A quarter of the platform UP, as in a capped or multi-app round
+        // at platform scale: the winner tree's rebuild still spans all p
+        // leaves, the loser tree's only the u candidates.
+        (65_536, 16_384, &[256, 1024]),
     ];
     let mut cells = Vec::new();
-    for &(u, counts) in grid {
-        let owned = view(u);
+    for &(p, u, counts) in grid {
+        let owned = view(p, u);
         for &count in counts {
             // Aim for a few tens of milliseconds per cell.
             let budget: usize = if quick { 2_000_000 } else { 20_000_000 };
@@ -104,16 +136,19 @@ fn main() {
             let mut reference = GreedyScheduler::new(GreedyObjective::Emct, true, "EMCT*");
             reference.force_selector(Some(SelectorKind::Linear));
             let expected = reference.place(&owned.view(), count);
-            for kind in [
-                Some(SelectorKind::Linear),
-                Some(SelectorKind::LoserTree),
-                Some(SelectorKind::WinnerTree),
-                None,
+            for (selector, kind, seq_step) in [
+                ("linear", Some(SelectorKind::Linear), None),
+                ("loser_tree", Some(SelectorKind::LoserTree), None),
+                ("winner_tree", Some(SelectorKind::WinnerTree), Some(2)),
+                ("winner_lane", Some(SelectorKind::WinnerTree), Some(1)),
+                ("policy", None, None),
             ] {
-                let cell = run_cell(&owned, u, count, kind, rounds, &expected);
+                let cell = run_cell(
+                    &owned, u, count, selector, kind, seq_step, rounds, &expected,
+                );
                 println!(
-                    "selector u={:<5} count={:<5} {:<10} {:>8.1} ns/placement",
-                    cell.u, cell.count, cell.selector, cell.ns_per_placement
+                    "selector p={:<5} u={:<5} count={:<5} {:<11} {:>8.1} ns/placement",
+                    cell.p, cell.u, cell.count, cell.selector, cell.ns_per_placement
                 );
                 cells.push(cell);
             }
@@ -124,7 +159,8 @@ fn main() {
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"u\": {}, \"count\": {}, \"selector\": \"{}\", \"ns_per_placement\": {:.2}}}{}",
+            "    {{\"p\": {}, \"u\": {}, \"count\": {}, \"selector\": \"{}\", \"ns_per_placement\": {:.2}}}{}",
+            c.p,
             c.u,
             c.count,
             c.selector,

@@ -45,23 +45,25 @@
 //!
 //! ## Persistent lanes at platform scale
 //!
-//! From [`WINNER_TREE_MIN_UPS`]
-//! candidates up, a round runs on a `WinnerTree` spanning all `p`
-//! processors, whose leaves hold each processor's **base key** — its
-//! `n_q = 0`, factor-1 score, or an absent key for a non-candidate. The
-//! scheduler keeps one tree per placement [`Lane`] across rounds. When the
-//! view carries a [`ViewDelta`] whose sequence
-//! number follows the lane's last one, the round re-keys only the
-//! processors the delta names plus the previous round's winners (whose
-//! leaves it left at `n_q > 0`), then places as usual; its own winners are
-//! remembered for the next round. Everything else — no delta, a sequence
-//! gap, a [`Scheduler::begin_run`], a platform-size change, or a previous round
-//! that did an Equation-(2) refresh (which moves every leaf) — rebuilds
-//! the lane from the full view in `O(p)`. Views without a delta use a
-//! scratch tree that is rebuilt every round. Either way the tree holds the
-//! exact keys a fresh round would compute, so decisions are bit-identical;
-//! debug builds re-derive a rotating sample of leaves after every patch,
-//! and the lane proptest below pins patched against fresh schedulers.
+//! A round whose view carries a [`ViewDelta`] can run on a `WinnerTree`
+//! spanning all `p` processors, whose leaves hold each processor's **base
+//! key** — its `n_q = 0`, factor-1 score, or an absent key for a
+//! non-candidate. The scheduler keeps one tree per placement [`Lane`]
+//! across rounds and uses it once the lane is in sync, or from
+//! [`WINNER_TREE_MIN_UPS`] candidates up. When the delta's sequence number
+//! follows the lane's last one, the round re-keys only the processors the
+//! delta names plus the previous round's winners (whose leaves it left at
+//! `n_q > 0`), then places as usual; its own winners are remembered for
+//! the next round. A sequence gap, a [`Scheduler::begin_run`], a
+//! platform-size change, or a previous round that did an Equation-(2)
+//! refresh (which moves every leaf) rebuilds the lane from the full view
+//! in `O(p)`. Rounds without a delta follow [`SelectorKind::choose`]. The
+//! tree holds the exact keys a fresh round would compute, so decisions are
+//! bit-identical; debug builds re-derive a rotating sample of leaves after
+//! every patch, and the lane proptest below pins patched against fresh
+//! schedulers. The placement loop itself is shared with the per-round
+//! selectors: it addresses candidates by selector slot, which the winner
+//! tree maps to processor ids one to one.
 //!
 //! Scores are **monotone non-decreasing within a round** — every mutation
 //! (pipelining another task onto a processor, inflating effective `T_data`
@@ -110,8 +112,7 @@
 
 use crate::ct::{completion_time, effective_t_data};
 use crate::selector::{
-    absent_key, is_absent, key_id, packed_key, LoserTree, Selector, SelectorKind, WinnerTree,
-    WINNER_TREE_MIN_UPS,
+    absent_key, packed_key, LoserTree, Selector, SelectorKind, WinnerTree, WINNER_TREE_MIN_UPS,
 };
 use crate::traits::Scheduler;
 use crate::view::{Lane, SchedView, ViewDelta};
@@ -153,24 +154,21 @@ pub struct GreedyScheduler {
     name: &'static str,
     /// Scratch: UP processor indices of the current call.
     ups: Vec<usize>,
-    /// Scratch: per-candidate task count `n_q` of the current round
-    /// (parallel to `ups`). The round's only dense per-candidate state —
-    /// score inputs are re-read from the view/kernels at the few positions
-    /// that are actually re-scored ([`HotRow`] is built transiently
-    /// there), so the initial fill writes 4 bytes per candidate instead
-    /// of a full row.
+    /// Scratch: task count `n_q` per selector slot of the current round —
+    /// candidate positions, or processor ids on a lane tree. All zero
+    /// between rounds: each round clears exactly the slots it enrolled.
+    /// The round's only dense per-candidate state — score inputs are
+    /// re-read from the view/kernels at the few slots that are actually
+    /// re-scored ([`HotRow`] is built transiently there).
     counts: Vec<u32>,
+    /// Scratch: the slots the current round enrolled, in enrollment order.
+    enrolled: Vec<u32>,
     /// Scratch: cached score of each UP processor (parallel to `ups`).
     scores: Vec<f64>,
     /// Scratch: the loser-tree selector's tournament storage.
     tree: LoserTree,
-    /// Winner trees of the platform-scale regime: one persistent tree per
-    /// [`Lane`] (index [`Lane::index`]), plus the scratch tree of
-    /// delta-less rounds at [`SCRATCH_TREE`].
-    lanes: [TreeLane; Lane::COUNT + 1],
-    /// Per-processor task count `n_q` of the current winner-tree round;
-    /// all zero between rounds (each round clears its winners' entries).
-    tree_counts: Vec<u32>,
+    /// One persistent winner tree per [`Lane`] (index [`Lane::index`]).
+    lanes: [TreeLane; Lane::COUNT],
     /// Scratch: a lane patch's re-keyed `(processor, key)` batch.
     batch: Vec<(u32, u128)>,
     /// Scratch: the level frontier of a batched tree update.
@@ -211,10 +209,10 @@ impl GreedyScheduler {
             name,
             ups: Vec::new(),
             counts: Vec::new(),
+            enrolled: Vec::new(),
             scores: Vec::new(),
             tree: LoserTree::default(),
             lanes: Default::default(),
-            tree_counts: Vec::new(),
             batch: Vec::new(),
             frontier: Vec::new(),
             force_selector: None,
@@ -226,8 +224,10 @@ impl GreedyScheduler {
 
     /// Pins every selection to `kind` (`None` restores the size-threshold
     /// policy), so differential tests can exercise any selector on small
-    /// hand-built views. Decisions are identical for every kind; only the
-    /// access pattern changes.
+    /// hand-built views. The winner tree lives in the view's lane, so
+    /// pinning it only reaches rounds whose view carries a [`ViewDelta`];
+    /// rounds without one then use the loser tree. Decisions are identical
+    /// for every kind; only the access pattern changes.
     #[doc(hidden)]
     pub fn force_selector(&mut self, kind: Option<SelectorKind>) {
         self.force_selector = kind;
@@ -380,10 +380,6 @@ impl GreedyScheduler {
         s
     }
 }
-
-/// Index of the scratch winner tree in `GreedyScheduler::lanes`: the tree
-/// of rounds whose view carries no delta, rebuilt every round.
-const SCRATCH_TREE: usize = Lane::COUNT;
 
 /// One winner tree and what the scheduler knows about it (see the module
 /// docs on persistent lanes).
@@ -606,24 +602,69 @@ impl Scheduler for GreedyScheduler {
             // through the `force_selector` hook). A lane round skips the
             // per-round trade-off: a synced lane tree costs nothing to use,
             // and rebuilding a large lane amortizes over its later rounds.
-            let lane_tree = synced || (delta.is_some() && u >= WINNER_TREE_MIN_UPS);
-            let kind = self.force_selector.unwrap_or(if lane_tree {
-                SelectorKind::WinnerTree
-            } else {
-                SelectorKind::choose(u, count)
-            });
-            if kind == SelectorKind::WinnerTree {
-                let slot = delta.map_or(SCRATCH_TREE, |d| d.lane.index());
-                if !synced {
-                    self.rebuild_lane(&mut memo, factors, view, slot, &ups);
-                    self.lanes[slot].seq = delta.map(|d| d.seq);
+            // The winner tree needs a lane, so rounds without a delta never
+            // get it.
+            let kind = match (self.force_selector, delta) {
+                (Some(SelectorKind::WinnerTree), None) => SelectorKind::LoserTree,
+                (Some(kind), _) => kind,
+                (None, Some(_)) if synced || u >= WINNER_TREE_MIN_UPS => SelectorKind::WinnerTree,
+                (None, _) => SelectorKind::choose(u, count),
+            };
+            match (kind, delta) {
+                (SelectorKind::WinnerTree, Some(d)) => {
+                    let mut lane = std::mem::take(&mut self.lanes[d.lane.index()]);
+                    if !synced {
+                        self.rebuild_lane(&mut memo, factors, view, &mut lane, &ups);
+                        lane.seq = Some(d.seq);
+                    }
+                    let mut selector = Selector::Winner(std::mem::take(&mut lane.tree));
+                    let refreshed =
+                        self.place_round(&mut memo, factors, view, None, &mut selector, count, out);
+                    if let Selector::Winner(tree) = selector {
+                        lane.tree = tree;
+                    }
+                    lane.touched.clear();
+                    if refreshed {
+                        // Every candidate leaf moved off its base key:
+                        // restoring them one by one would cost more than
+                        // the rebuild the next round does instead.
+                        lane.seq = None;
+                    } else {
+                        lane.touched.extend_from_slice(&self.enrolled);
+                    }
+                    self.lanes[d.lane.index()] = lane;
                 }
-                self.place_on_tree(&mut memo, factors, view, slot, count, out);
-            } else {
-                if synced {
-                    view.up_indices_into(&mut ups);
+                _ => {
+                    if synced {
+                        view.up_indices_into(&mut ups);
+                    }
+                    // Initial-row fill: every candidate at its base score.
+                    let mut scores = std::mem::take(&mut self.scores);
+                    scores.clear();
+                    for &i in &ups {
+                        scores.push(self.base_score(&mut memo, factors, view, i));
+                    }
+                    let mut selector = if kind == SelectorKind::Linear {
+                        Selector::Linear
+                    } else {
+                        let mut tree = std::mem::take(&mut self.tree);
+                        tree.rebuild(&scores);
+                        Selector::Loser(tree)
+                    };
+                    self.scores = scores;
+                    self.place_round(
+                        &mut memo,
+                        factors,
+                        view,
+                        Some(&ups),
+                        &mut selector,
+                        count,
+                        out,
+                    );
+                    if let Selector::Loser(tree) = selector {
+                        self.tree = tree;
+                    }
                 }
-                self.place_on_list(&mut memo, factors, view, &ups, kind, count, out);
             }
         }
         self.memo = memo;
@@ -639,26 +680,29 @@ impl GreedyScheduler {
         }
     }
 
-    /// Base key of candidate `i`: its `n_q = 0` score at Equation-(2)
-    /// factor 1 (every candidate is unenrolled with `n_active = 0` when a
-    /// round starts, so the first placement sees `n_active_incl = 1`), or
-    /// `+inf` when a demand-driven round gives it no room.
+    /// Base score of candidate `i`: its `n_q = 0` score at Equation-(2)
+    /// factor 1 — every candidate is unenrolled with `n_active = 0` when a
+    /// round starts, so the first placement sees `n_active_incl = 1` and the
+    /// whole row shares one effective `T_data`, with no per-candidate
+    /// ceiling arithmetic and no dense row materialization (the transient
+    /// row lives in registers). A demand-driven round marks a candidate
+    /// without room unselectable up front: `+inf` sorts after every finite
+    /// score in each selector, and the memo is not consulted for a row that
+    /// can never win.
     #[inline]
-    fn base_key(
+    fn base_score(
         &self,
         memo: &mut [ChainScoreMemo],
         factors: usize,
         view: &SchedView<'_>,
         i: usize,
-    ) -> u128 {
-        let s = if view.room.is_some_and(|r| r[i] == 0) {
+    ) -> f64 {
+        if view.room.is_some_and(|r| r[i] == 0) {
             f64::INFINITY
         } else {
             let row = self.hot_row(view, i, 0);
             self.memo_score(memo, factors, view, i, &row, (1, view.t_data))
-        };
-        // i < u32::MAX: views index processors by u32 ids.
-        packed_key(s, i as u32)
+        }
     }
 
     /// Brings lane `delta.lane` up to `view` by re-keying only the
@@ -711,7 +755,7 @@ impl GreedyScheduler {
         for &q in list {
             let i = q as usize;
             let key = if view.is_candidate(i) {
-                self.base_key(memo, factors, view, i)
+                packed_key(self.base_score(memo, factors, view, i), q)
             } else {
                 absent_key(q)
             };
@@ -747,7 +791,7 @@ impl GreedyScheduler {
             } else {
                 absent_key(j as u32)
             };
-            cands += usize::from(!is_absent(expect));
+            cands += usize::from(!crate::selector::is_absent(expect));
             debug_assert_eq!(
                 lane.tree.leaf(j),
                 expect,
@@ -759,201 +803,121 @@ impl GreedyScheduler {
         }
     }
 
-    /// Rebuilds winner tree `slot` from the full view: absent keys
-    /// everywhere, base keys at the round's candidates `ups`.
+    /// Rebuilds `lane`'s tree from the full view: absent keys everywhere,
+    /// base keys at the round's candidates `ups`.
     fn rebuild_lane(
-        &mut self,
+        &self,
         memo: &mut [ChainScoreMemo],
         factors: usize,
         view: &SchedView<'_>,
-        slot: usize,
+        lane: &mut TreeLane,
         ups: &[usize],
     ) {
-        let mut lane = std::mem::take(&mut self.lanes[slot]);
         lane.tree.reset_absent(view.p());
         for &i in ups {
-            let key = self.base_key(memo, factors, view, i);
+            // i < u32::MAX: views index processors by u32 ids.
+            let key = packed_key(self.base_score(memo, factors, view, i), i as u32);
             lane.tree.set_leaf(i, key);
         }
         lane.tree.fix_up();
         lane.cands = ups.len();
         lane.touched.clear();
-        self.lanes[slot] = lane;
     }
 
-    /// The placement loop on winner tree `slot`, whose leaves hold the
-    /// view's base keys. Mirrors [`Self::place_on_list`] decision for
-    /// decision: the tree's `(score, id)` order is the list selectors'
-    /// `(score, position)` order over the ascending-id candidate list.
-    fn place_on_tree(
+    /// The greedy placement loop, shared by every selector. `selector`
+    /// holds each candidate's base score on entry (in `self.scores` for the
+    /// list selectors); `map` turns a selector slot into a processor index
+    /// — the round's candidate list for the list selectors, `None` for the
+    /// winner tree, whose slots are processor ids. Records the enrolled
+    /// slots in `self.enrolled` and returns whether an Equation-(2) refresh
+    /// re-priced every candidate.
+    #[allow(clippy::too_many_arguments)] // private round body shared by place_into
+    fn place_round(
         &mut self,
         memo: &mut [ChainScoreMemo],
         factors: usize,
         view: &SchedView<'_>,
-        slot: usize,
+        map: Option<&[usize]>,
+        selector: &mut Selector,
         count: usize,
         out: &mut Vec<ProcessorId>,
-    ) {
-        let mut lane = std::mem::take(&mut self.lanes[slot]);
-        let mut counts = std::mem::take(&mut self.tree_counts);
-        if counts.len() != view.p() {
-            counts.clear();
-            counts.resize(view.p(), 0);
+    ) -> bool {
+        let proc_of = |j: usize| map.map_or(j, |m| m[j]);
+        let mut counts = std::mem::take(&mut self.counts);
+        let mut scores = std::mem::take(&mut self.scores);
+        let mut enrolled = std::mem::take(&mut self.enrolled);
+        enrolled.clear();
+        let slots = selector.slots(&scores);
+        if counts.len() < slots {
+            counts.resize(slots, 0);
         }
         let room = view.room;
         let mut ceiling = CeilingState::new(self.contention, view.t_data, view.ncom);
         let mut refreshed = false;
         for _ in 0..count {
-            let key = lane.tree.min_key();
-            if is_absent(key) {
-                // No candidate at all (a round only gets here with u > 0,
-                // and candidates never leave the tree mid-round).
-                debug_assert!(false, "winner-tree round without a candidate");
-                break;
-            }
-            let best = key_id(key);
-            let newly_enrolled = counts[best] == 0;
-            counts[best] += 1;
+            // Slots follow processor-id order, so every selector's
+            // `(score, slot)` key order reproduces the linear scan's
+            // strict-`<` lowest-id tie-break.
+            let j = selector.select(&scores);
+            let best = proc_of(j);
+            let newly_enrolled = counts[j] == 0;
+            counts[j] += 1;
             if newly_enrolled {
-                // best < p ≤ u32::MAX.
-                lane.touched.push(best as u32);
+                // j < slots ≤ u32::MAX.
+                enrolled.push(j as u32);
             }
-            out.push(view.procs[best].id);
-            if newly_enrolled && ceiling.enroll() {
-                // Equation (2) ceiling step: re-price every candidate leaf
-                // in one dense pass, then rebuild the minima bottom-up.
-                for (j, &n_q) in counts.iter().enumerate() {
-                    if is_absent(lane.tree.leaf(j)) {
-                        continue;
-                    }
-                    let s = if spent(room, j, n_q) {
-                        f64::INFINITY
-                    } else {
-                        let (factor, eff) = ceiling.price(n_q as usize);
-                        let row = self.hot_row(view, j, n_q);
-                        self.memo_score(memo, factors, view, j, &row, (factor, eff))
-                    };
-                    lane.tree.set_leaf(j, packed_key(s, j as u32));
-                }
-                lane.tree.fix_up();
-                refreshed = true;
-            } else if spent(room, best, counts[best]) {
-                lane.tree
-                    .update(best, packed_key(f64::INFINITY, best as u32));
-            } else {
-                let row = self.hot_row(view, best, counts[best]);
-                let s = self.score_checked(view, best, &row, ceiling.eff_enrolled);
-                lane.tree.update(best, packed_key(s, best as u32));
-            }
-        }
-        for &q in &lane.touched {
-            counts[q as usize] = 0;
-        }
-        if refreshed {
-            // Every candidate leaf moved off its base key: restoring them
-            // one by one would cost more than the rebuild the next round
-            // does instead.
-            lane.seq = None;
-            lane.touched.clear();
-        }
-        self.tree_counts = counts;
-        self.lanes[slot] = lane;
-    }
-
-    /// The per-round placement loop over the candidate list `ups` (linear
-    /// scan or loser tree, by `kind`).
-    #[allow(clippy::too_many_arguments)] // private round body shared by place_into
-    fn place_on_list(
-        &mut self,
-        memo: &mut [ChainScoreMemo],
-        factors: usize,
-        view: &SchedView<'_>,
-        ups: &[usize],
-        kind: SelectorKind,
-        count: usize,
-        out: &mut Vec<ProcessorId>,
-    ) {
-        // Per-round bookkeeping: one task count per candidate (by
-        // position), the Equation-(2) ceiling state (n_active and the
-        // incrementally maintained factors), and the cached score of each
-        // candidate.
-        let mut counts = std::mem::take(&mut self.counts);
-        counts.clear();
-        counts.resize(ups.len(), 0u32);
-        let mut scores = std::mem::take(&mut self.scores);
-        scores.clear();
-        // Initial-row fill: every candidate is unenrolled and n_active is
-        // 0, so each sees n_active_incl = 1 and the Equation-(2) factor is
-        // identically 1 — one constant effective T_data for the whole row,
-        // no per-candidate ceiling arithmetic, and no dense row
-        // materialization (the transient row lives in registers).
-        // Room-constrained rounds (demand-driven placement) mark an
-        // already-full candidate unselectable up front: +inf sorts after
-        // every finite score in each selector, and the memo is not
-        // consulted for a row that can never win.
-        let room = view.room;
-        for &i in ups {
-            scores.push(if room.is_some_and(|r| r[i] == 0) {
-                f64::INFINITY
-            } else {
-                let row = self.hot_row(view, i, 0);
-                self.memo_score(memo, factors, view, i, &row, (1, view.t_data))
-            });
-        }
-        // Positions index `ups`, which is in ascending id order, so every
-        // selector's `(score, pos)` key order reproduces the linear scan's
-        // strict-`<` lowest-id tie-break.
-        let mut selector = Selector::build(kind != SelectorKind::Linear, &scores, &mut self.tree);
-        let mut ceiling = CeilingState::new(self.contention, view.t_data, view.ncom);
-        for _ in 0..count {
-            let best_pos = selector.select(&scores);
-            let best = ups[best_pos];
-            let newly_enrolled = counts[best_pos] == 0;
-            counts[best_pos] += 1;
             out.push(view.procs[best].id);
             if newly_enrolled && ceiling.enroll() {
                 // Equation (2): the new enrollee bumped a ⌈n_active/ncom⌉
                 // ceiling, inflating effective T_data — a round-batched
-                // refresh re-prices the whole row in one dense pass,
+                // refresh re-prices every candidate in one dense pass,
                 // through the cross-slot memo (most candidates' (delay,
                 // n_q) keys repeat slot over slot, so the refresh is
                 // mostly single-compare hits), then rebuilds the selector
                 // bottom-up so each entry is touched exactly once.
-                for (pos, &i) in ups.iter().enumerate() {
-                    let n_q = counts[pos];
-                    if spent(room, i, n_q) {
-                        // A room-exhausted candidate must stay unselectable
-                        // through the dense re-price (the winner included —
-                        // this pick may just have spent its last copy).
-                        scores[pos] = f64::INFINITY;
+                for (k, &n_q) in counts[..slots].iter().enumerate() {
+                    if !selector.holds(k) {
                         continue;
                     }
-                    let (factor, eff) = ceiling.price(n_q as usize);
-                    let row = self.hot_row(view, i, n_q);
-                    scores[pos] = self.memo_score(memo, factors, view, i, &row, (factor, eff));
+                    let i = proc_of(k);
+                    // A room-exhausted candidate must stay unselectable
+                    // through the dense re-price (the winner included —
+                    // this pick may just have spent its last copy).
+                    let s = if spent(room, i, n_q) {
+                        f64::INFINITY
+                    } else {
+                        let (factor, eff) = ceiling.price(n_q as usize);
+                        let row = self.hot_row(view, i, n_q);
+                        self.memo_score(memo, factors, view, i, &row, (factor, eff))
+                    };
+                    selector.stage(k, s, &mut scores);
                 }
                 selector.refresh(&scores);
-            } else if spent(room, best, counts[best_pos]) {
-                // The winner spent its last bindable copy: retire it from
-                // the round instead of re-pricing it.
-                scores[best_pos] = f64::INFINITY;
-                selector.rescore_winner(best_pos, &scores);
+                refreshed = true;
             } else {
-                // Winner rescores bypass the memo: overwriting the winner's
-                // entry with a transient n_q would evict the refresh-keyed
-                // value the next slot's replay wants. The winner is
-                // enrolled by construction, so it prices at the enrolled
-                // factor — division-free, against its transient row.
-                let row = self.hot_row(view, best, counts[best_pos]);
-                let s = self.score_checked(view, best, &row, ceiling.eff_enrolled);
-                scores[best_pos] = s;
-                selector.rescore_winner(best_pos, &scores);
+                // A winner that spent its last bindable copy retires from
+                // the round instead of being re-priced. Otherwise winner
+                // rescores bypass the memo: overwriting the winner's entry
+                // with a transient n_q would evict the refresh-keyed value
+                // the next slot's replay wants. The winner is enrolled by
+                // construction, so it prices at the enrolled factor —
+                // division-free, against its transient row.
+                let s = if spent(room, best, counts[j]) {
+                    f64::INFINITY
+                } else {
+                    let row = self.hot_row(view, best, counts[j]);
+                    self.score_checked(view, best, &row, ceiling.eff_enrolled)
+                };
+                selector.rescore_winner(j, s, &mut scores);
             }
         }
-        // Return the backing storage to the persistent scratch.
-        selector.into_storage(&mut self.tree);
+        for &j in &enrolled {
+            counts[j as usize] = 0;
+        }
         self.counts = counts;
         self.scores = scores;
+        self.enrolled = enrolled;
+        refreshed
     }
 }
 
@@ -1242,9 +1206,22 @@ mod tests {
         (GreedyObjective::Ud, true),
     ];
 
+    /// `view` announced as pool-lane round `seq`, naming `changed` — how
+    /// tests reach the winner tree, which only serves rounds with a delta.
+    fn pool_round<'a>(view: SchedView<'a>, seq: u64, changed: &'a [u32]) -> SchedView<'a> {
+        SchedView {
+            delta: Some(ViewDelta {
+                lane: Lane::Pool,
+                seq,
+                changed,
+            }),
+            ..view
+        }
+    }
+
     mod argmin_property {
         use super::super::*;
-        use super::FAMILIES;
+        use super::{pool_round, FAMILIES};
         use crate::view::SchedViewBuilder;
         use proptest::prelude::*;
         use vg_markov::availability::AvailabilityChain;
@@ -1313,7 +1290,9 @@ mod tests {
             /// with their caches warm across rounds — must reproduce the
             /// stateless naive model's winners — and tie-break order — for
             /// every greedy family, including the `*` variants whose
-            /// Equation-(2) coupling invalidates neighbors mid-round.
+            /// Equation-(2) coupling invalidates neighbors mid-round. The
+            /// winner-tree scheduler sees each round as the next pool-lane
+            /// round naming every processor.
             #[test]
             fn all_selectors_match_naive_model(
                 ncom in 1usize..5,
@@ -1341,7 +1320,8 @@ mod tests {
                     for (s, _) in &mut pinned {
                         s.begin_run();
                     }
-                    for (count, delays, states) in &rounds {
+                    let all: Vec<u32> = (0..procs.len() as u32).collect();
+                    for (seq, (count, delays, states)) in rounds.iter().enumerate() {
                         let mut b = SchedViewBuilder::new(t_prog, t_data, ncom);
                         for (i, &(w, chain_idx, prog)) in procs.iter().enumerate() {
                             b = b.proc(
@@ -1357,6 +1337,11 @@ mod tests {
                         let probe = GreedyScheduler::new(obj, star, "probe");
                         let expected = naive_placements(&probe, &view, *count);
                         for (s, label) in &mut pinned {
+                            let view = if *label == "winner tree" {
+                                pool_round(view, seq as u64, &all)
+                            } else {
+                                view
+                            };
                             prop_assert_eq!(
                                 s.place(&view, *count),
                                 expected.clone(),
@@ -1560,7 +1545,7 @@ mod tests {
                 let mut forced = GreedyScheduler::new(obj, star, "forced");
                 forced.force_selector(Some(kind));
                 assert_eq!(
-                    forced.place(&owned.view(), 10),
+                    forced.place(&pool_round(owned.view(), 0, &[]), 10),
                     expected,
                     "{obj:?} star={star} {kind:?}"
                 );
@@ -1620,7 +1605,7 @@ mod tests {
                     "{obj:?} star={star} count={count} (forced loser tree)"
                 );
                 assert_eq!(
-                    winner.place(&owned.view(), count),
+                    winner.place(&pool_round(owned.view(), 0, &[]), count),
                     expected,
                     "{obj:?} star={star} count={count} (forced winner tree)"
                 );

@@ -29,15 +29,19 @@
 //! *round-batched*: the caller re-evaluates all scores in one dense pass
 //! first, then one `O(u)` bottom-up rebuild touches each leaf once.
 //!
-//! The **winner tree** serves platform-scale rounds. It spans *every*
-//! processor, not just the round's candidates — a non-candidate holds an
-//! `absent_key` that sorts after every candidate — so it can outlive the
-//! round: the greedy scheduler keeps one per placement lane and, when the
-//! view carries a [`ViewDelta`](crate::view::ViewDelta), patches only the
+//! The **winner tree** serves the rounds that carry a
+//! [`ViewDelta`](crate::view::ViewDelta). It spans *every* processor, not
+//! just the round's candidates — a non-candidate holds an `absent_key`
+//! that sorts after every candidate — so it can outlive the round: the
+//! greedy scheduler keeps one per placement lane and patches only the
 //! processors that changed since the lane's previous round. Leaves sit in
 //! buckets of eight under a tree whose nodes hold the minimum key of their
 //! subtree, so any leaf — not just the winner's — can be re-keyed with one
 //! bucket scan and a walk up that stops as soon as a minimum is unchanged.
+//! Rounds without a delta have no lane to keep a tree in and use the
+//! per-round selectors: rebuilt from scratch, the winner tree costs the
+//! same as a loser tree at `u = p` (selector bench, `docs/selectors.md`)
+//! and strictly more when `u ≪ p`, since its build spans all `p` leaves.
 //!
 //! ## Exactness
 //!
@@ -91,38 +95,35 @@ pub const LINEAR_MAX_WORK: usize = 4096;
 /// build cannot amortize over so few placements.
 pub const STRUCTURED_MIN_COUNT: usize = 4;
 
-/// At and above this many candidates the per-round loser tree gives way
-/// to the persistent winner tree: a round there would otherwise spend
-/// most of its time scanning, scoring and building over tens of thousands
-/// of candidates of which only a few percent changed since the lane's
-/// previous round. Below it the full-platform tree (its leaves span all
-/// `p` processors) is pure overhead. See `docs/scaling.md`.
+/// From this many candidates up, a round whose view carries a
+/// [`ViewDelta`](crate::view::ViewDelta) builds its lane's persistent
+/// winner tree instead of a per-round selector; once in sync, the lane
+/// serves each later round of that lane whatever its size. A lane build
+/// costs about one loser-tree round at `u = p` (selector bench,
+/// `docs/selectors.md`), and from here on the per-round fill it replaces —
+/// scan, score and build over every candidate — is the dominant slot cost
+/// (`docs/scaling.md`). Smaller platforms stay on the per-round selectors.
 pub const WINNER_TREE_MIN_UPS: usize = 8192;
 
 impl SelectorKind {
     /// The measured crossover policy for a round placing `count` tasks over
-    /// `u` candidates.
+    /// `u` candidates, when the view carries no
+    /// [`ViewDelta`](crate::view::ViewDelta):
     ///
     /// * `count < 4` or `count · u < 4096` — **linear**: the dense scan's
     ///   vectorized `O(count · u)` beats any build cost.
-    /// * `u ≥ 8192` ([`WINNER_TREE_MIN_UPS`]) — **winner tree**: the
-    ///   scheduler's per-lane tree over all `p` processors, patched at the
-    ///   processors the view's [`ViewDelta`](crate::view::ViewDelta) names
-    ///   (rebuilt in `O(p)` when the view carries none, or the lane's
-    ///   sequence has a gap).
     /// * otherwise — **loser tree**, built per round over the candidates.
     ///
-    /// Rounds whose view carries a delta bypass this per-round trade-off
-    /// in the greedy scheduler: they use the lane's winner tree whenever
-    /// it is already in sync (using it costs nothing), or `u` reaches
-    /// [`WINNER_TREE_MIN_UPS`] (the rebuild amortizes over the lane's
-    /// later rounds).
+    /// The winner tree is never chosen here: it lives in a placement lane,
+    /// so only rounds with a delta reach it. The greedy scheduler uses a
+    /// lane's tree whenever that lane is already in sync (using it costs
+    /// nothing), or `u` reaches [`WINNER_TREE_MIN_UPS`] (the rebuild
+    /// amortizes over the lane's later rounds); every other round follows
+    /// this policy.
     #[must_use]
     pub fn choose(u: usize, count: usize) -> Self {
         if count < STRUCTURED_MIN_COUNT || count * u < LINEAR_MAX_WORK {
             Self::Linear
-        } else if u >= WINNER_TREE_MIN_UPS {
-            Self::WinnerTree
         } else {
             Self::LoserTree
         }
@@ -538,48 +539,63 @@ impl WinnerTree {
     }
 }
 
-/// The argmin strategy of one per-round placement loop over the round's
-/// candidate list. Both variants return the exact same winner sequence for
-/// the same score-row trajectory (the differential tests and the greedy
-/// proptest pin it); they differ only in access pattern, so the placement
-/// loop in `GreedyScheduler::place_into` is shared and only winner
-/// selection, the winner's score write-back and the wholesale refresh
-/// dispatch here. Platform-scale rounds use the persistent [`WinnerTree`]
-/// instead, through their own loop.
+/// The argmin strategy of one placement round. Every variant returns the
+/// exact same winner sequence for the same score trajectory (the
+/// differential tests and the greedy proptests pin it); they differ only
+/// in access pattern, so the placement loop in `GreedyScheduler` is shared
+/// and only winner selection, score write-back and the wholesale refresh
+/// dispatch here.
+///
+/// The loop addresses candidates by **slot**. The list selectors' slots
+/// are positions in the round's ascending-id candidate list and their
+/// scores live in the caller's dense row; the winner tree's slots are
+/// processor ids — its leaves span the whole platform, non-candidates
+/// included — and its scores live in its own leaf keys, so the caller's
+/// row stays empty. Both slot orders agree with processor-id order, so the
+/// `(score, slot)` key order is the same everywhere.
 pub(crate) enum Selector {
     /// Dense strict-`<` rescan of the whole score row per placement.
     Linear,
     /// Loser tree over candidate positions; owns the scheduler's
     /// persistent tree storage for the round.
     Loser(LoserTree),
+    /// A lane's persistent tree over processor ids, whose leaves hold the
+    /// round's base keys on entry; owned for the round and handed back.
+    Winner(WinnerTree),
 }
 
 impl Selector {
-    /// Builds the round's selector over the initial score row: the loser
-    /// tree (taking the scheduler's storage, returned by
-    /// `Self::into_storage`) when `structured`, else the linear scan.
-    pub(crate) fn build(structured: bool, scores: &[f64], tree_storage: &mut LoserTree) -> Self {
-        if structured {
-            let mut tree = std::mem::take(tree_storage);
-            tree.rebuild(scores);
-            Self::Loser(tree)
-        } else {
-            Self::Linear
+    /// Number of slots the round addresses: the row length for the list
+    /// selectors, the platform size for the winner tree.
+    pub(crate) fn slots(&self, scores: &[f64]) -> usize {
+        match self {
+            Self::Winner(tree) => tree.len(),
+            Self::Linear | Self::Loser(_) => scores.len(),
         }
     }
 
-    /// Returns the backing storage to the scheduler's persistent scratch.
-    pub(crate) fn into_storage(self, tree_storage: &mut LoserTree) {
-        if let Self::Loser(tree) = self {
-            *tree_storage = tree;
+    /// Whether slot `j` holds one of the round's candidates (every slot of
+    /// a list selector does; a winner-tree leaf does unless it is absent).
+    #[inline]
+    pub(crate) fn holds(&self, j: usize) -> bool {
+        match self {
+            Self::Winner(tree) => !is_absent(tree.leaf(j)),
+            Self::Linear | Self::Loser(_) => true,
         }
     }
 
-    /// Position (into the candidate row) of the current argmin; the tree's
-    /// winner is already at the root.
+    /// Slot of the current argmin; the trees' winner is already at the
+    /// root.
     pub(crate) fn select(&mut self, scores: &[f64]) -> usize {
         match self {
             Self::Loser(tree) => tree.winner(),
+            Self::Winner(tree) => {
+                let key = tree.min_key();
+                // A round only runs with a candidate, and candidates never
+                // leave the tree mid-round (a spent one is re-keyed to +inf).
+                debug_assert!(!is_absent(key), "winner-tree round without a candidate");
+                key_id(key)
+            }
             Self::Linear => {
                 let mut best_pos = 0usize;
                 let mut best_score = f64::INFINITY;
@@ -596,23 +612,39 @@ impl Selector {
         }
     }
 
-    /// Records that the winner at `pos` was re-scored (the caller already
-    /// wrote `scores[pos]`). The tree replays the winner's path; the linear
-    /// variant is stateless.
-    pub(crate) fn rescore_winner(&mut self, pos: usize, scores: &[f64]) {
-        if let Self::Loser(tree) = self {
-            tree.replay_winner(pos, scores);
+    /// Re-scores the winner at slot `j` to `score`: the loser tree replays
+    /// the winner's path, the winner tree re-keys one leaf, the linear
+    /// variant just stores the score.
+    pub(crate) fn rescore_winner(&mut self, j: usize, score: f64, scores: &mut [f64]) {
+        match self {
+            Self::Winner(tree) => tree.update(j, packed_key(score, j as u32)),
+            Self::Loser(tree) => {
+                scores[j] = score;
+                tree.replay_winner(j, scores);
+            }
+            Self::Linear => scores[j] = score,
+        }
+    }
+
+    /// Stages slot `j`'s score during a wholesale re-price; the structure
+    /// catches up in one [`Self::refresh`] after the dense pass.
+    #[inline]
+    pub(crate) fn stage(&mut self, j: usize, score: f64, scores: &mut [f64]) {
+        match self {
+            Self::Winner(tree) => tree.set_leaf(j, packed_key(score, j as u32)),
+            Self::Linear | Self::Loser(_) => scores[j] = score,
         }
     }
 
     /// Round-batched wholesale refresh after every score changed at once
-    /// (an Equation-(2) ceiling step): the caller has re-evaluated the
-    /// whole row in one dense pass; the tree then rebuilds bottom-up in
-    /// `O(u)`, touching each entry exactly once. The linear variant is
-    /// stateless.
+    /// (an Equation-(2) ceiling step): the caller has staged the whole row
+    /// in one dense pass; the trees then rebuild bottom-up, touching each
+    /// entry exactly once. The linear variant is stateless.
     pub(crate) fn refresh(&mut self, scores: &[f64]) {
-        if let Self::Loser(tree) = self {
-            tree.rebuild(scores);
+        match self {
+            Self::Loser(tree) => tree.rebuild(scores),
+            Self::Winner(tree) => tree.fix_up(),
+            Self::Linear => {}
         }
     }
 }
@@ -635,39 +667,31 @@ mod tests {
 
     /// Drives one selector through a scripted round and returns the winner
     /// sequence; `bumps` gives the score the winner is re-scored to after
-    /// each placement.
+    /// each placement. The winner tree gets one leaf per row position, every
+    /// one a candidate.
     fn run_round(kind: SelectorKind, scores: &mut [f64], bumps: &[f64]) -> Vec<usize> {
-        if kind == SelectorKind::WinnerTree {
-            return run_round_winner(scores, bumps);
-        }
-        let mut tree_storage = LoserTree::default();
-        let mut sel = Selector::build(kind == SelectorKind::LoserTree, scores, &mut tree_storage);
+        let mut sel = match kind {
+            SelectorKind::Linear => Selector::Linear,
+            SelectorKind::LoserTree => {
+                let mut tree = LoserTree::default();
+                tree.rebuild(scores);
+                Selector::Loser(tree)
+            }
+            SelectorKind::WinnerTree => {
+                let mut tree = WinnerTree::default();
+                tree.reset_absent(scores.len());
+                for (j, &s) in scores.iter().enumerate() {
+                    tree.set_leaf(j, packed_key(s, j as u32));
+                }
+                tree.fix_up();
+                Selector::Winner(tree)
+            }
+        };
         let mut picks = Vec::new();
         for &bump in bumps {
             let w = sel.select(scores);
             picks.push(w);
-            scores[w] = bump;
-            sel.rescore_winner(w, scores);
-        }
-        sel.into_storage(&mut tree_storage);
-        picks
-    }
-
-    /// The same scripted round through a [`WinnerTree`] whose leaves are
-    /// the row positions (every position a candidate).
-    fn run_round_winner(scores: &mut [f64], bumps: &[f64]) -> Vec<usize> {
-        let mut tree = WinnerTree::default();
-        tree.reset_absent(scores.len());
-        for (j, &s) in scores.iter().enumerate() {
-            tree.set_leaf(j, packed_key(s, j as u32));
-        }
-        tree.fix_up();
-        let mut picks = Vec::new();
-        for &bump in bumps {
-            let w = key_id(tree.min_key());
-            picks.push(w);
-            scores[w] = bump;
-            tree.update(w, packed_key(bump, w as u32));
+            sel.rescore_winner(w, bump, scores);
         }
         picks
     }
@@ -861,11 +885,10 @@ mod tests {
         assert_eq!(SelectorKind::choose(256, 15), Linear); // 3840
         assert_eq!(SelectorKind::choose(256, 16), LoserTree); // 4096
         assert_eq!(SelectorKind::choose(1024, 2048), LoserTree);
-        // The candidate count gates the persistent tree exactly at
-        // WINNER_TREE_MIN_UPS.
-        assert_eq!(SelectorKind::choose(8191, 4), LoserTree);
-        assert_eq!(SelectorKind::choose(8192, 4), WinnerTree);
-        assert_eq!(SelectorKind::choose(131_072, 100), WinnerTree);
+        // Without a delta there is no lane: large rounds stay on the
+        // per-round loser tree.
+        assert_eq!(SelectorKind::choose(8192, 4), LoserTree);
+        assert_eq!(SelectorKind::choose(131_072, 100), LoserTree);
         // A huge platform with a too-short round still scans linearly.
         assert_eq!(SelectorKind::choose(131_072, 3), Linear);
     }

@@ -442,7 +442,8 @@ fn capped_and_two_app_platform_scale_rows_match_the_aos_reference() {
     };
     let specs = [AppSpec::rigid(half), AppSpec::rigid(half)];
     // More tasks than workers: the capped pool round engages from the
-    // first slot, so it runs on the scratch tree with a room column.
+    // first slot, so it runs on the per-round loser tree with a room
+    // column.
     let flood = AppConfig {
         tasks_per_iteration: cell.p + cell.p / 2,
         ..app
