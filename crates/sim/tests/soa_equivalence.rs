@@ -51,6 +51,73 @@ fn platform(p: usize, ncom: usize, seed: u64) -> PlatformConfig {
     }
 }
 
+/// FNV-1a-64 of a report's `Debug` string: the row digest of the committed
+/// corpus in `golden/grid_digests.txt`.
+fn digest(report: &impl std::fmt::Debug) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in format!("{report:?}").bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The committed corpus: `<section> <row identity> <digest>` lines.
+const GOLDEN: &str = include_str!("golden/grid_digests.txt");
+
+/// One test's rows of the corpus, recomputed from the engine.
+struct Digests {
+    section: &'static str,
+    rows: Vec<(String, String)>,
+}
+
+impl Digests {
+    fn new(section: &'static str) -> Self {
+        Self {
+            section,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Records row `id`'s digest.
+    fn push(&mut self, id: String, report: &impl std::fmt::Debug) {
+        self.rows.push((id, digest(report)));
+    }
+
+    /// Compares the recomputed rows with the committed section. On a
+    /// mismatch, prints every differing row and then the whole actual
+    /// section in corpus format (see `docs/oracle.md` for when pasting it
+    /// back is legitimate).
+    fn check(self) {
+        let prefix = format!("{} ", self.section);
+        let expected: Vec<(String, String)> = GOLDEN
+            .lines()
+            .filter_map(|l| l.strip_prefix(&prefix))
+            .filter_map(|l| l.rsplit_once(' '))
+            .map(|(id, d)| (id.to_string(), d.to_string()))
+            .collect();
+        if expected == self.rows {
+            return;
+        }
+        for i in 0..expected.len().max(self.rows.len()) {
+            let (e, a) = (expected.get(i), self.rows.get(i));
+            if e != a {
+                eprintln!("row {i}: expected {e:?}, actual {a:?}");
+            }
+        }
+        eprintln!("actual `{}` section:", self.section);
+        for (id, d) in &self.rows {
+            eprintln!("{} {id} {d}", self.section);
+        }
+        panic!(
+            "{}: {} recomputed rows disagree with the {} committed ones",
+            self.section,
+            self.rows.len(),
+            expected.len()
+        );
+    }
+}
+
 /// One grid cell: platform size, tasks, iterations, slot cap, trace seeds.
 struct Cell {
     p: usize,
@@ -108,6 +175,7 @@ const GRID: &[Cell] = &[
 fn soa_engine_is_bit_identical_to_aos_reference_across_the_grid() {
     let mut runs = 0usize;
     let mut finished = 0usize;
+    let mut digests = Digests::new("grid");
     for cell in GRID {
         let ncom = (cell.p / 10).max(3);
         for &seed in cell.seeds {
@@ -148,6 +216,10 @@ fn soa_engine_is_bit_identical_to_aos_reference_across_the_grid() {
                         "SoA/AoS divergence: p={} seed={seed} replication={replication} {kind}",
                         cell.p
                     );
+                    digests.push(
+                        format!("p={} seed={seed} rep={replication} {kind}", cell.p),
+                        &soa,
+                    );
                     runs += 2;
                     finished += usize::from(soa.finished());
                 }
@@ -164,6 +236,7 @@ fn soa_engine_is_bit_identical_to_aos_reference_across_the_grid() {
         finished < runs / 2,
         "every run finished — the capped-run half of the grid is gone"
     );
+    digests.check();
 }
 
 #[test]
@@ -177,6 +250,7 @@ fn multi_app_api_with_single_roster_matches_single_app_api_on_both_layouts() {
     // and AoS multi engines are pinned against each other, so a divergence
     // in either the app dispatch or the per-layout plumbing lands here.
     let mut runs = 0usize;
+    let mut digests = Digests::new("single-roster");
     for cell in GRID {
         let ncom = (cell.p / 10).max(3);
         let seed = cell.seeds[0];
@@ -250,11 +324,16 @@ fn multi_app_api_with_single_roster_matches_single_app_api_on_both_layouts() {
                     per_app.iteration_completed_at,
                     single.iteration_completed_at
                 );
+                digests.push(
+                    format!("p={} seed={seed} rep={replication} {kind}", cell.p),
+                    &multi,
+                );
                 runs += 3;
             }
         }
     }
     assert_eq!(runs, 17 * 2 * 4 * 3, "grid shape drifted");
+    digests.check();
 }
 
 #[test]
@@ -271,6 +350,7 @@ fn warmed_arena_matches_cold_engines_of_both_layouts_across_resizes() {
         (96, 128, true),  // regrow onto dirty buffers, replicas on
         (8, 12, true),    // original shape again
     ];
+    let mut digests = Digests::new("arena-resize");
     for (round, &(p, m, replication)) in plans.iter().enumerate() {
         let seed = (round * 100 + p) as u64;
         let platform = platform(p, (p / 10).max(2), seed);
@@ -324,8 +404,10 @@ fn warmed_arena_matches_cold_engines_of_both_layouts_across_resizes() {
                 "round {round} {kind}"
             );
             assert_eq!(cold, reference, "round {round} {kind}: layout divergence");
+            digests.push(format!("round={round} p={p} {kind}"), &cold);
         }
     }
+    digests.check();
 }
 
 #[test]
@@ -347,6 +429,7 @@ fn capped_runs_leave_no_stale_dirty_bits_across_arena_resizes() {
         (64, 96, 50_000), // the capped shape again, now to completion
     ];
     let mut capped = 0usize;
+    let mut digests = Digests::new("arena-capped");
     for (round, &(p, m, max_slots)) in plans.iter().enumerate() {
         let seed = (round * 1000 + p) as u64;
         let platform = platform(p, (p / 10).max(2), seed);
@@ -400,9 +483,11 @@ fn capped_runs_leave_no_stale_dirty_bits_across_arena_resizes() {
                 "round {round} {kind}"
             );
             assert_eq!(cold, reference, "round {round} {kind}: layout divergence");
+            digests.push(format!("round={round} p={p} {kind}"), &cold);
             capped += usize::from(!warm.finished());
         }
     }
+    digests.check();
     assert!(
         capped >= 6,
         "only {capped} capped runs — the caps are too loose to leave dirty state"
@@ -450,6 +535,8 @@ fn capped_and_two_app_platform_scale_rows_match_the_aos_reference() {
     };
     let mut runs = 0usize;
     let mut engaged = 0u64;
+    let mut capped_digests = Digests::new("large-capped");
+    let mut two_app_digests = Digests::new("large-two-app");
     for replication in [false, true] {
         for kind in LANE_KINDS {
             // A few slots suffice: the cap engages from the first one.
@@ -485,6 +572,7 @@ fn capped_and_two_app_platform_scale_rows_match_the_aos_reference() {
                 soa, aos,
                 "capped divergence: replication={replication} {kind}"
             );
+            capped_digests.push(format!("rep={replication} {kind}"), &soa);
             let options = SimOptions {
                 max_slots: cell.max_slots,
                 placement_budget: PlacementBudget::Uncapped,
@@ -512,11 +600,14 @@ fn capped_and_two_app_platform_scale_rows_match_the_aos_reference() {
                 soa, aos,
                 "two-app divergence: replication={replication} {kind}"
             );
+            two_app_digests.push(format!("rep={replication} {kind}"), &soa);
             runs += 1;
         }
     }
     assert_eq!(runs, 2 * LANE_KINDS.len(), "row shape drifted");
     assert!(engaged > 0, "the capped rows never engaged the cap");
+    capped_digests.check();
+    two_app_digests.check();
 }
 
 #[test]
@@ -532,6 +623,7 @@ fn warmed_arena_does_not_carry_lanes_across_same_size_platforms() {
     let p = LARGE.p;
     let mut arena = SimArena::new();
     let mut finished = 0usize;
+    let mut digests = Digests::new("same-size-lanes");
     for (round, seed) in [41u64, 42, 41].into_iter().enumerate() {
         let platform = platform(p, p / 10, seed);
         let app = AppConfig {
@@ -580,9 +672,11 @@ fn warmed_arena_does_not_carry_lanes_across_same_size_platforms() {
                 "round {round} {kind}"
             );
             assert_eq!(cold, reference, "round {round} {kind}: layout divergence");
+            digests.push(format!("round={round} seed={seed} {kind}"), &cold);
             finished += usize::from(warm.finished());
         }
     }
+    digests.check();
     assert_eq!(
         finished, 6,
         "every run must finish for its makespan to count"
