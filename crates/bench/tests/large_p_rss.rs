@@ -13,7 +13,7 @@
 //!
 //! This is a *smoke* test: few slots, one heuristic — the throughput story
 //! lives in the `slotloop` bench cells and the byte-identity story in the
-//! `soa_equivalence` grid (p = 16384 row).
+//! `golden_grid` grid (p = 16384 row).
 
 use vg_bench::{paper_app, paper_platform, peak_rss_bytes};
 use vg_core::HeuristicKind;

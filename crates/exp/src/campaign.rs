@@ -53,7 +53,7 @@ use vg_markov::availability::ChainStats;
 use vg_platform::source::{AvailabilitySource, SharedTraceMatrix};
 use vg_platform::volatility::ScriptedOverlay;
 use vg_platform::CompiledScript;
-use vg_sim::{platform_chain_stats, SimArena, SimOptions, Simulation, WorkerSoA};
+use vg_sim::{platform_chain_stats, SimArena, SimOptions, Simulation};
 
 use crate::scenario::{make_scenario, Scenario, ScenarioParams};
 
@@ -529,14 +529,14 @@ fn run_fresh_one(
     sim: SimOptions,
 ) -> Result<vg_sim::SimReport, vg_platform::ConfigError> {
     let mut engine = match model {
-        Some(model) => Simulation::<WorkerSoA>::new_rows_in(
+        Some(model) => Simulation::new_rows_in(
             &scenario.platform,
             &scenario.app,
             kind.build(sched_seed.rng()),
             Box::new(model.build(&scenario.platform, trace_path)?),
             sim,
         )?,
-        None => Simulation::<WorkerSoA>::new_seeded(
+        None => Simulation::new_seeded(
             &scenario.platform,
             &scenario.app,
             kind.build(sched_seed.rng()),

@@ -55,25 +55,26 @@
 //! (see `vg_core::greedy`). The iteration barrier reuses the
 //! `IterationState` buffers via `reset` rather than reallocating them.
 //!
-//! ## Worker storage: SoA by default, AoS as oracle
+//! ## Worker storage, and what checks the engine
 //!
-//! Per-worker state lives behind the [`WorkerStore`] trait
-//! (`crate::store`): the engine is generic — and monomorphized — over the
-//! layout, defaulting to the cache-tight hot/cold [`WorkerSoA`] split while
-//! [`ReferenceSimulation`] retains the original `Vec<WorkerRuntime>` path.
-//! Every phase above is written as index loops over the store, so with the
-//! SoA each pass walks dense columns (1-byte states, the `occupancy` byte
-//! for the free-mask and unbind checks) instead of dragging each
-//! worker's cold fields through the cache. The
-//! `crates/sim/tests/soa_equivalence.rs` grid pins the two layouts to
-//! byte-identical [`SimReport`]s across all 17 heuristics.
+//! Per-worker state lives in the hot/cold column store [`WorkerSoA`]
+//! (`crate::store`). Every phase above is written as index loops over it,
+//! so each pass walks dense columns (1-byte states, the `occupancy` byte
+//! for the free-mask and unbind checks) instead of dragging each worker's
+//! cold fields through the cache. Two checks pin the engine's behaviour
+//! without keeping a second engine alive: a naive transcription of the
+//! Section-3 slot model (`tests/section3_oracle.rs`) must reproduce its
+//! single-application reports exactly, and a committed corpus of report
+//! digests (`crates/sim/tests/golden_grid.rs`) pins the rest — capped,
+//! multi-application, arena and platform-scale runs (see
+//! `docs/oracle.md`).
 //!
 //! ## The change-fed slot loop and exact-location cancellation
 //!
 //! The per-slot `O(p)` walks are avoided by bookkeeping:
 //!
 //! * **Everything the scheduler sees is patched, not rebuilt.** The store
-//!   keeps a deduplicated change feed (see the [`WorkerStore`] change-feed
+//!   keeps a deduplicated change feed (see the [`WorkerSoA`] change-feed
 //!   contract) naming every worker whose state, pipeline or busyness moved.
 //!   `sync_views` drains it into the persistent snapshot buffer and free
 //!   mask, and forwards each worker whose candidacy or delay actually
@@ -83,10 +84,8 @@
 //!   the store saw turn `DOWN`. Rounds restricted to a subset of workers
 //!   (replicas onto free workers, demand-driven rounds onto workers with
 //!   room) name it through [`SchedView::candidates`] instead of masking
-//!   the snapshot buffer. The AoS oracle keeps no feed: it rebuilds every
-//!   consult from scratch, crashes every `DOWN` worker every slot and never
-//!   sends a delta, so the equivalence grid cross-checks all of it; debug
-//!   builds also assert patched ≡ rebuilt at every consult.
+//!   the snapshot buffer. Debug builds assert patched ≡ rebuilt at every
+//!   consult.
 //! * **Sibling cancellation visits only the workers that hold copies.**
 //!   A completed task's remaining copies are located from the iteration
 //!   state (the pinned original), the bind order (still-bound copies) and
@@ -117,7 +116,9 @@ use crate::app::{
     MAX_APP_TASKS,
 };
 use crate::report::{AppReport, Counters, MultiReport, SimReport};
-use crate::store::{AosWorkers, WorkerSoA, WorkerStore, SUMMARY_BLOCK};
+use crate::store::WorkerSoA;
+#[cfg(debug_assertions)]
+use crate::store::SUMMARY_BLOCK;
 use crate::task::{CopyId, OriginalState, TaskId, NO_REPLICA_WORKER};
 use crate::timeline::{Activity, SlotMarks, Timeline};
 use crate::worker::{ComputeState, TransferState};
@@ -300,43 +301,24 @@ fn exhaustive_debug_checks(p: usize) -> bool {
 }
 
 /// Runs `$body` for every busy worker `$q` of `$workers`, in ascending
-/// order. Stores that maintain a busy bitmap ([`WorkerStore::busy_word`])
-/// are walked bit by bit — O(busy) instead of O(p), the difference between
-/// a volunteer grid's handful of active workers and its 131072-processor
-/// platform; other layouts take the block-chunked dense scan gated on the
-/// per-block busy summaries (the AoS oracle's `true`-everywhere default
-/// degrades it to the original full scan).
+/// order, walking the store's busy bitmap ([`WorkerSoA::busy_word`]) bit by
+/// bit — O(busy) instead of O(p), the difference between a volunteer
+/// grid's handful of active workers and its 131072-processor platform.
 ///
 /// Each word is **copied** before its bits are drained, so `$body` may
 /// mutate occupancy. This is sound in the phases that use it because
 /// busyness is *monotone non-increasing* there (no phase below binds new
 /// copies): a bit cleared mid-phase belongs to a worker either already
 /// visited or re-rejected by `$body`'s own `busy`/state checks, and no bit
-/// can newly appear. The SoA⇄AoS oracle grid pins the two paths to
-/// identical behavior.
+/// can newly appear.
 macro_rules! for_each_busy_worker {
     ($workers:expr, $q:ident, $body:block) => {{
-        let p = $workers.len();
-        if S::HAS_BUSY_WORDS {
-            for wi in 0..p.div_ceil(64) {
-                let mut word = $workers.busy_word(wi);
-                while word != 0 {
-                    let $q = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    $body
-                }
-            }
-        } else {
-            for b in 0..$workers.summary_blocks() {
-                if !$workers.block_may_be_busy(b) {
-                    continue;
-                }
-                let start = b * SUMMARY_BLOCK;
-                let end = (start + SUMMARY_BLOCK).min(p);
-                #[allow(clippy::needless_range_loop)] // mirrors the bit walk
-                for $q in start..end {
-                    $body
-                }
+        for wi in 0..$workers.len().div_ceil(64) {
+            let mut word = $workers.busy_word(wi);
+            while word != 0 {
+                let $q = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                $body
             }
         }
     }};
@@ -358,10 +340,9 @@ enum Request {
 /// the allocator (see the module docs).
 #[derive(Debug, Default)]
 struct SlotScratch {
-    /// Scheduler-visible snapshots. **Persistent across slots**: with a
-    /// change-feed store the buffer is patched in place at the fed workers
-    /// only (see `sync_views`); the oracle layout rebuilds it from scratch
-    /// every consult.
+    /// Scheduler-visible snapshots. **Persistent across slots**: the buffer
+    /// is patched in place at the workers in the store's change feed only
+    /// (see `sync_views`).
     procs: Vec<ProcSnapshot>,
     /// Free-worker mask (`free[q]` iff worker `q` is UP and completely
     /// idle): the replica rounds' candidate set, persistent and patched
@@ -688,94 +669,25 @@ impl SimArena {
         dense
     }
 
-    /// Runs one simulation with **caller-shared per-scenario state**: chain
-    /// statistics computed once per platform (see [`platform_chain_stats`])
-    /// and availability sources supplied directly (custom generators,
-    /// replayed archive traces, …). To share one *recorded* trace across
-    /// the heuristics of an instance, use [`Self::run_shared_trace`], which
-    /// consumes a [`SharedTraceMatrix`] row-by-row instead.
-    ///
-    /// `chains` must be the statistics of `platform`'s believed chains, in
-    /// processor order; `sources` must yield exactly one source per
-    /// processor, in order. Results are bit-identical to
-    /// [`Self::run_seeded`] with equivalently seeded sources.
-    ///
-    /// # Errors
-    /// Propagates validation errors; rejects timeline recording and
-    /// mismatched `chains`/`sources` lengths.
-    pub fn run_configured(
-        &mut self,
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        chains: &[ChainStats],
-        sources: impl IntoIterator<Item = Box<dyn AvailabilitySource>>,
-        options: SimOptions,
-    ) -> Result<RunOutcome, ConfigError> {
-        platform.validate()?;
-        let specs = [AppSpec::rigid(*app)];
-        validate_app_specs(&specs)?;
-        if options.record_timeline {
-            return Err(ConfigError(
-                "SimArena does not record timelines; use Simulation::run_seeded".into(),
-            ));
-        }
-        if chains.len() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "{} chain stats for {} processors",
-                chains.len(),
-                platform.p()
-            )));
-        }
-        self.sources.clear();
-        self.sources.extend(sources);
-        if self.sources.len() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "{} sources for {} processors",
-                self.sources.len(),
-                platform.p()
-            )));
-        }
-        self.chains.clear();
-        self.chains.extend_from_slice(chains);
-        Ok(self.run_core(platform, &specs, SharePolicy::default(), scheduler, options))
-    }
-
     /// Runs one simulation against a [`SharedTraceMatrix`] recording, with
-    /// per-scenario `chains` as in [`Self::run_configured`]. The engine
-    /// consumes the recording **row by row** — one borrow and `p` byte reads
-    /// per slot — so replaying heuristics skip per-processor sampling
-    /// entirely. Bit-identical to [`Self::run_seeded`] over sources with the
-    /// recording's seeds.
+    /// caller-shared per-scenario `chains` (see [`platform_chain_stats`])
+    /// and an optional scripted fault overlay. The engine consumes the
+    /// recording **row by row** — one borrow and `p` byte reads per slot —
+    /// so replaying heuristics skip per-processor sampling entirely, and
+    /// the result is bit-identical to [`Self::run_seeded`] over sources
+    /// with the recording's seeds.
+    ///
+    /// The script forces states onto each replayed row *after* it is read,
+    /// leaving the recording itself untouched — every heuristic of an
+    /// instance still replays byte-identical base availability (common
+    /// random numbers), with the same scripted faults layered on top.
+    /// `None` (and a passthrough script) leaves every row as recorded.
     ///
     /// # Errors
-    /// Propagates validation errors; rejects timeline recording and a
-    /// matrix/chains whose width is not `platform.p()`.
-    pub fn run_shared_trace(
-        &mut self,
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        chains: &[ChainStats],
-        trace: &SharedTraceMatrix,
-        options: SimOptions,
-    ) -> Result<RunOutcome, ConfigError> {
-        self.run_shared_trace_overlay(platform, app, scheduler, chains, trace, None, options)
-    }
-
-    /// [`Self::run_shared_trace`] with a scripted fault overlay: the script
-    /// forces states onto each replayed row *after* it is read, leaving the
-    /// recording itself untouched — every heuristic of an instance still
-    /// replays byte-identical base availability (common random numbers),
-    /// with the same scripted faults layered on top. `None` (and a
-    /// passthrough script) is bit-identical to [`Self::run_shared_trace`].
-    ///
-    /// # Errors
-    /// As [`Self::run_shared_trace`], plus a script compiled for a
-    /// different platform size.
-    #[allow(clippy::too_many_arguments)] // mirrors run_shared_trace + the overlay
+    /// Propagates validation errors; rejects timeline recording, a
+    /// matrix/chains whose width is not `platform.p()`, and a script
+    /// compiled for a different platform size.
+    #[allow(clippy::too_many_arguments)] // the shared-trace inputs plus the overlay
     pub fn run_shared_trace_overlay(
         &mut self,
         platform: &PlatformConfig,
@@ -832,8 +744,8 @@ impl SimArena {
         ))
     }
 
-    /// Shared tail of the `run_*` entry points; expects `self.sources` and
-    /// `self.chains` to be populated for `platform`.
+    /// Shared tail of the per-processor-source runs; expects `self.sources`
+    /// and `self.chains` to be populated for `platform`.
     fn run_core(
         &mut self,
         platform: &PlatformConfig,
@@ -975,9 +887,9 @@ fn validate_app_specs(specs: &[AppSpec]) -> Result<(), ConfigError> {
 
 /// Chain statistics of every processor's believed chain, in processor order
 /// — compute once per platform and share across every run on it via
-/// [`SimArena::run_configured`] or [`SimArena::run_shared_trace`] (the
-/// stationary-distribution solve behind [`ChainStats::new`] is ~half the
-/// per-run setup cost otherwise).
+/// [`SimArena::run_shared_trace_overlay`] (the stationary-distribution
+/// solve behind [`ChainStats::new`] is ~half the per-run setup cost
+/// otherwise).
 #[must_use]
 pub fn platform_chain_stats(platform: &PlatformConfig) -> Vec<ChainStats> {
     platform
@@ -1026,17 +938,16 @@ struct CommParams {
 /// The simulation engine. Construct with [`Simulation::new`], consume with
 /// [`Simulation::run`] (or drive slot-by-slot with [`Simulation::step`]).
 ///
-/// Generic over the worker-storage layout `S` (monomorphized, zero runtime
-/// cost): the default [`WorkerSoA`] is the hot/cold split the production
-/// engine runs on, while [`ReferenceSimulation`] (= `Simulation<AosWorkers>`)
-/// retains the original `Vec<WorkerRuntime>` path as the bit-identity
-/// oracle — see `crates/sim/tests/soa_equivalence.rs`.
-///
 /// One engine drives a *roster* of application runtimes over the shared
 /// worker store ([`crate::app::AppRuntime`]); a one-app roster is the
 /// historical single-application engine, bit for bit. Task ids in worker
 /// columns are namespaced by application ([`crate::app`]).
-pub struct Simulation<S: WorkerStore = WorkerSoA> {
+///
+/// The engine always runs on [`WorkerSoA`], and `impl Simulation` is its
+/// only impl. The defaulted type parameter stays, in the
+/// `HashMap<K, V, S = RandomState>` style, because the external benchmark
+/// harness under `perfbench/` names the type as `Simulation::<WorkerSoA>`.
+pub struct Simulation<S = WorkerSoA> {
     app: CommParams,
     /// The co-scheduled application runtimes, engine app order. Never
     /// empty; `apps.len() == 1` selects the single-application phases.
@@ -1076,14 +987,8 @@ pub struct Simulation<S: WorkerStore = WorkerSoA> {
     slot_marks: Vec<SlotMarks>,
 }
 
-/// The retained AoS engine: `Simulation` over the original
-/// `Vec<WorkerRuntime>` layout, used as the bit-identity oracle for the SoA
-/// refactor. Construct with [`Simulation::new_in`] /
-/// [`Simulation::run_seeded_in`].
-pub type ReferenceSimulation = Simulation<AosWorkers>;
-
 impl Simulation {
-    /// Builds an engine over the default [`WorkerSoA`] layout.
+    /// Builds an engine over per-processor availability sources.
     ///
     /// `sources` must contain exactly one availability source per platform
     /// processor, in processor order; the caller controls their seeds (this
@@ -1095,60 +1000,7 @@ impl Simulation {
         sources: Vec<Box<dyn AvailabilitySource>>,
         options: SimOptions,
     ) -> Result<Self, ConfigError> {
-        Self::new_in(platform, app, scheduler, sources, options)
-    }
-
-    /// Builds an engine co-scheduling several applications over the default
-    /// [`WorkerSoA`] layout (see [`Simulation::new_multi_in`]).
-    pub fn new_multi(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        sources: Vec<Box<dyn AvailabilitySource>>,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        Self::new_multi_in(platform, specs, share, scheduler, sources, options)
-    }
-
-    /// Convenience: build sources straight from the platform config using a
-    /// seed path (`path.child(q)` per processor) and run.
-    pub fn run_seeded(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<SimReport, ConfigError> {
-        Self::run_seeded_in(platform, app, scheduler, trace_seeds, options)
-    }
-
-    /// Convenience: seed, run and split per application — the
-    /// multi-application twin of [`Simulation::run_seeded`].
-    pub fn run_multi_seeded(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<MultiReport, ConfigError> {
-        Self::run_multi_seeded_in(platform, specs, share, scheduler, trace_seeds, options)
-    }
-}
-
-impl<S: WorkerStore> Simulation<S> {
-    /// Builds an engine over an explicit worker-storage layout `S`
-    /// ([`Simulation::new`] for the default SoA; `S = AosWorkers` for the
-    /// reference path).
-    pub fn new_in(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        sources: Vec<Box<dyn AvailabilitySource>>,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        Self::new_multi_in(
+        Self::new_multi(
             platform,
             &[AppSpec::rigid(*app)],
             SharePolicy::default(),
@@ -1158,12 +1010,12 @@ impl<S: WorkerStore> Simulation<S> {
         )
     }
 
-    /// Builds an engine co-scheduling several applications over an explicit
-    /// worker-storage layout `S`. The applications run concurrently on the
-    /// shared platform, splitting each slot's bindable capacity under
-    /// `share`; a one-spec roster with [`AppSpec::rigid`] is bit-identical
-    /// to [`Self::new_in`] with that config.
-    pub fn new_multi_in(
+    /// Builds an engine co-scheduling several applications. The
+    /// applications run concurrently on the shared platform, splitting
+    /// each slot's bindable capacity under `share`; a one-spec roster with
+    /// [`AppSpec::rigid`] is bit-identical to [`Self::new`] with that
+    /// config.
+    pub fn new_multi(
         platform: &PlatformConfig,
         specs: &[AppSpec],
         share: SharePolicy,
@@ -1190,6 +1042,34 @@ impl<S: WorkerStore> Simulation<S> {
         )
     }
 
+    /// Convenience: build sources straight from the platform config using a
+    /// seed path (`path.child(q)` per processor) and run.
+    pub fn run_seeded(
+        platform: &PlatformConfig,
+        app: &AppConfig,
+        scheduler: Box<dyn Scheduler>,
+        trace_seeds: vg_des::rng::SeedPath,
+        options: SimOptions,
+    ) -> Result<SimReport, ConfigError> {
+        Ok(Self::new_seeded(platform, app, scheduler, trace_seeds, options)?.run())
+    }
+
+    /// Convenience: seed, run and split per application — the
+    /// multi-application twin of [`Simulation::run_seeded`].
+    pub fn run_multi_seeded(
+        platform: &PlatformConfig,
+        specs: &[AppSpec],
+        share: SharePolicy,
+        scheduler: Box<dyn Scheduler>,
+        trace_seeds: vg_des::rng::SeedPath,
+        options: SimOptions,
+    ) -> Result<MultiReport, ConfigError> {
+        Ok(
+            Self::new_multi_seeded(platform, specs, share, scheduler, trace_seeds, options)?
+                .run_multi(),
+        )
+    }
+
     /// Builds an engine over a whole-row generator (e.g.
     /// [`vg_platform::volatility::CorrelatedSource`]): the bank draws one
     /// full state row per slot, which is how cross-worker correlation enters
@@ -1197,25 +1077,6 @@ impl<S: WorkerStore> Simulation<S> {
     pub fn new_rows_in(
         platform: &PlatformConfig,
         app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        rows: Box<dyn RowSource>,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        Self::new_multi_rows_in(
-            platform,
-            &[AppSpec::rigid(*app)],
-            SharePolicy::default(),
-            scheduler,
-            rows,
-            options,
-        )
-    }
-
-    /// Co-scheduling twin of [`Self::new_rows_in`].
-    pub fn new_multi_rows_in(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
         scheduler: Box<dyn Scheduler>,
         rows: Box<dyn RowSource>,
         options: SimOptions,
@@ -1231,8 +1092,8 @@ impl<S: WorkerStore> Simulation<S> {
         }
         Self::new_with_bank(
             platform,
-            specs,
-            share,
+            &[AppSpec::rigid(*app)],
+            SharePolicy::default(),
             scheduler,
             SourceBank::Rows(rows),
             options,
@@ -1307,7 +1168,7 @@ impl<S: WorkerStore> Simulation<S> {
                     .enumerate()
                     .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
                     .collect(); // tidy:allow(hot_alloc): per-run source construction, before the first slot.
-                Self::new_multi_in(platform, specs, share, scheduler, sources, options)
+                Self::new_multi(platform, specs, share, scheduler, sources, options)
             }
         }
     }
@@ -1325,7 +1186,7 @@ impl<S: WorkerStore> Simulation<S> {
         validate_app_specs(specs)?;
         let mut scheduler = scheduler;
         scheduler.begin_run();
-        let mut workers = S::default();
+        let mut workers = WorkerSoA::default();
         workers.reset_for(platform.processors.iter().map(|pc| pc.spec));
         let chains: Vec<ChainStats> = platform
             .processors
@@ -1362,34 +1223,6 @@ impl<S: WorkerStore> Simulation<S> {
             timeline: options.record_timeline.then(|| Timeline::new(platform.p())),
             slot_marks: vec![SlotMarks::default(); platform.p()], // tidy:allow(hot_alloc): engine construction, before the first slot.
         })
-    }
-
-    /// Seed-path convenience over [`Self::new_in`] — the layout-generic
-    /// twin of [`Simulation::run_seeded`].
-    pub fn run_seeded_in(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<SimReport, ConfigError> {
-        Ok(Self::new_seeded(platform, app, scheduler, trace_seeds, options)?.run())
-    }
-
-    /// Seed-path convenience for a co-scheduled roster — the layout-generic
-    /// twin of [`Simulation::run_multi_seeded`].
-    pub fn run_multi_seeded_in(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<MultiReport, ConfigError> {
-        Ok(
-            Self::new_multi_seeded(platform, specs, share, scheduler, trace_seeds, options)?
-                .run_multi(),
-        )
     }
 
     /// Runs to completion (all iterations done or slot cap hit).
@@ -1572,19 +1405,9 @@ impl<S: WorkerStore> Simulation<S> {
             apply_overlay(ov, counters, *slot, state_row);
         }
         workers.set_states(state_row);
-        // State census: O(1) from the store's maintained counts when it
-        // keeps them, a dense tally otherwise (the oracle layout).
-        match workers.state_census() {
-            Some(census) => {
-                for (i, n) in census.into_iter().enumerate() {
-                    counters.state_slots[i] += n as u64;
-                }
-            }
-            None => {
-                for &state in state_row.iter() {
-                    counters.state_slots[state.index()] += 1;
-                }
-            }
+        // State census: O(1) from the store's maintained counts.
+        for (i, n) in workers.census().into_iter().enumerate() {
+            counters.state_slots[i] += n as u64;
         }
         if self.timeline.is_some() {
             self.slot_marks.fill(SlotMarks::default());
@@ -1595,9 +1418,7 @@ impl<S: WorkerStore> Simulation<S> {
     /// results. Only a *new* `DOWN` worker can hold anything — a worker
     /// that stayed `DOWN` was emptied when it went down, and nothing binds
     /// to (or transfers to, or computes on) a non-`UP` worker — so the pass
-    /// visits the store's went-down list; the oracle layout, which keeps
-    /// none, crashes every `DOWN` worker as the paper states it. Both visit
-    /// in ascending order, so copy-loss accounting order is unchanged.
+    /// visits the store's went-down list, in ascending order.
     fn phase_crashes(&mut self) {
         let Self {
             workers,
@@ -1606,21 +1427,9 @@ impl<S: WorkerStore> Simulation<S> {
             apps,
             ..
         } = self;
-        let SlotScratch {
-            state_row,
-            copies,
-            down,
-            ..
-        } = scratch;
+        let SlotScratch { copies, down, .. } = scratch;
         down.clear();
-        match workers.went_down() {
-            Some(list) => down.extend_from_slice(list),
-            None => down.extend(
-                (0..state_row.len())
-                    .filter(|&q| state_row[q] == ProcState::Down)
-                    .map(|q| q as u32),
-            ),
-        }
+        down.extend_from_slice(workers.went_down());
         for &q in down.iter() {
             let q = q as usize;
             copies.clear();
@@ -1639,8 +1448,8 @@ impl<S: WorkerStore> Simulation<S> {
         // Nothing a DOWN worker could hold survived (debug).
         #[cfg(debug_assertions)]
         if exhaustive_debug_checks(workers.len()) {
-            for (q, &state) in state_row.iter().enumerate() {
-                if state == ProcState::Down {
+            for q in 0..workers.len() {
+                if workers.state(q) == ProcState::Down {
                     debug_assert!(
                         workers.is_idle(q) && workers.prog_done(q) == 0,
                         "DOWN worker {q} kept state past the crash pass"
@@ -1653,7 +1462,7 @@ impl<S: WorkerStore> Simulation<S> {
     /// Snapshot entry of worker `q` as a from-scratch build would write
     /// it.
     #[inline]
-    fn fresh_snapshot(workers: &S, app: CommParams, q: usize) -> ProcSnapshot {
+    fn fresh_snapshot(workers: &WorkerSoA, app: CommParams, q: usize) -> ProcSnapshot {
         let (state, has_program, delay) = Self::slot_fields(workers, app, q);
         ProcSnapshot {
             // q < u32::MAX: PlatformConfig::validate bounds the platform
@@ -1669,7 +1478,7 @@ impl<S: WorkerStore> Simulation<S> {
     /// The slot-varying snapshot fields of worker `q` — state, program
     /// possession, `Delay(q)`; `id` and `w` are per-run constants.
     #[inline]
-    fn slot_fields(workers: &S, app: CommParams, q: usize) -> (ProcState, bool, SlotSpan) {
+    fn slot_fields(workers: &WorkerSoA, app: CommParams, q: usize) -> (ProcState, bool, SlotSpan) {
         let state = workers.state(q);
         // Schedulers only place on (and only read the delay of) UP
         // processors, so the pipeline walk is skipped for the rest (see
@@ -1688,15 +1497,15 @@ impl<S: WorkerStore> Simulation<S> {
     /// its total, and the per-lane change lists. The per-run `chains`
     /// slice completes the view.
     ///
-    /// With a change-feed store the buffers are **patched in place** at the
-    /// fed workers only — every snapshot field and the free bit are pure
+    /// The buffers are **patched in place** at the workers in the store's
+    /// change feed only — every snapshot field and the free bit are pure
     /// functions of the worker's own columns, so an unfed worker's cached
     /// entries are exact. A worker joins a lane's change list when its
     /// candidacy for that lane (UP for the pool lane, free for the replica
-    /// lane) flipped, or its delay moved while it is a candidate. The feed is sticky across unconsulted slots, so the
-    /// consult can stay lazy. The oracle layout ([`crate::AosWorkers`])
-    /// rebuilds from scratch every time, and debug builds cross-check the
-    /// patched buffers against a rebuild.
+    /// lane) flipped, or its delay moved while it is a candidate. The feed
+    /// is sticky across unconsulted slots, so the consult can stay lazy.
+    /// The first consult of a run rebuilds everything, and debug builds
+    /// cross-check the patched buffers against a rebuild.
     fn sync_views(&mut self) {
         #[cfg(debug_assertions)]
         let slot = self.slot;
@@ -1708,63 +1517,60 @@ impl<S: WorkerStore> Simulation<S> {
         } = self;
         let app = *app;
         let p = workers.len();
-        match workers.changes() {
-            Some(feed) if scratch.views_valid && scratch.procs.len() == p => {
-                let SlotScratch {
-                    procs,
-                    free,
-                    free_total,
-                    lane_bits,
-                    ..
-                } = scratch;
-                for (wi, &word) in feed.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let bit = word.trailing_zeros();
-                        word &= word - 1;
-                        let q = wi * 64 + bit as usize;
-                        let (state, has_program, delay) = Self::slot_fields(workers, app, q);
-                        let up_now = state == ProcState::Up;
-                        let f = up_now && workers.is_idle(q);
-                        let snap = &mut procs[q];
-                        // A lane hears about a worker only if its candidacy
-                        // (UP for the pool lane, free for the replica lane)
-                        // flipped, or its delay moved while it is a
-                        // candidate.
-                        let up_was = snap.state == ProcState::Up;
-                        let delay_moved = snap.delay != delay;
-                        let pool = up_was != up_now || (up_now && delay_moved);
-                        let replica = free[q] != f || (f && delay_moved);
-                        lane_bits[Lane::Pool.index()][wi] |= u64::from(pool) << bit;
-                        lane_bits[Lane::Replica.index()][wi] |= u64::from(replica) << bit;
-                        snap.state = state;
-                        snap.has_program = has_program;
-                        snap.delay = delay;
-                        *free_total = *free_total + usize::from(f) - usize::from(free[q]);
-                        free[q] = f;
-                    }
+        if scratch.views_valid && scratch.procs.len() == p {
+            let SlotScratch {
+                procs,
+                free,
+                free_total,
+                lane_bits,
+                ..
+            } = scratch;
+            for (wi, &word) in workers.changes().iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let bit = word.trailing_zeros();
+                    word &= word - 1;
+                    let q = wi * 64 + bit as usize;
+                    let (state, has_program, delay) = Self::slot_fields(workers, app, q);
+                    let up_now = state == ProcState::Up;
+                    let f = up_now && workers.is_idle(q);
+                    let snap = &mut procs[q];
+                    // A lane hears about a worker only if its candidacy
+                    // (UP for the pool lane, free for the replica lane)
+                    // flipped, or its delay moved while it is a
+                    // candidate.
+                    let up_was = snap.state == ProcState::Up;
+                    let delay_moved = snap.delay != delay;
+                    let pool = up_was != up_now || (up_now && delay_moved);
+                    let replica = free[q] != f || (f && delay_moved);
+                    lane_bits[Lane::Pool.index()][wi] |= u64::from(pool) << bit;
+                    lane_bits[Lane::Replica.index()][wi] |= u64::from(replica) << bit;
+                    snap.state = state;
+                    snap.has_program = has_program;
+                    snap.delay = delay;
+                    *free_total = *free_total + usize::from(f) - usize::from(free[q]);
+                    free[q] = f;
                 }
             }
-            feed => {
-                scratch.procs.clear();
-                scratch
-                    .procs
-                    .extend((0..p).map(|q| Self::fresh_snapshot(workers, app, q)));
-                scratch.free.clear();
-                scratch.free.extend(
-                    (0..p).map(|q| workers.state(q) == ProcState::Up && workers.is_idle(q)),
-                );
-                scratch.free_total = scratch.free.iter().filter(|&&f| f).count();
-                // Lanes cannot be patched across a rebuild: drop their
-                // pending sets and skip a sequence number, which obliges
-                // the scheduler to rebuild its lane state too.
-                for (bits, seq) in scratch.lane_bits.iter_mut().zip(&mut scratch.lane_seq) {
-                    bits.clear();
-                    bits.resize(p.div_ceil(64), 0);
-                    *seq += 1;
-                }
-                scratch.views_valid = feed.is_some();
+        } else {
+            scratch.procs.clear();
+            scratch
+                .procs
+                .extend((0..p).map(|q| Self::fresh_snapshot(workers, app, q)));
+            scratch.free.clear();
+            scratch
+                .free
+                .extend((0..p).map(|q| workers.state(q) == ProcState::Up && workers.is_idle(q)));
+            scratch.free_total = scratch.free.iter().filter(|&&f| f).count();
+            // Lanes cannot be patched across a rebuild: drop their
+            // pending sets and skip a sequence number, which obliges
+            // the scheduler to rebuild its lane state too.
+            for (bits, seq) in scratch.lane_bits.iter_mut().zip(&mut scratch.lane_seq) {
+                bits.clear();
+                bits.resize(p.div_ceil(64), 0);
+                *seq += 1;
             }
+            scratch.views_valid = true;
         }
         workers.clear_changes();
         // Incremental-vs-full oracle (debug): every consult must equal a
@@ -1804,14 +1610,9 @@ impl<S: WorkerStore> Simulation<S> {
     }
 
     /// Opens `lane`'s next round: bumps its sequence number and drains its
-    /// pending set into `lane_list`, ascending. Returns the sequence
-    /// number, or `None` for a store without a change feed, whose views
-    /// are rebuilt every consult and never carry a delta. The round's view
-    /// carries [`Self::lane_delta`].
-    fn open_lane(scratch: &mut SlotScratch, lane: Lane, feed: bool) -> Option<u64> {
-        if !feed {
-            return None;
-        }
+    /// pending set into `lane_list`, ascending. Returns the round's
+    /// sequence number; the round's [`ViewDelta`] lists `lane_list`.
+    fn open_lane(scratch: &mut SlotScratch, lane: Lane) -> u64 {
         let l = lane.index();
         scratch.lane_seq[l] += 1;
         scratch.lane_list.clear();
@@ -1825,17 +1626,7 @@ impl<S: WorkerStore> Simulation<S> {
                 w &= w - 1;
             }
         }
-        Some(scratch.lane_seq[l])
-    }
-
-    /// The delta of the round [`Self::open_lane`] numbered `seq`: the
-    /// lane's changes since its previous round.
-    fn lane_delta(scratch: &SlotScratch, lane: Lane, seq: Option<u64>) -> Option<ViewDelta<'_>> {
-        seq.map(|seq| ViewDelta {
-            lane,
-            seq,
-            changed: &scratch.lane_list,
-        })
+        scratch.lane_seq[l]
     }
 
     /// Binds `copy` to worker `widx` if legal; immediately pins zero-length
@@ -1914,7 +1705,6 @@ impl<S: WorkerStore> Simulation<S> {
         // have an empty pool AND nothing to replicate, so they are synced
         // lazily. Nothing between the phase start and the first use
         // mutates worker state.
-        let feed = self.workers.changes().is_some();
 
         // Originals first (strict priority, Section 6.1).
         self.apps[0].iter.pool_tasks_into(&mut self.scratch.pool);
@@ -1957,7 +1747,7 @@ impl<S: WorkerStore> Simulation<S> {
                     } = self;
                     scratch.placements.clear();
                     let mut placements = std::mem::take(&mut scratch.placements);
-                    let seq = Self::open_lane(scratch, Lane::Pool, feed);
+                    let seq = Self::open_lane(scratch, Lane::Pool);
                     let view = SchedView {
                         procs: &scratch.procs,
                         chains,
@@ -1967,7 +1757,11 @@ impl<S: WorkerStore> Simulation<S> {
                         room: None,
                         app: None,
                         candidates: None,
-                        delta: Self::lane_delta(scratch, Lane::Pool, seq),
+                        delta: Some(ViewDelta {
+                            lane: Lane::Pool,
+                            seq,
+                            changed: &scratch.lane_list,
+                        }),
                     };
                     scheduler.place_into(&view, count, &mut placements);
                     scratch.placements = placements;
@@ -2146,7 +1940,7 @@ impl<S: WorkerStore> Simulation<S> {
                         } = self;
                         scratch.placements.clear();
                         let mut placements = std::mem::take(&mut scratch.placements);
-                        let seq = Self::open_lane(scratch, Lane::Replica, feed);
+                        let seq = Self::open_lane(scratch, Lane::Replica);
                         let view = SchedView {
                             procs: &scratch.procs,
                             chains,
@@ -2159,7 +1953,11 @@ impl<S: WorkerStore> Simulation<S> {
                             room: None,
                             app: None,
                             candidates: Some(&scratch.free),
-                            delta: Self::lane_delta(scratch, Lane::Replica, seq),
+                            delta: Some(ViewDelta {
+                                lane: Lane::Replica,
+                                seq,
+                                changed: &scratch.lane_list,
+                            }),
                         };
                         scheduler.place_into(&view, k, &mut placements);
                         scratch.placements = placements;
@@ -2201,7 +1999,6 @@ impl<S: WorkerStore> Simulation<S> {
     fn phase_schedule_multi(&mut self) {
         self.bind_order.clear();
         let n_apps = self.apps.len();
-        let feed = self.workers.changes().is_some();
         let mut have_snapshot = false;
 
         // --- Pool placements under share quotas --------------------------
@@ -2399,7 +2196,7 @@ impl<S: WorkerStore> Simulation<S> {
                     } = self;
                     scratch.placements.clear();
                     let mut placements = std::mem::take(&mut scratch.placements);
-                    let seq = Self::open_lane(scratch, Lane::Replica, feed);
+                    let seq = Self::open_lane(scratch, Lane::Replica);
                     let view = SchedView {
                         procs: &scratch.procs,
                         chains,
@@ -2409,7 +2206,11 @@ impl<S: WorkerStore> Simulation<S> {
                         room: None,
                         app: Some(app_view),
                         candidates: Some(&scratch.free),
-                        delta: Self::lane_delta(scratch, Lane::Replica, seq),
+                        delta: Some(ViewDelta {
+                            lane: Lane::Replica,
+                            seq,
+                            changed: &scratch.lane_list,
+                        }),
                     };
                     scheduler.place_into(&view, k, &mut placements);
                     scratch.placements = placements;
@@ -2753,7 +2554,7 @@ impl<S: WorkerStore> Simulation<S> {
     /// The promotion half of phase 6 for one busy worker: finished transfer
     /// → buffer, buffer → free compute unit.
     #[inline]
-    fn promote_pipeline(workers: &mut S, q: usize, t_data: SlotSpan) {
+    fn promote_pipeline(workers: &mut WorkerSoA, q: usize, t_data: SlotSpan) {
         if let Some(tr) = workers.transfer(q) {
             if tr.done >= t_data && t_data > 0 {
                 debug_assert!(workers.buffered(q).is_none());
@@ -2777,7 +2578,7 @@ impl<S: WorkerStore> Simulation<S> {
     /// unstarted bindings dissolve — originals silently remain in the pool;
     /// replica placeholders evaporate.
     #[inline]
-    fn dissolve_binds(workers: &mut S, apps: &mut [AppRuntime], q: usize) {
+    fn dissolve_binds(workers: &mut WorkerSoA, apps: &mut [AppRuntime], q: usize) {
         workers.drain_bound(q, |copy| {
             if !copy.is_original() {
                 let (it, lt) = iter_for(apps, copy.task);
@@ -2936,16 +2737,11 @@ impl<S: WorkerStore> Simulation<S> {
         }
     }
 
-    /// Live UP-worker count at the current slot: O(1) from the store's
-    /// block summaries when it maintains them, a dense tally otherwise.
-    /// Consulted only at barriers of [`ReconfigPolicy::Moldable`] apps.
+    /// Live UP-worker count at the current slot, O(1) from the store's
+    /// census. Consulted only at barriers of [`ReconfigPolicy::Moldable`]
+    /// apps.
     fn up_workers(&self) -> usize {
-        match self.workers.state_census() {
-            Some(census) => census[ProcState::Up.index()],
-            None => (0..self.workers.len())
-                .filter(|&q| self.workers.state(q) == ProcState::Up)
-                .count(),
-        }
+        self.workers.census()[ProcState::Up.index()]
     }
 }
 
@@ -3520,77 +3316,6 @@ mod tests {
                 assert_eq!(warm.finished(), cold.finished());
             }
         }
-    }
-
-    #[test]
-    fn arena_run_configured_matches_run_seeded() {
-        // Shared chains + caller-built sources (the general entry point)
-        // must be bit-identical to the self-seeding path — including when
-        // one arena alternates between equally sized but different
-        // platforms (scheduler caches must not leak across runs).
-        let mut arena = SimArena::new();
-        let app = AppConfig {
-            tasks_per_iteration: 8,
-            iterations: 2,
-            t_prog: 4,
-            t_data: 1,
-        };
-        for (pseed, kind) in [
-            (4, HeuristicKind::Ud),
-            (5, HeuristicKind::Ud),      // same p, different platform
-            (5, HeuristicKind::Random1), // impure scheduler, same platform
-            (4, HeuristicKind::Random1), // impure scheduler, platform flip
-        ] {
-            let platform = {
-                let mut rng = SeedPath::root(pseed).rng();
-                PlatformConfig {
-                    processors: (0..6)
-                        .map(|_| {
-                            let chain = vg_markov::availability::AvailabilityChain::sample_paper(
-                                &mut rng, 0.90, 0.99,
-                            );
-                            ProcessorConfig::markov(3, chain, StartPolicy::Up)
-                        })
-                        .collect(),
-                    ncom: 2,
-                }
-            };
-            let chains = platform_chain_stats(&platform);
-            let configured = arena
-                .run_configured(
-                    &platform,
-                    &app,
-                    kind.build(SeedPath::root(9).rng()),
-                    &chains,
-                    sources_for(&platform, 13),
-                    SimOptions::default(),
-                )
-                .unwrap();
-            let seeded = Simulation::run_seeded(
-                &platform,
-                &app,
-                kind.build(SeedPath::root(9).rng()),
-                SeedPath::root(13),
-                SimOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(configured.makespan, seeded.makespan, "{kind} pseed={pseed}");
-            assert_eq!(
-                configured.slots_run, seeded.slots_run,
-                "{kind} pseed={pseed}"
-            );
-        }
-        // Mismatched chains are rejected, not misused.
-        let platform = always_up(2, 1, 1);
-        let err = arena.run_configured(
-            &platform,
-            &app,
-            HeuristicKind::Mct.build(SeedPath::root(1).rng()),
-            &[],
-            sources_for(&platform, 1),
-            SimOptions::default(),
-        );
-        assert!(err.is_err());
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   applications share one worker store;
 //! * [`worker`] — the per-worker pipeline (program / data / compute with one
 //!   task of look-ahead);
-//! * [`store`] — worker storage layouts: the hot/cold [`store::WorkerSoA`]
-//!   the engine runs on and the retained [`store::AosWorkers`] oracle;
-//! * [`engine`] — the seven-phase slot loop ([`engine::Simulation`], generic
-//!   over the layout) and the warmed arena ([`engine::SimArena`]);
+//! * [`store`] — the hot/cold column store [`store::WorkerSoA`] that holds
+//!   every worker's pipeline, with its change feed;
+//! * [`engine`] — the seven-phase slot loop ([`engine::Simulation`]) and
+//!   the warmed arena ([`engine::SimArena`]);
 //! * [`report`] — makespans and counters ([`report::SimReport`]).
 //!
 //! ## Warmed arenas for campaign-scale fan-out
@@ -112,10 +112,10 @@ pub mod worker;
 
 pub use app::{AppRuntime, AppSpec, MoldableParams, ReconfigPolicy};
 pub use engine::{
-    platform_chain_stats, AppOutcome, MultiOutcome, PlacementBudget, ReferenceSimulation,
-    RunOutcome, SimArena, SimOptions, Simulation,
+    platform_chain_stats, AppOutcome, MultiOutcome, PlacementBudget, RunOutcome, SimArena,
+    SimOptions, Simulation,
 };
 pub use report::{AppReport, Counters, MultiReport, SimReport};
-pub use store::{AosWorkers, WorkerSoA, WorkerStore};
+pub use store::WorkerSoA;
 pub use task::{CopyId, TaskId};
 pub use timeline::{Activity, Timeline};

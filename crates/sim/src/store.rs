@@ -1,29 +1,17 @@
-//! Worker storage layouts: the hot/cold **SoA** the engine runs on, and the
-//! retained **AoS** path kept as the bit-identity oracle.
+//! The engine's worker store: per-worker state in hot/cold columns.
 //!
 //! The slot loop is a sequence of dense scans over per-worker state — draw
-//! states, estimate delays, advance transfers and computations. Stored as an
-//! array of [`WorkerRuntime`] structs (AoS), every scan drags each worker's
-//! *cold* fields (the `bound` vector, `prog_began_at`, the spec) through the
-//! cache alongside the one or two hot fields it actually reads; at
-//! `p ≥ 1024` a single state pass touches ~100 KiB instead of 1 KiB.
-//! [`WorkerSoA`] splits the runtime into parallel arrays so each phase walks
-//! only the columns it needs:
+//! states, estimate delays, advance transfers and computations. [`WorkerSoA`]
+//! keeps each per-worker field in its own array, so each phase walks only
+//! the columns it needs instead of dragging every worker's cold fields
+//! through the cache (at `p ≥ 1024` a state pass touches 1 KiB of states
+//! rather than ~100 KiB of whole worker records):
 //!
 //! * **hot** (touched every slot, densely): `state`, `w`, `prog_done`, and
 //!   the pipeline columns `computing` / `transfer` / `buffered` whose
 //!   discriminants drive the per-slot branches;
 //! * **cold** (touched on binds/crashes only): `prog_began_at` and the
-//!   per-worker `bound` lists (allocations kept warm across runs, as the
-//!   AoS `WorkerRuntime::bound` buffers were).
-//!
-//! Both layouts implement [`WorkerStore`], the exact per-worker contract the
-//! engine phases are written against. The engine is generic over it and
-//! monomorphized, so the abstraction costs nothing; [`AosWorkers`] is a thin
-//! adapter that delegates every operation to the original
-//! [`WorkerRuntime`] methods — the pre-refactor code path, unchanged — which
-//! is what makes `Simulation<AosWorkers>` a genuine oracle for the SoA
-//! engine (see `crates/sim/tests/soa_equivalence.rs`).
+//!   per-worker `bound` lists (allocations kept warm across runs).
 //!
 //! [`WorkerSoA::reset_for`] reinitializes every column with a single
 //! `memset`-style fill pass per array (clear + resize on retained
@@ -31,40 +19,40 @@
 //! recycle the store across grow→shrink→grow platform sequences without
 //! per-worker bookkeeping.
 //!
-//! The SoA also keeps a **change feed** — the deduplicated list of workers
+//! The store also keeps a **change feed** — the deduplicated set of workers
 //! whose scheduler-visible inputs may have moved — that the engine's
 //! incremental snapshot, free-mask and placement-lane bookkeeping consume
-//! in O(changed); the exact contract is documented on [`WorkerStore`].
+//! in O(changed); the exact contract is documented on [`WorkerSoA`].
 
 use vg_des::{Slot, SlotSpan};
 use vg_markov::availability::ProcState;
 use vg_platform::ProcessorSpec;
 
 use crate::task::{CopyId, TaskId};
-use crate::worker::{ComputeState, TransferState, WorkerRuntime};
+use crate::worker::{ComputeState, TransferState};
 
-/// Fixed width (in workers) of the block-chunked busy-worker walks:
-/// [`WorkerStore::block_may_be_busy`] lets a walk dismiss a quiet block in
-/// one query instead of scanning its workers. 256 one-byte entries span
-/// four cache lines and vectorize cleanly when a block does need the full
-/// scan. A multiple of 64, so a block is a whole number of busy-bitmap
-/// words.
+/// Fixed width (in workers) of the block-chunked walks:
+/// [`WorkerSoA::block_may_be_busy`] lets a walk dismiss a quiet block in
+/// one query instead of scanning its workers, and
+/// [`WorkerSoA::set_states`] dismisses a block whose states re-draw
+/// identically with one slice compare. 256 one-byte entries span four
+/// cache lines and vectorize cleanly when a block does need the full scan.
+/// A multiple of 64, so a block is a whole number of busy-bitmap words.
 pub const SUMMARY_BLOCK: usize = 256;
 
-/// Per-worker state storage, as consumed by the engine's slot phases.
+/// Per-worker state of a run, stored column-wise (see the module docs).
 ///
-/// Semantics of every method are those of the corresponding
-/// [`WorkerRuntime`] field or method; implementations differ only in memory
-/// layout. The engine is generic (and monomorphized) over this trait, so
-/// both layouts compile to direct array accesses.
+/// Each worker runs the pipeline of [`crate::worker`]: a program, at most
+/// one computing copy plus one look-ahead copy (in flight or buffered),
+/// and the copies bound to it this slot whose transfers have not begun.
 ///
 /// # Change-feed contract (incremental consumers)
 ///
-/// A store may keep a **change feed** ([`Self::changes`]): a bitmap of the
-/// workers that may have changed, since the last
-/// [`Self::clear_changes`], in any input the engine derives per worker for
-/// the scheduler — the snapshot (state, program possession, `Delay(q)`)
-/// and the free bit (`UP` ∧ idle). A worker must be fed by:
+/// The store keeps a **change feed** ([`Self::changes`]): a bitmap of the
+/// workers that may have changed, since the last [`Self::clear_changes`],
+/// in any input the engine derives per worker for the scheduler — the
+/// snapshot (state, program possession, `Delay(q)`) and the free bit
+/// (`UP` ∧ idle). A worker is fed by:
 ///
 /// * a state transition ([`Self::set_states`], changed entries only — a
 ///   worker that re-draws its current state is untouched);
@@ -78,7 +66,7 @@ pub const SUMMARY_BLOCK: usize = 256;
 /// * a busy flip — occupancy going 0 ↔ non-zero — from any mutation,
 ///   bound-list operations included.
 ///
-/// Other mutations need not feed: [`Self::set_prog_began_at`] (a
+/// Other mutations do not feed: [`Self::set_prog_began_at`] (a
 /// transfer-priority key, not a snapshot field) and bound-list operations
 /// that leave the worker busy — `Delay(q)` deliberately excludes bound
 /// copies, whose placement the scheduler is re-deciding (\[D8\]). Bits
@@ -87,401 +75,16 @@ pub const SUMMARY_BLOCK: usize = 256;
 /// Being a bitmap, the feed is duplicate-free and walks in ascending
 /// worker order, so its consumers touch their per-worker columns in
 /// address order.
+///
 /// The store also reports the workers that turned `DOWN` in the last
 /// [`Self::set_states`] ([`Self::went_down`]), which is all the crash pass
 /// needs: a worker that stays `DOWN` was emptied when it went down and
 /// nothing binds to a non-`UP` worker.
 ///
-/// A store without a feed (`changes()` is `None`, the AoS oracle) sends
-/// every consumer down its dense from-scratch path. The
-/// `crates/sim/tests/soa_equivalence.rs` grid and per-consult debug
-/// assertions in the engine pin the contract: a missed entry shows up as
-/// an incremental-vs-full divergence.
-pub trait WorkerStore: Default + Send {
-    /// Number of workers.
-    fn len(&self) -> usize;
-
-    /// True when the store holds no workers.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Rebuilds the store for a platform, reusing retained allocations
-    /// (the arena-path equivalent of constructing fresh workers): after the
-    /// call every worker is in the [`WorkerRuntime::new`] state for its
-    /// spec.
-    fn reset_for<I>(&mut self, specs: I)
-    where
-        I: ExactSizeIterator<Item = ProcessorSpec>;
-
-    /// `w_q` of worker `q`.
-    fn w(&self, q: usize) -> SlotSpan;
-
-    /// State of worker `q` for the current slot.
-    fn state(&self, q: usize) -> ProcState;
-
-    /// Overwrites every worker's state from `states` (`states.len()` must
-    /// equal [`Self::len`]) — phase 1's dense column write.
-    fn set_states(&mut self, states: &[ProcState]);
-
-    /// Slots of program received by worker `q`.
-    fn prog_done(&self, q: usize) -> SlotSpan;
-
-    /// Sets the program progress of worker `q`.
-    fn set_prog_done(&mut self, q: usize, v: SlotSpan);
-
-    /// Slot at which worker `q`'s current program transfer began.
-    fn prog_began_at(&self, q: usize) -> Slot;
-
-    /// Sets the program-transfer start slot of worker `q`.
-    fn set_prog_began_at(&mut self, q: usize, v: Slot);
-
-    /// In-flight data transfer of worker `q`.
-    fn transfer(&self, q: usize) -> Option<TransferState>;
-
-    /// Sets the in-flight data transfer of worker `q`.
-    fn set_transfer(&mut self, q: usize, t: Option<TransferState>);
-
-    /// Buffered (complete, waiting for compute) copy of worker `q`.
-    fn buffered(&self, q: usize) -> Option<CopyId>;
-
-    /// Sets the buffered copy of worker `q`.
-    fn set_buffered(&mut self, q: usize, b: Option<CopyId>);
-
-    /// Copy being computed by worker `q`.
-    fn computing(&self, q: usize) -> Option<ComputeState>;
-
-    /// Sets the computing state of worker `q`.
-    fn set_computing(&mut self, q: usize, c: Option<ComputeState>);
-
-    /// Advances worker `q`'s computation by one UP-slot, if one is in
-    /// progress; returns the copy and whether it just reached `w_q` slots
-    /// (complete). Semantically `computing()` + `set_computing(done + 1)`
-    /// — the default does exactly that — but implementations can fuse the
-    /// read-modify-write into one column access: compute progress never
-    /// changes the occupancy, only `done` (and the change feed).
-    fn tick_compute(&mut self, q: usize) -> Option<(CopyId, bool)> {
-        let mut c = self.computing(q)?;
-        c.done += 1;
-        let finished = c.done == self.w(q);
-        self.set_computing(q, Some(c));
-        Some((c.copy, finished))
-    }
-
-    /// Copies bound to worker `q` this slot (transfers not yet begun).
-    fn bound(&self, q: usize) -> &[CopyId];
-
-    /// Binds one more copy to worker `q`.
-    fn bound_push(&mut self, q: usize, c: CopyId);
-
-    /// Removes every bound copy equal to `c` from worker `q`.
-    fn bound_remove(&mut self, q: usize, c: CopyId);
-
-    /// Drains worker `q`'s bound list, feeding each copy to `f` in order.
-    fn drain_bound(&mut self, q: usize, f: impl FnMut(CopyId));
-
-    /// Does worker `q` hold a complete program copy?
-    fn has_program(&self, q: usize, t_prog: SlotSpan) -> bool;
-
-    /// Pinned copies of worker `q` (computing + buffered + transfer).
-    fn pinned_count(&self, q: usize) -> usize;
-
-    /// True if worker `q` is completely idle: nothing pinned, nothing bound.
-    fn is_idle(&self, q: usize) -> bool;
-
-    /// Negation of [`Self::is_idle`], for hot-loop early-outs: `true` iff
-    /// anything is pinned or bound on worker `q`.
-    fn busy(&self, q: usize) -> bool {
-        !self.is_idle(q)
-    }
-
-    /// Whether any copy (pinned or bound) of `task` lives on worker `q`.
-    fn has_copy_of(&self, q: usize, task: TaskId) -> bool;
-
-    /// Room for one more bound copy on worker `q` (pipeline capacity 2).
-    fn has_bind_room(&self, q: usize) -> bool;
-
-    /// Number of workers that could accept one more bound copy this slot:
-    /// `UP` with bind room. This is the **bindable capacity** the
-    /// `PlacementBudget::BindCapacity` engine mode clips each pool request
-    /// to — asking the scheduler for more placements than this can never
-    /// yield more binds. The default is an O(p) accessor scan; dense-column
-    /// layouts override it with a branch-light column walk (the engine
-    /// cross-checks the override against this scan in debug builds).
-    fn bindable_count(&self) -> usize {
-        (0..self.len())
-            .filter(|&q| self.state(q) == ProcState::Up && self.has_bind_room(q))
-            .count()
-    }
-
-    /// Fills `out[q]` with worker `q`'s remaining bind room this slot:
-    /// `2 − occupancy` for `UP` workers, 0 otherwise. The dense per-worker
-    /// companion of [`Self::bindable_count`] — the capped placement round
-    /// hands the column to the scheduler (as `SchedView::room`) so it can
-    /// retire a worker the moment its room is spent. The default is an
-    /// O(p) accessor scan; dense-column layouts override it with the same
-    /// two-column walk as `bindable_count`.
-    fn room_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend((0..self.len()).map(|q| {
-            if self.state(q) != ProcState::Up {
-                0
-            } else if self.is_idle(q) {
-                2
-            } else if self.has_bind_room(q) {
-                1
-            } else {
-                0
-            }
-        }));
-    }
-
-    /// Number of [`SUMMARY_BLOCK`]-wide blocks covering the platform.
-    fn summary_blocks(&self) -> usize {
-        self.len().div_ceil(SUMMARY_BLOCK)
-    }
-
-    /// May block `b` contain a busy (occupancy ≠ 0) worker? `false` is a
-    /// **guarantee** that every worker in the block is idle, letting the
-    /// compute / promotion passes skip it in one compare; `true` is
-    /// non-committal. The default never commits — oracle layouts keep
-    /// their original dense passes — while bitmap-maintaining layouts
-    /// answer from the block's busy words.
-    fn block_may_be_busy(&self, _b: usize) -> bool {
-        true
-    }
-
-    /// Whether [`Self::busy_word`] reads a maintained bitmap (O(1)) rather
-    /// than the dense fallback below. Engine passes gate on this constant
-    /// so oracle layouts keep their original block-chunked scans and the
-    /// branch monomorphizes away.
-    const HAS_BUSY_WORDS: bool = false;
-
-    /// The 64-worker busy bitmap word `wi`: bit `q % 64` of word `q / 64`
-    /// is set iff worker `q` is busy (occupancy ≠ 0). Words past the
-    /// platform tail are zero-padded. The default recomputes the word
-    /// densely — correct for every layout, but only worth calling when
-    /// [`Self::HAS_BUSY_WORDS`] says the layout maintains the column.
-    fn busy_word(&self, wi: usize) -> u64 {
-        let mut word = 0u64;
-        let start = wi * 64;
-        let end = (start + 64).min(self.len());
-        for q in start..end {
-            word |= u64::from(self.busy(q)) << (q - start);
-        }
-        word
-    }
-
-    /// Per-state worker counts `[up, reclaimed, down]` for the current
-    /// slot, if the layout maintains them (`None` sends the caller down a
-    /// dense tally). Phase 1's state census consumes this — O(1) instead
-    /// of an O(p) pass.
-    fn state_census(&self) -> Option<[usize; 3]> {
-        None
-    }
-
-    /// The change feed (see the trait-level contract) as bitmap words —
-    /// bit `q % 64` of word `q / 64` set iff worker `q` is fed, words past
-    /// the platform tail zero — or `None` when the layout keeps none and
-    /// consumers must rescan densely.
-    fn changes(&self) -> Option<&[u64]> {
-        None
-    }
-
-    /// Empties the change feed (the consumer caught up).
-    fn clear_changes(&mut self) {}
-
-    /// Workers that turned `DOWN` in the last [`Self::set_states`], in
-    /// ascending order, or `None` when the layout does not track them (the
-    /// crash pass then visits every `DOWN` worker).
-    fn went_down(&self) -> Option<&[u32]> {
-        None
-    }
-
-    /// `Delay(q)` — see [`WorkerRuntime::delay_estimate`].
-    fn delay_estimate(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) -> SlotSpan;
-
-    /// Crash handling for worker `q` — see [`WorkerRuntime::crash_into`].
-    fn crash_into(&mut self, q: usize, lost: &mut Vec<CopyId>);
-
-    /// Cancels every copy of `task` on worker `q` — see
-    /// [`WorkerRuntime::cancel_task_into`].
-    fn cancel_task_into(&mut self, q: usize, task: TaskId, removed: &mut Vec<CopyId>);
-
-    /// Structural pipeline invariants of worker `q` (debug builds).
-    fn assert_invariants(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan);
-}
-
-/// The retained AoS layout: a plain `Vec<WorkerRuntime>`, every operation
-/// delegated to the original per-worker methods. This is the pre-SoA code
-/// path, kept as the bit-identity oracle (and for tests that want to poke a
-/// single worker's fields directly). It keeps no change feed, so
-/// `ReferenceSimulation` rebuilds every snapshot and free mask from
-/// scratch, crashes every `DOWN` worker every slot and never hands the
-/// scheduler a delta — a genuine cross-check of the incremental paths.
-#[derive(Debug, Default)]
-pub struct AosWorkers {
-    /// The workers, in processor order.
-    pub workers: Vec<WorkerRuntime>,
-}
-
-impl WorkerStore for AosWorkers {
-    #[inline]
-    fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn reset_for<I>(&mut self, specs: I)
-    where
-        I: ExactSizeIterator<Item = ProcessorSpec>,
-    {
-        self.workers.truncate(specs.len());
-        let mut specs = specs;
-        for (w, spec) in self.workers.iter_mut().zip(specs.by_ref()) {
-            w.reset(spec);
-        }
-        for spec in specs {
-            self.workers.push(WorkerRuntime::new(spec));
-        }
-    }
-
-    #[inline]
-    fn w(&self, q: usize) -> SlotSpan {
-        self.workers[q].spec.w
-    }
-
-    #[inline]
-    fn state(&self, q: usize) -> ProcState {
-        self.workers[q].state
-    }
-
-    #[inline]
-    fn set_states(&mut self, states: &[ProcState]) {
-        for (w, &s) in self.workers.iter_mut().zip(states) {
-            w.state = s;
-        }
-    }
-
-    #[inline]
-    fn prog_done(&self, q: usize) -> SlotSpan {
-        self.workers[q].prog_done
-    }
-
-    #[inline]
-    fn set_prog_done(&mut self, q: usize, v: SlotSpan) {
-        self.workers[q].prog_done = v;
-    }
-
-    #[inline]
-    fn prog_began_at(&self, q: usize) -> Slot {
-        self.workers[q].prog_began_at
-    }
-
-    #[inline]
-    fn set_prog_began_at(&mut self, q: usize, v: Slot) {
-        self.workers[q].prog_began_at = v;
-    }
-
-    #[inline]
-    fn transfer(&self, q: usize) -> Option<TransferState> {
-        self.workers[q].transfer
-    }
-
-    #[inline]
-    fn set_transfer(&mut self, q: usize, t: Option<TransferState>) {
-        self.workers[q].transfer = t;
-    }
-
-    #[inline]
-    fn buffered(&self, q: usize) -> Option<CopyId> {
-        self.workers[q].buffered
-    }
-
-    #[inline]
-    fn set_buffered(&mut self, q: usize, b: Option<CopyId>) {
-        self.workers[q].buffered = b;
-    }
-
-    #[inline]
-    fn computing(&self, q: usize) -> Option<ComputeState> {
-        self.workers[q].computing
-    }
-
-    #[inline]
-    fn set_computing(&mut self, q: usize, c: Option<ComputeState>) {
-        self.workers[q].computing = c;
-    }
-
-    #[inline]
-    fn bound(&self, q: usize) -> &[CopyId] {
-        &self.workers[q].bound
-    }
-
-    #[inline]
-    fn bound_push(&mut self, q: usize, c: CopyId) {
-        self.workers[q].bound.push(c);
-    }
-
-    #[inline]
-    fn bound_remove(&mut self, q: usize, c: CopyId) {
-        self.workers[q].bound.retain(|x| *x != c);
-    }
-
-    #[inline]
-    fn drain_bound(&mut self, q: usize, mut f: impl FnMut(CopyId)) {
-        for c in self.workers[q].bound.drain(..) {
-            f(c);
-        }
-    }
-
-    #[inline]
-    fn has_program(&self, q: usize, t_prog: SlotSpan) -> bool {
-        self.workers[q].has_program(t_prog)
-    }
-
-    #[inline]
-    fn pinned_count(&self, q: usize) -> usize {
-        self.workers[q].pinned_count()
-    }
-
-    #[inline]
-    fn is_idle(&self, q: usize) -> bool {
-        self.workers[q].is_idle()
-    }
-
-    #[inline]
-    fn has_copy_of(&self, q: usize, task: TaskId) -> bool {
-        self.workers[q].has_copy_of(task)
-    }
-
-    #[inline]
-    fn has_bind_room(&self, q: usize) -> bool {
-        self.workers[q].has_bind_room()
-    }
-
-    #[inline]
-    fn delay_estimate(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) -> SlotSpan {
-        self.workers[q].delay_estimate(t_prog, t_data)
-    }
-
-    #[inline]
-    fn crash_into(&mut self, q: usize, lost: &mut Vec<CopyId>) {
-        self.workers[q].crash_into(lost);
-    }
-
-    #[inline]
-    fn cancel_task_into(&mut self, q: usize, task: TaskId, removed: &mut Vec<CopyId>) {
-        self.workers[q].cancel_task_into(task, removed);
-    }
-
-    #[inline]
-    fn assert_invariants(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) {
-        self.workers[q].assert_invariants(t_prog, t_data);
-    }
-}
-
-/// The hot/cold SoA layout (see the module docs). Field-for-field equivalent
-/// to `Vec<WorkerRuntime>`, stored column-wise.
+/// Per-consult debug assertions in the engine (patched views ≡ a rebuild)
+/// pin the contract; the Section-3 oracle (`tests/section3_oracle.rs`) and
+/// the digest corpus of `crates/sim/tests/golden_grid.rs` pin the
+/// behaviour it feeds.
 #[derive(Debug, Default)]
 pub struct WorkerSoA {
     // --- hot columns: walked densely every slot ---------------------------
@@ -501,11 +104,11 @@ pub struct WorkerSoA {
     /// sync by every mutator. Collapses `is_idle` / `busy` /
     /// `has_bind_room` — the free-mask scan of the replica path above all —
     /// to a single byte read instead of three `Option` columns plus a
-    /// `Vec` header chase. The SoA⇄AoS oracle grid pins its consistency.
+    /// `Vec` header chase. [`Self::assert_invariants`] re-checks it.
     occupancy: Vec<u8>,
     // --- change tracking ----------------------------------------------------
-    /// The change feed bitmap (see the [`WorkerStore`] contract), drained
-    /// by the engine's incremental consumers.
+    /// The change feed bitmap (see the type-level contract), drained by
+    /// the engine's incremental consumers.
     feed: Vec<u64>,
     /// Workers that turned `DOWN` in the last `set_states`, ascending.
     went_down: Vec<u32>,
@@ -514,7 +117,7 @@ pub struct WorkerSoA {
     /// Busy bitmap: bit `q % 64` of word `q / 64` is set iff worker `q` is
     /// busy (occupancy ≠ 0), maintained by [`Self::occ_inc`] /
     /// [`Self::occ_sub`] on every 0 ↔ non-zero flip and consumed by the
-    /// engine's busy-worker iteration ([`WorkerStore::busy_word`]) so the
+    /// engine's busy-worker iteration ([`Self::busy_word`]) so the
     /// compute / transfer-continuation / promotion passes cost O(busy)
     /// instead of O(p) at platform scale. A block's busy summary is its
     /// [`SUMMARY_BLOCK`]` / 64` words.
@@ -524,6 +127,14 @@ pub struct WorkerSoA {
     prog_began_at: Vec<Slot>,
     /// Copies bound this slot; inner allocations retained across runs.
     bound: Vec<Vec<CopyId>>,
+}
+
+/// `memset`-style column reinit: one `clear` + one `resize` fill pass over
+/// the retained allocation.
+#[inline]
+fn refill<T: Clone>(v: &mut Vec<T>, p: usize, value: T) {
+    v.clear();
+    v.resize(p, value);
 }
 
 impl WorkerSoA {
@@ -575,25 +186,24 @@ impl WorkerSoA {
             self.note_changed(q);
         }
     }
-}
 
-/// `memset`-style column reinit: one `clear` + one `resize` fill pass over
-/// the retained allocation.
-#[inline]
-fn refill<T: Clone>(v: &mut Vec<T>, p: usize, value: T) {
-    v.clear();
-    v.resize(p, value);
-}
-
-impl WorkerStore for WorkerSoA {
-    const HAS_BUSY_WORDS: bool = true;
-
+    /// Number of workers.
     #[inline]
-    fn len(&self) -> usize {
+    #[must_use]
+    pub fn len(&self) -> usize {
         self.state.len()
     }
 
-    fn reset_for<I>(&mut self, specs: I)
+    /// True when the store holds no workers.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Rebuilds the store for a platform, reusing retained allocations:
+    /// afterwards every worker is `RECLAIMED`, holds no program and an idle
+    /// pipeline, and is in the change feed.
+    pub fn reset_for<I>(&mut self, specs: I)
     where
         I: ExactSizeIterator<Item = ProcessorSpec>,
     {
@@ -631,17 +241,23 @@ impl WorkerStore for WorkerSoA {
         }
     }
 
+    /// `w_q` of worker `q`.
     #[inline]
-    fn w(&self, q: usize) -> SlotSpan {
+    #[must_use]
+    pub fn w(&self, q: usize) -> SlotSpan {
         self.w[q]
     }
 
+    /// State of worker `q` for the current slot.
     #[inline]
-    fn state(&self, q: usize) -> ProcState {
+    #[must_use]
+    pub fn state(&self, q: usize) -> ProcState {
         self.state[q]
     }
 
-    fn set_states(&mut self, states: &[ProcState]) {
+    /// Overwrites every worker's state from `states` (`states.len()` must
+    /// equal [`Self::len`]) — phase 1's dense column write.
+    pub fn set_states(&mut self, states: &[ProcState]) {
         debug_assert_eq!(states.len(), self.state.len());
         // Changed states feed their worker (a non-UP delay sentinel, or a
         // stale delay from before a suspension, must be rewritten when the
@@ -675,36 +291,45 @@ impl WorkerStore for WorkerSoA {
         }
     }
 
+    /// Slots of program received by worker `q`.
     #[inline]
-    fn prog_done(&self, q: usize) -> SlotSpan {
+    #[must_use]
+    pub fn prog_done(&self, q: usize) -> SlotSpan {
         self.prog_done[q]
     }
 
+    /// Sets the program progress of worker `q`.
     #[inline]
-    fn set_prog_done(&mut self, q: usize, v: SlotSpan) {
+    pub fn set_prog_done(&mut self, q: usize, v: SlotSpan) {
         if self.prog_done[q] != v {
             self.prog_done[q] = v;
             self.note_changed(q);
         }
     }
 
+    /// Slot at which worker `q`'s current program transfer began.
     #[inline]
-    fn prog_began_at(&self, q: usize) -> Slot {
+    #[must_use]
+    pub fn prog_began_at(&self, q: usize) -> Slot {
         self.prog_began_at[q]
     }
 
+    /// Sets the program-transfer start slot of worker `q`.
     #[inline]
-    fn set_prog_began_at(&mut self, q: usize, v: Slot) {
+    pub fn set_prog_began_at(&mut self, q: usize, v: Slot) {
         self.prog_began_at[q] = v;
     }
 
+    /// In-flight data transfer of worker `q`.
     #[inline]
-    fn transfer(&self, q: usize) -> Option<TransferState> {
+    #[must_use]
+    pub fn transfer(&self, q: usize) -> Option<TransferState> {
         self.transfer[q]
     }
 
+    /// Sets the in-flight data transfer of worker `q`.
     #[inline]
-    fn set_transfer(&mut self, q: usize, t: Option<TransferState>) {
+    pub fn set_transfer(&mut self, q: usize, t: Option<TransferState>) {
         let had = self.transfer[q].is_some();
         self.transfer[q] = t;
         self.note_changed(q);
@@ -715,13 +340,16 @@ impl WorkerStore for WorkerSoA {
         }
     }
 
+    /// Buffered (complete, waiting for compute) copy of worker `q`.
     #[inline]
-    fn buffered(&self, q: usize) -> Option<CopyId> {
+    #[must_use]
+    pub fn buffered(&self, q: usize) -> Option<CopyId> {
         self.buffered[q]
     }
 
+    /// Sets the buffered copy of worker `q`.
     #[inline]
-    fn set_buffered(&mut self, q: usize, b: Option<CopyId>) {
+    pub fn set_buffered(&mut self, q: usize, b: Option<CopyId>) {
         let had = self.buffered[q].is_some();
         self.buffered[q] = b;
         self.note_changed(q);
@@ -732,13 +360,16 @@ impl WorkerStore for WorkerSoA {
         }
     }
 
+    /// Copy being computed by worker `q`.
     #[inline]
-    fn computing(&self, q: usize) -> Option<ComputeState> {
+    #[must_use]
+    pub fn computing(&self, q: usize) -> Option<ComputeState> {
         self.computing[q]
     }
 
+    /// Sets the computing state of worker `q`.
     #[inline]
-    fn set_computing(&mut self, q: usize, c: Option<ComputeState>) {
+    pub fn set_computing(&mut self, q: usize, c: Option<ComputeState>) {
         let had = self.computing[q].is_some();
         self.computing[q] = c;
         self.note_changed(q);
@@ -749,8 +380,11 @@ impl WorkerStore for WorkerSoA {
         }
     }
 
+    /// Advances worker `q`'s computation by one UP-slot, if one is in
+    /// progress; returns the copy and whether it just reached `w_q` slots
+    /// (complete).
     #[inline]
-    fn tick_compute(&mut self, q: usize) -> Option<(CopyId, bool)> {
+    pub fn tick_compute(&mut self, q: usize) -> Option<(CopyId, bool)> {
         // One in-place column access: progress changes neither the
         // occupancy nor the Option discriminant, only `done` (and with it
         // `Delay(q)`, hence the feed).
@@ -761,19 +395,23 @@ impl WorkerStore for WorkerSoA {
         Some(out)
     }
 
+    /// Copies bound to worker `q` this slot (transfers not yet begun).
     #[inline]
-    fn bound(&self, q: usize) -> &[CopyId] {
+    #[must_use]
+    pub fn bound(&self, q: usize) -> &[CopyId] {
         &self.bound[q]
     }
 
+    /// Binds one more copy to worker `q`.
     #[inline]
-    fn bound_push(&mut self, q: usize, c: CopyId) {
+    pub fn bound_push(&mut self, q: usize, c: CopyId) {
         self.bound[q].push(c);
         self.occ_inc(q);
     }
 
+    /// Removes every bound copy equal to `c` from worker `q`.
     #[inline]
-    fn bound_remove(&mut self, q: usize, c: CopyId) {
+    pub fn bound_remove(&mut self, q: usize, c: CopyId) {
         // The delta narrows to u8 inside occ_sub, under its underflow
         // assertion — sound while the ≤ 2 pipeline bound holds.
         let before = self.bound[q].len();
@@ -782,8 +420,9 @@ impl WorkerStore for WorkerSoA {
         self.occ_sub(q, removed);
     }
 
+    /// Drains worker `q`'s bound list, feeding each copy to `f` in order.
     #[inline]
-    fn drain_bound(&mut self, q: usize, mut f: impl FnMut(CopyId)) {
+    pub fn drain_bound(&mut self, q: usize, mut f: impl FnMut(CopyId)) {
         let n = self.bound[q].len();
         self.occ_sub(q, n);
         for c in self.bound[q].drain(..) {
@@ -791,30 +430,42 @@ impl WorkerStore for WorkerSoA {
         }
     }
 
+    /// Does worker `q` hold a complete program copy?
     #[inline]
-    fn has_program(&self, q: usize, t_prog: SlotSpan) -> bool {
+    #[must_use]
+    pub fn has_program(&self, q: usize, t_prog: SlotSpan) -> bool {
         self.prog_done[q] >= t_prog
     }
 
+    /// Pinned copies of worker `q` (computing + buffered + transfer).
     #[inline]
-    fn pinned_count(&self, q: usize) -> usize {
+    #[must_use]
+    pub fn pinned_count(&self, q: usize) -> usize {
         usize::from(self.transfer[q].is_some())
             + usize::from(self.buffered[q].is_some())
             + usize::from(self.computing[q].is_some())
     }
 
+    /// True if worker `q` is completely idle: nothing pinned, nothing bound.
     #[inline]
-    fn is_idle(&self, q: usize) -> bool {
+    #[must_use]
+    pub fn is_idle(&self, q: usize) -> bool {
         self.occupancy[q] == 0
     }
 
+    /// Negation of [`Self::is_idle`], for hot-loop early-outs: `true` iff
+    /// anything is pinned or bound on worker `q`.
     #[inline]
-    fn busy(&self, q: usize) -> bool {
+    #[must_use]
+    pub fn busy(&self, q: usize) -> bool {
         self.occupancy[q] != 0
     }
 
+    /// Whether any copy (pinned or bound) of `task` lives on worker `q` —
+    /// used to forbid two copies of a task on one processor.
     #[inline]
-    fn has_copy_of(&self, q: usize, task: TaskId) -> bool {
+    #[must_use]
+    pub fn has_copy_of(&self, q: usize, task: TaskId) -> bool {
         self.occupancy[q] != 0
             && (self.computing[q].is_some_and(|c| c.copy.task == task)
                 || self.buffered[q].is_some_and(|b| b.task == task)
@@ -822,15 +473,23 @@ impl WorkerStore for WorkerSoA {
                 || self.bound[q].iter().any(|c| c.task == task))
     }
 
+    /// Room for one more bound copy on worker `q` (pipeline capacity 2:
+    /// compute + one look-ahead).
     #[inline]
-    fn has_bind_room(&self, q: usize) -> bool {
+    #[must_use]
+    pub fn has_bind_room(&self, q: usize) -> bool {
         self.occupancy[q] < 2
     }
 
-    fn bindable_count(&self) -> usize {
-        // One pass over the two hot byte-wide columns — the same
-        // two-column walk the replica path's free scan does, without the
-        // per-worker accessor dispatch of the default implementation.
+    /// Number of workers that could accept one more bound copy this slot:
+    /// `UP` with bind room. This is the **bindable capacity** the
+    /// `PlacementBudget::BindCapacity` engine mode clips each pool request
+    /// to — asking the scheduler for more placements than this can never
+    /// yield more binds. One pass over the two byte-wide columns `state`
+    /// and `occupancy` (the engine cross-checks it against a per-worker
+    /// rescan in debug builds).
+    #[must_use]
+    pub fn bindable_count(&self) -> usize {
         self.state
             .iter()
             .zip(&self.occupancy)
@@ -838,9 +497,13 @@ impl WorkerStore for WorkerSoA {
             .count()
     }
 
-    fn room_into(&self, out: &mut Vec<u8>) {
-        // Same two-column walk as `bindable_count`, emitting the per-worker
-        // remainder instead of the population count.
+    /// Fills `out[q]` with worker `q`'s remaining bind room this slot:
+    /// `2 − occupancy` for `UP` workers, 0 otherwise. The per-worker
+    /// companion of [`Self::bindable_count`], over the same two columns —
+    /// the capped placement round hands it to the scheduler (as
+    /// `SchedView::room`) so it can retire a worker the moment its room is
+    /// spent.
+    pub fn room_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.extend(self.state.iter().zip(&self.occupancy).map(|(&s, &occ)| {
             if s == ProcState::Up {
@@ -851,9 +514,13 @@ impl WorkerStore for WorkerSoA {
         }));
     }
 
+    /// `Delay(q)` — Section 6.3.1 / \[D8\]: slots until all *pinned* work
+    /// and the program transfer of worker `q` complete, assuming permanent
+    /// `UP` and no contention. Bound (unpinned) copies are excluded: the
+    /// scheduler is re-deciding those.
     #[inline]
-    fn delay_estimate(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) -> SlotSpan {
-        // Mirrors WorkerRuntime::delay_estimate over the columns.
+    #[must_use]
+    pub fn delay_estimate(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) -> SlotSpan {
         let prog_rem = t_prog.saturating_sub(self.prog_done[q]);
         let mut comm_free = prog_rem;
         let mut compute_free = 0;
@@ -871,7 +538,11 @@ impl WorkerStore for WorkerSoA {
         compute_free.max(comm_free)
     }
 
-    fn crash_into(&mut self, q: usize, lost: &mut Vec<CopyId>) {
+    /// Clears all volatile state of worker `q` after a crash (`DOWN`):
+    /// program, transfers, buffers, computation. Appends the lost pinned
+    /// copies to `lost` (not cleared) — computing, then buffered, then in
+    /// flight — for scratch-buffer reuse across slots.
+    pub fn crash_into(&mut self, q: usize, lost: &mut Vec<CopyId>) {
         // Only a change feeds: crashing an already-empty worker is a
         // no-op.
         let mut changed = self.prog_done[q] != 0;
@@ -896,7 +567,10 @@ impl WorkerStore for WorkerSoA {
         }
     }
 
-    fn cancel_task_into(&mut self, q: usize, task: TaskId, removed: &mut Vec<CopyId>) {
+    /// Cancels every copy of `task` on worker `q` (sibling finished or
+    /// iteration ended), appending the removed copies — bound copies
+    /// included — to `removed` (not cleared), for scratch-buffer reuse.
+    pub fn cancel_task_into(&mut self, q: usize, task: TaskId, removed: &mut Vec<CopyId>) {
         if self.occupancy[q] == 0 {
             return; // nothing pinned or bound — nothing to cancel
         }
@@ -929,44 +603,71 @@ impl WorkerStore for WorkerSoA {
         }
     }
 
+    /// Number of [`SUMMARY_BLOCK`]-wide blocks covering the platform.
+    #[must_use]
+    pub fn summary_blocks(&self) -> usize {
+        self.len().div_ceil(SUMMARY_BLOCK)
+    }
+
+    /// May block `b` contain a busy (occupancy ≠ 0) worker? Answered from
+    /// the block's busy words: `false` guarantees every worker in the block
+    /// is idle.
     #[inline]
-    fn block_may_be_busy(&self, b: usize) -> bool {
+    #[must_use]
+    pub fn block_may_be_busy(&self, b: usize) -> bool {
         let words = SUMMARY_BLOCK / 64;
         let lo = b * words;
         let hi = (lo + words).min(self.busy_words.len());
         self.busy_words[lo..hi].iter().any(|&w| w != 0)
     }
 
+    /// The 64-worker busy bitmap word `wi`: bit `q % 64` of word `q / 64`
+    /// is set iff worker `q` is busy (occupancy ≠ 0). Words past the
+    /// platform tail are zero-padded.
     #[inline]
-    fn busy_word(&self, wi: usize) -> u64 {
+    #[must_use]
+    pub fn busy_word(&self, wi: usize) -> u64 {
         self.busy_words[wi]
     }
 
+    /// Per-state worker counts `[up, reclaimed, down]` for the current
+    /// slot — phase 1's state census in O(1).
     #[inline]
-    fn state_census(&self) -> Option<[usize; 3]> {
-        Some(self.census)
+    #[must_use]
+    pub fn census(&self) -> [usize; 3] {
+        self.census
     }
 
+    /// The change feed (see the type-level contract) as bitmap words — bit
+    /// `q % 64` of word `q / 64` set iff worker `q` is fed, words past the
+    /// platform tail zero.
     #[inline]
-    fn changes(&self) -> Option<&[u64]> {
-        Some(&self.feed)
+    #[must_use]
+    pub fn changes(&self) -> &[u64] {
+        &self.feed
     }
 
-    fn clear_changes(&mut self) {
+    /// Empties the change feed (the consumer caught up).
+    pub fn clear_changes(&mut self) {
         self.feed.fill(0);
     }
 
+    /// Workers that turned `DOWN` in the last [`Self::set_states`], in
+    /// ascending order.
     #[inline]
-    fn went_down(&self) -> Option<&[u32]> {
-        Some(&self.went_down)
+    #[must_use]
+    pub fn went_down(&self) -> &[u32] {
+        &self.went_down
     }
 
-    fn assert_invariants(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) {
-        // Validation-time restatement of the pipeline bound: `room_into`,
-        // `bindable_count` and the bound-delta narrowing in `bound_remove`
-        // / `drain_bound` (routed through `occ_sub`) all assume occupancy
-        // never exceeds 2 — `occ_inc` asserts it at every increment, this
-        // re-checks it wherever the engine validates a worker.
+    /// Structural pipeline invariants of worker `q`; cheap enough to
+    /// assert every slot in debug builds.
+    pub fn assert_invariants(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) {
+        // `room_into`, `bindable_count` and the bound-delta narrowing in
+        // `bound_remove` / `drain_bound` (routed through `occ_sub`) all
+        // assume occupancy never exceeds 2 — `occ_inc` asserts it at every
+        // increment, this re-checks it wherever the engine validates a
+        // worker.
         assert!(
             self.occupancy[q] <= 2,
             "occupancy {} on worker {q} exceeds the pipeline bound (≤ 2)",
@@ -977,32 +678,44 @@ impl WorkerStore for WorkerSoA {
         // if a mutator skipped the bookkeeping.
         assert_eq!(
             usize::from(self.occupancy[q]),
-            usize::from(self.transfer[q].is_some())
-                + usize::from(self.buffered[q].is_some())
-                + usize::from(self.computing[q].is_some())
-                + self.bound[q].len(),
+            self.pinned_count(q) + self.bound[q].len(),
             "occupancy column out of sync on worker {q}"
         );
-        // Materialize the worker and reuse the canonical checks; this runs
-        // in debug builds only, so the transient allocation is acceptable.
-        let w = WorkerRuntime {
-            spec: ProcessorSpec::new(self.w[q]),
-            state: self.state[q],
-            prog_done: self.prog_done[q],
-            prog_began_at: self.prog_began_at[q],
-            transfer: self.transfer[q],
-            buffered: self.buffered[q],
-            computing: self.computing[q],
-            bound: self.bound[q].clone(), // tidy:allow(hot_alloc): debug-build invariant check only.
-        };
-        w.assert_invariants(t_prog, t_data);
+        assert!(
+            !(self.transfer[q].is_some() && self.buffered[q].is_some()),
+            "look-ahead rule violated: transfer and buffer both occupied"
+        );
+        if let Some(c) = self.computing[q] {
+            assert!(
+                self.has_program(q, t_prog),
+                "computing without a complete program"
+            );
+            assert!(c.done < self.w[q], "finished compute not retired");
+        }
+        if let Some(tr) = self.transfer[q] {
+            assert!(tr.done < t_data, "completed transfer not promoted");
+            assert!(
+                self.has_program(q, t_prog),
+                "data transfer before program complete"
+            );
+        }
+        // No duplicated task among the worker's copies — at most two, by
+        // the occupancy checks above.
+        let pinned = [
+            self.computing[q].map(|c| c.copy),
+            self.buffered[q],
+            self.transfer[q].map(|t| t.copy),
+        ];
+        let mut copies = pinned.iter().flatten().chain(&self.bound[q]);
+        if let (Some(a), Some(b)) = (copies.next(), copies.next()) {
+            assert!(a.task != b.task, "two copies of {} on one worker", a.task);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskId;
 
     fn copy(task: u32, replica: u8) -> CopyId {
         CopyId {
@@ -1015,86 +728,310 @@ mod tests {
         ws.iter().map(|&w| ProcessorSpec::new(w)).collect()
     }
 
-    /// Drives both layouts through the same mutation script and asserts
-    /// every observable agrees after every step — a differential unit test
-    /// below the engine-level oracle.
+    /// One worker with speed `w`, as a fresh run starts it.
+    fn worker(w: SlotSpan) -> WorkerSoA {
+        let mut store = WorkerSoA::default();
+        store.reset_for(specs(&[w]).into_iter());
+        store
+    }
+
     #[test]
-    fn soa_and_aos_agree_on_a_mutation_script() {
+    fn fresh_worker_is_idle() {
+        let w = worker(3);
+        assert!(w.is_idle(0));
+        assert_eq!(w.pinned_count(0), 0);
+        assert!(w.has_bind_room(0));
+        assert!(!w.has_program(0, 5));
+        assert!(w.has_program(0, 0), "zero-length program is always present");
+        assert_eq!(w.delay_estimate(0, 5, 2), 5, "needs the whole program");
+    }
+
+    #[test]
+    fn delay_estimate_composes_pipeline() {
+        let mut w = worker(4);
+        w.set_prog_done(0, 5); // program complete (t_prog = 5)
+
+        // Computing: 1 slot done out of 4 -> 3 remaining.
+        w.set_computing(
+            0,
+            Some(ComputeState {
+                copy: copy(0, 0),
+                done: 1,
+            }),
+        );
+        assert_eq!(w.delay_estimate(0, 5, 2), 3);
+
+        // Plus a buffered task: +4.
+        w.set_buffered(0, Some(copy(1, 0)));
+        assert_eq!(w.delay_estimate(0, 5, 2), 7);
+
+        // Remove the buffer, add an in-flight transfer with 1/2 slots done:
+        // data ready at 1, compute of task 0 free at 3 -> second compute
+        // spans [3,7).
+        w.set_buffered(0, None);
+        w.set_transfer(
+            0,
+            Some(TransferState {
+                copy: copy(1, 0),
+                done: 1,
+                began_at: 0,
+            }),
+        );
+        assert_eq!(w.delay_estimate(0, 5, 2), 7);
+
+        // Transfer-dominated: long data, short compute.
+        let mut w2 = worker(1);
+        w2.set_prog_done(0, 5);
+        w2.set_transfer(
+            0,
+            Some(TransferState {
+                copy: copy(0, 0),
+                done: 0,
+                began_at: 0,
+            }),
+        );
+        assert_eq!(w2.delay_estimate(0, 5, 10), 11);
+    }
+
+    #[test]
+    fn delay_estimate_partial_program() {
+        let mut w = worker(2);
+        w.set_prog_done(0, 3);
+        assert_eq!(w.delay_estimate(0, 5, 2), 2);
+    }
+
+    #[test]
+    fn crash_clears_everything_and_reports_losses() {
+        let mut w = worker(2);
+        w.set_prog_done(0, 5);
+        w.set_computing(
+            0,
+            Some(ComputeState {
+                copy: copy(0, 0),
+                done: 1,
+            }),
+        );
+        w.set_transfer(
+            0,
+            Some(TransferState {
+                copy: copy(1, 1),
+                done: 1,
+                began_at: 3,
+            }),
+        );
+        let mut lost = Vec::new();
+        w.crash_into(0, &mut lost);
+        assert_eq!(lost, vec![copy(0, 0), copy(1, 1)]);
+        assert_eq!(w.prog_done(0), 0);
+        assert!(w.is_idle(0));
+        // Re-crashing an already-cleared worker loses nothing more.
+        lost.clear();
+        w.crash_into(0, &mut lost);
+        assert!(lost.is_empty());
+    }
+
+    #[test]
+    fn cancel_task_removes_all_forms() {
+        let mut w = worker(2);
+        w.set_prog_done(0, 5);
+        w.set_computing(
+            0,
+            Some(ComputeState {
+                copy: copy(7, 0),
+                done: 0,
+            }),
+        );
+        w.bound_push(0, copy(7, 2));
+        let mut removed = Vec::new();
+        w.cancel_task_into(0, TaskId(7), &mut removed);
+        assert_eq!(removed, vec![copy(7, 0), copy(7, 2)]);
+        assert!(w.computing(0).is_none());
+        assert!(w.bound(0).is_empty());
+        removed.clear();
+        w.cancel_task_into(0, TaskId(7), &mut removed);
+        assert!(removed.is_empty());
+        w.bound_push(0, copy(9, 0));
+        w.cancel_task_into(0, TaskId(9), &mut removed);
+        assert_eq!(removed, vec![copy(9, 0)]);
+    }
+
+    #[test]
+    fn has_copy_of_and_bind_room() {
+        let mut w = worker(2);
+        w.set_computing(
+            0,
+            Some(ComputeState {
+                copy: copy(3, 0),
+                done: 0,
+            }),
+        );
+        assert!(w.has_copy_of(0, TaskId(3)));
+        assert!(!w.has_copy_of(0, TaskId(4)));
+        assert!(w.has_bind_room(0));
+        w.bound_push(0, copy(4, 0));
+        assert!(!w.has_bind_room(0));
+    }
+
+    #[test]
+    fn invariants_pass_on_consistent_state() {
+        let mut w = worker(3);
+        w.set_prog_done(0, 5);
+        w.set_computing(
+            0,
+            Some(ComputeState {
+                copy: copy(0, 0),
+                done: 2,
+            }),
+        );
+        w.set_transfer(
+            0,
+            Some(TransferState {
+                copy: copy(1, 0),
+                done: 1,
+                began_at: 2,
+            }),
+        );
+        w.assert_invariants(0, 5, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "computing without a complete program")]
+    fn invariants_catch_compute_without_program() {
+        let mut w = worker(3);
+        w.set_prog_done(0, 2);
+        w.set_computing(
+            0,
+            Some(ComputeState {
+                copy: copy(0, 0),
+                done: 0,
+            }),
+        );
+        w.assert_invariants(0, 5, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "two copies")]
+    fn invariants_catch_duplicate_task() {
+        let mut w = worker(3); // t_prog 0 -> program ok
+        w.set_buffered(0, Some(copy(1, 0)));
+        w.bound_push(0, copy(1, 1));
+        w.assert_invariants(0, 0, 2);
+    }
+
+    /// A mutation script over three workers, with every observable pinned
+    /// to its hand-derived value.
+    #[test]
+    fn mutation_script_yields_the_expected_columns() {
         let mut soa = WorkerSoA::default();
-        let mut aos = AosWorkers::default();
-        let sp = specs(&[3, 5, 2]);
-        soa.reset_for(sp.iter().copied());
-        aos.reset_for(sp.iter().copied());
+        soa.reset_for(specs(&[3, 5, 2]).into_iter());
+        soa.set_states(&[ProcState::Up, ProcState::Reclaimed, ProcState::Up]);
 
-        let states = [ProcState::Up, ProcState::Reclaimed, ProcState::Up];
-        soa.set_states(&states);
-        aos.set_states(&states);
-
-        // Build a busy pipeline on worker 0, a partial program on worker 2.
-        for s in [&mut soa as &mut dyn Probe, &mut aos as &mut dyn Probe] {
-            s.script();
+        // A busy pipeline on worker 0, a partial program on worker 2.
+        soa.set_prog_done(0, 4);
+        soa.set_computing(
+            0,
+            Some(ComputeState {
+                copy: copy(0, 0),
+                done: 1,
+            }),
+        );
+        soa.set_transfer(
+            0,
+            Some(TransferState {
+                copy: copy(1, 0),
+                done: 1,
+                began_at: 2,
+            }),
+        );
+        soa.set_prog_done(2, 2);
+        soa.set_prog_began_at(2, 1);
+        soa.bound_push(2, copy(3, 0));
+        soa.bound_push(2, copy(2, 1));
+        soa.bound_remove(2, copy(2, 1));
+        soa.bound_push(2, copy(3, 1));
+        // drain_bound yields in bind order; re-binding restores the list.
+        let mut seen = Vec::new();
+        soa.drain_bound(2, |c| seen.push(c));
+        assert_eq!(seen, vec![copy(3, 0), copy(3, 1)]);
+        for c in seen {
+            soa.bound_push(2, c);
         }
 
         let (t_prog, t_data) = (4, 2);
-        assert_eq!(soa.len(), aos.len());
-        for q in 0..soa.len() {
-            assert_eq!(soa.w(q), aos.w(q), "w {q}");
-            assert_eq!(soa.state(q), aos.state(q), "state {q}");
-            assert_eq!(soa.prog_done(q), aos.prog_done(q), "prog_done {q}");
-            assert_eq!(soa.transfer(q), aos.transfer(q), "transfer {q}");
-            assert_eq!(soa.buffered(q), aos.buffered(q), "buffered {q}");
-            assert_eq!(soa.computing(q), aos.computing(q), "computing {q}");
-            assert_eq!(soa.bound(q), aos.bound(q), "bound {q}");
-            assert_eq!(soa.pinned_count(q), aos.pinned_count(q));
-            assert_eq!(soa.is_idle(q), aos.is_idle(q));
-            assert_eq!(soa.has_bind_room(q), aos.has_bind_room(q));
-            assert_eq!(soa.has_program(q, t_prog), aos.has_program(q, t_prog));
-            assert_eq!(
-                soa.delay_estimate(q, t_prog, t_data),
-                aos.delay_estimate(q, t_prog, t_data),
-                "delay {q}"
-            );
+        assert_eq!(soa.len(), 3);
+        // (w, state, prog_done, pinned, idle, bind room, program, delay,
+        // tasks held)
+        let expect = [
+            (
+                3,
+                ProcState::Up,
+                4,
+                2,
+                false,
+                false,
+                true,
+                5,
+                &[0u32, 1][..],
+            ),
+            (5, ProcState::Reclaimed, 0, 0, true, true, false, 4, &[][..]),
+            (2, ProcState::Up, 2, 0, false, false, false, 2, &[3][..]),
+        ];
+        for (q, &(w, state, prog, pinned, idle, room, program, delay, held)) in
+            expect.iter().enumerate()
+        {
+            assert_eq!(soa.w(q), w, "w {q}");
+            assert_eq!(soa.state(q), state, "state {q}");
+            assert_eq!(soa.prog_done(q), prog, "prog_done {q}");
+            assert_eq!(soa.pinned_count(q), pinned, "pinned {q}");
+            assert_eq!(soa.is_idle(q), idle, "idle {q}");
+            assert_eq!(soa.has_bind_room(q), room, "bind room {q}");
+            assert_eq!(soa.has_program(q, t_prog), program, "program {q}");
+            assert_eq!(soa.delay_estimate(q, t_prog, t_data), delay, "delay {q}");
             for t in 0..4 {
-                assert_eq!(
-                    soa.has_copy_of(q, TaskId(t)),
-                    aos.has_copy_of(q, TaskId(t)),
-                    "has_copy_of {q} T{t}"
-                );
+                let has = soa.has_copy_of(q, TaskId(t));
+                assert_eq!(has, held.contains(&t), "has_copy_of {q} T{t}");
             }
         }
+        let in_flight = TransferState {
+            copy: copy(1, 0),
+            done: 1,
+            began_at: 2,
+        };
+        assert_eq!(soa.transfer(0), Some(in_flight));
+        assert_eq!(soa.buffered(0), None);
+        assert_eq!(soa.bound(2), &[copy(3, 0), copy(3, 1)]);
+        assert_eq!(soa.prog_began_at(2), 1);
 
-        // tick_compute advances identically (worker 0 computes: w = 3,
-        // done = 1 → 2 → 3 completes; worker 2 computes nothing).
-        assert_eq!(soa.tick_compute(2), aos.tick_compute(2));
+        // tick_compute: worker 0 computes (w = 3, done = 1 → 2 → 3
+        // completes); worker 2 computes nothing.
         assert_eq!(soa.tick_compute(2), None);
         for expect_finished in [false, true] {
-            let a = soa.tick_compute(0);
-            assert_eq!(a, aos.tick_compute(0));
-            let (c, finished) = a.expect("worker 0 is computing");
-            assert_eq!(c, copy(0, 0));
-            assert_eq!(finished, expect_finished);
-            assert_eq!(soa.computing(0), aos.computing(0));
-            assert_eq!(soa.pinned_count(0), aos.pinned_count(0));
+            soa.clear_changes();
+            assert_eq!(soa.tick_compute(0), Some((copy(0, 0), expect_finished)));
+            assert_eq!(soa.pinned_count(0), 2);
             assert!(fed(&soa, 0), "compute progress feeds its worker");
         }
+        assert_eq!(
+            soa.computing(0),
+            Some(ComputeState {
+                copy: copy(0, 0),
+                done: 3,
+            })
+        );
 
-        // Crash + cancel drain identically.
-        let (mut la, mut lb) = (Vec::new(), Vec::new());
-        soa.crash_into(0, &mut la);
-        aos.crash_into(0, &mut lb);
-        assert_eq!(la, lb);
-        la.clear();
-        lb.clear();
-        soa.cancel_task_into(2, TaskId(3), &mut la);
-        aos.cancel_task_into(2, TaskId(3), &mut lb);
-        assert_eq!(la, lb);
+        // Crash and cancel drain in pipeline order.
+        let mut lost = Vec::new();
+        soa.crash_into(0, &mut lost);
+        assert_eq!(lost, vec![copy(0, 0), copy(1, 0)]);
+        let mut removed = Vec::new();
+        soa.cancel_task_into(2, TaskId(3), &mut removed);
+        assert_eq!(removed, vec![copy(3, 0), copy(3, 1)]);
+        assert!(soa.is_idle(0) && soa.is_idle(2));
     }
 
     /// Whether worker `q` is in the store's change feed.
     fn fed(store: &WorkerSoA, q: usize) -> bool {
-        store
-            .changes()
-            .is_some_and(|f| f[q / 64] >> (q % 64) & 1 == 1)
+        store.changes()[q / 64] >> (q % 64) & 1 == 1
     }
 
     /// The fed workers, ascending.
@@ -1105,11 +1042,9 @@ mod tests {
     /// The trait-level change-feed contract: scheduler-visible mutations
     /// and busy flips feed their worker exactly once, unobservable ones do
     /// not, and resets (arena reuse across resizes) never leak stale
-    /// entries. The AoS oracle keeps no feed at all.
+    /// entries.
     #[test]
     fn change_feed_contract_holds() {
-        assert!(AosWorkers::default().changes().is_none());
-        assert!(AosWorkers::default().went_down().is_none());
         let store = &mut WorkerSoA::default();
         store.reset_for(specs(&[1, 2, 3, 4]).into_iter());
         assert!(
@@ -1193,16 +1128,16 @@ mod tests {
 
         // went_down names exactly this redraw's flips to DOWN, ascending.
         store.set_states(&[Down, Up, Down, Down]);
-        assert_eq!(store.went_down().unwrap(), &[0, 2, 3]);
+        assert_eq!(store.went_down(), &[0, 2, 3]);
         store.set_states(&[Down, Down, Down, Up]);
-        assert_eq!(store.went_down().unwrap(), &[1], "staying DOWN is no flip");
+        assert_eq!(store.went_down(), &[1], "staying DOWN is no flip");
 
         // Shrink then regrow: every reset re-feeds the *current* workers
         // and the grown tail cannot inherit a stale membership bit.
         store.reset_for(specs(&[5]).into_iter());
         assert_eq!(fed_list(store), vec![0]);
-        assert_eq!(store.changes().unwrap(), &[1], "no bits past the tail");
-        assert!(store.went_down().unwrap().is_empty());
+        assert_eq!(store.changes(), &[1], "no bits past the tail");
+        assert!(store.went_down().is_empty());
         store.clear_changes();
         store.reset_for(specs(&[1, 2, 3, 4, 5, 6]).into_iter());
         assert!((0..6).all(|q| fed(store, q)));
@@ -1211,7 +1146,7 @@ mod tests {
     /// Recomputes every busy word densely from `busy(q)` and asserts the
     /// maintained bitmap agrees — the invariant the engine's bit-iteration
     /// passes rely on.
-    fn assert_busy_words_consistent<S: WorkerStore>(store: &S, ctx: &str) {
+    fn assert_busy_words_consistent(store: &WorkerSoA, ctx: &str) {
         for wi in 0..store.len().div_ceil(64) {
             let mut expect = 0u64;
             let start = wi * 64;
@@ -1274,45 +1209,6 @@ mod tests {
         assert_eq!(store.busy_word(0), 0);
     }
 
-    /// Shared mutation script for the differential test.
-    trait Probe {
-        fn script(&mut self);
-    }
-
-    impl<S: WorkerStore> Probe for S {
-        fn script(&mut self) {
-            self.set_prog_done(0, 4);
-            self.set_computing(
-                0,
-                Some(ComputeState {
-                    copy: copy(0, 0),
-                    done: 1,
-                }),
-            );
-            self.set_transfer(
-                0,
-                Some(TransferState {
-                    copy: copy(1, 0),
-                    done: 1,
-                    began_at: 2,
-                }),
-            );
-            self.set_prog_done(2, 2);
-            self.set_prog_began_at(2, 1);
-            self.bound_push(2, copy(3, 0));
-            self.bound_push(2, copy(2, 1));
-            self.bound_remove(2, copy(2, 1));
-            self.bound_push(2, copy(3, 1));
-            // drain_bound restores 2's bound list after observing it.
-            let mut seen = Vec::new();
-            self.drain_bound(2, |c| seen.push(c));
-            assert_eq!(seen, vec![copy(3, 0), copy(3, 1)]);
-            for c in seen {
-                self.bound_push(2, c);
-            }
-        }
-    }
-
     /// Recomputes the block busy summaries and the state census from the
     /// raw columns and asserts the maintained values agree.
     fn check_summaries(soa: &WorkerSoA) {
@@ -1325,12 +1221,12 @@ mod tests {
         }
         let count = |s: ProcState| soa.state.iter().filter(|&&x| x == s).count();
         assert_eq!(
-            soa.state_census(),
-            Some([
+            soa.census(),
+            [
                 count(ProcState::Up),
                 count(ProcState::Reclaimed),
                 count(ProcState::Down)
-            ])
+            ]
         );
     }
 
@@ -1350,7 +1246,7 @@ mod tests {
         states[SUMMARY_BLOCK + 3] = Down;
         soa.set_states(&states);
         check_summaries(&soa);
-        assert_eq!(soa.went_down().unwrap(), &[SUMMARY_BLOCK as u32 + 3]);
+        assert_eq!(soa.went_down(), &[SUMMARY_BLOCK as u32 + 3]);
         soa.set_states(&states);
         check_summaries(&soa);
 

@@ -1,4 +1,4 @@
-//! Capped ⇄ uncapped equivalence over the soa_equivalence grid.
+//! Capped ⇄ uncapped equivalence over the golden_grid grid.
 //!
 //! The [`PlacementBudget::BindCapacity`] engine mode promises that a slot
 //! whose pool fits inside the bindable capacity takes the **exact uncapped
@@ -7,7 +7,7 @@
 //! uncapped twin: same makespan, same per-iteration completion slots, every
 //! counter, the bandwidth statistic. This harness drives the full
 //! 17-heuristic × seed × platform-size × replication grid of
-//! `soa_equivalence.rs` once per budget and pins exactly that: every
+//! `golden_grid.rs` once per budget and pins exactly that: every
 //! never-engaging capped run is compared report-for-report against the
 //! uncapped run of the same instance.
 //!
@@ -26,7 +26,7 @@ use vg_platform::source::{AvailabilitySource, StartPolicy};
 use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig};
 use vg_sim::{PlacementBudget, SimOptions, SimReport, Simulation};
 
-/// Paper-style platform, identical to `soa_equivalence.rs`.
+/// Paper-style platform, identical to `golden_grid.rs`.
 fn platform(p: usize, ncom: usize, seed: u64) -> PlatformConfig {
     let mut rng = SeedPath::root(seed).rng();
     PlatformConfig {
@@ -50,7 +50,7 @@ struct Cell {
     seeds: &'static [u64],
 }
 
-/// The soa_equivalence grid plus one under-subscribed cell. All three
+/// The golden_grid grid plus one under-subscribed cell. All three
 /// inherited cells run `m ≥ 1.5·p` tasks (the paper's oversubscription),
 /// which engages the cap within the first slots of every instance — so a
 /// grid of only those cells would leave the equivalence half of this test

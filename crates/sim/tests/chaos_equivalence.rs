@@ -1,8 +1,7 @@
 //! Chaos-layer degeneracy grid: the volatility stack must vanish exactly.
 //!
 //! Two passthrough contracts from the volatility layer are pinned across
-//! the full 17-heuristic grid, on **both** worker-store layouts (the SoA
-//! engine and the AoS oracle):
+//! the full 17-heuristic grid:
 //!
 //! 1. an installed [`ScriptedOverlay`] holding an **empty script** leaves
 //!    every run byte-identical to the un-overlaid engine (same makespan,
@@ -27,7 +26,7 @@ use vg_platform::fault::FaultScript;
 use vg_platform::source::{AvailabilitySource, StartPolicy};
 use vg_platform::volatility::{CorrelatedModel, ScriptedOverlay};
 use vg_platform::{AppConfig, CompiledScript, PlatformConfig, ProcessorConfig};
-use vg_sim::{AosWorkers, ReferenceSimulation, SimOptions, SimReport, Simulation, WorkerSoA};
+use vg_sim::{SimOptions, SimReport, Simulation};
 
 fn platform(p: usize, ncom: usize, seed: u64) -> PlatformConfig {
     let mut rng = SeedPath::root(seed).rng();
@@ -61,13 +60,9 @@ fn options() -> SimOptions {
     }
 }
 
-/// Base seeded run on layout `S`.
-fn run_base<S: vg_sim::WorkerStore>(
-    pf: &PlatformConfig,
-    kind: HeuristicKind,
-    seed: u64,
-) -> SimReport {
-    Simulation::<S>::new_seeded(
+/// Base seeded run.
+fn run_base(pf: &PlatformConfig, kind: HeuristicKind, seed: u64) -> SimReport {
+    Simulation::new_seeded(
         pf,
         &app(),
         kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
@@ -79,13 +74,13 @@ fn run_base<S: vg_sim::WorkerStore>(
 }
 
 /// Same run with an overlay installed.
-fn run_overlaid<S: vg_sim::WorkerStore>(
+fn run_overlaid(
     pf: &PlatformConfig,
     kind: HeuristicKind,
     seed: u64,
     script: &CompiledScript,
 ) -> SimReport {
-    let mut sim = Simulation::<S>::new_seeded(
+    let mut sim = Simulation::new_seeded(
         pf,
         &app(),
         kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
@@ -99,14 +94,14 @@ fn run_overlaid<S: vg_sim::WorkerStore>(
 }
 
 /// Same run over a row source built from a correlated model.
-fn run_rows<S: vg_sim::WorkerStore>(
+fn run_rows(
     pf: &PlatformConfig,
     kind: HeuristicKind,
     seed: u64,
     model: &CorrelatedModel,
 ) -> SimReport {
     let rows = model.build(pf, &SeedPath::root(seed)).unwrap();
-    Simulation::<S>::new_rows_in(
+    Simulation::new_rows_in(
         pf,
         &app(),
         kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
@@ -131,14 +126,11 @@ fn empty_script_overlay_is_byte_identical_to_base() {
         let pf = platform(16, 3, seed);
         for kind in HeuristicKind::ALL {
             for script in [&empty, &rounded] {
-                let base = run_base::<WorkerSoA>(&pf, kind, seed);
-                let overlaid = run_overlaid::<WorkerSoA>(&pf, kind, seed, script);
-                assert_eq!(base, overlaid, "SoA diverged: seed={seed} {kind}");
+                let base = run_base(&pf, kind, seed);
+                let overlaid = run_overlaid(&pf, kind, seed, script);
+                assert_eq!(base, overlaid, "diverged: seed={seed} {kind}");
                 assert_eq!(overlaid.counters.injected_faults, 0);
             }
-            let base = run_base::<AosWorkers>(&pf, kind, seed);
-            let overlaid = run_overlaid::<AosWorkers>(&pf, kind, seed, &empty);
-            assert_eq!(base, overlaid, "AoS diverged: seed={seed} {kind}");
         }
     }
 }
@@ -150,18 +142,9 @@ fn identity_correlated_source_is_byte_identical_to_base() {
         for n_groups in [1usize, 4] {
             let model = CorrelatedModel::uniform_groups(16, n_groups, OutageChain::identity());
             for kind in HeuristicKind::ALL {
-                let base = run_base::<WorkerSoA>(&pf, kind, seed);
-                let rows = run_rows::<WorkerSoA>(&pf, kind, seed, &model);
-                assert_eq!(
-                    base, rows,
-                    "SoA diverged: seed={seed} groups={n_groups} {kind}"
-                );
-                let base = run_base::<AosWorkers>(&pf, kind, seed);
-                let rows = run_rows::<AosWorkers>(&pf, kind, seed, &model);
-                assert_eq!(
-                    base, rows,
-                    "AoS diverged: seed={seed} groups={n_groups} {kind}"
-                );
+                let base = run_base(&pf, kind, seed);
+                let rows = run_rows(&pf, kind, seed, &model);
+                assert_eq!(base, rows, "diverged: seed={seed} groups={n_groups} {kind}");
             }
         }
     }
@@ -196,7 +179,7 @@ fn row_overlay_matches_wrapped_sources() {
         .unwrap()
         .run();
         // Path B: row-level overlay on the dense seeded bank.
-        let mut overlaid = run_overlaid::<WorkerSoA>(&pf, kind, seed, &script);
+        let mut overlaid = run_overlaid(&pf, kind, seed, &script);
         assert!(
             overlaid.counters.injected_faults > 0,
             "script never injected anything: {kind}"
@@ -212,7 +195,7 @@ fn row_overlay_matches_wrapped_sources() {
 fn chaos_constructors_reject_mismatched_p() {
     let pf = platform(8, 3, 1);
     let script = CompiledScript::empty(9);
-    let mut sim = Simulation::<WorkerSoA>::new_seeded(
+    let mut sim = Simulation::new_seeded(
         &pf,
         &app(),
         HeuristicKind::Emct.build(SeedPath::root(2).rng()),
@@ -225,7 +208,7 @@ fn chaos_constructors_reject_mismatched_p() {
     let model = CorrelatedModel::uniform_groups(9, 2, OutageChain::identity());
     let wide = platform(9, 3, 1);
     let rows = model.build(&wide, &SeedPath::root(3)).unwrap();
-    let err = ReferenceSimulation::new_rows_in(
+    let err = Simulation::new_rows_in(
         &pf,
         &app(),
         HeuristicKind::Emct.build(SeedPath::root(2).rng()),

@@ -265,7 +265,7 @@ mod tests {
         let m = classify("crates/sim/src/engine.rs");
         assert_eq!(m.crate_dir, "crates/sim");
         assert!(m.is_lib);
-        assert!(!classify("crates/sim/tests/soa_equivalence.rs").is_lib);
+        assert!(!classify("crates/sim/tests/golden_grid.rs").is_lib);
         assert!(!classify("crates/exp/src/bin/table1.rs").is_lib);
         assert!(!classify("crates/tidy/src/main.rs").is_lib);
         assert!(!classify("crates/bench/benches/slotloop.rs").is_lib);

@@ -201,7 +201,7 @@ proptest! {
 
     /// `Fixed` through the multi-application API is bit-identical to the
     /// pre-refactor single-application engine on random small
-    /// configurations (the big fixed grid lives in `soa_equivalence`).
+    /// configurations (the big fixed grid lives in `golden_grid`).
     #[test]
     fn fixed_multi_api_matches_single_app_engine(
         p in 2usize..8,
