@@ -15,7 +15,7 @@ use std::time::Duration;
 use vg_bench::{paper_app, paper_platform};
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
-use vg_sim::{PlacementBudget, SimOptions, Simulation};
+use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
 
 fn bench_replication_cap(c: &mut Criterion) {
     let platform = paper_platform(20, 5, 3, 31);
@@ -31,11 +31,11 @@ fn bench_replication_cap(c: &mut Criterion) {
     ] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                let r = Simulation::run_seeded(
+                let r = Simulation::new(RunSpec::new(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
+                    Availability::Seeded(SeedPath::root(2)),
                     HeuristicKind::Emct.build(SeedPath::root(1).rng()),
-                    SeedPath::root(2),
                     SimOptions {
                         max_slots: 1_000_000,
                         replication,
@@ -43,8 +43,9 @@ fn bench_replication_cap(c: &mut Criterion) {
                         record_timeline: false,
                         placement_budget: PlacementBudget::Uncapped,
                     },
-                )
-                .expect("valid");
+                ))
+                .expect("valid")
+                .run();
                 black_box(r.makespan_or_cap())
             });
         });
@@ -62,14 +63,15 @@ fn bench_channel_width(c: &mut Criterion) {
         let platform = paper_platform(20, ncom, 2, 33);
         g.bench_with_input(BenchmarkId::from_parameter(ncom), &ncom, |b, _| {
             b.iter(|| {
-                let r = Simulation::run_seeded(
+                let r = Simulation::new(RunSpec::new(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
+                    Availability::Seeded(SeedPath::root(2)),
                     HeuristicKind::MctStar.build(SeedPath::root(1).rng()),
-                    SeedPath::root(2),
                     SimOptions::default(),
-                )
-                .expect("valid");
+                ))
+                .expect("valid")
+                .run();
                 black_box(r.makespan_or_cap())
             });
         });
@@ -93,14 +95,15 @@ fn bench_contention_correction(c: &mut Criterion) {
     ] {
         g.bench_function(kind.name(), |b| {
             b.iter(|| {
-                let r = Simulation::run_seeded(
+                let r = Simulation::new(RunSpec::new(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
+                    Availability::Seeded(SeedPath::root(2)),
                     kind.build(SeedPath::root(1).rng()),
-                    SeedPath::root(2),
                     SimOptions::default(),
-                )
-                .expect("valid");
+                ))
+                .expect("valid")
+                .run();
                 black_box(r.makespan_or_cap())
             });
         });

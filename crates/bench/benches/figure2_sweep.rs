@@ -8,7 +8,7 @@ use std::time::Duration;
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
 use vg_exp::scenario::{make_scenario, ScenarioParams};
-use vg_sim::{SimOptions, Simulation};
+use vg_sim::{AppSpec, Availability, RunSpec, SimOptions, Simulation};
 
 fn bench_figure2_axis(c: &mut Criterion) {
     let mut g = c.benchmark_group("figure2_wmin_axis");
@@ -25,14 +25,15 @@ fn bench_figure2_axis(c: &mut Criterion) {
                 &kind,
                 |b, &kind| {
                     b.iter(|| {
-                        let r = Simulation::run_seeded(
+                        let r = Simulation::new(RunSpec::new(
                             &scenario.platform,
-                            &scenario.app,
+                            &[AppSpec::rigid(scenario.app)],
+                            Availability::Seeded(SeedPath::root(3)),
                             kind.build(SeedPath::root(1).rng()),
-                            SeedPath::root(3),
                             SimOptions::default(),
-                        )
-                        .expect("valid");
+                        ))
+                        .expect("valid")
+                        .run();
                         black_box(r.makespan_or_cap())
                     });
                 },

@@ -29,7 +29,7 @@ fn main() {
     use vg_core::HeuristicKind;
     use vg_des::rng::SeedPath;
     use vg_sim::engine::phase_profile;
-    use vg_sim::{PlacementBudget, SimOptions, Simulation};
+    use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
 
     let quick = std::env::args().any(|a| a == "--quick");
     let mut rows: Vec<String> = Vec::new();
@@ -62,11 +62,11 @@ fn main() {
         let app = paper_app(m, max_slots, 2, 1);
         // Seeded construction picks the dense Markov bank — the same
         // source path the slotloop cells measure.
-        let mut sim: Simulation = Simulation::new_seeded(
+        let mut sim = Simulation::new(RunSpec::new(
             &platform,
-            &app,
+            &[AppSpec::rigid(app)],
+            Availability::Seeded(SeedPath::root(2)),
             HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-            SeedPath::root(2),
             SimOptions {
                 max_slots,
                 replication: true,
@@ -74,7 +74,7 @@ fn main() {
                 record_timeline: false,
                 placement_budget: placement,
             },
-        )
+        ))
         .expect("valid configuration");
         // Warm up outside the measured window, then profile the remainder.
         for _ in 0..(max_slots / 10).max(10) {

@@ -12,7 +12,7 @@ use std::time::Duration;
 use vg_bench::{paper_app, paper_platform};
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
-use vg_sim::{SimOptions, Simulation};
+use vg_sim::{AppSpec, Availability, RunSpec, SimOptions, Simulation};
 
 fn bench_simulator(c: &mut Criterion) {
     let mut g = c.benchmark_group("full_run");
@@ -35,17 +35,18 @@ fn bench_simulator(c: &mut Criterion) {
                     &kind,
                     |b, &kind| {
                         b.iter(|| {
-                            let report = Simulation::run_seeded(
+                            let report = Simulation::new(RunSpec::new(
                                 &platform,
-                                &app,
+                                &[AppSpec::rigid(app)],
+                                Availability::Seeded(SeedPath::root(2)),
                                 kind.build(SeedPath::root(1).rng()),
-                                SeedPath::root(2),
                                 SimOptions {
                                     replication,
                                     ..SimOptions::default()
                                 },
-                            )
-                            .expect("valid");
+                            ))
+                            .expect("valid")
+                            .run();
                             black_box(report.makespan_or_cap())
                         });
                     },
@@ -72,18 +73,19 @@ fn bench_simulator_scaling(c: &mut Criterion) {
                 &replication,
                 |b, &replication| {
                     b.iter(|| {
-                        let report = Simulation::run_seeded(
+                        let report = Simulation::new(RunSpec::new(
                             &platform,
-                            &app,
+                            &[AppSpec::rigid(app)],
+                            Availability::Seeded(SeedPath::root(2)),
                             HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-                            SeedPath::root(2),
                             SimOptions {
                                 max_slots: 100_000,
                                 replication,
                                 ..SimOptions::default()
                             },
-                        )
-                        .expect("valid");
+                        ))
+                        .expect("valid")
+                        .run();
                         black_box(report.makespan_or_cap())
                     });
                 },

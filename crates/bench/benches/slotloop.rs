@@ -11,7 +11,7 @@ use std::time::Instant;
 use vg_bench::{paper_app, paper_platform, peak_rss_bytes};
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
-use vg_sim::{PlacementBudget, SimOptions, Simulation};
+use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
 
 struct Cell {
     p: usize,
@@ -53,28 +53,30 @@ fn run_cell(
         placement_budget: budget,
     };
     // One warm-up run (allocator warm, branch predictors settled).
-    let warm = Simulation::run_seeded(
+    let warm = Simulation::new(RunSpec::new(
         &platform,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(2)),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        SeedPath::root(2),
         SimOptions {
             max_slots: (max_slots / 10).max(10),
             ..options
         },
-    )
-    .expect("valid");
+    ))
+    .expect("valid")
+    .run();
     assert!(warm.slots_run > 0);
 
     let start = Instant::now();
-    let report = Simulation::run_seeded(
+    let report = Simulation::new(RunSpec::new(
         &platform,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(2)),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        SeedPath::root(2),
         options,
-    )
-    .expect("valid");
+    ))
+    .expect("valid")
+    .run();
     let seconds = start.elapsed().as_secs_f64();
     Cell {
         p,

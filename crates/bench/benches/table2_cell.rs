@@ -9,9 +9,9 @@ use std::hint::black_box;
 use std::time::Duration;
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
-use vg_exp::campaign::run_instance_fresh;
+use vg_exp::campaign::{run_instance, CampaignConfig};
 use vg_exp::scenario::{make_scenario, ScenarioParams};
-use vg_sim::SimOptions;
+use vg_sim::SimArena;
 
 fn bench_table2_instance(c: &mut Criterion) {
     let mut g = c.benchmark_group("table2");
@@ -25,13 +25,17 @@ fn bench_table2_instance(c: &mut Criterion) {
     ] {
         let params = ScenarioParams::paper(n, ncom, wmin);
         let scenario = make_scenario(params, SeedPath::root(5).child(1));
-        let heuristics = HeuristicKind::ALL.to_vec();
+        let chains: Vec<_> = scenario.platform.chain_stats().collect();
+        let cfg = CampaignConfig {
+            heuristics: HeuristicKind::ALL.to_vec(),
+            master_seed: 42,
+            ..CampaignConfig::default()
+        };
+        let mut arena = SimArena::new();
         g.bench_function(label, |b| {
             b.iter(|| {
-                black_box(
-                    run_instance_fresh(&scenario, &heuristics, 42, 0, 0, 0, SimOptions::default())
-                        .makespans,
-                )
+                let outcome = run_instance(&mut arena, &scenario, &chains, &cfg, 0, 0, 0);
+                black_box(outcome.map(|o| o.makespans))
             });
         });
     }

@@ -18,7 +18,7 @@
 use vg_bench::{paper_app, paper_platform, peak_rss_bytes};
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
-use vg_sim::{PlacementBudget, SimOptions, Simulation};
+use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
 
 #[cfg(target_os = "linux")]
 #[test]
@@ -33,14 +33,15 @@ fn p_131072_run_stays_within_the_per_worker_memory_budget() {
         record_timeline: false,
         placement_budget: PlacementBudget::BindCapacity,
     };
-    let report = Simulation::run_seeded(
+    let report = Simulation::new(RunSpec::new(
         &platform,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(2)),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        SeedPath::root(2),
         options,
-    )
-    .expect("valid platform-scale run");
+    ))
+    .expect("valid platform-scale run")
+    .run();
     assert!(report.slots_run > 0);
 
     let rss = peak_rss_bytes();

@@ -18,10 +18,9 @@ use vg_bench::{paper_app, paper_platform};
 use vg_core::{HeuristicKind, SharePolicy};
 use vg_des::rng::SeedPath;
 use vg_markov::OutageChain;
-use vg_platform::source::AvailabilitySource;
-use vg_platform::volatility::{CorrelatedModel, DiurnalSpec, ScriptedOverlay};
+use vg_platform::volatility::{CorrelatedModel, DiurnalSpec};
 use vg_platform::FaultScript;
-use vg_sim::{AppSpec, PlacementBudget, SimOptions, Simulation};
+use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -33,20 +32,12 @@ fn warmed_simulation(p: usize, replication: bool, placement_budget: PlacementBud
     // (IterationState::reset reuses buffers; the completion log is
     // preallocated), so the window may span them freely.
     let app = paper_app(2 * p, 10_000, 2, 1);
-    let sources: Vec<Box<dyn AvailabilitySource>> = platform
-        .processors
-        .iter()
-        .enumerate()
-        .map(|(q, pc)| {
-            pc.avail
-                .build_source(SeedPath::root(2).child(q as u64).rng())
-        })
-        .collect();
-    Simulation::new(
+    let sources = platform.seeded_sources(SeedPath::root(2)).collect();
+    Simulation::new(RunSpec::new(
         &platform,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Sources(sources),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        sources,
         SimOptions {
             max_slots: 1_000_000,
             replication,
@@ -54,7 +45,7 @@ fn warmed_simulation(p: usize, replication: bool, placement_budget: PlacementBud
             record_timeline: false,
             placement_budget,
         },
-    )
+    ))
     .expect("valid configuration")
 }
 
@@ -83,11 +74,12 @@ fn warmed_chaos_simulation(p: usize) -> Simulation {
         .expect("valid script")
         .compile(p)
         .expect("compiles");
-    let mut sim = Simulation::new_rows_in(
+    let apps = [AppSpec::rigid(app)];
+    let spec = RunSpec::new(
         &platform,
-        &app,
+        &apps,
+        Availability::Rows(Box::new(rows)),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        Box::new(rows),
         SimOptions {
             max_slots: 1_000_000,
             replication: true,
@@ -95,11 +87,12 @@ fn warmed_chaos_simulation(p: usize) -> Simulation {
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
-    )
-    .expect("valid configuration");
-    sim.set_overlay(ScriptedOverlay::new(script))
-        .expect("matching p");
-    sim
+    );
+    Simulation::new(RunSpec {
+        overlay: Some(&script),
+        ..spec
+    })
+    .expect("valid configuration")
 }
 
 /// A 2-application co-scheduled simulation in steady state: the
@@ -110,21 +103,12 @@ fn warmed_two_app_simulation(p: usize) -> Simulation {
     let platform = paper_platform(p, (p / 10).max(2), 2, 11);
     let app = paper_app(p, 10_000, 2, 1);
     let specs = [AppSpec::rigid(app), AppSpec::weighted(app, 3)];
-    let sources: Vec<Box<dyn AvailabilitySource>> = platform
-        .processors
-        .iter()
-        .enumerate()
-        .map(|(q, pc)| {
-            pc.avail
-                .build_source(SeedPath::root(2).child(q as u64).rng())
-        })
-        .collect();
-    Simulation::new_multi(
+    let sources = platform.seeded_sources(SeedPath::root(2)).collect();
+    let spec = RunSpec::new(
         &platform,
         &specs,
-        SharePolicy::Weighted,
+        Availability::Sources(sources),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        sources,
         SimOptions {
             max_slots: 1_000_000,
             replication: true,
@@ -132,7 +116,11 @@ fn warmed_two_app_simulation(p: usize) -> Simulation {
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
-    )
+    );
+    Simulation::new(RunSpec {
+        share: SharePolicy::Weighted,
+        ..spec
+    })
     .expect("valid configuration")
 }
 

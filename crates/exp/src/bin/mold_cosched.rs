@@ -31,7 +31,7 @@ use vg_exp::cli::ExpArgs;
 use vg_exp::paired::{self, pct_delta, Delta, Paired, Report, Row, Value};
 use vg_exp::report::text_table;
 use vg_exp::{instance_seeds, make_scenario, scenario_seed, ScenarioParams};
-use vg_sim::{AppSpec, SimArena, SimOptions};
+use vg_sim::{AppSpec, Availability, RunSpec, SimArena, SimOptions};
 
 /// What the paired design reads from one run.
 #[derive(Clone, Copy)]
@@ -63,14 +63,17 @@ fn run_unit(
         // see the same trace from slot 0, so the total is twice its makespan.
         rosters.map(|apps| {
             let scheduler = kind.build(sched.child(h as u64).rng());
-            let (policy, options) = (SharePolicy::EqualSplit, SimOptions::default());
-            let out = arena.run_apps_seeded(&platform, apps, policy, scheduler, trace, options);
+            let seeded = Availability::Seeded(trace);
+            let spec = RunSpec::new(&platform, apps, seeded, scheduler, SimOptions::default());
+            let share = SharePolicy::EqualSplit;
+            let out = arena.run(RunSpec { share, ..spec });
             let out = out.expect("valid study roster");
+            let first = arena.app_outcomes().next().expect("a non-empty roster");
             Run {
-                done: out.combined.finished(),
-                makespan: out.combined.makespan_or_cap() as f64,
-                tasks: out.apps[0].tasks_completed as f64,
-                final_m: out.apps[0].final_m as f64,
+                done: out.finished(),
+                makespan: out.makespan_or_cap() as f64,
+                tasks: first.tasks_completed as f64,
+                final_m: first.final_m as f64,
             }
         })
     });

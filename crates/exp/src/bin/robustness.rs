@@ -11,12 +11,13 @@
 use std::time::Instant;
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
-use vg_exp::campaign::{run_instance_fresh, CampaignConfig, CellStats, InstanceOutcome};
+use vg_exp::campaign::{run_instance, CampaignConfig, CellStats, InstanceOutcome};
 use vg_exp::cli::ExpArgs;
 use vg_exp::report::{summary_table, text_table};
 use vg_exp::robustness::{expected_up_occupancy, make_robustness_scenario, RobustnessParams};
-use vg_exp::scenario::{make_scenario, ScenarioParams};
+use vg_exp::scenario::{make_scenario, Scenario, ScenarioParams};
 use vg_exp::HeuristicSummary;
+use vg_sim::SimArena;
 
 /// Folds instances through the campaign's shared scoring routine, so capped
 /// and degenerate instances are excluded here exactly as in Table 2 (a
@@ -57,7 +58,11 @@ fn main() {
     let kinds = HeuristicKind::GREEDY.to_vec();
     let rp = RobustnessParams::default();
     let params = ScenarioParams::paper(20, 5, 5);
-    let cfg = CampaignConfig::default();
+    let cfg = CampaignConfig {
+        heuristics: kinds.clone(),
+        master_seed: args.seed,
+        ..CampaignConfig::default()
+    };
     let scenarios = args.scenarios.max(4);
 
     println!(
@@ -74,16 +79,31 @@ fn main() {
     let t0 = Instant::now();
     let root = SeedPath::root(args.seed);
 
-    // Arm A: the paper's setting (Markov truth, exact belief).
-    let mut markov_outcomes = Vec::new();
-    for s_idx in 0..scenarios {
-        let scenario = make_scenario(params, root.child_str("mk-scn").child(s_idx as u64));
-        for trial in 0..args.trials {
-            markov_outcomes.push(run_instance_fresh(
-                &scenario, &kinds, args.seed, 0, s_idx, trial, cfg.sim,
-            ));
+    // Each arm runs every trial of its scenarios through the campaign's
+    // instance runner; a rejected instance ends the study.
+    let mut arena = SimArena::new();
+    let mut arm = |arm: usize, scenario_of: &dyn Fn(u64) -> Scenario| {
+        let mut outcomes: Vec<InstanceOutcome> = Vec::new();
+        for s_idx in 0..scenarios {
+            let scenario = scenario_of(s_idx as u64);
+            let chains: Vec<_> = scenario.platform.chain_stats().collect();
+            for trial in 0..args.trials {
+                match run_instance(&mut arena, &scenario, &chains, &cfg, arm, s_idx, trial) {
+                    Ok(outcome) => outcomes.push(outcome),
+                    Err(e) => {
+                        eprintln!("error: arm {arm}, scenario {s_idx}, trial {trial}: {e}");
+                        std::process::exit(1);
+                    }
+                }
+            }
         }
-    }
+        outcomes
+    };
+
+    // Arm A: the paper's setting (Markov truth, exact belief).
+    let markov_outcomes = arm(0, &|s| {
+        make_scenario(params, root.child_str("mk-scn").child(s))
+    });
     let markov_summaries = summarize(
         "Arm A — Markov truth (paper setting)",
         &markov_outcomes,
@@ -91,16 +111,9 @@ fn main() {
     );
 
     // Arm B: semi-Markov truth, fitted belief.
-    let mut semi_outcomes = Vec::new();
-    for s_idx in 0..scenarios {
-        let scenario =
-            make_robustness_scenario(params, &rp, root.child_str("sm-scn").child(s_idx as u64));
-        for trial in 0..args.trials {
-            semi_outcomes.push(run_instance_fresh(
-                &scenario, &kinds, args.seed, 1, s_idx, trial, cfg.sim,
-            ));
-        }
-    }
+    let semi_outcomes = arm(1, &|s| {
+        make_robustness_scenario(params, &rp, root.child_str("sm-scn").child(s))
+    });
     let semi_summaries = summarize(
         "Arm B — semi-Markov truth, fitted Markov belief",
         &semi_outcomes,

@@ -11,6 +11,7 @@
 use vg_core::HeuristicKind;
 use vg_des::par::ParallelismConfig;
 use vg_exp::campaign::{run_campaign, CampaignConfig};
+use vg_exp::cli::exit_on_rejected;
 use vg_exp::report::summary_table;
 use vg_exp::scenario::ScenarioParams;
 use vg_sim::SimOptions;
@@ -154,6 +155,7 @@ fn main() {
         keep_outcomes: false,
     };
     let result = run_campaign(std::slice::from_ref(&cell), &cfg);
+    exit_on_rejected(&result);
     println!(
         "{} instances\n\n{}",
         result.instances,

@@ -16,7 +16,7 @@
 use std::time::Instant;
 use vg_core::HeuristicKind;
 use vg_exp::campaign::{run_campaign, CampaignConfig};
-use vg_exp::cli::ExpArgs;
+use vg_exp::cli::{exit_on_rejected, ExpArgs};
 use vg_exp::report::{csv, summary_table};
 use vg_exp::scenario::ScenarioParams;
 
@@ -47,6 +47,7 @@ fn main() {
         );
         let t0 = Instant::now();
         let result = run_campaign(std::slice::from_ref(&cell), &cfg);
+        exit_on_rejected(&result);
         let summaries = result.summarize();
         eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
         if result.capped_instances() > 0 || result.degenerate_instances() > 0 {

@@ -50,10 +50,9 @@ use vg_des::rng::SeedPath;
 use vg_des::stats::OnlineStats;
 use vg_des::Slot;
 use vg_markov::availability::ChainStats;
-use vg_platform::source::{AvailabilitySource, SharedTraceMatrix};
-use vg_platform::volatility::ScriptedOverlay;
-use vg_platform::CompiledScript;
-use vg_sim::{platform_chain_stats, SimArena, SimOptions, Simulation};
+use vg_platform::source::SharedTraceMatrix;
+use vg_platform::{CompiledScript, ConfigError, CorrelatedModel};
+use vg_sim::{AppSpec, Availability, RunSpec, SimArena, SimOptions, Simulation};
 
 use crate::scenario::{make_scenario, Scenario, ScenarioParams};
 
@@ -220,6 +219,11 @@ pub struct CampaignResult {
     pub cell_stats: Vec<CellStats>,
     /// Total instances run (scored + excluded).
     pub instances: usize,
+    /// Runs whose volatility spec or engine configuration was rejected.
+    /// They are scored as capped runs, so a non-zero count means the
+    /// statistics are not the grid's: every binary that runs a campaign
+    /// says so on stderr and exits non-zero.
+    pub rejected_runs: u64,
     /// Per-instance outcomes, kept only when the config asked for them.
     pub outcomes: Option<Vec<InstanceOutcome>>,
 }
@@ -344,210 +348,133 @@ pub fn instance_seeds(
     (trace_path, sched_path)
 }
 
-/// Runs one instance through a **warmed arena**: every heuristic on
-/// byte-identical availability, reusing the arena's buffers across runs.
+/// One instance's availability, resolved once for all its heuristics:
+/// the seed paths of `(cell, scenario, trial)` and the cell's chaos layers.
+struct Instance<'s> {
+    scenario: &'s Scenario,
+    trace_path: SeedPath,
+    sched_path: SeedPath,
+    script: Option<CompiledScript>,
+    model: Option<CorrelatedModel>,
+}
+
+impl<'s> Instance<'s> {
+    fn resolve(
+        scenario: &'s Scenario,
+        master_seed: u64,
+        cell: usize,
+        scenario_idx: usize,
+        trial: u64,
+    ) -> Result<Self, ConfigError> {
+        let (trace_path, sched_path) = instance_seeds(master_seed, cell, scenario_idx, trial);
+        let (p, volatility) = (scenario.platform.p(), scenario.params.volatility);
+        Ok(Self {
+            scenario,
+            trace_path,
+            sched_path,
+            script: volatility.fault_script(p)?,
+            model: volatility.correlated_model(p)?,
+        })
+    }
+
+    /// Live availability for one fresh run. Correlated rows replace the
+    /// per-worker sampling; the base worker streams inside the row source
+    /// use the exact per-processor seeds of the independent path, so
+    /// identity models reproduce it bit for bit.
+    fn live(&self) -> Result<Availability<'static>, ConfigError> {
+        Ok(match &self.model {
+            Some(model) => Availability::Rows(Box::new(
+                model.build(&self.scenario.platform, &self.trace_path)?,
+            )),
+            None => Availability::Seeded(self.trace_path),
+        })
+    }
+
+    /// The same availability as [`Self::live`], recorded on demand so the
+    /// instance's heuristics replay it.
+    fn record(&self) -> Result<SharedTraceMatrix, ConfigError> {
+        let platform = &self.scenario.platform;
+        match &self.model {
+            Some(model) => SharedTraceMatrix::try_record_rows(Box::new(
+                model.build(platform, &self.trace_path)?,
+            )),
+            None => {
+                SharedTraceMatrix::try_record(platform.seeded_sources(self.trace_path).collect())
+            }
+        }
+    }
+
+    /// Runs every heuristic in order, each on the availability
+    /// `availability` returns, through `run`.
+    fn run_all<'a>(
+        &self,
+        cell: usize,
+        cfg: &CampaignConfig,
+        mut availability: impl FnMut() -> Result<Availability<'a>, ConfigError>,
+        mut run: impl FnMut(RunSpec<'_>) -> Result<(Slot, bool), ConfigError>,
+    ) -> Result<InstanceOutcome, ConfigError> {
+        let apps = [AppSpec::rigid(self.scenario.app)];
+        let h = cfg.heuristics.len();
+        let (mut makespans, mut completed) = (Vec::with_capacity(h), Vec::with_capacity(h));
+        for (h, kind) in cfg.heuristics.iter().enumerate() {
+            let scheduler = kind.build(self.sched_path.child(h as u64).rng());
+            let spec = RunSpec::new(
+                &self.scenario.platform,
+                &apps,
+                availability()?,
+                scheduler,
+                cfg.sim,
+            );
+            let (makespan, done) = run(RunSpec {
+                overlay: self.script.as_ref(),
+                ..spec
+            })?;
+            makespans.push(makespan);
+            completed.push(done);
+        }
+        Ok(InstanceOutcome {
+            cell,
+            makespans,
+            completed,
+        })
+    }
+}
+
+/// Runs instance `(cell, scenario_idx, trial)` of a campaign under `cfg`
+/// through a **warmed arena**: every heuristic on byte-identical
+/// availability, reusing the arena's buffers across runs.
 ///
-/// `chains` must be `platform_chain_stats(&scenario.platform)` — computed
-/// once per scenario and shared across its trials and heuristics. The
-/// availability trace is sampled once into a
-/// [`SharedTraceMatrix`] by whichever run gets furthest first and replayed
-/// by the other 16 heuristics (common random numbers make their traces
-/// byte-identical anyway). Results are bit-identical to [`run_instance_fresh`].
-#[must_use]
-#[allow(clippy::too_many_arguments)] // mirrors run_instance_fresh's identity tuple plus the shared state
-pub fn run_instance_in(
+/// `chains` must be `scenario.platform.chain_stats()` — computed once per
+/// scenario and shared across its trials and heuristics. The availability
+/// is sampled once into a [`SharedTraceMatrix`] by whichever run gets
+/// furthest first and replayed by the others (common random numbers make
+/// their traces byte-identical anyway). Results are bit-identical to
+/// fresh engines per run ([`run_campaign_reference`]).
+///
+/// # Errors
+/// A volatility spec or engine configuration that the instance's runs
+/// reject. [`run_campaign`] scores such an instance as capped runs and
+/// counts them in [`CampaignResult::rejected_runs`].
+pub fn run_instance(
     arena: &mut SimArena,
     scenario: &Scenario,
     chains: &[ChainStats],
-    heuristics: &[HeuristicKind],
-    master_seed: u64,
+    cfg: &CampaignConfig,
     cell: usize,
     scenario_idx: usize,
     trial: u64,
-    sim: SimOptions,
-) -> InstanceOutcome {
-    let (trace_path, sched_path) = instance_seeds(master_seed, cell, scenario_idx, trial);
-    let p = scenario.platform.p();
-    // The chaos layer of the cell, resolved once per instance. A malformed
-    // spec scores every heuristic as capped (the generators only emit valid
-    // specs, but a campaign must not abort mid-flight).
-    let chaos = scenario
-        .params
-        .volatility
-        .fault_script(p)
-        .and_then(|script| {
-            let model = scenario.params.volatility.correlated_model(p)?;
-            Ok((script, model))
-        });
-    let (script, model) = match chaos {
-        Ok(parts) => parts,
-        Err(e) => {
-            debug_assert!(false, "volatility spec rejected: {e}");
-            return InstanceOutcome {
-                cell,
-                makespans: vec![sim.max_slots; heuristics.len()],
-                completed: vec![false; heuristics.len()],
-            };
-        }
-    };
-    let trace = match model {
-        // Correlated rows replace the per-worker sampling; the base worker
-        // streams inside the row source use the exact per-processor seeds of
-        // the independent path, so identity models reproduce it bit for bit.
-        Some(model) => match model.build(&scenario.platform, &trace_path) {
-            Ok(rows) => SharedTraceMatrix::record_rows(Box::new(rows)),
-            Err(e) => {
-                debug_assert!(false, "volatility spec rejected: {e}");
-                return InstanceOutcome {
-                    cell,
-                    makespans: vec![sim.max_slots; heuristics.len()],
-                    completed: vec![false; heuristics.len()],
-                };
-            }
-        },
-        None => {
-            let live: Vec<Box<dyn AvailabilitySource>> = scenario
-                .platform
-                .processors
-                .iter()
-                .enumerate()
-                .map(|(q, pc)| pc.avail.build_source(trace_path.child(q as u64).rng()))
-                .collect();
-            SharedTraceMatrix::record(live)
-        }
-    };
-    let mut makespans = Vec::with_capacity(heuristics.len());
-    let mut completed = Vec::with_capacity(heuristics.len());
-    for (h, kind) in heuristics.iter().enumerate() {
-        match arena.run_shared_trace_overlay(
-            &scenario.platform,
-            &scenario.app,
-            kind.build(sched_path.child(h as u64).rng()),
+) -> Result<InstanceOutcome, ConfigError> {
+    let instance = Instance::resolve(scenario, cfg.master_seed, cell, scenario_idx, trial)?;
+    let trace = instance.record()?;
+    let shared = || {
+        Ok(Availability::Shared {
+            trace: &trace,
             chains,
-            &trace,
-            script.as_ref(),
-            sim,
-        ) {
-            Ok(outcome) => {
-                makespans.push(outcome.makespan_or_cap());
-                completed.push(outcome.finished());
-            }
-            Err(e) => {
-                // Scenario generators only emit valid configs, but an
-                // engine-rejected one must not abort a multi-hour campaign:
-                // score it as a capped run (a lower bound that can never
-                // win), exactly like a run that burned its slot cap.
-                debug_assert!(false, "scenario config rejected: {e}");
-                makespans.push(sim.max_slots);
-                completed.push(false);
-            }
-        }
-    }
-    InstanceOutcome {
-        cell,
-        makespans,
-        completed,
-    }
-}
-
-/// Runs one instance with a **fresh engine per run** (the PR 1 path): every
-/// heuristic on byte-identical availability, no buffer reuse.
-#[must_use]
-pub fn run_instance_fresh(
-    scenario: &Scenario,
-    heuristics: &[HeuristicKind],
-    master_seed: u64,
-    cell: usize,
-    scenario_idx: usize,
-    trial: u64,
-    sim: SimOptions,
-) -> InstanceOutcome {
-    let (trace_path, sched_path) = instance_seeds(master_seed, cell, scenario_idx, trial);
-    let p = scenario.platform.p();
-    let chaos = scenario
-        .params
-        .volatility
-        .fault_script(p)
-        .and_then(|script| {
-            let model = scenario.params.volatility.correlated_model(p)?;
-            Ok((script, model))
-        });
-    let (script, model) = match chaos {
-        Ok(parts) => parts,
-        Err(e) => {
-            debug_assert!(false, "volatility spec rejected: {e}");
-            return InstanceOutcome {
-                cell,
-                makespans: vec![sim.max_slots; heuristics.len()],
-                completed: vec![false; heuristics.len()],
-            };
-        }
+        })
     };
-    let mut makespans = Vec::with_capacity(heuristics.len());
-    let mut completed = Vec::with_capacity(heuristics.len());
-    for (h, kind) in heuristics.iter().enumerate() {
-        let report = run_fresh_one(
-            scenario,
-            *kind,
-            &sched_path.child(h as u64),
-            &trace_path,
-            script.as_ref(),
-            model.as_ref(),
-            sim,
-        );
-        match report {
-            Ok(report) => {
-                makespans.push(report.makespan_or_cap());
-                completed.push(report.finished());
-            }
-            Err(e) => {
-                // Same capped-run scoring as `run_instance_in`: the two
-                // runners must stay bit-identical on every path, rejected
-                // configurations included.
-                debug_assert!(false, "scenario config rejected: {e}");
-                makespans.push(sim.max_slots);
-                completed.push(false);
-            }
-        }
-    }
-    InstanceOutcome {
-        cell,
-        makespans,
-        completed,
-    }
-}
-
-/// One fresh-engine run of `run_instance_fresh`, chaos layers included —
-/// the reference twin of the arena's shared-trace-plus-overlay path.
-fn run_fresh_one(
-    scenario: &Scenario,
-    kind: HeuristicKind,
-    sched_seed: &SeedPath,
-    trace_path: &SeedPath,
-    script: Option<&CompiledScript>,
-    model: Option<&vg_platform::volatility::CorrelatedModel>,
-    sim: SimOptions,
-) -> Result<vg_sim::SimReport, vg_platform::ConfigError> {
-    let mut engine = match model {
-        Some(model) => Simulation::new_rows_in(
-            &scenario.platform,
-            &scenario.app,
-            kind.build(sched_seed.rng()),
-            Box::new(model.build(&scenario.platform, trace_path)?),
-            sim,
-        )?,
-        None => Simulation::new_seeded(
-            &scenario.platform,
-            &scenario.app,
-            kind.build(sched_seed.rng()),
-            *trace_path,
-            sim,
-        )?,
-    };
-    if let Some(script) = script {
-        engine.set_overlay(ScriptedOverlay::new(script.clone()))?;
-    }
-    Ok(engine.run())
+    instance.run_all(cell, cfg, shared, |spec| {
+        arena.run(spec).map(|o| (o.makespan_or_cap(), o.finished()))
+    })
 }
 
 fn empty_result(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignResult {
@@ -558,7 +485,34 @@ fn empty_result(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignResul
             .map(|_| CellStats::new(cfg.heuristics.len()))
             .collect(),
         instances: 0,
+        rejected_runs: 0,
         outcomes: cfg.keep_outcomes.then(Vec::new),
+    }
+}
+
+/// Folds one instance into `result`, in instance order. A rejected
+/// instance scores every heuristic as a capped run — a lower bound that
+/// can never win, exactly like a run that burned its slot cap — and counts
+/// its runs in [`CampaignResult::rejected_runs`].
+fn fold(
+    result: &mut CampaignResult,
+    cell: usize,
+    cfg: &CampaignConfig,
+    instance: Result<InstanceOutcome, ConfigError>,
+) {
+    let h = cfg.heuristics.len();
+    let outcome = instance.unwrap_or_else(|_| {
+        result.rejected_runs += h as u64;
+        InstanceOutcome {
+            cell,
+            makespans: vec![cfg.sim.max_slots; h],
+            completed: vec![false; h],
+        }
+    });
+    result.cell_stats[cell].absorb(&outcome);
+    result.instances += 1;
+    if let Some(kept) = &mut result.outcomes {
+        kept.push(outcome);
     }
 }
 
@@ -588,81 +542,63 @@ pub fn run_campaign(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignR
             let scenario = make_scenario(cells[unit.cell], seed);
             // Chain statistics are a pure function of the platform: compute
             // them once per scenario, share across trials × heuristics.
-            let chains = platform_chain_stats(&scenario.platform);
+            let chains: Vec<ChainStats> = scenario.platform.chain_stats().collect();
             (0..cfg.trials)
                 .map(|trial| {
-                    run_instance_in(
+                    run_instance(
                         arena,
                         &scenario,
                         &chains,
-                        &cfg.heuristics,
-                        cfg.master_seed,
+                        cfg,
                         unit.cell,
                         unit.scenario,
                         trial,
-                        cfg.sim,
                     )
                 })
-                .collect::<Vec<InstanceOutcome>>()
+                .collect::<Vec<_>>()
         },
-        |_, unit_outcomes| {
-            for outcome in unit_outcomes {
-                result.cell_stats[outcome.cell].absorb(&outcome);
-                result.instances += 1;
-                if let Some(kept) = &mut result.outcomes {
-                    kept.push(outcome);
-                }
+        |i, instances| {
+            for instance in instances {
+                fold(&mut result, units[i].cell, cfg, instance);
             }
         },
     );
     result
 }
 
-/// The PR 1 **per-unit reference runner**: one work item per (scenario,
-/// trial), a fresh platform and a fresh engine for every run, results
-/// collected then folded. Kept as the bit-identity oracle for
-/// [`run_campaign`]'s batched pipeline and as the baseline of the campaign
-/// throughput bench; prefer [`run_campaign`] everywhere else.
+/// The **per-unit reference runner**: one work item per (scenario, trial),
+/// a fresh platform and a fresh engine for every run, results collected
+/// then folded. Kept as the bit-identity oracle for [`run_campaign`]'s
+/// batched pipeline and as the baseline of the campaign throughput bench;
+/// prefer [`run_campaign`] everywhere else.
 #[must_use]
 pub fn run_campaign_reference(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignResult {
-    #[derive(Clone, Copy)]
-    struct WorkUnit {
-        cell: usize,
-        scenario: usize,
-        trial: u64,
-    }
     let mut units = Vec::with_capacity(cells.len() * cfg.scenarios_per_cell * cfg.trials as usize);
     for cell in 0..cells.len() {
         for scenario in 0..cfg.scenarios_per_cell {
             for trial in 0..cfg.trials {
-                units.push(WorkUnit {
-                    cell,
-                    scenario,
-                    trial,
-                });
+                units.push((cell, scenario, trial));
             }
         }
     }
-    let all: Vec<InstanceOutcome> = par_map(&units, cfg.parallelism, |unit| {
-        let seed = scenario_seed(cfg.master_seed, unit.cell, unit.scenario);
-        let scenario = make_scenario(cells[unit.cell], seed);
-        run_instance_fresh(
-            &scenario,
-            &cfg.heuristics,
-            cfg.master_seed,
-            unit.cell,
-            unit.scenario,
-            unit.trial,
-            cfg.sim,
+    // `run_instance` with a fresh engine per run over live availability.
+    let all = par_map(&units, cfg.parallelism, |&(cell, scenario_idx, trial)| {
+        let seed = scenario_seed(cfg.master_seed, cell, scenario_idx);
+        let scenario = make_scenario(cells[cell], seed);
+        let instance = Instance::resolve(&scenario, cfg.master_seed, cell, scenario_idx, trial)?;
+        instance.run_all(
+            cell,
+            cfg,
+            || instance.live(),
+            |spec| {
+                let report = Simulation::new(spec)?.run();
+                Ok((report.makespan_or_cap(), report.finished()))
+            },
         )
     });
     let mut result = empty_result(cells, cfg);
-    for outcome in all {
-        result.cell_stats[outcome.cell].absorb(&outcome);
-        result.instances += 1;
-        if let Some(kept) = &mut result.outcomes {
-            kept.push(outcome);
-        }
+    for (&(cell, ..), instance) in units.iter().zip(all) {
+        fold(&mut result, cell, cfg, instance);
     }
     result
 }
@@ -778,7 +714,7 @@ mod tests {
     fn chaos_families_stay_bit_identical_across_runners() {
         // The volatility layer must preserve the batched ≡ reference
         // contract: shared-trace-plus-overlay in the arena vs fresh engines
-        // with row sources / set_overlay, same bits either way.
+        // with row sources and overlays, same bits either way.
         use crate::scenario::VolatilitySpec;
         let families = [
             VolatilitySpec::MassKill {
@@ -822,6 +758,37 @@ mod tests {
                 "{family:?}: chaos changed nothing"
             );
         }
+    }
+
+    #[test]
+    fn rejected_specs_are_counted_and_scored_as_capped() {
+        // A 150% mass kill is not a valid fault script. Every run of the
+        // cell is rejected, scored as capped (so every instance is
+        // excluded), and counted — by both runners.
+        use crate::scenario::VolatilitySpec;
+        let cells: Vec<ScenarioParams> = tiny_cells()
+            .into_iter()
+            .map(|c| {
+                c.with_volatility(VolatilitySpec::MassKill {
+                    pct: 150,
+                    at: 10,
+                    lasts: 40,
+                })
+            })
+            .collect();
+        let cfg = tiny_config(vec![HeuristicKind::Mct, HeuristicKind::Emct]);
+        let mut expected = CellStats::new(2);
+        expected.capped_instances = 2;
+        for result in [
+            run_campaign(&cells, &cfg),
+            run_campaign_reference(&cells, &cfg),
+        ] {
+            assert_eq!(result.instances, 4);
+            assert_eq!(result.rejected_runs, 4 * 2);
+            assert_eq!(result.cell_stats, vec![expected.clone(); 2]);
+        }
+        // A valid grid rejects nothing.
+        assert_eq!(run_campaign(&tiny_cells(), &cfg).rejected_runs, 0);
     }
 
     #[test]
@@ -905,6 +872,7 @@ mod tests {
             heuristics: vec![HeuristicKind::Mct, HeuristicKind::Emct],
             cell_stats: vec![stats],
             instances: 1,
+            rejected_runs: 0,
             outcomes: None,
         };
         let summaries = result.summarize();

@@ -5,6 +5,8 @@
 
 use vg_des::par::ParallelismConfig;
 
+use crate::campaign::CampaignResult;
+
 /// Common experiment options parsed from `std::env::args`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpArgs {
@@ -135,6 +137,21 @@ Options:
   --quick          2 scenarios x 1 trial (smoke test)
   --csv            also print CSV after the table
 ";
+
+/// Says on stderr how many of `result`'s runs were rejected, and exits
+/// with status 1 if any were: a rejected run is scored as capped, so the
+/// campaign's statistics would not describe the requested grid.
+pub fn exit_on_rejected(result: &CampaignResult) {
+    if result.rejected_runs > 0 {
+        eprintln!(
+            "error: {} of {} runs were rejected (invalid volatility spec or engine \
+             configuration) and scored as capped",
+            result.rejected_runs,
+            result.instances * result.heuristics.len()
+        );
+        std::process::exit(1);
+    }
+}
 
 #[cfg(test)]
 mod tests {

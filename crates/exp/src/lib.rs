@@ -28,7 +28,7 @@ pub mod robustness;
 pub mod scenario;
 
 pub use campaign::{
-    instance_seeds, run_campaign, run_campaign_reference, run_instance_fresh, run_instance_in,
-    scenario_seed, CampaignConfig, CampaignResult, CellStats, HeuristicSummary, InstanceOutcome,
+    instance_seeds, run_campaign, run_campaign_reference, run_instance, scenario_seed,
+    CampaignConfig, CampaignResult, CellStats, HeuristicSummary, InstanceOutcome,
 };
 pub use scenario::{make_scenario, Scenario, ScenarioParams};

@@ -38,7 +38,7 @@ use vg_des::stats::{ConfidenceInterval, OnlineStats};
 use vg_sim::SimOptions;
 
 use crate::campaign::{run_campaign, CampaignConfig, CampaignResult};
-use crate::cli::ExpArgs;
+use crate::cli::{exit_on_rejected, ExpArgs};
 use crate::scenario::ScenarioParams;
 
 /// A study's grid: one small contention-free cell under `--quick` (the CI
@@ -65,7 +65,9 @@ pub fn campaign(args: &ExpArgs, cells: &[ScenarioParams], sim: SimOptions) -> Ca
         keep_outcomes: true,
         ..CampaignConfig::default()
     };
-    run_campaign(cells, &cfg)
+    let result = run_campaign(cells, &cfg);
+    exit_on_rejected(&result);
+    result
 }
 
 /// The relative delta `100·(variant − base)/base`, in percent.

@@ -12,6 +12,7 @@ fn campaign(outcomes: Vec<InstanceOutcome>) -> CampaignResult {
         heuristics: vec![HeuristicKind::Mct, HeuristicKind::Emct],
         cell_stats: Vec::new(),
         instances: outcomes.len(),
+        rejected_runs: 0,
         outcomes: Some(outcomes),
     }
 }

@@ -7,9 +7,9 @@
 //! serde format.
 
 use serde::{Deserialize, Serialize};
-use vg_des::rng::StreamRng;
+use vg_des::rng::{SeedPath, StreamRng};
 use vg_des::SlotSpan;
-use vg_markov::availability::AvailabilityChain;
+use vg_markov::availability::{AvailabilityChain, ChainStats};
 use vg_markov::semi_markov::SemiMarkovModel;
 
 use crate::processor::ProcessorSpec;
@@ -186,6 +186,31 @@ impl PlatformConfig {
             }
         }
         Ok(())
+    }
+
+    /// Statistics of every processor's believed chain, in processor order:
+    /// what a scheduler's view reads. They depend on the platform alone,
+    /// so compute them once and share them across its runs — the
+    /// stationary solve behind [`ChainStats::new`] is about half of a
+    /// short run's set-up cost.
+    pub fn chain_stats(&self) -> impl ExactSizeIterator<Item = ChainStats> + '_ {
+        self.processors
+            .iter()
+            .map(|pc| ChainStats::new(pc.believed_chain()))
+    }
+
+    /// One live availability source per processor, processor `q` seeded
+    /// from `seeds.child(q)`. Every seeded path shares this layout, so
+    /// runs on the same `seeds` face identical availability (common
+    /// random numbers).
+    pub fn seeded_sources(
+        &self,
+        seeds: SeedPath,
+    ) -> impl ExactSizeIterator<Item = Box<dyn AvailabilitySource>> + '_ {
+        self.processors
+            .iter()
+            .enumerate()
+            .map(move |(q, pc)| pc.avail.build_source(seeds.child(q as u64).rng()))
     }
 }
 

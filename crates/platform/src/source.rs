@@ -330,7 +330,7 @@ pub struct MarkovSourceBank {
 
 impl MarkovSourceBank {
     /// Builds a bank for `platform` with the per-processor seed layout of
-    /// the engine's `run_seeded` entry points (`trace_seeds.child(q)`).
+    /// [`PlatformConfig::seeded_sources`] (`trace_seeds.child(q)`).
     /// Returns `None` when any processor's availability model is not a
     /// Markov chain (semi-Markov, replay) — callers fall back to boxed
     /// sources.

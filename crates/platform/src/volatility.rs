@@ -214,10 +214,7 @@ impl CorrelatedModel {
             Some(bank) => BaseBank::Dense(bank),
             None => BaseBank::Boxed(
                 platform
-                    .processors
-                    .iter()
-                    .enumerate()
-                    .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
+                    .seeded_sources(*trace_seeds)
                     // tidy:allow(hot_alloc): one-time construction fallback, not the sampling path.
                     .collect(),
             ),

@@ -103,6 +103,7 @@
 use vg_core::share::{share_quotas, SharePolicy};
 use vg_core::view::{AppView, Lane, ProcSnapshot, SchedView, ViewDelta};
 use vg_core::Scheduler;
+use vg_des::rng::SeedPath;
 use vg_des::{Slot, SlotSpan};
 use vg_markov::availability::{ChainStats, ProcState};
 use vg_platform::fault::CompiledScript;
@@ -412,36 +413,25 @@ struct SlotScratch {
 }
 
 impl SlotScratch {
-    /// Pre-sizes every buffer to its steady-state high-water mark for `p`
-    /// workers and `m` tasks per iteration.
-    fn with_capacity(p: usize, m: usize) -> Self {
-        Self {
-            procs: Vec::with_capacity(p),
-            free: Vec::with_capacity(p),
-            free_total: 0,
-            views_valid: false,
-            lane_bits: std::array::from_fn(|_| Vec::with_capacity(p.div_ceil(64))),
-            lane_list: Vec::with_capacity(p),
-            lane_seq: [0; Lane::COUNT],
-            with_room: Vec::with_capacity(p),
-            down: Vec::with_capacity(p),
-            pool: Vec::with_capacity(m),
-            cands: Vec::with_capacity(m),
-            placements: Vec::with_capacity(m.max(p)),
-            pending: Vec::with_capacity(m),
-            replica_pins: Vec::with_capacity(4),
-            room: Vec::with_capacity(p),
-            continuations: Vec::with_capacity(p),
-            requests: Vec::with_capacity(2 * p),
-            prog_requested: Vec::with_capacity(p),
-            data_requested: Vec::with_capacity(p),
-            completions: Vec::with_capacity(p),
-            state_row: Vec::with_capacity(p),
-            copies: Vec::with_capacity(8),
-            activities: Vec::with_capacity(p),
-            weights: Vec::with_capacity(4),
-            quotas: Vec::with_capacity(4),
+    /// Readies the scratch for a run on `p` workers and `m` tasks per
+    /// iteration: the persistent views are invalidated (an arena reuses
+    /// this scratch across runs and platforms), and every buffer is grown
+    /// to its steady-state high-water mark — a no-op once warm.
+    fn reset(&mut self, p: usize, m: usize) {
+        macro_rules! reserve {
+            ($n:expr => $($buf:ident),+) => { $(reserve_total(&mut self.$buf, $n);)+ };
         }
+        self.views_valid = false;
+        for bits in &mut self.lane_bits {
+            reserve_total(bits, p.div_ceil(64));
+        }
+        reserve!(p => procs, free, lane_list, with_room, down, room, continuations);
+        reserve!(p => prog_requested, data_requested, completions, state_row, activities);
+        reserve!(m => pool, cands, pending);
+        reserve!(m.max(p) => placements);
+        reserve!(2 * p => requests);
+        reserve!(4 => replica_pins, weights, quotas);
+        reserve!(8 => copies);
     }
 }
 
@@ -474,8 +464,8 @@ impl RunOutcome {
     }
 }
 
-/// Lean per-application result of a multi-application arena run — the
-/// [`RunOutcome`]-shaped slice of one application's bookkeeping.
+/// Lean per-application result of an arena run — the [`RunOutcome`]-shaped
+/// slice of one application's bookkeeping ([`SimArena::app_outcomes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppOutcome {
     /// Slots until this application's final barrier; `None` if the run
@@ -491,30 +481,143 @@ pub struct AppOutcome {
     pub tasks_completed: u64,
 }
 
-/// Result of [`SimArena::run_apps_seeded`]: the combined outcome plus one
-/// [`AppOutcome`] per application, in engine app order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiOutcome {
-    /// Whole-platform outcome (same semantics as a single-app run: finished
-    /// iff *every* application finished).
-    pub combined: RunOutcome,
-    /// Per-application outcomes.
-    pub apps: Vec<AppOutcome>,
+/// Where a run's availability states come from. Every variant drives both
+/// consumers, [`Simulation::new`] and [`SimArena::run`], with the same
+/// results; `docs/scaling.md` ("Starting a run") says which caller uses
+/// which.
+pub enum Availability<'a> {
+    /// Sources built from the platform config, processor `q` seeded from
+    /// `seeds.child(q)` ([`PlatformConfig::seeded_sources`]). All-Markov
+    /// platforms — the paper's setting — get the dense
+    /// [`MarkovSourceBank`] (three contiguous columns, no per-processor
+    /// virtual calls); anything else falls back to boxed sources. Both
+    /// emit bit-identical state streams.
+    Seeded(SeedPath),
+    /// One caller-built source per processor, in processor order; the
+    /// caller controls their seeds.
+    Sources(Vec<Box<dyn AvailabilitySource>>),
+    /// A whole-row generator (e.g.
+    /// [`vg_platform::volatility::CorrelatedSource`]): one call emits every
+    /// processor's state for the slot, which is how cross-worker
+    /// correlation enters the engine without touching per-worker seed
+    /// streams.
+    Rows(Box<dyn RowSource>),
+    /// A recording shared by every heuristic of an instance, read row by
+    /// row — one borrow and `p` byte reads per slot — so replaying runs
+    /// skip per-processor sampling entirely.
+    Shared {
+        /// The recording; rows beyond its horizon are sampled on demand.
+        trace: &'a SharedTraceMatrix,
+        /// The platform's [`PlatformConfig::chain_stats`], computed once
+        /// by the caller and shared across the platform's runs.
+        chains: &'a [ChainStats],
+    },
+}
+
+/// Everything one run needs. It is the only way to start a simulation:
+/// [`Simulation::new`] builds a fresh engine from it and [`SimArena::run`]
+/// runs it on warmed buffers. Both validate it the same way and reset
+/// their buffers with the same routine, so they agree bit for bit.
+pub struct RunSpec<'a> {
+    /// The platform.
+    pub platform: &'a PlatformConfig,
+    /// The co-scheduled application roster, in engine app order; the
+    /// paper's single application is `&[AppSpec::rigid(app)]`.
+    pub apps: &'a [AppSpec],
+    /// How multi-application slots split bindable capacity between the
+    /// roster's pools (never consulted with one application).
+    pub share: SharePolicy,
+    /// Where the states come from.
+    pub availability: Availability<'a>,
+    /// A scripted fault overlay, forcing states onto each row *after* it
+    /// is drawn. The base streams stay untouched, so every heuristic of an
+    /// instance still faces byte-identical availability (common random
+    /// numbers) with the same faults on top. `None` and a passthrough
+    /// script leave every row as drawn; actual changes land in
+    /// [`Counters::injected_faults`].
+    pub overlay: Option<&'a CompiledScript>,
+    /// Engine options.
+    pub options: SimOptions,
+    /// The heuristic.
+    pub scheduler: Box<dyn Scheduler>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A spec with the default share policy and no overlay; set those
+    /// with struct-update syntax.
+    #[must_use]
+    pub fn new(
+        platform: &'a PlatformConfig,
+        apps: &'a [AppSpec],
+        availability: Availability<'a>,
+        scheduler: Box<dyn Scheduler>,
+        options: SimOptions,
+    ) -> Self {
+        Self {
+            platform,
+            apps,
+            share: SharePolicy::default(),
+            availability,
+            overlay: None,
+            options,
+            scheduler,
+        }
+    }
+
+    /// The validation both consumers share: the platform, the roster, and
+    /// the width of the availability and the overlay.
+    fn validate(&self) -> Result<(), ConfigError> {
+        self.platform.validate()?;
+        validate_app_specs(self.apps)?;
+        let p = self.platform.p();
+        let width = match &self.availability {
+            Availability::Seeded(_) => p,
+            Availability::Sources(sources) => sources.len(),
+            Availability::Rows(rows) => rows.p(),
+            Availability::Shared { trace, chains } => {
+                if chains.len() != p {
+                    // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
+                    return Err(ConfigError(format!(
+                        "{} chain stats for a {p}-processor platform",
+                        chains.len()
+                    )));
+                }
+                trace.p()
+            }
+        };
+        if width != p {
+            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
+            return Err(ConfigError(format!(
+                "availability spans {width} workers on a {p}-processor platform"
+            )));
+        }
+        self.overlay.map_or(Ok(()), |s| check_overlay(s.p(), p))
+    }
+}
+
+/// Rejects a fault script compiled for another platform size.
+fn check_overlay(script_p: usize, p: usize) -> Result<(), ConfigError> {
+    if script_p == p {
+        return Ok(());
+    }
+    // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
+    Err(ConfigError(format!(
+        "fault script compiled for {script_p} workers on a {p}-processor platform"
+    )))
 }
 
 /// A **warmed simulation arena**: every per-run buffer of the engine —
 /// worker runtimes (including their `bound` vectors), chain statistics,
-/// the source vector, iteration bookkeeping, the whole `SlotScratch`,
-/// slot marks and the bind-order queue — kept alive across runs so that
-/// back-to-back simulations stop paying the ~25-allocation construction
-/// cost of [`Simulation::new`].
+/// the source vector and dense bank, iteration bookkeeping, the whole
+/// `SlotScratch`, slot marks and the bind-order queue — kept alive across
+/// runs so that back-to-back simulations stop paying the ~25-allocation
+/// construction cost of a fresh engine.
 ///
 /// Intended use: one arena per worker thread of a campaign fan-out, driven
-/// through [`SimArena::run_seeded`] for every (heuristic, trial) instance.
-/// Results are bit-identical to [`Simulation::run_seeded`] with the same
-/// inputs — the arena only recycles allocations, never state: every buffer
-/// is reset (not merely reused) before a run, and determinism tests pin the
-/// equivalence.
+/// through [`SimArena::run`] for every (heuristic, trial) instance. A fresh
+/// [`Simulation::new`] is the same reset applied to empty buffers, so the
+/// results are bit-identical — the arena only recycles allocations, never
+/// state, and determinism tests pin the equivalence.
 ///
 /// Timeline recording is not supported here (a timeline's size is the run's
 /// output, not scratch); request it through [`Simulation`] instead.
@@ -523,12 +626,7 @@ pub struct SimArena {
     workers: WorkerSoA,
     chains: Vec<ChainStats>,
     sources: Vec<Box<dyn AvailabilitySource>>,
-    /// Warmed dense all-Markov bank (columns keep their capacity across
-    /// runs); re-seeded per run by [`Self::run_seeded`] when the platform
-    /// qualifies.
     dense: MarkovSourceBank,
-    /// Warmed per-application runtimes (their iteration-state buffers keep
-    /// capacity across runs); re-initialized in place per run.
     apps: Vec<AppRuntime>,
     iteration_completed_at: Vec<Slot>,
     bind_order: Vec<(usize, CopyId)>,
@@ -551,143 +649,49 @@ impl SimArena {
         Self::default()
     }
 
-    /// Runs one simulation, reusing this arena's buffers. Seeds and
-    /// semantics are exactly [`Simulation::run_seeded`]'s: sources are built
-    /// from `trace_seeds.child(q)` per processor, so common-random-number
-    /// comparisons work unchanged.
+    /// Runs one simulation to its end on this arena's buffers.
     ///
     /// # Errors
-    /// Propagates configuration validation errors, and rejects
-    /// [`SimOptions::record_timeline`] (unsupported in arena mode).
-    pub fn run_seeded(
-        &mut self,
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<RunOutcome, ConfigError> {
-        platform.validate()?;
-        let specs = [AppSpec::rigid(*app)];
-        validate_app_specs(&specs)?;
-        if options.record_timeline {
+    /// The spec's validation errors (see [`Simulation::new`]), and
+    /// [`SimOptions::record_timeline`], which arenas do not support.
+    pub fn run(&mut self, spec: RunSpec<'_>) -> Result<RunOutcome, ConfigError> {
+        if spec.options.record_timeline {
             return Err(ConfigError(
-                "SimArena does not record timelines; use Simulation::run_seeded".into(),
+                "SimArena does not record timelines; use Simulation::new".into(),
             ));
         }
-        let dense = self.prepare_sources(platform, &trace_seeds);
-        if dense {
-            let bank = SourceBank::Dense(std::mem::take(&mut self.dense));
-            Ok(self.run_core_with(
-                platform,
-                &specs,
-                SharePolicy::default(),
-                scheduler,
-                bank,
-                None,
-                options,
-            ))
-        } else {
-            Ok(self.run_core(platform, &specs, SharePolicy::default(), scheduler, options))
+        spec.validate()?;
+        let mut sim = Simulation::assemble(spec, self);
+        while !sim.is_done() {
+            sim.step();
         }
-    }
-
-    /// Runs several co-scheduled applications over one platform, reusing
-    /// this arena's buffers; the multi-application twin of
-    /// [`Self::run_seeded`]. Seeds, sources and the slot loop are shared by
-    /// all applications — they compete for the same volatile workers under
-    /// `share` — and a one-spec roster with [`AppSpec::rigid`] is
-    /// bit-identical to [`Self::run_seeded`].
-    ///
-    /// # Errors
-    /// Propagates validation errors (empty/oversized rosters, per-app
-    /// config problems, mismatched communication parameters) and rejects
-    /// timeline recording as in [`Self::run_seeded`].
-    pub fn run_apps_seeded(
-        &mut self,
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<MultiOutcome, ConfigError> {
-        platform.validate()?;
-        validate_app_specs(specs)?;
-        if options.record_timeline {
-            return Err(ConfigError(
-                "SimArena does not record timelines; use Simulation::run_multi_seeded".into(),
-            ));
-        }
-        let dense = self.prepare_sources(platform, &trace_seeds);
-        let combined = if dense {
-            let bank = SourceBank::Dense(std::mem::take(&mut self.dense));
-            self.run_core_with(platform, specs, share, scheduler, bank, None, options)
-        } else {
-            self.run_core(platform, specs, share, scheduler, options)
+        let outcome = RunOutcome {
+            makespan: sim.makespan(),
+            slots_run: sim.slot,
+            completed_iterations: sim.completed_iterations(),
         };
-        let apps = self
-            .apps
-            .iter()
-            .map(|rt| AppOutcome {
-                makespan: rt.completed_at.map(|s| s + 1),
-                completed_iterations: rt.iterations_done,
-                final_m: rt.iter.m(),
-                tasks_completed: rt.tasks_completed,
-            })
-            .collect(); // tidy:allow(hot_alloc): per-run result assembly, after the slot loop.
-        Ok(MultiOutcome { combined, apps })
+        sim.release_into(self);
+        Ok(outcome)
     }
 
-    /// Rebuilds per-run sources and chain statistics *into* the warmed
-    /// buffers. All-Markov platforms take the dense bank (bit-identical
-    /// states, no per-processor boxing) and return `true`; the rest rebuild
-    /// boxed sources.
-    fn prepare_sources(
-        &mut self,
-        platform: &PlatformConfig,
-        trace_seeds: &vg_des::rng::SeedPath,
-    ) -> bool {
-        let dense = self.dense.rebuild_from_platform(platform, trace_seeds);
-        self.sources.clear();
-        if !dense {
-            self.sources.extend(
-                platform
-                    .processors
-                    .iter()
-                    .enumerate()
-                    .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng())),
-            );
-        }
-        self.chains.clear();
-        self.chains.extend(
-            platform
-                .processors
-                .iter()
-                .map(|pc| ChainStats::new(pc.believed_chain())),
-        );
-        dense
+    /// Per-application outcomes of the last successful [`Self::run`], in
+    /// roster order; empty before the first run.
+    pub fn app_outcomes(&self) -> impl ExactSizeIterator<Item = AppOutcome> + '_ {
+        self.apps.iter().map(|rt| AppOutcome {
+            makespan: rt.completed_at.map(|s| s + 1),
+            completed_iterations: rt.iterations_done,
+            final_m: rt.iter.m(),
+            tasks_completed: rt.tasks_completed,
+        })
     }
 
-    /// Runs one simulation against a [`SharedTraceMatrix`] recording, with
-    /// caller-shared per-scenario `chains` (see [`platform_chain_stats`])
-    /// and an optional scripted fault overlay. The engine consumes the
-    /// recording **row by row** — one borrow and `p` byte reads per slot —
-    /// so replaying heuristics skip per-processor sampling entirely, and
-    /// the result is bit-identical to [`Self::run_seeded`] over sources
-    /// with the recording's seeds.
-    ///
-    /// The script forces states onto each replayed row *after* it is read,
-    /// leaving the recording itself untouched — every heuristic of an
-    /// instance still replays byte-identical base availability (common
-    /// random numbers), with the same scripted faults layered on top.
-    /// `None` (and a passthrough script) leaves every row as recorded.
+    /// A single-application [`Self::run`] over [`Availability::Shared`]
+    /// plus an optional overlay. Kept for the external benchmark harness
+    /// under `perfbench/`, which calls it by name.
     ///
     /// # Errors
-    /// Propagates validation errors; rejects timeline recording, a
-    /// matrix/chains whose width is not `platform.p()`, and a script
-    /// compiled for a different platform size.
-    #[allow(clippy::too_many_arguments)] // the shared-trace inputs plus the overlay
+    /// As [`Self::run`].
+    #[allow(clippy::too_many_arguments)] // the benchmark contract's signature
     pub fn run_shared_trace_overlay(
         &mut self,
         platform: &PlatformConfig,
@@ -698,153 +702,12 @@ impl SimArena {
         script: Option<&CompiledScript>,
         options: SimOptions,
     ) -> Result<RunOutcome, ConfigError> {
-        platform.validate()?;
-        let specs = [AppSpec::rigid(*app)];
-        validate_app_specs(&specs)?;
-        if options.record_timeline {
-            return Err(ConfigError(
-                "SimArena does not record timelines; use Simulation::run_seeded".into(),
-            ));
-        }
-        if chains.len() != platform.p() || trace.p() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "{} chain stats / {}-wide trace for {} processors",
-                chains.len(),
-                trace.p(),
-                platform.p()
-            )));
-        }
-        if let Some(s) = script {
-            if s.p() != platform.p() {
-                // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-                return Err(ConfigError(format!(
-                    "fault script compiled for {} workers on a {}-processor platform",
-                    s.p(),
-                    platform.p()
-                )));
-            }
-        }
-        self.chains.clear();
-        self.chains.extend_from_slice(chains);
-        let bank = SourceBank::Shared {
-            trace: trace.handle(),
-            next_slot: 0,
-        };
-        // tidy:allow(hot_alloc): per-run overlay construction, before the first slot.
-        let overlay = script.map(|s| ScriptedOverlay::new(s.clone()));
-        Ok(self.run_core_with(
-            platform,
-            &specs,
-            SharePolicy::default(),
-            scheduler,
-            bank,
-            overlay,
-            options,
-        ))
-    }
-
-    /// Shared tail of the per-processor-source runs; expects `self.sources`
-    /// and `self.chains` to be populated for `platform`.
-    fn run_core(
-        &mut self,
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        options: SimOptions,
-    ) -> RunOutcome {
-        let bank = SourceBank::PerProc(std::mem::take(&mut self.sources));
-        self.run_core_with(platform, specs, share, scheduler, bank, None, options)
-    }
-
-    /// Innermost run loop over an explicit source bank (and optional
-    /// scripted overlay).
-    #[allow(clippy::too_many_arguments)] // private tail shared by every entry point
-    fn run_core_with(
-        &mut self,
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        mut scheduler: Box<dyn Scheduler>,
-        bank: SourceBank,
-        overlay: Option<ScriptedOverlay>,
-        options: SimOptions,
-    ) -> RunOutcome {
-        scheduler.begin_run();
-        let p = platform.p();
-        self.workers
-            .reset_for(platform.processors.iter().map(|pc| pc.spec));
-        // Rebuild the per-app runtimes *into* the warmed vector: existing
-        // entries re-initialize in place (keeping their iteration-state
-        // buffers), extra entries from a previous wider run are dropped.
-        self.apps.truncate(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            if i < self.apps.len() {
-                self.apps[i].reinit(i, spec, options.max_extra_replicas);
-            } else {
-                self.apps
-                    .push(AppRuntime::new(i, spec, options.max_extra_replicas));
-            }
-        }
-        self.iteration_completed_at.clear();
-        self.bind_order.clear();
-        self.slot_marks.clear();
-        self.slot_marks.resize(p, SlotMarks::default());
-        // The snapshot and free-mask buffers may hold another run's
-        // platform; the first consult must rebuild them fully.
-        self.scratch.views_valid = false;
-
-        let mut sim = Simulation {
-            app: CommParams {
-                t_prog: specs[0].config.t_prog,
-                t_data: specs[0].config.t_data,
-            },
-            apps: std::mem::take(&mut self.apps),
-            share,
-            workers: std::mem::take(&mut self.workers),
-            sources: bank,
-            chains: std::mem::take(&mut self.chains),
-            scheduler,
-            ledger: BandwidthLedger::new(platform.ncom),
-            options,
-            slot: 0,
-            iteration_completed_at: std::mem::take(&mut self.iteration_completed_at),
-            counters: Counters::default(),
-            bind_order: std::mem::take(&mut self.bind_order),
-            cap_engagements: 0,
-            overlay,
-            scratch: std::mem::take(&mut self.scratch),
-            timeline: None,
-            slot_marks: std::mem::take(&mut self.slot_marks),
-        };
-        while !sim.is_done() {
-            sim.step();
-        }
-        let outcome = RunOutcome {
-            makespan: sim
-                .apps
-                .iter()
-                .all(AppRuntime::finished)
-                .then_some(sim.slot),
-            slots_run: sim.slot,
-            completed_iterations: sim.apps.iter().map(|a| a.iterations_done()).sum(),
-        };
-
-        // Reclaim the warmed buffers for the next run.
-        self.workers = sim.workers;
-        match sim.sources {
-            SourceBank::PerProc(v) => self.sources = v,
-            SourceBank::Dense(b) => self.dense = b,
-            SourceBank::Shared { .. } | SourceBank::Rows(_) => {}
-        }
-        self.chains = sim.chains;
-        self.apps = sim.apps;
-        self.iteration_completed_at = sim.iteration_completed_at;
-        self.bind_order = sim.bind_order;
-        self.scratch = sim.scratch;
-        self.slot_marks = sim.slot_marks;
-        outcome
+        let shared = Availability::Shared { trace, chains };
+        let apps = [AppSpec::rigid(*app)];
+        self.run(RunSpec {
+            overlay: script,
+            ..RunSpec::new(platform, &apps, shared, scheduler, options)
+        })
     }
 }
 
@@ -885,40 +748,35 @@ fn validate_app_specs(specs: &[AppSpec]) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Chain statistics of every processor's believed chain, in processor order
-/// — compute once per platform and share across every run on it via
-/// [`SimArena::run_shared_trace_overlay`] (the stationary-distribution
-/// solve behind [`ChainStats::new`] is ~half the per-run setup cost
-/// otherwise).
+/// [`PlatformConfig::chain_stats`], collected. Kept for the external
+/// benchmark harness under `perfbench/`, which calls it by name.
 #[must_use]
 pub fn platform_chain_stats(platform: &PlatformConfig) -> Vec<ChainStats> {
-    platform
-        .processors
-        .iter()
-        .map(|pc| ChainStats::new(pc.believed_chain()))
-        .collect() // tidy:allow(hot_alloc): once-per-platform precompute, shared across all runs.
+    platform.chain_stats().collect() // tidy:allow(hot_alloc): once-per-platform precompute, shared across all runs.
 }
 
-/// Where a run's availability states come from.
+/// Grows `v`'s capacity to at least `n` (a no-op on a warmed buffer).
+fn reserve_total<T>(v: &mut Vec<T>, n: usize) {
+    v.reserve(n.saturating_sub(v.len()));
+}
+
+/// Where a run's availability states come from, as the slot loop reads
+/// them ([`Availability`] resolved).
 enum SourceBank {
-    /// One live source per processor (the stand-alone path).
+    /// One live source per processor.
     PerProc(Vec<Box<dyn AvailabilitySource>>),
     /// A dense all-Markov bank: three contiguous columns advanced in one
     /// linear sweep — the platform-scale path for seeded runs, bit-identical
     /// to `PerProc` over `markov_source`s with the same seeds (pinned by
     /// `dense_markov_bank_matches_boxed_streams` in vg-platform and the
-    /// seeded-vs-explicit-sources determinism test below).
+    /// availability matrix test of vg-sim).
     Dense(MarkovSourceBank),
-    /// A shared recording, consumed row-by-row: one borrow and `p`
-    /// contiguous byte reads per slot instead of `p` virtual calls — the
-    /// common-random-numbers fast path for campaign instances.
+    /// A shared recording, consumed row-by-row.
     Shared {
         trace: SharedTraceMatrix,
         next_slot: usize,
     },
-    /// A live whole-row generator (correlated volatility models): one call
-    /// emits every processor's state for the slot, so cross-worker
-    /// correlation stays expressible without per-processor sources.
+    /// A live whole-row generator.
     Rows(Box<dyn RowSource>),
 }
 
@@ -976,11 +834,10 @@ pub struct Simulation<S = WorkerSoA> {
     /// part of [`SimReport`]/[`Counters`]: a capped run that never engages
     /// must stay byte-identical to its uncapped twin, counter for counter.
     cap_engagements: u64,
-    /// Scripted fault injector, applied to every sampled state row *after*
-    /// the source bank fills it ([`Simulation::set_overlay`]). `None` — and
-    /// a passthrough overlay — leave rows untouched, so the overlaid run is
-    /// byte-identical to the base (the chaos_equivalence grid pins this);
-    /// actual changes land in [`Counters::injected_faults`].
+    /// Scripted fault injector ([`RunSpec::overlay`]), applied to every
+    /// sampled state row *after* the source bank fills it. `None` — and a
+    /// passthrough overlay — leave rows untouched, so the overlaid run is
+    /// byte-identical to the base (the chaos_equivalence grid pins this).
     overlay: Option<ScriptedOverlay>,
     scratch: SlotScratch,
     timeline: Option<Timeline>,
@@ -988,92 +845,47 @@ pub struct Simulation<S = WorkerSoA> {
 }
 
 impl Simulation {
-    /// Builds an engine over per-processor availability sources.
+    /// Builds a fresh engine from `spec`: the arena's reset applied to
+    /// empty buffers.
     ///
-    /// `sources` must contain exactly one availability source per platform
-    /// processor, in processor order; the caller controls their seeds (this
-    /// is what enables common-random-number comparisons).
-    pub fn new(
+    /// # Errors
+    /// An invalid platform or roster (empty or oversized rosters, per-app
+    /// config problems, mismatched communication parameters), and
+    /// availability or an overlay whose width is not the platform's.
+    pub fn new(spec: RunSpec<'_>) -> Result<Self, ConfigError> {
+        spec.validate()?;
+        Ok(Self::assemble(spec, &mut SimArena::default()))
+    }
+
+    /// A single-application [`Simulation::new`] over
+    /// [`Availability::Seeded`]. Kept for the external benchmark harness
+    /// under `perfbench/`, which calls it by name.
+    ///
+    /// # Errors
+    /// As [`Simulation::new`].
+    pub fn new_seeded(
         platform: &PlatformConfig,
         app: &AppConfig,
         scheduler: Box<dyn Scheduler>,
-        sources: Vec<Box<dyn AvailabilitySource>>,
+        trace_seeds: SeedPath,
         options: SimOptions,
     ) -> Result<Self, ConfigError> {
-        Self::new_multi(
+        let seeded = Availability::Seeded(trace_seeds);
+        Self::new(RunSpec::new(
             platform,
             &[AppSpec::rigid(*app)],
-            SharePolicy::default(),
+            seeded,
             scheduler,
-            sources,
             options,
-        )
+        ))
     }
 
-    /// Builds an engine co-scheduling several applications. The
-    /// applications run concurrently on the shared platform, splitting
-    /// each slot's bindable capacity under `share`; a one-spec roster with
-    /// [`AppSpec::rigid`] is bit-identical to [`Self::new`] with that
-    /// config.
-    pub fn new_multi(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        sources: Vec<Box<dyn AvailabilitySource>>,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        platform.validate()?;
-        if sources.len() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "{} sources for {} processors",
-                sources.len(),
-                platform.p()
-            )));
-        }
-        Self::new_with_bank(
-            platform,
-            specs,
-            share,
-            scheduler,
-            SourceBank::PerProc(sources),
-            options,
-        )
-    }
-
-    /// Convenience: build sources straight from the platform config using a
-    /// seed path (`path.child(q)` per processor) and run.
-    pub fn run_seeded(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<SimReport, ConfigError> {
-        Ok(Self::new_seeded(platform, app, scheduler, trace_seeds, options)?.run())
-    }
-
-    /// Convenience: seed, run and split per application — the
-    /// multi-application twin of [`Simulation::run_seeded`].
-    pub fn run_multi_seeded(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<MultiReport, ConfigError> {
-        Ok(
-            Self::new_multi_seeded(platform, specs, share, scheduler, trace_seeds, options)?
-                .run_multi(),
-        )
-    }
-
-    /// Builds an engine over a whole-row generator (e.g.
-    /// [`vg_platform::volatility::CorrelatedSource`]): the bank draws one
-    /// full state row per slot, which is how cross-worker correlation enters
-    /// the engine without touching per-worker seed streams.
+    /// A single-application [`Simulation::new`] over
+    /// [`Availability::Rows`]. Kept for the external benchmark harness
+    /// under `perfbench/`, which calls it by name.
+    ///
+    /// # Errors
+    /// As [`Simulation::new`].
     pub fn new_rows_in(
         platform: &PlatformConfig,
         app: &AppConfig,
@@ -1081,126 +893,94 @@ impl Simulation {
         rows: Box<dyn RowSource>,
         options: SimOptions,
     ) -> Result<Self, ConfigError> {
-        platform.validate()?;
-        if rows.p() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "row source spans {} workers on a {}-processor platform",
-                rows.p(),
-                platform.p()
-            )));
-        }
-        Self::new_with_bank(
+        let rows = Availability::Rows(rows);
+        Self::new(RunSpec::new(
             platform,
             &[AppSpec::rigid(*app)],
-            SharePolicy::default(),
+            rows,
             scheduler,
-            SourceBank::Rows(rows),
             options,
-        )
+        ))
     }
 
-    /// Installs a scripted fault overlay on a freshly built engine. The
-    /// script must have been compiled for this platform's processor count.
-    /// A passthrough script (no events) leaves every row byte-identical to
-    /// the un-overlaid run.
+    /// Installs a scripted fault overlay on a freshly built engine, as
+    /// [`RunSpec::overlay`] does. Kept for the external benchmark harness
+    /// under `perfbench/`, which calls it by name.
+    ///
+    /// # Errors
+    /// A script compiled for another platform size.
     pub fn set_overlay(&mut self, overlay: ScriptedOverlay) -> Result<(), ConfigError> {
-        let p = self.chains.len();
-        if overlay.p() != p {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "fault script compiled for {} workers on a {p}-processor platform",
-                overlay.p()
-            )));
-        }
+        check_overlay(overlay.p(), self.chains.len())?;
         self.overlay = Some(overlay);
         Ok(())
     }
 
-    /// Seed-path constructor: builds the best available source bank for
-    /// `platform` (`trace_seeds.child(q)` per processor, the
-    /// [`Simulation::run_seeded`] seed layout) and returns the engine
-    /// without running it. All-Markov platforms — the paper's setting — get
-    /// the dense [`MarkovSourceBank`] (three contiguous columns, no
-    /// per-processor virtual calls); anything else falls back to boxed
-    /// sources. Both banks emit bit-identical state streams, so which one
-    /// is chosen is unobservable in the results.
-    pub fn new_seeded(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        Self::new_multi_seeded(
+    /// Builds an engine from a validated `spec`, taking the buffers it
+    /// needs out of `bufs` and resetting them for the run; the one routine
+    /// under both [`Simulation::new`] (empty buffers) and [`SimArena::run`]
+    /// (warmed ones). Buffers a run does not use stay in `bufs`.
+    fn assemble(spec: RunSpec<'_>, bufs: &mut SimArena) -> Self {
+        let RunSpec {
             platform,
-            &[AppSpec::rigid(*app)],
-            SharePolicy::default(),
-            scheduler,
-            trace_seeds,
+            apps: specs,
+            share,
+            availability,
+            overlay,
             options,
-        )
-    }
-
-    /// Seed-path constructor for a co-scheduled roster (see
-    /// [`Self::new_seeded`] for the bank selection rules).
-    pub fn new_multi_seeded(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        match MarkovSourceBank::try_from_platform(platform, &trace_seeds) {
-            Some(bank) => Self::new_with_bank(
-                platform,
-                specs,
-                share,
-                scheduler,
-                SourceBank::Dense(bank),
-                options,
-            ),
-            None => {
-                let sources: Vec<Box<dyn AvailabilitySource>> = platform
-                    .processors
-                    .iter()
-                    .enumerate()
-                    .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
-                    .collect(); // tidy:allow(hot_alloc): per-run source construction, before the first slot.
-                Self::new_multi(platform, specs, share, scheduler, sources, options)
+            mut scheduler,
+        } = spec;
+        scheduler.begin_run();
+        let p = platform.p();
+        let mut chains = std::mem::take(&mut bufs.chains);
+        chains.clear();
+        match &availability {
+            Availability::Shared { chains: shared, .. } => chains.extend_from_slice(shared),
+            _ => chains.extend(platform.chain_stats()),
+        }
+        let sources = match availability {
+            Availability::Seeded(seeds) => {
+                if bufs.dense.rebuild_from_platform(platform, &seeds) {
+                    SourceBank::Dense(std::mem::take(&mut bufs.dense))
+                } else {
+                    let mut v = std::mem::take(&mut bufs.sources);
+                    v.clear();
+                    v.extend(platform.seeded_sources(seeds));
+                    SourceBank::PerProc(v)
+                }
+            }
+            Availability::Sources(v) => SourceBank::PerProc(v),
+            Availability::Rows(rows) => SourceBank::Rows(rows),
+            Availability::Shared { trace, .. } => SourceBank::Shared {
+                trace: trace.handle(),
+                next_slot: 0,
+            },
+        };
+        let mut workers = std::mem::take(&mut bufs.workers);
+        workers.reset_for(platform.processors.iter().map(|pc| pc.spec));
+        // Existing runtimes re-initialize in place (keeping their
+        // iteration-state buffers); entries beyond the roster are dropped.
+        let mut apps = std::mem::take(&mut bufs.apps);
+        apps.truncate(specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            match apps.get_mut(i) {
+                Some(rt) => rt.reinit(i, spec, options.max_extra_replicas),
+                None => apps.push(AppRuntime::new(i, spec, options.max_extra_replicas)),
             }
         }
-    }
-
-    /// Innermost constructor over an explicit source bank.
-    fn new_with_bank(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        bank: SourceBank,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        platform.validate()?;
-        validate_app_specs(specs)?;
-        let mut scheduler = scheduler;
-        scheduler.begin_run();
-        let mut workers = WorkerSoA::default();
-        workers.reset_for(platform.processors.iter().map(|pc| pc.spec));
-        let chains: Vec<ChainStats> = platform
-            .processors
-            .iter()
-            .map(|pc| ChainStats::new(pc.believed_chain()))
-            .collect(); // tidy:allow(hot_alloc): engine construction, before the first slot.
-        let apps: Vec<AppRuntime> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| AppRuntime::new(i, spec, options.max_extra_replicas))
-            .collect(); // tidy:allow(hot_alloc): engine construction, before the first slot.
         let total_m: usize = specs.iter().map(|s| s.config.tasks_per_iteration).sum();
         let total_iterations: u64 = specs.iter().map(|s| s.config.iterations).sum();
-        Ok(Self {
+        let mut iteration_completed_at = std::mem::take(&mut bufs.iteration_completed_at);
+        iteration_completed_at.clear();
+        reserve_total(&mut iteration_completed_at, total_iterations as usize);
+        let mut bind_order = std::mem::take(&mut bufs.bind_order);
+        bind_order.clear();
+        reserve_total(&mut bind_order, p);
+        let mut scratch = std::mem::take(&mut bufs.scratch);
+        scratch.reset(p, total_m);
+        let mut slot_marks = std::mem::take(&mut bufs.slot_marks);
+        slot_marks.clear();
+        slot_marks.resize(p, SlotMarks::default());
+        Self {
             app: CommParams {
                 t_prog: specs[0].config.t_prog,
                 t_data: specs[0].config.t_data,
@@ -1208,21 +988,38 @@ impl Simulation {
             apps,
             share,
             workers,
-            sources: bank,
+            sources,
             chains,
             scheduler,
             ledger: BandwidthLedger::new(platform.ncom),
             options,
             slot: 0,
-            iteration_completed_at: Vec::with_capacity(total_iterations as usize),
+            iteration_completed_at,
             counters: Counters::default(),
-            bind_order: Vec::with_capacity(platform.p()),
+            bind_order,
             cap_engagements: 0,
-            overlay: None,
-            scratch: SlotScratch::with_capacity(platform.p(), total_m),
-            timeline: options.record_timeline.then(|| Timeline::new(platform.p())),
-            slot_marks: vec![SlotMarks::default(); platform.p()], // tidy:allow(hot_alloc): engine construction, before the first slot.
-        })
+            // tidy:allow(hot_alloc): per-run overlay construction, before the first slot.
+            overlay: overlay.map(|s| ScriptedOverlay::new(s.clone())),
+            scratch,
+            timeline: options.record_timeline.then(|| Timeline::new(p)),
+            slot_marks,
+        }
+    }
+
+    /// Hands this engine's reusable buffers back to `bufs`.
+    fn release_into(self, bufs: &mut SimArena) {
+        match self.sources {
+            SourceBank::PerProc(v) => bufs.sources = v,
+            SourceBank::Dense(b) => bufs.dense = b,
+            SourceBank::Shared { .. } | SourceBank::Rows(_) => {}
+        }
+        bufs.workers = self.workers;
+        bufs.chains = self.chains;
+        bufs.apps = self.apps;
+        bufs.iteration_completed_at = self.iteration_completed_at;
+        bufs.bind_order = self.bind_order;
+        bufs.scratch = self.scratch;
+        bufs.slot_marks = self.slot_marks;
     }
 
     /// Runs to completion (all iterations done or slot cap hit).
@@ -1268,27 +1065,26 @@ impl Simulation {
         self.cap_engagements
     }
 
+    /// The combined makespan: `Some(slot)` once every application
+    /// finished. The last iteration finished during slot `slot − 1` and
+    /// `step` increments `slot` after each slot, so `slot` is exactly the
+    /// number of slots consumed.
+    fn makespan(&self) -> Option<Slot> {
+        self.apps
+            .iter()
+            .all(AppRuntime::finished)
+            .then_some(self.slot)
+    }
+
+    /// Iterations completed so far, over every application.
+    fn completed_iterations(&self) -> u64 {
+        self.apps.iter().map(|a| a.iterations_done()).sum()
+    }
+
     /// Finishes a (possibly partial) run into its report.
     #[must_use]
     pub fn into_report(self) -> SimReport {
-        let makespan = if self.apps.iter().all(AppRuntime::finished) {
-            // The last iteration finished during slot `slot − 1`... the loop
-            // increments `slot` at the end of each step, so `slot` is exactly
-            // the number of slots consumed.
-            Some(self.slot)
-        } else {
-            None
-        };
-        SimReport {
-            scheduler: self.scheduler.name().to_string(),
-            completed_iterations: self.apps.iter().map(|a| a.iterations_done()).sum(),
-            makespan,
-            slots_run: self.slot,
-            iteration_completed_at: self.iteration_completed_at,
-            counters: self.counters,
-            mean_bandwidth_utilization: self.ledger.mean_utilization(),
-            timeline: self.timeline,
-        }
+        self.finish().0
     }
 
     /// Finishes a (possibly partial) run into the combined report plus one
@@ -1296,23 +1092,8 @@ impl Simulation {
     /// part is exactly what [`Self::into_report`] would have produced.
     #[must_use]
     pub fn into_multi_report(self) -> MultiReport {
-        let makespan = self
-            .apps
-            .iter()
-            .all(AppRuntime::finished)
-            .then_some(self.slot);
-        let combined = SimReport {
-            scheduler: self.scheduler.name().to_string(),
-            completed_iterations: self.apps.iter().map(|a| a.iterations_done()).sum(),
-            makespan,
-            slots_run: self.slot,
-            iteration_completed_at: self.iteration_completed_at,
-            counters: self.counters,
-            mean_bandwidth_utilization: self.ledger.mean_utilization(),
-            timeline: self.timeline,
-        };
-        let apps = self
-            .apps
+        let (combined, apps) = self.finish();
+        let apps = apps
             .into_iter()
             .map(|rt| AppReport {
                 completed_iterations: rt.iterations_done,
@@ -1326,6 +1107,21 @@ impl Simulation {
             })
             .collect(); // tidy:allow(hot_alloc): per-run report assembly, after the slot loop.
         MultiReport { combined, apps }
+    }
+
+    /// The combined report, plus the runtimes the per-app reports read.
+    fn finish(self) -> (SimReport, Vec<AppRuntime>) {
+        let report = SimReport {
+            scheduler: self.scheduler.name().to_string(),
+            completed_iterations: self.completed_iterations(),
+            makespan: self.makespan(),
+            slots_run: self.slot,
+            iteration_completed_at: self.iteration_completed_at,
+            counters: self.counters,
+            mean_bandwidth_utilization: self.ledger.mean_utilization(),
+            timeline: self.timeline,
+        };
+        (report, self.apps)
     }
 
     /// One slot through all seven phases. Public so benches and the
@@ -2787,14 +2583,53 @@ mod tests {
         }
     }
 
-    fn sources_for(platform: &PlatformConfig, seed: u64) -> Vec<Box<dyn AvailabilitySource>> {
-        let path = SeedPath::root(seed);
-        platform
-            .processors
-            .iter()
-            .enumerate()
-            .map(|(q, pc)| pc.avail.build_source(path.child(q as u64).rng()))
-            .collect()
+    /// A fresh engine for `app` over boxed sources seeded from `seed`.
+    fn engine(
+        platform: &PlatformConfig,
+        app: &AppConfig,
+        sched: Box<dyn Scheduler>,
+        seed: u64,
+        opts: SimOptions,
+    ) -> Result<Simulation, ConfigError> {
+        let sources = platform.seeded_sources(SeedPath::root(seed)).collect();
+        let availability = Availability::Sources(sources);
+        Simulation::new(RunSpec::new(
+            platform,
+            &[AppSpec::rigid(*app)],
+            availability,
+            sched,
+            opts,
+        ))
+    }
+
+    /// One seeded run, fresh (`arena = None`) or on an arena.
+    fn seeded(
+        arena: Option<&mut SimArena>,
+        platform: &PlatformConfig,
+        app: &AppConfig,
+        sched: Box<dyn Scheduler>,
+        seed: u64,
+        opts: SimOptions,
+    ) -> Result<RunOutcome, ConfigError> {
+        let apps = [AppSpec::rigid(*app)];
+        let spec = RunSpec::new(
+            platform,
+            &apps,
+            Availability::Seeded(SeedPath::root(seed)),
+            sched,
+            opts,
+        );
+        match arena {
+            Some(arena) => arena.run(spec),
+            None => Simulation::new(spec).map(|sim| {
+                let r = sim.run();
+                RunOutcome {
+                    makespan: r.makespan,
+                    slots_run: r.slots_run,
+                    completed_iterations: r.completed_iterations,
+                }
+            }),
+        }
     }
 
     fn run(
@@ -2804,10 +2639,7 @@ mod tests {
         opts: SimOptions,
     ) -> SimReport {
         let sched = kind.build(SeedPath::root(999).rng());
-        let sources = sources_for(platform, 7);
-        Simulation::new(platform, app, sched, sources, opts)
-            .unwrap()
-            .run()
+        engine(platform, app, sched, 7, opts).unwrap().run()
     }
 
     const NO_REP: SimOptions = SimOptions {
@@ -2861,8 +2693,7 @@ mod tests {
         opts: SimOptions,
     ) -> (SimReport, u64) {
         let sched = kind.build(SeedPath::root(999).rng());
-        let sources = sources_for(platform, 7);
-        let mut sim = Simulation::new(platform, app, sched, sources, opts).unwrap();
+        let mut sim = engine(platform, app, sched, 7, opts).unwrap();
         while !sim.is_done() {
             sim.step();
         }
@@ -3118,8 +2949,7 @@ mod tests {
         };
         let go = || {
             let sched = HeuristicKind::EmctStar.build(SeedPath::root(11).rng());
-            let sources = sources_for(&platform, 42);
-            Simulation::new(&platform, &app, sched, sources, SimOptions::default())
+            engine(&platform, &app, sched, 42, SimOptions::default())
                 .unwrap()
                 .run()
         };
@@ -3156,11 +2986,14 @@ mod tests {
         for kind in [HeuristicKind::EmctStar, HeuristicKind::Random2w] {
             for replication in [false, true] {
                 let go = || {
-                    Simulation::run_seeded(
+                    let seeded = Availability::Seeded(SeedPath::root(42));
+                    let sched = kind.build(SeedPath::root(11).rng());
+                    let apps = [AppSpec::rigid(app)];
+                    let spec = RunSpec::new(
                         &platform,
-                        &app,
-                        kind.build(SeedPath::root(11).rng()),
-                        SeedPath::root(42),
+                        &apps,
+                        seeded,
+                        sched,
                         SimOptions {
                             max_slots: 100_000,
                             replication,
@@ -3168,70 +3001,14 @@ mod tests {
                             record_timeline: false,
                             placement_budget: PlacementBudget::Uncapped,
                         },
-                    )
-                    .unwrap()
+                    );
+                    Simulation::new(spec).unwrap().run()
                 };
                 let a = go();
                 let b = go();
                 assert_eq!(a, b, "{kind} replication={replication}");
                 assert!(a.finished(), "{kind} replication={replication}: {a}");
             }
-        }
-    }
-
-    #[test]
-    fn seeded_dense_bank_matches_explicit_boxed_sources() {
-        // `run_seeded` routes all-Markov platforms through the dense
-        // `MarkovSourceBank`; its report must be byte-identical to the
-        // boxed-source path (`Simulation::new` with `build_source` per
-        // processor, same seed layout) — the bank is an implementation
-        // detail, not an observable.
-        let platform = markov_platform(48, 3);
-        let app = AppConfig {
-            tasks_per_iteration: 64,
-            iterations: 2,
-            t_prog: 5,
-            t_data: 2,
-        };
-        for replication in [false, true] {
-            let opts = SimOptions {
-                max_slots: 100_000,
-                replication,
-                max_extra_replicas: 2,
-                record_timeline: false,
-                placement_budget: PlacementBudget::Uncapped,
-            };
-            let seeded = Simulation::run_seeded(
-                &platform,
-                &app,
-                HeuristicKind::EmctStar.build(SeedPath::root(11).rng()),
-                SeedPath::root(42),
-                opts,
-            )
-            .unwrap();
-            let boxed = Simulation::new(
-                &platform,
-                &app,
-                HeuristicKind::EmctStar.build(SeedPath::root(11).rng()),
-                sources_for(&platform, 42),
-                opts,
-            )
-            .unwrap()
-            .run();
-            assert_eq!(seeded, boxed, "replication={replication}");
-            // The arena path reuses one warmed bank across runs; it must
-            // agree too.
-            let arena = SimArena::new()
-                .run_seeded(
-                    &platform,
-                    &app,
-                    HeuristicKind::EmctStar.build(SeedPath::root(11).rng()),
-                    SeedPath::root(42),
-                    opts,
-                )
-                .unwrap();
-            assert_eq!(arena.makespan, seeded.makespan, "replication={replication}");
-            assert_eq!(arena.slots_run, seeded.slots_run);
         }
     }
 
@@ -3248,8 +3025,7 @@ mod tests {
         };
         let build = || {
             let sched = HeuristicKind::EmctStar.build(SeedPath::root(5).rng());
-            let sources = sources_for(&platform, 21);
-            Simulation::new(&platform, &app, sched, sources, SimOptions::default()).unwrap()
+            engine(&platform, &app, sched, 21, SimOptions::default()).unwrap()
         };
         let by_run = build().run();
         let mut sim = build();
@@ -3289,31 +3065,17 @@ mod tests {
             };
             for kind in [HeuristicKind::EmctStar, HeuristicKind::Random2w] {
                 let seed = (round * 10 + p) as u64;
-                let warm = arena
-                    .run_seeded(
-                        &platform,
-                        &app,
-                        kind.build(SeedPath::root(seed).rng()),
-                        SeedPath::root(seed + 1),
-                        options,
-                    )
-                    .unwrap();
-                let cold = Simulation::run_seeded(
+                let sched = || kind.build(SeedPath::root(seed).rng());
+                let warm = seeded(
+                    Some(&mut arena),
                     &platform,
                     &app,
-                    kind.build(SeedPath::root(seed).rng()),
-                    SeedPath::root(seed + 1),
+                    sched(),
+                    seed + 1,
                     options,
-                )
-                .unwrap();
-                assert_eq!(warm.makespan, cold.makespan, "round {round} {kind}");
-                assert_eq!(warm.slots_run, cold.slots_run, "round {round} {kind}");
-                assert_eq!(
-                    warm.completed_iterations, cold.completed_iterations,
-                    "round {round} {kind}"
                 );
-                assert_eq!(warm.makespan_or_cap(), cold.makespan_or_cap());
-                assert_eq!(warm.finished(), cold.finished());
+                let cold = seeded(None, &platform, &app, sched(), seed + 1, options);
+                assert_eq!(warm.unwrap(), cold.unwrap(), "round {round} {kind}");
             }
         }
     }
@@ -3328,11 +3090,12 @@ mod tests {
             t_data: 1,
         };
         let mut arena = SimArena::new();
-        let err = arena.run_seeded(
+        let err = seeded(
+            Some(&mut arena),
             &platform,
             &app,
             HeuristicKind::Mct.build(SeedPath::root(1).rng()),
-            SeedPath::root(2),
+            2,
             SimOptions {
                 record_timeline: true,
                 ..NO_REP
@@ -3351,18 +3114,18 @@ mod tests {
             t_data: 1,
         };
         let mut arena = SimArena::new();
-        let outcome = arena
-            .run_seeded(
-                &platform,
-                &app,
-                HeuristicKind::Mct.build(SeedPath::root(1).rng()),
-                SeedPath::root(2),
-                SimOptions {
-                    max_slots: 25,
-                    ..NO_REP
-                },
-            )
-            .unwrap();
+        let outcome = seeded(
+            Some(&mut arena),
+            &platform,
+            &app,
+            HeuristicKind::Mct.build(SeedPath::root(1).rng()),
+            2,
+            SimOptions {
+                max_slots: 25,
+                ..NO_REP
+            },
+        )
+        .unwrap();
         assert!(!outcome.finished());
         assert_eq!(outcome.makespan, None);
         assert_eq!(outcome.makespan_or_cap(), 25);
@@ -3380,8 +3143,7 @@ mod tests {
         };
         for kind in HeuristicKind::ALL {
             let sched = kind.build(SeedPath::root(1).rng());
-            let sources = sources_for(&platform, 3);
-            let r = Simulation::new(&platform, &app, sched, sources, SimOptions::default())
+            let r = engine(&platform, &app, sched, 3, SimOptions::default())
                 .unwrap()
                 .run();
             assert!(r.finished(), "{kind} did not finish: {r}");
@@ -3423,8 +3185,16 @@ mod tests {
             t_data: 1,
         };
         let sched = HeuristicKind::Mct.build(SeedPath::root(1).rng());
-        let sources = sources_for(&platform, 1).into_iter().take(1).collect();
-        assert!(Simulation::new(&platform, &app, sched, sources, SimOptions::default()).is_err());
+        let sources = platform.seeded_sources(SeedPath::root(1)).take(1).collect();
+        let apps = [AppSpec::rigid(app)];
+        let spec = RunSpec::new(
+            &platform,
+            &apps,
+            Availability::Sources(sources),
+            sched,
+            SimOptions::default(),
+        );
+        assert!(Simulation::new(spec).is_err());
     }
 
     #[test]
@@ -3456,19 +3226,11 @@ mod tests {
             t_data: 1,
         };
         let sched = HeuristicKind::Mct.build(SeedPath::root(1).rng());
-        let sources = sources_for(&platform, 7);
-        let r = Simulation::new(
-            &platform,
-            &app,
-            sched,
-            sources,
-            SimOptions {
-                record_timeline: true,
-                ..NO_REP
-            },
-        )
-        .unwrap()
-        .run();
+        let opts = SimOptions {
+            record_timeline: true,
+            ..NO_REP
+        };
+        let r = engine(&platform, &app, sched, 7, opts).unwrap().run();
         let tl = r.timeline.as_ref().expect("recording enabled");
         assert_eq!(tl.slots() as u64, r.slots_run);
         assert_eq!(tl.p(), 1);

@@ -18,65 +18,25 @@
 //!   the warmed arena ([`engine::SimArena`]);
 //! * [`report`] — makespans and counters ([`report::SimReport`]).
 //!
-//! ## Warmed arenas for campaign-scale fan-out
+//! ## Starting a run
 //!
-//! Campaigns run hundreds of thousands of short simulations; building each
-//! [`Simulation`] from scratch pays ~25 allocations
-//! (worker runtimes, chain statistics, the whole slot scratch) before the
-//! first slot executes. A [`SimArena`] keeps all of those
-//! buffers warm across runs — one arena per worker thread — and
-//! [`SimArena::run_seeded`](engine::SimArena::run_seeded) returns a lean
-//! [`RunOutcome`] (no strings, no vectors) whose results
-//! are **bit-identical** to [`Simulation::run_seeded`](engine::Simulation::run_seeded):
-//!
-//! ```
-//! use vg_core::HeuristicKind;
-//! use vg_des::rng::SeedPath;
-//! use vg_markov::availability::AvailabilityChain;
-//! use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig, StartPolicy};
-//! use vg_sim::{SimArena, SimOptions, Simulation};
-//!
-//! let mut rng = SeedPath::root(1).rng();
-//! let platform = PlatformConfig {
-//!     processors: (0..2)
-//!         .map(|_| ProcessorConfig::markov(
-//!             2,
-//!             AvailabilityChain::sample_paper(&mut rng, 0.90, 0.99),
-//!             StartPolicy::Up,
-//!         ))
-//!         .collect(),
-//!     ncom: 1,
-//! };
-//! let app = AppConfig { tasks_per_iteration: 4, iterations: 2, t_prog: 5, t_data: 1 };
-//!
-//! let mut arena = SimArena::new();
-//! for trial in 0..3 {
-//!     let outcome = arena.run_seeded(
-//!         &platform,
-//!         &app,
-//!         HeuristicKind::Emct.build(SeedPath::root(10 + trial).rng()),
-//!         SeedPath::root(20 + trial),
-//!         SimOptions::default(),
-//!     ).unwrap();
-//!     // Same seeds through a cold engine give the same answer, bit for bit.
-//!     let cold = Simulation::run_seeded(
-//!         &platform,
-//!         &app,
-//!         HeuristicKind::Emct.build(SeedPath::root(10 + trial).rng()),
-//!         SeedPath::root(20 + trial),
-//!         SimOptions::default(),
-//!     ).unwrap();
-//!     assert_eq!(outcome.makespan, cold.makespan);
-//!     assert_eq!(outcome.slots_run, cold.slots_run);
-//! }
-//! ```
+//! A [`RunSpec`] holds everything one run needs: the platform, the
+//! application roster, the share policy, the [`Availability`] source, an
+//! optional fault overlay, the options and the scheduler. It has two
+//! consumers. [`Simulation::new`] builds a fresh engine, which returns a
+//! full [`SimReport`] and can be driven slot by slot. A [`SimArena`] keeps
+//! every engine buffer warm across runs — one arena per worker thread of a
+//! campaign spares the ~25 allocations of a fresh engine per run — and
+//! [`SimArena::run`] returns a lean [`RunOutcome`] (no strings, no
+//! vectors). A fresh engine is the arena's reset applied to empty buffers,
+//! so the two agree **bit for bit**:
 //!
 //! ```
 //! use vg_core::HeuristicKind;
 //! use vg_des::rng::SeedPath;
 //! use vg_markov::availability::AvailabilityChain;
 //! use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig, StartPolicy};
-//! use vg_sim::{SimOptions, Simulation};
+//! use vg_sim::{AppSpec, Availability, RunSpec, SimArena, SimOptions, Simulation};
 //!
 //! // Two statistically identical volatile processors.
 //! let mut rng = SeedPath::root(1).rng();
@@ -91,15 +51,24 @@
 //!     ncom: 1,
 //! };
 //! let app = AppConfig { tasks_per_iteration: 4, iterations: 2, t_prog: 5, t_data: 1 };
-//!
-//! let report = Simulation::run_seeded(
+//! let apps = [AppSpec::rigid(app)];
+//! let spec = |trial: u64| RunSpec::new(
 //!     &platform,
-//!     &app,
-//!     HeuristicKind::EmctStar.build(SeedPath::root(2).rng()),
-//!     SeedPath::root(3),
+//!     &apps,
+//!     Availability::Seeded(SeedPath::root(20 + trial)),
+//!     HeuristicKind::EmctStar.build(SeedPath::root(10 + trial).rng()),
 //!     SimOptions::default(),
-//! ).unwrap();
-//! assert!(report.finished());
+//! );
+//!
+//! let mut arena = SimArena::new();
+//! for trial in 0..3 {
+//!     let report = Simulation::new(spec(trial)).unwrap().run();
+//!     assert!(report.finished());
+//!     // The same spec on the warmed arena gives the same answer.
+//!     let outcome = arena.run(spec(trial)).unwrap();
+//!     assert_eq!(outcome.makespan, report.makespan);
+//!     assert_eq!(outcome.slots_run, report.slots_run);
+//! }
 //! ```
 
 pub mod app;
@@ -112,7 +81,7 @@ pub mod worker;
 
 pub use app::{AppRuntime, AppSpec, MoldableParams, ReconfigPolicy};
 pub use engine::{
-    platform_chain_stats, AppOutcome, MultiOutcome, PlacementBudget, RunOutcome, SimArena,
+    platform_chain_stats, AppOutcome, Availability, PlacementBudget, RunOutcome, RunSpec, SimArena,
     SimOptions, Simulation,
 };
 pub use report::{AppReport, Counters, MultiReport, SimReport};

@@ -22,9 +22,9 @@
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
 use vg_markov::availability::AvailabilityChain;
-use vg_platform::source::{AvailabilitySource, StartPolicy};
+use vg_platform::source::StartPolicy;
 use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig};
-use vg_sim::{PlacementBudget, SimOptions, SimReport, Simulation};
+use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, SimReport, Simulation};
 
 /// Paper-style platform, identical to `golden_grid.rs`.
 fn platform(p: usize, ncom: usize, seed: u64) -> PlatformConfig {
@@ -99,20 +99,16 @@ fn run_counting(
     trace_seed: u64,
     options: SimOptions,
 ) -> (SimReport, u64) {
-    let trace_seeds = SeedPath::root(trace_seed);
-    let sources: Vec<Box<dyn AvailabilitySource>> = platform
-        .processors
-        .iter()
-        .enumerate()
-        .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
+    let sources = platform
+        .seeded_sources(SeedPath::root(trace_seed))
         .collect();
-    let mut sim = Simulation::new(
+    let mut sim = Simulation::new(RunSpec::new(
         platform,
-        app,
+        &[AppSpec::rigid(*app)],
+        Availability::Sources(sources),
         kind.build(SeedPath::root(sched_seed).rng()),
-        sources,
         options,
-    )
+    ))
     .unwrap();
     while !sim.is_done() {
         sim.step();

@@ -3,7 +3,7 @@
 //! Two passthrough contracts from the volatility layer are pinned across
 //! the full 17-heuristic grid:
 //!
-//! 1. an installed [`ScriptedOverlay`] holding an **empty script** leaves
+//! 1. a [`RunSpec::overlay`] holding an **empty script** leaves
 //!    every run byte-identical to the un-overlaid engine (same makespan,
 //!    same per-iteration completion slots, every counter — including
 //!    `injected_faults = 0`);
@@ -23,10 +23,10 @@ use vg_des::rng::SeedPath;
 use vg_markov::availability::AvailabilityChain;
 use vg_markov::OutageChain;
 use vg_platform::fault::FaultScript;
-use vg_platform::source::{AvailabilitySource, StartPolicy};
-use vg_platform::volatility::{CorrelatedModel, ScriptedOverlay};
+use vg_platform::source::StartPolicy;
+use vg_platform::volatility::CorrelatedModel;
 use vg_platform::{AppConfig, CompiledScript, PlatformConfig, ProcessorConfig};
-use vg_sim::{SimOptions, SimReport, Simulation};
+use vg_sim::{AppSpec, Availability, RunSpec, SimOptions, SimReport, Simulation};
 
 fn platform(p: usize, ncom: usize, seed: u64) -> PlatformConfig {
     let mut rng = SeedPath::root(seed).rng();
@@ -60,17 +60,29 @@ fn options() -> SimOptions {
     }
 }
 
+/// One run of `kind` over `availability`, with an optional overlay.
+fn run(
+    pf: &PlatformConfig,
+    kind: HeuristicKind,
+    seed: u64,
+    availability: Availability<'_>,
+    overlay: Option<&CompiledScript>,
+) -> SimReport {
+    let sched = kind.build(SeedPath::root(seed ^ 0xbeef).rng());
+    let apps = [AppSpec::rigid(app())];
+    let spec = RunSpec::new(pf, &apps, availability, sched, options());
+    Simulation::new(RunSpec { overlay, ..spec }).unwrap().run()
+}
+
 /// Base seeded run.
 fn run_base(pf: &PlatformConfig, kind: HeuristicKind, seed: u64) -> SimReport {
-    Simulation::new_seeded(
+    run(
         pf,
-        &app(),
-        kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
-        SeedPath::root(seed),
-        options(),
+        kind,
+        seed,
+        Availability::Seeded(SeedPath::root(seed)),
+        None,
     )
-    .unwrap()
-    .run()
 }
 
 /// Same run with an overlay installed.
@@ -80,17 +92,8 @@ fn run_overlaid(
     seed: u64,
     script: &CompiledScript,
 ) -> SimReport {
-    let mut sim = Simulation::new_seeded(
-        pf,
-        &app(),
-        kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
-        SeedPath::root(seed),
-        options(),
-    )
-    .unwrap();
-    sim.set_overlay(ScriptedOverlay::new(script.clone()))
-        .unwrap();
-    sim.run()
+    let seeded = Availability::Seeded(SeedPath::root(seed));
+    run(pf, kind, seed, seeded, Some(script))
 }
 
 /// Same run over a row source built from a correlated model.
@@ -101,15 +104,7 @@ fn run_rows(
     model: &CorrelatedModel,
 ) -> SimReport {
     let rows = model.build(pf, &SeedPath::root(seed)).unwrap();
-    Simulation::new_rows_in(
-        pf,
-        &app(),
-        kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
-        Box::new(rows),
-        options(),
-    )
-    .unwrap()
-    .run()
+    run(pf, kind, seed, Availability::Rows(Box::new(rows)), None)
 }
 
 #[test]
@@ -162,22 +157,9 @@ fn row_overlay_matches_wrapped_sources() {
     assert!(!script.is_passthrough());
     for kind in HeuristicKind::ALL {
         // Path A: per-source wrappers around the boxed seeded sources.
-        let trace_seeds = SeedPath::root(seed);
-        let sources: Vec<Box<dyn AvailabilitySource>> = pf
-            .processors
-            .iter()
-            .enumerate()
-            .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
-            .collect();
-        let wrapped = Simulation::new(
-            &pf,
-            &app(),
-            kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
-            script.wrap_sources(sources),
-            options(),
-        )
-        .unwrap()
-        .run();
+        let sources = pf.seeded_sources(SeedPath::root(seed)).collect();
+        let wrapped = Availability::Sources(script.wrap_sources(sources));
+        let wrapped = run(&pf, kind, seed, wrapped, None);
         // Path B: row-level overlay on the dense seeded bank.
         let mut overlaid = run_overlaid(&pf, kind, seed, &script);
         assert!(
@@ -192,28 +174,22 @@ fn row_overlay_matches_wrapped_sources() {
 }
 
 #[test]
-fn chaos_constructors_reject_mismatched_p() {
+fn chaos_specs_reject_mismatched_p() {
     let pf = platform(8, 3, 1);
+    let apps = [AppSpec::rigid(app())];
+    let spec = |availability| {
+        let sched = HeuristicKind::Emct.build(SeedPath::root(2).rng());
+        RunSpec::new(&pf, &apps, availability, sched, options())
+    };
     let script = CompiledScript::empty(9);
-    let mut sim = Simulation::new_seeded(
-        &pf,
-        &app(),
-        HeuristicKind::Emct.build(SeedPath::root(2).rng()),
-        SeedPath::root(3),
-        options(),
-    )
-    .unwrap();
-    assert!(sim.set_overlay(ScriptedOverlay::new(script)).is_err());
+    let overlaid = RunSpec {
+        overlay: Some(&script),
+        ..spec(Availability::Seeded(SeedPath::root(3)))
+    };
+    assert!(Simulation::new(overlaid).is_err());
 
     let model = CorrelatedModel::uniform_groups(9, 2, OutageChain::identity());
     let wide = platform(9, 3, 1);
     let rows = model.build(&wide, &SeedPath::root(3)).unwrap();
-    let err = Simulation::new_rows_in(
-        &pf,
-        &app(),
-        HeuristicKind::Emct.build(SeedPath::root(2).rng()),
-        Box::new(rows),
-        options(),
-    );
-    assert!(err.is_err());
+    assert!(Simulation::new(spec(Availability::Rows(Box::new(rows)))).is_err());
 }

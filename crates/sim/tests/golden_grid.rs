@@ -22,12 +22,13 @@
 //! horizon and pin every counter, which is a stronger check than a short
 //! happy path.
 
-use vg_core::{HeuristicKind, SharePolicy};
+use vg_core::HeuristicKind;
+use vg_core::Scheduler;
 use vg_des::rng::SeedPath;
 use vg_markov::availability::AvailabilityChain;
 use vg_platform::source::StartPolicy;
 use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig};
-use vg_sim::{AppSpec, PlacementBudget, SimArena, SimOptions, Simulation};
+use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimArena, SimOptions, Simulation};
 
 /// Paper-style platform: Markov chains with diagonals in `[0.90, 0.99]`,
 /// speeds in `[2, 20]`.
@@ -43,6 +44,23 @@ fn platform(p: usize, ncom: usize, seed: u64) -> PlatformConfig {
             .collect(),
         ncom,
     }
+}
+
+/// A run of `apps` over availability seeded from `trace`.
+fn seeded<'a>(
+    platform: &'a PlatformConfig,
+    apps: &'a [AppSpec],
+    scheduler: Box<dyn Scheduler>,
+    trace: SeedPath,
+    options: SimOptions,
+) -> RunSpec<'a> {
+    RunSpec::new(
+        platform,
+        apps,
+        Availability::Seeded(trace),
+        scheduler,
+        options,
+    )
 }
 
 /// FNV-1a-64 of a report's `Debug` string: the row digest of the committed
@@ -187,14 +205,15 @@ fn grid_reports_match_the_committed_digests() {
                     placement_budget: PlacementBudget::Uncapped,
                 };
                 for kind in HeuristicKind::ALL {
-                    let report = Simulation::run_seeded(
+                    let report = Simulation::new(seeded(
                         &platform,
-                        &app,
+                        &[AppSpec::rigid(app)],
                         kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
                         SeedPath::root(seed),
                         options,
-                    )
-                    .unwrap();
+                    ))
+                    .unwrap()
+                    .run();
                     digests.push(
                         format!("p={} seed={seed} rep={replication} {kind}", cell.p),
                         &report,
@@ -222,11 +241,10 @@ fn grid_reports_match_the_committed_digests() {
 fn multi_app_api_with_single_roster_matches_single_app_api() {
     // The application runtime layer's spine contract: a one-application
     // roster under `Fixed` reconfiguration and the default equal-split
-    // share, driven through the *multi*-application entry points, must be
-    // **byte-identical** to the historical single-application API — same
-    // grid, all 17 heuristics. The multi API's combined report is compared
-    // field-for-field against `run_seeded`, and the whole multi report is
-    // pinned by its digest.
+    // share, finished through the per-application `run_multi`, must be
+    // **byte-identical** to the single-application `run` — same grid, all
+    // 17 heuristics. The combined report is compared field-for-field
+    // against `run`'s, and the whole multi report is pinned by its digest.
     let mut runs = 0usize;
     let mut digests = Digests::new("single-roster");
     for cell in GRID {
@@ -249,23 +267,24 @@ fn multi_app_api_with_single_roster_matches_single_app_api() {
                 placement_budget: PlacementBudget::Uncapped,
             };
             for kind in HeuristicKind::ALL {
-                let single = Simulation::run_seeded(
+                let single = Simulation::new(seeded(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
                     kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
                     SeedPath::root(seed),
                     options,
-                )
-                .unwrap();
-                let multi = Simulation::run_multi_seeded(
+                ))
+                .unwrap()
+                .run();
+                let multi = Simulation::new(seeded(
                     &platform,
                     &specs,
-                    SharePolicy::default(),
                     kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
                     SeedPath::root(seed),
                     options,
-                )
-                .unwrap();
+                ))
+                .unwrap()
+                .run_multi();
                 assert_eq!(
                     multi.combined, single,
                     "multi-API combined report diverged from the single-app \
@@ -335,22 +354,23 @@ fn warmed_arena_matches_cold_engines_across_resizes() {
             HeuristicKind::Random2w,
         ] {
             let warm = arena
-                .run_seeded(
+                .run(seeded(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
                     kind.build(SeedPath::root(seed).rng()),
                     SeedPath::root(seed + 1),
                     options,
-                )
+                ))
                 .unwrap();
-            let cold = Simulation::run_seeded(
+            let cold = Simulation::new(seeded(
                 &platform,
-                &app,
+                &[AppSpec::rigid(app)],
                 kind.build(SeedPath::root(seed).rng()),
                 SeedPath::root(seed + 1),
                 options,
-            )
-            .unwrap();
+            ))
+            .unwrap()
+            .run();
             assert_eq!(warm.makespan, cold.makespan, "round {round} {kind}");
             assert_eq!(warm.slots_run, cold.slots_run, "round {round} {kind}");
             assert_eq!(
@@ -405,22 +425,23 @@ fn capped_runs_leave_no_stale_dirty_bits_across_arena_resizes() {
             HeuristicKind::Random2w,
         ] {
             let warm = arena
-                .run_seeded(
+                .run(seeded(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
                     kind.build(SeedPath::root(seed).rng()),
                     SeedPath::root(seed + 1),
                     options,
-                )
+                ))
                 .unwrap();
-            let cold = Simulation::run_seeded(
+            let cold = Simulation::new(seeded(
                 &platform,
-                &app,
+                &[AppSpec::rigid(app)],
                 kind.build(SeedPath::root(seed).rng()),
                 SeedPath::root(seed + 1),
                 options,
-            )
-            .unwrap();
+            ))
+            .unwrap()
+            .run();
             assert_eq!(warm.makespan, cold.makespan, "round {round} {kind}");
             assert_eq!(warm.slots_run, cold.slots_run, "round {round} {kind}");
             assert_eq!(
@@ -490,13 +511,13 @@ fn capped_and_two_app_platform_scale_rows_match_the_committed_digests() {
                 record_timeline: false,
                 placement_budget: PlacementBudget::BindCapacity,
             };
-            let mut sim: Simulation = Simulation::new_seeded(
+            let mut sim = Simulation::new(seeded(
                 &platform,
-                &flood,
+                &[AppSpec::rigid(flood)],
                 kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
                 SeedPath::root(seed),
                 capped,
-            )
+            ))
             .unwrap();
             while !sim.is_done() {
                 sim.step();
@@ -509,15 +530,15 @@ fn capped_and_two_app_platform_scale_rows_match_the_committed_digests() {
                 placement_budget: PlacementBudget::Uncapped,
                 ..capped
             };
-            let two_app = Simulation::run_multi_seeded(
+            let two_app = Simulation::new(seeded(
                 &platform,
                 &specs,
-                SharePolicy::default(),
                 kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
                 SeedPath::root(seed),
                 options,
-            )
-            .unwrap();
+            ))
+            .unwrap()
+            .run_multi();
             two_app_digests.push(format!("rep={replication} {kind}"), &two_app);
             runs += 1;
         }
@@ -558,22 +579,23 @@ fn warmed_arena_does_not_carry_lanes_across_same_size_platforms() {
         };
         for kind in [HeuristicKind::EmctStar, HeuristicKind::Lw] {
             let warm = arena
-                .run_seeded(
+                .run(seeded(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
                     kind.build(SeedPath::root(seed).rng()),
                     SeedPath::root(seed + 1),
                     options,
-                )
+                ))
                 .unwrap();
-            let cold = Simulation::run_seeded(
+            let cold = Simulation::new(seeded(
                 &platform,
-                &app,
+                &[AppSpec::rigid(app)],
                 kind.build(SeedPath::root(seed).rng()),
                 SeedPath::root(seed + 1),
                 options,
-            )
-            .unwrap();
+            ))
+            .unwrap()
+            .run();
             assert_eq!(warm.makespan, cold.makespan, "round {round} {kind}");
             assert_eq!(warm.slots_run, cold.slots_run, "round {round} {kind}");
             assert_eq!(

@@ -45,20 +45,21 @@ fn main() {
         .compile(platform.p())
         .expect("fits the platform");
 
+    // The script rides on the run spec as an overlay: it forces states
+    // after they are drawn, so both runs face the same base availability.
+    let apps = [AppSpec::rigid(app)];
     let run = |with_chaos: bool| -> SimReport {
-        let mut sim: Simulation = Simulation::new_seeded(
+        let spec = RunSpec::new(
             &platform,
-            &app,
+            &apps,
+            Availability::Seeded(SeedPath::root(4)),
             HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-            SeedPath::root(4),
             options,
-        )
-        .expect("valid configuration");
-        if with_chaos {
-            sim.set_overlay(ScriptedOverlay::new(script.clone()))
-                .expect("matching platform");
-        }
-        sim.run()
+        );
+        let overlay = with_chaos.then_some(&script);
+        Simulation::new(RunSpec { overlay, ..spec })
+            .expect("valid configuration")
+            .run()
     };
 
     let clean = run(false);

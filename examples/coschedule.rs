@@ -62,18 +62,22 @@ fn main() {
     };
     let specs = [AppSpec::rigid(small), AppSpec::weighted(big, 3)];
 
-    let report = Simulation::run_multi_seeded(
+    let spec = RunSpec::new(
         &platform,
         &specs,
-        SharePolicy::Weighted,
+        Availability::Seeded(SeedPath::root(6)),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        SeedPath::root(6),
         SimOptions {
             record_timeline: true,
             ..SimOptions::default()
         },
-    )
-    .expect("valid configuration");
+    );
+    let report = Simulation::new(RunSpec {
+        share: SharePolicy::Weighted,
+        ..spec
+    })
+    .expect("valid configuration")
+    .run_multi();
 
     println!("{}\n", report.combined);
     let timeline = report

@@ -71,14 +71,15 @@ fn main() {
         HeuristicKind::UdStar,
         HeuristicKind::Random,
     ] {
-        let report = Simulation::run_seeded(
+        let report = Simulation::new(RunSpec::new(
             &platform,
-            &app,
+            &[AppSpec::rigid(app)],
+            Availability::Seeded(trace_seed),
             kind.build(SeedPath::root(1).rng()),
-            trace_seed,
             SimOptions::default(),
-        )
-        .expect("valid configuration");
+        ))
+        .expect("valid configuration")
+        .run();
         results.push((kind, report));
     }
     let best = results

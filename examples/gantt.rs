@@ -29,18 +29,19 @@ fn main() {
         t_data: 2,
     };
 
-    let report = Simulation::run_seeded(
+    let report = Simulation::new(RunSpec::new(
         &platform,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(4)),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        SeedPath::root(4),
         SimOptions {
             record_timeline: true,
             placement_budget: PlacementBudget::Uncapped,
             ..SimOptions::default()
         },
-    )
-    .expect("valid configuration");
+    ))
+    .expect("valid configuration")
+    .run();
 
     println!("{report}\n");
     let timeline = report.timeline.as_ref().expect("recording was enabled");

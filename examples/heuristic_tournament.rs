@@ -7,6 +7,7 @@
 //! ```
 
 use volatile_grid::exp::campaign::{run_campaign, CampaignConfig};
+use volatile_grid::exp::cli::exit_on_rejected;
 use volatile_grid::exp::report::summary_table;
 use volatile_grid::exp::scenario::ScenarioParams;
 use volatile_grid::prelude::*;
@@ -30,6 +31,7 @@ fn main() {
         cfg.scenarios_per_cell, cfg.trials, cell.n_tasks, cell.ncom, cell.wmin
     );
     let result = run_campaign(std::slice::from_ref(&cell), &cfg);
+    exit_on_rejected(&result);
     let summaries = result.summarize();
     println!("{}", summary_table(&summaries));
 

@@ -49,14 +49,15 @@ fn main() {
     // --- Run both heuristics on byte-identical availability -------------
     let trace_seed = SeedPath::root(7); // shared ⇒ same availability
     for kind in [HeuristicKind::Mct, HeuristicKind::EmctStar] {
-        let report = Simulation::run_seeded(
+        let report = Simulation::new(RunSpec::new(
             &platform,
-            &app,
+            &[AppSpec::rigid(app)],
+            Availability::Seeded(trace_seed),
             kind.build(SeedPath::root(1).rng()),
-            trace_seed,
             SimOptions::default(),
-        )
-        .expect("valid configuration");
+        ))
+        .expect("valid configuration")
+        .run();
         println!("{report}");
         println!(
             "    lost to crashes: {} copies, replicas started: {}, canceled: {}",

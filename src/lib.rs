@@ -42,13 +42,15 @@
 //! };
 //! let app = AppConfig { tasks_per_iteration: 6, iterations: 2, t_prog: 5, t_data: 1 };
 //!
-//! let report = Simulation::run_seeded(
+//! let report = Simulation::new(RunSpec::new(
 //!     &platform,
-//!     &app,
+//!     &[AppSpec::rigid(app)],
+//!     Availability::Seeded(SeedPath::root(3)),
 //!     HeuristicKind::EmctStar.build(SeedPath::root(2).rng()),
-//!     SeedPath::root(3),
 //!     SimOptions::default(),
-//! ).unwrap();
+//! ))
+//! .unwrap()
+//! .run();
 //! assert!(report.finished());
 //! ```
 
@@ -75,7 +77,7 @@ pub mod prelude {
         ProcessorConfig, ProcessorId, StartPolicy, TailBehavior, Trace,
     };
     pub use vg_sim::{
-        AppReport, AppSpec, MoldableParams, MultiReport, PlacementBudget, ReconfigPolicy,
-        SimOptions, SimReport, Simulation,
+        AppReport, AppSpec, Availability, MoldableParams, MultiReport, PlacementBudget,
+        ReconfigPolicy, RunSpec, SimOptions, SimReport, Simulation,
     };
 }

@@ -48,15 +48,18 @@ fn run_multi(
     trace_seed: u64,
     replication: bool,
 ) -> MultiReport {
-    Simulation::run_multi_seeded(
-        platform,
-        specs,
+    Simulation::new(RunSpec {
         share,
-        kind.build(SeedPath::root(1).rng()),
-        SeedPath::root(trace_seed),
-        options(replication),
-    )
+        ..RunSpec::new(
+            platform,
+            specs,
+            Availability::Seeded(SeedPath::root(trace_seed)),
+            kind.build(SeedPath::root(1).rng()),
+            options(replication),
+        )
+    })
     .expect("valid configuration")
+    .run_multi()
 }
 
 /// Closed accounting every multi-app report must satisfy, finished or not.
@@ -221,13 +224,13 @@ proptest! {
         };
         let platform = platform(p, ncom, seed);
         let kind = HeuristicKind::ALL[kind_idx];
-        let single = Simulation::run_seeded(
+        let single = Simulation::new(RunSpec::new(
             &platform,
-            &app,
+            &[AppSpec::rigid(app)],
+            Availability::Seeded(SeedPath::root(seed)),
             kind.build(SeedPath::root(1).rng()),
-            SeedPath::root(seed),
             options(replication),
-        ).expect("valid configuration");
+        )).expect("valid configuration").run();
         let multi = run_multi(
             &platform, &[AppSpec::rigid(app)], SharePolicy::default(), kind, seed, replication,
         );

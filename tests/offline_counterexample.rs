@@ -64,11 +64,11 @@ fn online_mct_fails_the_counterexample() {
         t_prog: 2,
         t_data: 2,
     };
-    let report = Simulation::run_seeded(
+    let report = Simulation::new(RunSpec::new(
         &platform,
-        &app,
-        HeuristicKind::Mct.build(SeedPath::root(1).rng()),
-        SeedPath::root(2), // ignored by replay sources
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(2)),
+        HeuristicKind::Mct.build(SeedPath::root(1).rng()), // ignored by replay sources
         SimOptions {
             max_slots: 200,
             replication: false,
@@ -76,8 +76,9 @@ fn online_mct_fails_the_counterexample() {
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
-    )
-    .unwrap();
+    ))
+    .unwrap()
+    .run();
     assert!(
         report.makespan_or_cap() > 9,
         "online MCT should be suboptimal here, got {report}"
@@ -116,11 +117,11 @@ fn replication_rescues_online_mct() {
         t_prog: 2,
         t_data: 2,
     };
-    let without = Simulation::run_seeded(
+    let without = Simulation::new(RunSpec::new(
         &platform,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(2)),
         HeuristicKind::Mct.build(SeedPath::root(1).rng()),
-        SeedPath::root(2),
         SimOptions {
             max_slots: 500,
             replication: false,
@@ -128,13 +129,14 @@ fn replication_rescues_online_mct() {
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
-    )
-    .unwrap();
-    let with = Simulation::run_seeded(
+    ))
+    .unwrap()
+    .run();
+    let with = Simulation::new(RunSpec::new(
         &platform,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(2)),
         HeuristicKind::Mct.build(SeedPath::root(1).rng()),
-        SeedPath::root(2),
         SimOptions {
             max_slots: 500,
             replication: true,
@@ -142,8 +144,9 @@ fn replication_rescues_online_mct() {
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
-    )
-    .unwrap();
+    ))
+    .unwrap()
+    .run();
     assert!(with.finished(), "replication must complete the iteration");
     assert!(
         with.makespan_or_cap() <= without.makespan_or_cap(),

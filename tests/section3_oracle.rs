@@ -44,7 +44,7 @@ use vg_exp::scenario::{make_scenario, ScenarioParams};
 use vg_markov::availability::{AvailabilityChain, ChainStats, ProcState};
 use vg_platform::source::{AvailabilitySource, StartPolicy};
 use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig, ProcessorId};
-use vg_sim::{Counters, SimOptions, SimReport, Simulation};
+use vg_sim::{AppSpec, Availability, Counters, RunSpec, SimOptions, SimReport, Simulation};
 
 /// Where a live copy of a task is.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -529,8 +529,15 @@ fn agree(
     options: SimOptions,
 ) {
     let sched = || kind.build(SeedPath::root(seed ^ 0x5eed).rng());
-    let engine =
-        Simulation::run_seeded(platform, app, sched(), SeedPath::root(seed), options).unwrap();
+    let engine = Simulation::new(RunSpec::new(
+        platform,
+        &[AppSpec::rigid(*app)],
+        Availability::Seeded(SeedPath::root(seed)),
+        sched(),
+        options,
+    ))
+    .unwrap()
+    .run();
     let mut oracle = Oracle::new(platform, app, sched(), SeedPath::root(seed), options).run();
     let (m, p) = (app.tasks_per_iteration, platform.p());
     assert_conserved(&engine, p, platform.ncom, m);

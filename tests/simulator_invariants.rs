@@ -27,11 +27,11 @@ fn run(
     trace_seed: u64,
     replication: bool,
 ) -> SimReport {
-    Simulation::run_seeded(
+    Simulation::new(RunSpec::new(
         platform,
-        app,
+        &[AppSpec::rigid(*app)],
+        Availability::Seeded(SeedPath::root(trace_seed)),
         kind.build(SeedPath::root(1).rng()),
-        SeedPath::root(trace_seed),
         SimOptions {
             max_slots: 150_000,
             replication,
@@ -39,8 +39,9 @@ fn run(
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
-    )
+    ))
     .expect("valid configuration")
+    .run()
 }
 
 proptest! {
@@ -129,14 +130,14 @@ proptest! {
             t_data: 1,
         };
         let mk = |sched_seed: u64| {
-            Simulation::run_seeded(
+            Simulation::new(RunSpec::new(
                 &platform,
-                &app,
+                &[AppSpec::rigid(app)],
+                Availability::Seeded(SeedPath::root(seed)),
                 HeuristicKind::EmctStar.build(SeedPath::root(sched_seed).rng()),
-                SeedPath::root(seed),
                 SimOptions::default(),
-            )
-            .expect("valid")
+            ))
+            .expect("valid").run()
         };
         // EMCT* is deterministic: scheduler seed is irrelevant.
         prop_assert_eq!(mk(1), mk(999));

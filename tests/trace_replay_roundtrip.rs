@@ -33,14 +33,15 @@ fn recorded_traces_replay_identically() {
     let trace_seed = SeedPath::root(123);
 
     // Run live.
-    let live_report = Simulation::run_seeded(
+    let live_report = Simulation::new(RunSpec::new(
         &live,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(trace_seed),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        trace_seed,
         SimOptions::default(),
-    )
-    .expect("valid");
+    ))
+    .expect("valid")
+    .run();
     assert!(live_report.finished());
 
     // Record the availability the run consumed (same seeds, enough slots).
@@ -79,14 +80,15 @@ fn recorded_traces_replay_identically() {
             .collect(),
         ncom: live.ncom,
     };
-    let replay_report = Simulation::run_seeded(
+    let replay_report = Simulation::new(RunSpec::new(
         &replay,
-        &app,
-        HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        SeedPath::root(999), // replay ignores trace seeds
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(999)),
+        HeuristicKind::EmctStar.build(SeedPath::root(1).rng()), // replay ignores trace seeds
         SimOptions::default(),
-    )
-    .expect("valid");
+    ))
+    .expect("valid")
+    .run();
 
     assert_eq!(replay_report.makespan, live_report.makespan);
     assert_eq!(replay_report.counters, live_report.counters);
@@ -110,14 +112,15 @@ fn replay_with_different_heuristic_still_within_recorded_horizon() {
         t_data: 1,
     };
     let trace_seed = SeedPath::root(5);
-    let live_report = Simulation::run_seeded(
+    let live_report = Simulation::new(RunSpec::new(
         &live,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(trace_seed),
         HeuristicKind::Emct.build(SeedPath::root(1).rng()),
-        trace_seed,
         SimOptions::default(),
-    )
-    .expect("valid");
+    ))
+    .expect("valid")
+    .run();
     let horizon = live_report.slots_run as usize + 50;
 
     let replay = PlatformConfig {
@@ -140,17 +143,18 @@ fn replay_with_different_heuristic_still_within_recorded_horizon() {
             .collect(),
         ncom: live.ncom,
     };
-    let other = Simulation::run_seeded(
+    let other = Simulation::new(RunSpec::new(
         &replay,
-        &app,
+        &[AppSpec::rigid(app)],
+        Availability::Seeded(SeedPath::root(0)),
         HeuristicKind::Random.build(SeedPath::root(9).rng()),
-        SeedPath::root(0),
         SimOptions {
             max_slots: 10_000,
             ..SimOptions::default()
         },
-    )
-    .expect("valid");
+    ))
+    .expect("valid")
+    .run();
     if other.finished() {
         assert!(other.makespan_or_cap() <= horizon as u64);
     }
