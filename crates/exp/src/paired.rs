@@ -54,6 +54,7 @@ pub fn study_cells(args: &ExpArgs) -> Vec<ScenarioParams> {
 
 /// One side of a campaign pairing: `cells` under `sim` at the scale, seed
 /// and threads of `args`, with the outcomes kept for [`pair_campaigns`].
+/// Exits the process if any run was rejected ([`exit_on_rejected`]).
 #[must_use]
 pub fn campaign(args: &ExpArgs, cells: &[ScenarioParams], sim: SimOptions) -> CampaignResult {
     let cfg = CampaignConfig {
