@@ -13,7 +13,8 @@
 //! rounds run on persistent lane trees fed by the change-fed views; the
 //! multi-application API with a one-app roster; warmed arenas across
 //! platform resizes; capped and two-application rows at platform scale;
-//! and arena reuse across same-size platforms. A mismatch prints the
+//! co-scheduled rosters on small platforms under every share policy; and
+//! arena reuse across same-size platforms. A mismatch prints the
 //! differing rows and the whole actual section; `docs/oracle.md` says when
 //! pasting it back is legitimate.
 //!
@@ -22,13 +23,17 @@
 //! horizon and pin every counter, which is a stronger check than a short
 //! happy path.
 
+use vg_core::share::SharePolicy;
 use vg_core::HeuristicKind;
 use vg_core::Scheduler;
 use vg_des::rng::SeedPath;
 use vg_markov::availability::AvailabilityChain;
 use vg_platform::source::StartPolicy;
 use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig};
-use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimArena, SimOptions, Simulation};
+use vg_sim::{
+    AppSpec, Availability, MoldableParams, PlacementBudget, RunSpec, SimArena, SimOptions,
+    Simulation,
+};
 
 /// Paper-style platform: Markov chains with diagonals in `[0.90, 0.99]`,
 /// speeds in `[2, 20]`.
@@ -547,6 +552,122 @@ fn capped_and_two_app_platform_scale_rows_match_the_committed_digests() {
     assert!(engaged > 0, "the capped rows never engaged the cap");
     capped_digests.check();
     two_app_digests.check();
+}
+
+/// The heuristics of the small multi-application rows: one greedy family
+/// per objective, with and without the Equation-(2) correction, plus the
+/// plain random family.
+const SMALL_MULTI_KINDS: [HeuristicKind; 4] = [
+    HeuristicKind::EmctStar,
+    HeuristicKind::Mct,
+    HeuristicKind::LwStar,
+    HeuristicKind::Random,
+];
+
+#[test]
+fn small_multi_app_rows_match_the_committed_digests() {
+    // Co-scheduled rosters on small platforms, where the share split, the
+    // demand clamp, the spare hand-down and the per-app replica rounds
+    // decide most slots: two rigid apps weighted 1 and 3, a rigid app
+    // beside a moldable one, and three mixed apps. Every share policy,
+    // replication on and off, and both placement budgets.
+    let app = |m: usize, iterations: u64| AppConfig {
+        tasks_per_iteration: m,
+        iterations,
+        t_prog: 4,
+        t_data: 1,
+    };
+    let moldable = |m: usize, iterations: u64, weight: u32| AppSpec {
+        weight,
+        ..AppSpec::moldable(
+            app(m, iterations),
+            MoldableParams {
+                tasks_per_up_num: 3,
+                tasks_per_up_den: 2,
+                min_tasks: 2,
+                max_tasks: 2 * m,
+            },
+        )
+    };
+    let rosters = |p: usize| -> Vec<(&'static str, Vec<AppSpec>)> {
+        let m = p + p / 2;
+        let weighted = (
+            "weighted-1-3",
+            vec![
+                AppSpec::weighted(app(m, 2), 1),
+                AppSpec::weighted(app(m / 2, 3), 3),
+            ],
+        );
+        let mixed = (
+            "three-mixed",
+            vec![
+                AppSpec::weighted(app(m / 2, 2), 2),
+                moldable(p / 2, 3, 1),
+                AppSpec::weighted(app(p / 4, 4), 3),
+            ],
+        );
+        let rigid_moldable = (
+            "rigid-moldable",
+            vec![AppSpec::rigid(app(m, 2)), moldable(p, 3, 1)],
+        );
+        if p <= 8 {
+            vec![weighted, mixed]
+        } else {
+            vec![rigid_moldable, mixed]
+        }
+    };
+    let mut runs = 0usize;
+    let mut finished = 0usize;
+    let mut digests = Digests::new("small-multi");
+    for (p, seed) in [(8usize, 51u64), (64, 52)] {
+        let platform = platform(p, (p / 10).max(2), seed);
+        for (name, specs) in rosters(p) {
+            for share in SharePolicy::ALL {
+                for replication in [false, true] {
+                    for placement_budget in
+                        [PlacementBudget::Uncapped, PlacementBudget::BindCapacity]
+                    {
+                        let options = SimOptions {
+                            max_slots: 5_000,
+                            replication,
+                            max_extra_replicas: 2,
+                            record_timeline: false,
+                            placement_budget,
+                        };
+                        for kind in SMALL_MULTI_KINDS {
+                            let report = Simulation::new(RunSpec {
+                                share,
+                                ..seeded(
+                                    &platform,
+                                    &specs,
+                                    kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
+                                    SeedPath::root(seed),
+                                    options,
+                                )
+                            })
+                            .unwrap()
+                            .run_multi();
+                            finished += usize::from(report.combined.finished());
+                            digests.push(
+                                format!(
+                                    "p={p} roster={name} share={share} rep={replication} \
+                                     budget={placement_budget:?} {kind}"
+                                ),
+                                &report,
+                            );
+                            runs += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 2 * 2 * 3 * 2 * 2 * 4, "row shape drifted");
+    assert!(
+        finished > 0,
+        "no run finished — the rows pin only capped runs"
+    );
+    digests.check();
 }
 
 #[test]
