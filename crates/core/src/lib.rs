@@ -57,14 +57,12 @@ pub use catalog::HeuristicKind;
 pub use selector::SelectorKind;
 pub use share::{share_quotas, SharePolicy};
 pub use traits::Scheduler;
-pub use view::{
-    AppView, Lane, OwnedSchedView, ProcSnapshot, SchedView, SchedViewBuilder, ViewDelta,
-};
+pub use view::{Lane, OwnedSchedView, ProcSnapshot, SchedView, SchedViewBuilder, ViewDelta};
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::catalog::HeuristicKind;
     pub use crate::share::SharePolicy;
     pub use crate::traits::Scheduler;
-    pub use crate::view::{AppView, OwnedSchedView, ProcSnapshot, SchedView, SchedViewBuilder};
+    pub use crate::view::{OwnedSchedView, ProcSnapshot, SchedView, SchedViewBuilder};
 }

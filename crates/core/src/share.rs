@@ -10,10 +10,9 @@
 //! computes it with integer-only largest-remainder apportionment, so quotas
 //! are deterministic and sum to exactly the capacity.
 //!
-//! Shares only engage with **two or more** applications: the single-app
-//! engine never consults a share policy, which keeps the historical
-//! single-application trajectory bit-identical (see
-//! `docs/applications.md`).
+//! Shares only engage with **two or more** applications: the engine's one
+//! schedule phase skips the split for a one-app roster, whose pool budget
+//! is the placement budget's instead (see `docs/applications.md`).
 
 /// How the slot's bindable capacity is split between co-scheduled
 /// applications.

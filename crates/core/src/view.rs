@@ -48,37 +48,15 @@ pub struct ProcSnapshot {
     pub delay: SlotSpan,
 }
 
-/// Advisory per-application context of one placement round under
-/// multi-application co-scheduling (see `vg_sim`'s application runtime
-/// layer and [`crate::share::SharePolicy`]).
-///
-/// Mirrors the [`SchedView::room`] idiom: `None` is the historical
-/// single-application contract; the engine passes `Some` only on rounds
-/// that belong to a co-scheduled application, whose trajectory is already
-/// outside the single-app bit-identity regime. Schedulers MAY use it (e.g.
-/// to spread applications across disjoint workers) and MUST ignore it
-/// without observable effect when absent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AppView {
-    /// Index of the requesting application (0-based, in engine app order).
-    pub index: u32,
-    /// Total number of co-scheduled applications.
-    pub count: u32,
-    /// The requesting application's share weight.
-    pub weight: u32,
-    /// Placement quota granted to the application this slot (its share of
-    /// the bindable capacity).
-    pub quota: u32,
-}
-
 /// The placement round a [`ViewDelta`] belongs to. Each lane is its own
 /// stream of views: the engine numbers the lane's rounds and reports what
 /// changed since the lane's *previous* round, never since some other
 /// lane's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// The uncapped pool (originals) round: candidates are the `UP`
-    /// processors, `room` is `None`.
+    /// The pool (originals) round of a one-app roster whose pool fits its
+    /// placement budget: candidates are the `UP` processors, `room` is
+    /// `None`.
     Pool,
     /// The replica round: candidates are the free (`UP` and idle)
     /// processors named by [`SchedView::candidates`].
@@ -101,7 +79,7 @@ impl Lane {
 }
 
 /// Advisory change report of one placement round, in the [`SchedView::room`]
-/// / [`SchedView::app`] idiom: `None` is the historical contract (the view
+/// idiom: `None` is the historical contract (the view
 /// is self-contained and promises nothing about earlier views), and a
 /// scheduler that ignores the field is always correct.
 ///
@@ -170,11 +148,6 @@ pub struct SchedView<'a> {
     /// requested anyway; the engine only passes `Some` on rounds whose
     /// trajectory is already allowed to diverge.
     pub room: Option<&'a [u8]>,
-    /// Which co-scheduled application this placement round serves, or
-    /// `None` for the historical single-application contract (see
-    /// [`AppView`]). Advisory, like `room`: only rounds already allowed to
-    /// diverge from the single-app trajectory carry `Some`.
-    pub app: Option<AppView>,
     /// The round's candidate set (`candidates[i]` for processor `i`), or
     /// `None` when every `UP` processor is a candidate. Only `UP`
     /// processors are ever candidates; the engine narrows the set for the
@@ -262,8 +235,6 @@ pub struct OwnedSchedView {
     pub ncom: usize,
     /// Per-processor bind room (`None` = unconstrained round).
     pub room: Option<Vec<u8>>,
-    /// Per-application round context (`None` = single-app contract).
-    pub app: Option<AppView>,
     /// Candidate set (`None` = every `UP` processor).
     pub candidates: Option<Vec<bool>>,
 }
@@ -279,7 +250,6 @@ impl OwnedSchedView {
             t_data: self.t_data,
             ncom: self.ncom,
             room: self.room.as_deref(),
-            app: self.app,
             candidates: self.candidates.as_deref(),
             delta: None,
         }
@@ -304,7 +274,6 @@ impl SchedViewBuilder {
                 t_data,
                 ncom,
                 room: None,
-                app: None,
                 candidates: None,
             },
         }
@@ -338,13 +307,6 @@ impl SchedViewBuilder {
     pub fn room(mut self, room: Vec<u8>) -> Self {
         assert_eq!(room.len(), self.view.procs.len(), "room length != p");
         self.view.room = Some(room);
-        self
-    }
-
-    /// Attaches per-application round context (co-scheduling rounds).
-    #[must_use]
-    pub fn app(mut self, app: AppView) -> Self {
-        self.view.app = Some(app);
         self
     }
 

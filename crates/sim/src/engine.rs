@@ -1,8 +1,9 @@
 //! The slot-level simulation engine.
 //!
-//! Executes one iterative master–worker application (Section 3) on a
-//! volatile platform under a pluggable scheduling heuristic (Section 6).
-//! Each slot proceeds through fixed phases:
+//! Executes a roster of iterative master–worker applications (Section 3;
+//! the paper's setting is a roster of one) on a volatile platform under a
+//! pluggable scheduling heuristic (Section 6). Each slot proceeds through
+//! fixed phases:
 //!
 //! 1. **States** — every worker draws its state for the slot;
 //! 2. **Crashes** — `DOWN` workers lose program, data and partial results
@@ -10,7 +11,10 @@
 //!    evaporate (replicas);
 //! 3. **Scheduling** — the heuristic places the pool's unstarted originals,
 //!    then replicas onto idle `UP` workers (Section 6.1's replication rule:
-//!    at most two extra copies, originals take priority);
+//!    at most two extra copies, originals take priority). One body serves
+//!    every roster: it loops over the applications, and only the pool
+//!    budgets differ — a one-app roster takes its [`PlacementBudget`], a
+//!    larger one splits the bindable capacity by its [`SharePolicy`];
 //! 4. **Transfers** — the master's `ncom` channels are granted: first to
 //!    transfers already in flight (begun communications are never
 //!    interrupted — the *dynamic* model of Section 6.1), then to new
@@ -101,7 +105,7 @@
 //! --release`) pins this property as a regression test.
 
 use vg_core::share::{share_quotas, SharePolicy};
-use vg_core::view::{AppView, Lane, ProcSnapshot, SchedView, ViewDelta};
+use vg_core::view::{Lane, ProcSnapshot, SchedView, ViewDelta};
 use vg_core::Scheduler;
 use vg_des::rng::SeedPath;
 use vg_des::{Slot, SlotSpan};
@@ -325,6 +329,43 @@ macro_rules! for_each_busy_worker {
     }};
 }
 
+/// Adds the wall time of `$e` to schedule sub-phase `$idx` of
+/// [`phase_profile::SUB`] when the `phase-profile` feature is on; plain
+/// `$e` otherwise.
+#[cfg(feature = "phase-profile")]
+macro_rules! sub {
+    ($idx:expr, $e:expr) => {{
+        // tidy:allow(wall_clock): phase-profile instrumentation, cfg-gated and never read by simulation logic.
+        let t = std::time::Instant::now();
+        let r = $e;
+        phase_profile::SUB[$idx].fetch_add(
+            t.elapsed().as_nanos() as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        r
+    }};
+}
+#[cfg(not(feature = "phase-profile"))]
+macro_rules! sub {
+    ($idx:expr, $e:expr) => {
+        $e
+    };
+}
+
+/// How a placement round of phase 3 presents the view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    /// A one-app pool that fits its budget, placed at once: every UP
+    /// worker is a candidate, and the view carries the pool lane's delta.
+    Pool,
+    /// A bounded pool round: the candidates are the workers with bind
+    /// room, the view carries the room column and no delta.
+    TopUp,
+    /// The replica round: the candidates are the free workers, and the
+    /// view carries the replica lane's delta.
+    Replica,
+}
+
 /// A pending channel request during phase 4.
 #[derive(Debug, Clone, Copy)]
 enum Request {
@@ -369,15 +410,11 @@ struct SlotScratch {
     with_room: Vec<bool>,
     /// Workers that turned DOWN this slot (phase 2).
     down: Vec<u32>,
-    /// Schedulable original tasks (phase 3).
-    pool: Vec<TaskId>,
-    /// Replica candidates (phase 3).
-    cands: Vec<TaskId>,
     /// Scheduler placement output (phase 3).
     placements: Vec<ProcessorId>,
-    /// Pool tasks still awaiting a bind inside the [`PlacementBudget::
-    /// BindCapacity`] top-up loop (phase 3); compacted in place as binds
-    /// succeed, untouched on the uncapped path.
+    /// The tasks of the placement round in progress (phase 3): an
+    /// application's pool or its replica candidates, in global ids;
+    /// compacted in place as binds succeed.
     pending: Vec<TaskId>,
     /// Pinned-replica workers of the task being sibling-canceled, copied
     /// out of the iteration record before the per-worker cancels mutate it.
@@ -427,7 +464,7 @@ impl SlotScratch {
         }
         reserve!(p => procs, free, lane_list, with_room, down, room, continuations);
         reserve!(p => prog_requested, data_requested, completions, state_row, activities);
-        reserve!(m => pool, cands, pending);
+        reserve!(m => pending);
         reserve!(m.max(p) => placements);
         reserve!(2 * p => requests);
         reserve!(4 => replica_pins, weights, quotas);
@@ -808,7 +845,8 @@ struct CommParams {
 pub struct Simulation<S = WorkerSoA> {
     app: CommParams,
     /// The co-scheduled application runtimes, engine app order. Never
-    /// empty; `apps.len() == 1` selects the single-application phases.
+    /// empty; a one-app roster skips the share split of the schedule
+    /// phase and takes its [`PlacementBudget`] instead.
     apps: Vec<AppRuntime>,
     /// How multi-application slots split bindable capacity between the
     /// roster's pools (never consulted with a single application).
@@ -1464,572 +1502,320 @@ impl Simulation {
         true
     }
 
-    fn phase_schedule(&mut self) {
-        if self.apps.len() == 1 {
-            self.phase_schedule_single();
-        } else {
-            self.phase_schedule_multi();
-        }
-    }
-
-    /// The historical single-application schedule phase (modulo `apps[0]`
-    /// standing in for the old `iter` field) so the single-app bit-identity
-    /// pin stays trustworthy. App 0's task ids are its local ids (base 0),
-    /// so no namespace mapping appears here.
-    fn phase_schedule_single(&mut self) {
-        #[cfg(feature = "phase-profile")]
-        macro_rules! sub {
-            ($idx:expr, $e:expr) => {{
-                // tidy:allow(wall_clock): phase-profile instrumentation, cfg-gated and never read by simulation logic.
-                let t = std::time::Instant::now();
-                let r = $e;
-                phase_profile::SUB[$idx].fetch_add(
-                    t.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                r
-            }};
-        }
-        #[cfg(not(feature = "phase-profile"))]
-        macro_rules! sub {
-            ($idx:expr, $e:expr) => {
-                $e
-            };
-        }
-        self.bind_order.clear();
-        // Views are only consulted by `place_into`; most steady-state slots
-        // have an empty pool AND nothing to replicate, so they are synced
-        // lazily. Nothing between the phase start and the first use
-        // mutates worker state.
-
-        // Originals first (strict priority, Section 6.1).
-        self.apps[0].iter.pool_tasks_into(&mut self.scratch.pool);
-        if !self.scratch.pool.is_empty() {
-            // Under `BindCapacity`, a pool that fits inside the slot's
-            // bindable capacity takes the exact uncapped code path below —
-            // that branch equality is what makes never-engaging capped runs
-            // bit-identical to uncapped ones.
-            let capacity = match self.options.placement_budget {
-                PlacementBudget::Uncapped => usize::MAX,
-                PlacementBudget::BindCapacity => {
-                    let cap = self.workers.bindable_count();
-                    // Engagement detector: the dense-column count must agree
-                    // with a from-scratch accessor rescan, or an occupancy
-                    // mutator drifted.
-                    debug_assert_eq!(
-                        cap,
-                        (0..self.workers.len())
-                            .filter(|&q| {
-                                self.workers.state(q) == ProcState::Up
-                                    && self.workers.has_bind_room(q)
-                            })
-                            .count(),
-                        "bindable_count diverged from a naive accessor rescan"
-                    );
-                    cap
-                }
-            };
-            if self.scratch.pool.len() <= capacity {
-                sub!(0, self.sync_views());
-                let count = self.scratch.pool.len();
-                sub!(1, {
-                    let Self {
-                        scratch,
-                        scheduler,
-                        chains,
-                        app,
-                        ledger,
-                        ..
-                    } = self;
-                    scratch.placements.clear();
-                    let mut placements = std::mem::take(&mut scratch.placements);
-                    let seq = Self::open_lane(scratch, Lane::Pool);
-                    let view = SchedView {
-                        procs: &scratch.procs,
-                        chains,
-                        t_prog: app.t_prog,
-                        t_data: app.t_data,
-                        ncom: ledger.ncom(),
-                        room: None,
-                        app: None,
-                        candidates: None,
-                        delta: Some(ViewDelta {
-                            lane: Lane::Pool,
-                            seq,
-                            changed: &scratch.lane_list,
-                        }),
-                    };
-                    scheduler.place_into(&view, count, &mut placements);
-                    scratch.placements = placements;
-                });
-                sub!(2, {
-                    let placed = self.scratch.placements.len().min(count);
-                    for k in 0..placed {
-                        let task = self.scratch.pool[k];
-                        let pid = self.scratch.placements[k];
-                        debug_assert!(
-                            self.workers.state(pid.idx()) == ProcState::Up,
-                            "scheduler placed a task on a non-UP processor"
-                        );
-                        let _ = self.try_bind(pid.idx(), CopyId::original(task));
-                    }
-                });
-            } else {
-                // The cap engages: the pool exceeds what the platform can
-                // bind this slot, so the request is clipped to `capacity`
-                // and topped up below. The placement trajectory may now
-                // differ from `Uncapped` — `cap_engagements` records that
-                // this run left the bit-identical regime (the
-                // `cap_fidelity` study measures the statistical effect).
-                self.cap_engagements += 1;
-                if capacity > 0 {
-                    sub!(0, self.sync_views());
-                    // Narrow the candidates to the bindable workers: a
-                    // worker without bind room could only soak up
-                    // placements that `try_bind` must reject, and — more
-                    // importantly — every excluded worker drops out of
-                    // `place_into`'s per-candidate row fill, so the
-                    // placement round costs O(capacity), not O(p). The set
-                    // is frozen for the whole top-up loop while `room`
-                    // shrinks under it.
-                    sub!(5, {
-                        let Self {
-                            workers, scratch, ..
-                        } = self;
-                        workers.room_into(&mut scratch.room);
-                        debug_assert!(scratch.room.iter().enumerate().all(|(q, &r)| {
-                            (r > 0)
-                                == (workers.state(q) == ProcState::Up && workers.has_bind_room(q))
-                        }));
-                        scratch.with_room.clear();
-                        scratch
-                            .with_room
-                            .extend(scratch.room.iter().map(|&r| r > 0));
-                    });
-                    self.scratch.pending.clear();
-                    self.scratch.pending.extend_from_slice(&self.scratch.pool);
-                    // Top-up loop: `try_bind` can reject a placed worker
-                    // (it filled up from an earlier bind this slot, or
-                    // already holds a copy of the task), so one round can
-                    // under-fill the capacity. Re-request placements for
-                    // the still-pending tasks until the capacity is spent,
-                    // the pending list drains, or a round binds nothing —
-                    // every continuing round binds at least one copy, so
-                    // the loop runs at most `capacity + 1` rounds. The
-                    // snapshot is *not* refreshed between rounds: bound
-                    // copies are invisible to `Delay(q)` (\[D8\]), and a
-                    // worker that filled up anyway is rejected by
-                    // `try_bind` and retried.
-                    let mut remaining = capacity;
-                    loop {
-                        let want = self.scratch.pending.len().min(remaining);
-                        if want == 0 {
-                            break;
-                        }
-                        let placed = sub!(1, {
-                            let Self {
-                                scratch,
-                                scheduler,
-                                chains,
-                                app,
-                                ledger,
-                                ..
-                            } = self;
-                            let view = SchedView {
-                                procs: &scratch.procs,
-                                chains,
-                                t_prog: app.t_prog,
-                                t_data: app.t_data,
-                                ncom: ledger.ncom(),
-                                // Advisory bind-room column: lets the
-                                // scheduler retire a worker once its room is
-                                // spent instead of stacking placements that
-                                // `try_bind` must bounce back into the
-                                // top-up loop. Only this engaged branch —
-                                // already outside the bit-identical regime —
-                                // passes `Some`.
-                                room: Some(&scratch.room),
-                                app: None,
-                                candidates: Some(&scratch.with_room),
-                                delta: None,
-                            };
-                            scratch.placements.clear();
-                            scheduler.place_into(&view, want, &mut scratch.placements);
-                            scratch.placements.len().min(want)
-                        });
-                        if placed == 0 {
-                            break;
-                        }
-                        let bound = sub!(2, {
-                            let mut bound = 0usize;
-                            let mut write = 0usize;
-                            for k in 0..self.scratch.pending.len() {
-                                let task = self.scratch.pending[k];
-                                if k < placed {
-                                    let pid = self.scratch.placements[k];
-                                    debug_assert!(
-                                        self.workers.state(pid.idx()) == ProcState::Up,
-                                        "scheduler placed a task on a non-UP processor"
-                                    );
-                                    if self.try_bind(pid.idx(), CopyId::original(task)) {
-                                        bound += 1;
-                                        debug_assert!(self.scratch.room[pid.idx()] > 0);
-                                        self.scratch.room[pid.idx()] -= 1;
-                                        continue;
-                                    }
-                                }
-                                self.scratch.pending[write] = task;
-                                write += 1;
-                            }
-                            self.scratch.pending.truncate(write);
-                            bound
-                        });
-                        if bound == 0 {
-                            // Nothing placed survived `try_bind` and the
-                            // view is unchanged: a deterministic scheduler
-                            // would repeat itself verbatim. Stop rather
-                            // than spin.
-                            break;
-                        }
-                        remaining -= bound;
-                    }
-                }
-            }
-        }
-
-        // Replication: idle UP workers receive replicas of the least
-        // replicated unfinished tasks (≤ max_extra_replicas each).
-        //
-        // Candidates first: near an iteration barrier every unfinished task
-        // already carries its full replica set, so the candidate list — an
-        // O(m′) scan over the few unfinished tasks — empties long before
-        // the platform runs out of idle workers. Generating it before the
-        // view sync turns those slots into an early-out.
-        // (`replica_candidates_into` reads only iteration state, so the
-        // reorder is unobservable when both run.) The free count doubles as
-        // the replica path's bind capacity, so this path is demand-driven
-        // under *both* placement budgets — `k` below never exceeds what can
-        // actually bind.
-        if self.options.replication && !self.apps[0].iter.is_complete() {
-            sub!(
-                3,
-                self.apps[0].iter.replica_candidates_into(
-                    self.options.max_extra_replicas,
-                    &mut self.scratch.cands,
-                )
-            );
-            if !self.scratch.cands.is_empty() {
-                // Re-syncing after the pool binds refreshes the free mask;
-                // the only snapshot entries it can move belong to workers
-                // those binds made busy, which are not replica candidates.
-                sub!(4, self.sync_views());
-                let k = self.scratch.cands.len().min(self.scratch.free_total);
-                if k > 0 {
-                    sub!(6, {
-                        let Self {
-                            scratch,
-                            scheduler,
-                            chains,
-                            app,
-                            ledger,
-                            ..
-                        } = self;
-                        scratch.placements.clear();
-                        let mut placements = std::mem::take(&mut scratch.placements);
-                        let seq = Self::open_lane(scratch, Lane::Replica);
-                        let view = SchedView {
-                            procs: &scratch.procs,
-                            chains,
-                            t_prog: app.t_prog,
-                            t_data: app.t_data,
-                            ncom: ledger.ncom(),
-                            // Free workers have full room by construction;
-                            // the historical contract (`None`) keeps this
-                            // path bit-identical under both budgets.
-                            room: None,
-                            app: None,
-                            candidates: Some(&scratch.free),
-                            delta: Some(ViewDelta {
-                                lane: Lane::Replica,
-                                seq,
-                                changed: &scratch.lane_list,
-                            }),
-                        };
-                        scheduler.place_into(&view, k, &mut placements);
-                        scratch.placements = placements;
-                    });
-                    sub!(7, {
-                        let placed = self.scratch.placements.len().min(k);
-                        for j in 0..placed {
-                            let task = self.scratch.cands[j];
-                            let pid = self.scratch.placements[j];
-                            let copy = self.apps[0].iter.mint_replica(task);
-                            if !self.try_bind(pid.idx(), copy) {
-                                self.apps[0].iter.drop_replica(task);
-                            }
-                        }
-                    });
-                }
-            }
-        }
-    }
-
-    /// The multi-application schedule phase: pool placements run per
-    /// application under the [`SharePolicy`] quotas (originals keep strict
-    /// priority over replicas overall, as in Section 6.1), then replica
-    /// placements run per application over the workers still free.
-    ///
-    /// Deliberately a separate body from [`Self::phase_schedule_single`]
-    /// rather than a parameterized merge: the single-app phase is the
-    /// bit-identity-pinned historical trajectory, and keeping it intact is
-    /// what keeps that pin trustworthy. This path reuses the capped-branch
-    /// machinery (room column, bind-room candidate set, bounded top-up
-    /// rounds), so no application can overrun its quota or the platform's
-    /// bind capacity, and the steady-state loop stays allocation-free
-    /// (`zero_alloc.rs` pins a two-app configuration).
+    /// Phase 3, the Section 6.1 rule over the whole roster: originals
+    /// first, application by application inside the slot's pool budgets
+    /// ([`Self::pool_quotas`]), then replicas of each unfinished
+    /// application's least-replicated tasks onto the workers still free.
     ///
     /// Share quotas govern **pool** (original) placements only: replicas
     /// are demand-driven leftovers — they bind to workers that are UP and
     /// completely idle, a resource no pool placement of any application
-    /// wanted this slot (see `docs/applications.md`).
-    fn phase_schedule_multi(&mut self) {
+    /// wanted this slot (see `docs/applications.md`). Worker columns and
+    /// the scheduler see *global* task ids; app 0's base is 0, so a one-app
+    /// roster's ids are its local ones.
+    fn phase_schedule(&mut self) {
         self.bind_order.clear();
-        let n_apps = self.apps.len();
-        let mut have_snapshot = false;
-
-        // --- Pool placements under share quotas --------------------------
-        // The slot's bindable capacity is what the share policy divides.
-        let capacity = self.workers.bindable_count();
-        if capacity > 0 {
-            {
-                let Self {
-                    apps,
-                    scratch,
-                    share,
-                    ..
-                } = self;
-                scratch.weights.clear();
-                scratch.weights.extend(
-                    apps.iter()
-                        .map(|rt| if rt.finished() { 0 } else { rt.weight }),
-                );
-                share_quotas(*share, capacity, &scratch.weights, &mut scratch.quotas);
-                if *share != SharePolicy::StrictPriority {
-                    // Clamp each quota to its application's actual demand
-                    // and hand the unusable remainder down in app order —
-                    // work-conserving: capacity no pool can use is never
-                    // idled by the apportionment. (Strict priority already
-                    // grants full capacity as every quota, so there is no
-                    // remainder to move.)
-                    let mut spare = 0usize;
-                    for (a, rt) in apps.iter().enumerate() {
-                        let want = rt.iter.pool_len();
-                        let granted = scratch.quotas[a].min(want);
-                        spare += scratch.quotas[a] - granted;
-                        scratch.quotas[a] = granted;
-                    }
-                    for (a, rt) in apps.iter().enumerate() {
-                        if spare == 0 {
-                            break;
-                        }
-                        let extra = (rt.iter.pool_len() - scratch.quotas[a]).min(spare);
-                        scratch.quotas[a] += extra;
-                        spare -= extra;
-                    }
-                }
+        // Views are only consulted by `place_and_bind`; most steady-state
+        // slots have empty pools AND nothing to replicate, so they are
+        // synced lazily. Nothing between the phase start and the first use
+        // mutates worker state. One snapshot serves every application's
+        // pool round — later rounds see the delays of before this slot's
+        // binds.
+        let mut synced = false;
+        let mut remaining = self.pool_quotas();
+        for a in 0..self.apps.len() {
+            let quota = self.scratch.quotas[a].min(remaining);
+            if quota == 0 {
+                continue;
             }
-            let mut remaining = capacity;
-            for a in 0..n_apps {
-                if remaining == 0 {
-                    break;
-                }
-                let quota = self.scratch.quotas[a].min(remaining);
-                if quota == 0 {
-                    continue;
-                }
-                self.apps[a].iter.pool_tasks_into(&mut self.scratch.pool);
-                if self.scratch.pool.is_empty() {
-                    continue;
-                }
-                // Worker columns and the scheduler see *global* task ids;
-                // the iteration state stays local. Map in place.
-                let base = self.apps[a].task_base;
-                for t in self.scratch.pool.iter_mut() {
-                    *t = global_task(base, *t);
-                }
-                // One snapshot serves every application's pool rounds —
-                // later rounds see the delays of before this slot's binds.
-                if !have_snapshot {
-                    self.sync_views();
-                    have_snapshot = true;
-                }
-                // Fresh room column per app round (earlier applications'
-                // binds are already reflected), and with it the round's
-                // candidate set: the workers with room left.
-                {
-                    let Self {
-                        workers, scratch, ..
-                    } = self;
-                    workers.room_into(&mut scratch.room);
-                    scratch.with_room.clear();
-                    scratch
-                        .with_room
-                        .extend(scratch.room.iter().map(|&r| r > 0));
-                }
-                let app_view = AppView {
-                    index: a as u32,
-                    count: n_apps as u32,
-                    weight: self.apps[a].weight,
-                    quota: quota as u32,
-                };
-                self.scratch.pending.clear();
-                self.scratch.pending.extend_from_slice(&self.scratch.pool);
-                // Top-up rounds, exactly as in the capped single-app branch:
-                // every continuing round binds at least one copy, so the
-                // loop is bounded by the quota.
-                let mut app_remaining = quota;
-                loop {
-                    let want = self.scratch.pending.len().min(app_remaining);
-                    if want == 0 {
-                        break;
-                    }
-                    let placed = {
-                        let Self {
-                            scratch,
-                            scheduler,
-                            chains,
-                            app,
-                            ledger,
-                            ..
-                        } = self;
-                        let view = SchedView {
-                            procs: &scratch.procs,
-                            chains,
-                            t_prog: app.t_prog,
-                            t_data: app.t_data,
-                            ncom: ledger.ncom(),
-                            room: Some(&scratch.room),
-                            app: Some(app_view),
-                            candidates: Some(&scratch.with_room),
-                            delta: None,
-                        };
-                        scratch.placements.clear();
-                        scheduler.place_into(&view, want, &mut scratch.placements);
-                        scratch.placements.len().min(want)
-                    };
-                    if placed == 0 {
-                        break;
-                    }
-                    let mut bound = 0usize;
-                    let mut write = 0usize;
-                    for k in 0..self.scratch.pending.len() {
-                        let task = self.scratch.pending[k];
-                        if k < placed {
-                            let pid = self.scratch.placements[k];
-                            debug_assert!(
-                                self.workers.state(pid.idx()) == ProcState::Up,
-                                "scheduler placed a task on a non-UP processor"
-                            );
-                            if self.try_bind(pid.idx(), CopyId::original(task)) {
-                                bound += 1;
-                                debug_assert!(self.scratch.room[pid.idx()] > 0);
-                                self.scratch.room[pid.idx()] -= 1;
-                                continue;
-                            }
-                        }
-                        self.scratch.pending[write] = task;
-                        write += 1;
-                    }
-                    self.scratch.pending.truncate(write);
-                    if bound == 0 {
-                        break;
-                    }
-                    app_remaining -= bound;
-                    remaining -= bound;
-                }
+            let base = self.apps[a].task_base;
+            self.apps[a].iter.pool_tasks_into(&mut self.scratch.pending);
+            if self.scratch.pending.is_empty() {
+                continue;
+            }
+            for t in &mut self.scratch.pending {
+                *t = global_task(base, *t);
+            }
+            remaining -= self.pool_round(quota, &mut synced);
+        }
+        if self.options.replication {
+            for a in 0..self.apps.len() {
+                self.replica_round(a);
             }
         }
+    }
 
-        // --- Replica placements, per application over free workers --------
-        if self.options.replication {
-            for a in 0..n_apps {
-                if self.apps[a].finished() || self.apps[a].iter.is_complete() {
-                    continue;
+    /// Fills `scratch.quotas` with every application's pool budget for the
+    /// slot and returns the capacity they share.
+    ///
+    /// A one-app roster is unbounded here: its [`PlacementBudget`] applies
+    /// in [`Self::pool_round`], once its pool is known to be non-empty. A
+    /// larger roster splits the slot's bindable capacity by the
+    /// [`SharePolicy`] (finished applications weigh 0), then clamps each
+    /// quota to its application's demand and hands the unusable remainder
+    /// down in app order — work-conserving: capacity no pool can use is
+    /// never idled by the apportionment. Strict priority already grants
+    /// the full capacity as every quota, so it has no remainder to move.
+    fn pool_quotas(&mut self) -> usize {
+        self.scratch.quotas.clear();
+        if self.apps.len() == 1 {
+            self.scratch.quotas.push(usize::MAX);
+            return usize::MAX;
+        }
+        let capacity = self.bindable_count();
+        let Self {
+            apps,
+            scratch,
+            share,
+            ..
+        } = self;
+        scratch.weights.clear();
+        scratch.weights.extend(
+            apps.iter()
+                .map(|rt| if rt.finished() { 0 } else { rt.weight }),
+        );
+        share_quotas(*share, capacity, &scratch.weights, &mut scratch.quotas);
+        if *share != SharePolicy::StrictPriority {
+            let mut spare = 0usize;
+            for (a, rt) in apps.iter().enumerate() {
+                let want = rt.iter.pool_len();
+                let granted = scratch.quotas[a].min(want);
+                spare += scratch.quotas[a] - granted;
+                scratch.quotas[a] = granted;
+            }
+            for (a, rt) in apps.iter().enumerate() {
+                if spare == 0 {
+                    break;
                 }
-                self.apps[a].iter.replica_candidates_into(
-                    self.options.max_extra_replicas,
-                    &mut self.scratch.cands,
+                let extra = (rt.iter.pool_len() - scratch.quotas[a]).min(spare);
+                scratch.quotas[a] += extra;
+                spare -= extra;
+            }
+        }
+        capacity
+    }
+
+    /// Workers that can accept a new bind this slot (UP with bind room).
+    fn bindable_count(&self) -> usize {
+        let cap = self.workers.bindable_count();
+        // The dense-column count must agree with a from-scratch accessor
+        // rescan, or an occupancy mutator drifted.
+        debug_assert_eq!(
+            cap,
+            (0..self.workers.len())
+                .filter(|&q| {
+                    self.workers.state(q) == ProcState::Up && self.workers.has_bind_room(q)
+                })
+                .count(),
+            "bindable_count diverged from a naive accessor rescan"
+        );
+        cap
+    }
+
+    /// One application's pool round over the global task ids in
+    /// `scratch.pending`, within `quota`; returns how many originals bound.
+    ///
+    /// A one-app roster's budget is its [`PlacementBudget`]: unbounded
+    /// when `Uncapped`, the bindable capacity under `BindCapacity`. A pool
+    /// that fits takes one [`Round::Pool`] — the branch equality that makes
+    /// never-engaging capped runs bit-identical to uncapped ones. Every
+    /// other round — an engaged cap, any application of a larger roster —
+    /// runs bounded [`Round::TopUp`] rounds over the workers with room.
+    fn pool_round(&mut self, quota: usize, synced: &mut bool) -> usize {
+        let solo = self.apps.len() == 1;
+        let budget = match self.options.placement_budget {
+            PlacementBudget::BindCapacity if solo => self.bindable_count(),
+            _ => quota,
+        };
+        let one_shot = solo && self.scratch.pending.len() <= budget;
+        if solo && !one_shot {
+            // The cap engages: the pool exceeds what the platform can bind
+            // this slot. The trajectory may now differ from `Uncapped`;
+            // `cap_engagements` records that this run left the
+            // bit-identical regime (the `cap_fidelity` study measures the
+            // statistical effect).
+            self.cap_engagements += 1;
+        }
+        if budget == 0 {
+            return 0;
+        }
+        if !std::mem::replace(synced, true) {
+            sub!(0, self.sync_views());
+        }
+        if one_shot {
+            let want = self.scratch.pending.len();
+            return self.place_and_bind(Round::Pool, want);
+        }
+        // Narrow the candidates to the bindable workers: a worker without
+        // bind room could only soak up placements that `try_bind` must
+        // reject, and every excluded worker drops out of `place_into`'s
+        // per-candidate row fill, so a round costs O(capacity), not O(p).
+        // The set is frozen for the whole top-up loop while `room` shrinks
+        // under it; earlier applications' binds are already reflected.
+        sub!(5, {
+            let Self {
+                workers, scratch, ..
+            } = self;
+            workers.room_into(&mut scratch.room);
+            debug_assert!(scratch.room.iter().enumerate().all(|(q, &r)| {
+                (r > 0) == (workers.state(q) == ProcState::Up && workers.has_bind_room(q))
+            }));
+            scratch.with_room.clear();
+            scratch
+                .with_room
+                .extend(scratch.room.iter().map(|&r| r > 0));
+        });
+        // Top-up rounds: `try_bind` can reject a placed worker (it filled
+        // up from an earlier bind this slot, or already holds a copy of
+        // the task), so one round can under-fill the budget. Re-request
+        // placements for the still-pending tasks until the budget is
+        // spent, the pending list drains, or a round binds nothing — every
+        // continuing round binds at least one copy, so the loop runs at
+        // most `budget + 1` rounds. The snapshot is *not* refreshed between
+        // rounds: bound copies are invisible to `Delay(q)` (\[D8\]), and a
+        // worker that filled up anyway is rejected by `try_bind` and
+        // retried. A round that binds nothing would repeat itself verbatim
+        // under a deterministic scheduler, so it ends the loop.
+        let mut left = budget;
+        loop {
+            let want = self.scratch.pending.len().min(left);
+            if want == 0 {
+                break;
+            }
+            let bound = self.place_and_bind(Round::TopUp, want);
+            if bound == 0 {
+                break;
+            }
+            left -= bound;
+        }
+        budget - left
+    }
+
+    /// Application `a`'s replica round: idle UP workers receive replicas
+    /// of its least replicated unfinished tasks (≤ `max_extra_replicas`
+    /// each).
+    ///
+    /// Candidates first: near an iteration barrier every unfinished task
+    /// already carries its full replica set, so the candidate list — an
+    /// O(m′) scan over the few unfinished tasks — empties long before the
+    /// platform runs out of idle workers, and the view sync is skipped.
+    /// (`replica_candidates_into` reads only iteration state, so the
+    /// reorder is unobservable.) The sync absorbs earlier rounds' binds
+    /// through the store's change feed, so the round sees the *currently*
+    /// free workers; the free count doubles as its bind capacity, so
+    /// replicas are demand-driven under both placement budgets.
+    fn replica_round(&mut self, a: usize) {
+        if self.apps[a].iter.is_complete() {
+            return;
+        }
+        sub!(3, {
+            let rt = &self.apps[a];
+            rt.iter.replica_candidates_into(
+                self.options.max_extra_replicas,
+                &mut self.scratch.pending,
+            );
+            for t in &mut self.scratch.pending {
+                *t = global_task(rt.task_base, *t);
+            }
+        });
+        if self.scratch.pending.is_empty() {
+            return;
+        }
+        sub!(4, self.sync_views());
+        let k = self.scratch.pending.len().min(self.scratch.free_total);
+        if k > 0 {
+            self.place_and_bind(Round::Replica, k);
+        }
+    }
+
+    /// Asks the scheduler to place the first `want` tasks of
+    /// `scratch.pending` on `round`'s view, then binds what it placed:
+    /// originals on pool rounds, freshly minted replicas on the replica
+    /// round. Tasks that did not bind stay in `pending`, in order. Returns
+    /// how many copies bound.
+    fn place_and_bind(&mut self, round: Round, want: usize) -> usize {
+        let replica = round == Round::Replica;
+        let placed = sub!(if replica { 6 } else { 1 }, {
+            let lane = match round {
+                Round::Pool => Some(Lane::Pool),
+                Round::TopUp => None,
+                Round::Replica => Some(Lane::Replica),
+            };
+            let Self {
+                scratch,
+                scheduler,
+                chains,
+                app,
+                ledger,
+                ..
+            } = self;
+            let seq = lane.map(|lane| (lane, Self::open_lane(scratch, lane)));
+            let view = SchedView {
+                procs: &scratch.procs,
+                chains,
+                t_prog: app.t_prog,
+                t_data: app.t_data,
+                ncom: ledger.ncom(),
+                // Advisory bind-room column of the top-up rounds: lets the
+                // scheduler retire a worker once its room is spent instead
+                // of stacking placements that `try_bind` must bounce back.
+                // Free workers have full room by construction.
+                room: (round == Round::TopUp).then_some(&scratch.room[..]),
+                candidates: match round {
+                    Round::Pool => None,
+                    Round::TopUp => Some(&scratch.with_room[..]),
+                    Round::Replica => Some(&scratch.free[..]),
+                },
+                delta: seq.map(|(lane, seq)| ViewDelta {
+                    lane,
+                    seq,
+                    changed: &scratch.lane_list,
+                }),
+            };
+            scratch.placements.clear();
+            scheduler.place_into(&view, want, &mut scratch.placements);
+            scratch.placements.len().min(want)
+        });
+        sub!(if replica { 7 } else { 2 }, {
+            let mut bound = 0usize;
+            let mut write = 0usize;
+            for k in 0..placed {
+                let task = self.scratch.pending[k];
+                let q = self.scratch.placements[k].idx();
+                debug_assert!(
+                    self.workers.state(q) == ProcState::Up,
+                    "scheduler placed a task on a non-UP processor"
                 );
-                if self.scratch.cands.is_empty() {
-                    continue;
-                }
-                let base = self.apps[a].task_base;
-                for t in self.scratch.cands.iter_mut() {
-                    *t = global_task(base, *t);
-                }
-                // The sync absorbs earlier rounds' binds through the
-                // store's change feed, so each round sees the *currently*
-                // free workers and their current delays.
-                self.sync_views();
-                let k = self.scratch.cands.len().min(self.scratch.free_total);
-                if k == 0 {
-                    continue;
-                }
-                let app_view = AppView {
-                    index: a as u32,
-                    count: n_apps as u32,
-                    weight: self.apps[a].weight,
-                    quota: k as u32,
+                let copy = if replica {
+                    let (it, lt) = iter_for(&mut self.apps, task);
+                    CopyId {
+                        task,
+                        replica: it.mint_replica(lt).replica,
+                    }
+                } else {
+                    CopyId::original(task)
                 };
-                {
-                    let Self {
-                        scratch,
-                        scheduler,
-                        chains,
-                        app,
-                        ledger,
-                        ..
-                    } = self;
-                    scratch.placements.clear();
-                    let mut placements = std::mem::take(&mut scratch.placements);
-                    let seq = Self::open_lane(scratch, Lane::Replica);
-                    let view = SchedView {
-                        procs: &scratch.procs,
-                        chains,
-                        t_prog: app.t_prog,
-                        t_data: app.t_data,
-                        ncom: ledger.ncom(),
-                        room: None,
-                        app: Some(app_view),
-                        candidates: Some(&scratch.free),
-                        delta: Some(ViewDelta {
-                            lane: Lane::Replica,
-                            seq,
-                            changed: &scratch.lane_list,
-                        }),
-                    };
-                    scheduler.place_into(&view, k, &mut placements);
-                    scratch.placements = placements;
-                }
-                let placed = self.scratch.placements.len().min(k);
-                for j in 0..placed {
-                    let task = self.scratch.cands[j];
-                    let pid = self.scratch.placements[j];
-                    let copy = {
-                        let (it, lt) = iter_for(&mut self.apps, task);
-                        let local = it.mint_replica(lt);
-                        CopyId {
-                            task,
-                            replica: local.replica,
-                        }
-                    };
-                    if !self.try_bind(pid.idx(), copy) {
+                if self.try_bind(q, copy) {
+                    bound += 1;
+                    if round == Round::TopUp {
+                        debug_assert!(self.scratch.room[q] > 0);
+                        self.scratch.room[q] -= 1;
+                    }
+                } else {
+                    if replica {
                         let (it, lt) = iter_for(&mut self.apps, task);
                         it.drop_replica(lt);
                     }
+                    self.scratch.pending[write] = task;
+                    write += 1;
                 }
             }
-        }
+            // The unplaced tail follows the unbound placed tasks.
+            let pending = &mut self.scratch.pending;
+            pending.copy_within(placed.., write);
+            pending.truncate(pending.len() - (placed - write));
+            bound
+        })
     }
 
     fn phase_transfers(&mut self) {

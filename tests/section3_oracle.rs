@@ -224,7 +224,6 @@ impl Oracle {
             t_data: self.app.t_data,
             ncom: self.ncom,
             room: None,
-            app: None,
             candidates,
             delta: None,
         };
