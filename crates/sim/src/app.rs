@@ -134,7 +134,8 @@ pub struct AppSpec {
     /// pipeline state is application-agnostic).
     pub config: AppConfig,
     /// Share weight under [`vg_core::share::SharePolicy::Weighted`]
-    /// (ignored — except as zero/non-zero — by the other policies).
+    /// (ignored by the other policies). Must be at least 1: a run rejects
+    /// weight 0, which the engine reserves for finished applications.
     pub weight: u32,
     /// Barrier reconfiguration policy.
     pub reconfig: ReconfigPolicy,

@@ -749,10 +749,12 @@ impl SimArena {
 }
 
 /// Validates a co-scheduled application roster: 1 to [`MAX_APPS`]
-/// applications, each individually valid, every `tasks_per_iteration`
-/// inside the per-app task-id namespace ([`MAX_APP_TASKS`]), and all
-/// communication parameters equal — `T_prog`/`T_data` describe the shared
-/// platform links, so co-scheduled applications cannot disagree on them.
+/// applications, each individually valid with a non-zero share weight
+/// (the schedule phase weighs finished applications 0), every
+/// `tasks_per_iteration` inside the per-app task-id namespace
+/// ([`MAX_APP_TASKS`]), and all communication parameters equal —
+/// `T_prog`/`T_data` describe the shared platform links, so co-scheduled
+/// applications cannot disagree on them.
 fn validate_app_specs(specs: &[AppSpec]) -> Result<(), ConfigError> {
     if specs.is_empty() {
         return Err(ConfigError("at least one application is required".into()));
@@ -767,6 +769,10 @@ fn validate_app_specs(specs: &[AppSpec]) -> Result<(), ConfigError> {
     let (t_prog, t_data) = (specs[0].config.t_prog, specs[0].config.t_data);
     for (i, spec) in specs.iter().enumerate() {
         spec.config.validate()?;
+        if spec.weight == 0 {
+            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
+            return Err(ConfigError(format!("application {i} has share weight 0")));
+        }
         if spec.config.tasks_per_iteration > MAX_APP_TASKS {
             // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
             return Err(ConfigError(format!(
@@ -2981,6 +2987,57 @@ mod tests {
             SimOptions::default(),
         );
         assert!(Simulation::new(spec).is_err());
+    }
+
+    #[test]
+    fn zero_weight_applications_are_rejected() {
+        // Weight 0 marks a finished application inside the schedule
+        // phase, so an unfinished one would never get a pool quota: every
+        // share policy ran such a roster to the slot cap.
+        let mut rng = SeedPath::root(23).rng();
+        let platform = PlatformConfig {
+            processors: (0..6)
+                .map(|_| {
+                    let chain = vg_markov::availability::AvailabilityChain::sample_paper(
+                        &mut rng, 0.90, 0.98,
+                    );
+                    ProcessorConfig::markov(rng.u64_range_inclusive(3, 8), chain, StartPolicy::Up)
+                })
+                .collect(),
+            ncom: 2,
+        };
+        let app = AppConfig {
+            tasks_per_iteration: 4,
+            iterations: 3,
+            t_prog: 5,
+            t_data: 2,
+        };
+        let apps = [AppSpec::rigid(app), AppSpec::weighted(app, 0)];
+        let options = SimOptions {
+            max_slots: 5_000,
+            replication: false,
+            ..SimOptions::default()
+        };
+        let mut arena = SimArena::new();
+        for share in SharePolicy::ALL {
+            let spec = || RunSpec {
+                share,
+                ..RunSpec::new(
+                    &platform,
+                    &apps,
+                    Availability::Seeded(SeedPath::root(6)),
+                    HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
+                    options,
+                )
+            };
+            let fresh = Simulation::new(spec())
+                .err()
+                .expect("fresh engine accepted weight 0");
+            let warm = arena.run(spec()).expect_err("arena accepted weight 0");
+            for err in [fresh, warm] {
+                assert!(err.0.contains("application 1"), "{share}: {}", err.0);
+            }
+        }
     }
 
     #[test]
