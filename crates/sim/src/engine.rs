@@ -444,8 +444,9 @@ struct SlotScratch {
     /// Per-application share weights of the slot (0 for finished apps);
     /// multi-application slots only.
     weights: Vec<u32>,
-    /// Per-application placement quotas of the slot ([`share_quotas`]
-    /// output); multi-application slots only.
+    /// Per-application pool budgets of the slot (`pool_quotas` output:
+    /// the [`share_quotas`] split, or one unbounded entry for a one-app
+    /// roster).
     quotas: Vec<usize>,
 }
 
