@@ -10,37 +10,22 @@
 //! of the batched/auto row is relative to the per-unit runner at the same
 //! parallelism — the acceptance metric of the batching work.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 use vg_core::HeuristicKind;
 use vg_des::par::ParallelismConfig;
 use vg_exp::campaign::{run_campaign, run_campaign_reference, CampaignConfig, CampaignResult};
+use vg_exp::paired::{Report, Row, Value};
 use vg_exp::scenario::ScenarioParams;
 
-struct Cell {
+/// Times `run` after a warm-up pass, prints the cell and returns its row
+/// and its instances per second.
+fn time_runner(
     runner: &'static str,
     parallelism: &'static str,
-    /// Worker threads the row actually ran with (`ParallelismConfig::
-    /// threads()` at measurement time) — recorded in the artifact so a
-    /// baseline from a machine with a different core count is recognizably
-    /// incomparable (bench_guard skips thread-mismatched cells).
-    threads: usize,
-    instances: usize,
-    seconds: f64,
-}
-
-impl Cell {
-    fn instances_per_sec(&self) -> f64 {
-        self.instances as f64 / self.seconds
-    }
-}
-
-fn time_runner(
-    label: (&'static str, &'static str),
     cells: &[ScenarioParams],
     cfg: &CampaignConfig,
     run: impl Fn(&[ScenarioParams], &CampaignConfig) -> CampaignResult,
-) -> Cell {
+) -> (Row, f64) {
     // One warm-up pass at reduced size (allocator and branch predictors).
     let warm_cfg = CampaignConfig {
         scenarios_per_cell: 1,
@@ -54,13 +39,23 @@ fn time_runner(
     let result = run(cells, cfg);
     let seconds = start.elapsed().as_secs_f64();
     assert_eq!(result.capped_instances(), 0, "bench cells must complete");
-    Cell {
-        runner: label.0,
-        parallelism: label.1,
-        threads: cfg.parallelism.threads(),
-        instances: result.instances,
-        seconds,
-    }
+    // Worker threads the row actually ran with, recorded so a baseline
+    // from a machine with a different core count is recognizably
+    // incomparable.
+    let threads = cfg.parallelism.threads();
+    let instances = result.instances;
+    let rate = instances as f64 / seconds;
+    println!(
+        "campaign runner={runner:<9} parallelism={parallelism:<10} threads={threads} {rate:>8.1} instances/sec ({instances} instances in {seconds:.3}s)"
+    );
+    let row = Row::default()
+        .with("runner", runner)
+        .with("parallelism", parallelism)
+        .with("threads", threads)
+        .with("instances", instances)
+        .with("seconds", seconds)
+        .with("instances_per_sec", rate);
+    (row, rate)
 }
 
 fn main() {
@@ -82,6 +77,7 @@ fn main() {
     };
 
     let mut rows = Vec::new();
+    let mut speedup_auto = f64::NAN;
     // The fixed(4) row deliberately oversubscribes a 1-core container:
     // ROADMAP notes BENCH_campaign.json was measured on one core, where
     // "auto" degenerates to a single worker. A pinned multi-worker cell
@@ -96,69 +92,32 @@ fn main() {
             parallelism,
             ..cfg.clone()
         };
-        rows.push(time_runner(
-            ("per_unit", label),
-            &grid,
-            &cfg,
-            run_campaign_reference,
-        ));
-        rows.push(time_runner(("batched", label), &grid, &cfg, run_campaign));
+        let (per_unit, per_unit_rate) =
+            time_runner("per_unit", label, &grid, &cfg, run_campaign_reference);
+        let (batched, batched_rate) = time_runner("batched", label, &grid, &cfg, run_campaign);
+        if label == "auto" {
+            speedup_auto = batched_rate / per_unit_rate;
+        }
+        rows.extend([per_unit, batched]);
     }
-    for c in &rows {
-        println!(
-            "campaign runner={:<9} parallelism={:<10} threads={} {:>8.1} instances/sec ({} instances in {:.3}s)",
-            c.runner,
-            c.parallelism,
-            c.threads,
-            c.instances_per_sec(),
-            c.instances,
-            c.seconds,
-        );
-    }
-
-    let speedup_of = |runner: &str, par: &str| {
-        rows.iter()
-            .find(|c| c.runner == runner && c.parallelism == par)
-            .map(Cell::instances_per_sec)
-            .unwrap_or(f64::NAN)
-    };
-    let speedup_auto = speedup_of("batched", "auto") / speedup_of("per_unit", "auto");
     println!("batched vs per-unit at auto parallelism: {speedup_auto:.2}x");
 
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (i, c) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"runner\": \"{}\", \"parallelism\": \"{}\", \"threads\": {}, \"instances\": {}, \"seconds\": {:.6}, \"instances_per_sec\": {:.2}}}{}",
-            c.runner,
-            c.parallelism,
-            c.threads,
-            c.instances,
-            c.seconds,
-            c.instances_per_sec(),
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"batched_vs_per_unit_auto_speedup\": {speedup_auto:.3}\n}}"
-    );
+    let mut report = Report::default();
+    report.rows("benchmarks", &rows);
+    report.line(&Row::default().with(
+        "batched_vs_per_unit_auto_speedup",
+        Value::Real3(speedup_auto),
+    ));
     // Default under the workspace target/ so local runs don't dirty the
     // tracked BENCH_campaign.json trajectory anchor; CI overrides via the
     // env var. (Bench binaries run with the package dir as cwd, so the
     // default is anchored to the manifest, not the cwd.)
-    let out = std::env::var("BENCH_CAMPAIGN_OUT").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_campaign.json"
-        )
-        .into()
-    });
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create bench output dir");
-        }
-    }
-    std::fs::write(&out, &json).expect("write bench output");
+    let default = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/BENCH_campaign.json"
+    );
+    let out = report
+        .write("BENCH_CAMPAIGN_OUT", default)
+        .expect("write bench output");
     println!("wrote {out}");
 }

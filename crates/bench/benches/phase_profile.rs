@@ -10,29 +10,19 @@
 //! human-readable lines it emits a machine-readable JSON artifact
 //! (`target/BENCH_phase_profile.json`, override with
 //! `BENCH_PHASE_PROFILE_OUT`) that CI uploads next to `BENCH_slotloop.json`
-//! so the split's trajectory is tracked across PRs. Without the feature
-//! this target is a no-op stub, so plain `cargo bench -p vg-bench` still
-//! builds everything.
+//! so the split's trajectory is tracked across PRs. The target requires
+//! the feature, so plain `cargo bench -p vg-bench` skips it.
 
-#[cfg(not(feature = "phase-profile"))]
+use vg_bench::{paper_app, paper_platform};
+use vg_core::HeuristicKind;
+use vg_des::rng::SeedPath;
+use vg_exp::paired::{Report, Row};
+use vg_sim::engine::phase_profile;
+use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
+
 fn main() {
-    eprintln!(
-        "phase_profile needs the instrumented engine:\n  \
-         cargo bench -p vg-bench --features phase-profile --bench phase_profile"
-    );
-}
-
-#[cfg(feature = "phase-profile")]
-fn main() {
-    use std::fmt::Write as _;
-    use vg_bench::{paper_app, paper_platform};
-    use vg_core::HeuristicKind;
-    use vg_des::rng::SeedPath;
-    use vg_sim::engine::phase_profile;
-    use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
-
     let quick = std::env::args().any(|a| a == "--quick");
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
     // The uncapped sweep carries the historical split; the capped p = 1024
     // cell shows where the slot budget goes once demand-driven placement
     // has collapsed the pool_place bucket.
@@ -103,35 +93,31 @@ fn main() {
         }
         println!();
 
-        let mut row = format!(
-            "    {{\"p\": {p}, \"capped\": {capped}, \"slots\": {}, \"total_seconds\": {:.6}",
-            sim.slots_run(),
-            total as f64 / 1e9
-        );
+        let mut row = Row::default()
+            .with("p", p)
+            .with("capped", capped)
+            .with("slots", sim.slots_run())
+            .with("total_seconds", total as f64 / 1e9);
         for (name, n) in phase_profile::NAMES.iter().zip(nanos) {
-            let _ = write!(row, ", \"{name}_pct\": {:.2}", pct(n));
+            row = row.with(format!("{name}_pct"), pct(n));
         }
         for (name, n) in phase_profile::SUB_NAMES.iter().zip(sub) {
-            let _ = write!(row, ", \"schedule.{name}_pct\": {:.2}", pct(n));
+            row = row.with(format!("schedule.{name}_pct"), pct(n));
         }
-        row.push('}');
         rows.push(row);
     }
 
-    let json = format!(
-        "{{\n  \"phase_profile\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
+    let mut report = Report::default();
+    report.rows("phase_profile", &rows);
     // Default under the workspace target/ (anchored to the manifest — bench
     // binaries run with the package dir as cwd); CI overrides via the env
     // var, same pattern as the slotloop artifact.
-    let out = std::env::var("BENCH_PHASE_PROFILE_OUT").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_phase_profile.json"
-        )
-        .into()
-    });
-    std::fs::write(&out, &json).expect("write phase-profile output");
+    let default = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/BENCH_phase_profile.json"
+    );
+    let out = report
+        .write("BENCH_PHASE_PROFILE_OUT", default)
+        .expect("write phase-profile output");
     println!("wrote {out}");
 }

@@ -16,13 +16,13 @@
 //! override with `BENCH_SELECTOR_OUT`) so CI can track the crossover's
 //! trajectory next to the slotloop artifact.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 use vg_bench::sample_chain;
 use vg_core::greedy::{GreedyObjective, GreedyScheduler};
 use vg_core::{
     Lane, OwnedSchedView, SchedView, SchedViewBuilder, Scheduler, SelectorKind, ViewDelta,
 };
+use vg_exp::paired::{Report, Row};
 use vg_markov::ProcState;
 use vg_platform::ProcessorId;
 
@@ -49,14 +49,6 @@ fn view(p: usize, u: usize) -> OwnedSchedView {
     b.build()
 }
 
-struct Cell {
-    p: usize,
-    u: usize,
-    count: usize,
-    selector: &'static str,
-    ns_per_placement: f64,
-}
-
 /// The view of round `round`: lane cells announce it as a pool-lane round
 /// whose sequence number advances by `seq_step` (1 keeps the lane in sync,
 /// 2 leaves a gap that forces a rebuild); other cells send no delta.
@@ -71,17 +63,15 @@ fn round_view(owned: &OwnedSchedView, seq_step: Option<u64>, round: u64) -> Sche
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one bench cell's parameters
+/// Nanoseconds per placement of `rounds` rounds of `count` placements.
 fn run_cell(
     owned: &OwnedSchedView,
-    u: usize,
     count: usize,
-    selector: &'static str,
     kind: Option<SelectorKind>,
     seq_step: Option<u64>,
     rounds: usize,
     expected: &[ProcessorId],
-) -> Cell {
+) -> f64 {
     let mut sched = GreedyScheduler::new(GreedyObjective::Emct, true, "EMCT*");
     sched.force_selector(kind);
     let mut out = Vec::with_capacity(count);
@@ -89,22 +79,15 @@ fn run_cell(
     // window): every selector must reproduce the same placement sequence.
     out.clear();
     sched.place_into(&round_view(owned, seq_step, 0), count, &mut out);
-    assert_eq!(out, expected, "selector diverged: u={u} count={count}");
-    let p = owned.view().p();
+    assert_eq!(out, expected, "selector diverged: count={count}");
     let start = Instant::now();
     for round in 1..=rounds {
         out.clear();
         sched.place_into(&round_view(owned, seq_step, round as u64), count, &mut out);
     }
     let seconds = start.elapsed().as_secs_f64();
-    assert_eq!(out, expected, "selector diverged: u={u} count={count}");
-    Cell {
-        p,
-        u,
-        count,
-        selector,
-        ns_per_placement: seconds * 1e9 / (rounds * count) as f64,
-    }
+    assert_eq!(out, expected, "selector diverged: count={count}");
+    seconds * 1e9 / (rounds * count) as f64
 }
 
 fn main() {
@@ -126,7 +109,7 @@ fn main() {
         // leaves, the loser tree's only the u candidates.
         (65_536, 16_384, &[256, 1024]),
     ];
-    let mut cells = Vec::new();
+    let mut rows = Vec::new();
     for &(p, u, counts) in grid {
         let owned = view(p, u);
         for &count in counts {
@@ -143,42 +126,33 @@ fn main() {
                 ("winner_lane", Some(SelectorKind::WinnerTree), Some(1)),
                 ("policy", None, None),
             ] {
-                let cell = run_cell(
-                    &owned, u, count, selector, kind, seq_step, rounds, &expected,
-                );
+                let ns = run_cell(&owned, count, kind, seq_step, rounds, &expected);
                 println!(
-                    "selector p={:<5} u={:<5} count={:<5} {:<11} {:>8.1} ns/placement",
-                    cell.p, cell.u, cell.count, cell.selector, cell.ns_per_placement
+                    "selector p={p:<5} u={u:<5} count={count:<5} {selector:<11} {ns:>8.1} ns/placement"
                 );
-                cells.push(cell);
+                rows.push(
+                    Row::default()
+                        .with("p", p)
+                        .with("u", u)
+                        .with("count", count)
+                        .with("selector", selector)
+                        .with("ns_per_placement", ns),
+                );
             }
         }
     }
 
-    let mut json = String::from("{\n  \"selector\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"p\": {}, \"u\": {}, \"count\": {}, \"selector\": \"{}\", \"ns_per_placement\": {:.2}}}{}",
-            c.p,
-            c.u,
-            c.count,
-            c.selector,
-            c.ns_per_placement,
-            if i + 1 == cells.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ]\n}\n");
+    let mut report = Report::default();
+    report.rows("selector", &rows);
     // Default under the workspace target/ (anchored to the manifest — bench
     // binaries run with the package dir as cwd); CI overrides via the env
     // var, same pattern as the slotloop artifact.
-    let out = std::env::var("BENCH_SELECTOR_OUT").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_selector.json"
-        )
-        .into()
-    });
-    std::fs::write(&out, &json).expect("write selector bench output");
+    let default = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/BENCH_selector.json"
+    );
+    let out = report
+        .write("BENCH_SELECTOR_OUT", default)
+        .expect("write selector bench output");
     println!("wrote {out}");
 }

@@ -1,7 +1,7 @@
-//! Shared fixtures for the benchmark suite.
-//!
-//! Every bench target mirrors one evaluation artifact of the paper (a table
-//! or figure) or ablates one design choice; the fixtures here keep the
+//! Shared fixtures for the four bench harnesses — `slotloop`,
+//! `phase_profile`, `selector` and `campaign` — which measure the engine
+//! and write `BENCH_*.json` through `vg_exp::paired::Report` (the `vg-exp`
+//! binaries regenerate the paper's artifacts). The fixtures keep the
 //! platforms identical across targets so numbers are comparable.
 
 use vg_des::rng::SeedPath;

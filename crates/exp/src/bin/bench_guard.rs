@@ -37,15 +37,23 @@
 //!
 //! Since the platform-scale work the grid further carries `p ∈ {16384,
 //! 131072}` cells (change-fed passes + persistent selector lanes, with
-//! a `peak_rss_bytes` footprint field this parser simply ignores). Those
+//! a `peak_rss_bytes` footprint field the gate ignores). Those
 //! are required of the *candidate* with the same pre-existing-baseline
 //! exemption, and — being non-1024 cells — they gate at the
 //! `min_small_ratio` floor (0.95) whenever the baseline measured them.
 //!
-//! The parser is deliberately tiny and fixed to the one-object-per-line
-//! format `slotloop` emits — no serde needed for a CI gate.
+//! A floor must be a ratio in (0, 1], and every cell's `slots_per_sec`
+//! in either artifact a positive finite number: a `NaN` on either side
+//! would make every comparison false and pass any regression.
+//!
+//! Both artifacts are read with [`read_rows`], the reader of the format
+//! `vg_exp::paired` writes.
 
 use std::process::ExitCode;
+use vg_exp::paired::read_rows;
+
+const USAGE: &str = "usage: bench_guard <baseline.json> <candidate.json> \
+                     [min_ratio] [min_small_ratio] [phase_profile.json]";
 
 /// One `{"p": …, "replication": …, …, "slots_per_sec": …}` cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,47 +61,62 @@ struct CellPerf {
     p: u64,
     replication: bool,
     capped: bool,
-    /// Worker threads the cell was measured with; rows without the field
-    /// (every single-threaded artifact recorded before the campaign bench
-    /// grew its multi-worker cell) default to 1.
-    threads: u64,
     slots_per_sec: f64,
 }
 
-/// Extracts the JSON number (or bare token) following `"key": `.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Parses every benchmark cell out of a `BENCH_slotloop.json` body. A line
+/// Parses every benchmark cell out of a `BENCH_slotloop.json` body. A row
 /// without a `"capped"` field is an uncapped cell (artifacts recorded
 /// before the placement-budget grid remain parseable).
 fn parse_cells(json: &str) -> Vec<CellPerf> {
-    json.lines()
-        .filter_map(|line| {
-            Some(CellPerf {
-                p: field(line, "p")?.parse().ok()?,
-                replication: field(line, "replication")? == "true",
-                capped: field(line, "capped") == Some("true"),
-                threads: field(line, "threads")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1),
-                slots_per_sec: field(line, "slots_per_sec")?.parse().ok()?,
-            })
+    let cells = read_rows(json).into_iter().filter_map(|row| {
+        Some(CellPerf {
+            p: row.get("p")?.parse().ok()?,
+            replication: row.get("replication")? == "true",
+            capped: row.get("capped").is_some_and(|v| v == "true"),
+            slots_per_sec: row.get("slots_per_sec")?.parse().ok()?,
         })
-        .collect()
+    });
+    cells.collect()
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// The cells of the artifact at `path`, each with a positive finite
+/// `slots_per_sec`.
+fn read_cells(path: &str) -> Result<Vec<CellPerf>, String> {
+    let cells = parse_cells(&read(path)?);
+    let bad = cells
+        .iter()
+        .find(|c| !(c.slots_per_sec.is_finite() && c.slots_per_sec > 0.0));
+    match bad {
+        Some(c) => Err(format!(
+            "{path}: cell p={} replication={} capped={} has slots_per_sec {}",
+            c.p, c.replication, c.capped, c.slots_per_sec
+        )),
+        None => Ok(cells),
+    }
+}
+
+/// The floor argument `arg`, else `default`: a ratio in (0, 1].
+fn parse_floor(arg: Option<&String>, name: &str, default: f64) -> Result<f64, String> {
+    let Some(arg) = arg else {
+        return Ok(default);
+    };
+    match arg.parse::<f64>() {
+        // NaN fails both comparisons.
+        Ok(v) if v > 0.0 && v <= 1.0 => Ok(v),
+        _ => Err(format!("{name} must be a ratio in (0, 1], got {arg:?}")),
+    }
 }
 
 /// Requires the phase-profile artifact to carry a capped `p = 1024` row
 /// (the sub-split trajectory of the capped slot loop).
 fn check_phase_profile(path: &str, json: &str) -> Result<(), String> {
-    let has = json.lines().any(|line| {
-        field(line, "p").and_then(|v| v.parse::<u64>().ok()) == Some(1024)
-            && field(line, "capped") == Some("true")
+    let has = read_rows(json).iter().any(|row| {
+        row.get("p").and_then(|v| v.parse::<u64>().ok()) == Some(1024)
+            && row.get("capped").is_some_and(|v| v == "true")
     });
     if has {
         Ok(())
@@ -111,10 +134,8 @@ fn run(
     min_small_ratio: f64,
     phase_profile_path: Option<&str>,
 ) -> Result<(), String> {
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let baseline = parse_cells(&read(baseline_path)?);
-    let candidate = parse_cells(&read(candidate_path)?);
+    let baseline = read_cells(baseline_path)?;
+    let candidate = read_cells(candidate_path)?;
     if baseline.is_empty() || candidate.is_empty() {
         return Err(format!(
             "no benchmark cells parsed ({} baseline, {} candidate)",
@@ -186,19 +207,6 @@ fn run(
                 base.p, base.replication, base.capped
             ));
         };
-        if cand.threads != base.threads {
-            // Thread-count mismatch: the two measurements ran with
-            // different worker-pool sizes (e.g. a baseline recorded on a
-            // machine with a different core count), so their throughput
-            // ratio carries no regression signal. Skip rather than gate —
-            // but say so, a silent skip would look like coverage.
-            println!(
-                "p={:<5} replication={:<5} capped={:<5} SKIPPED: thread count differs \
-                 (baseline {} vs candidate {})",
-                base.p, base.replication, base.capped, base.threads, cand.threads,
-            );
-            continue;
-        }
         let ratio = cand.slots_per_sec / base.slots_per_sec;
         // p = 1024 is the scale the structured selectors exist for; the
         // smaller cells gate at the wider small-cell floor so selector
@@ -245,20 +253,18 @@ fn run(
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     if args.len() < 3 || args.len() > 6 {
-        eprintln!(
-            "usage: bench_guard <baseline.json> <candidate.json> \
-             [min_ratio] [min_small_ratio] [phase_profile.json]"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
-    let min_ratio = args
-        .get(3)
-        .map(|s| s.parse::<f64>().expect("min_ratio must be a float"))
-        .unwrap_or(0.85);
-    let min_small_ratio = args
-        .get(4)
-        .map(|s| s.parse::<f64>().expect("min_small_ratio must be a float"))
-        .unwrap_or(0.95);
+    let floors = parse_floor(args.get(3), "min_ratio", 0.85)
+        .and_then(|min| Ok((min, parse_floor(args.get(4), "min_small_ratio", 0.95)?)));
+    let (min_ratio, min_small_ratio) = match floors {
+        Ok(floors) => floors,
+        Err(msg) => {
+            eprintln!("bench_guard: {msg}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     match run(
         &args[1],
         &args[2],
@@ -307,7 +313,6 @@ mod tests {
                 p: 16384,
                 replication: false,
                 capped: false,
-                threads: 1,
                 slots_per_sec: 2900.0
             }
         );
@@ -317,7 +322,6 @@ mod tests {
                 p: 1024,
                 replication: true,
                 capped: false,
-                threads: 1,
                 slots_per_sec: 1600.0
             }
         );
@@ -327,68 +331,9 @@ mod tests {
                 p: 1024,
                 replication: true,
                 capped: true,
-                threads: 1,
                 slots_per_sec: 2600.0
             }
         );
-    }
-
-    #[test]
-    fn rows_without_a_threads_field_parse_as_single_threaded() {
-        let cells = parse_cells(SAMPLE);
-        assert!(
-            cells.iter().all(|c| c.threads == 1),
-            "legacy rows must default to threads=1"
-        );
-        let threaded = r#"{"p": 1024, "replication": true, "threads": 4, "slots": 1, "seconds": 1.0, "slots_per_sec": 1600.0}"#;
-        assert_eq!(parse_cells(threaded)[0].threads, 4);
-    }
-
-    #[test]
-    fn thread_mismatched_cells_are_skipped_not_gated() {
-        // A cell measured with a different worker-pool size carries no
-        // regression signal: even a catastrophic ratio must pass — and the
-        // same artifact with matching thread counts must fail, proving the
-        // skip is the thread field's doing.
-        let dir = std::env::temp_dir().join("vg_bench_guard_threads");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p32 = r#"    {"p": 32, "replication": false, "capped": false, "slots": 1, "seconds": 1.0, "slots_per_sec": 1000.0},"#;
-        let base_threads = SAMPLE.replace(
-            p32,
-            r#"    {"p": 32, "replication": false, "capped": false, "threads": 4, "slots": 1, "seconds": 1.0, "slots_per_sec": 1000.0},"#,
-        );
-        let cand_regressed = SAMPLE.replace(
-            p32,
-            r#"    {"p": 32, "replication": false, "capped": false, "threads": 1, "slots": 1, "seconds": 1.0, "slots_per_sec": 10.0},"#,
-        );
-        let base = dir.join("base.json");
-        let cand = dir.join("cand.json");
-        std::fs::write(&base, &base_threads).unwrap();
-        std::fs::write(&cand, &cand_regressed).unwrap();
-        assert!(
-            run(
-                base.to_str().unwrap(),
-                cand.to_str().unwrap(),
-                0.85,
-                0.90,
-                None
-            )
-            .is_ok(),
-            "thread-mismatched cell must be ignored"
-        );
-        // Same regression, matching thread counts (both default 1): gated
-        // and failing.
-        let base_plain = dir.join("base_plain.json");
-        std::fs::write(&base_plain, SAMPLE).unwrap();
-        let err = run(
-            base_plain.to_str().unwrap(),
-            cand.to_str().unwrap(),
-            0.85,
-            0.90,
-            None,
-        )
-        .unwrap_err();
-        assert!(err.contains("p=32"), "{err}");
     }
 
     #[test]
@@ -649,5 +594,91 @@ mod tests {
         .unwrap();
         let err = run(b, b, 0.85, 0.90, Some(without.to_str().unwrap())).unwrap_err();
         assert!(err.contains("capped p=1024 phase-profile row"), "{err}");
+    }
+
+    #[test]
+    fn floors_must_be_ratios_in_the_unit_interval() {
+        // `nan` parses as a float, and `ratio < NaN` is always false, so a
+        // NaN floor would pass any regression.
+        for bad in ["nan", "NaN", "inf", "0", "-0.5", "1.5", "0.9x", ""] {
+            let err = parse_floor(Some(&bad.to_string()), "min_ratio", 0.85).unwrap_err();
+            assert!(
+                err.contains("min_ratio must be a ratio in (0, 1]"),
+                "{bad}: {err}"
+            );
+        }
+        assert_eq!(
+            parse_floor(Some(&"1".to_string()), "min_ratio", 0.85),
+            Ok(1.0)
+        );
+        assert_eq!(
+            parse_floor(Some(&"0.9".to_string()), "min_ratio", 0.85),
+            Ok(0.9)
+        );
+        assert_eq!(parse_floor(None, "min_ratio", 0.85), Ok(0.85));
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_cells_fail_the_gate() {
+        // A 0-slot/0-second cell renders its throughput as NaN; a NaN ratio
+        // compares false against every floor, so it must fail on its own.
+        let dir = std::env::temp_dir().join("vg_bench_guard_nan_cells");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("base.json");
+        std::fs::write(&base, SAMPLE).unwrap();
+        let b = base.to_str().unwrap();
+        for (name, value) in [
+            ("nan.json", "NaN"),
+            ("inf.json", "inf"),
+            ("zero.json", "0.0"),
+        ] {
+            let bad = dir.join(name);
+            std::fs::write(
+                &bad,
+                SAMPLE.replace(
+                    "\"slots_per_sec\": 1600.0",
+                    &format!("\"slots_per_sec\": {value}"),
+                ),
+            )
+            .unwrap();
+            let bad = bad.to_str().unwrap();
+            let err = run(b, bad, 0.85, 0.95, None).unwrap_err();
+            assert!(
+                err.contains("p=1024 replication=true capped=false"),
+                "{name}: {err}"
+            );
+            // The baseline side is checked the same way.
+            assert!(run(bad, b, 0.85, 0.95, None).is_err(), "{name}");
+        }
+    }
+
+    #[test]
+    fn reads_the_committed_artifacts_like_the_previous_parser() {
+        // The cells the hand-rolled line parser this reader replaced found
+        // in the committed BENCH_slotloop.json, in file order: the full
+        // (p, replication, capped) grid with these throughputs. Re-recording
+        // the artifact means re-recording them.
+        let slots_per_sec = [
+            348118.2, 470354.1, 252059.6, 311795.3, 40700.5, 68391.6, 23502.8, 33741.4, 9557.4,
+            16463.4, 5305.7, 8355.0, 1614.9, 1546.0, 735.5, 728.2, 164.5, 159.5, 87.5, 83.2,
+        ];
+        let keys = [32, 256, 1024, 16384, 131072].into_iter().flat_map(|p| {
+            [(false, false), (false, true), (true, false), (true, true)].map(|(r, c)| (p, r, c))
+        });
+        let want: Vec<CellPerf> = keys
+            .zip(slots_per_sec)
+            .map(|((p, replication, capped), slots_per_sec)| CellPerf {
+                p,
+                replication,
+                capped,
+                slots_per_sec,
+            })
+            .collect();
+        assert_eq!(
+            parse_cells(include_str!("../../../../BENCH_slotloop.json")),
+            want
+        );
+        let profile = include_str!("../../../../BENCH_phase_profile.json");
+        assert!(check_phase_profile("BENCH_phase_profile.json", profile).is_ok());
     }
 }

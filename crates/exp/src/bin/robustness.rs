@@ -64,12 +64,15 @@ fn main() {
         ..CampaignConfig::default()
     };
     let scenarios = args.scenarios.max(4);
+    let occupancy = expected_up_occupancy(&rp).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 
     println!(
-        "robustness: true availability semi-Markov (Weibull shape {}, mean UP {} slots, UP occupancy {:.2})",
+        "robustness: true availability semi-Markov (Weibull shape {}, mean UP {} slots, UP occupancy {occupancy:.2})",
         rp.up_shape,
         rp.up_mean,
-        expected_up_occupancy(&rp)
     );
     println!(
         "scheduler belief: Markov chain fitted on {} training slots\n",
@@ -112,7 +115,12 @@ fn main() {
 
     // Arm B: semi-Markov truth, fitted belief.
     let semi_outcomes = arm(1, &|s| {
-        make_robustness_scenario(params, &rp, root.child_str("sm-scn").child(s))
+        make_robustness_scenario(params, &rp, root.child_str("sm-scn").child(s)).unwrap_or_else(
+            |e| {
+                eprintln!("error: scenario {s}: {e}");
+                std::process::exit(1);
+            },
+        )
     });
     let semi_summaries = summarize(
         "Arm B — semi-Markov truth, fitted Markov belief",

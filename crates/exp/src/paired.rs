@@ -26,11 +26,15 @@
 //!
 //! Reports are built from [`Row`]s — ordered `(key, value)` lists that
 //! render both the artifact's one-line JSON objects and the `--csv` lines —
-//! and written by [`Report`].
+//! and written by [`Report`]. This module owns that artifact format for
+//! every JSON file the workspace writes: the studies' reports and the
+//! `vg-bench` harnesses' `BENCH_*.json`, which [`read_rows`] reads back
+//! for the `bench_guard` regression gate.
 //!
 //! [`scenario_seed`]: crate::campaign::scenario_seed
 //! [`instance_seeds`]: crate::campaign::instance_seeds
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use vg_core::HeuristicKind;
@@ -327,13 +331,13 @@ impl Value {
 /// An ordered list of `(key, value)` pairs: one JSON object of a report,
 /// or one `--csv` line.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Row(pub Vec<(&'static str, Value)>);
+pub struct Row(pub Vec<(String, Value)>);
 
 impl Row {
     /// Appends `key: value`.
     #[must_use]
-    pub fn with(mut self, key: &'static str, value: impl Into<Value>) -> Self {
-        self.0.push((key, value.into()));
+    pub fn with(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
+        self.0.push((key.into(), value.into()));
         self
     }
 
@@ -403,8 +407,60 @@ fn json_str(s: &str) -> String {
     out + "\""
 }
 
-/// A study's JSON report, written member by member in the artifact layout:
-/// one line per field group, one line per array element.
+/// Reads back the one-line objects of an artifact written by [`Report`]:
+/// one map per line that holds a whole object (a trailing comma allowed),
+/// from each key to its value — the raw token of a number or boolean, the
+/// unescaped text of a string. Other lines are skipped.
+#[must_use]
+pub fn read_rows(json: &str) -> Vec<BTreeMap<String, String>> {
+    json.lines().filter_map(read_object).collect()
+}
+
+fn read_object(line: &str) -> Option<BTreeMap<String, String>> {
+    let line = line.trim().trim_end_matches(',');
+    let mut rest = line.strip_prefix('{')?.strip_suffix('}')?.trim_start();
+    let mut fields = BTreeMap::new();
+    while !rest.is_empty() {
+        let (key, after) = read_str(rest)?;
+        let after = after.trim_start().strip_prefix(':')?.trim_start();
+        let (value, after) = if after.starts_with('"') {
+            read_str(after)?
+        } else {
+            let end = after.find(',').unwrap_or(after.len());
+            (after[..end].trim_end().to_string(), &after[end..])
+        };
+        fields.insert(key, value);
+        rest = after.trim_start();
+        if !rest.is_empty() {
+            rest = rest.strip_prefix(',')?.trim_start();
+        }
+    }
+    Some(fields)
+}
+
+/// The string at the start of `s`, unescaped, and the text after it.
+fn read_str(s: &str) -> Option<(String, &str)> {
+    let mut chars = s.strip_prefix('"')?.char_indices();
+    let mut out = String::new();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((out, &s[i + 2..])),
+            '\\' => match chars.next()?.1 {
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                escaped => out.push(escaped),
+            },
+            c => out.push(c),
+        }
+    }
+    None
+}
+
+/// A JSON artifact — a study's report or a bench harness's `BENCH_*.json`
+/// — written member by member in the artifact layout: one line per field
+/// group, one line per array element.
 #[derive(Debug)]
 pub struct Report {
     study: &'static str,
@@ -413,6 +469,18 @@ pub struct Report {
     open: Vec<char>,
     /// No member written yet in the innermost open array or object.
     first: bool,
+}
+
+/// An empty report, for artifacts that are not a study's.
+impl Default for Report {
+    fn default() -> Self {
+        Self {
+            study: "",
+            out: "{".to_string(),
+            open: Vec::new(),
+            first: true,
+        }
+    }
 }
 
 impl Report {
@@ -435,9 +503,7 @@ impl Report {
         );
         let mut report = Self {
             study,
-            out: "{".to_string(),
-            open: Vec::new(),
-            first: true,
+            ..Self::default()
         };
         let config = Row::default()
             .with("scenarios", s)
@@ -507,17 +573,27 @@ impl Report {
     /// When the report file cannot be written.
     pub fn finish(self, args: &ExpArgs, csv: &[Row]) -> std::io::Result<()> {
         let name = self.study.to_uppercase();
-        let out = std::env::var(format!("{name}_OUT")).unwrap_or(format!("target/{name}.json"));
-        if let Some(parent) = std::path::Path::new(&out).parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(&out, self.json())?;
+        let out = self.write(&format!("{name}_OUT"), &format!("target/{name}.json"))?;
         println!("report written to {out}");
         if let (true, Some(first)) = (args.csv, csv.first()) {
-            let keys: Vec<&str> = first.0.iter().map(|(key, _)| *key).collect();
+            let keys: Vec<&str> = first.0.iter().map(|(key, _)| key.as_str()).collect();
             let rows: Vec<Vec<String>> = csv.iter().map(Row::values).collect();
             print!("{}", crate::report::csv(&keys, &rows));
         }
         Ok(())
+    }
+
+    /// Writes the finished JSON to the path in the environment variable
+    /// `var`, else to `default`, creating its directory; returns the path.
+    ///
+    /// # Errors
+    /// When the directory or the file cannot be written.
+    pub fn write(self, var: &str, default: &str) -> std::io::Result<String> {
+        let out = std::env::var(var).unwrap_or_else(|_| default.to_string());
+        if let Some(parent) = std::path::Path::new(&out).parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(&out, self.json())?;
+        Ok(out)
     }
 }

@@ -14,7 +14,7 @@ use vg_des::SlotSpan;
 use vg_markov::availability::ProcState;
 use vg_markov::dist::SojournDist;
 use vg_markov::estimate::TransitionCounts;
-use vg_markov::semi_markov::{SemiMarkovModel, SemiMarkovStream};
+use vg_markov::semi_markov::{SemiMarkovError, SemiMarkovModel, SemiMarkovStream};
 use vg_platform::{
     AppConfig, AvailabilityModelConfig, PlatformConfig, ProcessorConfig, ProcessorSpec, StartPolicy,
 };
@@ -44,8 +44,14 @@ impl Default for RobustnessParams {
 }
 
 /// Builds a heavy-tailed desktop model with the requested mean UP sojourn.
-#[must_use]
-pub fn desktop_model(rp: &RobustnessParams, jitter: f64) -> SemiMarkovModel {
+///
+/// # Errors
+/// When `rp` and `jitter` give an invalid sojourn law, e.g. a zero
+/// `up_mean` or `up_shape`.
+pub fn desktop_model(
+    rp: &RobustnessParams,
+    jitter: f64,
+) -> Result<SemiMarkovModel, SemiMarkovError> {
     // Scale so that the continuous Weibull mean matches up_mean·jitter:
     // E[Weibull(λ, k)] = λ Γ(1 + 1/k)  ⇒  λ = mean / Γ(1 + 1/k).
     let mean = rp.up_mean * jitter;
@@ -67,7 +73,6 @@ pub fn desktop_model(rp: &RobustnessParams, jitter: f64) -> SemiMarkovModel {
             },
         ],
     )
-    .expect("template parameters are valid")
 }
 
 /// Fits a Markov chain to a training trace of the model (MLE with light
@@ -89,31 +94,33 @@ pub fn fit_belief(
 
 /// Samples a robustness scenario: true availability is semi-Markov, the
 /// scheduler's belief is a fitted Markov chain.
-#[must_use]
+///
+/// # Errors
+/// When [`desktop_model`] rejects `rp`.
 pub fn make_robustness_scenario(
     params: ScenarioParams,
     rp: &RobustnessParams,
     seed: SeedPath,
-) -> Scenario {
+) -> Result<Scenario, SemiMarkovError> {
     let mut rng = seed.rng();
     let processors = (0..params.p)
         .map(|q| {
             // Per-processor jitter keeps the platform heterogeneous.
             let jitter = rng.f64_range(0.5, 2.0);
-            let model = desktop_model(rp, jitter);
+            let model = desktop_model(rp, jitter)?;
             let belief = fit_belief(&model, rp.training_slots, seed.child(1_000 + q as u64));
             let w = rng.u64_range_inclusive(params.wmin, 10 * params.wmin);
-            ProcessorConfig {
+            Ok(ProcessorConfig {
                 spec: ProcessorSpec::new(w),
                 avail: AvailabilityModelConfig::SemiMarkov {
                     model,
                     start: StartPolicy::Up,
                 },
                 believed: Some(belief),
-            }
+            })
         })
-        .collect();
-    Scenario {
+        .collect::<Result<_, _>>()?;
+    Ok(Scenario {
         params,
         platform: PlatformConfig {
             processors,
@@ -125,13 +132,15 @@ pub fn make_robustness_scenario(
             t_prog: params.t_prog(),
             t_data: params.t_data(),
         },
-    }
+    })
 }
 
 /// Mean `UP` occupancy implied by `rp` (sanity metric for reports).
-#[must_use]
-pub fn expected_up_occupancy(rp: &RobustnessParams) -> f64 {
-    desktop_model(rp, 1.0).occupancy()[ProcState::Up.index()]
+///
+/// # Errors
+/// When [`desktop_model`] rejects `rp`.
+pub fn expected_up_occupancy(rp: &RobustnessParams) -> Result<f64, SemiMarkovError> {
+    Ok(desktop_model(rp, 1.0)?.occupancy()[ProcState::Up.index()])
 }
 
 /// Scales a [`SlotSpan`] workload to the model's time base (helper for
@@ -148,7 +157,7 @@ mod tests {
     #[test]
     fn desktop_model_mean_matches_request() {
         let rp = RobustnessParams::default();
-        let model = desktop_model(&rp, 1.0);
+        let model = desktop_model(&rp, 1.0).unwrap();
         let mean = model.sojourn()[0].approx_mean();
         assert!(
             (mean - rp.up_mean).abs() < 1.5,
@@ -160,7 +169,7 @@ mod tests {
     #[test]
     fn fitted_belief_is_plausible() {
         let rp = RobustnessParams::default();
-        let model = desktop_model(&rp, 1.0);
+        let model = desktop_model(&rp, 1.0).unwrap();
         let belief = fit_belief(&model, 50_000, SeedPath::root(3));
         // Mean UP sojourn 40 ⇒ P(stay UP) ≈ 1 − 1/40.
         assert!(belief.p_uu() > 0.9, "p_uu = {}", belief.p_uu());
@@ -181,7 +190,7 @@ mod tests {
             training_slots: 2_000,
             ..RobustnessParams::default()
         };
-        let s = make_robustness_scenario(params, &rp, SeedPath::root(11));
+        let s = make_robustness_scenario(params, &rp, SeedPath::root(11)).unwrap();
         assert!(s.platform.validate().is_ok());
         assert_eq!(s.platform.p(), 4);
         for pc in &s.platform.processors {
@@ -203,15 +212,37 @@ mod tests {
             training_slots: 1_000,
             ..RobustnessParams::default()
         };
-        let a = make_robustness_scenario(params, &rp, SeedPath::root(5));
-        let b = make_robustness_scenario(params, &rp, SeedPath::root(5));
+        let a = make_robustness_scenario(params, &rp, SeedPath::root(5)).unwrap();
+        let b = make_robustness_scenario(params, &rp, SeedPath::root(5)).unwrap();
         assert_eq!(a.platform, b.platform);
     }
 
     #[test]
     fn occupancy_metric_is_sane() {
-        let occ = expected_up_occupancy(&RobustnessParams::default());
+        let occ = expected_up_occupancy(&RobustnessParams::default()).unwrap();
         assert!(occ > 0.3 && occ < 0.95, "{occ}");
         assert!((tasks_per_up_interval(&RobustnessParams::default(), 10) - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn degenerate_up_sojourns_are_errors_not_panics() {
+        let params = ScenarioParams {
+            p: 2,
+            ..ScenarioParams::paper(5, 5, 1)
+        };
+        for rp in [
+            RobustnessParams {
+                up_mean: 0.0,
+                ..RobustnessParams::default()
+            },
+            RobustnessParams {
+                up_shape: 0.0,
+                ..RobustnessParams::default()
+            },
+        ] {
+            assert!(desktop_model(&rp, 1.0).is_err(), "{rp:?}");
+            assert!(expected_up_occupancy(&rp).is_err(), "{rp:?}");
+            assert!(make_robustness_scenario(params, &rp, SeedPath::root(1)).is_err());
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use vg_core::HeuristicKind;
 use vg_exp::cli::ExpArgs;
-use vg_exp::paired::{pair_campaigns, Paired, Report, Row, Value};
+use vg_exp::paired::{pair_campaigns, read_rows, Paired, Report, Row, Value};
 use vg_exp::{CampaignResult, InstanceOutcome, ScenarioParams};
 
 fn campaign(outcomes: Vec<InstanceOutcome>) -> CampaignResult {
@@ -127,4 +127,28 @@ fn report_layout() {
 }
 "#;
     assert_eq!(report.json(), want);
+}
+
+#[test]
+fn read_rows_reads_back_what_report_writes() {
+    let mut report = Report::default();
+    report.rows(
+        "rows",
+        &[
+            Row::default()
+                .with("name", "a\"b\\, c}")
+                .with("n", 3usize)
+                .with("x", 0.5)
+                .with("ok", true),
+            Row::default().with("tab", "\t"),
+        ],
+    );
+    report.line(&Row::default().with("speedup", Value::Real3(1.5)));
+    let rows = read_rows(&report.json());
+    assert_eq!(rows.len(), 2, "only whole-object lines are rows");
+    assert_eq!(rows[0]["name"], "a\"b\\, c}");
+    assert_eq!(rows[0]["n"], "3");
+    assert_eq!(rows[0]["x"], "0.500000");
+    assert_eq!(rows[0]["ok"], "true");
+    assert_eq!(rows[1]["tab"], "\t");
 }

@@ -17,7 +17,7 @@ use volatile_grid::markov::semi_markov::SemiMarkovModel;
 use volatile_grid::platform::ProcessorSpec;
 use volatile_grid::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rp = RobustnessParams {
         up_shape: 0.7, // heavy-tailed UP durations
         up_mean: 60.0, // one "work session" ≈ 60 slots
@@ -30,7 +30,7 @@ fn main() {
     println!("machine fleet (semi-Markov truth, fitted Markov belief):");
     for q in 0..12 {
         let jitter = rng.f64_range(0.5, 2.0); // office PC … workstation
-        let model: SemiMarkovModel = desktop_model(&rp, jitter);
+        let model: SemiMarkovModel = desktop_model(&rp, jitter)?;
         let belief = fit_belief(&model, rp.training_slots, SeedPath::root(500 + q));
         let w = rng.u64_range_inclusive(6, 30);
         println!(
@@ -99,4 +99,5 @@ fn main() {
     }
     println!("\nNote: beliefs are *fitted*, not true — the failure-aware heuristics");
     println!("keep an edge exactly insofar as the Markov fit captures volatility.");
+    Ok(())
 }
