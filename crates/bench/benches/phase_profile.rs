@@ -60,7 +60,6 @@ fn main() {
             SimOptions {
                 max_slots,
                 replication: true,
-                max_extra_replicas: 2,
                 record_timeline: false,
                 placement_budget: placement,
             },

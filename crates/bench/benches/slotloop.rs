@@ -24,7 +24,6 @@ fn run_cell(p: usize, m: usize, replication: bool, budget: PlacementBudget, max_
     let options = SimOptions {
         max_slots,
         replication,
-        max_extra_replicas: 2,
         record_timeline: false,
         placement_budget: budget,
     };

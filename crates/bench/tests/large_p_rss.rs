@@ -29,7 +29,6 @@ fn p_131072_run_stays_within_the_per_worker_memory_budget() {
     let options = SimOptions {
         max_slots: 6,
         replication: true,
-        max_extra_replicas: 2,
         record_timeline: false,
         placement_budget: PlacementBudget::BindCapacity,
     };

@@ -32,16 +32,15 @@ fn warmed_simulation(p: usize, replication: bool, placement_budget: PlacementBud
     // (IterationState::reset reuses buffers; the completion log is
     // preallocated), so the window may span them freely.
     let app = paper_app(2 * p, 10_000, 2, 1);
-    let sources = platform.seeded_sources(SeedPath::root(2)).collect();
+    let sources: Vec<_> = platform.seeded_sources(SeedPath::root(2)).collect();
     Simulation::new(RunSpec::new(
         &platform,
         &[AppSpec::rigid(app)],
-        Availability::Sources(sources),
+        Availability::Rows(Box::new(sources)),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
         SimOptions {
             max_slots: 1_000_000,
             replication,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget,
         },
@@ -83,7 +82,6 @@ fn warmed_chaos_simulation(p: usize) -> Simulation {
         SimOptions {
             max_slots: 1_000_000,
             replication: true,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
@@ -103,16 +101,15 @@ fn warmed_two_app_simulation(p: usize) -> Simulation {
     let platform = paper_platform(p, (p / 10).max(2), 2, 11);
     let app = paper_app(p, 10_000, 2, 1);
     let specs = [AppSpec::rigid(app), AppSpec::weighted(app, 3)];
-    let sources = platform.seeded_sources(SeedPath::root(2)).collect();
+    let sources: Vec<_> = platform.seeded_sources(SeedPath::root(2)).collect();
     let spec = RunSpec::new(
         &platform,
         &specs,
-        Availability::Sources(sources),
+        Availability::Rows(Box::new(sources)),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
         SimOptions {
             max_slots: 1_000_000,
             replication: true,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },

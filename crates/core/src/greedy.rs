@@ -239,12 +239,6 @@ impl GreedyScheduler {
         self.objective
     }
 
-    /// Whether the Equation-(2) correction is active.
-    #[must_use]
-    pub fn contention_aware(&self) -> bool {
-        self.contention
-    }
-
     /// Score of assigning one more task to processor `idx`; *smaller is
     /// better* (maximizing objectives are negated). Resolves the
     /// Equation-(2) ceiling from first principles per call — the

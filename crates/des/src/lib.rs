@@ -7,8 +7,8 @@
 //!   master seed and a *label path*, so that two runs with the same seed are
 //!   bit-identical and so that independent components (e.g. the availability
 //!   trace of processor 7 in trial 3) never share a stream.
-//! * [`stats`] — numerically stable online statistics (Welford), summaries,
-//!   histograms and quantiles used by the experiment harness.
+//! * [`stats`] — numerically stable online statistics (Welford), summaries
+//!   and quantiles used by the experiment harness.
 //! * [`par`] — a small scoped thread pool (`std::thread::scope` +
 //!   crossbeam channels) used to fan out independent simulation instances
 //!   across cores while keeping each instance fully deterministic.
@@ -39,6 +39,6 @@ pub type SlotSpan = u64;
 pub mod prelude {
     pub use crate::par::{par_map, ParallelismConfig};
     pub use crate::rng::{SeedPath, StreamRng};
-    pub use crate::stats::{Histogram, OnlineStats, Summary};
+    pub use crate::stats::{OnlineStats, Summary};
     pub use crate::{Slot, SlotSpan};
 }

@@ -98,64 +98,53 @@ where
         .collect()
 }
 
-/// Like [`par_map`] but with **per-thread state** and **chunked claiming**:
-/// each worker builds one `state = init()` when it starts and threads it
-/// through every item it processes, and items are claimed `chunk_size` at a
-/// time from the shared counter (one atomic pull per chunk instead of one
-/// per item).
+/// Like [`par_map`] but with **per-thread state**, **chunked claiming** and
+/// **streamed results**: each worker builds one `state = init()` when it
+/// starts and threads it through every item it processes; items are
+/// claimed `chunk_size` at a time from the shared counter (one atomic pull
+/// per chunk instead of one per item); and instead of materializing a
+/// `Vec<R>`, the calling thread receives `consume(index, result)` in
+/// strictly increasing index order, as results become available.
 ///
 /// This is the campaign fan-out primitive: `init` builds a warmed simulation
 /// arena once per thread, and every instance the thread pulls reuses the
 /// arena's buffers instead of reallocating them. Chunking additionally lets
 /// adjacent work units (all trials of one scenario) land on the same worker.
+/// `f` receives `&mut S` plus the item; determinism is up to the caller
+/// (seed per item, not per thread, and the result is independent of the
+/// thread schedule).
 ///
-/// Output order is input order, exactly as [`par_map`]. `f` receives
-/// `&mut S` plus the item; determinism is up to the caller (seed per item,
-/// not per thread, and the result is independent of the thread schedule).
-///
-/// ```
-/// use vg_des::par::{par_map_init, ParallelismConfig};
-///
-/// let xs: Vec<u64> = (0..100).collect();
-/// let ys = par_map_init(&xs, ParallelismConfig::fixed(4), 8, || 0u64, |scratch, &x| {
-///     *scratch += 1; // per-thread state, invisible to the output
-///     x * x
-/// });
-/// assert_eq!(ys[7], 49);
-/// ```
-pub fn par_map_init<T, R, S, I, F>(
-    items: &[T],
-    cfg: ParallelismConfig,
-    chunk_size: usize,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    par_map_init_consume(items, cfg, chunk_size, init, f, |_, r| out.push(r));
-    out
-}
-
-/// Streaming variant of [`par_map_init`]: instead of materializing a
-/// `Vec<R>`, calls `consume(index, result)` on the **calling thread**, in
-/// strictly increasing index order, as results become available.
-///
-/// This is what keeps campaign memory flat: per-instance results are folded
-/// into per-cell statistics the moment they arrive and then dropped, so the
-/// resident set is O(cells) rather than O(instances). Because `consume`
-/// always observes results in input order, a fold through it is bit-identical
-/// to the same fold over a sequential run — no merge-order nondeterminism.
+/// Streaming is what keeps campaign memory flat: per-instance results are
+/// folded into per-cell statistics the moment they arrive and then dropped,
+/// so the resident set is O(cells) rather than O(instances). Because
+/// `consume` always observes results in input order, a fold through it is
+/// bit-identical to the same fold over a sequential run — no merge-order
+/// nondeterminism.
 ///
 /// Workers send finished chunks over a channel; the caller holds a reorder
 /// buffer of out-of-order chunks. The buffer is usually O(threads) chunks;
 /// the worst case (the very first chunk is pathologically slow) is bounded
 /// by O(items). A panicking worker is propagated to the caller after the
 /// scope joins; `consume` will then have seen only a prefix.
+///
+/// ```
+/// use vg_des::par::{par_map_init_consume, ParallelismConfig};
+///
+/// let xs: Vec<u64> = (0..100).collect();
+/// let mut ys = Vec::new();
+/// par_map_init_consume(
+///     &xs,
+///     ParallelismConfig::fixed(4),
+///     8,
+///     || 0u64,
+///     |scratch, &x| {
+///         *scratch += 1; // per-thread state, invisible to the output
+///         x * x
+///     },
+///     |_, y| ys.push(y),
+/// );
+/// assert_eq!(ys[7], 49);
+/// ```
 pub fn par_map_init_consume<T, R, S, I, F>(
     items: &[T],
     cfg: ParallelismConfig,
@@ -232,79 +221,9 @@ pub fn par_map_init_consume<T, R, S, I, F>(
     });
 }
 
-/// Like [`par_map`] but for side-effecting work; preserves nothing.
-pub fn par_for_each<T, F>(items: &[T], cfg: ParallelismConfig, f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    let threads = cfg.threads().min(items.len().max(1));
-    if threads <= 1 {
-        items.iter().for_each(&f);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                f(&items[i]);
-            });
-        }
-    });
-}
-
-/// Fold results of a parallel map without materializing the mapped vector:
-/// each thread folds locally with `fold`, locals are combined with `combine`.
-///
-/// `init` must produce an identity for `combine`. The combination order is
-/// unspecified, so `combine` should be associative and commutative (e.g.
-/// statistics merge, sum, max).
-pub fn par_fold<T, A, F, G, I>(
-    items: &[T],
-    cfg: ParallelismConfig,
-    init: I,
-    fold: F,
-    combine: G,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    G: Fn(A, A) -> A,
-{
-    let threads = cfg.threads().min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().fold(init(), &fold);
-    }
-    let next = AtomicUsize::new(0);
-    let locals: Mutex<Vec<A>> = Mutex::new(Vec::with_capacity(threads));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut acc = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    acc = fold(acc, &items[i]);
-                }
-                locals.lock().push(acc);
-            });
-        }
-    });
-    locals.into_inner().into_iter().fold(init(), combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::OnlineStats;
 
     #[test]
     fn par_map_preserves_order() {
@@ -348,13 +267,30 @@ mod tests {
         assert_eq!(ys, xs);
     }
 
+    /// [`par_map_init_consume`]'s results, collected in the order
+    /// `consume` sees them.
+    fn consume_all<T: Sync, R: Send, S>(
+        items: &[T],
+        cfg: ParallelismConfig,
+        chunk: usize,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let mut out = Vec::new();
+        par_map_init_consume(items, cfg, chunk, init, f, |i, r| {
+            assert_eq!(out.len(), i, "consume must run in input order");
+            out.push(r);
+        });
+        out
+    }
+
     #[test]
-    fn par_map_init_matches_par_map() {
+    fn par_map_init_consume_matches_par_map() {
         let xs: Vec<u64> = (0..257).collect();
         let plain = par_map(&xs, ParallelismConfig::Sequential, |&x| x * 3 + 1);
-        for chunk in [1usize, 3, 16, 300] {
-            for threads in [1usize, 2, 8] {
-                let with_state = par_map_init(
+        for chunk in [1usize, 3, 7, 16, 64, 300] {
+            for threads in [1usize, 2, 4, 8] {
+                let with_state = consume_all(
                     &xs,
                     ParallelismConfig::fixed(threads),
                     chunk,
@@ -370,28 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn par_map_init_consume_is_in_order_and_complete() {
-        let xs: Vec<usize> = (0..500).collect();
-        for chunk in [1usize, 7, 64] {
-            let mut seen = Vec::new();
-            par_map_init_consume(
-                &xs,
-                ParallelismConfig::fixed(4),
-                chunk,
-                || (),
-                |(), &x| x * 2,
-                |i, r| {
-                    assert_eq!(seen.len(), i, "consume must run in input order");
-                    seen.push(r);
-                },
-            );
-            let expect: Vec<usize> = xs.iter().map(|&x| x * 2).collect();
-            assert_eq!(seen, expect, "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn par_map_init_state_is_per_thread() {
+    fn par_map_init_consume_state_is_per_thread() {
         use std::sync::atomic::AtomicU64;
         // Each item bumps its thread's local counter; the counters' total
         // must equal the item count no matter how work was distributed.
@@ -406,7 +321,7 @@ mod tests {
             }
         }
         let xs: Vec<u32> = (0..301).collect();
-        let ys = par_map_init(
+        let ys = consume_all(
             &xs,
             ParallelismConfig::fixed(3),
             5,
@@ -424,10 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_init_empty_and_tiny() {
+    fn par_map_init_consume_empty_and_tiny() {
         let empty: Vec<u8> = vec![];
-        assert!(par_map_init(&empty, ParallelismConfig::Auto, 4, || (), |(), &x| x).is_empty());
-        let one = par_map_init(
+        assert!(consume_all(&empty, ParallelismConfig::Auto, 4, || (), |(), &x| x).is_empty());
+        let one = consume_all(
             &[9u8],
             ParallelismConfig::fixed(8),
             4,
@@ -438,10 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_init_worker_panic_propagates() {
+    fn par_map_init_consume_worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
             let xs: Vec<u32> = (0..64).collect();
-            par_map_init(
+            consume_all(
                 &xs,
                 ParallelismConfig::fixed(2),
                 4,
@@ -453,42 +368,6 @@ mod tests {
             )
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn par_for_each_visits_everything() {
-        use std::sync::atomic::AtomicU64;
-        let sum = AtomicU64::new(0);
-        let xs: Vec<u64> = (1..=100).collect();
-        par_for_each(&xs, ParallelismConfig::fixed(3), |&x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
-    }
-
-    #[test]
-    fn par_fold_merges_statistics() {
-        let xs: Vec<f64> = (0..10_000).map(f64::from).collect();
-        let par = par_fold(
-            &xs,
-            ParallelismConfig::fixed(7),
-            OnlineStats::new,
-            |mut acc, &x| {
-                acc.push(x);
-                acc
-            },
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        );
-        let mut seq = OnlineStats::new();
-        for &x in &xs {
-            seq.push(x);
-        }
-        assert_eq!(par.count(), seq.count());
-        assert!((par.mean() - seq.mean()).abs() < 1e-9);
-        assert!((par.variance() - seq.variance()).abs() < 1e-6);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness aggregates hundreds of thousands of makespans and
 //! degradation-from-best percentages; this module provides Welford's online
-//! mean/variance, five-number summaries, fixed-width histograms and exact
+//! mean/variance, five-number summaries, confidence intervals and exact
 //! quantiles over collected samples.
 
 /// Welford online accumulator for mean and variance.
@@ -269,83 +269,6 @@ pub fn median(samples: &[f64]) -> Option<f64> {
     quantile(samples, 0.5)
 }
 
-/// Fixed-width histogram over `[lo, hi)` with saturating edge bins.
-///
-/// Observations below `lo` land in the first bin, at or above `hi` in the
-/// last — the histogram never loses counts, which keeps sanity checks simple.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range is empty");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn push(&mut self, x: f64) {
-        let n = self.bins.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            ((frac * n as f64) as usize).min(n - 1)
-        };
-        self.bins[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Total observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Raw bin counts.
-    #[must_use]
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// `[lo, hi)` bounds of bin `i`.
-    #[must_use]
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Renders a compact ASCII bar chart (for terminal reports).
-    #[must_use]
-    pub fn render(&self, width: usize) -> String {
-        let max = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.bins.iter().enumerate() {
-            let (a, b) = self.bin_range(i);
-            let bar = "#".repeat((c as usize * width).div_ceil(max as usize).min(width));
-            out.push_str(&format!("[{a:>9.2},{b:>9.2}) {c:>8} {bar}\n"));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,45 +364,6 @@ mod tests {
         let a = [3.0, 1.0, 2.0];
         let b = [1.0, 2.0, 3.0];
         assert_eq!(quantile(&a, 0.25), quantile(&b, 0.25));
-    }
-
-    #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.push(-1.0); // below -> first bin
-        h.push(0.0);
-        h.push(9.9999);
-        h.push(10.0); // at hi -> last bin
-        h.push(250.0); // above -> last bin
-        h.push(5.0);
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.bins(), &[2, 0, 1, 0, 3]);
-        assert_eq!(h.bin_range(0), (0.0, 2.0));
-        assert_eq!(h.bin_range(4), (8.0, 10.0));
-    }
-
-    #[test]
-    fn histogram_never_loses_counts() {
-        let mut h = Histogram::new(-1.0, 1.0, 7);
-        for i in 0..1000 {
-            h.push((i as f64).cos() * 3.0);
-        }
-        assert_eq!(h.bins().iter().sum::<u64>(), 1000);
-    }
-
-    #[test]
-    fn histogram_render_is_nonempty() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.push(0.1);
-        let s = h.render(10);
-        assert!(s.contains('#'));
-        assert_eq!(s.lines().count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use vg_des::rng::SeedPath;
 use vg_des::stats::OnlineStats;
 use vg_des::Slot;
 use vg_markov::availability::ChainStats;
-use vg_platform::source::SharedTraceMatrix;
+use vg_platform::source::{RowSource, SharedTraceMatrix};
 use vg_platform::{CompiledScript, ConfigError, CorrelatedModel};
 use vg_sim::{AppSpec, Availability, RunSpec, SimArena, SimOptions, Simulation};
 
@@ -377,31 +377,17 @@ impl<'s> Instance<'s> {
         })
     }
 
-    /// Live availability for one fresh run. Correlated rows replace the
-    /// per-worker sampling; the base worker streams inside the row source
-    /// use the exact per-processor seeds of the independent path, so
-    /// identity models reproduce it bit for bit.
-    fn live(&self) -> Result<Availability<'static>, ConfigError> {
-        Ok(match &self.model {
-            Some(model) => Availability::Rows(Box::new(
-                model.build(&self.scenario.platform, &self.trace_path)?,
-            )),
-            None => Availability::Seeded(self.trace_path),
-        })
-    }
-
-    /// The same availability as [`Self::live`], recorded on demand so the
-    /// instance's heuristics replay it.
-    fn record(&self) -> Result<SharedTraceMatrix, ConfigError> {
+    /// The instance's live availability, which a fresh run samples and
+    /// [`run_instance`] records for all its heuristics. Correlated rows
+    /// replace the per-worker sampling; the base worker streams inside the
+    /// row source use the exact per-processor seeds of the independent
+    /// path, so identity models reproduce it bit for bit.
+    fn rows(&self) -> Result<Box<dyn RowSource>, ConfigError> {
         let platform = &self.scenario.platform;
-        match &self.model {
-            Some(model) => SharedTraceMatrix::try_record_rows(Box::new(
-                model.build(platform, &self.trace_path)?,
-            )),
-            None => {
-                SharedTraceMatrix::try_record(platform.seeded_sources(self.trace_path).collect())
-            }
-        }
+        Ok(match &self.model {
+            Some(model) => Box::new(model.build(platform, &self.trace_path)?),
+            None => platform.seeded_rows(self.trace_path),
+        })
     }
 
     /// Runs every heuristic in order, each on the availability
@@ -465,7 +451,7 @@ pub fn run_instance(
     trial: u64,
 ) -> Result<InstanceOutcome, ConfigError> {
     let instance = Instance::resolve(scenario, cfg.master_seed, cell, scenario_idx, trial)?;
-    let trace = instance.record()?;
+    let trace = SharedTraceMatrix::try_record_rows(instance.rows()?)?;
     let shared = || {
         Ok(Availability::Shared {
             trace: &trace,
@@ -589,7 +575,7 @@ pub fn run_campaign_reference(cells: &[ScenarioParams], cfg: &CampaignConfig) ->
         instance.run_all(
             cell,
             cfg,
-            || instance.live(),
+            || Ok(Availability::Rows(instance.rows()?)),
             |spec| {
                 let report = Simulation::new(spec)?.run();
                 Ok((report.makespan_or_cap(), report.finished()))

@@ -56,6 +56,9 @@ impl ExpArgs {
     /// Parses from an iterator of tokens (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut out = Self::default();
+        // The last explicit count flag: `--quick` and `--paper-scale` set
+        // both counts, so they contradict it.
+        let mut explicit_counts = None;
         let mut it = args.into_iter();
         let next_value = |name: &str, it: &mut dyn Iterator<Item = String>| {
             it.next()
@@ -64,11 +67,13 @@ impl ExpArgs {
         while let Some(tok) = it.next() {
             match tok.as_str() {
                 "--scenarios" => {
+                    explicit_counts = Some("--scenarios");
                     out.scenarios = next_value("--scenarios", &mut it)?
                         .parse()
                         .map_err(|_| ArgError("--scenarios expects an integer".into()))?;
                 }
                 "--trials" => {
+                    explicit_counts = Some("--trials");
                     out.trials = next_value("--trials", &mut it)?
                         .parse()
                         .map_err(|_| ArgError("--trials expects an integer".into()))?;
@@ -94,12 +99,24 @@ impl ExpArgs {
                 other => return Err(ArgError(format!("unknown flag {other}\n{USAGE}"))),
             }
         }
-        if out.paper_scale {
-            out.scenarios = 247;
-            out.trials = 10;
-        } else if out.quick {
-            out.scenarios = 2;
-            out.trials = 1;
+        let preset = match (out.quick, out.paper_scale) {
+            (true, true) => {
+                return Err(ArgError(
+                    "--quick and --paper-scale contradict each other".into(),
+                ))
+            }
+            (true, false) => Some(("--quick", 2, 1)),
+            (false, true) => Some(("--paper-scale", 247, 10)),
+            (false, false) => None,
+        };
+        if let Some((flag, scenarios, trials)) = preset {
+            if let Some(counts) = explicit_counts {
+                return Err(ArgError(format!(
+                    "{flag} sets the scenario and trial counts; it contradicts {counts}"
+                )));
+            }
+            out.scenarios = scenarios;
+            out.trials = trials;
         }
         Ok(out)
     }
@@ -135,6 +152,7 @@ Options:
   --threads N      worker threads (default: all cores)
   --paper-scale    247 scenarios x 10 trials (the paper's campaign size)
   --quick          2 scenarios x 1 trial (smoke test)
+                   (--quick and --paper-scale exclude each other and the counts)
   --csv            also print CSV after the table
 ";
 
@@ -189,17 +207,50 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_overrides_counts() {
-        let a = parse(&["--scenarios", "3", "--paper-scale"]).unwrap();
+    fn paper_scale_sets_counts() {
+        let a = parse(&["--paper-scale", "--seed", "3"]).unwrap();
         assert_eq!(a.scenarios, 247);
         assert_eq!(a.trials, 10);
     }
 
     #[test]
-    fn quick_overrides_counts() {
+    fn quick_sets_counts() {
         let a = parse(&["--quick"]).unwrap();
         assert_eq!(a.scenarios, 2);
         assert_eq!(a.trials, 1);
+    }
+
+    #[test]
+    fn contradictory_count_flags_are_rejected() {
+        // Each error names both flags, in either order on the command line.
+        for (tokens, flags) in [
+            (&["--quick", "--trials", "3"][..], ["--quick", "--trials"]),
+            (
+                &["--scenarios", "3", "--quick"][..],
+                ["--quick", "--scenarios"],
+            ),
+            (
+                &["--scenarios", "3", "--paper-scale"][..],
+                ["--paper-scale", "--scenarios"],
+            ),
+            (
+                &["--paper-scale", "--trials", "4"][..],
+                ["--paper-scale", "--trials"],
+            ),
+            (
+                &["--quick", "--paper-scale"][..],
+                ["--quick", "--paper-scale"],
+            ),
+            (
+                &["--paper-scale", "--quick"][..],
+                ["--quick", "--paper-scale"],
+            ),
+        ] {
+            let e = parse(tokens).unwrap_err();
+            for flag in flags {
+                assert!(e.0.contains(flag), "{tokens:?}: {e} does not name {flag}");
+            }
+        }
     }
 
     #[test]

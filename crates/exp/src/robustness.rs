@@ -10,7 +10,6 @@
 //! when the memoryless assumption is wrong.
 
 use vg_des::rng::SeedPath;
-use vg_des::SlotSpan;
 use vg_markov::availability::ProcState;
 use vg_markov::dist::SojournDist;
 use vg_markov::estimate::TransitionCounts;
@@ -143,13 +142,6 @@ pub fn expected_up_occupancy(rp: &RobustnessParams) -> Result<f64, SemiMarkovErr
     Ok(desktop_model(rp, 1.0)?.occupancy()[ProcState::Up.index()])
 }
 
-/// Scales a [`SlotSpan`] workload to the model's time base (helper for
-/// report annotations: tasks per mean UP interval).
-#[must_use]
-pub fn tasks_per_up_interval(rp: &RobustnessParams, w: SlotSpan) -> f64 {
-    rp.up_mean / w as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +213,6 @@ mod tests {
     fn occupancy_metric_is_sane() {
         let occ = expected_up_occupancy(&RobustnessParams::default()).unwrap();
         assert!(occ > 0.3 && occ < 0.95, "{occ}");
-        assert!((tasks_per_up_interval(&RobustnessParams::default(), 10) - 4.0).abs() < 1e-9);
     }
 
     #[test]

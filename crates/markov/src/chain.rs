@@ -1,14 +1,13 @@
 //! Generic finite Markov chains in discrete time.
 //!
 //! Provides validation, stationary distributions (direct linear solve plus a
-//! power-iteration cross-check), reachability analysis, expected hitting
-//! times and absorption probabilities. The 3-state availability model of the
+//! power-iteration cross-check), reachability analysis and absorption
+//! probabilities. The 3-state availability model of the
 //! paper ([`crate::availability`]) is a specialization; keeping the generic
 //! machinery separate lets the test-suite verify every closed form of the
 //! paper's Section 5 against an independent derivation.
 
 use crate::matrix::{MatrixError, SquareMatrix};
-use vg_des::rng::StreamRng;
 
 /// Errors for chain construction and analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,41 +179,6 @@ impl MarkovChain {
         dist
     }
 
-    /// Expected number of steps to first reach any state in `targets`,
-    /// starting from each state (0 for target states themselves).
-    ///
-    /// Solves `(I − Q) h = 1` on the non-target block.
-    pub fn expected_hitting_times(&self, targets: &[usize]) -> Result<Vec<f64>, ChainError> {
-        let n = self.n();
-        if targets.is_empty() || targets.iter().any(|&t| t >= n) {
-            return Err(ChainError::BadTargetSet);
-        }
-        let is_target = {
-            let mut v = vec![false; n];
-            for &t in targets {
-                v[t] = true;
-            }
-            v
-        };
-        let others: Vec<usize> = (0..n).filter(|&i| !is_target[i]).collect();
-        if others.is_empty() {
-            return Ok(vec![0.0; n]);
-        }
-        let m = others.len();
-        let mut a = SquareMatrix::identity(m);
-        for (r, &i) in others.iter().enumerate() {
-            for (c, &j) in others.iter().enumerate() {
-                a[(r, c)] -= self.p[(i, j)];
-            }
-        }
-        let h = a.solve(&vec![1.0; m])?;
-        let mut out = vec![0.0; n];
-        for (r, &i) in others.iter().enumerate() {
-            out[i] = h[r];
-        }
-        Ok(out)
-    }
-
     /// Probability, from each state, of reaching a state in `good` before
     /// any state in `bad` (states in `good` map to 1, in `bad` to 0).
     ///
@@ -265,112 +229,11 @@ impl MarkovChain {
         }
         Ok(out)
     }
-
-    /// Total-variation distance between two distributions over the states.
-    #[must_use]
-    pub fn total_variation(a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "size mismatch");
-        0.5 * a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>()
-    }
-
-    /// Distribution after `t` steps from `start` (via matrix power).
-    #[must_use]
-    pub fn distribution_after(&self, start: &[f64], t: u64) -> Vec<f64> {
-        self.p.pow(t).vec_mul(start)
-    }
-
-    /// ε-mixing time: the smallest `t` such that, from *every* starting
-    /// state, the `t`-step distribution is within total variation `eps` of
-    /// the stationary distribution. Searches `t = 1, 2, 4, …` then binary
-    /// refines; returns `None` if not mixed by `max_t` (periodic chains
-    /// never mix pointwise).
-    pub fn mixing_time(&self, eps: f64, max_t: u64) -> Result<Option<u64>, ChainError> {
-        assert!(eps > 0.0);
-        let pi = self.stationary()?;
-        let n = self.n();
-        let mixed_at = |t: u64| -> bool {
-            let pt = self.p.pow(t);
-            (0..n).all(|i| {
-                let row: Vec<f64> = (0..n).map(|j| pt[(i, j)]).collect();
-                Self::total_variation(&row, &pi) <= eps
-            })
-        };
-        // Exponential search for an upper bound.
-        let mut hi = 1u64;
-        while hi <= max_t && !mixed_at(hi) {
-            hi *= 2;
-        }
-        if hi > max_t {
-            return Ok(None);
-        }
-        // Binary search in (hi/2, hi]; monotone because TV distance to π is
-        // non-increasing in t for every start.
-        let mut lo = hi / 2; // not mixed (or 0)
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if mixed_at(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Ok(Some(hi))
-    }
-
-    /// Expected return time to state `i` (first revisit after leaving),
-    /// which by Kac's formula equals `1 / π_i` for an irreducible chain.
-    pub fn expected_return_time(&self, i: usize) -> Result<f64, ChainError> {
-        let pi = self.stationary()?;
-        if pi[i] <= 0.0 {
-            return Err(ChainError::Reducible);
-        }
-        Ok(1.0 / pi[i])
-    }
-
-    /// Expected return time to `i` computed *structurally* (first-step
-    /// decomposition over hitting times), used by tests to verify Kac's
-    /// formula: `R_i = 1 + Σ_j P_{i,j} · h_j` where `h_j` is the expected
-    /// hitting time of `i` from `j`.
-    pub fn expected_return_time_structural(&self, i: usize) -> Result<f64, ChainError> {
-        let h = self.expected_hitting_times(&[i])?;
-        Ok(1.0 + (0..self.n()).map(|j| self.prob(i, j) * h[j]).sum::<f64>())
-    }
-
-    /// Samples the next state from `current`.
-    #[must_use]
-    pub fn sample_next(&self, current: usize, rng: &mut StreamRng) -> usize {
-        let mut u = rng.f64();
-        for j in 0..self.n() {
-            let p = self.p[(current, j)];
-            if u < p {
-                return j;
-            }
-            u -= p;
-        }
-        // Round-off slack: return the last state with positive probability.
-        (0..self.n())
-            .rev()
-            .find(|&j| self.p[(current, j)] > 0.0)
-            .unwrap_or(current)
-    }
-
-    /// Simulates a path of `len` states starting at `start` (inclusive).
-    #[must_use]
-    pub fn simulate(&self, start: usize, len: usize, rng: &mut StreamRng) -> Vec<usize> {
-        let mut path = Vec::with_capacity(len);
-        let mut s = start;
-        for _ in 0..len {
-            path.push(s);
-            s = self.sample_next(s, rng);
-        }
-        path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vg_des::rng::SeedPath;
 
     fn two_state() -> MarkovChain {
         MarkovChain::from_rows(&[vec![0.9, 0.1], vec![0.4, 0.6]]).unwrap()
@@ -442,30 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn hitting_time_gamblers_walk() {
-        // Symmetric walk on 0..=2 with absorbing 0 and 2; from 1 the expected
-        // time to hit {0,2} is 1 step... with p=1/2 to each neighbour it's 1.
-        let c = MarkovChain::from_rows(&[
-            vec![1.0, 0.0, 0.0],
-            vec![0.5, 0.0, 0.5],
-            vec![0.0, 0.0, 1.0],
-        ])
-        .unwrap();
-        let h = c.expected_hitting_times(&[0, 2]).unwrap();
-        assert_eq!(h[0], 0.0);
-        assert!((h[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hitting_time_geometric() {
-        // From state 0, hit state 1 with prob p each step: E = 1/p.
-        let p = 0.25;
-        let c = MarkovChain::from_rows(&[vec![1.0 - p, p], vec![0.0, 1.0]]).unwrap();
-        let h = c.expected_hitting_times(&[1]).unwrap();
-        assert!((h[0] - 1.0 / p).abs() < 1e-9);
-    }
-
-    #[test]
     fn absorption_probability_gambler() {
         // States 0..=4, absorbing at 0 and 4, fair coin: from i, P(hit 4 first) = i/4.
         let rows = vec![
@@ -489,97 +328,5 @@ mod tests {
             c.absorption_probability(&[0], &[0]),
             Err(ChainError::BadTargetSet)
         );
-    }
-
-    #[test]
-    fn simulation_frequencies_approach_stationary() {
-        let c = two_state();
-        let mut rng = SeedPath::root(7).rng();
-        let path = c.simulate(0, 200_000, &mut rng);
-        let freq0 = path.iter().filter(|&&s| s == 0).count() as f64 / path.len() as f64;
-        assert!((freq0 - 0.8).abs() < 0.01, "freq0 {freq0}");
-    }
-
-    #[test]
-    fn simulate_length_and_start() {
-        let c = two_state();
-        let mut rng = SeedPath::root(1).rng();
-        let path = c.simulate(1, 10, &mut rng);
-        assert_eq!(path.len(), 10);
-        assert_eq!(path[0], 1);
-    }
-
-    #[test]
-    fn total_variation_properties() {
-        assert_eq!(MarkovChain::total_variation(&[1.0, 0.0], &[1.0, 0.0]), 0.0);
-        assert!((MarkovChain::total_variation(&[1.0, 0.0], &[0.0, 1.0]) - 1.0).abs() < 1e-15);
-        assert!((MarkovChain::total_variation(&[0.7, 0.3], &[0.5, 0.5]) - 0.2).abs() < 1e-15);
-    }
-
-    #[test]
-    fn distribution_after_matches_iterated_steps() {
-        let c = two_state();
-        let start = vec![1.0, 0.0];
-        let mut iterated = start.clone();
-        for _ in 0..6 {
-            iterated = c.step_distribution(&iterated);
-        }
-        let direct = c.distribution_after(&start, 6);
-        for (a, b) in iterated.iter().zip(&direct) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn mixing_time_decreases_with_looser_eps() {
-        let c = two_state();
-        let tight = c.mixing_time(1e-6, 10_000).unwrap().unwrap();
-        let loose = c.mixing_time(1e-2, 10_000).unwrap().unwrap();
-        assert!(loose <= tight, "loose {loose} vs tight {tight}");
-        // After the mixing time, TV really is small from both starts.
-        let pi = c.stationary().unwrap();
-        for start in [vec![1.0, 0.0], vec![0.0, 1.0]] {
-            let d = c.distribution_after(&start, tight);
-            assert!(MarkovChain::total_variation(&d, &pi) <= 1e-6);
-        }
-    }
-
-    #[test]
-    fn periodic_chain_never_mixes() {
-        let c = MarkovChain::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        assert_eq!(c.mixing_time(0.1, 1 << 12).unwrap(), None);
-    }
-
-    #[test]
-    fn kac_formula_matches_structural_return_time() {
-        let chains = vec![
-            two_state(),
-            MarkovChain::from_rows(&[
-                vec![0.5, 0.25, 0.25],
-                vec![0.1, 0.8, 0.1],
-                vec![0.3, 0.3, 0.4],
-            ])
-            .unwrap(),
-        ];
-        for c in chains {
-            for i in 0..c.n() {
-                let kac = c.expected_return_time(i).unwrap();
-                let structural = c.expected_return_time_structural(i).unwrap();
-                assert!(
-                    (kac - structural).abs() < 1e-9,
-                    "state {i}: Kac {kac} vs structural {structural}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sample_next_never_picks_zero_probability() {
-        let c = MarkovChain::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let mut rng = SeedPath::root(3).rng();
-        for _ in 0..100 {
-            assert_eq!(c.sample_next(0, &mut rng), 1);
-            assert_eq!(c.sample_next(1, &mut rng), 0);
-        }
     }
 }

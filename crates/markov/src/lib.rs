@@ -6,7 +6,7 @@
 //!
 //! * [`matrix`] — small dense linear algebra (products, powers, solves);
 //! * [`chain`] — generic finite Markov chains: stationary distributions,
-//!   hitting times, absorption probabilities, simulation;
+//!   reachability, absorption probabilities;
 //! * [`availability`] — the paper's 3-state (`UP`/`RECLAIMED`/`DOWN`)
 //!   processor model with the closed forms of **Lemma 1** (`P₊`) and
 //!   **Theorem 2** (`E(W)`), the `P_UD` probability of Section 6.3.3 (exact

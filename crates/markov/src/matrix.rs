@@ -1,9 +1,9 @@
 //! Small dense square matrices over `f64`.
 //!
 //! Sized for Markov chains with a handful of states (the paper's chains have
-//! three). Provides multiplication, powers, Gaussian elimination with partial
-//! pivoting, and inversion — enough to compute stationary distributions,
-//! hitting times and absorbing-chain quantities exactly, which in turn lets
+//! three). Provides multiplication, powers and Gaussian elimination with
+//! partial pivoting — enough to compute stationary distributions and
+//! absorbing-chain quantities exactly, which in turn lets
 //! the test-suite verify the paper's closed-form formulas against independent
 //! linear-algebra derivations.
 
@@ -111,15 +111,6 @@ impl SquareMatrix {
         out
     }
 
-    /// Matrix–vector product `self · v`.
-    #[must_use]
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.n, "size mismatch");
-        (0..self.n)
-            .map(|i| (0..self.n).map(|j| self[(i, j)] * v[j]).sum())
-            .collect()
-    }
-
     /// Row-vector–matrix product `v · self` (distribution step for a
     /// row-stochastic transition matrix).
     #[must_use]
@@ -205,29 +196,6 @@ impl SquareMatrix {
             x[col] = sum / a[col * n + col];
         }
         Ok(x)
-    }
-
-    /// Matrix inverse via column-by-column solves.
-    pub fn inverse(&self) -> Result<Self, MatrixError> {
-        let n = self.n;
-        let mut inv = Self::zeros(n);
-        for col in 0..n {
-            let mut e = vec![0.0; n];
-            e[col] = 1.0;
-            let x = self.solve(&e)?;
-            for row in 0..n {
-                inv[(row, col)] = x[row];
-            }
-        }
-        Ok(inv)
-    }
-
-    /// Sum of each row (1.0 everywhere for a row-stochastic matrix).
-    #[must_use]
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.n)
-            .map(|i| (0..self.n).map(|j| self[(i, j)]).sum())
-            .collect()
     }
 }
 
@@ -328,26 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn inverse_roundtrip() {
-        let m = SquareMatrix::from_rows(&[vec![4.0, 7.0], vec![2.0, 6.0]]);
-        let inv = m.inverse().unwrap();
-        assert!(m.mul(&inv).max_abs_diff(&SquareMatrix::identity(2)) < 1e-10);
-        assert!(inv.mul(&m).max_abs_diff(&SquareMatrix::identity(2)) < 1e-10);
-    }
-
-    #[test]
-    fn mul_vec_and_vec_mul() {
+    fn vec_mul_known_product() {
         let m = SquareMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
         assert_eq!(m.vec_mul(&[1.0, 1.0]), vec![4.0, 6.0]);
-    }
-
-    #[test]
-    fn row_sums_of_stochastic_matrix() {
-        let m = SquareMatrix::from_rows(&[vec![0.5, 0.5], vec![0.1, 0.9]]);
-        for s in m.row_sums() {
-            assert!(close(s, 1.0));
-        }
     }
 
     #[test]

@@ -14,7 +14,8 @@ use vg_markov::semi_markov::SemiMarkovModel;
 
 use crate::processor::ProcessorSpec;
 use crate::source::{
-    markov_source, semi_markov_source, AvailabilitySource, ReplaySource, StartPolicy, TailBehavior,
+    markov_source, semi_markov_source, AvailabilitySource, MarkovSourceBank, ReplaySource,
+    RowSource, StartPolicy, TailBehavior,
 };
 use crate::trace::Trace;
 
@@ -211,6 +212,20 @@ impl PlatformConfig {
             .iter()
             .enumerate()
             .map(move |(q, pc)| pc.avail.build_source(seeds.child(q as u64).rng()))
+    }
+
+    /// The live availability of a run seeded from `seeds`, as one row
+    /// source. All-Markov platforms — the paper's setting — get the dense
+    /// [`MarkovSourceBank`] (three contiguous columns, no per-processor
+    /// virtual calls); anything else gets the boxed
+    /// [`Self::seeded_sources`]. Both emit the same streams, and this is
+    /// the one place that chooses between them.
+    #[must_use]
+    pub fn seeded_rows(&self, seeds: SeedPath) -> Box<dyn RowSource> {
+        match MarkovSourceBank::try_from_platform(self, &seeds) {
+            Some(bank) => Box::new(bank),
+            None => Box::new(self.seeded_sources(seeds).collect::<Vec<_>>()),
+        }
     }
 }
 

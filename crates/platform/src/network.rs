@@ -27,8 +27,6 @@ pub struct BandwidthLedger {
     // Cumulative statistics across slots.
     slots_opened: u64,
     total_granted: u64,
-    total_prog: u64,
-    total_data: u64,
 }
 
 impl BandwidthLedger {
@@ -46,8 +44,6 @@ impl BandwidthLedger {
             granted_data: 0,
             slots_opened: 0,
             total_granted: 0,
-            total_prog: 0,
-            total_data: 0,
         }
     }
 
@@ -77,14 +73,8 @@ impl BandwidthLedger {
             return false;
         }
         match kind {
-            TransferKind::Program => {
-                self.granted_prog += 1;
-                self.total_prog += 1;
-            }
-            TransferKind::Data => {
-                self.granted_data += 1;
-                self.total_data += 1;
-            }
+            TransferKind::Program => self.granted_prog += 1,
+            TransferKind::Data => self.granted_data += 1,
         }
         self.total_granted += 1;
         true
@@ -115,12 +105,6 @@ impl BandwidthLedger {
             return 0.0;
         }
         self.total_granted as f64 / (self.slots_opened as f64 * self.ncom as f64)
-    }
-
-    /// Cumulative `(program, data)` channel-slots granted.
-    #[must_use]
-    pub fn totals(&self) -> (u64, u64) {
-        (self.total_prog, self.total_data)
     }
 }
 
@@ -159,7 +143,6 @@ mod tests {
         l.try_grant(TransferKind::Data);
         assert_eq!(l.granted_prog(), 1);
         assert_eq!(l.granted_data(), 2);
-        assert_eq!(l.totals(), (1, 2));
     }
 
     #[test]

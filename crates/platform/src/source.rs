@@ -26,9 +26,11 @@ pub trait AvailabilitySource {
 /// Per-processor sources ([`AvailabilitySource`]) cannot express *cross-
 /// worker correlation* — a shared group modulator must decide one outage
 /// draw and apply it to every member of the group in the same slot. Row
-/// sources own the whole row, so correlated models (and the dense
-/// [`MarkovSourceBank`]) plug into the engine and the shared-trace recorder
-/// through one interface.
+/// sources own the whole row, so correlated models, the dense
+/// [`MarkovSourceBank`] and plain per-processor sources (a
+/// `Vec<Box<dyn AvailabilitySource>>`, scanned in processor order) plug
+/// into the engine and the shared-trace recorder through one interface.
+/// [`PlatformConfig::seeded_rows`] picks between the last two.
 pub trait RowSource {
     /// Number of processors per row.
     fn p(&self) -> usize;
@@ -40,11 +42,21 @@ pub trait RowSource {
 
 impl RowSource for MarkovSourceBank {
     fn p(&self) -> usize {
-        MarkovSourceBank::p(self)
+        self.states.len()
     }
 
     fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
         MarkovSourceBank::next_row_into(self, out);
+    }
+}
+
+impl RowSource for Vec<Box<dyn AvailabilitySource>> {
+    fn p(&self) -> usize {
+        self.len()
+    }
+
+    fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
+        out.extend(self.iter_mut().map(|src| src.next_state()));
     }
 }
 
@@ -149,7 +161,7 @@ impl AvailabilitySource for ReplaySource {
 
 /// A **shared availability recording** for one platform × one trace seed:
 /// the per-slot states of every processor, sampled lazily row by row from
-/// the underlying live sources and replayed to any number of consumers.
+/// one live [`RowSource`] and replayed to any number of consumers.
 ///
 /// This is the campaign's common-random-number accelerator: the paper runs
 /// every heuristic of an instance against byte-identical availability, so
@@ -159,11 +171,10 @@ impl AvailabilitySource for ReplaySource {
 /// per-slot scan order, so replay reads are sequential.
 ///
 /// Rows extend on demand: when any reader asks for a slot beyond the
-/// horizon, the matrix samples one full row (every live source, in
-/// processor order). Each processor's state stream is therefore exactly the
-/// stream its live source would have produced stand-alone — replay is
-/// bit-identical to direct sampling, regardless of which run triggered the
-/// extension.
+/// horizon, the matrix draws the row source's next row. The recorded rows
+/// are therefore exactly the rows the source would have produced
+/// stand-alone — replay is bit-identical to direct sampling, regardless of
+/// which run triggered the extension.
 #[derive(Debug)]
 pub struct SharedTraceMatrix {
     inner: std::rc::Rc<std::cell::RefCell<TraceMatrixInner>>,
@@ -175,24 +186,7 @@ struct TraceMatrixInner {
     /// Slot-major state matrix: `states[slot * p + q]`.
     states: Vec<ProcState>,
     /// The live generator, consulted only beyond the horizon.
-    live: RowBackend,
-}
-
-/// What samples fresh rows beyond the recorded horizon.
-enum RowBackend {
-    /// One independent live source per processor, scanned in order.
-    PerProc(Vec<Box<dyn AvailabilitySource>>),
-    /// A whole-row generator (dense bank, correlated model).
-    Rows(Box<dyn RowSource>),
-}
-
-impl RowBackend {
-    fn append_row(&mut self, states: &mut Vec<ProcState>) {
-        match self {
-            Self::PerProc(live) => states.extend(live.iter_mut().map(|src| src.next_state())),
-            Self::Rows(rows) => rows.next_row_into(states),
-        }
-    }
+    live: Box<dyn RowSource>,
 }
 
 impl std::fmt::Debug for TraceMatrixInner {
@@ -205,31 +199,19 @@ impl std::fmt::Debug for TraceMatrixInner {
 }
 
 impl SharedTraceMatrix {
-    /// Wraps one live source per processor. `sources` must be in processor
-    /// order and non-empty.
+    /// Wraps one live source per processor, in processor order: the
+    /// [`RowSource`] of a `Vec<Box<dyn AvailabilitySource>>`, recorded
+    /// through [`Self::record_rows`].
     ///
     /// # Panics
-    /// Panics when `sources` is empty; use [`Self::try_record`] to handle
-    /// that case as an error.
+    /// Panics when `sources` is empty.
     #[must_use]
     pub fn record(sources: Vec<Box<dyn AvailabilitySource>>) -> Self {
-        assert!(!sources.is_empty(), "a platform has at least one processor");
-        Self::from_backend(sources.len(), RowBackend::PerProc(sources))
+        Self::record_rows(Box::new(sources))
     }
 
-    /// Fallible form of [`Self::record`]: an empty source roster is a loud
-    /// configuration error instead of a panic.
-    pub fn try_record(sources: Vec<Box<dyn AvailabilitySource>>) -> Result<Self, ConfigError> {
-        if sources.is_empty() {
-            return Err(ConfigError(
-                "cannot record a trace matrix over zero sources".into(),
-            ));
-        }
-        Ok(Self::record(sources))
-    }
-
-    /// Wraps a whole-row generator (dense bank, correlated model). The
-    /// recording replays exactly the rows `rows` would emit stand-alone.
+    /// Wraps a whole-row generator. The recording replays exactly the rows
+    /// `rows` would emit stand-alone.
     ///
     /// # Panics
     /// Panics when `rows.p() == 0`; use [`Self::try_record_rows`] to handle
@@ -237,7 +219,13 @@ impl SharedTraceMatrix {
     #[must_use]
     pub fn record_rows(rows: Box<dyn RowSource>) -> Self {
         assert!(rows.p() > 0, "a platform has at least one processor");
-        Self::from_backend(rows.p(), RowBackend::Rows(rows))
+        Self {
+            inner: std::rc::Rc::new(std::cell::RefCell::new(TraceMatrixInner {
+                p: rows.p(),
+                states: Vec::new(),
+                live: rows,
+            })),
+        }
     }
 
     /// Fallible form of [`Self::record_rows`]: an empty row source is a
@@ -249,16 +237,6 @@ impl SharedTraceMatrix {
             ));
         }
         Ok(Self::record_rows(rows))
-    }
-
-    fn from_backend(p: usize, live: RowBackend) -> Self {
-        Self {
-            inner: std::rc::Rc::new(std::cell::RefCell::new(TraceMatrixInner {
-                p,
-                states: Vec::new(),
-                live,
-            })),
-        }
     }
 
     /// Number of processors.
@@ -292,7 +270,7 @@ impl SharedTraceMatrix {
         let p = inner.p;
         while (slot + 1) * p > inner.states.len() {
             let TraceMatrixInner { states, live, .. } = &mut *inner;
-            live.append_row(states);
+            live.next_row_into(states);
             debug_assert_eq!(states.len() % p, 0, "row source appended a partial row");
         }
         f(&inner.states[slot * p..(slot + 1) * p])
@@ -332,37 +310,14 @@ impl MarkovSourceBank {
     /// Builds a bank for `platform` with the per-processor seed layout of
     /// [`PlatformConfig::seeded_sources`] (`trace_seeds.child(q)`).
     /// Returns `None` when any processor's availability model is not a
-    /// Markov chain (semi-Markov, replay) — callers fall back to boxed
-    /// sources.
+    /// Markov chain (semi-Markov, replay); [`PlatformConfig::seeded_rows`]
+    /// then falls back to boxed sources.
     #[must_use]
     pub fn try_from_platform(platform: &PlatformConfig, trace_seeds: &SeedPath) -> Option<Self> {
         let mut bank = Self::default();
-        bank.rebuild_from_platform(platform, trace_seeds)
-            .then_some(bank)
-    }
-
-    /// Re-seeds this bank in place for another run (arena reuse: the
-    /// columns keep their capacity). Returns `false` — leaving the bank
-    /// empty — when the platform has any non-Markov processor.
-    pub fn rebuild_from_platform(
-        &mut self,
-        platform: &PlatformConfig,
-        trace_seeds: &SeedPath,
-    ) -> bool {
-        self.chains.clear();
-        self.chain_idx.clear();
-        self.rngs.clear();
-        self.states.clear();
         for (q, pc) in platform.processors.iter().enumerate() {
-            // Bail on the first non-Markov processor — the caller falls
-            // back to the boxed per-proc sources — leaving the bank empty,
-            // not half-seeded.
             let AvailabilityModelConfig::Markov { chain, start } = &pc.avail else {
-                self.chains.clear();
-                self.chain_idx.clear();
-                self.rngs.clear();
-                self.states.clear();
-                return false;
+                return None;
             };
             let mut rng = trace_seeds.child(q as u64).rng();
             // Mirror `markov_source` exactly, construction draws included.
@@ -378,27 +333,21 @@ impl MarkovSourceBank {
             // `q`'s own clone would. The probe is capped — a pathological
             // platform of all-distinct chains degrades to per-processor
             // entries (always correct, just unshared) instead of an O(p²)
-            // rebuild.
-            let ci = match self.chains.iter().take(64).position(|c| c == chain) {
+            // build.
+            let ci = match bank.chains.iter().take(64).position(|c| c == chain) {
                 Some(i) => i,
                 None => {
-                    self.chains.push(chain.clone());
-                    self.chains.len() - 1
+                    bank.chains.push(chain.clone());
+                    bank.chains.len() - 1
                 }
             };
             // Lossless: at most one chain is pushed per processor, and
             // validation bounds processor counts to u32.
-            self.chain_idx.push(ci as u32);
-            self.rngs.push(rng);
-            self.states.push(state);
+            bank.chain_idx.push(ci as u32);
+            bank.rngs.push(rng);
+            bank.states.push(state);
         }
-        true
-    }
-
-    /// Number of processors in the bank.
-    #[must_use]
-    pub fn p(&self) -> usize {
-        self.states.len()
+        Some(bank)
     }
 
     /// Appends the next slot's state for every processor (in order) to
@@ -586,18 +535,19 @@ mod tests {
 
     #[test]
     fn shared_trace_try_record_rejects_empty_rosters() {
-        let e = SharedTraceMatrix::try_record(Vec::new()).unwrap_err();
-        assert!(e.0.contains("zero sources"), "unhelpful: {e}");
+        let no_sources: Vec<Box<dyn AvailabilitySource>> = Vec::new();
+        let e = SharedTraceMatrix::try_record_rows(Box::new(no_sources)).unwrap_err();
+        assert!(e.0.contains("empty row source"), "unhelpful: {e}");
         let e =
             SharedTraceMatrix::try_record_rows(Box::new(MarkovSourceBank::default())).unwrap_err();
         assert!(e.0.contains("empty row source"), "unhelpful: {e}");
-        assert!(SharedTraceMatrix::try_record(live_sources(1, 3)).is_ok());
+        assert!(SharedTraceMatrix::try_record_rows(Box::new(live_sources(1, 3))).is_ok());
     }
 
     #[test]
-    fn shared_trace_rows_backend_matches_per_proc_backend() {
-        // Recording through a whole-row generator must replay exactly the
-        // same matrix as recording the equivalent boxed per-proc sources.
+    fn shared_trace_dense_and_boxed_recordings_agree() {
+        // Recording the dense bank `seeded_rows` picks must replay exactly
+        // the same matrix as recording the equivalent boxed sources.
         use crate::config::ProcessorConfig;
         let platform = PlatformConfig {
             processors: (0..5)
@@ -606,19 +556,12 @@ mod tests {
             ncom: 1,
         };
         let seeds = SeedPath::root(13);
-        let boxed: Vec<_> = platform
-            .processors
-            .iter()
-            .enumerate()
-            .map(|(q, pc)| pc.avail.build_source(seeds.child(q as u64).rng()))
-            .collect();
-        let bank = MarkovSourceBank::try_from_platform(&platform, &seeds).unwrap();
-        let per_proc = SharedTraceMatrix::record(boxed);
-        let rows = SharedTraceMatrix::record_rows(Box::new(bank));
-        assert_eq!(rows.p(), 5);
+        let boxed = SharedTraceMatrix::record(platform.seeded_sources(seeds).collect());
+        let dense = SharedTraceMatrix::record_rows(platform.seeded_rows(seeds));
+        assert_eq!(dense.p(), 5);
         for t in 0..120 {
-            let a = per_proc.with_row(t, <[ProcState]>::to_vec);
-            let b = rows.with_row(t, <[ProcState]>::to_vec);
+            let a = boxed.with_row(t, <[ProcState]>::to_vec);
+            let b = dense.with_row(t, <[ProcState]>::to_vec);
             assert_eq!(a, b, "slot {t}");
         }
     }
@@ -635,11 +578,33 @@ mod tests {
         assert_eq!(matrix.recorded_slots(), 10, "replays do not extend");
     }
 
+    /// Asserts that `rows` emits, row for row, the streams of
+    /// `platform.seeded_sources(seeds)` for `slots` slots.
+    fn assert_rows_match_seeded_sources(
+        platform: &PlatformConfig,
+        seeds: SeedPath,
+        rows: &mut dyn RowSource,
+        slots: usize,
+    ) {
+        assert_eq!(rows.p(), platform.p());
+        let mut boxed: Vec<_> = platform.seeded_sources(seeds).collect();
+        let mut row = Vec::new();
+        for slot in 0..slots {
+            row.clear();
+            rows.next_row_into(&mut row);
+            assert_eq!(row.len(), platform.p(), "slot {slot}: partial row");
+            for (q, src) in boxed.iter_mut().enumerate() {
+                assert_eq!(row[q], src.next_state(), "slot {slot} proc {q}");
+            }
+        }
+    }
+
     #[test]
     fn dense_markov_bank_matches_boxed_streams() {
         // The bank's per-processor streams must be bit-identical to the
         // boxed `markov_source` streams under the engine's seed layout,
-        // for both start policies.
+        // for both start policies. `seeded_rows` picks the bank here, so
+        // its rows match too.
         use crate::processor::ProcessorSpec;
         let platform = PlatformConfig {
             processors: (0..7)
@@ -663,47 +628,55 @@ mod tests {
             ncom: 2,
         };
         let seeds = SeedPath::root(9);
-        let mut boxed: Vec<_> = platform
-            .processors
-            .iter()
-            .enumerate()
-            .map(|(q, pc)| pc.avail.build_source(seeds.child(q as u64).rng()))
-            .collect();
         let mut bank =
             MarkovSourceBank::try_from_platform(&platform, &seeds).expect("all-Markov platform");
         assert_eq!(bank.p(), 7);
-        let mut row = Vec::new();
-        for slot in 0..300 {
-            row.clear();
-            bank.next_row_into(&mut row);
-            for (q, src) in boxed.iter_mut().enumerate() {
-                assert_eq!(row[q], src.next_state(), "slot {slot} proc {q}");
-            }
-        }
+        assert_rows_match_seeded_sources(&platform, seeds, &mut bank, 300);
+        let mut rows = platform.seeded_rows(seeds);
+        assert_eq!(
+            std::mem::size_of_val(&*rows),
+            std::mem::size_of::<MarkovSourceBank>(),
+            "an all-Markov platform gets the dense bank"
+        );
+        assert_rows_match_seeded_sources(&platform, seeds, &mut *rows, 300);
     }
 
     #[test]
     fn dense_markov_bank_rejects_non_markov_platforms() {
+        // No bank for a mixed platform: `seeded_rows` falls back to the
+        // boxed per-processor sources, which emit the same streams.
         use crate::processor::ProcessorSpec;
         let platform = PlatformConfig {
             processors: vec![
-                crate::config::ProcessorConfig::markov(1, test_chain(), StartPolicy::Up),
+                crate::config::ProcessorConfig::markov(1, test_chain(), StartPolicy::Stationary),
                 crate::config::ProcessorConfig {
                     spec: ProcessorSpec::new(1),
                     avail: AvailabilityModelConfig::Replay {
-                        trace: Trace::parse("u").unwrap(),
-                        tail: TailBehavior::HoldLast,
+                        trace: Trace::parse("urdu").unwrap(),
+                        tail: TailBehavior::Cycle,
+                    },
+                    believed: None,
+                },
+                crate::config::ProcessorConfig {
+                    spec: ProcessorSpec::new(2),
+                    avail: AvailabilityModelConfig::SemiMarkov {
+                        model: SemiMarkovModel::desktop_template(20.0),
+                        start: StartPolicy::Stationary,
                     },
                     believed: None,
                 },
             ],
             ncom: 1,
         };
-        assert!(MarkovSourceBank::try_from_platform(&platform, &SeedPath::root(1)).is_none());
-        // A rejected rebuild leaves the bank empty, not half-seeded.
-        let mut bank = MarkovSourceBank::default();
-        assert!(!bank.rebuild_from_platform(&platform, &SeedPath::root(1)));
-        assert_eq!(bank.p(), 0);
+        let seeds = SeedPath::root(1);
+        assert!(MarkovSourceBank::try_from_platform(&platform, &seeds).is_none());
+        let mut rows = platform.seeded_rows(seeds);
+        assert_eq!(
+            std::mem::size_of_val(&*rows),
+            std::mem::size_of::<Vec<Box<dyn AvailabilitySource>>>(),
+            "a mixed platform gets boxed per-processor sources"
+        );
+        assert_rows_match_seeded_sources(&platform, seeds, &mut *rows, 300);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use vg_markov::modulator::{ModState, OutageChain};
 
 use crate::config::{ConfigError, PlatformConfig};
 use crate::fault::CompiledScript;
-use crate::source::{AvailabilitySource, MarkovSourceBank, RowSource};
+use crate::source::RowSource;
 
 /// Row-level scripted fault injector: forces the scripted states onto each
 /// sampled row and counts how many worker-slots it actually changed.
@@ -195,10 +195,11 @@ impl CorrelatedModel {
         Ok(())
     }
 
-    /// Instantiates the row source for `platform`, seeding the per-worker
-    /// base exactly as the engine's independent path does
-    /// (`trace_seeds.child(q)`) and each group modulator from its own
-    /// stream (`trace_seeds.child_str("corr-group").child(g)`).
+    /// Instantiates the row source for `platform` over the engine's
+    /// independent availability, [`PlatformConfig::seeded_rows`] (worker
+    /// `q` seeded from `trace_seeds.child(q)`), with each group modulator
+    /// drawing from its own stream
+    /// (`trace_seeds.child_str("corr-group").child(g)`).
     ///
     /// Because group draws never touch the worker streams, a model whose
     /// chains are all [`OutageChain::identity`] (and no diurnal spec) emits
@@ -210,15 +211,7 @@ impl CorrelatedModel {
     ) -> Result<CorrelatedSource, ConfigError> {
         platform.validate()?;
         self.validate(platform.p())?;
-        let base = match MarkovSourceBank::try_from_platform(platform, trace_seeds) {
-            Some(bank) => BaseBank::Dense(bank),
-            None => BaseBank::Boxed(
-                platform
-                    .seeded_sources(*trace_seeds)
-                    // tidy:allow(hot_alloc): one-time construction fallback, not the sampling path.
-                    .collect(),
-            ),
-        };
+        let base = platform.seeded_rows(*trace_seeds);
         let group_seeds = trace_seeds.child_str("corr-group");
         let groups = self
             .groups
@@ -232,7 +225,6 @@ impl CorrelatedModel {
             })
             .collect(); // tidy:allow(hot_alloc): one-time construction, not the sampling path.
         Ok(CorrelatedSource {
-            p: platform.p(),
             base,
             groups,
             diurnal: self.diurnal,
@@ -241,25 +233,7 @@ impl CorrelatedModel {
     }
 }
 
-/// The per-worker base generator of a [`CorrelatedSource`].
-enum BaseBank {
-    /// All-Markov platform: the dense bank.
-    Dense(MarkovSourceBank),
-    /// Mixed platform: boxed per-worker sources.
-    Boxed(Vec<Box<dyn AvailabilitySource>>),
-}
-
-impl std::fmt::Debug for BaseBank {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Dense(bank) => f.debug_tuple("Dense").field(&bank.p()).finish(),
-            Self::Boxed(srcs) => f.debug_tuple("Boxed").field(&srcs.len()).finish(),
-        }
-    }
-}
-
 /// Live state of one group modulator.
-#[derive(Debug)]
 struct GroupRuntime {
     members: std::ops::Range<u32>,
     outage: OutageChain,
@@ -268,41 +242,26 @@ struct GroupRuntime {
 }
 
 /// A whole-row availability source with correlated group failures: the
-/// instantiated form of [`CorrelatedModel`]. Per slot: one base draw per
-/// worker, one modulator draw per group, zero allocations.
-#[derive(Debug)]
+/// instantiated form of [`CorrelatedModel`]. Its base is the row source
+/// [`PlatformConfig::seeded_rows`] picks (the dense bank, or boxed sources
+/// on a mixed platform); the modulators then overwrite member states. Per
+/// slot: one base draw per worker, one modulator draw per group, zero
+/// allocations.
 pub struct CorrelatedSource {
-    p: usize,
-    base: BaseBank,
+    base: Box<dyn RowSource>,
     groups: Vec<GroupRuntime>,
     diurnal: Option<DiurnalSpec>,
     slot: u64,
 }
 
-impl CorrelatedSource {
-    /// Slots emitted so far.
-    #[must_use]
-    pub fn slots_emitted(&self) -> u64 {
-        self.slot
-    }
-}
-
 impl RowSource for CorrelatedSource {
     fn p(&self) -> usize {
-        self.p
+        self.base.p()
     }
 
     fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
         let start = out.len();
-        match &mut self.base {
-            BaseBank::Dense(bank) => bank.next_row_into(out),
-            BaseBank::Boxed(srcs) => {
-                out.reserve(srcs.len());
-                for src in srcs.iter_mut() {
-                    out.push(src.next_state());
-                }
-            }
-        }
+        self.base.next_row_into(out);
         let row = &mut out[start..];
         for (g, grp) in self.groups.iter_mut().enumerate() {
             // Current modulator state applies to this slot (groups start
@@ -397,7 +356,7 @@ mod tests {
         for n_groups in [1usize, 4] {
             let model = CorrelatedModel::uniform_groups(8, n_groups, OutageChain::identity());
             let mut corr = model.build(&pf, &seeds).unwrap();
-            let mut bank = MarkovSourceBank::try_from_platform(&pf, &seeds).unwrap();
+            let mut bank = pf.seeded_rows(seeds);
             let (mut a, mut b) = (Vec::new(), Vec::new());
             for slot in 0..500 {
                 a.clear();
@@ -406,7 +365,6 @@ mod tests {
                 bank.next_row_into(&mut b);
                 assert_eq!(a, b, "{n_groups} groups, slot {slot}");
             }
-            assert_eq!(corr.slots_emitted(), 500);
         }
     }
 
@@ -443,7 +401,7 @@ mod tests {
         });
         model.validate(6).unwrap();
         let mut corr = model.build(&pf, &SeedPath::root(9)).unwrap();
-        let mut base = MarkovSourceBank::try_from_platform(&pf, &SeedPath::root(9)).unwrap();
+        let mut base = pf.seeded_rows(SeedPath::root(9));
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let d = model.diurnal.unwrap();
         for slot in 0..200u64 {

@@ -201,14 +201,14 @@ pub struct AppRuntime {
 impl AppRuntime {
     /// Fresh runtime for application `index` of a run.
     #[must_use]
-    pub(crate) fn new(index: usize, spec: &AppSpec, max_extra: u8) -> Self {
+    pub(crate) fn new(index: usize, spec: &AppSpec) -> Self {
         debug_assert!(index < MAX_APPS);
         Self {
             config: spec.config,
             weight: spec.weight,
             reconfig: spec.reconfig,
             task_base: (index as u32) << APP_TASK_SHIFT,
-            iter: IterationState::new(0, spec.config.tasks_per_iteration, max_extra),
+            iter: IterationState::new(0, spec.config.tasks_per_iteration),
             iterations_done: 0,
             // Preallocated for every requested barrier so the per-app
             // completion log never grows inside the steady-state slot loop
@@ -221,14 +221,13 @@ impl AppRuntime {
 
     /// Reinitializes a warmed runtime in place for a new run (the arena
     /// counterpart of [`Self::new`], reusing the allocated buffers).
-    pub(crate) fn reinit(&mut self, index: usize, spec: &AppSpec, max_extra: u8) {
+    pub(crate) fn reinit(&mut self, index: usize, spec: &AppSpec) {
         debug_assert!(index < MAX_APPS);
         self.config = spec.config;
         self.weight = spec.weight;
         self.reconfig = spec.reconfig;
         self.task_base = (index as u32) << APP_TASK_SHIFT;
-        self.iter
-            .reinit(0, spec.config.tasks_per_iteration, max_extra);
+        self.iter.reinit(0, spec.config.tasks_per_iteration);
         self.iterations_done = 0;
         self.iteration_completed_at.clear();
         self.iteration_completed_at
@@ -249,7 +248,7 @@ impl AppRuntime {
     /// the pick differs. Task conservation across the resize is
     /// debug-asserted: the finished iteration must be fully complete before,
     /// and the new one must pool exactly its `m` tasks after.
-    pub(crate) fn begin_next_iteration(&mut self, up: usize, max_extra: u8) {
+    pub(crate) fn begin_next_iteration(&mut self, up: usize) {
         debug_assert!(
             self.iter.is_complete(),
             "barrier fired on an incomplete iteration"
@@ -266,7 +265,7 @@ impl AppRuntime {
                     // a Fixed one.
                     self.iter.reset(index);
                 } else {
-                    self.iter.reinit(index, m_next, max_extra);
+                    self.iter.reinit(index, m_next);
                 }
             }
         }
@@ -313,12 +312,6 @@ impl AppRuntime {
     pub fn tasks_completed(&self) -> u64 {
         self.tasks_completed
     }
-
-    /// Task count of the current (or final) iteration.
-    #[must_use]
-    pub fn current_m(&self) -> usize {
-        self.iter.m()
-    }
 }
 
 #[cfg(test)]
@@ -364,12 +357,12 @@ mod tests {
     #[test]
     fn fixed_barrier_is_a_reset() {
         let spec = AppSpec::rigid(app(4, 3));
-        let mut rt = AppRuntime::new(0, &spec, 2);
+        let mut rt = AppRuntime::new(0, &spec);
         for t in 0..4 {
             rt.iter.mark_completed(TaskId(t));
         }
         rt.iterations_done = 1;
-        rt.begin_next_iteration(9, 2);
+        rt.begin_next_iteration(9);
         assert_eq!(rt.iter.m(), 4);
         assert_eq!(rt.iter.index(), 1);
         assert_eq!(rt.iter.pool_len(), 4);
@@ -378,19 +371,19 @@ mod tests {
     #[test]
     fn moldable_barrier_resizes_with_up_count() {
         let spec = AppSpec::moldable(app(4, 3), MoldableParams::default());
-        let mut rt = AppRuntime::new(1, &spec, 2);
+        let mut rt = AppRuntime::new(1, &spec);
         assert_eq!(rt.task_base, 1 << APP_TASK_SHIFT);
         for t in 0..4 {
             rt.iter.mark_completed(TaskId(t));
         }
         rt.iterations_done = 1;
-        rt.begin_next_iteration(7, 2);
+        rt.begin_next_iteration(7);
         assert_eq!(rt.iter.m(), 7, "grew to the UP count");
         for t in 0..7 {
             rt.iter.mark_completed(TaskId(t));
         }
         rt.iterations_done = 2;
-        rt.begin_next_iteration(2, 2);
+        rt.begin_next_iteration(2);
         assert_eq!(rt.iter.m(), 2, "shrank to the UP count");
         assert_eq!(rt.iter.pool_len(), 2);
         assert!(!rt.finished());
@@ -399,12 +392,12 @@ mod tests {
     #[test]
     fn reinit_matches_fresh_runtime() {
         let spec = AppSpec::weighted(app(3, 2), 5);
-        let mut rt = AppRuntime::new(2, &spec, 1);
+        let mut rt = AppRuntime::new(2, &spec);
         rt.iter.mark_completed(TaskId(0));
         rt.tasks_completed = 1;
         rt.iteration_completed_at.push(10);
         let other = AppSpec::moldable(app(6, 4), MoldableParams::default());
-        rt.reinit(0, &other, 2);
-        assert_eq!(rt, AppRuntime::new(0, &other, 2));
+        rt.reinit(0, &other);
+        assert_eq!(rt, AppRuntime::new(0, &other));
     }
 }

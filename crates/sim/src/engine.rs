@@ -112,7 +112,7 @@ use vg_des::{Slot, SlotSpan};
 use vg_markov::availability::{ChainStats, ProcState};
 use vg_platform::fault::CompiledScript;
 use vg_platform::network::{BandwidthLedger, TransferKind};
-use vg_platform::source::{AvailabilitySource, MarkovSourceBank, RowSource, SharedTraceMatrix};
+use vg_platform::source::{RowSource, SharedTraceMatrix};
 use vg_platform::volatility::ScriptedOverlay;
 use vg_platform::{AppConfig, ConfigError, PlatformConfig, ProcessorId};
 
@@ -153,10 +153,9 @@ pub enum PlacementBudget {
 pub struct SimOptions {
     /// Hard cap on simulated slots (the run reports incomplete beyond it).
     pub max_slots: Slot,
-    /// Enable the Section 6.1 replication policy.
+    /// Enable the Section 6.1 replication policy (at most
+    /// [`crate::MAX_EXTRA_REPLICAS`] extra copies per task).
     pub replication: bool,
-    /// Maximum *extra* copies per task (the paper uses 2 → 3 copies total).
-    pub max_extra_replicas: u8,
     /// Record a per-slot activity [`Timeline`] (one byte per worker-slot).
     pub record_timeline: bool,
     /// Per-slot placement-request budget (default [`PlacementBudget::Uncapped`]).
@@ -168,7 +167,6 @@ impl Default for SimOptions {
         Self {
             max_slots: 1_000_000,
             replication: true,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         }
@@ -522,23 +520,20 @@ pub struct AppOutcome {
 /// Where a run's availability states come from. Every variant drives both
 /// consumers, [`Simulation::new`] and [`SimArena::run`], with the same
 /// results; `docs/scaling.md` ("Starting a run") says which caller uses
-/// which.
+/// which. The live variants end up as one [`RowSource`].
 pub enum Availability<'a> {
-    /// Sources built from the platform config, processor `q` seeded from
-    /// `seeds.child(q)` ([`PlatformConfig::seeded_sources`]). All-Markov
-    /// platforms — the paper's setting — get the dense
-    /// [`MarkovSourceBank`] (three contiguous columns, no per-processor
-    /// virtual calls); anything else falls back to boxed sources. Both
-    /// emit bit-identical state streams.
+    /// [`PlatformConfig::seeded_rows`]`(seeds)`: processor `q` seeded from
+    /// `seeds.child(q)`, through the dense
+    /// [`vg_platform::MarkovSourceBank`] on all-Markov platforms and boxed
+    /// per-processor sources otherwise.
     Seeded(SeedPath),
-    /// One caller-built source per processor, in processor order; the
-    /// caller controls their seeds.
-    Sources(Vec<Box<dyn AvailabilitySource>>),
-    /// A whole-row generator (e.g.
-    /// [`vg_platform::volatility::CorrelatedSource`]): one call emits every
-    /// processor's state for the slot, which is how cross-worker
-    /// correlation enters the engine without touching per-worker seed
-    /// streams.
+    /// A caller-built row source: boxed per-processor sources in
+    /// processor order (`Box::new(sources)` over a
+    /// `Vec<Box<dyn AvailabilitySource>>`, when the caller wraps or
+    /// reseeds them) or a whole-row generator such as
+    /// [`vg_platform::volatility::CorrelatedSource`], which is how
+    /// cross-worker correlation enters the engine without touching
+    /// per-worker seed streams.
     Rows(Box<dyn RowSource>),
     /// A recording shared by every heuristic of an instance, read row by
     /// row — one borrow and `p` byte reads per slot — so replaying runs
@@ -610,7 +605,6 @@ impl<'a> RunSpec<'a> {
         let p = self.platform.p();
         let width = match &self.availability {
             Availability::Seeded(_) => p,
-            Availability::Sources(sources) => sources.len(),
             Availability::Rows(rows) => rows.p(),
             Availability::Shared { trace, chains } => {
                 if chains.len() != p {
@@ -646,10 +640,12 @@ fn check_overlay(script_p: usize, p: usize) -> Result<(), ConfigError> {
 
 /// A **warmed simulation arena**: every per-run buffer of the engine —
 /// worker runtimes (including their `bound` vectors), chain statistics,
-/// the source vector and dense bank, iteration bookkeeping, the whole
-/// `SlotScratch`, slot marks and the bind-order queue — kept alive across
-/// runs so that back-to-back simulations stop paying the ~25-allocation
-/// construction cost of a fresh engine.
+/// iteration bookkeeping, the whole `SlotScratch`, slot marks and the
+/// bind-order queue — kept alive across runs so that back-to-back
+/// simulations stop paying the ~25-allocation construction cost of a
+/// fresh engine. Availability is not among them: an
+/// [`Availability::Seeded`] run builds its row source afresh, and the
+/// campaign path ([`Availability::Shared`]) only takes a handle.
 ///
 /// Intended use: one arena per worker thread of a campaign fan-out, driven
 /// through [`SimArena::run`] for every (heuristic, trial) instance. A fresh
@@ -663,8 +659,6 @@ fn check_overlay(script_p: usize, p: usize) -> Result<(), ConfigError> {
 pub struct SimArena {
     workers: WorkerSoA,
     chains: Vec<ChainStats>,
-    sources: Vec<Box<dyn AvailabilitySource>>,
-    dense: MarkovSourceBank,
     apps: Vec<AppRuntime>,
     iteration_completed_at: Vec<Slot>,
     bind_order: Vec<(usize, CopyId)>,
@@ -807,21 +801,13 @@ fn reserve_total<T>(v: &mut Vec<T>, n: usize) {
 /// Where a run's availability states come from, as the slot loop reads
 /// them ([`Availability`] resolved).
 enum SourceBank {
-    /// One live source per processor.
-    PerProc(Vec<Box<dyn AvailabilitySource>>),
-    /// A dense all-Markov bank: three contiguous columns advanced in one
-    /// linear sweep — the platform-scale path for seeded runs, bit-identical
-    /// to `PerProc` over `markov_source`s with the same seeds (pinned by
-    /// `dense_markov_bank_matches_boxed_streams` in vg-platform and the
-    /// availability matrix test of vg-sim).
-    Dense(MarkovSourceBank),
+    /// A live row source.
+    Rows(Box<dyn RowSource>),
     /// A shared recording, consumed row-by-row.
     Shared {
         trace: SharedTraceMatrix,
         next_slot: usize,
     },
-    /// A live whole-row generator.
-    Rows(Box<dyn RowSource>),
 }
 
 /// The communication parameters every application of a run shares.
@@ -983,17 +969,7 @@ impl Simulation {
             _ => chains.extend(platform.chain_stats()),
         }
         let sources = match availability {
-            Availability::Seeded(seeds) => {
-                if bufs.dense.rebuild_from_platform(platform, &seeds) {
-                    SourceBank::Dense(std::mem::take(&mut bufs.dense))
-                } else {
-                    let mut v = std::mem::take(&mut bufs.sources);
-                    v.clear();
-                    v.extend(platform.seeded_sources(seeds));
-                    SourceBank::PerProc(v)
-                }
-            }
-            Availability::Sources(v) => SourceBank::PerProc(v),
+            Availability::Seeded(seeds) => SourceBank::Rows(platform.seeded_rows(seeds)),
             Availability::Rows(rows) => SourceBank::Rows(rows),
             Availability::Shared { trace, .. } => SourceBank::Shared {
                 trace: trace.handle(),
@@ -1008,8 +984,8 @@ impl Simulation {
         apps.truncate(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             match apps.get_mut(i) {
-                Some(rt) => rt.reinit(i, spec, options.max_extra_replicas),
-                None => apps.push(AppRuntime::new(i, spec, options.max_extra_replicas)),
+                Some(rt) => rt.reinit(i, spec),
+                None => apps.push(AppRuntime::new(i, spec)),
             }
         }
         let total_m: usize = specs.iter().map(|s| s.config.tasks_per_iteration).sum();
@@ -1053,11 +1029,6 @@ impl Simulation {
 
     /// Hands this engine's reusable buffers back to `bufs`.
     fn release_into(self, bufs: &mut SimArena) {
-        match self.sources {
-            SourceBank::PerProc(v) => bufs.sources = v,
-            SourceBank::Dense(b) => bufs.dense = b,
-            SourceBank::Shared { .. } | SourceBank::Rows(_) => {}
-        }
         bufs.workers = self.workers;
         bufs.chains = self.chains;
         bufs.apps = self.apps;
@@ -1219,15 +1190,11 @@ impl Simulation {
         let state_row = &mut scratch.state_row;
         state_row.clear();
         match sources {
-            SourceBank::PerProc(v) => {
-                state_row.extend(v.iter_mut().map(|src| src.next_state()));
-            }
-            SourceBank::Dense(bank) => bank.next_row_into(state_row),
+            SourceBank::Rows(rows) => rows.next_row_into(state_row),
             SourceBank::Shared { trace, next_slot } => {
                 trace.with_row(*next_slot, |row| state_row.extend_from_slice(row));
                 *next_slot += 1;
             }
-            SourceBank::Rows(rows) => rows.next_row_into(state_row),
         }
         // Scripted chaos hook: force states *after* sampling so the base RNG
         // schedule is untouched; only actual flips count as injections. Kept
@@ -1699,7 +1666,7 @@ impl Simulation {
     }
 
     /// Application `a`'s replica round: idle UP workers receive replicas
-    /// of its least replicated unfinished tasks (≤ `max_extra_replicas`
+    /// of its least replicated unfinished tasks (≤ [`crate::MAX_EXTRA_REPLICAS`]
     /// each).
     ///
     /// Candidates first: near an iteration barrier every unfinished task
@@ -1717,10 +1684,7 @@ impl Simulation {
         }
         sub!(3, {
             let rt = &self.apps[a];
-            rt.iter.replica_candidates_into(
-                self.options.max_extra_replicas,
-                &mut self.scratch.pending,
-            );
+            rt.iter.replica_candidates_into(&mut self.scratch.pending);
             for t in &mut self.scratch.pending {
                 *t = global_task(rt.task_base, *t);
             }
@@ -2320,8 +2284,7 @@ impl Simulation {
                         }
                     },
                 };
-                let max_extra = self.options.max_extra_replicas;
-                self.apps[a].begin_next_iteration(up, max_extra);
+                self.apps[a].begin_next_iteration(up);
             }
         }
     }
@@ -2384,8 +2347,8 @@ mod tests {
         seed: u64,
         opts: SimOptions,
     ) -> Result<Simulation, ConfigError> {
-        let sources = platform.seeded_sources(SeedPath::root(seed)).collect();
-        let availability = Availability::Sources(sources);
+        let sources: Vec<_> = platform.seeded_sources(SeedPath::root(seed)).collect();
+        let availability = Availability::Rows(Box::new(sources));
         Simulation::new(RunSpec::new(
             platform,
             &[AppSpec::rigid(*app)],
@@ -2438,7 +2401,6 @@ mod tests {
     const NO_REP: SimOptions = SimOptions {
         max_slots: 100_000,
         replication: false,
-        max_extra_replicas: 2,
         record_timeline: false,
         placement_budget: PlacementBudget::Uncapped,
     };
@@ -2497,7 +2459,6 @@ mod tests {
     const CAPPED_NO_REP: SimOptions = SimOptions {
         max_slots: 100_000,
         replication: false,
-        max_extra_replicas: 2,
         record_timeline: false,
         placement_budget: PlacementBudget::BindCapacity,
     };
@@ -2790,7 +2751,6 @@ mod tests {
                         SimOptions {
                             max_slots: 100_000,
                             replication,
-                            max_extra_replicas: 2,
                             record_timeline: false,
                             placement_budget: PlacementBudget::Uncapped,
                         },
@@ -2852,7 +2812,6 @@ mod tests {
             let options = SimOptions {
                 max_slots: 100_000,
                 replication,
-                max_extra_replicas: 2,
                 record_timeline: false,
                 placement_budget: PlacementBudget::Uncapped,
             };
@@ -2978,12 +2937,12 @@ mod tests {
             t_data: 1,
         };
         let sched = HeuristicKind::Mct.build(SeedPath::root(1).rng());
-        let sources = platform.seeded_sources(SeedPath::root(1)).take(1).collect();
+        let sources: Vec<_> = platform.seeded_sources(SeedPath::root(1)).take(1).collect();
         let apps = [AppSpec::rigid(app)];
         let spec = RunSpec::new(
             &platform,
             &apps,
-            Availability::Sources(sources),
+            Availability::Rows(Box::new(sources)),
             sched,
             SimOptions::default(),
         );

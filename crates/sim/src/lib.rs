@@ -86,5 +86,5 @@ pub use engine::{
 };
 pub use report::{AppReport, Counters, MultiReport, SimReport};
 pub use store::WorkerSoA;
-pub use task::{CopyId, TaskId};
+pub use task::{CopyId, TaskId, MAX_EXTRA_REPLICAS};
 pub use timeline::{Activity, Timeline};

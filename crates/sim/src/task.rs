@@ -78,6 +78,10 @@ pub enum OriginalState {
 /// Empty slot sentinel in [`IterationState::pinned_replica_workers`] rows.
 pub const NO_REPLICA_WORKER: u32 = u32::MAX;
 
+/// Maximum *extra* copies per task under replication: the paper's "at most
+/// two extra copies" (Section 6.1), so three copies in all.
+pub const MAX_EXTRA_REPLICAS: usize = 2;
+
 /// Live state of one application iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IterationState {
@@ -88,11 +92,8 @@ pub struct IterationState {
     original: Vec<OriginalState>,
     replicas_alive: Vec<u8>,
     next_replica: Vec<u8>,
-    /// Replica-count cap per task (`max_extra_replicas` of the run) — the
-    /// row width of `replica_workers`.
-    max_extra: usize,
-    /// Flat `m × max_extra` record of where each live **pinned** replica
-    /// sits ([`NO_REPLICA_WORKER`] = empty slot). Together with
+    /// Flat `m × MAX_EXTRA_REPLICAS` record of where each live **pinned**
+    /// replica sits ([`NO_REPLICA_WORKER`] = empty slot). Together with
     /// [`OriginalState::Pinned`] this gives sibling cancellation the exact
     /// location of every pinned copy — no platform scan at completion.
     replica_workers: Vec<u32>,
@@ -101,14 +102,13 @@ pub struct IterationState {
 }
 
 impl IterationState {
-    /// Fresh iteration `index` with `m` pool tasks; `max_extra` is the
-    /// run's per-task replica cap (sizes the pinned-replica record).
+    /// Fresh iteration `index` with `m` pool tasks.
     ///
     /// One init path: `new` is [`Self::reinit`] applied to an empty shell,
     /// so the two can never drift apart field-by-field (debug builds also
     /// assert `reinit` against an independently constructed oracle).
     #[must_use]
-    pub fn new(index: u64, m: usize, max_extra: u8) -> Self {
+    pub fn new(index: u64, m: usize) -> Self {
         let mut it = Self {
             m: 0,
             index: 0,
@@ -117,18 +117,17 @@ impl IterationState {
             original: Vec::new(),
             replicas_alive: Vec::new(),
             next_replica: Vec::new(),
-            max_extra: 0,
             replica_workers: Vec::new(),
             completed_at: None,
         };
-        it.reinit(index, m, max_extra);
+        it.reinit(index, m);
         it
     }
 
     /// Independent literal construction, kept only as the debug oracle for
     /// the unified [`Self::new`]/[`Self::reinit`] init path.
     #[cfg(debug_assertions)]
-    fn fresh_oracle(index: u64, m: usize, max_extra: u8) -> Self {
+    fn fresh_oracle(index: u64, m: usize) -> Self {
         Self {
             m,
             index,
@@ -137,8 +136,7 @@ impl IterationState {
             original: vec![OriginalState::Pool; m],
             replicas_alive: vec![0; m],
             next_replica: vec![0; m],
-            max_extra: usize::from(max_extra),
-            replica_workers: vec![NO_REPLICA_WORKER; m * usize::from(max_extra)],
+            replica_workers: vec![NO_REPLICA_WORKER; m * MAX_EXTRA_REPLICAS],
             completed_at: None,
         }
     }
@@ -159,7 +157,7 @@ impl IterationState {
     /// Reinitializes in place for a **new run** with a possibly different
     /// task count, reusing the allocated buffers — the cross-run (arena)
     /// counterpart of [`Self::reset`], which keeps `m` fixed.
-    pub fn reinit(&mut self, index: u64, m: usize, max_extra: u8) {
+    pub fn reinit(&mut self, index: u64, m: usize) {
         assert!(m >= 1);
         self.m = m;
         self.index = index;
@@ -172,15 +170,14 @@ impl IterationState {
         self.replicas_alive.resize(m, 0);
         self.next_replica.clear();
         self.next_replica.resize(m, 0);
-        self.max_extra = usize::from(max_extra);
         self.replica_workers.clear();
         self.replica_workers
-            .resize(m * usize::from(max_extra), NO_REPLICA_WORKER);
+            .resize(m * MAX_EXTRA_REPLICAS, NO_REPLICA_WORKER);
         self.completed_at = None;
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             *self,
-            Self::fresh_oracle(index, m, max_extra),
+            Self::fresh_oracle(index, m),
             "in-place reinit diverged from a literal fresh construction"
         );
     }
@@ -223,12 +220,6 @@ impl IterationState {
         }
     }
 
-    /// Whether `task` is completed.
-    #[must_use]
-    pub fn is_task_completed(&self, task: TaskId) -> bool {
-        self.completed[task.idx()]
-    }
-
     /// Original-copy state of `task`.
     #[must_use]
     pub fn original_state(&self, task: TaskId) -> OriginalState {
@@ -241,19 +232,10 @@ impl IterationState {
         self.replicas_alive[task.idx()]
     }
 
-    /// Unfinished tasks whose original sits in the pool, in id order — the
-    /// `m − m′` schedulable tasks of Section 6.1.
-    ///
-    /// Allocates; the engine's slot loop uses [`Self::pool_tasks_into`].
-    #[must_use]
-    pub fn pool_tasks(&self) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        self.pool_tasks_into(&mut out);
-        out
-    }
-
-    /// Writes the pool tasks into `out` (cleared first), in id order.
-    /// Allocation-free once `out` has warmed to capacity `m`.
+    /// Writes into `out` (cleared first) the unfinished tasks whose
+    /// original sits in the pool, in id order — the `m − m′` schedulable
+    /// tasks of Section 6.1. Allocation-free once `out` has warmed to
+    /// capacity `m`.
     pub fn pool_tasks_into(&self, out: &mut Vec<TaskId>) {
         out.clear();
         for i in 0..self.m {
@@ -272,27 +254,16 @@ impl IterationState {
             .count()
     }
 
-    /// Unfinished tasks eligible for one more replica (fewer than
-    /// `max_extra` live replicas), ordered by (live copies, id) so the least
-    /// replicated task replicates first.
-    ///
-    /// Allocates; the engine's slot loop uses [`Self::replica_candidates_into`].
-    #[must_use]
-    pub fn replica_candidates(&self, max_extra: u8) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        self.replica_candidates_into(max_extra, &mut out);
-        out
-    }
-
-    /// Writes the replica candidates into `out` (cleared first), ordered by
-    /// (live copies, id). Allocation-free once `out` has warmed to capacity
-    /// `m`; one linear pass per replica level replaces a comparison sort
-    /// (`max_extra` is ≤ 2 in the paper) and yields the identical order,
-    /// since scanning level-by-level in id order *is* sorting by the unique
-    /// key (live copies, id).
-    pub fn replica_candidates_into(&self, max_extra: u8, out: &mut Vec<TaskId>) {
+    /// Writes into `out` (cleared first) the unfinished tasks eligible for
+    /// one more replica (fewer than [`MAX_EXTRA_REPLICAS`] live replicas),
+    /// ordered by (live copies, id) so the least replicated task replicates
+    /// first. Allocation-free once `out` has warmed to capacity `m`; one
+    /// linear pass per replica level replaces a comparison sort and yields
+    /// the identical order, since scanning level-by-level in id order *is*
+    /// sorting by the unique key (live copies, id).
+    pub fn replica_candidates_into(&self, out: &mut Vec<TaskId>) {
         out.clear();
-        for level in 0..max_extra {
+        for level in 0..MAX_EXTRA_REPLICAS as u8 {
             for i in 0..self.m {
                 if !self.completed[i] && self.replicas_alive[i] == level {
                     out.push(TaskId(i as u32));
@@ -326,8 +297,8 @@ impl IterationState {
     /// compute pipeline). At most one copy of a task lives on a worker, so
     /// `worker` identifies the replica within its row.
     pub fn record_replica_pin(&mut self, task: TaskId, worker: usize) {
-        let row = task.idx() * self.max_extra;
-        let slots = &mut self.replica_workers[row..row + self.max_extra];
+        let row = task.idx() * MAX_EXTRA_REPLICAS;
+        let slots = &mut self.replica_workers[row..row + MAX_EXTRA_REPLICAS];
         debug_assert!(
             !slots.contains(&(worker as u32)),
             "replica of {task} already recorded on worker {worker}"
@@ -336,15 +307,18 @@ impl IterationState {
             Some(slot) => *slot = worker as u32,
             // More pinned replicas than replicas_alive allows — mint/pin
             // accounting is broken somewhere upstream.
-            None => debug_assert!(false, "pinned-replica row of {task} overflows max_extra"),
+            None => debug_assert!(
+                false,
+                "pinned-replica row of {task} overflows MAX_EXTRA_REPLICAS"
+            ),
         }
     }
 
     /// Clears the pin record of `task`'s replica on `worker` (it completed,
     /// was canceled, or was lost to a crash).
     pub fn clear_replica_pin(&mut self, task: TaskId, worker: usize) {
-        let row = task.idx() * self.max_extra;
-        let slots = &mut self.replica_workers[row..row + self.max_extra];
+        let row = task.idx() * MAX_EXTRA_REPLICAS;
+        let slots = &mut self.replica_workers[row..row + MAX_EXTRA_REPLICAS];
         match slots.iter_mut().find(|w| **w == worker as u32) {
             Some(slot) => *slot = NO_REPLICA_WORKER,
             None => debug_assert!(false, "no pinned replica of {task} recorded on {worker}"),
@@ -352,11 +326,11 @@ impl IterationState {
     }
 
     /// `task`'s pinned-replica worker row ([`NO_REPLICA_WORKER`] = empty
-    /// slot; empty row when replication is off).
+    /// slot).
     #[must_use]
     pub fn pinned_replica_workers(&self, task: TaskId) -> &[u32] {
-        let row = task.idx() * self.max_extra;
-        &self.replica_workers[row..row + self.max_extra]
+        let row = task.idx() * MAX_EXTRA_REPLICAS;
+        &self.replica_workers[row..row + MAX_EXTRA_REPLICAS]
     }
 
     /// Marks the original of `task` pinned on `worker`.
@@ -392,32 +366,44 @@ impl IterationState {
 mod tests {
     use super::*;
 
+    fn pool(it: &IterationState) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        it.pool_tasks_into(&mut out);
+        out
+    }
+
+    fn candidates(it: &IterationState) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        it.replica_candidates_into(&mut out);
+        out
+    }
+
     #[test]
     fn fresh_iteration_pools_everything() {
-        let it = IterationState::new(3, 4, 2);
+        let it = IterationState::new(3, 4);
         assert_eq!(it.index(), 3);
         assert_eq!(it.m(), 4);
-        assert_eq!(it.pool_tasks().len(), 4);
+        assert_eq!(pool(&it).len(), 4);
         assert!(!it.is_complete());
         assert_eq!(it.n_completed(), 0);
     }
 
     #[test]
     fn pinning_removes_from_pool() {
-        let mut it = IterationState::new(0, 3, 2);
+        let mut it = IterationState::new(0, 3);
         it.pin_original(TaskId(1), 7);
-        assert_eq!(it.pool_tasks(), vec![TaskId(0), TaskId(2)]);
+        assert_eq!(pool(&it), vec![TaskId(0), TaskId(2)]);
         assert_eq!(
             it.original_state(TaskId(1)),
             OriginalState::Pinned { worker: 7 }
         );
         it.release_original(TaskId(1));
-        assert_eq!(it.pool_tasks().len(), 3);
+        assert_eq!(pool(&it).len(), 3);
     }
 
     #[test]
     fn completion_counts_once() {
-        let mut it = IterationState::new(0, 2, 2);
+        let mut it = IterationState::new(0, 2);
         assert!(it.mark_completed(TaskId(0)));
         assert!(!it.mark_completed(TaskId(0)));
         assert_eq!(it.n_completed(), 1);
@@ -429,36 +415,36 @@ mod tests {
 
     #[test]
     fn completed_tasks_leave_pool() {
-        let mut it = IterationState::new(0, 2, 2);
+        let mut it = IterationState::new(0, 2);
         it.mark_completed(TaskId(0));
-        assert_eq!(it.pool_tasks(), vec![TaskId(1)]);
+        assert_eq!(pool(&it), vec![TaskId(1)]);
     }
 
     #[test]
     fn replica_minting_and_limits() {
-        let mut it = IterationState::new(0, 2, 2);
+        let mut it = IterationState::new(0, 2);
         let r1 = it.mint_replica(TaskId(0));
         assert_eq!(r1.replica, 1);
         assert!(!r1.is_original());
         assert_eq!(it.replicas_alive(TaskId(0)), 1);
 
         // Candidates ordered by fewest live copies.
-        let cands = it.replica_candidates(2);
+        let cands = candidates(&it);
         assert_eq!(cands, vec![TaskId(1), TaskId(0)]);
 
         let _r2 = it.mint_replica(TaskId(0));
         assert_eq!(it.replicas_alive(TaskId(0)), 2);
         // Task 0 is now saturated.
-        assert_eq!(it.replica_candidates(2), vec![TaskId(1)]);
+        assert_eq!(candidates(&it), vec![TaskId(1)]);
 
         it.drop_replica(TaskId(0));
         assert_eq!(it.replicas_alive(TaskId(0)), 1);
-        assert_eq!(it.replica_candidates(2), vec![TaskId(1), TaskId(0)]);
+        assert_eq!(candidates(&it), vec![TaskId(1), TaskId(0)]);
     }
 
     #[test]
     fn replica_ids_stay_unique() {
-        let mut it = IterationState::new(0, 1, 2);
+        let mut it = IterationState::new(0, 1);
         let a = it.mint_replica(TaskId(0));
         it.drop_replica(TaskId(0));
         let b = it.mint_replica(TaskId(0));
@@ -467,14 +453,14 @@ mod tests {
 
     #[test]
     fn completed_tasks_are_not_replica_candidates() {
-        let mut it = IterationState::new(0, 2, 2);
+        let mut it = IterationState::new(0, 2);
         it.mark_completed(TaskId(0));
-        assert_eq!(it.replica_candidates(2), vec![TaskId(1)]);
+        assert_eq!(candidates(&it), vec![TaskId(1)]);
     }
 
     #[test]
     fn pinned_replica_record_round_trips() {
-        let mut it = IterationState::new(0, 3, 2);
+        let mut it = IterationState::new(0, 3);
         assert_eq!(
             it.pinned_replica_workers(TaskId(1)),
             &[NO_REPLICA_WORKER; 2]
@@ -508,24 +494,20 @@ mod tests {
             it.pinned_replica_workers(TaskId(1)),
             &[NO_REPLICA_WORKER; 2]
         );
-
-        // Replication off: rows are empty, the record costs nothing.
-        it.reinit(0, 4, 0);
-        assert!(it.pinned_replica_workers(TaskId(3)).is_empty());
     }
 
     #[test]
     fn reinit_is_equivalent_to_fresh_construction() {
-        let mut it = IterationState::new(0, 3, 2);
+        let mut it = IterationState::new(0, 3);
         let _ = it.mint_replica(TaskId(1));
         it.record_replica_pin(TaskId(1), 5);
         it.pin_original(TaskId(0), 9);
         it.mark_completed(TaskId(2));
-        it.reinit(7, 5, 1);
-        assert_eq!(it, IterationState::new(7, 5, 1));
+        it.reinit(7, 5);
+        assert_eq!(it, IterationState::new(7, 5));
         // Shrinking and growing both land on the fresh-construction state.
-        it.reinit(2, 1, 0);
-        assert_eq!(it, IterationState::new(2, 1, 0));
+        it.reinit(2, 1);
+        assert_eq!(it, IterationState::new(2, 1));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! * `Seeded`: the dense bank on an all-Markov platform, boxed sources on
 //!   a mixed one;
-//! * `Sources`: the same streams, built by the caller;
-//! * `Rows`: an identity correlated model over the same streams;
+//! * `sources`: `Rows` over boxed per-processor sources the caller built,
+//!   on every platform;
+//! * `rows`: `Rows` over an identity correlated model of the same streams;
 //! * `Shared`: a recording of the same streams, with the caller's chains.
 //!
 //! Each runs through a fresh [`Simulation::new`] and through one warmed
@@ -54,7 +55,7 @@ fn platform(p: usize, mixed: bool) -> PlatformConfig {
     }
 }
 
-/// The four availability kinds over the stream seeded from `seed`.
+/// Four ways to give a run the stream seeded from `seed`.
 const KINDS: [&str; 4] = ["seeded", "sources", "rows", "shared"];
 
 fn availability<'a>(
@@ -66,7 +67,7 @@ fn availability<'a>(
 ) -> Availability<'a> {
     match kind {
         "seeded" => Availability::Seeded(seed),
-        "sources" => Availability::Sources(pf.seeded_sources(seed).collect()),
+        "sources" => Availability::Rows(Box::new(pf.seeded_sources(seed).collect::<Vec<_>>())),
         "rows" => {
             let model = CorrelatedModel::uniform_groups(pf.p(), 2, OutageChain::identity());
             Availability::Rows(Box::new(model.build(pf, &seed).unwrap()))
@@ -181,7 +182,7 @@ fn every_consumer_rejects_mismatched_widths() {
         vec![
             (
                 "sources",
-                Availability::Sources(wide.seeded_sources(seed).collect()),
+                Availability::Rows(Box::new(wide.seeded_sources(seed).collect::<Vec<_>>())),
                 None,
             ),
             (

@@ -99,13 +99,13 @@ fn run_counting(
     trace_seed: u64,
     options: SimOptions,
 ) -> (SimReport, u64) {
-    let sources = platform
+    let sources: Vec<_> = platform
         .seeded_sources(SeedPath::root(trace_seed))
         .collect();
     let mut sim = Simulation::new(RunSpec::new(
         platform,
         &[AppSpec::rigid(*app)],
-        Availability::Sources(sources),
+        Availability::Rows(Box::new(sources)),
         kind.build(SeedPath::root(sched_seed).rng()),
         options,
     ))
@@ -136,7 +136,6 @@ fn capped_runs_that_never_engage_are_bit_identical_to_uncapped() {
                 let options = SimOptions {
                     max_slots: cell.max_slots,
                     replication,
-                    max_extra_replicas: 2,
                     record_timeline: false,
                     placement_budget: PlacementBudget::Uncapped,
                 };

@@ -55,7 +55,6 @@ fn options() -> SimOptions {
     SimOptions {
         max_slots: 600,
         replication: true,
-        max_extra_replicas: 2,
         ..SimOptions::default()
     }
 }
@@ -158,7 +157,7 @@ fn row_overlay_matches_wrapped_sources() {
     for kind in HeuristicKind::ALL {
         // Path A: per-source wrappers around the boxed seeded sources.
         let sources = pf.seeded_sources(SeedPath::root(seed)).collect();
-        let wrapped = Availability::Sources(script.wrap_sources(sources));
+        let wrapped = Availability::Rows(Box::new(script.wrap_sources(sources)));
         let wrapped = run(&pf, kind, seed, wrapped, None);
         // Path B: row-level overlay on the dense seeded bank.
         let mut overlaid = run_overlaid(&pf, kind, seed, &script);

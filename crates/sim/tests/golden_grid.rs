@@ -205,7 +205,6 @@ fn grid_reports_match_the_committed_digests() {
                 let options = SimOptions {
                     max_slots: cell.max_slots,
                     replication,
-                    max_extra_replicas: 2,
                     record_timeline: false,
                     placement_budget: PlacementBudget::Uncapped,
                 };
@@ -267,7 +266,6 @@ fn multi_app_api_with_single_roster_matches_single_app_api() {
             let options = SimOptions {
                 max_slots: cell.max_slots,
                 replication,
-                max_extra_replicas: 2,
                 record_timeline: false,
                 placement_budget: PlacementBudget::Uncapped,
             };
@@ -349,7 +347,6 @@ fn warmed_arena_matches_cold_engines_across_resizes() {
         let options = SimOptions {
             max_slots: 50_000,
             replication,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         };
@@ -420,7 +417,6 @@ fn capped_runs_leave_no_stale_dirty_bits_across_arena_resizes() {
         let options = SimOptions {
             max_slots,
             replication: true,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         };
@@ -512,7 +508,6 @@ fn capped_and_two_app_platform_scale_rows_match_the_committed_digests() {
             let capped = SimOptions {
                 max_slots: 4,
                 replication,
-                max_extra_replicas: 2,
                 record_timeline: false,
                 placement_budget: PlacementBudget::BindCapacity,
             };
@@ -630,7 +625,6 @@ fn small_multi_app_rows_match_the_committed_digests() {
                         let options = SimOptions {
                             max_slots: 5_000,
                             replication,
-                            max_extra_replicas: 2,
                             record_timeline: false,
                             placement_budget,
                         };
@@ -694,7 +688,6 @@ fn warmed_arena_does_not_carry_lanes_across_same_size_platforms() {
         let options = SimOptions {
             max_slots: 2_000,
             replication: true,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         };

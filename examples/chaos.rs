@@ -34,7 +34,6 @@ fn main() {
     let options = SimOptions {
         record_timeline: true,
         replication: true,
-        max_extra_replicas: 2,
         ..SimOptions::default()
     };
 

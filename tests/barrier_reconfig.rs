@@ -34,7 +34,6 @@ fn options(replication: bool) -> SimOptions {
     SimOptions {
         max_slots: 150_000,
         replication,
-        max_extra_replicas: 2,
         record_timeline: false,
         placement_budget: PlacementBudget::Uncapped,
     }

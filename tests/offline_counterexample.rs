@@ -72,7 +72,6 @@ fn online_mct_fails_the_counterexample() {
         SimOptions {
             max_slots: 200,
             replication: false,
-            max_extra_replicas: 0,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
@@ -125,7 +124,6 @@ fn replication_rescues_online_mct() {
         SimOptions {
             max_slots: 500,
             replication: false,
-            max_extra_replicas: 0,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
@@ -140,7 +138,6 @@ fn replication_rescues_online_mct() {
         SimOptions {
             max_slots: 500,
             replication: true,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },

@@ -35,7 +35,6 @@ fn run(
         SimOptions {
             max_slots: 150_000,
             replication,
-            max_extra_replicas: 2,
             record_timeline: false,
             placement_budget: PlacementBudget::Uncapped,
         },
