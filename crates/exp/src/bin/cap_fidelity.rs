@@ -15,8 +15,7 @@
 //! Writes a JSON report to `$CAP_FIDELITY_OUT` (default
 //! `target/CAP_FIDELITY.json`) and prints a text summary.
 
-use std::time::Instant;
-
+use vg_core::HeuristicKind;
 use vg_des::stats::OnlineStats;
 use vg_exp::cli::ExpArgs;
 use vg_exp::paired::{self, Delta, Report, Row};
@@ -33,67 +32,52 @@ fn mean_dfb(result: &CampaignResult, i: usize) -> f64 {
 fn main() {
     let args = ExpArgs::from_env();
     let cells = paired::study_cells(&args);
-    let mut report = Report::start("cap_fidelity", &args, cells.len(), "capped vs uncapped", 2);
+    let roster = HeuristicKind::ALL;
+    let what = "capped vs uncapped";
+    let mut report = Report::start("cap_fidelity", &args, cells.len(), roster.len(), what, 2);
 
-    let t0 = Instant::now();
     let sim = |placement_budget| SimOptions {
         placement_budget,
         ..SimOptions::default()
     };
-    let uncapped = paired::campaign(&args, &cells, sim(PlacementBudget::Uncapped));
-    let capped = paired::campaign(&args, &cells, sim(PlacementBudget::BindCapacity));
-    let elapsed = t0.elapsed().as_secs_f64();
+    let uncapped = args.campaign(&roster, &cells, sim(PlacementBudget::Uncapped), true);
+    let capped = args.campaign(&roster, &cells, sim(PlacementBudget::BindCapacity), true);
     let pairing = paired::pair_campaigns(&uncapped, &capped).expect("CRN-aligned campaigns");
-    let dfb_pp = |i| mean_dfb(&capped, i) - mean_dfb(&uncapped, i);
 
-    let indistinguishable = pairing.count_cells(Delta::indistinguishable);
-    println!(
-        "\n{indistinguishable}/{} cells statistically indistinguishable \
-         (paired 95% CI of the relative makespan delta contains 0, no completion flips)",
-        cells.len()
+    // Indistinguishable: the paired 95% CI of the relative makespan delta
+    // contains 0, and no completion flips.
+    let summary = Row::default().with("cells_total", cells.len()).with(
+        "cells_indistinguishable",
+        pairing.count_cells(Delta::indistinguishable),
     );
+    report.line(&summary);
+    let (cell_rows, heuristic_rows) =
+        paired::makespan_arrays(&mut report, &cells, &roster, &pairing, |i| {
+            Row::default().with(
+                "dfb_delta_pp",
+                mean_dfb(&capped, i) - mean_dfb(&uncapped, i),
+            )
+        });
 
+    println!("\n{}", text_table(&[summary]));
     // The cells where the cap changes answers the most, by |mean delta|.
-    let rows = paired::top_cells(
-        &cells,
+    let divergent = paired::top_rows(
+        &cell_rows,
+        10,
         |i| !pairing.cells[i].indistinguishable(),
         |i| pairing.cells[i].stats.mean().abs(),
-        |i| {
-            let d = &pairing.cells[i];
-            let [mean, ci] = d.text(3);
-            vec![mean, ci, format!("{:+.3}", dfb_pp(i)), d.flips.to_string()]
-        },
     );
-    if !rows.is_empty() {
-        let headers = ["n", "ncom", "wmin", "mk Δ%", "95% CI", "dfb Δpp", "flips"];
+    if !divergent.is_empty() {
         println!(
-            "\nmost divergent cells (capped − uncapped):\n{}",
-            text_table(&headers, &rows)
+            "most divergent cells (capped − uncapped):\n{}",
+            text_table(&divergent)
         );
     }
-
-    let rows: Vec<Vec<String>> = uncapped
-        .heuristics
-        .iter()
-        .zip(&pairing.heuristics)
-        .map(|(kind, d)| {
-            let [mean, ci] = d.text(4);
-            vec![kind.name().into(), d.stats.count().to_string(), mean, ci]
-        })
-        .collect();
     println!(
         "per-heuristic relative makespan delta (%):\n{}",
-        text_table(&["Algorithm", "pairs", "mean Δ%", "95% CI"], &rows)
+        text_table(&heuristic_rows)
     );
-    eprintln!("done in {elapsed:.1}s");
-
-    report.line(
-        &Row::default()
-            .with("cells_total", cells.len())
-            .with("cells_indistinguishable", indistinguishable),
-    );
-    let csv = paired::makespan_arrays(&mut report, &cells, &uncapped.heuristics, &pairing, |i| {
-        Row::default().with("dfb_delta_pp", dfb_pp(i))
-    });
-    report.finish(&args, &csv).expect("write fidelity report");
+    report
+        .finish(&args, &[&cell_rows])
+        .expect("write fidelity report");
 }

@@ -20,10 +20,9 @@
 //! Writes a JSON report to `$CHAOS_ROBUSTNESS_OUT` (default
 //! `target/CHAOS_ROBUSTNESS.json`) and prints a text summary.
 
-use std::time::Instant;
-
+use vg_core::HeuristicKind;
 use vg_exp::cli::ExpArgs;
-use vg_exp::paired::{self, Delta, Paired, Report, Row};
+use vg_exp::paired::{self, Delta, Report, Row};
 use vg_exp::report::text_table;
 use vg_exp::scenario::VolatilitySpec;
 use vg_exp::ScenarioParams;
@@ -56,77 +55,56 @@ const FAMILIES: [Family; 3] = [
 fn main() {
     let args = ExpArgs::from_env();
     let cells = paired::study_cells(&args);
+    let roster = HeuristicKind::ALL;
     let what = format!("baseline + {} chaos families", FAMILIES.len());
     let sides = 1 + FAMILIES.len();
-    let mut report = Report::start("chaos_robustness", &args, cells.len(), &what, sides);
+    let mut report = Report::start(
+        "chaos_robustness",
+        &args,
+        cells.len(),
+        roster.len(),
+        &what,
+        sides,
+    );
 
-    let t0 = Instant::now();
-    let baseline = paired::campaign(&args, &cells, SimOptions::default());
-    let pairings: Vec<Paired> = FAMILIES
-        .iter()
-        .map(|(name, spec)| {
-            let chaos_cells: Vec<ScenarioParams> =
-                cells.iter().map(|c| c.with_volatility(spec(c))).collect();
-            let chaos = paired::campaign(&args, &chaos_cells, SimOptions::default());
-            let pairing = paired::pair_campaigns(&baseline, &chaos).expect("CRN-aligned campaigns");
-            println!(
-                "  {name} campaign done ({:.1}s)",
-                t0.elapsed().as_secs_f64()
-            );
-            pairing
-        })
-        .collect();
-    let elapsed = t0.elapsed().as_secs_f64();
+    let baseline = args.campaign(&roster, &cells, SimOptions::default(), true);
+    let (mut families, mut csv) = (Vec::new(), Vec::new());
+    report.array("families");
+    for (name, spec) in FAMILIES {
+        let chaos_cells: Vec<ScenarioParams> =
+            cells.iter().map(|c| c.with_volatility(spec(c))).collect();
+        let chaos = args.campaign(&roster, &chaos_cells, SimOptions::default(), true);
+        let pairing = paired::pair_campaigns(&baseline, &chaos).expect("CRN-aligned campaigns");
+        let family = Row::default().with("family", name);
+        let summary = family
+            .clone()
+            .with("cells_total", cells.len())
+            .with(
+                "cells_indistinguishable",
+                pairing.count_cells(Delta::indistinguishable),
+            )
+            .with("completion_flips", pairing.flips());
+        report.object();
+        report.line(&summary);
+        let (cell_rows, heuristic_rows) =
+            paired::makespan_arrays(&mut report, &cells, &roster, &pairing, |_| Row::default());
+        report.close();
 
-    // Text summary: per family, the overall paired delta and the most
-    // degraded heuristics.
-    for ((name, _), pairing) in FAMILIES.iter().zip(&pairings) {
+        // The text summary adds the mean delta over heuristics and ranks
+        // the heuristics, most degraded first.
         let means = pairing.heuristics.iter().map(|d| d.stats.mean());
         let all = means.sum::<f64>() / pairing.heuristics.len() as f64;
-        let indist = pairing.count_cells(Delta::indistinguishable);
-        println!(
-            "\n=== {name} === mean makespan delta {all:+.2}% | {indist}/{} cells \
-             indistinguishable | {} flips",
-            cells.len(),
-            pairing.flips()
+        families.push(summary.with("mk_delta_pct_mean", all));
+        let ranked = paired::top_rows(
+            &heuristic_rows,
+            heuristic_rows.len(),
+            |_| true,
+            |h| pairing.heuristics[h].stats.mean(),
         );
-        let mut ranked: Vec<(usize, &Delta)> = pairing.heuristics.iter().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.stats.mean().total_cmp(&a.1.stats.mean()));
-        let rows: Vec<Vec<String>> = ranked
-            .iter()
-            .take(5)
-            .chain(ranked.iter().rev().take(3).rev())
-            .map(|(h, d)| {
-                let [mean, ci] = d.text(3);
-                let name = baseline.heuristics[*h].name().into();
-                vec![name, d.stats.count().to_string(), mean, ci]
-            })
-            .collect();
-        let headers = ["Algorithm", "pairs", "mk Δ%", "95% CI"];
-        println!("{}", text_table(&headers, &rows));
-    }
-    eprintln!("done in {elapsed:.1}s");
-
-    let mut csv = Vec::new();
-    report.array("families");
-    for ((name, _), pairing) in FAMILIES.iter().zip(&pairings) {
-        let family = Row::default().with("family", *name);
-        report.object();
-        report.line(
-            &family
-                .clone()
-                .with("cells_total", cells.len())
-                .with(
-                    "cells_indistinguishable",
-                    pairing.count_cells(Delta::indistinguishable),
-                )
-                .with("completion_flips", pairing.flips()),
-        );
-        let kinds = &baseline.heuristics;
-        let rows = paired::makespan_arrays(&mut report, &cells, kinds, pairing, |_| Row::default());
-        csv.extend(rows.into_iter().map(|row| family.clone().append(row)));
-        report.close();
+        println!("\n=== {name} ===\n{}", text_table(&ranked));
+        csv.extend(cell_rows.into_iter().map(|row| family.clone().append(row)));
     }
     report.close();
-    report.finish(&args, &csv).expect("write chaos report");
+    println!("{}", text_table(&families));
+    report.finish(&args, &[&csv]).expect("write chaos report");
 }

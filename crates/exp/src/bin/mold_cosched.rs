@@ -84,8 +84,8 @@ fn main() {
     let args = ExpArgs::from_env();
     let cells = paired::study_cells(&args);
     let what = "rigid vs moldable vs 2-app co-schedule";
-    let mut report = Report::start("mold_cosched", &args, cells.len(), what, 3);
     let (nc, nh) = (cells.len(), HeuristicKind::ALL.len());
+    let mut report = Report::start("mold_cosched", &args, nc, nh, what, 3);
 
     let (scenarios, trials) = (args.scenarios, args.trials);
     let units: Vec<(usize, usize, u64)> = (0..nc)
@@ -117,84 +117,6 @@ fn main() {
         }
     }
 
-    let (mold_wins, co_wins) = (
-        tput.count_cells(Delta::wins),
-        saved.count_cells(Delta::wins),
-    );
-    println!(
-        "\nmoldable throughput wins in {mold_wins}/{nc} cells, co-scheduling saves \
-         makespan in {co_wins}/{nc} cells (paired 95% CI strictly positive, no \
-         completion flips)"
-    );
-
-    // The cells where each policy moves the needle the most.
-    let rows = paired::top_cells(
-        &cells,
-        |_| true,
-        |i| tput.cells[i].stats.mean().abs(),
-        |i| {
-            let t = &tput.cells[i];
-            let [mean, ci] = t.text(3);
-            let final_m = format!("{:.1}", final_m.cells[i].stats.mean());
-            vec![
-                format!("{:+.3}", mk.cells[i].stats.mean()),
-                mean,
-                ci,
-                final_m,
-                t.flips.to_string(),
-            ]
-        },
-    );
-    let headers = [
-        "n",
-        "ncom",
-        "wmin",
-        "mk Δ%",
-        "tput Δ%",
-        "tput 95% CI",
-        "final m",
-        "flips",
-    ];
-    println!(
-        "\nmoldable vs rigid, largest |throughput delta| first:\n{}",
-        text_table(&headers, &rows)
-    );
-    let rows = paired::top_cells(
-        &cells,
-        |_| true,
-        |i| saved.cells[i].stats.mean(),
-        |i| {
-            let [mean, ci] = saved.cells[i].text(3);
-            vec![mean, ci, saved.cells[i].flips.to_string()]
-        },
-    );
-    let headers = ["n", "ncom", "wmin", "saved %", "95% CI", "flips"];
-    println!(
-        "co-scheduled vs back-to-back, largest saving first:\n{}",
-        text_table(&headers, &rows)
-    );
-
-    let rows: Vec<Vec<String>> = HeuristicKind::ALL
-        .iter()
-        .enumerate()
-        .map(|(h, kind)| {
-            let (t, s) = (&tput.heuristics[h], &saved.heuristics[h]);
-            let mut row = vec![kind.name().into(), t.stats.count().to_string()];
-            row.extend(t.text(4).into_iter().chain(s.text(4)));
-            row
-        })
-        .collect();
-    let headers = [
-        "Algorithm",
-        "pairs",
-        "mold tput Δ%",
-        "95% CI",
-        "cosched saved %",
-        "95% CI",
-    ];
-    println!("per-heuristic deltas:\n{}", text_table(&headers, &rows));
-    eprintln!("done in {elapsed:.1}s");
-
     let tput_keys = [
         "mold_tput_delta_pct_mean",
         "mold_tput_ci95_lo",
@@ -205,12 +127,12 @@ fn main() {
         "cosched_ci95_lo",
         "cosched_ci95_hi",
     ];
-    report.line(
-        &Row::default()
-            .with("cells_total", nc)
-            .with("cells_mold_tput_wins", mold_wins)
-            .with("cells_cosched_wins", co_wins),
-    );
+    // Wins: the paired 95% CI is strictly positive, and no completion flips.
+    let summary = Row::default()
+        .with("cells_total", nc)
+        .with("cells_mold_tput_wins", tput.count_cells(Delta::wins))
+        .with("cells_cosched_wins", saved.count_cells(Delta::wins));
+    report.line(&summary);
     let cell_rows: Vec<Row> = (0..nc)
         .map(|i| {
             let (t, s) = (&tput.cells[i], &saved.cells[i]);
@@ -242,7 +164,27 @@ fn main() {
         })
         .collect();
     report.rows("per_heuristic", &heuristic_rows);
+
+    // The cells where each policy moves the needle the most.
+    let by_tput = paired::top_rows(
+        &cell_rows,
+        10,
+        |_| true,
+        |i| tput.cells[i].stats.mean().abs(),
+    );
+    let by_saving = paired::top_rows(&cell_rows, 10, |_| true, |i| saved.cells[i].stats.mean());
+    println!("\n{}", text_table(&[summary]));
+    println!(
+        "moldable vs rigid, largest |throughput delta| first:\n{}",
+        text_table(&by_tput)
+    );
+    println!(
+        "co-scheduled vs back-to-back, largest saving first:\n{}",
+        text_table(&by_saving)
+    );
+    println!("per-heuristic deltas:\n{}", text_table(&heuristic_rows));
+    eprintln!("done in {elapsed:.1}s");
     report
-        .finish(&args, &cell_rows)
+        .finish(&args, &[&cell_rows])
         .expect("write fidelity report");
 }

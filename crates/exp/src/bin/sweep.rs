@@ -9,42 +9,19 @@
 //! ```
 
 use vg_core::HeuristicKind;
-use vg_des::par::ParallelismConfig;
-use vg_exp::campaign::{run_campaign, CampaignConfig};
-use vg_exp::cli::exit_on_rejected;
-use vg_exp::report::summary_table;
+use vg_exp::cli::ExpArgs;
+use vg_exp::report::text_table;
 use vg_exp::scenario::ScenarioParams;
+use vg_exp::HeuristicSummary;
 use vg_sim::SimOptions;
 
 #[derive(Debug)]
 struct SweepArgs {
-    p: usize,
-    n: usize,
-    ncom: usize,
-    wmin: u64,
-    comm_scale: u64,
-    iterations: u64,
+    /// The cell; the paper's `n = 20, ncom = 5, wmin = 5` by default.
+    cell: ScenarioParams,
     heuristics: Vec<HeuristicKind>,
-    scenarios: usize,
-    trials: u64,
-    seed: u64,
-}
-
-impl Default for SweepArgs {
-    fn default() -> Self {
-        Self {
-            p: 20,
-            n: 20,
-            ncom: 5,
-            wmin: 5,
-            comm_scale: 1,
-            iterations: 10,
-            heuristics: HeuristicKind::GREEDY.to_vec(),
-            scenarios: 8,
-            trials: 2,
-            seed: 42,
-        }
-    }
+    /// Scenarios, trials and seed; the rest at its defaults.
+    campaign: ExpArgs,
 }
 
 const USAGE: &str = "
@@ -63,30 +40,36 @@ Options (all optional):
   --seed S          master seed                   (default 42)
 ";
 
+/// The value after flag `name`, parsed.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    name: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = it.next().ok_or_else(|| format!("{name} needs a value"))?;
+    v.parse().map_err(|e| format!("{name}: {e}"))
+}
+
 fn parse_args() -> Result<SweepArgs, String> {
-    let mut out = SweepArgs::default();
+    let mut out = SweepArgs {
+        cell: ScenarioParams::paper(20, 5, 5),
+        heuristics: HeuristicKind::GREEDY.to_vec(),
+        campaign: ExpArgs::default(),
+    };
     let mut it = std::env::args().skip(1);
     while let Some(tok) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let it = &mut it;
         match tok.as_str() {
-            "--p" => out.p = val("--p")?.parse().map_err(|e| format!("--p: {e}"))?,
-            "--n" => out.n = val("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--ncom" => out.ncom = val("--ncom")?.parse().map_err(|e| format!("--ncom: {e}"))?,
-            "--wmin" => out.wmin = val("--wmin")?.parse().map_err(|e| format!("--wmin: {e}"))?,
-            "--comm-scale" => {
-                out.comm_scale = val("--comm-scale")?
-                    .parse()
-                    .map_err(|e| format!("--comm-scale: {e}"))?;
-            }
-            "--iterations" => {
-                out.iterations = val("--iterations")?
-                    .parse()
-                    .map_err(|e| format!("--iterations: {e}"))?;
-            }
+            "--p" => out.cell.p = value(it, &tok)?,
+            "--n" => out.cell.n_tasks = value(it, &tok)?,
+            "--ncom" => out.cell.ncom = value(it, &tok)?,
+            "--wmin" => out.cell.wmin = value(it, &tok)?,
+            "--comm-scale" => out.cell.comm_scale = value(it, &tok)?,
+            "--iterations" => out.cell.iterations = value(it, &tok)?,
             "--heuristics" => {
-                let list = val("--heuristics")?;
+                let list: String = value(it, &tok)?;
                 out.heuristics = list
                     .split(',')
                     .map(|name| {
@@ -98,17 +81,9 @@ fn parse_args() -> Result<SweepArgs, String> {
                     return Err("need at least one heuristic".into());
                 }
             }
-            "--scenarios" => {
-                out.scenarios = val("--scenarios")?
-                    .parse()
-                    .map_err(|e| format!("--scenarios: {e}"))?;
-            }
-            "--trials" => {
-                out.trials = val("--trials")?
-                    .parse()
-                    .map_err(|e| format!("--trials: {e}"))?;
-            }
-            "--seed" => out.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--scenarios" => out.campaign.scenarios = value(it, &tok)?,
+            "--trials" => out.campaign.trials = value(it, &tok)?,
+            "--seed" => out.campaign.seed = value(it, &tok)?,
             "--help" | "-h" => return Err(USAGE.trim().to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
@@ -124,17 +99,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let cell = ScenarioParams {
-        p: args.p,
-        n_tasks: args.n,
-        ncom: args.ncom,
-        wmin: args.wmin,
-        comm_scale: args.comm_scale,
-        iterations: args.iterations,
-        diag_lo: 0.90,
-        diag_hi: 0.99,
-        volatility: vg_exp::scenario::VolatilitySpec::Independent,
-    };
+    let cell = args.cell;
     println!(
         "sweep: p={} n={} ncom={} wmin={} T_data={} T_prog={} iterations={}",
         cell.p,
@@ -145,20 +110,14 @@ fn main() {
         cell.t_prog(),
         cell.iterations
     );
-    let cfg = CampaignConfig {
-        heuristics: args.heuristics,
-        scenarios_per_cell: args.scenarios,
-        trials: args.trials,
-        master_seed: args.seed,
-        parallelism: ParallelismConfig::Auto,
-        sim: SimOptions::default(),
-        keep_outcomes: false,
-    };
-    let result = run_campaign(std::slice::from_ref(&cell), &cfg);
-    exit_on_rejected(&result);
-    println!(
-        "{} instances\n\n{}",
-        result.instances,
-        summary_table(&result.summarize())
-    );
+    let roster = &args.heuristics;
+    let result = args
+        .campaign
+        .campaign(roster, &[cell], SimOptions::default(), false);
+    let rows: Vec<_> = result
+        .summarize()
+        .iter()
+        .map(HeuristicSummary::row)
+        .collect();
+    println!("{} instances\n\n{}", result.instances, text_table(&rows));
 }

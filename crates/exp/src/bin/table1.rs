@@ -6,24 +6,29 @@
 //! ```
 
 use vg_des::rng::SeedPath;
+use vg_exp::paired::{Row, Value};
 use vg_exp::report::text_table;
 use vg_exp::scenario::{make_scenario, ScenarioParams};
 
 fn main() {
     println!("Table 1: parameter values for the Markov experiments\n");
-    let rows = vec![
-        vec!["p".to_string(), "20".to_string()],
-        vec!["n".to_string(), "5, 10, 20, 40".to_string()],
-        vec!["ncom".to_string(), "5, 10, 20".to_string()],
-        vec!["wmin".to_string(), "1..=10".to_string()],
-        vec!["P(x,x)".to_string(), "U[0.90, 0.99]".to_string()],
-        vec!["P(x,y)".to_string(), "(1 - P(x,x)) / 2".to_string()],
-        vec!["w_q".to_string(), "U[wmin, 10*wmin]".to_string()],
-        vec!["T_data".to_string(), "wmin".to_string()],
-        vec!["T_prog".to_string(), "5*wmin".to_string()],
-        vec!["iterations".to_string(), "10".to_string()],
+    let parameters = [
+        ("p", "20"),
+        ("n", "5, 10, 20, 40"),
+        ("ncom", "5, 10, 20"),
+        ("wmin", "1..=10"),
+        ("P(x,x)", "U[0.90, 0.99]"),
+        ("P(x,y)", "(1 - P(x,x)) / 2"),
+        ("w_q", "U[wmin, 10*wmin]"),
+        ("T_data", "wmin"),
+        ("T_prog", "5*wmin"),
+        ("iterations", "10"),
     ];
-    println!("{}", text_table(&["parameter", "values"], &rows));
+    let rows: Vec<Row> = parameters
+        .iter()
+        .map(|&(p, values)| Row::default().with("parameter", p).with("values", values))
+        .collect();
+    println!("{}", text_table(&rows));
 
     let grid = ScenarioParams::table1_grid();
     println!("grid cells: {} (4 x 3 x 10)\n", grid.len());
@@ -34,31 +39,23 @@ fn main() {
         "sample scenario (n={}, ncom={}, wmin={}): T_prog={}, T_data={}",
         params.n_tasks, params.ncom, params.wmin, s.app.t_prog, s.app.t_data
     );
-    let rows: Vec<Vec<String>> = s
+    let rows: Vec<Row> = s
         .platform
         .processors
         .iter()
         .enumerate()
         .map(|(q, pc)| {
             let c = pc.believed_chain();
-            let pi = c.stationary();
-            vec![
-                format!("P{q}"),
-                format!("{}", pc.spec.w),
-                format!("{:.3}", c.p_uu()),
-                format!("{:.3}", c.p_rr()),
-                format!("{:.3}", c.raw()[2][2]),
-                format!("{:.3}", pi[0]),
-                format!("{:.4}", c.p_plus()),
-                format!("{:.2}", c.e_w(pc.spec.w)),
-            ]
+            Row::default()
+                .with("proc", format!("P{q}"))
+                .with("w", pc.spec.w)
+                .with("P(u,u)", Value::Real3(c.p_uu()))
+                .with("P(r,r)", Value::Real3(c.p_rr()))
+                .with("P(d,d)", Value::Real3(c.raw()[2][2]))
+                .with("pi_u", Value::Real3(c.stationary()[0]))
+                .with("P+", Value::Real3(c.p_plus()))
+                .with("E(w)", Value::Real3(c.e_w(pc.spec.w)))
         })
         .collect();
-    println!(
-        "{}",
-        text_table(
-            &["proc", "w", "P(u,u)", "P(r,r)", "P(d,d)", "pi_u", "P+", "E(w)"],
-            &rows
-        )
-    );
+    println!("{}", text_table(&rows));
 }

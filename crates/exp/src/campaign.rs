@@ -54,6 +54,7 @@ use vg_platform::source::{RowSource, SharedTraceMatrix};
 use vg_platform::{CompiledScript, ConfigError, CorrelatedModel};
 use vg_sim::{AppSpec, Availability, RunSpec, SimArena, SimOptions, Simulation};
 
+use crate::paired::Row;
 use crate::scenario::{make_scenario, Scenario, ScenarioParams};
 
 /// Campaign-wide settings.
@@ -207,6 +208,51 @@ pub struct HeuristicSummary {
     pub capped_runs: u64,
 }
 
+impl HeuristicSummary {
+    /// Per-heuristic dfb/wins over the instances folded into `stats`, in
+    /// the order of `kinds` (the campaign's), sorted by mean dfb.
+    pub fn fold<'a>(
+        kinds: &[HeuristicKind],
+        stats: impl IntoIterator<Item = &'a CellStats>,
+    ) -> Vec<Self> {
+        let mut out: Vec<Self> = kinds
+            .iter()
+            .map(|&kind| Self {
+                kind,
+                dfb: OnlineStats::new(),
+                wins: 0,
+                capped_runs: 0,
+            })
+            .collect();
+        for stats in stats {
+            for (h, summary) in out.iter_mut().enumerate() {
+                summary.dfb.merge(&stats.dfb[h]);
+                summary.wins += stats.wins[h];
+                summary.capped_runs += stats.capped_runs[h];
+            }
+        }
+        // `total_cmp` is panic-free even on pathological inputs; dfb means
+        // are finite by construction (degenerate instances are excluded).
+        out.sort_by(|a, b| a.dfb.mean().total_cmp(&b.dfb.mean()));
+        out
+    }
+
+    /// The summary as one table row: the heuristic, its mean dfb, the
+    /// half width of that mean's 95% CI, the dfb standard deviation, its
+    /// wins, the scored instances and its capped runs.
+    #[must_use]
+    pub fn row(&self) -> Row {
+        Row::default()
+            .with("heuristic", self.kind.name())
+            .with("avg_dfb", self.dfb.mean())
+            .with("ci95_half", self.dfb.confidence_interval(0.95).half_width())
+            .with("sd_dfb", self.dfb.std_dev())
+            .with("wins", self.wins)
+            .with("instances", self.dfb.count())
+            .with("capped_runs", self.capped_runs)
+    }
+}
+
 /// Full campaign result: per-cell streaming aggregates, plus the raw
 /// outcomes when [`CampaignConfig::keep_outcomes`] was set.
 #[derive(Debug, Clone)]
@@ -261,30 +307,20 @@ impl CampaignResult {
         &self,
         keep: impl Fn(&ScenarioParams) -> bool,
     ) -> Vec<HeuristicSummary> {
-        let mut out: Vec<HeuristicSummary> = self
-            .heuristics
-            .iter()
-            .map(|&kind| HeuristicSummary {
-                kind,
-                dfb: OnlineStats::new(),
-                wins: 0,
-                capped_runs: 0,
-            })
-            .collect();
-        for (cell, stats) in self.cell_stats.iter().enumerate() {
-            if !keep(&self.cells[cell]) {
-                continue;
-            }
-            for (h, summary) in out.iter_mut().enumerate() {
-                summary.dfb.merge(&stats.dfb[h]);
-                summary.wins += stats.wins[h];
-                summary.capped_runs += stats.capped_runs[h];
-            }
-        }
-        // `total_cmp` is panic-free even on pathological inputs; dfb means
-        // are finite by construction (degenerate instances are excluded).
-        out.sort_by(|a, b| a.dfb.mean().total_cmp(&b.dfb.mean()));
-        out
+        let kept = self.cells.iter().zip(&self.cell_stats);
+        let stats = kept.filter(|(cell, _)| keep(cell)).map(|(_, stats)| stats);
+        HeuristicSummary::fold(&self.heuristics, stats)
+    }
+
+    /// The instance tallies as one row: instances run, scored, and
+    /// excluded as capped or as degenerate.
+    #[must_use]
+    pub fn counts(&self) -> Row {
+        Row::default()
+            .with("instances", self.instances)
+            .with("scored_instances", self.scored_instances())
+            .with("capped_instances", self.capped_instances())
+            .with("degenerate_instances", self.degenerate_instances())
     }
 
     /// Figure-2 series: mean dfb per `wmin` value for each heuristic, in the

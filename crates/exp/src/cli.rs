@@ -3,9 +3,12 @@
 //! Hand-rolled on purpose: the binaries need five flags, not a dependency.
 //! Supported forms: `--flag value` and `--flag` (boolean).
 
+use vg_core::HeuristicKind;
 use vg_des::par::ParallelismConfig;
+use vg_sim::SimOptions;
 
-use crate::campaign::CampaignResult;
+use crate::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use crate::scenario::ScenarioParams;
 
 /// Common experiment options parsed from `std::env::args`.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +25,7 @@ pub struct ExpArgs {
     pub paper_scale: bool,
     /// Quick run for smoke tests (2 × 1).
     pub quick: bool,
-    /// Also emit CSV to stdout after the table.
+    /// Also print the artifact's rows as CSV.
     pub csv: bool,
 }
 
@@ -141,6 +144,51 @@ impl ExpArgs {
             None => ParallelismConfig::Auto,
         }
     }
+
+    /// Runs `roster` over `cells` under `sim` at the scale, seed and
+    /// threads of these arguments — every binary's campaign — keeping the
+    /// per-instance outcomes when `keep_outcomes` (for
+    /// [`pair_campaigns`](crate::paired::pair_campaigns)). Says on stderr
+    /// how many instances were excluded from scoring.
+    /// Exits with status 1, after saying so, if any run was rejected: a
+    /// rejected run is scored as capped, so the campaign's statistics would
+    /// not describe the requested grid.
+    #[must_use]
+    pub fn campaign(
+        &self,
+        roster: &[HeuristicKind],
+        cells: &[ScenarioParams],
+        sim: SimOptions,
+        keep_outcomes: bool,
+    ) -> CampaignResult {
+        let cfg = CampaignConfig {
+            heuristics: roster.to_vec(),
+            scenarios_per_cell: self.scenarios,
+            trials: self.trials,
+            master_seed: self.seed,
+            parallelism: self.parallelism(),
+            sim,
+            keep_outcomes,
+        };
+        let result = run_campaign(cells, &cfg);
+        if result.rejected_runs > 0 {
+            eprintln!(
+                "error: {} of {} runs were rejected (invalid volatility spec or engine \
+                 configuration) and scored as capped",
+                result.rejected_runs,
+                result.instances * roster.len()
+            );
+            std::process::exit(1);
+        }
+        let (capped, degenerate) = (result.capped_instances(), result.degenerate_instances());
+        if capped > 0 || degenerate > 0 {
+            eprintln!(
+                "excluded from scoring: {capped} capped instance(s) (no heuristic finished), \
+                 {degenerate} degenerate instance(s) (best makespan 0)"
+            );
+        }
+        result
+    }
 }
 
 /// Usage text shared by the binaries.
@@ -153,23 +201,8 @@ Options:
   --paper-scale    247 scenarios x 10 trials (the paper's campaign size)
   --quick          2 scenarios x 1 trial (smoke test)
                    (--quick and --paper-scale exclude each other and the counts)
-  --csv            also print CSV after the table
+  --csv            also print the artifact's rows as CSV
 ";
-
-/// Says on stderr how many of `result`'s runs were rejected, and exits
-/// with status 1 if any were: a rejected run is scored as capped, so the
-/// campaign's statistics would not describe the requested grid.
-pub fn exit_on_rejected(result: &CampaignResult) {
-    if result.rejected_runs > 0 {
-        eprintln!(
-            "error: {} of {} runs were rejected (invalid volatility spec or engine \
-             configuration) and scored as capped",
-            result.rejected_runs,
-            result.instances * result.heuristics.len()
-        );
-        std::process::exit(1);
-    }
-}
 
 #[cfg(test)]
 mod tests {

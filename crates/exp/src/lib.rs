@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | Table 1 (parameter grid) | `table1` | [`scenario`] |
 //! | Table 2 (dfb + wins, all 17 heuristics) | `table2` | [`campaign`] |
-//! | Figure 2 (dfb vs `wmin`) | `figure2` | [`campaign`] |
+//! | Figure 2 (dfb vs `wmin`, same campaign) | `table2` | [`campaign`] |
 //! | Table 3 (contention-prone, ×5/×10) | `table3` | [`campaign`] + [`scenario`] |
 //! | Figure 1 (Theorem-1 gadget) | `figure1` | `vg_offline::reduction` |
 //! | robustness study (Section-8 future work) | `robustness` | [`robustness`] |
@@ -15,10 +15,14 @@
 //! | chaos robustness | `chaos_robustness` | [`paired`] + [`scenario`] |
 //! | moldable + co-scheduling fidelity | `mold_cosched` | [`paired`] + the multi-app engine |
 //!
-//! All binaries accept `--scenarios`, `--trials`, `--seed`, `--threads`,
-//! `--paper-scale`, `--quick` and `--csv` (see [`cli::USAGE`]). Scaled-down
-//! defaults run in minutes on a laptop; `--paper-scale` reproduces the full
-//! 247 × 10 campaign.
+//! All binaries but `table1`, `figure1` and `sweep` accept `--scenarios`,
+//! `--trials`, `--seed`, `--threads`, `--paper-scale`, `--quick` and
+//! `--csv` (see [`cli::USAGE`]), run their campaigns through
+//! [`cli::ExpArgs::campaign`], and write their results as [`paired::Row`]s
+//! to `target/<BINARY>.json` through [`paired::Report`]; the same rows
+//! render the stdout tables ([`report::text_table`]) and the `--csv`
+//! lines. Scaled-down defaults run in minutes on a laptop;
+//! `--paper-scale` reproduces the full 247 × 10 campaign.
 
 pub mod campaign;
 pub mod cli;

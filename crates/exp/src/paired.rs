@@ -24,12 +24,15 @@
 //!   0 ([`Delta::indistinguishable`]); the variant *wins* when there are no
 //!   flips and the interval's lower bound is above 0 ([`Delta::wins`]).
 //!
-//! Reports are built from [`Row`]s — ordered `(key, value)` lists that
-//! render both the artifact's one-line JSON objects and the `--csv` lines —
-//! and written by [`Report`]. This module owns that artifact format for
-//! every JSON file the workspace writes: the studies' reports and the
-//! `vg-bench` harnesses' `BENCH_*.json`, which [`read_rows`] reads back
-//! for the `bench_guard` regression gate.
+//! Every result table of the workspace is a `&[Row]`: ordered
+//! `(key, value)` lists that render the artifact's one-line JSON objects,
+//! the stdout tables ([`text_table`]) and the `--csv` lines alike, written
+//! by [`Report`]. This module owns that artifact format for every JSON
+//! file the workspace writes: the paper's tables, the studies' reports and
+//! the `vg-bench` harnesses' `BENCH_*.json`, which [`read_rows`] reads
+//! back for the `bench_guard` regression gate.
+//!
+//! [`text_table`]: crate::report::text_table
 //!
 //! [`scenario_seed`]: crate::campaign::scenario_seed
 //! [`instance_seeds`]: crate::campaign::instance_seeds
@@ -39,10 +42,9 @@ use std::fmt::Write as _;
 
 use vg_core::HeuristicKind;
 use vg_des::stats::{ConfidenceInterval, OnlineStats};
-use vg_sim::SimOptions;
 
-use crate::campaign::{run_campaign, CampaignConfig, CampaignResult};
-use crate::cli::{exit_on_rejected, ExpArgs};
+use crate::campaign::CampaignResult;
+use crate::cli::ExpArgs;
 use crate::scenario::ScenarioParams;
 
 /// A study's grid: one small contention-free cell under `--quick` (the CI
@@ -54,25 +56,6 @@ pub fn study_cells(args: &ExpArgs) -> Vec<ScenarioParams> {
     } else {
         ScenarioParams::table1_grid()
     }
-}
-
-/// One side of a campaign pairing: `cells` under `sim` at the scale, seed
-/// and threads of `args`, with the outcomes kept for [`pair_campaigns`].
-/// Exits the process if any run was rejected ([`exit_on_rejected`]).
-#[must_use]
-pub fn campaign(args: &ExpArgs, cells: &[ScenarioParams], sim: SimOptions) -> CampaignResult {
-    let cfg = CampaignConfig {
-        scenarios_per_cell: args.scenarios,
-        trials: args.trials,
-        master_seed: args.seed,
-        parallelism: args.parallelism(),
-        sim,
-        keep_outcomes: true,
-        ..CampaignConfig::default()
-    };
-    let result = run_campaign(cells, &cfg);
-    exit_on_rejected(&result);
-    result
 }
 
 /// The relative delta `100·(variant − base)/base`, in percent.
@@ -107,14 +90,6 @@ impl Delta {
     #[must_use]
     pub fn wins(&self) -> bool {
         self.flips == 0 && self.ci().lo > 0.0
-    }
-
-    /// Text-table cells `+mean` and `[+lo, +hi]` at `prec` decimals.
-    #[must_use]
-    pub fn text(&self, prec: usize) -> [String; 2] {
-        let ci = self.ci();
-        let mean = format!("{:+.*}", prec, self.stats.mean());
-        [mean, format!("[{:+.*}, {:+.*}]", prec, ci.lo, prec, ci.hi)]
     }
 }
 
@@ -179,7 +154,7 @@ impl Paired {
     }
 }
 
-/// Pairs two campaigns run by [`campaign`] on grids of the same length:
+/// Pairs two campaigns run by [`ExpArgs::campaign`] on grids of the same length:
 /// the relative makespan delta of `variant` against `base`, per cell and
 /// per heuristic.
 ///
@@ -218,17 +193,17 @@ pub fn pair_campaigns(base: &CampaignResult, variant: &CampaignResult) -> Result
 }
 
 /// Writes the `cells` and `per_heuristic` arrays of a makespan pairing
-/// such as [`pair_campaigns`]'s. A cell row holds `n, ncom, wmin, pairs`,
-/// the mean delta and its CI, the study's `extra(cell)` fields, then
-/// `completion_flips, indistinguishable`; the cell rows are returned as
-/// the study's `--csv` lines.
+/// such as [`pair_campaigns`]'s, and returns their rows. A cell row holds
+/// `n, ncom, wmin, pairs`, the mean delta and its CI, the study's
+/// `extra(cell)` fields, then `completion_flips, indistinguishable`; a
+/// heuristic row holds `heuristic, pairs` and the mean delta and its CI.
 pub fn makespan_arrays(
     report: &mut Report,
     cells: &[ScenarioParams],
     kinds: &[HeuristicKind],
     pairing: &Paired,
     extra: impl Fn(usize) -> Row,
-) -> Vec<Row> {
+) -> (Vec<Row>, Vec<Row>) {
     const KEYS: [&str; 3] = ["mk_delta_pct_mean", "ci95_lo", "ci95_hi"];
     let cell_rows: Vec<Row> = cells
         .iter()
@@ -255,31 +230,21 @@ pub fn makespan_arrays(
         .collect();
     report.rows("cells", &cell_rows);
     report.rows("per_heuristic", &heuristic_rows);
-    cell_rows
+    (cell_rows, heuristic_rows)
 }
 
-/// Text-table rows of the ten cells with the largest `key` among those
-/// passing `keep`, ties in grid order: `n, ncom, wmin`, then `tail(cell)`.
-pub fn top_cells(
-    cells: &[ScenarioParams],
+/// At most `n` of the rows whose index passes `keep`, largest `key` first,
+/// ties in input order: the rows a study's text summary leads with.
+#[must_use]
+pub fn top_rows(
+    rows: &[Row],
+    n: usize,
     keep: impl Fn(usize) -> bool,
     key: impl Fn(usize) -> f64,
-    tail: impl Fn(usize) -> Vec<String>,
-) -> Vec<Vec<String>> {
-    let mut order: Vec<usize> = (0..cells.len()).filter(|&i| keep(i)).collect();
+) -> Vec<Row> {
+    let mut order: Vec<usize> = (0..rows.len()).filter(|&i| keep(i)).collect();
     order.sort_by(|&a, &b| key(b).total_cmp(&key(a)));
-    order.truncate(10);
-    let rows = order.into_iter().map(|i| {
-        let c = &cells[i];
-        let mut row = vec![
-            c.n_tasks.to_string(),
-            c.ncom.to_string(),
-            c.wmin.to_string(),
-        ];
-        row.extend(tail(i));
-        row
-    });
-    rows.collect()
+    order.into_iter().take(n).map(|i| rows[i].clone()).collect()
 }
 
 /// One value of a report row.
@@ -306,7 +271,7 @@ macro_rules! value_from {
         }
     )*};
 }
-value_from!(u64 => Int, f64 => Real, bool => Bool, &str => Str);
+value_from!(u64 => Int, f64 => Real, bool => Bool, &str => Str, String => Str);
 
 impl From<usize> for Value {
     fn from(v: usize) -> Self {
@@ -329,7 +294,8 @@ impl Value {
 }
 
 /// An ordered list of `(key, value)` pairs: one JSON object of a report,
-/// or one `--csv` line.
+/// one line of a [`text_table`](crate::report::text_table), or one `--csv`
+/// line.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row(pub Vec<(String, Value)>);
 
@@ -383,7 +349,7 @@ impl Row {
         format!("{{{}}}", self.fields())
     }
 
-    /// The row's values as CSV fields.
+    /// The row's values as CSV fields and text-table cells.
     #[must_use]
     pub fn values(&self) -> Vec<String> {
         self.0.iter().map(|(_, v)| v.render(false)).collect()
@@ -484,21 +450,22 @@ impl Default for Report {
 }
 
 impl Report {
-    /// Announces `study` on stdout — `cells` under `args`, 17 heuristics,
-    /// `sides` runs of each — and starts its report with its name and run
-    /// configuration.
+    /// Announces `study` on stdout — `cells` under `args`, `roster`
+    /// heuristics, `sides` runs of each — and starts its report with its
+    /// name and run configuration.
     #[must_use]
     pub fn start(
         study: &'static str,
         args: &ExpArgs,
         cells: usize,
+        roster: usize,
         what: &str,
         sides: usize,
     ) -> Self {
         let (s, t) = (args.scenarios, args.trials);
-        let runs = cells * s * t as usize * 17 * sides;
+        let runs = cells * s * t as usize * roster * sides;
         println!(
-            "{study}: {cells} cells x {s} scenarios x {t} trials, 17 heuristics, {what} \
+            "{study}: {cells} cells x {s} scenarios x {t} trials, {roster} heuristics, {what} \
              ({runs} simulations total)"
         );
         let mut report = Self {
@@ -566,19 +533,25 @@ impl Report {
     }
 
     /// Writes the report to `$<STUDY>_OUT` (default `target/<STUDY>.json`,
-    /// `<STUDY>` being the upper-cased study name), then prints `csv` with
-    /// a header line when `--csv` was given.
+    /// `<STUDY>` being the upper-cased study name), then, when `--csv` was
+    /// given, prints each non-empty table of `csv` — its rows under a
+    /// header line of its first row's keys.
     ///
     /// # Errors
     /// When the report file cannot be written.
-    pub fn finish(self, args: &ExpArgs, csv: &[Row]) -> std::io::Result<()> {
+    pub fn finish(self, args: &ExpArgs, csv: &[&[Row]]) -> std::io::Result<()> {
         let name = self.study.to_uppercase();
         let out = self.write(&format!("{name}_OUT"), &format!("target/{name}.json"))?;
         println!("report written to {out}");
-        if let (true, Some(first)) = (args.csv, csv.first()) {
-            let keys: Vec<&str> = first.0.iter().map(|(key, _)| key.as_str()).collect();
-            let rows: Vec<Vec<String>> = csv.iter().map(Row::values).collect();
-            print!("{}", crate::report::csv(&keys, &rows));
+        if !args.csv {
+            return Ok(());
+        }
+        for rows in csv.iter().filter(|rows| !rows.is_empty()) {
+            let keys: Vec<&str> = rows[0].0.iter().map(|(key, _)| key.as_str()).collect();
+            println!("{}", keys.join(","));
+            for row in rows.iter() {
+                println!("{}", row.values().join(","));
+            }
         }
         Ok(())
     }

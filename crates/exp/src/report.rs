@@ -1,86 +1,45 @@
-//! Terminal-friendly report rendering: aligned tables, CSV, ASCII plots.
+//! Terminal rendering of report rows: aligned tables and ASCII plots.
 
-use crate::campaign::HeuristicSummary;
+use crate::paired::Row;
 
-/// Renders an aligned text table. `headers.len()` must match every row.
+/// Renders `rows` as an aligned text table under the first row's keys —
+/// the rows a [`Report`](crate::paired::Report) writes as JSON and prints
+/// for `--csv`, with the values as in the CSV. Every row must have as many
+/// values as the first; no rows render as the empty string.
 #[must_use]
-pub fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-    for row in rows {
-        assert_eq!(row.len(), cols, "ragged table row");
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.chars().count());
+pub fn text_table(rows: &[Row]) -> String {
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let header = first.0.iter().map(|(key, _)| key.clone()).collect();
+    let lines: Vec<Vec<String>> = std::iter::once(header)
+        .chain(rows.iter().map(Row::values))
+        .collect();
+    let cols = lines[0].len();
+    let mut widths = vec![0; cols];
+    for line in &lines {
+        assert_eq!(line.len(), cols, "ragged table row");
+        for (width, cell) in widths.iter_mut().zip(line) {
+            *width = (*width).max(cell.chars().count());
         }
     }
     let mut out = String::new();
-    let render_row = |cells: &[String], out: &mut String| {
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            let pad = widths[i] - cell.chars().count();
-            // Right-align numbers-ish cells, left-align the first column.
+    for (r, line) in lines.iter().enumerate() {
+        for (i, (cell, width)) in line.iter().zip(&widths).enumerate() {
+            let pad = " ".repeat(width - cell.chars().count());
+            // Left-align the first column, right-align the others.
             if i == 0 {
                 out.push_str(cell);
-                out.push_str(&" ".repeat(pad));
+                out.push_str(&pad);
             } else {
-                out.push_str(&" ".repeat(pad));
-                out.push_str(cell);
+                out.push_str(&format!("  {pad}{cell}"));
             }
         }
         out.push('\n');
-    };
-    render_row(
-        &headers.iter().map(|s| (*s).to_string()).collect::<Vec<_>>(),
-        &mut out,
-    );
-    let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
-    out.push_str(&"-".repeat(total));
-    out.push('\n');
-    for row in rows {
-        render_row(row, &mut out);
-    }
-    out
-}
-
-/// Renders the Table-2-style summary (heuristic, average dfb ± 95% CI half
-/// width, wins). When any heuristic hit the slot cap on scored instances, a
-/// `#capped` column is appended (those dfb entries are lower bounds).
-#[must_use]
-pub fn summary_table(summaries: &[HeuristicSummary]) -> String {
-    let any_capped = summaries.iter().any(|s| s.capped_runs > 0);
-    let rows: Vec<Vec<String>> = summaries
-        .iter()
-        .map(|s| {
-            let mut row = vec![
-                s.kind.name().to_string(),
-                format!("{:.2}", s.dfb.mean()),
-                format!("±{:.2}", s.dfb.confidence_interval(0.95).half_width()),
-                format!("{}", s.wins),
-            ];
-            if any_capped {
-                row.push(format!("{}", s.capped_runs));
-            }
-            row
-        })
-        .collect();
-    let mut headers = vec!["Algorithm", "Average dfb", "95% CI", "#wins"];
-    if any_capped {
-        headers.push("#capped");
-    }
-    text_table(&headers, &rows)
-}
-
-/// CSV rendering with a header row.
-#[must_use]
-pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
+        if r == 0 {
+            out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
+            out.push('\n');
+        }
     }
     out
 }
@@ -121,17 +80,16 @@ pub fn ascii_plot(
         out.push('\n');
     }
     out.push_str(&format!("{:>8} +{}\n", "", "-".repeat(width)));
-    // X labels, spread across the width.
-    let mut label_line = vec![' '; width + 10];
+    // X labels, spread across the width; the last one may run past it.
+    let longest = x_labels.iter().map(|l| l.chars().count()).max();
+    let mut label_line = vec![' '; width + 10 + longest.unwrap_or(0)];
     for (i, lab) in x_labels.iter().enumerate() {
         let gx = 10 + i * (width - 1) / (n - 1);
         for (k, ch) in lab.chars().enumerate() {
-            if gx + k < label_line.len() {
-                label_line[gx + k] = ch;
-            }
+            label_line[gx + k] = ch;
         }
     }
-    out.extend(label_line.iter());
+    out.push_str(label_line.iter().collect::<String>().trim_end());
     out.push('\n');
     // Legend.
     for (s, (name, _)) in series.iter().enumerate() {
@@ -143,75 +101,42 @@ pub fn ascii_plot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vg_core::HeuristicKind;
-    use vg_des::stats::OnlineStats;
 
     #[test]
     fn text_table_aligns() {
-        let t = text_table(
-            &["Name", "Value"],
-            &[
-                vec!["short".into(), "1".into()],
-                vec!["a-much-longer-name".into(), "123".into()],
-            ],
-        );
+        let t = text_table(&[
+            Row::default().with("Name", "short").with("Value", 1u64),
+            Row::default()
+                .with("Name", "a-much-longer-name")
+                .with("Value", 123u64),
+        ]);
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("Name"));
         assert!(lines[3].contains("123"));
         // All rows same width.
         assert_eq!(lines[2].len(), lines[3].len());
+        assert_eq!(text_table(&[]), "");
     }
 
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
-        let _ = text_table(&["A", "B"], &[vec!["x".into()]]);
-    }
-
-    #[test]
-    fn summary_table_contains_names() {
-        let mut dfb = OnlineStats::new();
-        dfb.push(4.5);
-        let s = summary_table(&[HeuristicSummary {
-            kind: HeuristicKind::EmctStar,
-            dfb,
-            wins: 12,
-            capped_runs: 0,
-        }]);
-        assert!(s.contains("EMCT*"));
-        assert!(s.contains("4.50"));
-        assert!(s.contains("12"));
-        assert!(s.contains("95% CI"));
-        assert!(s.contains('±'));
-        assert!(!s.contains("#capped"), "column hidden when nothing capped");
-    }
-
-    #[test]
-    fn summary_table_shows_capped_column_when_relevant() {
-        let mut dfb = OnlineStats::new();
-        dfb.push(4.5);
-        let s = summary_table(&[HeuristicSummary {
-            kind: HeuristicKind::Mct,
-            dfb,
-            wins: 3,
-            capped_runs: 2,
-        }]);
-        assert!(s.contains("#capped"));
-        assert!(s.contains('2'));
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let out = csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(out, "a,b\n1,2\n");
+        let _ = text_table(&[
+            Row::default().with("A", 1u64).with("B", 2u64),
+            Row::default().with("A", 1u64),
+        ]);
     }
 
     #[test]
     fn ascii_plot_renders_points_and_legend() {
+        let labels: Vec<String> = (1..=10).map(|w: u64| w.to_string()).collect();
         let plot = ascii_plot(
-            &["1".into(), "2".into(), "3".into()],
-            &[("mct", vec![1.0, 2.0, 3.0]), ("emct", vec![3.0, 2.0, 1.0])],
+            &labels,
+            &[
+                ("mct", (1..=10).map(f64::from).collect()),
+                ("emct", (1..=10).rev().map(f64::from).collect()),
+            ],
             40,
             10,
         );
@@ -219,5 +144,7 @@ mod tests {
         assert!(plot.contains('*'));
         assert!(plot.contains("mct"));
         assert!(plot.contains("emct"));
+        let label_line = plot.lines().nth(11).expect("a label line");
+        assert!(label_line.ends_with("10"), "last label cut: {label_line:?}");
     }
 }

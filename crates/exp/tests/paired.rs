@@ -95,7 +95,7 @@ fn rows_render_json_and_csv_alike() {
 
 #[test]
 fn report_layout() {
-    let mut report = Report::start("s", &ExpArgs::default(), 1, "a vs b", 2);
+    let mut report = Report::start("s", &ExpArgs::default(), 1, 17, "a vs b", 2);
     report.array("families");
     for _ in 0..2 {
         report.object();

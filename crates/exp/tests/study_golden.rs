@@ -1,15 +1,18 @@
-//! Golden pin for the three paired studies: each binary's `--quick` report
-//! must stay byte-identical to the committed artifact under
-//! `tests/golden/`.
+//! Golden pin for the three paired studies, Table 3 and the robustness
+//! study: each binary's `--quick` report must stay byte-identical to the
+//! committed artifact under `tests/golden/`.
 //!
-//! The goldens fix the pairing, flip counting, verdict rules, seed
-//! derivation and row formatting at once; regenerate one only when a
+//! The goldens fix the pairing, flip counting, verdict rules, scoring,
+//! seed derivation and row formatting at once; regenerate one only when a
 //! study's output is meant to change:
 //!
 //! ```text
 //! CAP_FIDELITY_OUT=crates/exp/tests/golden/cap_fidelity.quick.json \
 //!     cargo run -p vg-exp --bin cap_fidelity -- --quick
 //! ```
+//!
+//! `table2 --quick` runs 4,080 simulations, too slow for a debug test; CI
+//! diffs its release-build report against `tests/golden/table2.quick.json`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -66,5 +69,19 @@ fn mold_cosched_quick_matches_golden() {
         "mold_cosched",
         env!("CARGO_BIN_EXE_mold_cosched"),
         "MOLD_COSCHED_OUT",
+    );
+}
+
+#[test]
+fn table3_quick_matches_golden() {
+    check("table3", env!("CARGO_BIN_EXE_table3"), "TABLE3_OUT");
+}
+
+#[test]
+fn robustness_quick_matches_golden() {
+    check(
+        "robustness",
+        env!("CARGO_BIN_EXE_robustness"),
+        "ROBUSTNESS_OUT",
     );
 }

@@ -185,6 +185,10 @@ impl PlatformConfig {
             if p.spec.w == 0 {
                 return Err(ConfigError(format!("processor {i} has w = 0")));
             }
+            if let AvailabilityModelConfig::Replay { trace, tail } = &p.avail {
+                ReplaySource::check(trace, *tail)
+                    .map_err(|e| ConfigError(format!("processor {i}: {}", e.0)))?;
+            }
         }
         Ok(())
     }

@@ -94,14 +94,20 @@ pub struct ReplaySource {
 }
 
 impl ReplaySource {
-    /// Creates a replay source, rejecting configurations with no defined
-    /// state stream: an empty trace cannot be held or cycled.
-    pub fn try_new(trace: Trace, tail: TailBehavior) -> Result<Self, ConfigError> {
+    /// Rejects a replay with no defined state stream: an empty trace
+    /// cannot be held or cycled.
+    pub fn check(trace: &Trace, tail: TailBehavior) -> Result<(), ConfigError> {
         if trace.is_empty() && matches!(tail, TailBehavior::HoldLast | TailBehavior::Cycle) {
             return Err(ConfigError(format!(
                 "cannot hold/cycle an empty trace (tail = {tail:?})"
             )));
         }
+        Ok(())
+    }
+
+    /// Creates a replay source, rejecting what [`Self::check`] rejects.
+    pub fn try_new(trace: Trace, tail: TailBehavior) -> Result<Self, ConfigError> {
+        Self::check(&trace, tail)?;
         Ok(Self {
             trace,
             pos: 0,

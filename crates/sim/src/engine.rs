@@ -2950,6 +2950,43 @@ mod tests {
     }
 
     #[test]
+    fn empty_held_replay_is_a_config_error_not_a_panic() {
+        // A Markov processor next to an empty replay that holds its last
+        // state: the seeded sources have no state stream to emit.
+        let mut platform = always_up(2, 1, 1);
+        platform.processors[0] = ProcessorConfig::markov(
+            1,
+            vg_markov::availability::AvailabilityChain::sample_paper(
+                &mut SeedPath::root(4).rng(),
+                0.90,
+                0.99,
+            ),
+            StartPolicy::Up,
+        );
+        platform.processors[1].avail = AvailabilityModelConfig::Replay {
+            trace: Trace::parse("").unwrap(),
+            tail: TailBehavior::HoldLast,
+        };
+        let err = platform.validate().unwrap_err();
+        assert!(err.0.contains("processor 1"), "unhelpful: {err}");
+        let app = AppConfig {
+            tasks_per_iteration: 1,
+            iterations: 1,
+            t_prog: 1,
+            t_data: 1,
+        };
+        let apps = [AppSpec::rigid(app)];
+        let spec = RunSpec::new(
+            &platform,
+            &apps,
+            Availability::Seeded(SeedPath::root(1)),
+            HeuristicKind::Mct.build(SeedPath::root(1).rng()),
+            SimOptions::default(),
+        );
+        assert!(Simulation::new(spec).is_err());
+    }
+
+    #[test]
     fn zero_weight_applications_are_rejected() {
         // Weight 0 marks a finished application inside the schedule
         // phase, so an unfinished one would never get a pool quota: every

@@ -6,10 +6,10 @@
 //! cargo run --release --example heuristic_tournament
 //! ```
 
-use volatile_grid::exp::campaign::{run_campaign, CampaignConfig};
-use volatile_grid::exp::cli::exit_on_rejected;
-use volatile_grid::exp::report::summary_table;
+use volatile_grid::exp::cli::ExpArgs;
+use volatile_grid::exp::report::text_table;
 use volatile_grid::exp::scenario::ScenarioParams;
+use volatile_grid::exp::HeuristicSummary;
 use volatile_grid::prelude::*;
 
 fn main() {
@@ -17,23 +17,20 @@ fn main() {
     // long relative to availability intervals — the regime where the
     // failure-aware heuristics shine, per Figure 2).
     let cell = ScenarioParams::paper(20, 5, 5);
-    let cfg = CampaignConfig {
-        heuristics: HeuristicKind::ALL.to_vec(),
-        scenarios_per_cell: 5,
+    let args = ExpArgs {
+        scenarios: 5,
         trials: 2,
-        master_seed: 42,
-        parallelism: ParallelismConfig::Auto,
-        sim: SimOptions::default(),
-        keep_outcomes: false,
+        seed: 42,
+        ..ExpArgs::default()
     };
     println!(
         "tournament: 17 heuristics × {} scenarios × {} trials on (n={}, ncom={}, wmin={})\n",
-        cfg.scenarios_per_cell, cfg.trials, cell.n_tasks, cell.ncom, cell.wmin
+        args.scenarios, args.trials, cell.n_tasks, cell.ncom, cell.wmin
     );
-    let result = run_campaign(std::slice::from_ref(&cell), &cfg);
-    exit_on_rejected(&result);
+    let result = args.campaign(&HeuristicKind::ALL, &[cell], SimOptions::default(), false);
     let summaries = result.summarize();
-    println!("{}", summary_table(&summaries));
+    let rows: Vec<_> = summaries.iter().map(HeuristicSummary::row).collect();
+    println!("{}", text_table(&rows));
 
     let champion = &summaries[0];
     println!(
