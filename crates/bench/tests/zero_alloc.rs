@@ -25,18 +25,38 @@ use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simula
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-fn warmed_simulation(p: usize, replication: bool, placement_budget: PlacementBudget) -> Simulation {
+/// Where a warmed simulation's availability comes from: boxed
+/// per-processor sources, or `Availability::Seeded`, which gives this
+/// all-Markov platform the dense, row-blocked `MarkovSourceBank`.
+#[derive(Debug, Clone, Copy)]
+enum Avail {
+    Boxed,
+    DenseBank,
+}
+
+fn warmed_simulation(
+    p: usize,
+    replication: bool,
+    placement_budget: PlacementBudget,
+    avail: Avail,
+) -> Simulation {
     let platform = paper_platform(p, (p / 10).max(2), 2, 11);
     // Many iterations keep the workload alive for the whole measured
     // window. Iteration barriers are themselves allocation-free
     // (IterationState::reset reuses buffers; the completion log is
     // preallocated), so the window may span them freely.
     let app = paper_app(2 * p, 10_000, 2, 1);
-    let sources: Vec<_> = platform.seeded_sources(SeedPath::root(2)).collect();
+    let availability = match avail {
+        Avail::Boxed => {
+            let sources: Vec<_> = platform.seeded_sources(SeedPath::root(2)).collect();
+            Availability::Rows(Box::new(sources))
+        }
+        Avail::DenseBank => Availability::Seeded(SeedPath::root(2)),
+    };
     Simulation::new(RunSpec::new(
         &platform,
         &[AppSpec::rigid(app)],
-        Availability::Rows(Box::new(sources)),
+        availability,
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
         SimOptions {
             max_slots: 1_000_000,
@@ -139,13 +159,17 @@ fn steady_state_slot_loop_is_allocation_free() {
     // compaction — run on most measured slots and must be exactly as
     // silent as the uncapped path (the `pending` buffer lives in the
     // persistent SlotScratch, warmed like every other column).
-    for (p, replication, budget) in [
-        (64, false, PlacementBudget::Uncapped),
-        (64, true, PlacementBudget::Uncapped),
-        (256, true, PlacementBudget::Uncapped),
-        (256, true, PlacementBudget::BindCapacity),
+    // The last config samples through the dense bank: its row buffer is
+    // allocated at construction, so the measured window's block sweeps
+    // and per-slot row copies must be silent too.
+    for (p, replication, budget, avail) in [
+        (64, false, PlacementBudget::Uncapped, Avail::Boxed),
+        (64, true, PlacementBudget::Uncapped, Avail::Boxed),
+        (256, true, PlacementBudget::Uncapped, Avail::Boxed),
+        (256, true, PlacementBudget::BindCapacity, Avail::Boxed),
+        (256, true, PlacementBudget::Uncapped, Avail::DenseBank),
     ] {
-        let mut sim = warmed_simulation(p, replication, budget);
+        let mut sim = warmed_simulation(p, replication, budget, avail);
         // Warm-up: scratch buffers, worker bound-lists and scheduler
         // internals (including the loser tree and the per-candidate hot
         // rows) reach their high-water capacities.
@@ -165,7 +189,8 @@ fn steady_state_slot_loop_is_allocation_free() {
         let delta = snapshot().delta(before);
         assert!(
             delta.is_quiet(),
-            "steady-state slots allocated (p={p} replication={replication} {budget:?}): \
+            "steady-state slots allocated (p={p} replication={replication} {budget:?} \
+             {avail:?}): \
              {} allocs, {} reallocs, {} bytes over {} measured slots",
             delta.allocs,
             delta.reallocs,
@@ -197,6 +222,22 @@ fn steady_state_slot_loop_is_allocation_free() {
     assert!(
         delta.is_quiet(),
         "steady-state 2-app slots allocated: {} allocs, {} reallocs, {} bytes over 5000 slots",
+        delta.allocs,
+        delta.reallocs,
+        delta.bytes,
+    );
+
+    // Scheduler chain statistics: `ChainStats::new` solves each 3×3
+    // stationary distribution on the stack, so the per-processor
+    // iterator allocates nothing at all.
+    let platform = paper_platform(1024, 102, 2, 11);
+    let before = snapshot();
+    let p_plus: f64 = platform.chain_stats().map(|s| s.p_plus()).sum();
+    let delta = snapshot().delta(before);
+    assert!(p_plus > 0.0);
+    assert!(
+        delta.is_quiet(),
+        "chain_stats allocated over 1024 processors: {} allocs, {} reallocs, {} bytes",
         delta.allocs,
         delta.reallocs,
         delta.bytes,

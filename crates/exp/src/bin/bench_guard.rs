@@ -659,8 +659,26 @@ mod tests {
         // (p, replication, capped) grid with these throughputs. Re-recording
         // the artifact means re-recording them.
         let slots_per_sec = [
-            348118.2, 470354.1, 252059.6, 311795.3, 40700.5, 68391.6, 23502.8, 33741.4, 9557.4,
-            16463.4, 5305.7, 8355.0, 1614.9, 1546.0, 735.5, 728.2, 164.5, 159.5, 87.5, 83.2,
+            258190.889609,
+            412848.904224,
+            270812.327640,
+            330021.297674,
+            41490.901802,
+            58349.451568,
+            22630.031367,
+            37444.709202,
+            10708.235632,
+            16676.069619,
+            5310.558678,
+            9448.539340,
+            3583.650751,
+            3361.513424,
+            981.601422,
+            985.540485,
+            371.513055,
+            350.260965,
+            187.272345,
+            190.350106,
         ];
         let keys = [32, 256, 1024, 16384, 131072].into_iter().flat_map(|p| {
             [(false, false), (false, true), (true, false), (true, true)].map(|(r, c)| (p, r, c))

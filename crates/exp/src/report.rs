@@ -45,7 +45,8 @@ pub fn text_table(rows: &[Row]) -> String {
 }
 
 /// Plots series as ASCII (x = category index, y = value). Each series gets a
-/// distinct glyph; collisions show the later glyph.
+/// distinct glyph; a cell where two or more series land shows `=`, which
+/// the legend then explains.
 #[must_use]
 pub fn ascii_plot(
     x_labels: &[String],
@@ -55,6 +56,7 @@ pub fn ascii_plot(
 ) -> String {
     assert!(height >= 2 && width >= 8);
     const GLYPHS: [char; 8] = ['o', '*', '+', 'x', '#', '@', '%', '&'];
+    const COLLISION: char = '=';
     let y_max = series
         .iter()
         .flat_map(|(_, ys)| ys.iter().copied())
@@ -69,7 +71,12 @@ pub fn ascii_plot(
             let gx = i * (width - 1) / (n - 1);
             let frac = ((y - y_min) / (y_max - y_min)).clamp(0.0, 1.0);
             let gy = height - 1 - (frac * (height - 1) as f64).round() as usize;
-            grid[gy][gx] = glyph;
+            let cell = &mut grid[gy][gx];
+            *cell = if *cell == ' ' || *cell == glyph {
+                glyph
+            } else {
+                COLLISION
+            };
         }
     }
     let mut out = String::new();
@@ -94,6 +101,9 @@ pub fn ascii_plot(
     // Legend.
     for (s, (name, _)) in series.iter().enumerate() {
         out.push_str(&format!("  {} {}\n", GLYPHS[s % GLYPHS.len()], name));
+    }
+    if grid.iter().flatten().any(|&c| c == COLLISION) {
+        out.push_str(&format!("  {COLLISION} two or more series\n"));
     }
     out
 }
@@ -146,5 +156,36 @@ mod tests {
         assert!(plot.contains("emct"));
         let label_line = plot.lines().nth(11).expect("a label line");
         assert!(label_line.ends_with("10"), "last label cut: {label_line:?}");
+    }
+
+    #[test]
+    fn ascii_plot_marks_coinciding_series() {
+        // Two equal series share every cell: neither glyph may hide the
+        // other, so each point shows the collision glyph and the legend
+        // says what it means. A third series elsewhere keeps its glyph.
+        let labels: Vec<String> = (1..=4).map(|w: u64| w.to_string()).collect();
+        let same: Vec<f64> = vec![2.0, 4.0, 6.0, 8.0];
+        let plot = ascii_plot(
+            &labels,
+            &[("mct", same.clone()), ("mct*", same), ("low", vec![0.0; 4])],
+            20,
+            8,
+        );
+        let grid: String = plot.lines().take(8).collect();
+        assert_eq!(
+            grid.matches('=').count(),
+            4,
+            "one mark per shared point:\n{plot}"
+        );
+        assert!(
+            !grid.contains('o') && !grid.contains('*'),
+            "a glyph hid the other:\n{plot}"
+        );
+        assert_eq!(grid.matches('+').count(), 4);
+        assert!(
+            plot.lines().any(|l| l == "  = two or more series"),
+            "{plot}"
+        );
+        assert!(plot.contains("  o mct\n") && plot.contains("  * mct*\n"));
     }
 }

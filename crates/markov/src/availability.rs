@@ -236,15 +236,41 @@ impl AvailabilityChain {
 
     /// Stationary distribution `(π_u, π_r, π_d)`.
     ///
-    /// Falls back to power iteration if the direct solve fails (e.g. a
-    /// borderline-reducible chain crafted in tests).
+    /// Irreducible chains take a direct solve on the stack: the elimination
+    /// of [`MarkovChain::stationary`] over a `[f64; 9]`, bit-identical to it
+    /// and free of heap allocation. Falls back to the generic chain's power
+    /// iteration when the chain is reducible or the solve finds it
+    /// numerically singular (e.g. a borderline-reducible chain crafted in
+    /// tests) — exactly where [`MarkovChain::stationary`] fails.
     #[must_use]
     pub fn stationary(&self) -> [f64; 3] {
-        let chain = self.to_chain();
-        let pi = chain
-            .stationary()
-            .unwrap_or_else(|_| chain.stationary_power(1e-13, 1_000_000));
+        if self.is_irreducible() {
+            let mut a = [0.0; 9];
+            let mut pi = [0.0; 3];
+            if crate::chain::solve_stationary(self.p.as_flattened(), &mut a, &mut pi).is_ok() {
+                return pi;
+            }
+        }
+        let pi = self.to_chain().stationary_power(1e-13, 1_000_000);
         [pi[0], pi[1], pi[2]]
+    }
+
+    /// True if every state reaches every other along positive-probability
+    /// transitions ([`MarkovChain::is_irreducible`] without the heap).
+    fn is_irreducible(&self) -> bool {
+        // Bit `j` of `step[i]`: `j` is reachable from `i` in at most one
+        // transition. With three states every shortest path has at most two.
+        let step: [u8; 3] = std::array::from_fn(|i| {
+            (0..3)
+                .filter(|&j| self.p[i][j] > 0.0)
+                .fold(1 << i, |m, j| m | 1 << j)
+        });
+        step.iter().all(|&m| {
+            let two = (0..3)
+                .filter(|&j| m & 1 << j != 0)
+                .fold(m, |r, j| r | step[j]);
+            two == 0b111
+        })
     }
 
     /// **Lemma 1.** `P₊ = P_{u,u} + P_{u,r} P_{r,u} / (1 − P_{r,r})`:
@@ -531,6 +557,11 @@ impl ChainStats {
     #[must_use]
     pub fn new(chain: AvailabilityChain) -> Self {
         let pi = chain.stationary();
+        Self::with_stationary(chain, pi)
+    }
+
+    /// [`Self::new`] around a given stationary distribution of `chain`.
+    fn with_stationary(chain: AvailabilityChain, pi: [f64; 3]) -> Self {
         let p_plus = chain.p_plus();
         let e_up = chain.e_up();
         let ud_first = 1.0 - chain.p_ud();
@@ -1107,6 +1138,99 @@ mod tests {
         }
     }
 
+    /// The heap path the stack solve replaced: the generic chain's direct
+    /// solve, else its power iteration.
+    fn generic_stationary(c: &AvailabilityChain) -> [f64; 3] {
+        let chain = c.to_chain();
+        let pi = chain
+            .stationary()
+            .unwrap_or_else(|_| chain.stationary_power(1e-13, 1_000_000));
+        [pi[0], pi[1], pi[2]]
+    }
+
+    /// `Err` naming the first field where the stack path's `ChainStats`
+    /// differs in its bits from one built on [`generic_stationary`].
+    fn stack_matches_generic(c: &AvailabilityChain) -> Result<(), String> {
+        let got = ChainStats::new(c.clone());
+        let want = ChainStats::with_stationary(c.clone(), generic_stationary(c));
+        let (g, w) = (got.kernel(), want.kernel());
+        let fields = [
+            ("pi_u", got.pi()[0], want.pi()[0]),
+            ("pi_r", got.pi()[1], want.pi()[1]),
+            ("pi_d", got.pi()[2], want.pi()[2]),
+            ("p_plus", g.p_plus, w.p_plus),
+            ("e_up", g.e_up, w.e_up),
+            ("ud_first", g.ud_first, w.ud_first),
+            ("ud_per_slot", g.ud_per_slot, w.ud_per_slot),
+        ];
+        match fields.iter().find(|(_, a, b)| a.to_bits() != b.to_bits()) {
+            Some((name, a, b)) => Err(format!("{name}: stack {a:e} vs generic {b:e} for {c:?}")),
+            None => Ok(()),
+        }
+    }
+
+    /// A chain whose off-diagonal entries all equal `eps`.
+    fn sticky(eps: f64) -> AvailabilityChain {
+        let d = 1.0 - 2.0 * eps;
+        AvailabilityChain::new([[d, eps, eps], [eps, d, eps], [eps, eps, d]]).unwrap()
+    }
+
+    #[test]
+    fn stack_stationary_matches_generic_on_edge_chains() {
+        use crate::chain::ChainError;
+        use crate::matrix::MatrixError;
+        let irreducible = [
+            // Zero exit probabilities: no UP → DOWN, no RECLAIMED → UP.
+            [[0.9, 0.1, 0.0], [0.0, 0.8, 0.2], [0.3, 0.1, 0.6]],
+            // Zero diagonals: the first pivot column ties |0 − 1| with the
+            // normalization row's 1, and the last of equal pivots wins.
+            [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+            // A deterministic 3-cycle (periodic, still irreducible).
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+        ];
+        for p in irreducible {
+            let c = AvailabilityChain::new(p).unwrap();
+            assert!(
+                c.to_chain().stationary().is_ok(),
+                "{p:?} takes the direct solve"
+            );
+            stack_matches_generic(&c).unwrap();
+        }
+        let reducible = [
+            // Absorbing RECLAIMED.
+            [[0.9, 0.05, 0.05], [0.0, 1.0, 0.0], [0.1, 0.1, 0.8]],
+            // Every state absorbing (a `sample_paper` diagonal of 1).
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            // DOWN unreachable.
+            [[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.4]],
+        ];
+        for p in reducible {
+            let c = AvailabilityChain::new(p).unwrap();
+            assert_eq!(
+                c.to_chain().stationary(),
+                Err(ChainError::Reducible),
+                "{p:?}"
+            );
+            stack_matches_generic(&c).unwrap();
+            let power = c.to_chain().stationary_power(1e-13, 1_000_000);
+            assert_eq!(
+                c.stationary().map(f64::to_bits),
+                [0, 1, 2].map(|i| power[i].to_bits())
+            );
+        }
+        // Off-diagonals around the 1e-12 singular threshold: the solve's
+        // second pivot is ~3·eps, so the sweep crosses from the direct
+        // solve to the power-iteration fallback.
+        let sweep = [1e-11, 4e-12, 3.4e-13, 3.3e-13, 3e-13, 1e-13];
+        let singular = |eps: f64| {
+            sticky(eps).to_chain().stationary() == Err(ChainError::Matrix(MatrixError::Singular))
+        };
+        assert!(!singular(sweep[0]) && singular(sweep[sweep.len() - 1]));
+        for eps in sweep {
+            stack_matches_generic(&sticky(eps)).unwrap();
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1172,6 +1296,24 @@ mod tests {
                 // Survival cannot beat the best single-step survival.
                 let best = (1.0 - c.p_ud()).max(1.0 - c.p_rd());
                 prop_assert!(pk <= best.powi((k - 1) as i32) + 1e-9);
+            }
+
+            #[test]
+            fn prop_stack_stationary_is_bit_identical(
+                seed in 0u64..u64::MAX,
+                lo in 0.0f64..1.0,
+                width in 0.0f64..1.0,
+                c in arb_chain(),
+            ) {
+                // Section-7 chains with diagonals anywhere in [0, 1], and
+                // the arbitrary irreducible chains above.
+                let hi = lo + width * (1.0 - lo);
+                let paper = AvailabilityChain::sample_paper(&mut SeedPath::root(seed).rng(), lo, hi);
+                for chain in [paper, c] {
+                    if let Err(e) = stack_matches_generic(&chain) {
+                        prop_assert!(false, "{e}");
+                    }
+                }
             }
 
             #[test]

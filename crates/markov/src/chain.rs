@@ -7,7 +7,7 @@
 //! machinery separate lets the test-suite verify every closed form of the
 //! paper's Section 5 against an independent derivation.
 
-use crate::matrix::{MatrixError, SquareMatrix};
+use crate::matrix::{solve_in_place, MatrixError, SquareMatrix};
 
 /// Errors for chain construction and analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,28 +137,9 @@ impl MarkovChain {
             return Err(ChainError::Reducible);
         }
         let n = self.n();
-        // (P^T − I) π = 0 with the last row replaced by Σ π = 1.
-        let mut a = self.p.transpose();
-        for i in 0..n {
-            a[(i, i)] -= 1.0;
-        }
-        for j in 0..n {
-            a[(n - 1, j)] = 1.0;
-        }
-        let mut b = vec![0.0; n];
-        b[n - 1] = 1.0;
-        let mut pi = a.solve(&b)?;
-        // Clean tiny negative round-off and renormalize.
-        for x in &mut pi {
-            if *x < 0.0 {
-                debug_assert!(*x > -1e-9, "stationary solve produced {x}");
-                *x = 0.0;
-            }
-        }
-        let sum: f64 = pi.iter().sum();
-        for x in &mut pi {
-            *x /= sum;
-        }
+        let mut a = vec![0.0; n * n];
+        let mut pi = vec![0.0; n];
+        solve_stationary(self.p.data(), &mut a, &mut pi)?;
         Ok(pi)
     }
 
@@ -229,6 +210,47 @@ impl MarkovChain {
         }
         Ok(out)
     }
+}
+
+/// The direct stationary solve of the row-major `n × n` transition matrix
+/// `p` (irreducibility is the caller's check), written into `pi` of
+/// length `n` with `a` (`n × n`) as elimination scratch.
+///
+/// Shared by [`MarkovChain::stationary`] (heap scratch) and the 3×3
+/// [`crate::availability::AvailabilityChain::stationary`] (stack scratch),
+/// so both paths compute bit-identical distributions.
+#[inline]
+pub(crate) fn solve_stationary(
+    p: &[f64],
+    a: &mut [f64],
+    pi: &mut [f64],
+) -> Result<(), MatrixError> {
+    let n = pi.len();
+    // (P^T − I) π = 0 with the last row replaced by Σ π = 1.
+    for i in 0..n {
+        for j in 0..n {
+            a[j * n + i] = p[i * n + j];
+        }
+    }
+    for i in 0..n {
+        a[i * n + i] -= 1.0;
+    }
+    a[(n - 1) * n..].fill(1.0);
+    pi.fill(0.0);
+    pi[n - 1] = 1.0;
+    solve_in_place(a, pi)?;
+    // Clean tiny negative round-off and renormalize.
+    for x in pi.iter_mut() {
+        if *x < 0.0 {
+            debug_assert!(*x > -1e-9, "stationary solve produced {x}");
+            *x = 0.0;
+        }
+    }
+    let sum: f64 = pi.iter().sum();
+    for x in pi.iter_mut() {
+        *x /= sum;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -76,18 +76,6 @@ impl SquareMatrix {
         self.n
     }
 
-    /// Transposed copy.
-    #[must_use]
-    pub fn transpose(&self) -> Self {
-        let mut t = Self::zeros(self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
     /// Matrix product `self · rhs`.
     ///
     /// # Panics
@@ -147,56 +135,76 @@ impl SquareMatrix {
             .fold(0.0, f64::max)
     }
 
+    /// The entries in row-major order.
+    #[must_use]
+    pub(crate) fn data(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Solves `self · x = b` by Gaussian elimination with partial pivoting.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
         if b.len() != self.n {
             return Err(MatrixError::DimensionMismatch);
         }
-        let n = self.n;
         // Augmented working copy.
         let mut a = self.data.clone();
         let mut x = b.to_vec();
-
-        for col in 0..n {
-            // Pivot: largest magnitude in this column at or below the diagonal.
-            // `total_cmp` orders NaNs deterministically instead of
-            // panicking (identical to `partial_cmp` on real pivots: `abs`
-            // collapses the ±0.0 distinction); the range `col..n` is never
-            // empty inside this loop, so the fallback row is unreachable.
-            let pivot_row = (col..n)
-                .max_by(|&r1, &r2| a[r1 * n + col].abs().total_cmp(&a[r2 * n + col].abs()))
-                .unwrap_or(col);
-            let pivot = a[pivot_row * n + col];
-            if pivot.abs() < 1e-12 {
-                return Err(MatrixError::Singular);
-            }
-            if pivot_row != col {
-                for j in 0..n {
-                    a.swap(col * n + j, pivot_row * n + j);
-                }
-                x.swap(col, pivot_row);
-            }
-            for row in (col + 1)..n {
-                let factor = a[row * n + col] / a[col * n + col];
-                if factor == 0.0 {
-                    continue;
-                }
-                for j in col..n {
-                    a[row * n + j] -= factor * a[col * n + j];
-                }
-                x[row] -= factor * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut sum = x[col];
-            for j in (col + 1)..n {
-                sum -= a[col * n + j] * x[j];
-            }
-            x[col] = sum / a[col * n + col];
-        }
+        solve_in_place(&mut a, &mut x)?;
         Ok(x)
     }
+}
+
+/// Solves `a · x = b` in place for the row-major `n × n` matrix `a` and
+/// `x = b` of length `n`, by Gaussian elimination with partial pivoting;
+/// `a` is left eliminated and `x` holds the solution.
+///
+/// The one elimination routine behind [`SquareMatrix::solve`] and every
+/// stationary solve, the stack-resident 3×3 one of
+/// [`crate::availability::AvailabilityChain::stationary`] included: all
+/// run the same operations in the same order.
+#[inline]
+pub(crate) fn solve_in_place(a: &mut [f64], x: &mut [f64]) -> Result<(), MatrixError> {
+    let n = x.len();
+    debug_assert_eq!(a.len(), n * n, "matrix and right-hand side sizes differ");
+    for col in 0..n {
+        // Pivot: largest magnitude in this column at or below the diagonal.
+        // `total_cmp` orders NaNs deterministically instead of
+        // panicking (identical to `partial_cmp` on real pivots: `abs`
+        // collapses the ±0.0 distinction); the range `col..n` is never
+        // empty inside this loop, so the fallback row is unreachable.
+        let pivot_row = (col..n)
+            .max_by(|&r1, &r2| a[r1 * n + col].abs().total_cmp(&a[r2 * n + col].abs()))
+            .unwrap_or(col);
+        let pivot = a[pivot_row * n + col];
+        if pivot.abs() < 1e-12 {
+            return Err(MatrixError::Singular);
+        }
+        if pivot_row != col {
+            for j in 0..n {
+                a.swap(col * n + j, pivot_row * n + j);
+            }
+            x.swap(col, pivot_row);
+        }
+        for row in (col + 1)..n {
+            let factor = a[row * n + col] / a[col * n + col];
+            if factor == 0.0 {
+                continue;
+            }
+            for j in col..n {
+                a[row * n + j] -= factor * a[col * n + j];
+            }
+            x[row] -= factor * x[col];
+        }
+    }
+    // Back substitution.
+    for col in (0..n).rev() {
+        let mut sum = x[col];
+        for j in (col + 1)..n {
+            sum -= a[col * n + j] * x[j];
+        }
+        x[col] = sum / a[col * n + col];
+    }
+    Ok(())
 }
 
 impl std::ops::Index<(usize, usize)> for SquareMatrix {
@@ -240,17 +248,6 @@ mod tests {
         assert_eq!(c[(0, 1)], 22.0);
         assert_eq!(c[(1, 0)], 43.0);
         assert_eq!(c[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = SquareMatrix::from_rows(&[
-            vec![1.0, 2.0, 3.0],
-            vec![4.0, 5.0, 6.0],
-            vec![7.0, 8.0, 9.0],
-        ]);
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose()[(0, 1)], 4.0);
     }
 
     #[test]

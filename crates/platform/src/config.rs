@@ -220,7 +220,7 @@ impl PlatformConfig {
 
     /// The live availability of a run seeded from `seeds`, as one row
     /// source. All-Markov platforms — the paper's setting — get the dense
-    /// [`MarkovSourceBank`] (three contiguous columns, no per-processor
+    /// [`MarkovSourceBank`] (columns sampled in row blocks, no per-processor
     /// virtual calls); anything else gets the boxed
     /// [`Self::seeded_sources`]. Both emit the same streams, and this is
     /// the one place that chooses between them.

@@ -291,26 +291,39 @@ impl SharedTraceMatrix {
 /// The boxed form costs one virtual call plus a scattered heap load per
 /// processor per slot — at `p = 131072` the states pass becomes a pointer
 /// chase across a hundred thousand allocations. The bank keeps the chains,
-/// RNG states and current states in three contiguous columns and advances
-/// them in one linear sweep, so the per-slot pass streams memory instead.
+/// RNG states and current states in contiguous columns and samples
+/// `BLOCK` rows per sweep: each processor's 72-byte chain, 32-byte RNG
+/// and state are loaded once, advanced `BLOCK` times in registers and
+/// stored back, and the rows land in a private `BLOCK × p` buffer that
+/// [`Self::next_row_into`] copies out one row per call. A per-slot sweep
+/// streamed ~105 bytes per processor per slot; the blocked sweep streams
+/// that once per `BLOCK` slots.
 ///
 /// **Bit-identity contract**: processor `q`'s emitted stream is exactly the
 /// stream of `markov_source(chain_q, start_q, trace_seeds.child(q).rng())`
 /// — same construction-time draws (stationary starts), same per-slot
-/// `sample_next` logic on the same per-processor RNG. The
-/// `dense_markov_bank_matches_boxed_streams` test pins this.
+/// `sample_next` logic on the same per-processor RNG. Per-processor
+/// streams are independent, so sampling ahead changes no emitted row; a
+/// run that stops mid-block has sampled at most `BLOCK − 1` rows it never
+/// emits. The `dense_markov_bank_matches_boxed_streams` test pins this.
 #[derive(Debug, Default)]
 pub struct MarkovSourceBank {
-    /// The platform's **distinct** chains (platforms draw processors from a
-    /// handful of machine classes, so this is typically a few entries that
-    /// live in L1 across the whole sweep — per-processor clones would
-    /// stream another 72 bytes × p per slot for identical matrices).
+    /// One chain per processor: Section-7 platforms draw every processor's
+    /// chain afresh, so there is nothing to share.
     chains: Vec<AvailabilityChain>,
-    /// Per-processor index into `chains`.
-    chain_idx: Vec<u32>,
     rngs: Vec<StreamRng>,
+    /// Each processor's state at the first row of the next sweep.
     states: Vec<ProcState>,
+    /// The current sweep's rows, slot-major: `rows[k·p + q]`.
+    rows: Vec<ProcState>,
+    /// Rows of `rows` already emitted; [`BLOCK`] when a sweep is due.
+    emitted: usize,
 }
+
+/// Rows sampled per sweep of [`MarkovSourceBank`]. At `p = 131072` on a
+/// 2-vCPU box, 8 rows per sweep sampled faster than 4 or 16, and 16
+/// faster than 32 (`docs/scaling.md`).
+const BLOCK: usize = 8;
 
 impl MarkovSourceBank {
     /// Builds a bank for `platform` with the per-processor seed layout of
@@ -320,7 +333,14 @@ impl MarkovSourceBank {
     /// then falls back to boxed sources.
     #[must_use]
     pub fn try_from_platform(platform: &PlatformConfig, trace_seeds: &SeedPath) -> Option<Self> {
-        let mut bank = Self::default();
+        let p = platform.processors.len();
+        let mut bank = Self {
+            chains: Vec::with_capacity(p),
+            rngs: Vec::with_capacity(p),
+            states: Vec::with_capacity(p),
+            rows: Vec::new(),
+            emitted: BLOCK,
+        };
         for (q, pc) in platform.processors.iter().enumerate() {
             let AvailabilityModelConfig::Markov { chain, start } = &pc.avail else {
                 return None;
@@ -334,43 +354,48 @@ impl MarkovSourceBank {
                     ProcState::from_index(rng.weighted_index(&pi).unwrap_or(0))
                 }
             };
-            // Dedup by exact matrix equality: only bit-identical chains
-            // share an entry, so `chains[chain_idx[q]]` samples exactly as
-            // `q`'s own clone would. The probe is capped — a pathological
-            // platform of all-distinct chains degrades to per-processor
-            // entries (always correct, just unshared) instead of an O(p²)
-            // build.
-            let ci = match bank.chains.iter().take(64).position(|c| c == chain) {
-                Some(i) => i,
-                None => {
-                    bank.chains.push(chain.clone());
-                    bank.chains.len() - 1
-                }
-            };
-            // Lossless: at most one chain is pushed per processor, and
-            // validation bounds processor counts to u32.
-            bank.chain_idx.push(ci as u32);
+            bank.chains.push(chain.clone());
             bank.rngs.push(rng);
             bank.states.push(state);
         }
+        // Allocated here so that `next_row_into` never allocates.
+        bank.rows = vec![ProcState::Up; BLOCK * p];
         Some(bank)
     }
 
     /// Appends the next slot's state for every processor (in order) to
     /// `out` and advances all streams — the dense equivalent of calling
-    /// `next_state()` on `p` boxed sources.
+    /// `next_state()` on `p` boxed sources. Every `BLOCK`-th call samples
+    /// the next `BLOCK` rows; the others only copy.
     pub fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
-        out.reserve(self.states.len());
-        for ((state, &ci), rng) in self
-            .states
-            .iter_mut()
-            .zip(self.chain_idx.iter())
-            .zip(self.rngs.iter_mut())
-        {
-            let cur = *state;
-            out.push(cur);
-            *state = self.chains[ci as usize].sample_next(cur, rng);
+        if self.emitted == BLOCK {
+            self.sweep();
         }
+        let p = self.states.len();
+        out.extend_from_slice(&self.rows[self.emitted * p..(self.emitted + 1) * p]);
+        self.emitted += 1;
+    }
+
+    /// Samples the next [`BLOCK`] rows into `rows`, one processor at a time.
+    fn sweep(&mut self) {
+        let p = self.states.len();
+        for (q, ((chain, rng), state)) in self
+            .chains
+            .iter()
+            .zip(self.rngs.iter_mut())
+            .zip(self.states.iter_mut())
+            .enumerate()
+        {
+            let mut local = rng.clone();
+            let mut cur = *state;
+            for k in 0..BLOCK {
+                self.rows[k * p + q] = cur;
+                cur = chain.sample_next(cur, &mut local);
+            }
+            *rng = local;
+            *state = cur;
+        }
+        self.emitted = 0;
     }
 }
 
@@ -550,25 +575,51 @@ mod tests {
         assert!(SharedTraceMatrix::try_record_rows(Box::new(live_sources(1, 3))).is_ok());
     }
 
+    /// A Section-7 platform of `p` processors, each with its own sampled
+    /// chain, every processor starting under `start`.
+    fn paper_platform(p: u64, start: StartPolicy) -> PlatformConfig {
+        use crate::config::ProcessorConfig;
+        let mut rng = SeedPath::root(100 + p).rng();
+        PlatformConfig {
+            processors: (0..p)
+                .map(|q| {
+                    let chain = AvailabilityChain::sample_paper(&mut rng, 0.90, 0.99);
+                    ProcessorConfig::markov(1 + q, chain, start)
+                })
+                .collect(),
+            ncom: 2,
+        }
+    }
+
+    /// Platform sizes and row counts of the bank tests: one processor, a
+    /// few, and more than a `u8` counts; `3·BLOCK + 1` rows cross two full
+    /// sweeps and stop one row into the fourth.
+    const BANK_SIZES: [u64; 3] = [1, 7, 257];
+    const BANK_ROWS: usize = 3 * BLOCK + 1;
+
     #[test]
     fn shared_trace_dense_and_boxed_recordings_agree() {
-        // Recording the dense bank `seeded_rows` picks must replay exactly
-        // the same matrix as recording the equivalent boxed sources.
-        use crate::config::ProcessorConfig;
-        let platform = PlatformConfig {
-            processors: (0..5)
-                .map(|_| ProcessorConfig::markov(2, test_chain(), StartPolicy::Up))
-                .collect(),
-            ncom: 1,
-        };
-        let seeds = SeedPath::root(13);
-        let boxed = SharedTraceMatrix::record(platform.seeded_sources(seeds).collect());
-        let dense = SharedTraceMatrix::record_rows(platform.seeded_rows(seeds));
-        assert_eq!(dense.p(), 5);
-        for t in 0..120 {
-            let a = boxed.with_row(t, <[ProcState]>::to_vec);
-            let b = dense.with_row(t, <[ProcState]>::to_vec);
-            assert_eq!(a, b, "slot {t}");
+        // Recording the dense bank must replay exactly the same matrix as
+        // recording the equivalent boxed sources, whichever slot a reader
+        // asks for first.
+        for p in BANK_SIZES {
+            for start in [StartPolicy::Up, StartPolicy::Stationary] {
+                let platform = paper_platform(p, start);
+                let seeds = SeedPath::root(13);
+                let bank = MarkovSourceBank::try_from_platform(&platform, &seeds)
+                    .expect("all-Markov platform");
+                let dense = SharedTraceMatrix::record_rows(Box::new(bank));
+                let boxed = SharedTraceMatrix::record(platform.seeded_sources(seeds).collect());
+                assert_eq!(dense.p(), platform.p());
+                // The first read lands mid-block, two sweeps in.
+                dense.with_row(2 * BLOCK + 3, |_| ());
+                for t in 0..BANK_ROWS {
+                    let a = boxed.with_row(t, <[ProcState]>::to_vec);
+                    let b = dense.with_row(t, <[ProcState]>::to_vec);
+                    assert_eq!(a, b, "p = {p} {start:?} slot {t}");
+                }
+                assert_eq!(dense.recorded_slots(), BANK_ROWS);
+            }
         }
     }
 
@@ -609,42 +660,26 @@ mod tests {
     fn dense_markov_bank_matches_boxed_streams() {
         // The bank's per-processor streams must be bit-identical to the
         // boxed `markov_source` streams under the engine's seed layout,
-        // for both start policies. `seeded_rows` picks the bank here, so
-        // its rows match too.
-        use crate::processor::ProcessorSpec;
-        let platform = PlatformConfig {
-            processors: (0..7)
-                .map(|q| {
-                    let mut rng = SeedPath::root(100 + q).rng();
-                    let chain = AvailabilityChain::sample_paper(&mut rng, 0.90, 0.99);
-                    crate::config::ProcessorConfig {
-                        spec: ProcessorSpec::new(1 + q),
-                        avail: AvailabilityModelConfig::Markov {
-                            chain,
-                            start: if q % 2 == 0 {
-                                StartPolicy::Up
-                            } else {
-                                StartPolicy::Stationary
-                            },
-                        },
-                        believed: None,
-                    }
-                })
-                .collect(),
-            ncom: 2,
-        };
-        let seeds = SeedPath::root(9);
-        let mut bank =
-            MarkovSourceBank::try_from_platform(&platform, &seeds).expect("all-Markov platform");
-        assert_eq!(bank.p(), 7);
-        assert_rows_match_seeded_sources(&platform, seeds, &mut bank, 300);
-        let mut rows = platform.seeded_rows(seeds);
-        assert_eq!(
-            std::mem::size_of_val(&*rows),
-            std::mem::size_of::<MarkovSourceBank>(),
-            "an all-Markov platform gets the dense bank"
-        );
-        assert_rows_match_seeded_sources(&platform, seeds, &mut *rows, 300);
+        // for both start policies, across block boundaries and into a
+        // partly emitted block. `seeded_rows` picks the bank here, so its
+        // rows match too.
+        for p in BANK_SIZES {
+            for start in [StartPolicy::Up, StartPolicy::Stationary] {
+                let platform = paper_platform(p, start);
+                let seeds = SeedPath::root(9);
+                let mut bank = MarkovSourceBank::try_from_platform(&platform, &seeds)
+                    .expect("all-Markov platform");
+                assert_eq!(bank.p(), platform.p());
+                assert_rows_match_seeded_sources(&platform, seeds, &mut bank, BANK_ROWS);
+                let mut rows = platform.seeded_rows(seeds);
+                assert_eq!(
+                    std::mem::size_of_val(&*rows),
+                    std::mem::size_of::<MarkovSourceBank>(),
+                    "an all-Markov platform gets the dense bank"
+                );
+                assert_rows_match_seeded_sources(&platform, seeds, &mut *rows, BANK_ROWS);
+            }
+        }
     }
 
     #[test]
