@@ -576,50 +576,72 @@ mod tests {
     }
 
     /// A Section-7 platform of `p` processors, each with its own sampled
-    /// chain, every processor starting under `start`.
-    fn paper_platform(p: u64, start: StartPolicy) -> PlatformConfig {
+    /// chain; processor `q` starts under `starts[q % starts.len()]`.
+    fn paper_platform(p: u64, starts: &[StartPolicy]) -> PlatformConfig {
         use crate::config::ProcessorConfig;
         let mut rng = SeedPath::root(100 + p).rng();
         PlatformConfig {
             processors: (0..p)
                 .map(|q| {
                     let chain = AvailabilityChain::sample_paper(&mut rng, 0.90, 0.99);
-                    ProcessorConfig::markov(1 + q, chain, start)
+                    ProcessorConfig::markov(1 + q, chain, starts[q as usize % starts.len()])
                 })
                 .collect(),
             ncom: 2,
         }
     }
 
-    /// Platform sizes and row counts of the bank tests: one processor, a
-    /// few, and more than a `u8` counts; `3·BLOCK + 1` rows cross two full
-    /// sweeps and stop one row into the fourth.
+    /// Platform sizes, start layouts and row count of the bank tests: one
+    /// processor, a few, and more than a `u8` counts; every processor `Up`,
+    /// every processor `Stationary`, and the two alternating in one bank;
+    /// 300 rows are 37 full sweeps and half of the 38th.
     const BANK_SIZES: [u64; 3] = [1, 7, 257];
-    const BANK_ROWS: usize = 3 * BLOCK + 1;
+    const BANK_STARTS: [&[StartPolicy]; 3] = [
+        &[StartPolicy::Up],
+        &[StartPolicy::Stationary],
+        &[StartPolicy::Up, StartPolicy::Stationary],
+    ];
+    const BANK_ROWS: usize = 300;
+    const _: () = assert!(BANK_ROWS > 3 * BLOCK && !BANK_ROWS.is_multiple_of(BLOCK));
+
+    /// Every bank test platform, labelled for assertion messages: the
+    /// Section-7 grid above, plus five processors sharing one chain.
+    fn bank_platforms() -> Vec<(String, PlatformConfig)> {
+        use crate::config::ProcessorConfig;
+        let mut platforms = Vec::new();
+        for p in BANK_SIZES {
+            for starts in BANK_STARTS {
+                platforms.push((format!("p = {p} {starts:?}"), paper_platform(p, starts)));
+            }
+        }
+        let shared = PlatformConfig {
+            processors: (0..5)
+                .map(|_| ProcessorConfig::markov(2, test_chain(), StartPolicy::Up))
+                .collect(),
+            ncom: 1,
+        };
+        platforms.push(("p = 5 one shared chain".to_string(), shared));
+        platforms
+    }
 
     #[test]
     fn shared_trace_dense_and_boxed_recordings_agree() {
-        // Recording the dense bank must replay exactly the same matrix as
-        // recording the equivalent boxed sources, whichever slot a reader
-        // asks for first.
-        for p in BANK_SIZES {
-            for start in [StartPolicy::Up, StartPolicy::Stationary] {
-                let platform = paper_platform(p, start);
-                let seeds = SeedPath::root(13);
-                let bank = MarkovSourceBank::try_from_platform(&platform, &seeds)
-                    .expect("all-Markov platform");
-                let dense = SharedTraceMatrix::record_rows(Box::new(bank));
-                let boxed = SharedTraceMatrix::record(platform.seeded_sources(seeds).collect());
-                assert_eq!(dense.p(), platform.p());
-                // The first read lands mid-block, two sweeps in.
-                dense.with_row(2 * BLOCK + 3, |_| ());
-                for t in 0..BANK_ROWS {
-                    let a = boxed.with_row(t, <[ProcState]>::to_vec);
-                    let b = dense.with_row(t, <[ProcState]>::to_vec);
-                    assert_eq!(a, b, "p = {p} {start:?} slot {t}");
-                }
-                assert_eq!(dense.recorded_slots(), BANK_ROWS);
+        // Recording the dense bank `seeded_rows` picks must replay exactly
+        // the same matrix as recording the equivalent boxed sources,
+        // whichever slot a reader asks for first.
+        for (label, platform) in bank_platforms() {
+            let seeds = SeedPath::root(13);
+            let dense = SharedTraceMatrix::record_rows(platform.seeded_rows(seeds));
+            let boxed = SharedTraceMatrix::record(platform.seeded_sources(seeds).collect());
+            assert_eq!(dense.p(), platform.p());
+            // The first read lands mid-block, two sweeps in.
+            dense.with_row(2 * BLOCK + 3, |_| ());
+            for t in 0..BANK_ROWS {
+                let a = boxed.with_row(t, <[ProcState]>::to_vec);
+                let b = dense.with_row(t, <[ProcState]>::to_vec);
+                assert_eq!(a, b, "{label} slot {t}");
             }
+            assert_eq!(dense.recorded_slots(), BANK_ROWS);
         }
     }
 
@@ -642,16 +664,17 @@ mod tests {
         seeds: SeedPath,
         rows: &mut dyn RowSource,
         slots: usize,
+        label: &str,
     ) {
-        assert_eq!(rows.p(), platform.p());
+        assert_eq!(rows.p(), platform.p(), "{label}");
         let mut boxed: Vec<_> = platform.seeded_sources(seeds).collect();
         let mut row = Vec::new();
         for slot in 0..slots {
             row.clear();
             rows.next_row_into(&mut row);
-            assert_eq!(row.len(), platform.p(), "slot {slot}: partial row");
+            assert_eq!(row.len(), platform.p(), "{label} slot {slot}: partial row");
             for (q, src) in boxed.iter_mut().enumerate() {
-                assert_eq!(row[q], src.next_state(), "slot {slot} proc {q}");
+                assert_eq!(row[q], src.next_state(), "{label} slot {slot} proc {q}");
             }
         }
     }
@@ -663,22 +686,18 @@ mod tests {
         // for both start policies, across block boundaries and into a
         // partly emitted block. `seeded_rows` picks the bank here, so its
         // rows match too.
-        for p in BANK_SIZES {
-            for start in [StartPolicy::Up, StartPolicy::Stationary] {
-                let platform = paper_platform(p, start);
-                let seeds = SeedPath::root(9);
-                let mut bank = MarkovSourceBank::try_from_platform(&platform, &seeds)
-                    .expect("all-Markov platform");
-                assert_eq!(bank.p(), platform.p());
-                assert_rows_match_seeded_sources(&platform, seeds, &mut bank, BANK_ROWS);
-                let mut rows = platform.seeded_rows(seeds);
-                assert_eq!(
-                    std::mem::size_of_val(&*rows),
-                    std::mem::size_of::<MarkovSourceBank>(),
-                    "an all-Markov platform gets the dense bank"
-                );
-                assert_rows_match_seeded_sources(&platform, seeds, &mut *rows, BANK_ROWS);
-            }
+        for (label, platform) in bank_platforms() {
+            let seeds = SeedPath::root(9);
+            let mut bank = MarkovSourceBank::try_from_platform(&platform, &seeds)
+                .expect("all-Markov platform");
+            assert_rows_match_seeded_sources(&platform, seeds, &mut bank, BANK_ROWS, &label);
+            let mut rows = platform.seeded_rows(seeds);
+            assert_eq!(
+                std::mem::size_of_val(&*rows),
+                std::mem::size_of::<MarkovSourceBank>(),
+                "{label}: an all-Markov platform gets the dense bank"
+            );
+            assert_rows_match_seeded_sources(&platform, seeds, &mut *rows, BANK_ROWS, &label);
         }
     }
 
@@ -717,7 +736,7 @@ mod tests {
             std::mem::size_of::<Vec<Box<dyn AvailabilitySource>>>(),
             "a mixed platform gets boxed per-processor sources"
         );
-        assert_rows_match_seeded_sources(&platform, seeds, &mut *rows, 300);
+        assert_rows_match_seeded_sources(&platform, seeds, &mut *rows, 300, "mixed");
     }
 
     #[test]
