@@ -17,8 +17,9 @@
 //! round is evaluated, `n_active` is still zero and a literal reading of
 //! Equation (2) would erase the data-transfer cost entirely. We therefore
 //! count the candidate processor itself when it would be newly enrolled
-//! (\[D13\] in DESIGN.md), so the factor is always ≥ 1 and Equation (2)
-//! degrades gracefully to Equation (1) on an uncontended master.
+//! (\[D13\] in `docs/readings.md`), so the factor is always ≥ 1 and
+//! Equation (2) degrades gracefully to Equation (1) on an uncontended
+//! master.
 
 use crate::view::ProcSnapshot;
 use vg_des::SlotSpan;

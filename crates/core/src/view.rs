@@ -44,7 +44,7 @@ pub struct ProcSnapshot {
     /// `Delay(q)` (Section 6.3.1): estimated slots until the processor has
     /// finished its current activities — remaining program transfer, pinned
     /// data transfers and pinned computations — assuming it stays `UP` and
-    /// suffers no contention (\[D8\] in DESIGN.md).
+    /// suffers no contention (\[D8\] in `docs/readings.md`).
     pub delay: SlotSpan,
 }
 

@@ -11,7 +11,6 @@
 //! load well when item costs vary by orders of magnitude (long makespans on
 //! unlucky availability draws).
 
-use parking_lot::Mutex;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -47,7 +46,8 @@ impl ParallelismConfig {
 }
 
 /// Applies `f` to every item of `items`, in parallel, returning outputs in
-/// input order.
+/// input order: [`par_map_init_consume`] with one item per claim and no
+/// per-thread state, collecting what it streams back.
 ///
 /// `f` must be `Sync` (it is shared by reference across workers); items are
 /// taken by reference. Panics in workers are propagated to the caller after
@@ -67,35 +67,9 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = cfg.threads().min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    // Each completed result is written to its own slot; the mutex only guards
-    // the brief write (contention is negligible next to item cost).
-    let results = Mutex::new(&mut slots);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                results.lock()[i] = Some(r);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker completed every claimed slot"))
-        .collect()
+    let mut out = Vec::with_capacity(items.len());
+    par_map_init_consume(items, cfg, 1, || (), |(), item| f(item), |_, r| out.push(r));
+    out
 }
 
 /// Like [`par_map`] but with **per-thread state**, **chunked claiming** and
@@ -107,9 +81,10 @@ where
 /// strictly increasing index order, as results become available.
 ///
 /// This is the campaign fan-out primitive: `init` builds a warmed simulation
-/// arena once per thread, and every instance the thread pulls reuses the
-/// arena's buffers instead of reallocating them. Chunking additionally lets
-/// adjacent work units (all trials of one scenario) land on the same worker.
+/// arena once per thread, and every item the thread pulls reuses the
+/// arena's buffers instead of reallocating them. A campaign item is one
+/// scenario, whose trials run inside it; the campaign claims one item at a
+/// time, while larger chunks land adjacent items on the same worker.
 /// `f` receives `&mut S` plus the item; determinism is up to the caller
 /// (seed per item, not per thread, and the result is independent of the
 /// thread schedule).

@@ -1,7 +1,7 @@
 //! Bench-regression gate over `BENCH_slotloop.json` artifacts.
 //!
 //! ```text
-//! bench_guard <baseline.json> <candidate.json> [min_ratio] [min_small_ratio] [phase_profile.json]
+//! bench_guard <baseline.json>[,…] <candidate.json>[,…] [min_ratio] [min_small_ratio] [phase_profile.json]
 //! ```
 //!
 //! Compares the freshly measured slot-loop throughput against a baseline
@@ -46,13 +46,21 @@
 //! in either artifact a positive finite number: a `NaN` on either side
 //! would make every comparison false and pass any regression.
 //!
-//! Both artifacts are read with [`read_rows`], the reader of the format
+//! Each side may be a comma-separated list of artifacts, one per bench
+//! run; CI interleaves three base and three candidate runs. A cell's
+//! throughput is then its median over the side's runs, and the gate
+//! compares the two medians. A single slotloop run spreads past either
+//! floor on a 2-vCPU box even for unchanged code, while one outlier run
+//! of three cannot move a median. Every run of a side must hold the same
+//! cells.
+//!
+//! All artifacts are read with [`read_rows`], the reader of the format
 //! `vg_exp::paired` writes.
 
 use std::process::ExitCode;
 use vg_exp::paired::read_rows;
 
-const USAGE: &str = "usage: bench_guard <baseline.json> <candidate.json> \
+const USAGE: &str = "usage: bench_guard <baseline.json>[,...] <candidate.json>[,...] \
                      [min_ratio] [min_small_ratio] [phase_profile.json]";
 
 /// One `{"p": …, "replication": …, …, "slots_per_sec": …}` cell.
@@ -62,6 +70,12 @@ struct CellPerf {
     replication: bool,
     capped: bool,
     slots_per_sec: f64,
+}
+
+impl CellPerf {
+    fn same_cell(&self, other: &Self) -> bool {
+        (self.p, self.replication, self.capped) == (other.p, other.replication, other.capped)
+    }
 }
 
 /// Parses every benchmark cell out of a `BENCH_slotloop.json` body. A row
@@ -99,6 +113,49 @@ fn read_cells(path: &str) -> Result<Vec<CellPerf>, String> {
     }
 }
 
+/// The cells of the comma-separated artifacts `paths`, each cell's
+/// `slots_per_sec` the median over them (the mean of the middle two for
+/// an even count). Every artifact must hold exactly the first one's cells.
+fn median_cells(paths: &str) -> Result<Vec<CellPerf>, String> {
+    let runs = paths
+        .split(',')
+        .map(|path| Ok((path, read_cells(path)?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let (first_path, first) = &runs[0];
+    if let Some((path, cells)) = runs.iter().find(|(_, cells)| cells.len() != first.len()) {
+        return Err(format!(
+            "{path} has {} cells but {first_path} has {}",
+            cells.len(),
+            first.len()
+        ));
+    }
+    let mut medians = Vec::with_capacity(first.len());
+    for cell in first {
+        let mut samples = Vec::with_capacity(runs.len());
+        for (path, cells) in &runs {
+            let Some(c) = cells.iter().find(|c| c.same_cell(cell)) else {
+                return Err(format!(
+                    "{path} is missing the cell p={} replication={} capped={} of {first_path}",
+                    cell.p, cell.replication, cell.capped
+                ));
+            };
+            samples.push(c.slots_per_sec);
+        }
+        samples.sort_unstable_by(f64::total_cmp);
+        let mid = samples.len() / 2;
+        let median = if samples.len() % 2 == 1 {
+            samples[mid]
+        } else {
+            (samples[mid - 1] + samples[mid]) / 2.0
+        };
+        medians.push(CellPerf {
+            slots_per_sec: median,
+            ..*cell
+        });
+    }
+    Ok(medians)
+}
+
 /// The floor argument `arg`, else `default`: a ratio in (0, 1].
 fn parse_floor(arg: Option<&String>, name: &str, default: f64) -> Result<f64, String> {
     let Some(arg) = arg else {
@@ -134,8 +191,8 @@ fn run(
     min_small_ratio: f64,
     phase_profile_path: Option<&str>,
 ) -> Result<(), String> {
-    let baseline = read_cells(baseline_path)?;
-    let candidate = read_cells(candidate_path)?;
+    let baseline = median_cells(baseline_path)?;
+    let candidate = median_cells(candidate_path)?;
     if baseline.is_empty() || candidate.is_empty() {
         return Err(format!(
             "no benchmark cells parsed ({} baseline, {} candidate)",
@@ -190,12 +247,16 @@ fn run(
     if let Some(path) = phase_profile_path {
         check_phase_profile(path, &read(path)?)?;
     }
+    let runs = |paths: &str| paths.split(',').count();
+    println!(
+        "per-cell medians over {} baseline and {} candidate run(s)",
+        runs(baseline_path),
+        runs(candidate_path)
+    );
     let mut gated = 0usize;
     let mut failures = Vec::new();
     for base in &baseline {
-        let Some(cand) = candidate.iter().find(|c| {
-            c.p == base.p && c.replication == base.replication && c.capped == base.capped
-        }) else {
+        let Some(cand) = candidate.iter().find(|c| c.same_cell(base)) else {
             // A cell the baseline measured but the candidate no longer
             // emits must fail loudly, not un-gate itself — dropping a row
             // from the bench grid (or a truncated artifact) is exactly how
@@ -419,6 +480,51 @@ mod tests {
         let err = run(b, dropped.to_str().unwrap(), 0.85, 0.90, None).unwrap_err();
         assert!(err.contains("missing the baseline cell p=32"), "{err}");
         assert!(run(dropped.to_str().unwrap(), b, 0.85, 0.90, None).is_ok());
+    }
+
+    #[test]
+    fn medians_gate_a_steady_drop_but_not_one_outlier_run() {
+        // Three runs a side, the CI floors. A 10% drop of the p = 32 cell
+        // in every candidate run fails; a halved p = 32 in one run of
+        // three, which would fail a single-run gate, does not move the
+        // median.
+        let dir = std::env::temp_dir().join("vg_bench_guard_medians");
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, json: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, json).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let p32 = |v: &str| SAMPLE.replace("\"slots_per_sec\": 1000.0", v);
+        let base = write("base.json", SAMPLE);
+        let bases = [base.as_str(); 3].join(",");
+        let dropped = write("dropped.json", &p32("\"slots_per_sec\": 900.0"));
+        let outlier = write("outlier.json", &p32("\"slots_per_sec\": 500.0"));
+        let err = run(&bases, &[dropped.as_str(); 3].join(","), 0.85, 0.95, None).unwrap_err();
+        assert!(err.contains("p=32"), "{err}");
+        assert!(run(&base, &outlier, 0.85, 0.95, None).is_err());
+        let one_outlier = [base.as_str(), outlier.as_str(), base.as_str()].join(",");
+        assert!(run(&bases, &one_outlier, 0.85, 0.95, None).is_ok());
+        // The median of an even count is the mean of the middle two.
+        let two = [base.as_str(), outlier.as_str()].join(",");
+        let medians = median_cells(&two).unwrap();
+        assert_eq!(medians[0].slots_per_sec, 750.0);
+        // Every run of a side must hold the same cells.
+        let short = write(
+            "short.json",
+            &SAMPLE
+                .lines()
+                .filter(|l| !l.contains("\"p\": 32"))
+                .collect::<Vec<_>>()
+                .join("\n"),
+        );
+        for set in [
+            [base.as_str(), short.as_str()],
+            [short.as_str(), base.as_str()],
+        ] {
+            let err = run(&bases, &set.join(","), 0.85, 0.95, None).unwrap_err();
+            assert!(err.contains("cells but"), "{err}");
+        }
     }
 
     #[test]

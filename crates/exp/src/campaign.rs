@@ -17,14 +17,32 @@
 //! scenario instead of once per trial. Each worker thread keeps one warmed
 //! [`SimArena`] for its whole lifetime, so back-to-back simulations reuse
 //! every engine buffer. Instance results stream back to the calling thread
-//! in input order (`vg_des::par::par_map_init_consume`) and fold immediately
+//! in claim order (`vg_des::par::par_map_init_consume`) and fold immediately
 //! into per-cell [`CellStats`], keeping memory O(cells × heuristics) at
 //! paper scale; set [`CampaignConfig::keep_outcomes`] to also retain the raw
 //! per-instance [`InstanceOutcome`]s.
 //!
+//! ## Longest-predicted-first claims
+//!
+//! Units are claimed one at a time in descending predicted cost
+//! (`predicted_cost`, ties by cell index), the longest-processing-time
+//! list rule. The Table-1 grid lists its heaviest cells last (`n = 40`,
+//! `wmin = 8–10`), so in grid order a pass ended with one thread running
+//! the few slowest units while the others sat idle. Claim order keeps
+//! units cell-major, and each cell's scenarios (and their trials) stay
+//! ascending.
+//!
+//! Folding in claim order changes no bit of the result: [`CellStats::absorb`]
+//! touches only its own cell, which still sees its instances in grid order,
+//! and the remaining counters (`instances`, `rejected_runs`) are sums.
+//! Kept outcomes are put back in grid order before they are returned.
+//! Because claims and consumption follow the same order, the reorder buffer
+//! of `par_map_init_consume` holds only results that finished while an
+//! earlier-claimed unit was still running, as in grid order.
+//!
 //! Because all seeds derive from `(master_seed, cell, scenario, trial,
-//! heuristic)` — never from the thread schedule — and the in-order fold is
-//! the same code on every path, [`run_campaign`] is bit-identical to the
+//! heuristic)` — never from the thread schedule — and each cell folds in
+//! grid order on every path, [`run_campaign`] is bit-identical to the
 //! per-unit reference runner [`run_campaign_reference`] at any parallelism.
 //!
 //! ## Capped and degenerate instances
@@ -270,7 +288,8 @@ pub struct CampaignResult {
     /// statistics are not the grid's: every binary that runs a campaign
     /// says so on stderr and exits non-zero.
     pub rejected_runs: u64,
-    /// Per-instance outcomes, kept only when the config asked for them.
+    /// Per-instance outcomes in grid order (cell, scenario, trial), kept
+    /// only when the config asked for them.
     pub outcomes: Option<Vec<InstanceOutcome>>,
 }
 
@@ -512,10 +531,10 @@ fn empty_result(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignResul
     }
 }
 
-/// Folds one instance into `result`, in instance order. A rejected
-/// instance scores every heuristic as a capped run — a lower bound that
-/// can never win, exactly like a run that burned its slot cap — and counts
-/// its runs in [`CampaignResult::rejected_runs`].
+/// Folds one instance into `result`; each cell must see its instances in
+/// grid order. A rejected instance scores every heuristic as a capped
+/// run — a lower bound that can never win, exactly like a run that burned
+/// its slot cap — and counts its runs in [`CampaignResult::rejected_runs`].
 fn fold(
     result: &mut CampaignResult,
     cell: usize,
@@ -538,26 +557,44 @@ fn fold(
     }
 }
 
+/// Predicted relative cost of one scenario of `cell`:
+/// `iterations · n_tasks · (wmin + t_data)`, saturating.
+///
+/// It only orders claims, so it needs to rank cells, not time them. A run
+/// simulates roughly `iterations · n/p · (w + T_data)` slots, each costing
+/// O(p) engine work, so `p` cancels; task costs scale with `wmin`. The
+/// estimate is an integer function of the cell's parameters, so the claim
+/// order is the same on every machine and every run.
+fn predicted_cost(cell: &ScenarioParams) -> u64 {
+    cell.iterations
+        .saturating_mul(cell.n_tasks as u64)
+        .saturating_mul(cell.wmin.saturating_add(cell.t_data()))
+}
+
+/// Cell indices in claim order: descending `predicted_cost`, ties by
+/// ascending index.
+fn claim_order(cells: &[ScenarioParams]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_unstable_by_key(|&c| (std::cmp::Reverse(predicted_cost(&cells[c])), c));
+    order
+}
+
 /// Runs a campaign over `cells` through the batched, arena-reusing pipeline
 /// (see the module docs). Bit-identical to [`run_campaign_reference`] at any
 /// [`ParallelismConfig`].
 #[must_use]
 pub fn run_campaign(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignResult {
-    let mut units = Vec::with_capacity(cells.len() * cfg.scenarios_per_cell);
-    for cell in 0..cells.len() {
-        for scenario in 0..cfg.scenarios_per_cell {
-            units.push(ScenarioUnit { cell, scenario });
-        }
-    }
+    let units: Vec<ScenarioUnit> = claim_order(cells)
+        .into_iter()
+        .flat_map(|cell| {
+            (0..cfg.scenarios_per_cell).map(move |scenario| ScenarioUnit { cell, scenario })
+        })
+        .collect();
     let mut result = empty_result(cells, cfg);
-    // A handful of scenarios per claim keeps the atomic/channel overhead
-    // negligible while staying fine-grained enough to balance makespan
-    // variance across threads.
-    let chunk = (units.len() / (cfg.parallelism.threads() * 8)).clamp(1, 4);
     par_map_init_consume(
         &units,
         cfg.parallelism,
-        chunk,
+        1,
         SimArena::new,
         |arena, unit| {
             let seed = scenario_seed(cfg.master_seed, unit.cell, unit.scenario);
@@ -585,6 +622,11 @@ pub fn run_campaign(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignR
             }
         },
     );
+    // Each cell's instances arrived contiguous and in grid order, so a
+    // stable sort by cell restores the grid order.
+    if let Some(kept) = &mut result.outcomes {
+        kept.sort_by_key(|o| o.cell);
+    }
     result
 }
 
@@ -937,6 +979,69 @@ mod tests {
         let only_w1 = result.summarize_filtered(|c| c.wmin == 1);
         assert_eq!(all[0].dfb.count(), 4);
         assert_eq!(only_w1[0].dfb.count(), 2);
+    }
+
+    #[test]
+    fn claim_order_puts_the_heaviest_table1_cells_first() {
+        let grid = ScenarioParams::table1_grid();
+        let order = claim_order(&grid);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..grid.len()).collect::<Vec<_>>(), "a permutation");
+        let key = |c: usize| (grid[c].n_tasks, grid[c].wmin);
+        // One cell per ncom value has n = 40, wmin = 10 (the costliest)
+        // and n = 5, wmin = 1 (the cheapest); ties keep grid order.
+        let (first, last) = (&order[..3], &order[order.len() - 3..]);
+        assert!(first.iter().all(|&c| key(c) == (40, 10)), "{first:?}");
+        assert!(last.iter().all(|&c| key(c) == (5, 1)), "{last:?}");
+        assert!(first.is_sorted() && last.is_sorted());
+        for pair in order.windows(2) {
+            assert!(predicted_cost(&grid[pair[0]]) >= predicted_cost(&grid[pair[1]]));
+        }
+    }
+
+    #[test]
+    fn cost_order_folds_bit_identically_to_grid_order() {
+        // Cells listed cheapest first, so every claim runs against grid
+        // order; three scenarios × two trials per cell.
+        let cells: Vec<ScenarioParams> = [(5, 1), (5, 3), (10, 2)]
+            .into_iter()
+            .map(|(n, wmin)| ScenarioParams {
+                p: 6,
+                ..ScenarioParams::paper(n, 5, wmin)
+            })
+            .collect();
+        assert_eq!(claim_order(&cells), vec![2, 1, 0]);
+        let mut cfg = tiny_config(vec![
+            HeuristicKind::Mct,
+            HeuristicKind::EmctStar,
+            HeuristicKind::Random2w,
+        ]);
+        cfg.scenarios_per_cell = 3;
+        cfg.trials = 2;
+        cfg.keep_outcomes = true;
+        let reference = run_campaign_reference(&cells, &cfg);
+        let grid_order: Vec<usize> = (0..3).flat_map(|c| [c; 6]).collect();
+        for parallelism in [
+            ParallelismConfig::Sequential,
+            ParallelismConfig::fixed(2),
+            ParallelismConfig::fixed(3),
+        ] {
+            let result = run_campaign(
+                &cells,
+                &CampaignConfig {
+                    parallelism,
+                    ..cfg.clone()
+                },
+            );
+            let outcomes = result.outcomes.as_ref().expect("kept");
+            let seen: Vec<usize> = outcomes.iter().map(|o| o.cell).collect();
+            assert_eq!(seen, grid_order, "{parallelism:?}: outcomes in grid order");
+            assert_eq!(result.outcomes, reference.outcomes, "{parallelism:?}");
+            assert_eq!(result.cell_stats, reference.cell_stats, "{parallelism:?}");
+            assert_eq!(result.instances, reference.instances);
+            assert_eq!(result.rejected_runs, reference.rejected_runs);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A schedule says, for every processor and slot, which communication the
 //! master performs toward it and which task it computes. The validator
-//! checks every model rule of Section 3 (\[D15\] in DESIGN.md):
+//! checks every model rule of Section 3 (\[D15\] in `docs/readings.md`):
 //!
 //! 1. activity only on `UP` slots and inside the horizon;
 //! 2. at most `ncom` simultaneous communications per slot;
