@@ -85,6 +85,7 @@ impl Snapshot {
 
     /// True when no allocator activity happened in the delta.
     #[must_use]
+    // tidy:allow(dead_pub): the zero-allocation gate, tests/zero_alloc.rs, asserts each measured window is quiet
     pub fn is_quiet(self) -> bool {
         self.allocs == 0 && self.reallocs == 0
     }

@@ -106,32 +106,6 @@ impl HeuristicKind {
             .find(|k| k.name().to_ascii_lowercase() == lower)
     }
 
-    /// True for the random family (needs an RNG stream).
-    #[must_use]
-    pub fn is_random(self) -> bool {
-        matches!(
-            self,
-            Self::Random
-                | Self::Random1
-                | Self::Random2
-                | Self::Random3
-                | Self::Random4
-                | Self::Random1w
-                | Self::Random2w
-                | Self::Random3w
-                | Self::Random4w
-        )
-    }
-
-    /// True for the contention-aware `*` variants.
-    #[must_use]
-    pub fn is_starred(self) -> bool {
-        matches!(
-            self,
-            Self::MctStar | Self::EmctStar | Self::LwStar | Self::UdStar
-        )
-    }
-
     /// Instantiates the scheduler. `rng` seeds the random family's draws
     /// (ignored by the deterministic greedy heuristics, so all 17 can be
     /// built uniformly).
@@ -251,7 +225,6 @@ mod tests {
     fn greedy_and_figure2_are_subsets() {
         for k in HeuristicKind::GREEDY {
             assert!(HeuristicKind::ALL.contains(&k));
-            assert!(!k.is_random());
         }
         for k in HeuristicKind::FIGURE2 {
             assert!(HeuristicKind::GREEDY.contains(&k));
@@ -273,19 +246,5 @@ mod tests {
             let s = k.build(SeedPath::root(1).rng());
             assert_eq!(s.name(), k.name());
         }
-    }
-
-    #[test]
-    fn starred_classification() {
-        assert!(HeuristicKind::EmctStar.is_starred());
-        assert!(!HeuristicKind::Emct.is_starred());
-        assert_eq!(
-            HeuristicKind::ALL.iter().filter(|k| k.is_starred()).count(),
-            4
-        );
-        assert_eq!(
-            HeuristicKind::ALL.iter().filter(|k| k.is_random()).count(),
-            9
-        );
     }
 }

@@ -233,12 +233,6 @@ impl GreedyScheduler {
         self.force_selector = kind;
     }
 
-    /// The objective.
-    #[must_use]
-    pub fn objective(&self) -> GreedyObjective {
-        self.objective
-    }
-
     /// Score of assigning one more task to processor `idx`; *smaller is
     /// better* (maximizing objectives are negated). Resolves the
     /// Equation-(2) ceiling from first principles per call — the
@@ -1248,7 +1242,8 @@ mod tests {
             view: &SchedView<'_>,
             count: usize,
         ) -> Vec<ProcessorId> {
-            let ups = view.up_indices();
+            let mut ups = Vec::new();
+            view.up_indices_into(&mut ups);
             if ups.is_empty() {
                 return Vec::new();
             }
@@ -1630,7 +1625,8 @@ mod tests {
             let mut naive = Vec::new();
             let mut n_q = vec![0usize; view.p()];
             let mut n_active = 0usize;
-            let ups = view.up_indices();
+            let mut ups = Vec::new();
+            view.up_indices_into(&mut ups);
             for _ in 0..10 {
                 let mut best_idx = ups[0];
                 let mut best_score = f64::INFINITY;

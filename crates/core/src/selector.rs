@@ -89,11 +89,11 @@ pub enum SelectorKind {
 /// Below this `count · u` product the dense linear rescan wins: it
 /// vectorizes, the structured selectors' builds do not. Measured on the
 /// slotloop and selector benches; flat between 2¹¹ and 2¹³.
-pub const LINEAR_MAX_WORK: usize = 4096;
+pub(crate) const LINEAR_MAX_WORK: usize = 4096;
 
 /// Rounds shorter than this stay linear regardless of `u`: the `O(u)`
 /// build cannot amortize over so few placements.
-pub const STRUCTURED_MIN_COUNT: usize = 4;
+pub(crate) const STRUCTURED_MIN_COUNT: usize = 4;
 
 /// From this many candidates up, a round whose view carries a
 /// [`ViewDelta`](crate::view::ViewDelta) builds its lane's persistent
@@ -286,7 +286,7 @@ impl LoserTree {
     /// contract (module docs) was honored.
     #[inline]
     #[must_use]
-    pub fn winner(&self) -> usize {
+    fn winner(&self) -> usize {
         self.nodes[0] as usize
     }
 
@@ -300,7 +300,7 @@ impl LoserTree {
     /// way is the new runner-up whenever the winner defends its title.
     /// Only valid for the winner's leaf (other leaves' paths store losers
     /// the changed key never played), hence the debug assert.
-    pub fn replay_winner(&mut self, leaf: usize, scores: &[f64]) {
+    fn replay_winner(&mut self, leaf: usize, scores: &[f64]) {
         debug_assert_eq!(
             leaf, self.nodes[0] as usize,
             "path replay is only sound for the current winner's leaf"
@@ -457,7 +457,7 @@ impl WinnerTree {
     /// soon as a minimum is unchanged — so re-keying a leaf that wins
     /// nothing costs the bucket scan alone.
     #[inline]
-    pub fn update(&mut self, j: usize, key: u128) {
+    fn update(&mut self, j: usize, key: u128) {
         debug_assert!(j < self.len);
         self.keys[j] = key;
         let b = j / BUCKET;
@@ -534,7 +534,7 @@ impl WinnerTree {
     /// when no leaf holds a candidate, else the winner's packed key.
     #[inline]
     #[must_use]
-    pub fn min_key(&self) -> u128 {
+    fn min_key(&self) -> u128 {
         self.nodes.get(1).copied().unwrap_or(PAD_KEY)
     }
 }

@@ -175,18 +175,6 @@ impl<'a> SchedView<'a> {
         self.procs[idx].state.is_up() && self.candidates.is_none_or(|c| c[idx])
     }
 
-    /// Indices of the round's candidates (`UP` processors, narrowed by
-    /// [`Self::candidates`]), in id order.
-    ///
-    /// Allocates; heuristic hot paths use [`Self::up_indices_into`] with a
-    /// reused scratch buffer instead.
-    #[must_use]
-    pub fn up_indices(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.up_indices_into(&mut out);
-        out
-    }
-
     /// Writes the indices of the round's candidates (`UP` processors,
     /// narrowed by [`Self::candidates`]) into `out` (cleared first), in id
     /// order. No allocation once `out` has warmed to capacity.
@@ -339,6 +327,12 @@ mod tests {
             .unwrap()
     }
 
+    fn up_indices(v: &SchedView<'_>) -> Vec<usize> {
+        let mut out = Vec::new();
+        v.up_indices_into(&mut out);
+        out
+    }
+
     #[test]
     fn up_indices_filters_and_orders() {
         let owned = SchedViewBuilder::new(5, 1, 2)
@@ -348,7 +342,7 @@ mod tests {
             .proc(ProcState::Reclaimed, 2, true, 3, chain())
             .build();
         let v = owned.view();
-        assert_eq!(v.up_indices(), vec![0, 2]);
+        assert_eq!(up_indices(&v), vec![0, 2]);
         assert_eq!(v.p(), 4);
         assert_eq!(v.procs[2].id, ProcessorId(2));
     }
@@ -380,7 +374,7 @@ mod tests {
             .build();
         let v = owned.view();
         // A non-UP processor stays out even when the set names it.
-        assert_eq!(v.up_indices(), vec![0, 3]);
+        assert_eq!(up_indices(&v), vec![0, 3]);
         assert!(v.is_candidate(0) && !v.is_candidate(1) && !v.is_candidate(2));
     }
 

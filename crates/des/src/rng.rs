@@ -35,7 +35,7 @@ impl SplitMix64 {
 
     /// Returns the next 64-bit output and advances the state.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -47,7 +47,7 @@ impl SplitMix64 {
 /// One-shot mix of two words; used to fold path labels into a seed.
 #[inline]
 #[must_use]
-pub fn mix64(a: u64, b: u64) -> u64 {
+fn mix64(a: u64, b: u64) -> u64 {
     let mut sm = SplitMix64::new(a ^ b.rotate_left(32).wrapping_mul(0xD6E8_FEB8_6659_FD93));
     sm.next_u64()
 }
@@ -55,10 +55,10 @@ pub fn mix64(a: u64, b: u64) -> u64 {
 /// A hierarchical seed derivation path.
 ///
 /// `SeedPath::root(seed).child(label)…` folds each label into the seed with
-/// [`mix64`]. Distinct paths yield (with overwhelming probability) independent
-/// streams; equal paths yield identical streams. Labels are plain `u64`s; the
-/// workspace uses small enums/indices (scenario id, trial, processor id, a
-/// per-component discriminant).
+/// a SplitMix64 mix. Distinct paths yield (with overwhelming probability)
+/// independent streams; equal paths yield identical streams. Labels are
+/// plain `u64`s; the workspace uses small enums/indices (scenario id,
+/// trial, processor id, a per-component discriminant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeedPath {
     seed: u64,
@@ -180,12 +180,6 @@ impl StreamRng {
         lo + self.index((span + 1) as usize) as u64
     }
 
-    /// Bernoulli draw with success probability `p`.
-    #[inline]
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Samples an index from a discrete distribution given by non-negative
     /// `weights` (need not be normalized). Returns `None` if the total weight
     /// is zero or not finite.
@@ -204,14 +198,6 @@ impl StreamRng {
         }
         // Floating-point slack: fall back to the last strictly positive weight.
         weights.iter().rposition(|&w| w > 0.0)
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -417,17 +403,6 @@ mod tests {
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = StreamRng::seed_from_u64(12);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl OnlineStats {
 
     /// Standard error of the mean.
     #[must_use]
-    pub fn std_err(&self) -> f64 {
+    fn std_err(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

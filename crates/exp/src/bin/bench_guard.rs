@@ -17,30 +17,20 @@
 //! and passes that file here (the committed `BENCH_slotloop.json` is a
 //! recorded trajectory, not a cross-machine gate). Every baseline cell is
 //! printed and gated, and a cell missing from where it must exist fails
-//! loudly instead of un-gating itself — **both** p = 1024 cells
-//! (replication off AND on) must be present in both files, and every
-//! baseline cell must still exist in the candidate (a dropped or
-//! truncated row is exactly how a regression slips through); only cells
-//! the *candidate* adds (a grown grid) pass ungated, having no baseline.
+//! loudly instead of un-gating itself: every baseline cell must still
+//! exist in the candidate (a dropped or truncated row is exactly how a
+//! regression slips through); only cells the *candidate* adds (a grown
+//! grid) pass ungated, having no baseline.
 //!
-//! Since the demand-driven placement work the grid also carries **capped**
-//! cells (`"capped": true` — the `PlacementBudget::BindCapacity` engine
-//! mode); cells are matched on `(p, replication, capped)` and a row
-//! without the field is uncapped (pre-cap artifacts stay parseable). The
-//! *candidate* must contain both capped `p = 1024` cells — dropping them
-//! from the bench grid would silently retire the optimisation's
-//! regression gate — while a baseline from a pre-cap revision is exempt
-//! (its capped cells simply pass ungated until the grid lands). When a
+//! Cells are matched on `(p, replication, capped)`; `"capped": true` is
+//! the `PlacementBudget::BindCapacity` engine mode, and a row without the
+//! field is refused. Both artifacts must hold every `p ∈ {1024, 16384,
+//! 131072}` cell, capped and uncapped, replication off and on. The
+//! platform-scale cells (`p ≥ 16384`, with a `peak_rss_bytes` footprint
+//! field the gate ignores) gate at the `min_small_ratio` floor. When a
 //! phase-profile artifact path is given, it too must contain a capped
 //! `p = 1024` row, so the sub-split trajectory of the capped slot loop
 //! cannot quietly vanish from CI.
-//!
-//! Since the platform-scale work the grid further carries `p ∈ {16384,
-//! 131072}` cells (change-fed passes + persistent selector lanes, with
-//! a `peak_rss_bytes` footprint field the gate ignores). Those
-//! are required of the *candidate* with the same pre-existing-baseline
-//! exemption, and — being non-1024 cells — they gate at the
-//! `min_small_ratio` floor (0.95) whenever the baseline measured them.
 //!
 //! A floor must be a ratio in (0, 1], and every cell's `slots_per_sec`
 //! in either artifact a positive finite number: a `NaN` on either side
@@ -78,16 +68,23 @@ impl CellPerf {
     }
 }
 
-/// Parses every benchmark cell out of a `BENCH_slotloop.json` body. A row
-/// without a `"capped"` field is an uncapped cell (artifacts recorded
-/// before the placement-budget grid remain parseable).
-fn parse_cells(json: &str) -> Vec<CellPerf> {
+/// Parses every benchmark cell out of a `BENCH_slotloop.json` body,
+/// refusing a cell without a `"capped"` field.
+fn parse_cells(json: &str) -> Result<Vec<CellPerf>, String> {
     let cells = read_rows(json).into_iter().filter_map(|row| {
-        Some(CellPerf {
-            p: row.get("p")?.parse().ok()?,
-            replication: row.get("replication")? == "true",
-            capped: row.get("capped").is_some_and(|v| v == "true"),
-            slots_per_sec: row.get("slots_per_sec")?.parse().ok()?,
+        let p = row.get("p")?.parse().ok()?;
+        let replication = row.get("replication")? == "true";
+        let slots_per_sec = row.get("slots_per_sec")?.parse().ok()?;
+        Some(match row.get("capped") {
+            Some(capped) => Ok(CellPerf {
+                p,
+                replication,
+                capped: capped == "true",
+                slots_per_sec,
+            }),
+            None => Err(format!(
+                "cell p={p} replication={replication} has no \"capped\" field"
+            )),
         })
     });
     cells.collect()
@@ -100,7 +97,7 @@ fn read(path: &str) -> Result<String, String> {
 /// The cells of the artifact at `path`, each with a positive finite
 /// `slots_per_sec`.
 fn read_cells(path: &str) -> Result<Vec<CellPerf>, String> {
-    let cells = parse_cells(&read(path)?);
+    let cells = parse_cells(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
     let bad = cells
         .iter()
         .find(|c| !(c.slots_per_sec.is_finite() && c.slots_per_sec > 0.0));
@@ -202,43 +199,18 @@ fn run(
     }
     // The gate is only meaningful if every gated cell actually exists in
     // both artifacts — a missing cell must fail loudly, not un-gate itself.
-    for replication in [false, true] {
-        for (file, cells) in [(baseline_path, &baseline), (candidate_path, &candidate)] {
-            if !cells
-                .iter()
-                .any(|c| c.p == 1024 && c.replication == replication && !c.capped)
+    for (file, cells) in [(baseline_path, &baseline), (candidate_path, &candidate)] {
+        for p in [1024u64, 16_384, 131_072] {
+            for (replication, capped) in
+                [(false, false), (false, true), (true, false), (true, true)]
             {
-                return Err(format!(
-                    "{file} is missing the gated cell p=1024 replication={replication}"
-                ));
-            }
-        }
-        // The capped grid is required of the *candidate* only: a baseline
-        // from a pre-cap merge-base cannot have measured it, but current
-        // code dropping the capped cells would silently retire the
-        // placement-budget regression gate.
-        if !candidate
-            .iter()
-            .any(|c| c.p == 1024 && c.replication == replication && c.capped)
-        {
-            return Err(format!(
-                "{candidate_path} is missing the capped cell p=1024 replication={replication}"
-            ));
-        }
-        // The platform-scale grid (p ≥ 16384) is likewise required of the
-        // candidate only: dropping those cells would silently retire the
-        // change-fed-pass/selector-lane regression gate, while a
-        // merge-base baseline from before the grid existed passes them
-        // ungated.
-        for p in [16_384u64, 131_072] {
-            for capped in [false, true] {
-                if !candidate
+                if !cells
                     .iter()
-                    .any(|c| c.p == p && c.replication == replication && c.capped == capped)
+                    .any(|c| (c.p, c.replication, c.capped) == (p, replication, capped))
                 {
                     return Err(format!(
-                        "{candidate_path} is missing the platform-scale cell p={p} \
-                         replication={replication} capped={capped}"
+                        "{file} is missing the gated cell p={p} replication={replication} \
+                         capped={capped}"
                     ));
                 }
             }
@@ -365,7 +337,7 @@ mod tests {
 
     #[test]
     fn parses_the_slotloop_format() {
-        let cells = parse_cells(SAMPLE);
+        let cells = parse_cells(SAMPLE).unwrap();
         assert_eq!(cells.len(), 13);
         // The footprint field rides along without disturbing the parse.
         assert_eq!(
@@ -398,13 +370,15 @@ mod tests {
     }
 
     #[test]
-    fn rows_without_a_capped_field_parse_as_uncapped() {
-        // Pre-cap artifacts (e.g. a merge-base baseline) have no "capped"
-        // field; they must keep parsing as uncapped cells, not be dropped.
+    fn rows_without_a_capped_field_are_refused() {
+        // Every revision the gate can compare emits the field, so a cell
+        // without it is a malformed artifact, not an uncapped cell.
         let legacy = r#"{"p": 1024, "replication": true, "slots": 1, "seconds": 1.0, "slots_per_sec": 1600.0}"#;
-        let cells = parse_cells(legacy);
-        assert_eq!(cells.len(), 1);
-        assert!(!cells[0].capped);
+        let err = parse_cells(legacy).unwrap_err();
+        assert!(
+            err.contains("cell p=1024 replication=true has no \"capped\" field"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -573,94 +547,55 @@ mod tests {
     }
 
     #[test]
-    fn capped_cells_required_of_the_candidate_only() {
-        // A merge-base baseline predating the placement-budget grid has no
-        // capped cells: that must pass (its cells gate ungated). The
-        // *candidate* dropping a capped p = 1024 cell must fail loudly.
-        let dir = std::env::temp_dir().join("vg_bench_guard_capped_cells");
+    fn capped_and_platform_scale_cells_required_of_both_sides() {
+        // Dropping the capped grid or any platform-scale cell from either
+        // artifact would silently retire its regression gate.
+        let dir = std::env::temp_dir().join("vg_bench_guard_required_cells");
         std::fs::create_dir_all(&dir).unwrap();
-        let precap: String = SAMPLE
-            .lines()
-            .filter(|l| !l.contains("\"capped\": true"))
-            .collect::<Vec<_>>()
-            .join("\n")
-            .replace("\"slots_per_sec\": 1600.0},", "\"slots_per_sec\": 1600.0}");
-        let base = dir.join("precap_base.json");
-        let cand = dir.join("cand.json");
-        std::fs::write(&base, &precap).unwrap();
-        std::fs::write(&cand, SAMPLE).unwrap();
-        assert!(run(
-            base.to_str().unwrap(),
-            cand.to_str().unwrap(),
-            0.85,
-            0.90,
-            None
-        )
-        .is_ok());
-        // Symmetric direction: the candidate without capped cells fails.
-        let err = run(
-            cand.to_str().unwrap(),
-            base.to_str().unwrap(),
-            0.85,
-            0.90,
-            None,
-        )
-        .unwrap_err();
-        assert!(err.contains("missing the capped cell p=1024"), "{err}");
-    }
-
-    #[test]
-    fn platform_scale_cells_required_of_the_candidate_only() {
-        // A merge-base baseline predating the platform-scale grid has no
-        // p ≥ 16384 cells: that must pass (nothing to gate against). The
-        // *candidate* dropping any platform-scale cell must fail loudly —
-        // that is how the chunked-pass regression gate would silently
-        // retire itself.
-        let dir = std::env::temp_dir().join("vg_bench_guard_platform_cells");
-        std::fs::create_dir_all(&dir).unwrap();
-        let prescale: String = SAMPLE
-            .lines()
-            .filter(|l| !l.contains("16384") && !l.contains("131072"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let base = dir.join("prescale_base.json");
-        let cand = dir.join("cand.json");
-        std::fs::write(&base, &prescale).unwrap();
-        std::fs::write(&cand, SAMPLE).unwrap();
-        assert!(run(
-            base.to_str().unwrap(),
-            cand.to_str().unwrap(),
-            0.85,
-            0.90,
-            None
-        )
-        .is_ok());
-        // Candidate missing one platform-scale cell (here the capped
-        // replication-on p = 131072 one) fails loudly.
-        let dropped: String = SAMPLE
-            .lines()
-            .filter(|l| {
-                !(l.contains("131072")
-                    && l.contains("\"replication\": true")
-                    && l.contains("\"capped\": true"))
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let partial = dir.join("partial.json");
-        std::fs::write(&partial, &dropped).unwrap();
-        let err = run(
-            base.to_str().unwrap(),
-            partial.to_str().unwrap(),
-            0.85,
-            0.90,
-            None,
-        )
-        .unwrap_err();
-        assert!(err.contains("platform-scale cell p=131072"), "{err}");
-        // And when the baseline *did* measure the platform-scale cells, a
-        // regression below min_small_ratio on one of them fails the gate.
-        let full_base = dir.join("full_base.json");
-        std::fs::write(&full_base, SAMPLE).unwrap();
+        let full = dir.join("full.json");
+        std::fs::write(&full, SAMPLE).unwrap();
+        let without = |name: &str, drop: &dyn Fn(&str) -> bool| {
+            let json: String = SAMPLE
+                .lines()
+                .filter(|l| !drop(l))
+                .collect::<Vec<_>>()
+                .join("\n")
+                .replace("\"slots_per_sec\": 1600.0},", "\"slots_per_sec\": 1600.0}");
+            let path = dir.join(name);
+            std::fs::write(&path, json).unwrap();
+            path
+        };
+        let uncapped = without("uncapped.json", &|l| l.contains("\"capped\": true"));
+        let prescale = without("prescale.json", &|l| {
+            l.contains("16384") || l.contains("131072")
+        });
+        let partial = without("partial.json", &|l| {
+            l.contains("131072")
+                && l.contains("\"replication\": true")
+                && l.contains("\"capped\": true")
+        });
+        for (cut, missing) in [
+            (&uncapped, "p=1024 replication=false capped=true"),
+            (&prescale, "p=16384 replication=false capped=false"),
+            (&partial, "p=131072 replication=true capped=true"),
+        ] {
+            for (base, cand) in [(cut, &full), (&full, cut)] {
+                let err = run(
+                    base.to_str().unwrap(),
+                    cand.to_str().unwrap(),
+                    0.85,
+                    0.90,
+                    None,
+                )
+                .unwrap_err();
+                assert!(
+                    err.contains(&format!("missing the gated cell {missing}")),
+                    "{err}"
+                );
+            }
+        }
+        // A regression below min_small_ratio on a platform-scale cell
+        // fails the gate.
         let regressed = dir.join("regressed.json");
         std::fs::write(
             &regressed,
@@ -668,7 +603,7 @@ mod tests {
         )
         .unwrap();
         let err = run(
-            full_base.to_str().unwrap(),
+            full.to_str().unwrap(),
             regressed.to_str().unwrap(),
             0.85,
             0.90,
@@ -800,7 +735,7 @@ mod tests {
             .collect();
         assert_eq!(
             parse_cells(include_str!("../../../../BENCH_slotloop.json")),
-            want
+            Ok(want)
         );
         let profile = include_str!("../../../../BENCH_phase_profile.json");
         assert!(check_phase_profile("BENCH_phase_profile.json", profile).is_ok());

@@ -77,7 +77,5 @@ fn main() {
         "per-heuristic relative makespan delta (%):\n{}",
         text_table(&heuristic_rows)
     );
-    report
-        .finish(&args, &[&cell_rows])
-        .expect("write fidelity report");
+    report.finish().expect("write fidelity report");
 }

@@ -184,7 +184,5 @@ fn main() {
     );
     println!("per-heuristic deltas:\n{}", text_table(&heuristic_rows));
     eprintln!("done in {elapsed:.1}s");
-    report
-        .finish(&args, &[&cell_rows])
-        .expect("write fidelity report");
+    report.finish().expect("write fidelity report");
 }

@@ -5,7 +5,7 @@
 //! semi-Markov truth, at matched time scales.
 //!
 //! ```text
-//! cargo run -p vg-exp --release --bin robustness -- [--scenarios K] [--trials T] [--csv]
+//! cargo run -p vg-exp --release --bin robustness -- [--scenarios K] [--trials T]
 //! ```
 //!
 //! Writes the setting, each arm's tallies and summary, and the head-to-head
@@ -116,7 +116,5 @@ fn main() {
     report.rows("arms", &tallies);
     report.rows("summaries", &summaries);
     report.rows("head_to_head", &head_to_head);
-    report
-        .finish(&args, &[&summaries, &head_to_head])
-        .expect("write robustness report");
+    report.finish().expect("write robustness report");
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run -p vg-exp --release --bin table2 -- [--scenarios K] [--trials T]
-//!                                               [--paper-scale] [--csv]
+//!                                               [--paper-scale]
 //! ```
 //!
 //! Writes both as the `table2` and `figure2` arrays of a JSON report to
@@ -66,7 +66,5 @@ fn main() {
     let labels: Vec<String> = wmins.iter().map(u64::to_string).collect();
     let plot: Vec<(&str, Vec<f64>)> = kinds.iter().map(|k| k.name()).zip(series).collect();
     println!("{}", ascii_plot(&labels, &plot, 60, 16));
-    report
-        .finish(&args, &[&table2, &figure2])
-        .expect("write Table 2 report");
+    report.finish().expect("write Table 2 report");
 }

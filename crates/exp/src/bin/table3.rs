@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run -p vg-exp --release --bin table3 -- [--scenarios K] [--trials T]
-//!                                               [--paper-scale] [--csv]
+//!                                               [--paper-scale]
 //! ```
 //!
 //! `--paper-scale` runs the paper's 100 scenarios × 10 trials per scale.
@@ -49,7 +49,5 @@ fn main() {
     }
     report.rows("campaigns", &counts);
     report.rows("table3", &rows);
-    report
-        .finish(&args, &[&rows])
-        .expect("write Table 3 report");
+    report.finish().expect("write Table 3 report");
 }

@@ -135,7 +135,7 @@ pub struct InstanceOutcome {
 impl InstanceOutcome {
     /// Best makespan among the heuristics that finished, if any did.
     #[must_use]
-    pub fn best_completed(&self) -> Option<Slot> {
+    fn best_completed(&self) -> Option<Slot> {
         self.makespans
             .iter()
             .zip(&self.completed)
@@ -322,10 +322,7 @@ impl CampaignResult {
     /// e.g. `|c| c.wmin == 3` for one Figure-2 point. Cells are the
     /// aggregation granularity, so any cell-level filter is exact.
     #[must_use]
-    pub fn summarize_filtered(
-        &self,
-        keep: impl Fn(&ScenarioParams) -> bool,
-    ) -> Vec<HeuristicSummary> {
+    fn summarize_filtered(&self, keep: impl Fn(&ScenarioParams) -> bool) -> Vec<HeuristicSummary> {
         let kept = self.cells.iter().zip(&self.cell_stats);
         let stats = kept.filter(|(cell, _)| keep(cell)).map(|(_, stats)| stats);
         HeuristicSummary::fold(&self.heuristics, stats)

@@ -25,8 +25,6 @@ pub struct ExpArgs {
     pub paper_scale: bool,
     /// Quick run for smoke tests (2 × 1).
     pub quick: bool,
-    /// Also print the artifact's rows as CSV.
-    pub csv: bool,
 }
 
 impl Default for ExpArgs {
@@ -38,7 +36,6 @@ impl Default for ExpArgs {
             threads: None,
             paper_scale: false,
             quick: false,
-            csv: false,
         }
     }
 }
@@ -95,7 +92,6 @@ impl ExpArgs {
                 }
                 "--paper-scale" => out.paper_scale = true,
                 "--quick" => out.quick = true,
-                "--csv" => out.csv = true,
                 "--help" | "-h" => {
                     return Err(ArgError(USAGE.trim().to_string()));
                 }
@@ -201,7 +197,6 @@ Options:
   --paper-scale    247 scenarios x 10 trials (the paper's campaign size)
   --quick          2 scenarios x 1 trial (smoke test)
                    (--quick and --paper-scale exclude each other and the counts)
-  --csv            also print the artifact's rows as CSV
 ";
 
 #[cfg(test)]
@@ -229,14 +224,12 @@ mod tests {
             "9",
             "--threads",
             "2",
-            "--csv",
         ])
         .unwrap();
         assert_eq!(a.scenarios, 5);
         assert_eq!(a.trials, 3);
         assert_eq!(a.seed, 9);
         assert_eq!(a.threads, Some(2));
-        assert!(a.csv);
     }
 
     #[test]

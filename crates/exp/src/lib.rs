@@ -16,13 +16,13 @@
 //! | moldable + co-scheduling fidelity | `mold_cosched` | [`paired`] + the multi-app engine |
 //!
 //! All binaries but `table1`, `figure1` and `sweep` accept `--scenarios`,
-//! `--trials`, `--seed`, `--threads`, `--paper-scale`, `--quick` and
-//! `--csv` (see [`cli::USAGE`]), run their campaigns through
+//! `--trials`, `--seed`, `--threads`, `--paper-scale` and `--quick` (see
+//! [`cli::USAGE`]), run their campaigns through
 //! [`cli::ExpArgs::campaign`], and write their results as [`paired::Row`]s
 //! to `target/<BINARY>.json` through [`paired::Report`]; the same rows
-//! render the stdout tables ([`report::text_table`]) and the `--csv`
-//! lines. Scaled-down defaults run in minutes on a laptop;
-//! `--paper-scale` reproduces the full 247 × 10 campaign.
+//! render the stdout tables ([`report::text_table`]). Scaled-down
+//! defaults run in minutes on a laptop; `--paper-scale` reproduces the
+//! full 247 × 10 campaign.
 
 pub mod campaign;
 pub mod cli;

@@ -25,12 +25,12 @@
 //!   flips and the interval's lower bound is above 0 ([`Delta::wins`]).
 //!
 //! Every result table of the workspace is a `&[Row]`: ordered
-//! `(key, value)` lists that render the artifact's one-line JSON objects,
-//! the stdout tables ([`text_table`]) and the `--csv` lines alike, written
-//! by [`Report`]. This module owns that artifact format for every JSON
-//! file the workspace writes: the paper's tables, the studies' reports and
-//! the `vg-bench` harnesses' `BENCH_*.json`, which [`read_rows`] reads
-//! back for the `bench_guard` regression gate.
+//! `(key, value)` lists that render the artifact's one-line JSON objects
+//! and the stdout tables ([`text_table`]) alike, written by [`Report`].
+//! This module owns that artifact format for every JSON file the
+//! workspace writes: the paper's tables, the studies' reports and the
+//! `vg-bench` harnesses' `BENCH_*.json`, which [`read_rows`] reads back
+//! for the `bench_guard` regression gate.
 //!
 //! [`text_table`]: crate::report::text_table
 //!
@@ -76,7 +76,7 @@ pub struct Delta {
 impl Delta {
     /// The 95% confidence interval of the mean delta.
     #[must_use]
-    pub fn ci(&self) -> ConfidenceInterval {
+    fn ci(&self) -> ConfidenceInterval {
         self.stats.confidence_interval(0.95)
     }
 
@@ -294,8 +294,7 @@ impl Value {
 }
 
 /// An ordered list of `(key, value)` pairs: one JSON object of a report,
-/// one line of a [`text_table`](crate::report::text_table), or one `--csv`
-/// line.
+/// or one line of a [`text_table`](crate::report::text_table).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row(pub Vec<(String, Value)>);
 
@@ -533,26 +532,14 @@ impl Report {
     }
 
     /// Writes the report to `$<STUDY>_OUT` (default `target/<STUDY>.json`,
-    /// `<STUDY>` being the upper-cased study name), then, when `--csv` was
-    /// given, prints each non-empty table of `csv` — its rows under a
-    /// header line of its first row's keys.
+    /// `<STUDY>` being the upper-cased study name).
     ///
     /// # Errors
     /// When the report file cannot be written.
-    pub fn finish(self, args: &ExpArgs, csv: &[&[Row]]) -> std::io::Result<()> {
+    pub fn finish(self) -> std::io::Result<()> {
         let name = self.study.to_uppercase();
         let out = self.write(&format!("{name}_OUT"), &format!("target/{name}.json"))?;
         println!("report written to {out}");
-        if !args.csv {
-            return Ok(());
-        }
-        for rows in csv.iter().filter(|rows| !rows.is_empty()) {
-            let keys: Vec<&str> = rows[0].0.iter().map(|(key, _)| key.as_str()).collect();
-            println!("{}", keys.join(","));
-            for row in rows.iter() {
-                println!("{}", row.values().join(","));
-            }
-        }
         Ok(())
     }
 

@@ -3,9 +3,9 @@
 use crate::paired::Row;
 
 /// Renders `rows` as an aligned text table under the first row's keys —
-/// the rows a [`Report`](crate::paired::Report) writes as JSON and prints
-/// for `--csv`, with the values as in the CSV. Every row must have as many
-/// values as the first; no rows render as the empty string.
+/// the rows a [`Report`](crate::paired::Report) writes as JSON, with
+/// strings unquoted. Every row must have as many values as the first; no
+/// rows render as the empty string.
 #[must_use]
 pub fn text_table(rows: &[Row]) -> String {
     let Some(first) = rows.first() else {

@@ -76,26 +76,28 @@ pub fn desktop_model(
 
 /// Fits a Markov chain to a training trace of the model (MLE with light
 /// smoothing so unseen rows stay well-defined).
-#[must_use]
+///
+/// # Errors
+/// When the smoothed estimate is not a valid availability chain.
 pub fn fit_belief(
     model: &SemiMarkovModel,
     training_slots: usize,
     seed: SeedPath,
-) -> vg_markov::AvailabilityChain {
+) -> Result<vg_markov::AvailabilityChain, SemiMarkovError> {
     let mut stream = SemiMarkovStream::new(model.clone(), ProcState::Up, seed.rng());
     let mut counts = TransitionCounts::new();
     let trace: Vec<ProcState> = (0..training_slots).map(|_| stream.next_state()).collect();
     counts.observe_trace(&trace);
     counts
         .estimate(1.0)
-        .expect("smoothed estimation always succeeds")
+        .map_err(|e| SemiMarkovError(format!("fitted belief: {e}")))
 }
 
 /// Samples a robustness scenario: true availability is semi-Markov, the
 /// scheduler's belief is a fitted Markov chain.
 ///
 /// # Errors
-/// When [`desktop_model`] rejects `rp`.
+/// When [`desktop_model`] rejects `rp` or a belief cannot be fitted.
 pub fn make_robustness_scenario(
     params: ScenarioParams,
     rp: &RobustnessParams,
@@ -107,7 +109,7 @@ pub fn make_robustness_scenario(
             // Per-processor jitter keeps the platform heterogeneous.
             let jitter = rng.f64_range(0.5, 2.0);
             let model = desktop_model(rp, jitter)?;
-            let belief = fit_belief(&model, rp.training_slots, seed.child(1_000 + q as u64));
+            let belief = fit_belief(&model, rp.training_slots, seed.child(1_000 + q as u64))?;
             let w = rng.u64_range_inclusive(params.wmin, 10 * params.wmin);
             Ok(ProcessorConfig {
                 spec: ProcessorSpec::new(w),
@@ -162,7 +164,7 @@ mod tests {
     fn fitted_belief_is_plausible() {
         let rp = RobustnessParams::default();
         let model = desktop_model(&rp, 1.0).unwrap();
-        let belief = fit_belief(&model, 50_000, SeedPath::root(3));
+        let belief = fit_belief(&model, 50_000, SeedPath::root(3)).unwrap();
         // Mean UP sojourn 40 ⇒ P(stay UP) ≈ 1 − 1/40.
         assert!(belief.p_uu() > 0.9, "p_uu = {}", belief.p_uu());
         // Fitted chain's stationary UP mass should be near the true

@@ -122,17 +122,6 @@ impl VolatilitySpec {
             Self::Independent | Self::MassKill { .. } => Ok(None),
         }
     }
-
-    /// Short machine-readable family name for reports.
-    #[must_use]
-    pub fn family(&self) -> &'static str {
-        match self {
-            Self::Independent => "independent",
-            Self::MassKill { .. } => "mass_kill",
-            Self::CorrelatedBursts { .. } => "correlated_bursts",
-            Self::Diurnal { .. } => "diurnal",
-        }
-    }
 }
 
 /// Parameters of one experiment cell.
@@ -240,14 +229,9 @@ impl ScenarioParams {
         AppSpec::rigid(self.app())
     }
 
-    /// The moldable resizing rule of this cell: `n/p` tasks per UP worker,
-    /// so a fully-available platform re-picks exactly the configured `n`
-    /// and a half-down platform shrinks the iteration proportionally. The
-    /// pick is clamped to `[max(1, n/4), 2n]` — the application can shed at
-    /// most three quarters of an iteration or grow to twice the configured
-    /// size when the platform over-delivers.
+    /// The moldable resizing rule of this cell (see [`Self::moldable_spec`]).
     #[must_use]
-    pub fn moldable_params(&self) -> MoldableParams {
+    fn moldable_params(&self) -> MoldableParams {
         MoldableParams {
             tasks_per_up_num: u32::try_from(self.n_tasks).unwrap_or(u32::MAX),
             tasks_per_up_den: u32::try_from(self.p).unwrap_or(u32::MAX).max(1),
@@ -256,8 +240,12 @@ impl ScenarioParams {
         }
     }
 
-    /// Moldable single-application roster built from
-    /// [`Self::moldable_params`].
+    /// Moldable single-application roster under the cell's resizing rule:
+    /// `n/p` tasks per UP worker, so a fully-available platform re-picks
+    /// exactly the configured `n` and a half-down platform shrinks the
+    /// iteration proportionally. The pick is clamped to `[max(1, n/4), 2n]`
+    /// — the application can shed at most three quarters of an iteration or
+    /// grow to twice the configured size when the platform over-delivers.
     #[must_use]
     pub fn moldable_spec(&self) -> AppSpec {
         AppSpec::moldable(self.app(), self.moldable_params())
@@ -357,13 +345,17 @@ mod tests {
     #[test]
     fn moldable_rule_repicks_the_configured_size_at_full_availability() {
         let params = ScenarioParams::paper(40, 5, 1);
-        let m = params.moldable_params();
-        // All 20 workers UP → exactly the configured n; proportional below;
-        // clamped at the floor when the platform collapses.
-        assert_eq!(m.pick_m(params.p), 40);
-        assert_eq!(m.pick_m(params.p / 2), 20);
-        assert_eq!(m.pick_m(0), 10);
-        assert_eq!(m.pick_m(3 * params.p), 80);
+        // n/p = 40/20 tasks per UP worker: all 20 workers UP re-pick
+        // exactly the configured n; the pick is clamped to [n/4, 2n].
+        assert_eq!(
+            params.moldable_params(),
+            MoldableParams {
+                tasks_per_up_num: 40,
+                tasks_per_up_den: 20,
+                min_tasks: 10,
+                max_tasks: 80,
+            }
+        );
         let spec = params.moldable_spec();
         assert_eq!(spec.config, params.app());
         assert_eq!(spec.weight, 1);

@@ -188,21 +188,21 @@ impl AvailabilityChain {
     /// `P_{u,r}`.
     #[inline]
     #[must_use]
-    pub fn p_ur(&self) -> f64 {
+    fn p_ur(&self) -> f64 {
         self.p[0][1]
     }
 
     /// `P_{u,d}`.
     #[inline]
     #[must_use]
-    pub fn p_ud(&self) -> f64 {
+    fn p_ud(&self) -> f64 {
         self.p[0][2]
     }
 
     /// `P_{r,u}`.
     #[inline]
     #[must_use]
-    pub fn p_ru(&self) -> f64 {
+    fn p_ru(&self) -> f64 {
         self.p[1][0]
     }
 
@@ -216,7 +216,7 @@ impl AvailabilityChain {
     /// `P_{r,d}`.
     #[inline]
     #[must_use]
-    pub fn p_rd(&self) -> f64 {
+    fn p_rd(&self) -> f64 {
         self.p[1][2]
     }
 
@@ -228,7 +228,7 @@ impl AvailabilityChain {
 
     /// Converts to the generic [`MarkovChain`].
     #[must_use]
-    pub fn to_chain(&self) -> MarkovChain {
+    fn to_chain(&self) -> MarkovChain {
         // tidy:allow(hot_alloc): one-off conversion helper, not on the sampling path.
         let rows: Vec<Vec<f64>> = self.p.iter().map(|r| r.to_vec()).collect();
         MarkovChain::new(SquareMatrix::from_rows(&rows)).expect("validated at construction")
@@ -296,7 +296,7 @@ impl AvailabilityChain {
     /// `E(up) = 1 + z / ((1 − P_{r,r})(1 + z))` with
     /// `z = P_{u,r} P_{r,u} / (P_{u,u} (1 − P_{r,r}))`.
     #[must_use]
-    pub fn e_up(&self) -> f64 {
+    fn e_up(&self) -> f64 {
         let one_minus_rr = 1.0 - self.p_rr();
         if one_minus_rr <= 0.0 {
             // Reclaimed is absorbing: conditioned on returning (never), the
@@ -419,7 +419,7 @@ impl AvailabilityChain {
     /// `E(up)` from the defining series in the proof of Theorem 2:
     /// `E(up) = (P_{u,u} + Σ_{t≥0} (t+2) P_{u,r} P_{r,r}^t P_{r,u}) / P₊`.
     #[must_use]
-    pub fn e_up_numeric(&self) -> f64 {
+    fn e_up_numeric(&self) -> f64 {
         let mut num = self.p_uu();
         let mut geom = self.p_ur() * self.p_ru();
         let mut t: u64 = 0;
@@ -434,6 +434,7 @@ impl AvailabilityChain {
     /// `E(W)` via `1 + (W−1) · E(up)` with the numeric `E(up)` — the
     /// linearity identity at the end of the Theorem 2 proof.
     #[must_use]
+    // tidy:allow(dead_pub): the series reference that tests::theorem2_e_w_matches_series holds Theorem 2's closed form to
     pub fn e_w_numeric(&self, w: u64) -> f64 {
         if w == 0 {
             return 0.0;
@@ -616,13 +617,6 @@ impl ChainStats {
     #[must_use]
     pub fn p_plus(&self) -> f64 {
         self.kernel.p_plus
-    }
-
-    /// Cached `E(up)`.
-    #[inline]
-    #[must_use]
-    pub fn e_up(&self) -> f64 {
-        self.kernel.e_up
     }
 
     /// `E(W)` via the cached `E(up)`: `1 + (W−1)·E(up)` (Theorem 2).
@@ -1119,7 +1113,7 @@ mod tests {
             let stats = ChainStats::new(c.clone());
             assert_eq!(stats.p_uu(), c.p_uu());
             assert!((stats.p_plus() - c.p_plus()).abs() < 1e-15);
-            assert!((stats.e_up() - c.e_up()).abs() < 1e-15);
+            assert!((stats.kernel.e_up - c.e_up()).abs() < 1e-15);
             for i in 0..3 {
                 assert!((stats.pi()[i] - c.stationary()[i]).abs() < 1e-12);
             }
@@ -1325,14 +1319,15 @@ mod tests {
 
             #[test]
             fn prop_estimation_recovers_chain(c in arb_chain()) {
-                use crate::estimate::estimate_from_trace;
                 let mut stream = AvailabilityStream::new(
                     c.clone(),
                     ProcState::Up,
                     vg_des::rng::SeedPath::root(7).rng(),
                 );
                 let trace = stream.take_vec(60_000);
-                let est = estimate_from_trace(&trace, 0.5).expect("smoothed");
+                let mut counts = crate::estimate::TransitionCounts::new();
+                counts.observe_trace(&trace);
+                let est = counts.estimate(0.5).expect("smoothed");
                 for i in 0..3 {
                     for j in 0..3 {
                         prop_assert!(

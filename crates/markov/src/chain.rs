@@ -98,14 +98,14 @@ impl MarkovChain {
 
     /// One step of distribution evolution: `dist · P`.
     #[must_use]
-    pub fn step_distribution(&self, dist: &[f64]) -> Vec<f64> {
+    pub(crate) fn step_distribution(&self, dist: &[f64]) -> Vec<f64> {
         self.p.vec_mul(dist)
     }
 
     /// States reachable from `start` (including itself) following positive-
     /// probability edges.
     #[must_use]
-    pub fn reachable_from(&self, start: usize) -> Vec<bool> {
+    fn reachable_from(&self, start: usize) -> Vec<bool> {
         let n = self.n();
         let mut seen = vec![false; n];
         let mut stack = vec![start];
@@ -164,6 +164,7 @@ impl MarkovChain {
     /// any state in `bad` (states in `good` map to 1, in `bad` to 0).
     ///
     /// `good` and `bad` must be disjoint and non-empty.
+    // tidy:allow(dead_pub): availability::tests::lemma1_p_plus_matches_absorption_probability derives Lemma 1 through it
     pub fn absorption_probability(
         &self,
         good: &[usize],

@@ -17,7 +17,7 @@ use vg_des::rng::StreamRng;
 /// Samples a standard normal via Box–Muller (the cached second value is
 /// intentionally discarded to keep the sampler stateless).
 #[must_use]
-pub fn standard_normal(rng: &mut StreamRng) -> f64 {
+fn standard_normal(rng: &mut StreamRng) -> f64 {
     // Avoid ln(0): u1 in (0, 1].
     let u1 = 1.0 - rng.f64();
     let u2 = rng.f64();

@@ -30,11 +30,6 @@ impl TransitionCounts {
         }
     }
 
-    /// Adds a single observed transition.
-    pub fn observe(&mut self, from: ProcState, to: ProcState) {
-        self.counts[from.index()][to.index()] += 1;
-    }
-
     /// Merges counts from another counter (e.g. traces of the same machine
     /// collected on different days).
     pub fn merge(&mut self, other: &Self) {
@@ -49,12 +44,6 @@ impl TransitionCounts {
     #[must_use]
     pub fn raw(&self) -> &[[u64; 3]; 3] {
         &self.counts
-    }
-
-    /// Total transitions observed out of `state`.
-    #[must_use]
-    pub fn row_total(&self, state: ProcState) -> u64 {
-        self.counts[state.index()].iter().sum()
     }
 
     /// Maximum-likelihood estimate with additive (Laplace) smoothing
@@ -77,16 +66,6 @@ impl TransitionCounts {
     }
 }
 
-/// Convenience: estimate a chain from a single trace.
-pub fn estimate_from_trace(
-    trace: &[ProcState],
-    alpha: f64,
-) -> Result<AvailabilityChain, ChainError> {
-    let mut c = TransitionCounts::new();
-    c.observe_trace(trace);
-    c.estimate(alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,8 +86,8 @@ mod tests {
         assert_eq!(c.raw()[U.index()][R.index()], 1);
         assert_eq!(c.raw()[R.index()][U.index()], 1);
         assert_eq!(c.raw()[U.index()][D.index()], 1);
-        assert_eq!(c.row_total(U), 3);
-        assert_eq!(c.row_total(D), 0);
+        assert_eq!(c.raw()[U.index()].iter().sum::<u64>(), 3);
+        assert_eq!(c.raw()[D.index()].iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -125,7 +104,9 @@ mod tests {
         let mut stream =
             AvailabilityStream::new(c.clone(), ProcState::Up, SeedPath::root(21).rng());
         let trace = stream.take_vec(500_000);
-        let est = estimate_from_trace(&trace, 0.0).unwrap();
+        let mut counts = TransitionCounts::new();
+        counts.observe_trace(&trace);
+        let est = counts.estimate(0.0).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert!(
@@ -180,9 +161,8 @@ mod tests {
     #[test]
     fn estimate_rows_are_stochastic() {
         let mut c = TransitionCounts::new();
-        c.observe(ProcState::Up, ProcState::Down);
-        c.observe(ProcState::Down, ProcState::Down);
-        c.observe(ProcState::Reclaimed, ProcState::Up);
+        c.observe_trace(&[ProcState::Up, ProcState::Down, ProcState::Down]);
+        c.observe_trace(&[ProcState::Reclaimed, ProcState::Up]);
         let est = c.estimate(0.5).unwrap();
         for i in 0..3 {
             let sum: f64 = est.raw()[i].iter().sum();

@@ -37,7 +37,7 @@ pub struct SquareMatrix {
 impl SquareMatrix {
     /// Zero matrix of size `n`.
     #[must_use]
-    pub fn zeros(n: usize) -> Self {
+    fn zeros(n: usize) -> Self {
         assert!(n > 0, "matrix size must be positive");
         Self {
             n,
@@ -81,7 +81,7 @@ impl SquareMatrix {
     /// # Panics
     /// Panics on size mismatch.
     #[must_use]
-    pub fn mul(&self, rhs: &Self) -> Self {
+    fn mul(&self, rhs: &Self) -> Self {
         assert_eq!(self.n, rhs.n, "size mismatch");
         let n = self.n;
         let mut out = Self::zeros(n);
@@ -122,17 +122,6 @@ impl SquareMatrix {
             e >>= 1;
         }
         result
-    }
-
-    /// Entry-wise maximum absolute difference.
-    #[must_use]
-    pub fn max_abs_diff(&self, other: &Self) -> f64 {
-        assert_eq!(self.n, other.n, "size mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
     }
 
     /// The entries in row-major order.
@@ -231,6 +220,15 @@ mod tests {
         (a - b).abs() < 1e-10
     }
 
+    /// Entry-wise maximum absolute difference.
+    fn max_abs_diff(a: &SquareMatrix, b: &SquareMatrix) -> f64 {
+        a.data()
+            .iter()
+            .zip(b.data())
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn identity_is_multiplicative_unit() {
         let m = SquareMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
@@ -257,9 +255,9 @@ mod tests {
         for _ in 0..7 {
             expect = expect.mul(&m);
         }
-        assert!(m.pow(7).max_abs_diff(&expect) < 1e-12);
+        assert!(max_abs_diff(&m.pow(7), &expect) < 1e-12);
         assert_eq!(m.pow(0), SquareMatrix::identity(2));
-        assert!(m.pow(1).max_abs_diff(&m) < 1e-15);
+        assert!(max_abs_diff(&m.pow(1), &m) < 1e-15);
     }
 
     #[test]

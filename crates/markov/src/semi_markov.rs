@@ -64,6 +64,7 @@ impl SemiMarkovModel {
     /// `1 − P_{x,x}` and embedded jumps `P_{x,y} / (1 − P_{x,x})`.
     ///
     /// Requires every self-loop probability to be `< 1` (no absorbing state).
+    // tidy:allow(dead_pub): tests::geometric_semi_markov_matches_markov_statistics checks the semi-Markov sampler against Markov chains through it
     pub fn from_markov(chain: &AvailabilityChain) -> Result<Self, SemiMarkovError> {
         let p = chain.raw();
         let mut jump = [[0.0; 3]; 3];
@@ -88,47 +89,9 @@ impl SemiMarkovModel {
         Self::new(jump, sojourn)
     }
 
-    /// A BOINC-style "desktop" template: long heavy-tailed `UP` stretches
-    /// (Weibull, shape < 1), moderate log-normal `RECLAIMED` interruptions
-    /// (owner using the machine), rare long `DOWN` repairs. `scale_up` sets
-    /// the Weibull scale of the UP sojourn in slots.
-    #[must_use]
-    pub fn desktop_template(scale_up: f64) -> Self {
-        Self::new(
-            [
-                // After UP: usually reclaimed by the owner, sometimes a crash.
-                [0.0, 0.85, 0.15],
-                // After RECLAIMED: almost always released, occasionally shut down.
-                [0.9, 0.0, 0.1],
-                // After DOWN (reboot/repair): machine returns available.
-                [1.0, 0.0, 0.0],
-            ],
-            [
-                SojournDist::Weibull {
-                    scale: scale_up,
-                    shape: 0.7,
-                },
-                SojournDist::LogNormal {
-                    mu: 2.0,
-                    sigma: 0.8,
-                },
-                SojournDist::Weibull {
-                    scale: 4.0 * scale_up,
-                    shape: 1.0,
-                },
-            ],
-        )
-        .expect("template is valid")
-    }
-
-    /// Embedded jump matrix.
-    #[must_use]
-    pub fn jump(&self) -> &[[f64; 3]; 3] {
-        &self.jump
-    }
-
     /// Sojourn distributions (order `u, r, d`).
     #[must_use]
+    // tidy:allow(dead_pub): vg-exp's robustness::tests::desktop_model_mean_matches_request reads the UP law it built
     pub fn sojourn(&self) -> &[SojournDist; 3] {
         &self.sojourn
     }
@@ -174,7 +137,7 @@ impl SemiMarkovModel {
 
     /// Samples the next state after leaving `from`.
     #[must_use]
-    pub fn sample_jump(&self, from: ProcState, rng: &mut StreamRng) -> ProcState {
+    fn sample_jump(&self, from: ProcState, rng: &mut StreamRng) -> ProcState {
         let row = &self.jump[from.index()];
         let mut u = rng.f64();
         for (j, &p) in row.iter().enumerate() {
@@ -236,6 +199,29 @@ mod tests {
     use super::*;
     use vg_des::rng::SeedPath;
 
+    /// A BOINC-style desktop model: heavy-tailed Weibull `UP` stretches,
+    /// log-normal `RECLAIMED` interruptions, rare long `DOWN` repairs.
+    fn desktop_model(scale_up: f64) -> SemiMarkovModel {
+        SemiMarkovModel::new(
+            [[0.0, 0.85, 0.15], [0.9, 0.0, 0.1], [1.0, 0.0, 0.0]],
+            [
+                SojournDist::Weibull {
+                    scale: scale_up,
+                    shape: 0.7,
+                },
+                SojournDist::LogNormal {
+                    mu: 2.0,
+                    sigma: 0.8,
+                },
+                SojournDist::Weibull {
+                    scale: 4.0 * scale_up,
+                    shape: 1.0,
+                },
+            ],
+        )
+        .unwrap()
+    }
+
     fn markov_chain() -> AvailabilityChain {
         AvailabilityChain::new([[0.92, 0.05, 0.03], [0.10, 0.85, 0.05], [0.04, 0.02, 0.94]])
             .unwrap()
@@ -272,9 +258,9 @@ mod tests {
         let c = markov_chain();
         let sm = SemiMarkovModel::from_markov(&c).unwrap();
         // From UP the exit mass is 0.08 split 0.05 / 0.03.
-        assert!((sm.jump()[0][1] - 0.05 / 0.08).abs() < 1e-12);
-        assert!((sm.jump()[0][2] - 0.03 / 0.08).abs() < 1e-12);
-        match sm.sojourn()[0] {
+        assert!((sm.jump[0][1] - 0.05 / 0.08).abs() < 1e-12);
+        assert!((sm.jump[0][2] - 0.03 / 0.08).abs() < 1e-12);
+        match sm.sojourn[0] {
             SojournDist::Geometric { p } => assert!((p - 0.08).abs() < 1e-12),
             ref other => panic!("expected geometric, got {other:?}"),
         }
@@ -368,15 +354,15 @@ mod tests {
 
     #[test]
     fn stream_is_deterministic() {
-        let sm = SemiMarkovModel::desktop_template(50.0);
+        let sm = desktop_model(50.0);
         let mut a = SemiMarkovStream::new(sm.clone(), ProcState::Up, SeedPath::root(9).rng());
         let mut b = SemiMarkovStream::new(sm, ProcState::Up, SeedPath::root(9).rng());
         assert_eq!(a.take_vec(1000), b.take_vec(1000));
     }
 
     #[test]
-    fn desktop_template_mostly_up() {
-        let sm = SemiMarkovModel::desktop_template(100.0);
+    fn desktop_model_mostly_up() {
+        let sm = desktop_model(100.0);
         let occ = sm.occupancy();
         assert!(occ[0] > 0.2, "UP occupancy too low: {occ:?}");
         assert!((occ.iter().sum::<f64>() - 1.0).abs() < 1e-9);

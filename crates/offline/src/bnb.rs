@@ -89,7 +89,7 @@ pub struct BnbStats {
 }
 
 /// [`min_makespan`] with exploration statistics.
-pub fn explore(inst: &OfflineInstance, state_budget: usize) -> Result<BnbStats, BnbError> {
+fn explore(inst: &OfflineInstance, state_budget: usize) -> Result<BnbStats, BnbError> {
     inst.validate().map_err(|_| BnbError::InvalidInstance)?;
     if !inst.is_two_state() {
         return Err(BnbError::ContainsDown);
@@ -111,6 +111,7 @@ pub fn explore(inst: &OfflineInstance, state_budget: usize) -> Result<BnbStats, 
 }
 
 /// Decision version: can one iteration complete within `deadline` slots?
+// tidy:allow(dead_pub): the exact decision oracle of tests/offline_counterexample.rs and tests/offline_properties.rs
 pub fn feasible_within(
     inst: &OfflineInstance,
     deadline: Slot,

@@ -107,6 +107,7 @@ impl OfflineInstance {
     /// The returned instance is equivalent: any schedule for one maps to a
     /// schedule for the other with the same completion slot.
     #[must_use]
+    // tidy:allow(dead_pub): tests/offline_counterexample.rs::bnb_requires_down_splitting_first applies the transform
     pub fn split_down(&self) -> OfflineInstance {
         let horizon = self.horizon as usize;
         let mut w_out = Vec::new();

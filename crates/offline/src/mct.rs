@@ -77,17 +77,11 @@ impl<'a> ProcTimeline<'a> {
         self.tasks
     }
 
-    /// Slot after which the program is complete, if receivable.
-    #[must_use]
-    pub fn prog_ready(&self) -> Option<Slot> {
-        self.prog_ready
-    }
-
     /// Evaluates appending one more task without committing.
     ///
     /// Returns `None` when the task cannot complete within the horizon.
     #[must_use]
-    pub fn evaluate(&self) -> Option<Placement> {
+    fn evaluate(&self) -> Option<Placement> {
         let inst = self.inst;
         self.prog_ready?;
         let (data_start, data_ready) = if inst.t_data == 0 {
@@ -119,7 +113,7 @@ impl<'a> ProcTimeline<'a> {
     }
 
     /// Commits the evaluated append.
-    pub fn commit(&mut self, placement: Placement) {
+    fn commit(&mut self, placement: Placement) {
         self.comm_cursor = placement.data_ready;
         self.compute_cursor = placement.completion;
         self.last_compute_start = placement.compute_start;
@@ -196,6 +190,7 @@ pub fn mct_infinite(inst: &OfflineInstance) -> Option<MctSolution> {
 /// Materializes an explicit [`Schedule`] from a task→processor assignment by
 /// replaying the timelines (used to double-check MCT against the validator).
 #[must_use]
+// tidy:allow(dead_pub): tests/offline_properties.rs::mct_schedules_validate_and_match checks MCT against the validator through it
 pub fn materialize(inst: &OfflineInstance, assignment: &[usize]) -> Option<Schedule> {
     let mut schedule = Schedule::empty(inst);
     let mut timelines: Vec<ProcTimeline> =

@@ -26,7 +26,7 @@ use vg_platform::Trace;
 /// Processor index of a literal: positive literal of variable `v` → `2v`,
 /// negative → `2v + 1`.
 #[must_use]
-pub fn proc_of_literal(lit: Lit) -> usize {
+fn proc_of_literal(lit: Lit) -> usize {
     (lit.var as usize) * 2 + usize::from(lit.negated)
 }
 

@@ -6,8 +6,6 @@
 //! elimination. It comfortably solves the formula sizes the reduction
 //! experiments use.
 
-use vg_des::rng::StreamRng;
-
 /// A propositional literal: variable index + polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Lit {
@@ -84,34 +82,6 @@ impl Cnf {
         self.clauses
             .iter()
             .all(|c| c.iter().any(|l| l.eval(assignment)))
-    }
-
-    /// Uniform random 3-SAT: `m` clauses of 3 distinct variables each.
-    ///
-    /// # Panics
-    /// Panics if `n_vars < 3`.
-    #[must_use]
-    pub fn random_3sat(n_vars: u32, m: usize, rng: &mut StreamRng) -> Self {
-        assert!(n_vars >= 3, "3-SAT needs at least 3 variables");
-        let mut clauses = Vec::with_capacity(m);
-        for _ in 0..m {
-            let mut vars = Vec::with_capacity(3);
-            while vars.len() < 3 {
-                let v = rng.index(n_vars as usize) as u32;
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-            clauses.push(
-                vars.into_iter()
-                    .map(|var| Lit {
-                        var,
-                        negated: rng.bernoulli(0.5),
-                    })
-                    .collect(),
-            );
-        }
-        Self::new(n_vars, clauses)
     }
 }
 
@@ -225,6 +195,37 @@ fn solve(clauses: &[Clause], assignment: &mut Vec<Option<bool>>) -> bool {
     }
     assignment[var] = None;
     false
+}
+
+#[cfg(test)]
+impl Cnf {
+    /// Uniform random 3-SAT: `m` clauses of 3 distinct variables each.
+    ///
+    /// # Panics
+    /// Panics if `n_vars < 3`.
+    #[must_use]
+    pub(crate) fn random_3sat(n_vars: u32, m: usize, rng: &mut vg_des::rng::StreamRng) -> Self {
+        assert!(n_vars >= 3, "3-SAT needs at least 3 variables");
+        let mut clauses = Vec::with_capacity(m);
+        for _ in 0..m {
+            let mut vars = Vec::with_capacity(3);
+            while vars.len() < 3 {
+                let v = rng.index(n_vars as usize) as u32;
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            clauses.push(
+                vars.into_iter()
+                    .map(|var| Lit {
+                        var,
+                        negated: rng.f64() < 0.5,
+                    })
+                    .collect(),
+            );
+        }
+        Self::new(n_vars, clauses)
+    }
 }
 
 #[cfg(test)]

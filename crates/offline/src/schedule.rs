@@ -41,7 +41,7 @@ pub struct SlotAction {
 
 impl SlotAction {
     /// No activity.
-    pub const IDLE: SlotAction = SlotAction {
+    const IDLE: SlotAction = SlotAction {
         comm: None,
         compute: None,
     };

@@ -73,7 +73,7 @@ impl AvailabilityModelConfig {
 
     /// The true Markov chain, when this model is Markov.
     #[must_use]
-    pub fn markov_chain(&self) -> Option<&AvailabilityChain> {
+    fn markov_chain(&self) -> Option<&AvailabilityChain> {
         match self {
             Self::Markov { chain, .. } => Some(chain),
             _ => None,
@@ -83,10 +83,8 @@ impl AvailabilityModelConfig {
 
 /// A mild default belief used when the scheduler has no information about a
 /// processor: mostly UP, occasional reclamations, rare failures.
-///
-/// Exposed so tests and documentation can reference the exact values.
 #[must_use]
-pub fn default_belief() -> AvailabilityChain {
+fn default_belief() -> AvailabilityChain {
     AvailabilityChain::new([[0.95, 0.04, 0.01], [0.45, 0.50, 0.05], [0.45, 0.05, 0.50]])
         .expect("static matrix is stochastic")
 }
@@ -105,7 +103,8 @@ pub struct ProcessorConfig {
     /// True availability process.
     pub avail: AvailabilityModelConfig,
     /// Scheduler's model of this processor. `None` means: use the true chain
-    /// if `avail` is Markov, otherwise fall back to [`default_belief`].
+    /// if `avail` is Markov, otherwise fall back to a mild default belief:
+    /// mostly UP, occasional reclamations, rare failures.
     pub believed: Option<AvailabilityChain>,
 }
 
@@ -208,6 +207,7 @@ impl PlatformConfig {
     /// from `seeds.child(q)`. Every seeded path shares this layout, so
     /// runs on the same `seeds` face identical availability (common
     /// random numbers).
+    // tidy:allow(dead_pub): the per-processor reference that vg-sim's tests/availability_matrix.rs and the bank tests in source.rs hold the dense bank to
     pub fn seeded_sources(
         &self,
         seeds: SeedPath,

@@ -68,7 +68,7 @@ pub enum FaultAction {
 impl FaultAction {
     /// The forced processor state.
     #[must_use]
-    pub fn forced_state(self) -> ProcState {
+    fn forced_state(self) -> ProcState {
         match self {
             Self::Kill => ProcState::Down,
             Self::Degrade => ProcState::Reclaimed,
@@ -246,12 +246,6 @@ impl FaultScript {
         &self.groups
     }
 
-    /// Parsed events in script order.
-    #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// True when the script forces nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -363,6 +357,7 @@ impl CompiledScript {
     /// # Panics
     /// Panics when `sources.len()` differs from the compiled platform size.
     #[must_use]
+    // tidy:allow(dead_pub): vg-sim's tests/chaos_equivalence.rs pins the engine overlay against this path
     pub fn wrap_sources(
         &self,
         sources: Vec<Box<dyn AvailabilitySource>>,
@@ -533,9 +528,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.groups(), &[("rack0".to_string(), 0..8)]);
-        assert_eq!(s.events().len(), 4);
+        assert_eq!(s.events.len(), 4);
         assert_eq!(
-            s.events()[0],
+            s.events[0],
             FaultEvent {
                 action: FaultAction::Kill,
                 target: FaultTarget::Fraction(30),
@@ -543,9 +538,9 @@ mod tests {
                 duration: 50,
             }
         );
-        assert_eq!(s.events()[1].duration, 1, "default duration");
-        assert_eq!(s.events()[2].action, FaultAction::Degrade);
-        assert_eq!(s.events()[3].action, FaultAction::Recover);
+        assert_eq!(s.events[1].duration, 1, "default duration");
+        assert_eq!(s.events[2].action, FaultAction::Degrade);
+        assert_eq!(s.events[3].action, FaultAction::Recover);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl BandwidthLedger {
 
     /// Channels still free this slot.
     #[must_use]
-    pub fn available(&self) -> usize {
+    fn available(&self) -> usize {
         self.ncom - self.granted_prog - self.granted_data
     }
 
@@ -78,18 +78,6 @@ impl BandwidthLedger {
         }
         self.total_granted += 1;
         true
-    }
-
-    /// Program channels granted this slot (`n_prog`).
-    #[must_use]
-    pub fn granted_prog(&self) -> usize {
-        self.granted_prog
-    }
-
-    /// Data channels granted this slot (`n_data`).
-    #[must_use]
-    pub fn granted_data(&self) -> usize {
-        self.granted_data
     }
 
     /// The Section 3.2 invariant: `n_prog + n_data ≤ ncom`.
@@ -141,8 +129,8 @@ mod tests {
         l.try_grant(TransferKind::Program);
         l.try_grant(TransferKind::Data);
         l.try_grant(TransferKind::Data);
-        assert_eq!(l.granted_prog(), 1);
-        assert_eq!(l.granted_data(), 2);
+        assert_eq!(l.granted_prog, 1);
+        assert_eq!(l.granted_data, 2);
     }
 
     #[test]

@@ -105,22 +105,12 @@ impl ReplaySource {
         Ok(())
     }
 
-    /// Creates a replay source, rejecting what [`Self::check`] rejects.
-    pub fn try_new(trace: Trace, tail: TailBehavior) -> Result<Self, ConfigError> {
-        Self::check(&trace, tail)?;
-        Ok(Self {
-            trace,
-            pos: 0,
-            tail,
-        })
-    }
-
     /// Creates a replay source.
     ///
     /// # Panics
     /// Panics if the trace is empty and `tail` is [`TailBehavior::HoldLast`]
     /// or [`TailBehavior::Cycle`] (there is nothing to hold or cycle); use
-    /// [`Self::try_new`] to handle that case as an error.
+    /// [`Self::check`] first to handle that case as an error.
     #[must_use]
     pub fn new(trace: Trace, tail: TailBehavior) -> Self {
         if matches!(tail, TailBehavior::HoldLast | TailBehavior::Cycle) {
@@ -444,7 +434,31 @@ pub fn semi_markov_source(
 mod tests {
     use super::*;
     use vg_des::rng::SeedPath;
+    use vg_markov::dist::SojournDist;
     use ProcState::{Down as D, Reclaimed as R, Up as U};
+
+    /// A BOINC-style desktop model: heavy-tailed Weibull `UP` stretches,
+    /// log-normal `RECLAIMED` interruptions, rare long `DOWN` repairs.
+    fn desktop_model(scale_up: f64) -> SemiMarkovModel {
+        SemiMarkovModel::new(
+            [[0.0, 0.85, 0.15], [0.9, 0.0, 0.1], [1.0, 0.0, 0.0]],
+            [
+                SojournDist::Weibull {
+                    scale: scale_up,
+                    shape: 0.7,
+                },
+                SojournDist::LogNormal {
+                    mu: 2.0,
+                    sigma: 0.8,
+                },
+                SojournDist::Weibull {
+                    scale: 4.0 * scale_up,
+                    shape: 1.0,
+                },
+            ],
+        )
+        .unwrap()
+    }
 
     #[test]
     fn replay_emits_trace_then_tail() {
@@ -469,15 +483,15 @@ mod tests {
     }
 
     #[test]
-    fn replay_try_new_rejects_empty_hold_and_cycle() {
-        // The fallible constructor turns the two undefined configurations
-        // into loud errors and accepts everything else.
+    fn replay_check_rejects_empty_hold_and_cycle() {
+        // The check turns the two undefined configurations into loud
+        // errors and accepts everything else.
         for tail in [TailBehavior::HoldLast, TailBehavior::Cycle] {
-            let e = ReplaySource::try_new(Trace::default(), tail).unwrap_err();
+            let e = ReplaySource::check(&Trace::default(), tail).unwrap_err();
             assert!(e.0.contains("empty trace"), "unhelpful: {e}");
         }
-        assert!(ReplaySource::try_new(Trace::default(), TailBehavior::ReclaimedForever).is_ok());
-        assert!(ReplaySource::try_new(Trace::parse("u").unwrap(), TailBehavior::Cycle).is_ok());
+        assert!(ReplaySource::check(&Trace::default(), TailBehavior::ReclaimedForever).is_ok());
+        assert!(ReplaySource::check(&Trace::parse("u").unwrap(), TailBehavior::Cycle).is_ok());
     }
 
     #[test]
@@ -489,7 +503,7 @@ mod tests {
             (TailBehavior::Cycle, U),
             (TailBehavior::ReclaimedForever, R),
         ] {
-            let mut s = ReplaySource::try_new(Trace::parse("ud").unwrap(), tail).unwrap();
+            let mut s = ReplaySource::new(Trace::parse("ud").unwrap(), tail);
             let run: Vec<_> = (0..100).map(|_| s.next_state()).collect();
             assert_eq!(run[0], U);
             assert_eq!(run[1], D);
@@ -720,7 +734,7 @@ mod tests {
                 crate::config::ProcessorConfig {
                     spec: ProcessorSpec::new(2),
                     avail: AvailabilityModelConfig::SemiMarkov {
-                        model: SemiMarkovModel::desktop_template(20.0),
+                        model: desktop_model(20.0),
                         start: StartPolicy::Stationary,
                     },
                     believed: None,
@@ -741,7 +755,7 @@ mod tests {
 
     #[test]
     fn semi_markov_source_runs() {
-        let model = SemiMarkovModel::desktop_template(20.0);
+        let model = desktop_model(20.0);
         let mut src = semi_markov_source(model, StartPolicy::Stationary, SeedPath::root(2).rng());
         for _ in 0..100 {
             let _ = src.next_state();

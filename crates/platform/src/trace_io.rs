@@ -95,6 +95,7 @@ impl TraceSet {
 
     /// Serializes to the versioned text format.
     #[must_use]
+    // tidy:allow(dead_pub): the writer that tests/trace_replay_roundtrip.rs and this file's round-trip proptests parse back
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(HEADER);
@@ -115,6 +116,7 @@ impl TraceSet {
 
     /// Parses the text format. Errors carry the exact 1-based line and
     /// column of the offending token.
+    // tidy:allow(dead_pub): the hostile-input parser that tests/trace_replay_roundtrip.rs and this file's proptests fuzz
     pub fn from_text(text: &str) -> Result<Self, TraceSetParseError> {
         let err =
             |line: usize, col: usize, message: String| TraceSetParseError { line, col, message };
@@ -223,6 +225,7 @@ impl TraceSet {
     /// Every trace spans the global horizon (the largest interval end), and
     /// speeds default to `w = 1` (the archive records availability, not
     /// performance).
+    // tidy:allow(dead_pub): the Failure Trace Archive reader that this file's parser tests and proptests fuzz
     pub fn from_fta_text(text: &str) -> Result<Self, TraceSetParseError> {
         let err =
             |line: usize, col: usize, message: String| TraceSetParseError { line, col, message };

@@ -127,7 +127,7 @@ impl DiurnalSpec {
 
     /// True when group `g` is in its off window at `slot`.
     #[must_use]
-    pub fn is_off(&self, group: usize, slot: u64) -> bool {
+    fn is_off(&self, group: usize, slot: u64) -> bool {
         let shift = (group as u64).wrapping_mul(self.group_stagger);
         (slot.wrapping_add(shift)) % self.period < self.off_len
     }

@@ -19,7 +19,7 @@
 //!
 //! Worker pipelines, the bind order and the slot scratch all carry
 //! **global** [`TaskId`]s: application `a`'s local task `t` is encoded as
-//! `a · 2²⁴ + t` ([`APP_TASK_SHIFT`]). Each [`IterationState`] keeps
+//! `a · 2²⁴ + t`. Each [`IterationState`] keeps
 //! operating on **local** ids; the engine translates at every boundary.
 //! Application 0's base is 0, so in the single-application case global and
 //! local ids are bit-for-bit the same numbers — one pillar of the
@@ -31,14 +31,14 @@ use vg_platform::AppConfig;
 use crate::task::{IterationState, TaskId};
 
 /// Bit position of the application index inside a global [`TaskId`].
-pub const APP_TASK_SHIFT: u32 = 24;
+const APP_TASK_SHIFT: u32 = 24;
 
 /// Exclusive upper bound on `tasks_per_iteration` under the global task-id
-/// encoding (local ids must fit below [`APP_TASK_SHIFT`]).
+/// encoding (local ids must fit in its low 24 bits).
 pub const MAX_APP_TASKS: usize = 1 << APP_TASK_SHIFT;
 
 /// Maximum number of co-scheduled applications (the app index must fit in
-/// the bits above [`APP_TASK_SHIFT`]).
+/// the encoding's high 8 bits).
 pub const MAX_APPS: usize = 1 << (32 - APP_TASK_SHIFT);
 
 /// Application index of a global task id.
@@ -104,7 +104,7 @@ impl Default for MoldableParams {
 impl MoldableParams {
     /// The task count for the next iteration given `up` UP workers.
     #[must_use]
-    pub fn pick_m(&self, up: usize) -> usize {
+    fn pick_m(&self, up: usize) -> usize {
         let den = u64::from(self.tasks_per_up_den.max(1));
         let raw = (up as u64).saturating_mul(u64::from(self.tasks_per_up_num)) / den;
         let lo = self.min_tasks.clamp(1, MAX_APP_TASKS - 1);

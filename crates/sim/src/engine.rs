@@ -194,7 +194,7 @@ pub mod phase_profile {
     ];
 
     /// Cumulative nanoseconds per phase.
-    pub static NANOS: [AtomicU64; 7] = [
+    pub(super) static NANOS: [AtomicU64; 7] = [
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
@@ -229,7 +229,7 @@ pub mod phase_profile {
     /// `*_place` entries) from bind bookkeeping, and — since the
     /// free-scan/mask/cands split — the one that shows what the replica
     /// phase's candidates-first early-out actually skips.
-    pub static SUB: [AtomicU64; 8] = [
+    pub(super) static SUB: [AtomicU64; 8] = [
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
@@ -1077,6 +1077,7 @@ impl Simulation {
     /// the uncapped code path on every slot and is therefore byte-identical
     /// to its uncapped twin (the `cap_equivalence` grid pins this).
     #[must_use]
+    // tidy:allow(dead_pub): tests/cap_equivalence.rs and tests/golden_grid.rs assert the cap engaged
     pub fn cap_engagements(&self) -> u64 {
         self.cap_engagements
     }
@@ -1107,7 +1108,7 @@ impl Simulation {
     /// [`AppReport`] per application, in engine app order. The combined
     /// part is exactly what [`Self::into_report`] would have produced.
     #[must_use]
-    pub fn into_multi_report(self) -> MultiReport {
+    fn into_multi_report(self) -> MultiReport {
         let (combined, apps) = self.finish();
         let apps = apps
             .into_iter()

@@ -46,7 +46,7 @@ impl Activity {
 
     /// True when the worker made forward progress this slot.
     #[must_use]
-    pub fn is_productive(self) -> bool {
+    fn is_productive(self) -> bool {
         matches!(
             self,
             Self::RecvProg | Self::RecvData | Self::Compute | Self::ComputeAndRecv
@@ -89,12 +89,6 @@ impl Timeline {
     #[must_use]
     pub fn at(&self, q: usize, t: Slot) -> Activity {
         self.rows[q][t as usize]
-    }
-
-    /// Slots at which iterations completed.
-    #[must_use]
-    pub fn barriers(&self) -> &[Slot] {
-        &self.barriers
     }
 
     /// Appends one slot of activity (engine hook).
@@ -196,6 +190,14 @@ impl SlotMarks {
                 (false, false) => Activity::IdleUp,
             },
         }
+    }
+}
+
+#[cfg(test)]
+impl Timeline {
+    /// Slots at which iterations completed.
+    pub(crate) fn barriers(&self) -> &[Slot] {
+        &self.barriers
     }
 }
 

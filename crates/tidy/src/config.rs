@@ -211,7 +211,7 @@ fn take_list(doc: &Doc, section: &str, key: &str) -> Result<Vec<String>, ParseEr
 
 impl Config {
     /// Reads a [`Config`] out of parsed `tidy.toml` contents.
-    pub fn from_doc(doc: &Doc) -> Result<Self, ParseError> {
+    fn from_doc(doc: &Doc) -> Result<Self, ParseError> {
         Ok(Config {
             hot_paths: take_list(doc, "hot_alloc", "paths")?,
             float_cmp_allow: take_list(doc, "float_cmp", "allow")?,

@@ -24,6 +24,8 @@
 //!   may only go down.
 //! - **`unsafe_safety`** — every `unsafe` block / `unsafe impl` needs an
 //!   adjacent `// SAFETY:` comment.
+//! - **`dead_pub`** — every bare-`pub` fn, const or static of library code
+//!   is named in the non-test code of some other file.
 //!
 //! See `docs/tidy.md` for the rule catalog, waiver syntax
 //! (`// tidy:allow(rule): reason`), and the ratchet workflow. The gate runs
@@ -37,7 +39,7 @@ pub mod lexer;
 pub mod rules;
 
 use config::{Baseline, Config};
-use rules::{check_file, FileMeta, Finding};
+use rules::{check_file, FileMeta, Finding, PubItem};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -92,7 +94,7 @@ impl WorkspaceReport {
 
 /// Collects every workspace `.rs` file (relative, forward slashes, sorted —
 /// the report order is part of the deterministic contract).
-pub fn collect_files(root: &Path) -> Result<Vec<String>, TidyError> {
+fn collect_files(root: &Path) -> Result<Vec<String>, TidyError> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -128,7 +130,7 @@ pub fn collect_files(root: &Path) -> Result<Vec<String>, TidyError> {
 
 /// Derives the scope classification for one workspace-relative path.
 #[must_use]
-pub fn classify(rel: &str) -> FileMeta {
+fn classify(rel: &str) -> FileMeta {
     let crate_dir = if let Some(rest) = rel.strip_prefix("crates/") {
         match rest.split('/').next() {
             Some(name) => format!("crates/{name}"),
@@ -162,6 +164,9 @@ pub fn run_workspace(
 ) -> Result<WorkspaceReport, TidyError> {
     let mut report = WorkspaceReport::default();
     let mut panic_sites: BTreeMap<String, Vec<(String, u32)>> = BTreeMap::new();
+    let mut pub_items: Vec<(String, PubItem)> = Vec::new();
+    // Identifier -> the non-test files that name it, in walk order.
+    let mut callers: BTreeMap<String, Vec<String>> = BTreeMap::new();
 
     for rel in collect_files(root)? {
         let meta = classify(&rel);
@@ -175,8 +180,16 @@ pub fn run_workspace(
                 bucket.push((rel.clone(), line));
             }
         }
+        if !is_test_target(&rel) {
+            for name in file_report.names {
+                callers.entry(name).or_default().push(rel.clone());
+            }
+        }
+        pub_items.extend(file_report.pub_items.into_iter().map(|i| (rel.clone(), i)));
         report.files_scanned += 1;
     }
+
+    dead_pub(&mut report, &pub_items, &callers);
 
     for (crate_dir, sites) in &panic_sites {
         report
@@ -190,6 +203,54 @@ pub fn run_workspace(
 
     report.findings.sort();
     Ok(report)
+}
+
+/// Integration tests (any `tests/` directory) call nothing that counts
+/// for `dead_pub`; binaries, examples and benches do.
+fn is_test_target(rel: &str) -> bool {
+    rel.starts_with("tests/") || rel.contains("/tests/")
+}
+
+/// Flags each public item no other file names, and each `dead_pub` waiver
+/// over an item that another file does name.
+fn dead_pub(
+    report: &mut WorkspaceReport,
+    items: &[(String, PubItem)],
+    callers: &BTreeMap<String, Vec<String>>,
+) {
+    for (file, item) in items {
+        let caller = callers
+            .get(&item.name)
+            .and_then(|files| files.iter().find(|f| *f != file));
+        let (rule, line, msg) = match (caller, item.waiver) {
+            (None, None) => (
+                "dead_pub",
+                item.line,
+                format!(
+                    "`pub` item `{}` is named in no other file's non-test code — \
+                     make it private, delete it with the tests that only \
+                     exercise it, or waive it naming the test that needs it",
+                    item.name
+                ),
+            ),
+            (Some(other), Some(waiver)) => (
+                "waiver",
+                waiver,
+                format!(
+                    "unused waiver for `dead_pub`: `{}` is named in {other} — \
+                     delete the waiver",
+                    item.name
+                ),
+            ),
+            _ => continue,
+        };
+        report.findings.push(Finding {
+            file: file.clone(),
+            line,
+            rule,
+            msg,
+        });
+    }
 }
 
 /// Compares panic-surface counts against the baseline, in both directions.

@@ -24,14 +24,16 @@
 
 use crate::config::Config;
 use crate::lexer::{lex, Lexed, Token, TokenKind};
+use std::collections::BTreeSet;
 
 /// Rule identifiers, as used in waivers and reports.
-pub const RULES: &[&str] = &[
+const RULES: &[&str] = &[
     "default_hasher",
     "wall_clock",
     "float_cmp",
     "hot_alloc",
     "unsafe_safety",
+    "dead_pub",
 ];
 
 /// One reported violation.
@@ -41,8 +43,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule identifier (see [`RULES`]; plus `waiver` for waiver hygiene and
-    /// `panic_ratchet` for baseline violations, reported by the runner).
+    /// Rule identifier: a waivable rule's name, `waiver` for waiver
+    /// hygiene, or `panic_ratchet` for baseline violations.
     pub rule: &'static str,
     /// Human-readable description.
     pub msg: String,
@@ -78,6 +80,24 @@ pub struct FileReport {
     /// Lines of `unwrap`/`expect`/panic-macro sites in non-test library
     /// code, for the ratchet tally.
     pub panic_sites: Vec<u32>,
+    /// Bare-`pub` fn/const/static items of non-test library code, for the
+    /// workspace's `dead_pub` pass.
+    pub pub_items: Vec<PubItem>,
+    /// Every identifier in the file's non-test code: what `dead_pub`
+    /// counts as naming an item.
+    pub names: BTreeSet<String>,
+}
+
+/// A bare-`pub` fn, const or static declared in non-test library code.
+#[derive(Debug, Clone)]
+pub struct PubItem {
+    /// The item's name.
+    pub name: String,
+    /// Line of its `pub` keyword.
+    pub line: u32,
+    /// Line of the `dead_pub` waiver on this line or the one above, if
+    /// any. Whether it is needed is only known once every file is read.
+    pub waiver: Option<u32>,
 }
 
 struct Waiver {
@@ -116,6 +136,7 @@ pub fn check_file(meta: &FileMeta, src: &str, config: &Config) -> FileReport {
     check.rule_hot_alloc(config);
     check.rule_unsafe_safety();
     check.count_panic_sites();
+    check.collect_pub_items();
     check.flag_unused_waivers();
 
     let mut report = check.report;
@@ -317,13 +338,21 @@ impl FileCheck<'_> {
         k < self.sig.len() && self.tok(k).kind == TokenKind::Punct && self.text(k) == op
     }
 
+    /// Marks the `rule` waiver on `line` or the line above as used and
+    /// returns the waiver's line.
+    fn take_waiver(&mut self, rule: &str, line: u32) -> Option<u32> {
+        let w = self
+            .waivers
+            .iter_mut()
+            .find(|w| w.rule == rule && (w.line == line || w.line + 1 == line))?;
+        w.used = true;
+        Some(w.line)
+    }
+
     /// Emits a finding unless a matching waiver covers its line.
     fn finding(&mut self, rule: &'static str, line: u32, msg: String) {
-        for w in &mut self.waivers {
-            if w.rule == rule && (w.line == line || w.line + 1 == line) {
-                w.used = true;
-                return;
-            }
+        if self.take_waiver(rule, line).is_some() {
+            return;
         }
         self.report.findings.push(Finding {
             file: self.meta.rel.clone(),
@@ -527,6 +556,68 @@ impl FileCheck<'_> {
                 _ => {}
             }
         }
+    }
+
+    // ----- dead public surface (collect only; runner resolves) --------------
+
+    /// Records the file's non-test identifiers and, in library code, its
+    /// bare-`pub` fn/const/static items. A `dead_pub` waiver above an item
+    /// is consumed here; the runner reports it stale if another file names
+    /// the item after all.
+    fn collect_pub_items(&mut self) {
+        for k in 0..self.sig.len() {
+            if !self.in_test[k] && self.tok(k).kind == TokenKind::Ident {
+                self.report.names.insert(self.text(k).to_string());
+            }
+        }
+        if !self.meta.is_lib {
+            return;
+        }
+        for k in 0..self.sig.len() {
+            if self.in_test[k] || !self.is_ident(k, "pub") {
+                continue;
+            }
+            let Some(at) = self.pub_item_name(k) else {
+                continue;
+            };
+            let line = self.tok(k).line;
+            let waiver = self.take_waiver("dead_pub", line);
+            let name = self.text(at).to_string();
+            self.report.pub_items.push(PubItem { name, line, waiver });
+        }
+    }
+
+    /// For a `pub` at `k`, the token index of the name of the fn, const or
+    /// static it declares. `None` for scoped visibility (`pub(crate)`),
+    /// types, modules, `use` and macro-generated names.
+    fn pub_item_name(&self, k: usize) -> Option<usize> {
+        let mut j = k + 1;
+        let mut is_const = false;
+        loop {
+            if self.is_ident(j, "const") {
+                is_const = true;
+            } else if self.is_ident(j, "extern") {
+                // The ABI string of `extern "C" fn`.
+                if j + 1 < self.sig.len() && self.tok(j + 1).kind == TokenKind::StrLit {
+                    j += 1;
+                }
+            } else if !(self.is_ident(j, "unsafe") || self.is_ident(j, "async")) {
+                break;
+            }
+            j += 1;
+        }
+        if self.is_ident(j, "fn") {
+            j += 1;
+        } else if self.is_ident(j, "static") {
+            j += 1;
+            if self.is_ident(j, "mut") {
+                j += 1;
+            }
+        } else if !is_const {
+            return None;
+        }
+        (j < self.sig.len() && self.tok(j).kind == TokenKind::Ident && self.text(j) != "_")
+            .then_some(j)
     }
 
     // ----- unsafe hygiene ---------------------------------------------------

@@ -108,3 +108,124 @@ fn waiver_hygiene_is_enforced() {
         vec![("waiver", 4), ("waiver", 7), ("waiver", 10)]
     );
 }
+
+/// The `dead_pub` fixture is a miniature workspace (`fixtures/dead_pub/`):
+/// a library, its binary and integration test, a second library, an
+/// example and a `perfbench/src` caller. Every finding lands in its
+/// library file; this returns their (rule, line) pairs with that file's
+/// text.
+fn dead_pub_fixture() -> (Vec<(&'static str, u32)>, String) {
+    const LIB: &str = "crates/lib/src/lib.rs";
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/dead_pub");
+    let report = vg_tidy::run_workspace(&root, &config(), None).expect("fixture walk");
+    assert!(
+        report.findings.iter().all(|f| f.file == LIB),
+        "{:?}",
+        report.findings
+    );
+    let src = std::fs::read_to_string(root.join(LIB)).expect("fixture library");
+    (fired(&report.findings), src)
+}
+
+/// The 1-based line declaring `name` in the fixture library.
+fn line_of(src: &str, name: &str) -> u32 {
+    let words = |l: &str| {
+        l.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .any(|w| w == name)
+    };
+    let at = src
+        .lines()
+        .position(|l| l.trim_start().starts_with("pub") && words(l))
+        .unwrap_or_else(|| panic!("the fixture declares no `{name}`"));
+    at as u32 + 1
+}
+
+/// The rules that fire on the line declaring `name` (`dead_pub`) or on
+/// the waiver right above it (`waiver`).
+fn dead_pub_on(name: &str) -> Vec<&'static str> {
+    let (fired, src) = dead_pub_fixture();
+    let line = line_of(&src, name);
+    fired
+        .iter()
+        .filter(|&&(rule, l)| (rule, l) == ("dead_pub", line) || (rule, l) == ("waiver", line - 1))
+        .map(|&(rule, _)| rule)
+        .collect()
+}
+
+#[test]
+fn dead_pub_fires_when_no_other_file_names_the_item() {
+    for name in [
+        "orphan_fn",
+        "orphan_const_fn",
+        "orphan_extern_fn",
+        "ORPHAN_CONST",
+        "ORPHAN_STATIC",
+    ] {
+        assert_eq!(dead_pub_on(name), ["dead_pub"], "{name}");
+    }
+}
+
+#[test]
+fn dead_pub_fires_when_only_the_own_file_names_the_item() {
+    assert_eq!(dead_pub_on("OWN_FILE_ONLY"), ["dead_pub"]);
+}
+
+#[test]
+fn dead_pub_fires_when_only_tests_name_the_item() {
+    assert_eq!(dead_pub_on("TESTS_ONLY"), ["dead_pub"]);
+}
+
+#[test]
+fn dead_pub_counts_libraries_binaries_examples_and_perfbench_as_callers() {
+    for name in ["used", "from_bin", "from_example", "from_perfbench"] {
+        assert!(dead_pub_on(name).is_empty(), "{name}");
+    }
+}
+
+#[test]
+fn dead_pub_waiver_silences_the_item() {
+    assert!(dead_pub_on("waived").is_empty());
+}
+
+#[test]
+fn stale_dead_pub_waiver_is_a_finding() {
+    assert_eq!(dead_pub_on("stale_waiver"), ["waiver"]);
+}
+
+#[test]
+fn dead_pub_exempts_scoped_visibility_and_types() {
+    assert!(dead_pub_on("scoped").is_empty());
+    assert!(dead_pub_on("Exempt").is_empty());
+}
+
+#[test]
+fn dead_pub_exempts_test_regions() {
+    assert!(dead_pub_on("in_test_region").is_empty());
+}
+
+#[test]
+fn dead_pub_name_collision_is_a_false_negative() {
+    // Nothing calls `collision`, but another file binds a local of that
+    // name: the rule matches names, not paths, and stays silent.
+    assert!(dead_pub_on("collision").is_empty());
+}
+
+#[test]
+fn dead_pub_fires_nowhere_else() {
+    let (fired, src) = dead_pub_fixture();
+    let mut want: Vec<(&'static str, u32)> = [
+        "orphan_fn",
+        "orphan_const_fn",
+        "orphan_extern_fn",
+        "ORPHAN_CONST",
+        "ORPHAN_STATIC",
+        "OWN_FILE_ONLY",
+        "TESTS_ONLY",
+    ]
+    .iter()
+    .map(|name| ("dead_pub", line_of(&src, name)))
+    .collect();
+    want.push(("waiver", line_of(&src, "stale_waiver") - 1));
+    want.sort_unstable();
+    assert_eq!(fired, want);
+}

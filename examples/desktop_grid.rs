@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for q in 0..12 {
         let jitter = rng.f64_range(0.5, 2.0); // office PC … workstation
         let model: SemiMarkovModel = desktop_model(&rp, jitter)?;
-        let belief = fit_belief(&model, rp.training_slots, SeedPath::root(500 + q));
+        let belief = fit_belief(&model, rp.training_slots, SeedPath::root(500 + q))?;
         let w = rng.u64_range_inclusive(6, 30);
         println!(
             "  M{q:<2} w = {w:>2}  true UP occupancy = {:.2}  fitted P(u,u) = {:.4}",
