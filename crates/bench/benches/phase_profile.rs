@@ -1,7 +1,7 @@
 //! Per-phase wall-clock split of the slot loop, at several platform sizes.
 //!
 //! Run with:
-//! `cargo bench -p vg-bench --features phase-profile --bench phase_profile`
+//! `cargo bench -p vg-bench --bench phase_profile`
 //!
 //! Backs the ROADMAP's per-phase cost-split claims (which phase is the next
 //! lever) with a reproducible measurement instead of ad-hoc instrumentation,
@@ -10,15 +10,16 @@
 //! human-readable lines it emits a machine-readable JSON artifact
 //! (`target/BENCH_phase_profile.json`, override with
 //! `BENCH_PHASE_PROFILE_OUT`) that CI uploads next to `BENCH_slotloop.json`
-//! so the split's trajectory is tracked across PRs. The target requires
-//! the feature, so plain `cargo bench -p vg-bench` skips it.
+//! so the split's trajectory is tracked across PRs. Each cell's engine owns
+//! a [`PhaseTimer`], so the split is that engine's alone.
 
 use vg_bench::{paper_app, paper_platform};
 use vg_core::HeuristicKind;
 use vg_des::rng::SeedPath;
 use vg_exp::paired::{Report, Row};
-use vg_sim::engine::phase_profile;
-use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
+use vg_sim::{
+    AppSpec, Availability, PhaseTimer, PlacementBudget, RunSpec, SimOptions, Simulation, WorkerSoA,
+};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -52,7 +53,7 @@ fn main() {
         let app = paper_app(m, max_slots, 2, 1);
         // Seeded construction picks the dense Markov bank — the same
         // source path the slotloop cells measure.
-        let mut sim = Simulation::new(RunSpec::new(
+        let mut sim = Simulation::<WorkerSoA, PhaseTimer>::with_probe(RunSpec::new(
             &platform,
             &[AppSpec::rigid(app)],
             Availability::Seeded(SeedPath::root(2)),
@@ -69,16 +70,15 @@ fn main() {
         for _ in 0..(max_slots / 10).max(10) {
             sim.step();
         }
-        phase_profile::reset();
+        *sim.probe() = PhaseTimer::default();
         while !sim.is_done() {
             sim.step();
         }
-        let nanos = phase_profile::snapshot();
-        let sub = phase_profile::sub_snapshot();
+        let PhaseTimer { nanos, sub } = *sim.probe();
         let total: u64 = nanos.iter().sum();
         let pct = |n: u64| 100.0 * n as f64 / total.max(1) as f64;
         print!("phase_profile p={p:<5} capped={capped:<5}");
-        for (name, n) in phase_profile::NAMES.iter().zip(nanos) {
+        for (name, n) in PhaseTimer::NAMES.iter().zip(nanos) {
             print!(" {name}={:.1}%", pct(n));
         }
         println!(
@@ -87,7 +87,7 @@ fn main() {
             sim.slots_run()
         );
         print!("  sched sub:");
-        for (name, n) in phase_profile::SUB_NAMES.iter().zip(sub) {
+        for (name, n) in PhaseTimer::SUB_NAMES.iter().zip(sub) {
             print!(" {name}={:.1}%", pct(n));
         }
         println!();
@@ -97,10 +97,10 @@ fn main() {
             .with("capped", capped)
             .with("slots", sim.slots_run())
             .with("total_seconds", total as f64 / 1e9);
-        for (name, n) in phase_profile::NAMES.iter().zip(nanos) {
+        for (name, n) in PhaseTimer::NAMES.iter().zip(nanos) {
             row = row.with(format!("{name}_pct"), pct(n));
         }
-        for (name, n) in phase_profile::SUB_NAMES.iter().zip(sub) {
+        for (name, n) in PhaseTimer::SUB_NAMES.iter().zip(sub) {
             row = row.with(format!("schedule.{name}_pct"), pct(n));
         }
         rows.push(row);

@@ -20,7 +20,10 @@ use vg_des::rng::SeedPath;
 use vg_markov::OutageChain;
 use vg_platform::volatility::{CorrelatedModel, DiurnalSpec};
 use vg_platform::FaultScript;
-use vg_sim::{AppSpec, Availability, PlacementBudget, RunSpec, SimOptions, Simulation};
+use vg_sim::{
+    AppSpec, Availability, NoProbe, PhaseTimer, PlacementBudget, Probe, RunSpec, SimOptions,
+    Simulation, WorkerSoA,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -34,12 +37,12 @@ enum Avail {
     DenseBank,
 }
 
-fn warmed_simulation(
+fn warmed_simulation<P: Probe>(
     p: usize,
     replication: bool,
     placement_budget: PlacementBudget,
     avail: Avail,
-) -> Simulation {
+) -> Simulation<WorkerSoA, P> {
     let platform = paper_platform(p, (p / 10).max(2), 2, 11);
     // Many iterations keep the workload alive for the whole measured
     // window. Iteration barriers are themselves allocation-free
@@ -53,7 +56,7 @@ fn warmed_simulation(
         }
         Avail::DenseBank => Availability::Seeded(SeedPath::root(2)),
     };
-    Simulation::new(RunSpec::new(
+    Simulation::with_probe(RunSpec::new(
         &platform,
         &[AppSpec::rigid(app)],
         availability,
@@ -141,6 +144,34 @@ fn warmed_two_app_simulation(p: usize) -> Simulation {
     .expect("valid configuration")
 }
 
+/// Warms `sim` up for 2000 slots — scratch buffers, worker bound-lists and
+/// scheduler internals (including the loser tree and the per-candidate hot
+/// rows) reach their high-water capacities — then asserts allocator
+/// silence over the next 5000.
+fn assert_quiet_window<P: Probe>(mut sim: Simulation<WorkerSoA, P>, what: &str) {
+    for _ in 0..2_000 {
+        sim.step();
+        if sim.is_done() {
+            panic!("warm-up exhausted the {what} workload; enlarge the app");
+        }
+    }
+    let before = snapshot();
+    for _ in 0..5_000 {
+        sim.step();
+        if sim.is_done() {
+            break;
+        }
+    }
+    let delta = snapshot().delta(before);
+    assert!(
+        delta.is_quiet(),
+        "steady-state {what} slots allocated: {} allocs, {} reallocs, {} bytes over 5000 slots",
+        delta.allocs,
+        delta.reallocs,
+        delta.bytes,
+    );
+}
+
 #[test]
 fn steady_state_slot_loop_is_allocation_free() {
     // p = 64 exercises the SoA column scans and the linear-scan side of the
@@ -169,63 +200,24 @@ fn steady_state_slot_loop_is_allocation_free() {
         (256, true, PlacementBudget::BindCapacity, Avail::Boxed),
         (256, true, PlacementBudget::Uncapped, Avail::DenseBank),
     ] {
-        let mut sim = warmed_simulation(p, replication, budget, avail);
-        // Warm-up: scratch buffers, worker bound-lists and scheduler
-        // internals (including the loser tree and the per-candidate hot
-        // rows) reach their high-water capacities.
-        for _ in 0..2_000 {
-            sim.step();
-            if sim.is_done() {
-                panic!("warm-up exhausted the workload; enlarge the app");
-            }
-        }
-        let before = snapshot();
-        for _ in 0..5_000 {
-            sim.step();
-            if sim.is_done() {
-                break;
-            }
-        }
-        let delta = snapshot().delta(before);
-        assert!(
-            delta.is_quiet(),
-            "steady-state slots allocated (p={p} replication={replication} {budget:?} \
-             {avail:?}): \
-             {} allocs, {} reallocs, {} bytes over {} measured slots",
-            delta.allocs,
-            delta.reallocs,
-            delta.bytes,
-            5_000,
-        );
+        let sim = warmed_simulation::<NoProbe>(p, replication, budget, avail);
+        let what = format!("p={p} replication={replication} {budget:?} {avail:?}");
+        assert_quiet_window(sim, &what);
     }
+
+    // Phase timing: a PhaseTimer engine reads the clock around every phase
+    // and schedule sub-phase and sums into its own arrays, so the heaviest
+    // capped cell must stay exactly as silent with the timer on.
+    let sim =
+        warmed_simulation::<PhaseTimer>(256, true, PlacementBudget::BindCapacity, Avail::Boxed);
+    assert_quiet_window(sim, "PhaseTimer p=256 capped");
 
     // The multi-application engine: two weighted co-scheduled apps through
     // the quota-sharing schedule phase and the per-app barrier loop. The
     // 10_000-iteration apps keep both alive for the whole window; the
     // per-app completion logs are preallocated for every barrier, so
     // crossing barriers mid-window must stay silent too.
-    let mut sim = warmed_two_app_simulation(64);
-    for _ in 0..2_000 {
-        sim.step();
-        if sim.is_done() {
-            panic!("warm-up exhausted the 2-app workload; enlarge the apps");
-        }
-    }
-    let before = snapshot();
-    for _ in 0..5_000 {
-        sim.step();
-        if sim.is_done() {
-            break;
-        }
-    }
-    let delta = snapshot().delta(before);
-    assert!(
-        delta.is_quiet(),
-        "steady-state 2-app slots allocated: {} allocs, {} reallocs, {} bytes over 5000 slots",
-        delta.allocs,
-        delta.reallocs,
-        delta.bytes,
-    );
+    assert_quiet_window(warmed_two_app_simulation(64), "2-app");
 
     // Scheduler chain statistics: `ChainStats::new` solves each 3×3
     // stationary distribution on the stack, so the per-processor
@@ -247,26 +239,5 @@ fn steady_state_slot_loop_is_allocation_free() {
     // an always-active overlay. The warm-up crosses the kill burst's start
     // (slot 3000), so the measured window covers both the burst and the
     // steady degrade span.
-    let mut sim = warmed_chaos_simulation(64);
-    for _ in 0..2_000 {
-        sim.step();
-        if sim.is_done() {
-            panic!("warm-up exhausted the chaos workload; enlarge the app");
-        }
-    }
-    let before = snapshot();
-    for _ in 0..5_000 {
-        sim.step();
-        if sim.is_done() {
-            break;
-        }
-    }
-    let delta = snapshot().delta(before);
-    assert!(
-        delta.is_quiet(),
-        "steady-state chaos slots allocated: {} allocs, {} reallocs, {} bytes over 5000 slots",
-        delta.allocs,
-        delta.reallocs,
-        delta.bytes,
-    );
+    assert_quiet_window(warmed_chaos_simulation(64), "chaos");
 }

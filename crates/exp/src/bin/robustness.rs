@@ -5,20 +5,21 @@
 //! semi-Markov truth, at matched time scales.
 //!
 //! ```text
-//! cargo run -p vg-exp --release --bin robustness -- [--scenarios K] [--trials T]
+//! cargo run -p vg-exp --release --bin robustness -- [--scenarios K] [--trials T] [--threads N]
 //! ```
 //!
 //! Writes the setting, each arm's tallies and summary, and the head-to-head
 //! rows to `$ROBUSTNESS_OUT` (default `target/ROBUSTNESS.json`).
 
 use vg_core::HeuristicKind;
+use vg_des::par::par_map_init_consume;
 use vg_des::rng::SeedPath;
 use vg_exp::campaign::{run_instance, CampaignConfig, CellStats};
 use vg_exp::cli::ExpArgs;
 use vg_exp::paired::{Report, Row};
 use vg_exp::report::text_table;
 use vg_exp::robustness::{expected_up_occupancy, make_robustness_scenario, RobustnessParams};
-use vg_exp::scenario::{make_scenario, Scenario, ScenarioParams};
+use vg_exp::scenario::{make_scenario, ScenarioParams};
 use vg_exp::HeuristicSummary;
 use vg_sim::SimArena;
 
@@ -49,39 +50,45 @@ fn main() {
     println!("{}", text_table(&[setting]));
 
     // Each arm runs every trial of its scenarios through the campaign's
-    // instance runner and scoring fold; a rejected instance ends the study.
+    // instance runner, one scenario per work item and one arena per
+    // thread. Arm A is the paper's setting (Markov truth, exact belief);
+    // arm B is semi-Markov truth with a fitted belief. Results fold in
+    // (arm, scenario, trial) order whatever the thread count; a rejected
+    // instance ends the study.
     let root = SeedPath::root(args.seed);
-    let mut arena = SimArena::new();
-    let mut arm = |arm: usize, scenario_of: &dyn Fn(u64) -> Scenario| {
-        let mut stats = CellStats::new(kinds.len());
-        for s_idx in 0..args.scenarios {
-            let scenario = scenario_of(s_idx as u64);
+    let units: Vec<(usize, usize)> = (0..2)
+        .flat_map(|arm| (0..args.scenarios).map(move |s| (arm, s)))
+        .collect();
+    let mut arms = [CellStats::new(kinds.len()), CellStats::new(kinds.len())];
+    par_map_init_consume(
+        &units,
+        args.parallelism(),
+        1,
+        SimArena::new,
+        |arena, &(arm, s_idx)| {
+            let scenario = if arm == 0 {
+                make_scenario(params, root.child_str("mk-scn").child(s_idx as u64))
+            } else {
+                make_robustness_scenario(params, &rp, root.child_str("sm-scn").child(s_idx as u64))
+                    .map_err(|e| format!("scenario {s_idx}: {e}"))?
+            };
             let chains: Vec<_> = scenario.platform.chain_stats().collect();
-            for trial in 0..args.trials {
-                match run_instance(&mut arena, &scenario, &chains, &cfg, arm, s_idx, trial) {
-                    Ok(outcome) => stats.absorb(&outcome),
-                    Err(e) => {
-                        eprintln!("error: arm {arm}, scenario {s_idx}, trial {trial}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        stats
-    };
-    // Arm A: the paper's setting (Markov truth, exact belief); arm B:
-    // semi-Markov truth, fitted belief.
-    let markov = arm(0, &|s| {
-        make_scenario(params, root.child_str("mk-scn").child(s))
-    });
-    let semi = arm(1, &|s| {
-        make_robustness_scenario(params, &rp, root.child_str("sm-scn").child(s)).unwrap_or_else(
-            |e| {
-                eprintln!("error: scenario {s}: {e}");
+            (0..args.trials)
+                .map(|trial| {
+                    run_instance(arena, &scenario, &chains, &cfg, arm, s_idx, trial)
+                        .map_err(|e| format!("arm {arm}, scenario {s_idx}, trial {trial}: {e}"))
+                })
+                .collect::<Result<Vec<_>, _>>()
+        },
+        |i, outcomes| match outcomes {
+            Ok(outcomes) => outcomes.iter().for_each(|o| arms[units[i].0].absorb(o)),
+            Err(e) => {
+                eprintln!("error: {e}");
                 std::process::exit(1);
-            },
-        )
-    });
+            }
+        },
+    );
+    let [markov, semi] = arms;
 
     let (mut tallies, mut summaries) = (Vec::new(), Vec::new());
     for (name, stats) in [("markov", &markov), ("semi_markov", &semi)] {

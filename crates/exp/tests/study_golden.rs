@@ -20,10 +20,18 @@ use std::process::Command;
 /// Runs `bin --quick` with its report redirected into a scratch file and
 /// compares the report with `tests/golden/<name>.quick.json`.
 fn check(name: &str, bin: &str, out_var: &str) {
-    let out: PathBuf = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.quick.json"));
+    check_with(name, bin, out_var, &[]);
+}
+
+/// [`check`], passing `extra` flags after `--quick`: they must not change
+/// the report.
+fn check_with(name: &str, bin: &str, out_var: &str, extra: &[&str]) {
+    let scratch = format!("{name}{}.quick.json", extra.concat());
+    let out: PathBuf = Path::new(env!("CARGO_TARGET_TMPDIR")).join(scratch);
     let _ = std::fs::remove_file(&out);
     let run = Command::new(bin)
         .arg("--quick")
+        .args(extra)
         .env(out_var, &out)
         .output()
         .unwrap_or_else(|e| panic!("{name}: cannot spawn {bin}: {e}"));
@@ -83,5 +91,15 @@ fn robustness_quick_matches_golden() {
         "robustness",
         env!("CARGO_BIN_EXE_robustness"),
         "ROBUSTNESS_OUT",
+    );
+}
+
+#[test]
+fn robustness_quick_on_two_threads_matches_golden() {
+    check_with(
+        "robustness",
+        env!("CARGO_BIN_EXE_robustness"),
+        "ROBUSTNESS_OUT",
+        &["--threads", "2"],
     );
 }

@@ -148,13 +148,13 @@ pub struct PlatformConfig {
 /// processors would silently truncate ids into aliases. The bound is
 /// enforced once by [`PlatformConfig::validate`] (every simulation entry
 /// point validates), so downstream casts are infallible.
-pub const MAX_PROCESSORS: usize = u32::MAX as usize;
+const MAX_PROCESSORS: usize = u32::MAX as usize;
 
 /// Validates a processor count against `1..=`[`MAX_PROCESSORS`].
 ///
 /// Factored out of [`PlatformConfig::validate`] so the upper bound is
 /// testable without materializing four billion processor configs.
-pub fn validate_processor_count(p: usize) -> Result<(), ConfigError> {
+fn validate_processor_count(p: usize) -> Result<(), ConfigError> {
     if p == 0 {
         return Err(ConfigError("platform has no processors".into()));
     }

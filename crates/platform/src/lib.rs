@@ -23,8 +23,7 @@ pub mod trace_io;
 pub mod volatility;
 
 pub use config::{
-    validate_processor_count, AppConfig, AvailabilityModelConfig, ConfigError, PlatformConfig,
-    ProcessorConfig, MAX_PROCESSORS,
+    AppConfig, AvailabilityModelConfig, ConfigError, PlatformConfig, ProcessorConfig,
 };
 pub use fault::{CompiledScript, FaultScript, FaultScriptError};
 pub use network::{BandwidthLedger, TransferKind};

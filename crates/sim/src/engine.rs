@@ -153,8 +153,8 @@ pub enum PlacementBudget {
 pub struct SimOptions {
     /// Hard cap on simulated slots (the run reports incomplete beyond it).
     pub max_slots: Slot,
-    /// Enable the Section 6.1 replication policy (at most
-    /// [`crate::MAX_EXTRA_REPLICAS`] extra copies per task).
+    /// Enable the Section 6.1 replication policy (at most two extra copies
+    /// per task).
     pub replication: bool,
     /// Record a per-slot activity [`Timeline`] (one byte per worker-slot).
     pub record_timeline: bool,
@@ -173,16 +173,58 @@ impl Default for SimOptions {
     }
 }
 
-/// Wall-clock accounting of the (fused) slot phases, recorded by
-/// [`Simulation::step`] when the `phase-profile` feature is enabled. Global
-/// and cumulative across every engine on the process — reset before the
-/// measured window, then read the split. The `phase_profile` bench in
-/// vg-bench drives this and prints percentages per platform size.
-#[cfg(feature = "phase-profile")]
-pub mod phase_profile {
-    use std::sync::atomic::{AtomicU64, Ordering};
+/// What an engine records about its own slot loop, chosen by type as
+/// [`Simulation`]'s `P`. The engine reads the clock around each phase and
+/// schedule sub-phase only when `TIMED`, so [`NoProbe`] compiles to the
+/// bare loop.
+pub trait Probe: Default {
+    /// Whether the engine times its phases for this probe.
+    const TIMED: bool;
+    /// Adds `nanos` of wall time to `part`.
+    fn add_nanos(&mut self, part: Part, nanos: u64);
+}
 
-    /// Display names, index-aligned with [`NANOS`].
+/// A timed part of the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Part {
+    /// Phase `i` of [`PhaseTimer::NAMES`].
+    Phase(usize),
+    /// Schedule sub-phase `i` of [`PhaseTimer::SUB_NAMES`].
+    Sub(usize),
+}
+
+/// The default [`Probe`]: records nothing, and the engine reads no clock.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoProbe;
+
+impl Probe for NoProbe {
+    const TIMED: bool = false;
+    fn add_nanos(&mut self, _: Part, _: u64) {}
+}
+
+/// A [`Probe`] that sums the wall time of one engine's (fused) slot phases
+/// and schedule sub-phases. The `phase_profile` bench in vg-bench zeroes it
+/// after warm-up and prints the split per platform size.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimer {
+    /// Nanoseconds per phase, index-aligned with [`Self::NAMES`].
+    pub nanos: [u64; 7],
+    /// Nanoseconds per schedule sub-phase, index-aligned with
+    /// [`Self::SUB_NAMES`]: the view sync before the pool round
+    /// (`snapshot`), the pool (originals) placement and its bind loop, the
+    /// replica-candidate generation, the view sync before the replica round
+    /// (`free_scan`), the candidate-set fill of demand-driven rounds
+    /// (`mask`), and the replica placement and its bind/mint loop. Together
+    /// they partition almost all of the `schedule` phase — the split that
+    /// showed the Eq.-(2)/Theorem-2 score evaluations, not the snapshot
+    /// walk, dominate at `p = 1024`, that separates selector cost (the
+    /// `*_place` entries) from bind bookkeeping, and that shows what the
+    /// replica phase's candidates-first early-out skips.
+    pub sub: [u64; 8],
+}
+
+impl PhaseTimer {
+    /// Display names of the phases, in slot execution order.
     pub const NAMES: [&str; 7] = [
         "states",
         "crashes",
@@ -193,19 +235,7 @@ pub mod phase_profile {
         "slot_end",
     ];
 
-    /// Cumulative nanoseconds per phase.
-    pub(super) static NANOS: [AtomicU64; 7] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
-
-    /// Display names of the schedule sub-phases, index-aligned with
-    /// [`SUB`] and listed in slot execution order.
+    /// Display names of the schedule sub-phases, in slot execution order.
     pub const SUB_NAMES: [&str; 8] = [
         "snapshot",
         "pool_place",
@@ -216,50 +246,15 @@ pub mod phase_profile {
         "replica_place",
         "replica_bind",
     ];
+}
 
-    /// Cumulative nanoseconds of the schedule phase's sub-parts: the
-    /// view sync before the pool round (`snapshot`), the pool (originals)
-    /// placement and its bind loop, the replica-candidate generation, the
-    /// view sync before the replica round (`free_scan`), the candidate-set
-    /// fill of demand-driven rounds (`mask`), and the replica placement
-    /// and its bind/mint loop. Together they partition (almost all of) the `schedule` entry
-    /// of [`NANOS`] — the split that told this codebase the
-    /// Eq.-(2)/Theorem-2 score evaluations, not the snapshot walk,
-    /// dominated at `p = 1024`, the one that separates selector cost (the
-    /// `*_place` entries) from bind bookkeeping, and — since the
-    /// free-scan/mask/cands split — the one that shows what the replica
-    /// phase's candidates-first early-out actually skips.
-    pub(super) static SUB: [AtomicU64; 8] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
-
-    /// Zeroes every accumulator.
-    pub fn reset() {
-        for n in &NANOS {
-            n.store(0, Ordering::Relaxed);
+impl Probe for PhaseTimer {
+    const TIMED: bool = true;
+    fn add_nanos(&mut self, part: Part, nanos: u64) {
+        match part {
+            Part::Phase(i) => self.nanos[i] += nanos,
+            Part::Sub(i) => self.sub[i] += nanos,
         }
-        for n in &SUB {
-            n.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Reads all accumulators.
-    #[must_use]
-    pub fn snapshot() -> [u64; 7] {
-        std::array::from_fn(|i| NANOS[i].load(Ordering::Relaxed))
-    }
-
-    /// Reads the schedule sub-phase accumulators.
-    #[must_use]
-    pub fn sub_snapshot() -> [u64; 8] {
-        std::array::from_fn(|i| SUB[i].load(Ordering::Relaxed))
     }
 }
 
@@ -327,27 +322,20 @@ macro_rules! for_each_busy_worker {
     }};
 }
 
-/// Adds the wall time of `$e` to schedule sub-phase `$idx` of
-/// [`phase_profile::SUB`] when the `phase-profile` feature is on; plain
-/// `$e` otherwise.
-#[cfg(feature = "phase-profile")]
-macro_rules! sub {
-    ($idx:expr, $e:expr) => {{
-        // tidy:allow(wall_clock): phase-profile instrumentation, cfg-gated and never read by simulation logic.
-        let t = std::time::Instant::now();
+/// Evaluates `$e` and, when the engine's probe is `TIMED`, adds its wall
+/// time to `$part` of the probe. `$sim` is the engine (`self`); the caller's
+/// scope must name its probe type `P`, as the engine's generic impl does.
+macro_rules! timed {
+    ($sim:ident, $part:expr, $e:expr) => {{
+        // tidy:allow(wall_clock): phase timing for a TIMED probe, never read by simulation logic.
+        let start = P::TIMED.then(std::time::Instant::now);
         let r = $e;
-        phase_profile::SUB[$idx].fetch_add(
-            t.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        if let Some(start) = start {
+            $sim.probe
+                .add_nanos($part, start.elapsed().as_nanos() as u64);
+        }
         r
     }};
-}
-#[cfg(not(feature = "phase-profile"))]
-macro_rules! sub {
-    ($idx:expr, $e:expr) => {
-        $e
-    };
 }
 
 /// How a placement round of phase 3 presents the view.
@@ -693,7 +681,7 @@ impl SimArena {
             ));
         }
         spec.validate()?;
-        let mut sim = Simulation::assemble(spec, self);
+        let mut sim: Simulation = Simulation::assemble(spec, self);
         while !sim.is_done() {
             sim.step();
         }
@@ -831,11 +819,15 @@ struct CommParams {
 /// historical single-application engine, bit for bit. Task ids in worker
 /// columns are namespaced by application ([`crate::app`]).
 ///
-/// The engine always runs on [`WorkerSoA`], and `impl Simulation` is its
-/// only impl. The defaulted type parameter stays, in the
-/// `HashMap<K, V, S = RandomState>` style, because the external benchmark
-/// harness under `perfbench/` names the type as `Simulation::<WorkerSoA>`.
-pub struct Simulation<S = WorkerSoA> {
+/// Both type parameters are defaulted, in the
+/// `HashMap<K, V, S = RandomState>` style. `S` is the worker store: the
+/// engine always runs on [`WorkerSoA`], and the parameter stays because the
+/// external benchmark harness under `perfbench/` names the type as
+/// `Simulation::<WorkerSoA>`. `P` is the [`Probe`] the engine owns: the
+/// default [`NoProbe`] reads no clock, and [`PhaseTimer`] sums this
+/// engine's phase times. The constructors build a `NoProbe` engine, and
+/// [`Simulation::with_probe`] builds one with any probe.
+pub struct Simulation<S = WorkerSoA, P = NoProbe> {
     app: CommParams,
     /// The co-scheduled application runtimes, engine app order. Never
     /// empty; a one-app roster skips the share split of the schedule
@@ -873,6 +865,7 @@ pub struct Simulation<S = WorkerSoA> {
     scratch: SlotScratch,
     timeline: Option<Timeline>,
     slot_marks: Vec<SlotMarks>,
+    probe: P,
 }
 
 impl Simulation {
@@ -884,8 +877,7 @@ impl Simulation {
     /// config problems, mismatched communication parameters), and
     /// availability or an overlay whose width is not the platform's.
     pub fn new(spec: RunSpec<'_>) -> Result<Self, ConfigError> {
-        spec.validate()?;
-        Ok(Self::assemble(spec, &mut SimArena::default()))
+        Self::with_probe(spec)
     }
 
     /// A single-application [`Simulation::new`] over
@@ -944,6 +936,23 @@ impl Simulation {
         check_overlay(overlay.p(), self.chains.len())?;
         self.overlay = Some(overlay);
         Ok(())
+    }
+}
+
+impl<P: Probe> Simulation<WorkerSoA, P> {
+    /// [`Simulation::new`] for an engine that owns a `P` probe, e.g.
+    /// `Simulation::<WorkerSoA, PhaseTimer>::with_probe(spec)`.
+    ///
+    /// # Errors
+    /// As [`Simulation::new`].
+    pub fn with_probe(spec: RunSpec<'_>) -> Result<Self, ConfigError> {
+        spec.validate()?;
+        Ok(Self::assemble(spec, &mut SimArena::default()))
+    }
+
+    /// This engine's probe, to read or to reset between slots.
+    pub fn probe(&mut self) -> &mut P {
+        &mut self.probe
     }
 
     /// Builds an engine from a validated `spec`, taking the buffers it
@@ -1024,6 +1033,7 @@ impl Simulation {
             scratch,
             timeline: options.record_timeline.then(|| Timeline::new(p)),
             slot_marks,
+            probe: P::default(),
         }
     }
 
@@ -1149,31 +1159,13 @@ impl Simulation {
     /// unobservable and the phase semantics of the module docs hold
     /// unchanged.
     pub fn step(&mut self) {
-        #[cfg(feature = "phase-profile")]
-        macro_rules! timed {
-            ($idx:expr, $e:expr) => {{
-                // tidy:allow(wall_clock): phase-profile instrumentation, cfg-gated and never read by simulation logic.
-                let t = std::time::Instant::now();
-                $e;
-                phase_profile::NANOS[$idx].fetch_add(
-                    t.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }};
-        }
-        #[cfg(not(feature = "phase-profile"))]
-        macro_rules! timed {
-            ($idx:expr, $e:expr) => {
-                $e
-            };
-        }
-        timed!(0, self.phase_states());
-        timed!(1, self.phase_crashes());
-        timed!(2, self.phase_schedule());
-        timed!(3, self.phase_transfers());
-        timed!(4, self.phase_compute());
-        timed!(5, self.phase_promotions_and_unbind());
-        timed!(6, self.phase_slot_end());
+        timed!(self, Part::Phase(0), self.phase_states());
+        timed!(self, Part::Phase(1), self.phase_crashes());
+        timed!(self, Part::Phase(2), self.phase_schedule());
+        timed!(self, Part::Phase(3), self.phase_transfers());
+        timed!(self, Part::Phase(4), self.phase_compute());
+        timed!(self, Part::Phase(5), self.phase_promotions_and_unbind());
+        timed!(self, Part::Phase(6), self.phase_slot_end());
         self.slot += 1;
     }
 
@@ -1615,7 +1607,7 @@ impl Simulation {
             return 0;
         }
         if !std::mem::replace(synced, true) {
-            sub!(0, self.sync_views());
+            timed!(self, Part::Sub(0), self.sync_views());
         }
         if one_shot {
             let want = self.scratch.pending.len();
@@ -1627,7 +1619,7 @@ impl Simulation {
         // per-candidate row fill, so a round costs O(capacity), not O(p).
         // The set is frozen for the whole top-up loop while `room` shrinks
         // under it; earlier applications' binds are already reflected.
-        sub!(5, {
+        timed!(self, Part::Sub(5), {
             let Self {
                 workers, scratch, ..
             } = self;
@@ -1667,8 +1659,8 @@ impl Simulation {
     }
 
     /// Application `a`'s replica round: idle UP workers receive replicas
-    /// of its least replicated unfinished tasks (≤ [`crate::MAX_EXTRA_REPLICAS`]
-    /// each).
+    /// of its least replicated unfinished tasks
+    /// (≤ [`crate::task::MAX_EXTRA_REPLICAS`] each).
     ///
     /// Candidates first: near an iteration barrier every unfinished task
     /// already carries its full replica set, so the candidate list — an
@@ -1683,7 +1675,7 @@ impl Simulation {
         if self.apps[a].iter.is_complete() {
             return;
         }
-        sub!(3, {
+        timed!(self, Part::Sub(3), {
             let rt = &self.apps[a];
             rt.iter.replica_candidates_into(&mut self.scratch.pending);
             for t in &mut self.scratch.pending {
@@ -1693,7 +1685,7 @@ impl Simulation {
         if self.scratch.pending.is_empty() {
             return;
         }
-        sub!(4, self.sync_views());
+        timed!(self, Part::Sub(4), self.sync_views());
         let k = self.scratch.pending.len().min(self.scratch.free_total);
         if k > 0 {
             self.place_and_bind(Round::Replica, k);
@@ -1707,7 +1699,7 @@ impl Simulation {
     /// how many copies bound.
     fn place_and_bind(&mut self, round: Round, want: usize) -> usize {
         let replica = round == Round::Replica;
-        let placed = sub!(if replica { 6 } else { 1 }, {
+        let placed = timed!(self, Part::Sub(if replica { 6 } else { 1 }), {
             let lane = match round {
                 Round::Pool => Some(Lane::Pool),
                 Round::TopUp => None,
@@ -1748,7 +1740,7 @@ impl Simulation {
             scheduler.place_into(&view, want, &mut scratch.placements);
             scratch.placements.len().min(want)
         });
-        sub!(if replica { 7 } else { 2 }, {
+        timed!(self, Part::Sub(if replica { 7 } else { 2 }), {
             let mut bound = 0usize;
             let mut write = 0usize;
             for k in 0..placed {

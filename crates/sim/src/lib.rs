@@ -81,10 +81,10 @@ pub mod worker;
 
 pub use app::{AppRuntime, AppSpec, MoldableParams, ReconfigPolicy};
 pub use engine::{
-    platform_chain_stats, AppOutcome, Availability, PlacementBudget, RunOutcome, RunSpec, SimArena,
-    SimOptions, Simulation,
+    platform_chain_stats, AppOutcome, Availability, NoProbe, PhaseTimer, PlacementBudget, Probe,
+    RunOutcome, RunSpec, SimArena, SimOptions, Simulation,
 };
 pub use report::{AppReport, Counters, MultiReport, SimReport};
 pub use store::WorkerSoA;
-pub use task::{CopyId, TaskId, MAX_EXTRA_REPLICAS};
+pub use task::{CopyId, TaskId};
 pub use timeline::{Activity, Timeline};

@@ -80,7 +80,7 @@ pub const NO_REPLICA_WORKER: u32 = u32::MAX;
 
 /// Maximum *extra* copies per task under replication: the paper's "at most
 /// two extra copies" (Section 6.1), so three copies in all.
-pub const MAX_EXTRA_REPLICAS: usize = 2;
+pub(crate) const MAX_EXTRA_REPLICAS: usize = 2;
 
 /// Live state of one application iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -255,7 +255,7 @@ impl IterationState {
     }
 
     /// Writes into `out` (cleared first) the unfinished tasks eligible for
-    /// one more replica (fewer than [`MAX_EXTRA_REPLICAS`] live replicas),
+    /// one more replica (fewer than `MAX_EXTRA_REPLICAS` live replicas),
     /// ordered by (live copies, id) so the least replicated task replicates
     /// first. Allocation-free once `out` has warmed to capacity `m`; one
     /// linear pass per replica level replaces a comparison sort and yields

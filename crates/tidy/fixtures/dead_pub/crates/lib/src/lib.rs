@@ -44,6 +44,10 @@ pub struct Exempt;
 // nothing calls it (matching is by name).
 pub fn collision() {}
 
+// A re-export is not a caller: `reexported_only` fires in its own file.
+mod reexported;
+pub use reexported::reexported_only;
+
 #[cfg(test)]
 mod tests {
     // Test code is exempt, and names nothing on other items' behalf.

@@ -83,8 +83,8 @@ pub struct FileReport {
     /// Bare-`pub` fn/const/static items of non-test library code, for the
     /// workspace's `dead_pub` pass.
     pub pub_items: Vec<PubItem>,
-    /// Every identifier in the file's non-test code: what `dead_pub`
-    /// counts as naming an item.
+    /// Every identifier in the file's non-test code outside `use`
+    /// declarations: what `dead_pub` counts as naming an item.
     pub names: BTreeSet<String>,
 }
 
@@ -560,13 +560,20 @@ impl FileCheck<'_> {
 
     // ----- dead public surface (collect only; runner resolves) --------------
 
-    /// Records the file's non-test identifiers and, in library code, its
-    /// bare-`pub` fn/const/static items. A `dead_pub` waiver above an item
-    /// is consumed here; the runner reports it stale if another file names
-    /// the item after all.
+    /// Records the file's non-test identifiers outside `use` declarations
+    /// and, in library code, its bare-`pub` fn/const/static items. A
+    /// re-export is not a caller, so an item that only a `use` names stays
+    /// unnamed. A `dead_pub` waiver above an item is consumed here; the
+    /// runner reports it stale if another file names the item after all.
     fn collect_pub_items(&mut self) {
+        let mut in_use = false;
         for k in 0..self.sig.len() {
-            if !self.in_test[k] && self.tok(k).kind == TokenKind::Ident {
+            // `use<..>` is a precise-capturing bound, not a declaration.
+            if self.is_ident(k, "use") && !self.is_punct(k + 1, "<") {
+                in_use = true;
+            } else if in_use {
+                in_use = !self.is_punct(k, ";");
+            } else if !self.in_test[k] && self.tok(k).kind == TokenKind::Ident {
                 self.report.names.insert(self.text(k).to_string());
             }
         }

@@ -109,22 +109,39 @@ fn waiver_hygiene_is_enforced() {
     );
 }
 
+/// The fixture library of `dead_pub`.
+const LIB: &str = "crates/lib/src/lib.rs";
+/// The library module whose item only the library's `pub use` names.
+const REEXPORTED: &str = "crates/lib/src/reexported.rs";
+
 /// The `dead_pub` fixture is a miniature workspace (`fixtures/dead_pub/`):
-/// a library, its binary and integration test, a second library, an
-/// example and a `perfbench/src` caller. Every finding lands in its
-/// library file; this returns their (rule, line) pairs with that file's
-/// text.
-fn dead_pub_fixture() -> (Vec<(&'static str, u32)>, String) {
-    const LIB: &str = "crates/lib/src/lib.rs";
+/// a library with one re-exported module, its binary and integration
+/// test, a second library, an example and a `perfbench/src` caller. Every
+/// finding lands in the library or its re-exported module; this returns
+/// the (rule, line) pairs of `file` with that file's text.
+fn dead_pub_fixture_in(file: &str) -> (Vec<(&'static str, u32)>, String) {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/dead_pub");
     let report = vg_tidy::run_workspace(&root, &config(), None).expect("fixture walk");
     assert!(
-        report.findings.iter().all(|f| f.file == LIB),
+        report
+            .findings
+            .iter()
+            .all(|f| f.file == LIB || f.file == REEXPORTED),
         "{:?}",
         report.findings
     );
-    let src = std::fs::read_to_string(root.join(LIB)).expect("fixture library");
-    (fired(&report.findings), src)
+    let here: Vec<Finding> = report
+        .findings
+        .into_iter()
+        .filter(|f| f.file == file)
+        .collect();
+    let src = std::fs::read_to_string(root.join(file)).expect("fixture source");
+    (fired(&here), src)
+}
+
+/// [`dead_pub_fixture_in`] the library file.
+fn dead_pub_fixture() -> (Vec<(&'static str, u32)>, String) {
+    dead_pub_fixture_in(LIB)
 }
 
 /// The 1-based line declaring `name` in the fixture library.
@@ -201,6 +218,12 @@ fn dead_pub_exempts_scoped_visibility_and_types() {
 #[test]
 fn dead_pub_exempts_test_regions() {
     assert!(dead_pub_on("in_test_region").is_empty());
+}
+
+#[test]
+fn dead_pub_fires_when_only_a_pub_use_names_the_item() {
+    let (fired, src) = dead_pub_fixture_in(REEXPORTED);
+    assert_eq!(fired, [("dead_pub", line_of(&src, "reexported_only"))]);
 }
 
 #[test]
